@@ -17,8 +17,8 @@
 //	    (cmd/traceeval -fig5, cmd/timing -fig7/-fig8 — identical plan
 //	    fingerprints), runs it through an embedded runner attached to
 //	    the result store, and streams the manifest-headed, plan-ordered
-//	    JSONL observation file — byte-identical to the CLI's
-//	    -json -parallel 1 output, whatever mix of cached and computed
+//	    JSONL observation file — byte-identical to the CLI's -json
+//	    output at any -parallel, whatever mix of cached and computed
 //	    cells produced it. Cells already in the store are served
 //	    without computing; repeated queries cost zero simulations.
 //	    X-Cached-Cells / X-Computed-Cells report the split.
@@ -292,11 +292,10 @@ func (s *server) figure(def destset.SweepDef, plan *destset.SweepPlan) (*figureR
 }
 
 // runFigure executes one figure sweep through an embedded runner
-// attached to the result store and renders the merged plan-ordered
-// JSONL body. The raw observation stream (whatever order the worker
-// pool emitted it in) is reordered through MergeObservations, so the
-// response bytes are deterministic at any -parallel and identical to a
-// local -json -parallel 1 run.
+// attached to the result store and renders the manifest-headed JSONL
+// body. The runners deliver observations in plan order at any
+// parallelism, so the body is the runner's stream as written:
+// deterministic at any -parallel and identical to a local -json run.
 func (s *server) runFigure(def destset.SweepDef, plan *destset.SweepPlan) (*figureReply, error) {
 	cached := 0
 	for _, c := range plan.Cells() {
@@ -304,8 +303,8 @@ func (s *server) runFigure(def destset.SweepDef, plan *destset.SweepPlan) (*figu
 			cached++
 		}
 	}
-	var raw bytes.Buffer
-	sink := destset.NewJSONLObserver(&raw)
+	var body bytes.Buffer
+	sink := destset.NewJSONLObserver(&body)
 	if err := sink.WriteManifest(plan.Manifest(0, 1)); err != nil {
 		return nil, err
 	}
@@ -334,10 +333,6 @@ func (s *server) runFigure(def destset.SweepDef, plan *destset.SweepPlan) (*figu
 		return nil, fmt.Errorf("unknown sweep kind %q", def.Kind)
 	}
 	if err := sink.Flush(); err != nil {
-		return nil, err
-	}
-	var body bytes.Buffer
-	if err := destset.MergeObservations(&body, bytes.NewReader(raw.Bytes())); err != nil {
 		return nil, err
 	}
 	return &figureReply{

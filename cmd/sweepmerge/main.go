@@ -10,10 +10,10 @@
 // begins with a shard-manifest record naming the sweep plan. The merge
 // refuses mismatched plan fingerprints, duplicate or missing shards,
 // and records that name cells outside the plan: files from different
-// sweeps never silently combine. The merged output carries the records
-// verbatim, reordered into the plan's deterministic cell order, and is
-// byte-identical to the file an unsharded `-json -parallel 1` run
-// writes.
+// sweeps never silently combine. Shard files are plan-ordered at any
+// -parallel, so the merge streams them — one record per input resident
+// — interleaving the records verbatim into the plan's cell order. The
+// output is byte-identical to the file the unsharded -json run writes.
 //
 // Ctrl-C cancels the merge at the next safe point (a second Ctrl-C
 // terminates immediately), and file output is atomic (written to a temp

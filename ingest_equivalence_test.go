@@ -151,7 +151,7 @@ func TestImportedAndComposedSweepEquivalence(t *testing.T) {
 				}
 				parts[s] = res
 			}
-			merged, err := destset.NewRunner(engines, workloads, baseOpts()...).Merge(parts)
+			merged, err := destset.MergeResults(planOf(t, destset.NewRunner(engines, workloads, baseOpts()...)), parts)
 			if err != nil {
 				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
 			}
@@ -219,7 +219,7 @@ func TestImportedAndComposedTimingEquivalence(t *testing.T) {
 				}
 				parts[s] = res
 			}
-			merged, err := destset.NewTimingRunner(sims, workloads).Merge(parts)
+			merged, err := destset.MergeResults(planOf(t, destset.NewTimingRunner(sims, workloads)), parts)
 			if err != nil {
 				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
 			}

@@ -34,7 +34,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -142,13 +141,6 @@ type task struct {
 	cached bool
 }
 
-// cellKey is a cell's identity as observation records name it.
-type cellKey struct {
-	label    string
-	workload string
-	seed     uint64
-}
-
 // maxCachedRun caps how many store-served cells one synthesized spill
 // covers, bounding build-time residency on warm resumes.
 const maxCachedRun = 1024
@@ -166,7 +158,7 @@ type Coordinator struct {
 	def      destset.SweepDef
 	plan     *destset.SweepPlan
 	datasets []destset.SweepDataset
-	cells    map[cellKey]int // cell identity -> plan index
+	cellOf   func(raw []byte) (int, error) // attributes an uploaded record to its plan cell
 	// wire indexes the sweep's datasets by content key for the fetch
 	// endpoint; dsetKeys preserves announcement order.
 	wire     map[string]*wireDataset
@@ -211,8 +203,7 @@ type Coordinator struct {
 // their spill files revalidate, and in-flight leases are requeued.
 // It fails on defs whose cells are not uniquely labeled — observation
 // records name cells by (label, workload, seed), and ambiguous labels
-// would make uploads unattributable, exactly as MergeObservations
-// refuses them.
+// would make uploads unattributable (see SweepPlan.RecordIndex).
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 1
@@ -237,14 +228,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := make(map[cellKey]int, plan.Len())
-	for i, c := range plan.Cells() {
-		key := cellKey{label: c.Engine, workload: c.Workload, seed: c.Seed}
-		if _, dup := cells[key]; dup {
-			return nil, fmt.Errorf("distrib: plan has two cells labeled (%s, %s, seed %d); give the specs distinct labels",
-				c.Engine, c.Workload, c.Seed)
-		}
-		cells[key] = i
+	cellOf, err := plan.RecordIndex()
+	if err != nil {
+		return nil, err
 	}
 	wire := make(map[string]*wireDataset, len(datasets))
 	dsetKeys := make([]string, 0, len(datasets))
@@ -264,7 +250,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		def:      cfg.Def,
 		plan:     plan,
 		datasets: datasets,
-		cells:    cells,
+		cellOf:   cellOf,
 		wire:     wire,
 		dsetKeys: dsetKeys,
 		leased:   make(map[int]bool),
@@ -973,19 +959,6 @@ func (c *Coordinator) Fail(leaseID, worker, planFP, reason string) error {
 	return nil
 }
 
-// obsProbe decodes the cell-identifying fields of either observation
-// kind: trace records carry Engine, timing records carry Sim. It
-// mirrors the unexported probe destset.MergeObservations uses
-// (jsonl.go) — the two must agree on the record wire format, a contract
-// the byte-identity tests (distributed output vs local run) pin: a
-// divergence misattributes uploads and fails the diff.
-type obsProbe struct {
-	Engine   string `json:"Engine"`
-	Sim      string `json:"Sim"`
-	Workload string `json:"Workload"`
-	Seed     uint64 `json:"Seed"`
-}
-
 // CompleteReply reports what happened to an uploaded completion.
 type CompleteReply struct {
 	// Accepted means this upload is the range's accepted result.
@@ -1109,18 +1082,9 @@ func (c *Coordinator) readRecords(lo, hi int, body io.Reader) ([][][]byte, error
 			raw = bytes.TrimSuffix(raw, []byte("\n"))
 			raw = bytes.TrimSuffix(raw, []byte("\r"))
 			if len(raw) > 0 {
-				var p obsProbe
-				if jerr := json.Unmarshal(raw, &p); jerr != nil {
-					return nil, fmt.Errorf("distrib: upload line %d: %w", line, jerr)
-				}
-				label := p.Engine
-				if c.def.Kind == destset.PlanKindTiming {
-					label = p.Sim
-				}
-				ci, ok := c.cells[cellKey{label: label, workload: p.Workload, seed: p.Seed}]
-				if !ok {
-					return nil, fmt.Errorf("distrib: upload line %d names cell (%s, %s, seed %d) not in the plan",
-						line, label, p.Workload, p.Seed)
+				ci, cerr := c.cellOf(raw)
+				if cerr != nil {
+					return nil, fmt.Errorf("distrib: upload line %d: %w", line, cerr)
 				}
 				if ci < lo || ci >= hi {
 					return nil, fmt.Errorf("distrib: upload line %d names cell %d outside the leased range [%d,%d)",

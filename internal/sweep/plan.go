@@ -143,22 +143,6 @@ func SubsetIndices(total int, cells []int, shard, shards int) ([]int, error) {
 	return out, nil
 }
 
-// PrewarmJobsFor collects the unique prewarm jobs of a cell subset in
-// first-appearance order — the shard-restricted prewarm list both
-// runners front their cells with.
-func PrewarmJobsFor(subset []int, job func(i int) PrewarmJob) []PrewarmJob {
-	jobs := make([]PrewarmJob, 0, len(subset))
-	seen := make(map[PrewarmJob]bool, len(subset))
-	for _, i := range subset {
-		j := job(i)
-		if !seen[j] {
-			seen[j] = true
-			jobs = append(jobs, j)
-		}
-	}
-	return jobs
-}
-
 // MergeShards reassembles per-shard result slices into the full-plan
 // order: shards[s] must hold exactly the results of the cells
 // ShardIndices(total, s, len(shards)) selects, in order — which is what

@@ -1,8 +1,9 @@
 // Package sweep is the concurrency engine behind the public experiment
-// API: it fans a (engine × workload × seed) cross-product over a worker
-// pool, streams per-interval observations, honors context cancellation,
-// and returns results in a deterministic order regardless of goroutine
-// scheduling.
+// API. Its plan executor (Execute) runs any subset of a sweep's cells —
+// trace-driven (engine × workload × seed) or timing — over a worker
+// pool, consults a result store, prewarms shared stream sources, honors
+// context cancellation, and delivers observations and results in plan
+// order regardless of goroutine scheduling.
 //
 // Determinism comes from the shape of a cell, not from locking: every
 // cell builds its own fresh engine and opens its own miss stream, both
@@ -11,8 +12,8 @@
 // parallelism. Streams may replay a shared immutable dataset (each cell
 // still gets its own cursor); workloads expose Prepare so such datasets
 // materialize across the worker pool before cells run. Results are
-// written to a slot indexed by the cell's position in the
-// cross-product, then compacted in order.
+// written to a slot indexed by the cell's position in the selected
+// subset, then compacted in order.
 package sweep
 
 import (
@@ -55,10 +56,10 @@ type Workload struct {
 	Open func(seed uint64) (Stream, error)
 	// Prepare, when non-nil, materializes whatever Open(seed) will
 	// replay — typically a shared dataset — without returning a stream.
-	// Run calls it once per (workload, seed) pair across the worker pool
-	// before any cell starts, so expensive one-time generation runs at
-	// full parallelism instead of serializing the cells that race to
-	// open the same source first.
+	// The runners prepare each (workload, seed) pair once, across the
+	// worker pool, before any cell starts (see Exec.Prewarm), so
+	// expensive one-time generation runs at full parallelism instead of
+	// serializing the cells that race to open the same source first.
 	Prepare func(seed uint64) error
 	// Warm misses train caches and predictors without being measured.
 	Warm int
@@ -89,248 +90,148 @@ type Result struct {
 	Totals     protocol.Totals
 }
 
-// Config tunes a sweep run.
-type Config struct {
-	// Seeds are the per-cell workload seeds; default {1}.
-	Seeds []uint64
-	// Parallelism caps concurrently-running cells; default GOMAXPROCS.
-	Parallelism int
-	// Interval is the observation granularity in misses; 0 disables
-	// interval streaming (observers then see one observation per cell).
-	Interval int
-	// Observe, when non-nil, receives every observation. Calls are
-	// serialized; the observer need not be concurrency-safe.
-	Observe func(Observation)
-	// Shard and Shards restrict the run to shard Shard of Shards of the
-	// plan's cell index space (see ShardIndices). Shards <= 1 runs every
-	// cell.
-	Shard, Shards int
-	// Cells, when non-nil, restricts the run to an explicit list of plan
-	// indices instead (see SubsetIndices) — the leased-range entry point
-	// distributed workers use. Mutually exclusive with Shards > 1.
-	Cells []int
-	// Cache, when non-nil, is consulted once per selected cell before
-	// the prewarm phase: cells it serves replay their stored
-	// observations through Observe and skip execution entirely — their
-	// stream sources are not even prewarmed — while the rest compute as
-	// usual and are offered back through Store. The facade's result
-	// store plugs in here.
-	Cache CellCache
-}
-
-// CellCache serves completed cells by plan index. Implementations map
-// indices to stable cell fingerprints (the facade's SweepPlan does) and
-// may decline any cell. Lookup calls happen serially before the sweep's
-// cells run; Store calls arrive concurrently from the worker pool and
-// must be safe for concurrent use.
-type CellCache interface {
-	// Lookup returns cell i's completed result and its observation
-	// stream, or ok=false to have the cell computed.
-	Lookup(i int) (res *Result, obs []Observation, ok bool)
-	// Store offers back a freshly-computed cell with the observations
-	// it emitted.
-	Store(i int, res Result, obs []Observation)
-}
-
-func (c Config) seeds() []uint64 {
-	if len(c.Seeds) == 0 {
-		return []uint64{1}
-	}
-	return c.Seeds
-}
-
-func (c Config) parallelism() int {
-	if c.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Parallelism
-}
-
 // ctxCheckStride bounds how many misses a cell processes between
 // cancellation checks, so cancellation is prompt even on huge cells.
 const ctxCheckStride = 2048
 
-// cell is one coordinate of the cross-product.
-type cell struct {
-	engine   Engine
-	workload Workload
-	wi       int // workload index, for prewarm bookkeeping
-	seed     uint64
+// Cell is one coordinate of a sweep's cross-product: workload W, spec
+// S (an engine, or a timing sim spec) and seed.
+type Cell struct {
+	W, S int
+	Seed uint64
 }
 
-// Run executes the cross-product — or, when cfg selects a shard, that
-// shard's subset of it — and returns results ordered workload-major: for
-// each workload, for each engine, for each seed. A sharded run returns
-// its subset's results in the same global order, so MergeShards
-// reassembles the exact full-run slice. On cancellation it returns the
-// completed cells (still in order) together with the context's error;
-// cells in flight are abandoned promptly. Any cell construction or
-// stream error aborts the run.
-func Run(ctx context.Context, engines []Engine, workloads []Workload, cfg Config) ([]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(engines) == 0 || len(workloads) == 0 {
-		return nil, fmt.Errorf("sweep: need at least one engine and one workload")
-	}
-	seeds := cfg.seeds()
-	cells := make([]cell, 0, len(engines)*len(workloads)*len(seeds))
-	for wi, w := range workloads {
-		for _, e := range engines {
-			for _, s := range seeds {
-				cells = append(cells, cell{engine: e, workload: w, wi: wi, seed: s})
+// Cross enumerates a cross-product in plan order, workload-major: for
+// each workload, for each spec, for each seed. Every runner's cells and
+// every plan's cell list come from it, so cell indices agree across
+// processes and sweep kinds.
+func Cross(workloads, specs int, seeds []uint64) []Cell {
+	cells := make([]Cell, 0, workloads*specs*len(seeds))
+	for w := 0; w < workloads; w++ {
+		for s := 0; s < specs; s++ {
+			for _, seed := range seeds {
+				cells = append(cells, Cell{W: w, S: s, Seed: seed})
 			}
 		}
 	}
-	subset, err := SubsetIndices(len(cells), cfg.Cells, cfg.Shard, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-
-	// Cache phase: resolve every cell the cache can serve up front, so
-	// the prewarm below materializes only the stream sources that will
-	// actually be opened — a fully-warm rerun touches no dataset at all.
-	// The lookups run serially, which keeps the cache's hit/miss
-	// counters deterministic (one lookup per cell).
-	var hits []*cellHit
-	live := subset
-	if cfg.Cache != nil {
-		hits = make([]*cellHit, len(cells))
-		live = make([]int, 0, len(subset))
-		for _, i := range subset {
-			if res, obs, ok := cfg.Cache.Lookup(i); ok && res != nil {
-				hits[i] = &cellHit{res: res, obs: obs}
-			} else {
-				live = append(live, i)
-			}
-		}
-	}
-
-	// Prewarm phase: materialize every shared stream source this shard's
-	// cells will open — once per (workload, seed) — before any cell runs.
-	// Without it, the first cells of each workload would race to open the
-	// same source and all but one worker would idle behind the winner's
-	// generation. Restricting the jobs to the shard's subset keeps shard
-	// processes from generating datasets only other shards replay.
-	jobs := PrewarmJobsFor(live, func(i int) PrewarmJob {
-		return PrewarmJob{W: cells[i].wi, Seed: cells[i].seed}
-	})
-	err = Prewarm(ctx, cfg.parallelism(), jobs,
-		func(w int) func(uint64) error { return workloads[w].Prepare },
-		func(w int) string { return workloads[w].Name })
-	if err != nil {
-		return nil, err
-	}
-
-	observe := cfg.Observe
-	if observe != nil {
-		var mu sync.Mutex
-		raw := observe
-		observe = func(o Observation) {
-			mu.Lock()
-			defer mu.Unlock()
-			raw(o)
-		}
-	}
-
-	return Collect(ctx, subset, cfg.parallelism(), func(ctx context.Context, i int) (*Result, error) {
-		if hits != nil && hits[i] != nil {
-			h := hits[i]
-			if observe != nil {
-				for _, o := range h.obs {
-					observe(o)
-				}
-			}
-			return h.res, nil
-		}
-		if cfg.Cache == nil {
-			return runCell(ctx, cells[i], cfg.Interval, observe)
-		}
-		// Capture the cell's observation stream regardless of whether the
-		// caller set an observer, so the stored record can replay it to a
-		// future run that does.
-		var obs []Observation
-		capture := func(o Observation) {
-			obs = append(obs, o)
-			if observe != nil {
-				observe(o)
-			}
-		}
-		res, err := runCell(ctx, cells[i], cfg.Interval, capture)
-		if err != nil || res == nil {
-			return res, err
-		}
-		cfg.Cache.Store(i, *res, obs)
-		return res, nil
-	})
+	return cells
 }
 
-// cellHit is one cache-served cell: the completed result and the
-// observation stream to replay in the cell's execution slot.
-type cellHit struct {
-	res *Result
-	obs []Observation
-}
-
-// PrewarmJob names one (workload index, seed) stream source to
-// materialize ahead of a sweep's cells.
+// PrewarmJob names a shared stream source a sweep's cells replay:
+// workload W's source at Seed.
 type PrewarmJob struct {
 	W    int
 	Seed uint64
 }
 
-// Prewarm materializes shared stream sources across the worker pool
-// before a sweep's cells run: for each job whose prepare(job.W) hook is
-// non-nil, it calls the hook with the job's seed. Both the trace-driven
-// Run above and the facade's timing runner front their cells with it, so
-// expensive one-time generation fans out instead of serializing the
-// first cells that race to open the same source.
-func Prewarm(ctx context.Context, parallelism int, jobs []PrewarmJob, prepare func(w int) func(seed uint64) error, name func(w int) string) error {
-	live := jobs[:0:0]
-	for _, j := range jobs {
-		if prepare(j.W) != nil {
-			live = append(live, j)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	return ForEach(ctx, len(live), parallelism, func(i int) error {
-		j := live[i]
-		if err := prepare(j.W)(j.Seed); err != nil {
-			return fmt.Errorf("sweep: workload %q: %w", name(j.W), err)
-		}
-		return nil
-	})
+// Exec is one plan execution: which of the plan's cells to run, how to
+// compute one, and where their results and observations go. R is a
+// cell's result type and O its observation type; a kind whose cells emit
+// a single observation each (timing) uses its result type for both.
+type Exec[R, O any] struct {
+	// Total is the plan length. Cells, Shard and Shards select the subset
+	// to run (see SubsetIndices); their zero values select every cell.
+	Total         int
+	Cells         []int
+	Shard, Shards int
+	// Parallelism caps concurrently-running cells; <=0 means GOMAXPROCS.
+	Parallelism int
+	// Observe, when non-nil, receives the selected cells' observations in
+	// plan order (see Execute). Calls are serialized; the observer need
+	// not be concurrency-safe.
+	Observe func(O)
+	// Lookup, when non-nil, is asked once per selected cell, serially and
+	// before anything runs, for a stored result: a non-nil result and its
+	// observation stream replay in the cell's slot, and the cell is
+	// neither prewarmed nor computed. Store, when non-nil, is offered
+	// every computed cell with all the observations it emitted; it is
+	// called from the worker pool and must be safe for concurrent use.
+	Lookup func(i int) (*R, []O)
+	Store  func(i int, res R, obs []O)
+	// Prewarm, when non-nil, names the shared stream source cell i
+	// replays, and Prepare materializes one — typically a dataset. Before
+	// any cell computes, every distinct source of the cells to compute is
+	// prepared across the worker pool, so expensive one-time generation
+	// fans out instead of serializing the first cells that race to open
+	// the same source. Store hits prepare nothing.
+	Prewarm func(i int) PrewarmJob
+	Prepare func(PrewarmJob) error
+	// Compute runs cell i, handing each observation to emit as it is
+	// made. It should abandon the cell promptly once ctx ends; a nil
+	// result with a nil error skips the cell's slot.
+	Compute func(ctx context.Context, i int, emit func(O)) (*R, error)
 }
 
-// Collect is the plan executor behind every runner: it runs fn for each
-// global cell index in cells — the full plan or any shard's subset —
-// across a worker pool of the given size (<=0 means GOMAXPROCS), writes
-// each result into the slot of the cell's position in cells, and returns
-// the completed results compacted in that order. The trace-driven sweep
-// above and the facade's timing runner both feed their cells through it.
+// Execute is the plan executor behind every runner. It runs x's
+// selected cells across a worker pool and returns their results
+// compacted in plan order, so a shard's or a cell list's results keep
+// the global order.
 //
-// fn receives a derived context that Collect cancels on the first cell
-// error, so long-running in-flight cells that honor it abort promptly —
-// fail-fast, not just stop-feeding. fn may also return a nil result to
-// skip its slot (an abandoned cell). On cancellation — from the
-// caller's ctx or a failing cell — Collect still returns every
-// completed cell, in order, together with the first real error (or the
-// context's).
-func Collect[T any](ctx context.Context, cells []int, parallelism int, fn func(ctx context.Context, i int) (*T, error)) ([]T, error) {
+// Observations reach x.Observe in the plan order of the selected cells,
+// at any parallelism. The oldest unfinished cell streams live — at
+// parallelism 1 each observation is delivered while its cell runs —
+// while the observations of cells that finish ahead of it are held and
+// released once every earlier selected cell is done. No worker waits on
+// delivery, and a store hit replays its stored stream in its own slot.
+//
+// Compute receives a derived context that Execute cancels on the first
+// cell error, so in-flight cells abort promptly. On cancellation — from
+// the caller's ctx or a failing cell — Execute still returns, and
+// delivers in plan order, every completed cell, skipping the cells that
+// did not complete, together with the first real error (or the
+// context's). A selection or prewarm error returns before any delivery.
+func Execute[R, O any](ctx context.Context, x Exec[R, O]) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	subset, err := SubsetIndices(x.Total, x.Cells, x.Shard, x.Shards)
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]*R, len(subset))
+	d := newDelivery(x.Observe, len(subset))
+	todo := make([]int, 0, len(subset)) // positions in subset to compute
+	for k, i := range subset {
+		if x.Lookup != nil {
+			if res, obs := x.Lookup(i); res != nil {
+				slots[k] = res
+				d.hit(k, obs)
+				continue
+			}
+		}
+		todo = append(todo, k)
+	}
+	if x.Prewarm != nil && x.Prepare != nil {
+		jobs := make([]PrewarmJob, 0, len(todo))
+		seen := make(map[PrewarmJob]bool, len(todo))
+		for _, k := range todo {
+			if j := x.Prewarm(subset[k]); !seen[j] {
+				seen[j] = true
+				jobs = append(jobs, j)
+			}
+		}
+		err := ForEach(ctx, len(jobs), x.Parallelism, func(j int) error { return x.Prepare(jobs[j]) })
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	slots := make([]*T, len(cells))
 	var (
 		firstErr error
 		errOnce  sync.Once
 	)
-	_ = ForEach(ctx, len(cells), parallelism, func(k int) error {
-		res, err := fn(ctx, cells[k])
+	d.pump() // store hits at the head of the subset
+	_ = ForEach(ctx, len(todo), x.Parallelism, func(j int) error {
+		k := todo[j]
+		var obs []O
+		res, err := x.Compute(ctx, subset[k], func(o O) {
+			if x.Store != nil {
+				obs = append(obs, o)
+			}
+			d.emit(k, o)
+		})
 		if err != nil {
 			// A cell failing only because the sweep is already cancelled
 			// is a victim, not the cause; keep the first real error.
@@ -338,12 +239,18 @@ func Collect[T any](ctx context.Context, cells []int, parallelism int, fn func(c
 				errOnce.Do(func() { firstErr = err })
 			}
 			cancel()
-			return nil
+			res = nil
+		}
+		if res != nil && x.Store != nil {
+			x.Store(subset[k], *res, obs)
 		}
 		slots[k] = res
+		d.finish(k, res != nil)
 		return nil
 	})
-	out := make([]T, 0, len(slots))
+	d.close()
+
+	out := make([]R, 0, len(slots))
 	for _, r := range slots {
 		if r != nil {
 			out = append(out, *r)
@@ -355,25 +262,151 @@ func Collect[T any](ctx context.Context, cells []int, parallelism int, fn func(c
 	return out, ctx.Err()
 }
 
-// runCell trains and measures one cell. It checks for cancellation every
-// ctxCheckStride misses and abandons the cell promptly when the context
-// ends.
-func runCell(ctx context.Context, c cell, interval int, observe func(Observation)) (*Result, error) {
-	if c.workload.Open == nil {
-		return nil, fmt.Errorf("sweep: workload %q has no stream source", c.workload.Name)
+// Cell states, as delivery tracks them.
+const (
+	unfinished = iota
+	completed
+	dropped // failed, abandoned or never run: its observations are skipped
+)
+
+// delivery puts a running sweep's observations into plan order. Cells
+// are addressed by their position k in the selected subset. The head is
+// the oldest unfinished position: its observations are delivered at
+// once, every later cell's are held until the head passes it. Whichever
+// goroutine finds observations ready delivers them, outside the lock,
+// while the others only append and move on; a nil delivery (no
+// observer) ignores every call.
+type delivery[O any] struct {
+	mu      sync.Mutex
+	observe func(O)
+	// delivering is set while a goroutine calls observe; it takes what
+	// became ready meanwhile before clearing the flag, so calls stay
+	// serialized and nothing is stranded.
+	delivering bool
+	head       int
+	state      []uint8
+	held       [][]O
+}
+
+func newDelivery[O any](observe func(O), n int) *delivery[O] {
+	if observe == nil {
+		return nil
 	}
-	if c.engine.New == nil {
-		return nil, fmt.Errorf("sweep: engine %q has no constructor", c.engine.Label)
+	return &delivery[O]{observe: observe, state: make([]uint8, n), held: make([][]O, n)}
+}
+
+// hit marks position k completed with a stored observation stream,
+// before any cell runs.
+func (d *delivery[O]) hit(k int, obs []O) {
+	if d != nil {
+		d.state[k], d.held[k] = completed, obs
 	}
-	eng, err := c.engine.New(c.workload.Nodes)
+}
+
+// emit queues one observation of position k and, at the head, delivers
+// it.
+func (d *delivery[O]) emit(k int, o O) {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	d.held[k] = append(d.held[k], o)
+	live := k == d.head
+	d.mu.Unlock()
+	if live {
+		d.pump()
+	}
+}
+
+// finish records position k's outcome and delivers what it unblocks.
+func (d *delivery[O]) finish(k int, ok bool) {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	d.state[k] = completed
+	if !ok {
+		d.state[k], d.held[k] = dropped, nil
+	}
+	d.mu.Unlock()
+	d.pump()
+}
+
+// close drops every position that never finished, once the pool has
+// stopped, which delivers the rest in plan order.
+func (d *delivery[O]) close() {
+	if d == nil {
+		return
+	}
+	for k, s := range d.state {
+		if s == unfinished {
+			d.finish(k, false)
+		}
+	}
+}
+
+// pump delivers every ready observation unless another goroutine is
+// already delivering.
+func (d *delivery[O]) pump() {
+	if d == nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.delivering {
+		return
+	}
+	d.delivering = true
+	for batch := d.ready(); len(batch) > 0; batch = d.ready() {
+		d.mu.Unlock()
+		for _, o := range batch {
+			d.observe(o)
+		}
+		d.mu.Lock()
+	}
+	d.delivering = false
+}
+
+// ready takes the observations deliverable now: the head's, and those
+// of every position the head moves past once finished. The caller holds
+// mu.
+func (d *delivery[O]) ready() []O {
+	var batch []O
+	for ; d.head < len(d.state); d.head++ {
+		if batch == nil {
+			batch = d.held[d.head]
+		} else {
+			batch = append(batch, d.held[d.head]...)
+		}
+		d.held[d.head] = nil
+		if d.state[d.head] == unfinished {
+			break
+		}
+	}
+	return batch
+}
+
+// RunCell trains and measures engine e on workload w at one seed,
+// handing each measurement interval's observation to emit (interval <= 0
+// emits one observation for the whole cell). It checks for cancellation
+// every ctxCheckStride misses and abandons the cell promptly when the
+// context ends.
+func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval int, emit func(Observation)) (*Result, error) {
+	if w.Open == nil {
+		return nil, fmt.Errorf("sweep: workload %q has no stream source", w.Name)
+	}
+	if e.New == nil {
+		return nil, fmt.Errorf("sweep: engine %q has no constructor", e.Label)
+	}
+	eng, err := e.New(w.Nodes)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: engine %q: %w", c.engine.Label, err)
+		return nil, fmt.Errorf("sweep: engine %q: %w", e.Label, err)
 	}
-	st, err := c.workload.Open(c.seed)
+	st, err := w.Open(seed)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: workload %q: %w", c.workload.Name, err)
+		return nil, fmt.Errorf("sweep: workload %q: %w", w.Name, err)
 	}
-	for i := 0; i < c.workload.Warm; i++ {
+	for i := 0; i < w.Warm; i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -382,21 +415,19 @@ func runCell(ctx context.Context, c cell, interval int, observe func(Observation
 	}
 	var cum, cur protocol.Totals
 	intervalIdx := 0
-	emit := func() {
-		if observe != nil {
-			observe(Observation{
-				Engine:     c.engine.Label,
-				Workload:   c.workload.Name,
-				Seed:       c.seed,
-				Interval:   intervalIdx,
-				Totals:     cur,
-				Cumulative: cum,
-			})
-		}
+	flush := func() {
+		emit(Observation{
+			Engine:     e.Label,
+			Workload:   w.Name,
+			Seed:       seed,
+			Interval:   intervalIdx,
+			Totals:     cur,
+			Cumulative: cum,
+		})
 		intervalIdx++
 		cur = protocol.Totals{}
 	}
-	for i := 0; i < c.workload.Measure; i++ {
+	for i := 0; i < w.Measure; i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -405,17 +436,17 @@ func runCell(ctx context.Context, c cell, interval int, observe func(Observation
 		cum.Add(r)
 		cur.Add(r)
 		if interval > 0 && cur.Misses >= uint64(interval) {
-			emit()
+			flush()
 		}
 	}
 	if cur.Misses > 0 || interval <= 0 {
-		emit()
+		flush()
 	}
 	return &Result{
-		Engine:     c.engine.Label,
+		Engine:     e.Label,
 		EngineName: eng.Name(),
-		Workload:   c.workload.Name,
-		Seed:       c.seed,
+		Workload:   w.Name,
+		Seed:       seed,
 		Totals:     cum,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,18 +59,36 @@ func testWorkloads(t *testing.T, names []string, warm, measure int) []Workload {
 	return out
 }
 
+// runCells executes the engines × workloads × seeds cross-product
+// through the executor, the way the facade's Runner does.
+func runCells(ctx context.Context, engines []Engine, workloads []Workload, seeds []uint64, x Exec[Result, Observation], interval int) ([]Result, error) {
+	cells := Cross(len(workloads), len(engines), seeds)
+	x.Total = len(cells)
+	x.Prewarm = func(i int) PrewarmJob { return PrewarmJob{W: cells[i].W, Seed: cells[i].Seed} }
+	x.Compute = func(ctx context.Context, i int, emit func(Observation)) (*Result, error) {
+		c := cells[i]
+		return RunCell(ctx, engines[c.S], workloads[c.W], c.Seed, interval, emit)
+	}
+	return Execute(ctx, x)
+}
+
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	engines := testEngines()
 	workloads := testWorkloads(t, []string{"oltp", "ocean"}, 2000, 2000)
 	seeds := []uint64{1, 2}
 
-	serial, err := Run(context.Background(), engines, workloads,
-		Config{Seeds: seeds, Parallelism: 1})
+	var serialObs, parallelObs []Observation
+	serial, err := runCells(context.Background(), engines, workloads, seeds, Exec[Result, Observation]{
+		Parallelism: 1,
+		Observe:     func(o Observation) { serialObs = append(serialObs, o) },
+	}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), engines, workloads,
-		Config{Seeds: seeds, Parallelism: 6})
+	parallel, err := runCells(context.Background(), engines, workloads, seeds, Exec[Result, Observation]{
+		Parallelism: 6,
+		Observe:     func(o Observation) { parallelObs = append(parallelObs, o) },
+	}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +97,10 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("parallel results diverge from serial:\n%v\nvs\n%v", serial, parallel)
+	}
+	// Observations arrive in plan order at any parallelism.
+	if !reflect.DeepEqual(serialObs, parallelObs) {
+		t.Error("parallel observation sequence diverges from serial")
 	}
 	// Workload-major ordering: first cells all belong to the first workload.
 	for i, r := range serial[:len(engines)*len(seeds)] {
@@ -91,10 +114,9 @@ func TestRunObservationsCoverMeasurement(t *testing.T) {
 	engines := testEngines()[:1]
 	workloads := testWorkloads(t, []string{"oltp"}, 500, 2500)
 	var obs []Observation
-	_, err := Run(context.Background(), engines, workloads, Config{
-		Interval: 1000,
-		Observe:  func(o Observation) { obs = append(obs, o) },
-	})
+	_, err := runCells(context.Background(), engines, workloads, []uint64{1}, Exec[Result, Observation]{
+		Observe: func(o Observation) { obs = append(obs, o) },
+	}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +150,7 @@ func TestRunCancellationReturnsPartialResults(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		res, err = Run(ctx, engines, workloads, Config{Parallelism: 2})
+		res, err = runCells(ctx, engines, workloads, []uint64{1}, Exec[Result, Observation]{Parallelism: 2}, 0)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -150,7 +172,7 @@ func TestRunPropagatesCellErrors(t *testing.T) {
 		return nil, errors.New("boom")
 	}}}
 	workloads := testWorkloads(t, []string{"oltp"}, 10, 10)
-	_, err := Run(context.Background(), bad, workloads, Config{})
+	_, err := runCells(context.Background(), bad, workloads, []uint64{1}, Exec[Result, Observation]{}, 0)
 	if err == nil || !contains(err.Error(), "boom") {
 		t.Errorf("err = %v, want cell error", err)
 	}
@@ -231,7 +253,7 @@ func TestReplayStreamMatchesGenerator(t *testing.T) {
 		},
 	}
 	e := testEngines()[2]
-	res, err := Run(context.Background(), []Engine{e}, []Workload{w}, Config{})
+	res, err := runCells(context.Background(), []Engine{e}, []Workload{w}, []uint64{1}, Exec[Result, Observation]{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +262,29 @@ func TestReplayStreamMatchesGenerator(t *testing.T) {
 	}
 }
 
-func TestCollectFailFastCancelsInflightCells(t *testing.T) {
+// execInts runs an n-cell plan whose cell i computes fn(ctx, i) and
+// emits the result as its one observation.
+func execInts(ctx context.Context, n, parallelism int, observe func(int), fn func(ctx context.Context, i int) (*int, error)) ([]int, error) {
+	return Execute(ctx, Exec[int, int]{
+		Total:       n,
+		Parallelism: parallelism,
+		Observe:     observe,
+		Compute: func(ctx context.Context, i int, emit func(int)) (*int, error) {
+			res, err := fn(ctx, i)
+			if res != nil && err == nil {
+				emit(*res)
+			}
+			return res, err
+		},
+	})
+}
+
+func TestExecuteFailFastCancelsInflightCells(t *testing.T) {
 	// One cell fails immediately; the other, long-running cell must see
 	// the derived context cancel and abort instead of running out its
 	// full (effectively unbounded) loop.
 	aborted := make(chan struct{})
-	res, err := Collect(context.Background(), []int{0, 1}, 2, func(ctx context.Context, i int) (*int, error) {
+	res, err := execInts(context.Background(), 2, 2, nil, func(ctx context.Context, i int) (*int, error) {
 		if i == 0 {
 			return nil, errors.New("boom")
 		}
@@ -262,7 +301,7 @@ func TestCollectFailFastCancelsInflightCells(t *testing.T) {
 	case <-aborted:
 	default:
 		// i==1 may not have started before the error cancelled the feed;
-		// either way Collect must report the real error.
+		// either way Execute must report the real error.
 	}
 	if err == nil || !contains(err.Error(), "boom") {
 		t.Errorf("err = %v, want the failing cell's error", err)
@@ -272,8 +311,9 @@ func TestCollectFailFastCancelsInflightCells(t *testing.T) {
 	}
 }
 
-func TestCollectOrderAndSkippedSlots(t *testing.T) {
-	res, err := Collect(context.Background(), []int{0, 1, 2, 3, 4}, 3, func(_ context.Context, i int) (*int, error) {
+func TestExecuteOrderAndSkippedSlots(t *testing.T) {
+	var seen []int
+	res, err := execInts(context.Background(), 5, 3, func(o int) { seen = append(seen, o) }, func(_ context.Context, i int) (*int, error) {
 		if i == 2 {
 			return nil, nil // abandoned slot
 		}
@@ -284,12 +324,136 @@ func TestCollectOrderAndSkippedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{0, 10, 30, 40}
-	if len(res) != len(want) {
-		t.Fatalf("res = %v, want %v", res, want)
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("res = %v, want %v (compaction must keep index order)", res, want)
 	}
-	for i := range want {
-		if res[i] != want[i] {
-			t.Errorf("res[%d] = %d, want %d (compaction must keep index order)", i, res[i], want[i])
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("observed %v, want %v", seen, want)
+	}
+}
+
+// TestExecuteDeliversInPlanOrder pins the delivery contract: cells that
+// complete in reverse plan order, all in flight at once, are observed
+// in plan order.
+func TestExecuteDeliversInPlanOrder(t *testing.T) {
+	const n = 6
+	done := make([]chan struct{}, n+1)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	close(done[n])
+	var seen []int
+	res, err := execInts(context.Background(), n, n, func(o int) { seen = append(seen, o) }, func(_ context.Context, i int) (*int, error) {
+		<-done[i+1]
+		defer close(done[i])
+		return &i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 2, 3, 4, 5}
+	if !reflect.DeepEqual(seen, want) || !reflect.DeepEqual(res, want) {
+		t.Errorf("observed %v, results %v; want %v for both", seen, res, want)
+	}
+}
+
+// TestExecuteCancellationDeliversCompletedInOrder: after cancellation
+// the observer has seen every completed cell, in strictly increasing
+// plan order, and nothing of the cell that did not complete.
+func TestExecuteCancellationDeliversCompletedInOrder(t *testing.T) {
+	const n = 6
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cell 0 completes first and cell 1 stalls until cancelled; cells 5,
+	// 4, 3 and 2 then complete in that order, and cell 2 cancels the
+	// sweep as it completes.
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	var seen []int
+	res, err := execInts(ctx, n, n, func(o int) { seen = append(seen, o) }, func(ctx context.Context, i int) (*int, error) {
+		switch {
+		case i == 1:
+			<-ctx.Done()
+			return nil, ctx.Err()
+		case i == n-1:
+			<-done[0]
+		case i >= 2:
+			<-done[i+1]
+		}
+		defer close(done[i])
+		if i == 2 {
+			cancel()
+		}
+		return &i, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	want := []int{0, 2, 3, 4, 5}
+	if !reflect.DeepEqual(seen, want) || !reflect.DeepEqual(res, want) {
+		t.Errorf("observed %v, results %v; want %v for both", seen, res, want)
+	}
+}
+
+// TestExecuteStoreHooksAndPrewarm: store hits replay their stored
+// streams in their own slots and are neither prewarmed nor computed;
+// computed cells are prewarmed once per source and offered to Store
+// with every observation they emitted.
+func TestExecuteStoreHooksAndPrewarm(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		var (
+			mu       sync.Mutex
+			seen     []int
+			prepared []PrewarmJob
+			stored   = map[int][]int{}
+		)
+		res, err := Execute(context.Background(), Exec[int, int]{
+			Total:       6,
+			Parallelism: par,
+			Observe:     func(o int) { seen = append(seen, o) },
+			Lookup: func(i int) (*int, []int) {
+				if i%2 == 1 {
+					return nil, nil
+				}
+				return &i, []int{i, i}
+			},
+			Store: func(i, res int, obs []int) {
+				mu.Lock()
+				defer mu.Unlock()
+				stored[i] = obs
+			},
+			Prewarm: func(i int) PrewarmJob { return PrewarmJob{W: i / 4} },
+			Prepare: func(j PrewarmJob) error {
+				mu.Lock()
+				defer mu.Unlock()
+				prepared = append(prepared, j)
+				return nil
+			},
+			Compute: func(_ context.Context, i int, emit func(int)) (*int, error) {
+				if i%2 == 0 {
+					t.Errorf("store hit %d computed", i)
+				}
+				emit(i)
+				emit(-i)
+				return &i, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(res, want) {
+			t.Errorf("parallelism %d: results %v, want %v", par, res, want)
+		}
+		if want := []int{0, 0, 1, -1, 2, 2, 3, -3, 4, 4, 5, -5}; !reflect.DeepEqual(seen, want) {
+			t.Errorf("parallelism %d: observed %v, want %v", par, seen, want)
+		}
+		if want := map[int][]int{1: {1, -1}, 3: {3, -3}, 5: {5, -5}}; !reflect.DeepEqual(stored, want) {
+			t.Errorf("parallelism %d: stored %v, want %v", par, stored, want)
+		}
+		if len(prepared) != 2 {
+			t.Errorf("parallelism %d: prepared %v, want each of the two sources once", par, prepared)
 		}
 	}
 }

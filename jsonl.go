@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -14,10 +15,11 @@ import (
 // can tail it.
 //
 // Wire it to a Runner with WithObserver(o.Observe). The Runner
-// serializes observer calls, so the observer needs no locking of its
-// own; writes are buffered and must be Flush'd (or Close'd) when the
-// sweep ends. Encoding or write errors are sticky: the first one stops
-// further output and is reported by Err, Flush and Close.
+// serializes observer calls and delivers them in plan order, so the
+// observer needs no locking of its own and writes the same file at any
+// parallelism. Writes are buffered and must be Flush'd (or Close'd)
+// when the sweep ends. Encoding or write errors are sticky: the first
+// one stops further output and is reported by Err, Flush and Close.
 type JSONLObserver struct {
 	w   io.Writer
 	bw  *bufio.Writer
@@ -219,91 +221,65 @@ func eachJSONL[T any](r io.Reader, fn func(T) error) error {
 	})
 }
 
-// shardFile is one parsed shard input: its manifest and its raw
-// observation lines (verbatim, without trailing newlines).
-type shardFile struct {
-	manifest ShardManifest
-	records  [][]byte
-}
+// errManifestRead stops eachLine once readManifest has its record.
+var errManifestRead = errors.New("manifest read")
 
-// readShardFile parses one shard JSONL file: the first record must be a
-// shard manifest; the rest are kept as raw lines so merging re-emits
-// them byte-for-byte.
-func readShardFile(r io.Reader) (shardFile, error) {
-	var f shardFile
-	sawManifest := false
-	err := eachLine(r, func(line int, raw []byte) error {
-		if !sawManifest {
-			if !isManifest(raw) {
-				return fmt.Errorf("line %d: first record is not a shard manifest (was this file written with a sharded -json run?)", line)
-			}
-			if err := json.Unmarshal(raw, &f.manifest); err != nil {
-				return fmt.Errorf("line %d: decoding shard manifest: %w", line, err)
-			}
-			if f.manifest.Version != ManifestVersion {
-				return fmt.Errorf("line %d: shard manifest version %d, want %d", line, f.manifest.Version, ManifestVersion)
-			}
-			sawManifest = true
-			return nil
+// readManifest reads a shard file's first record, which must be its
+// shard manifest, leaving br at the observation records that follow. It
+// returns the manifest and the number of lines consumed.
+func readManifest(br *bufio.Reader) (m ShardManifest, lines int, err error) {
+	err = eachLine(br, func(line int, raw []byte) error {
+		if !isManifest(raw) {
+			return fmt.Errorf("line %d: first record is not a shard manifest (was this file written with a sharded -json run?)", line)
 		}
-		if isManifest(raw) {
-			return fmt.Errorf("line %d: second shard manifest in one file", line)
+		if err := json.Unmarshal(raw, &m); err != nil {
+			return fmt.Errorf("line %d: decoding shard manifest: %w", line, err)
 		}
-		f.records = append(f.records, append([]byte(nil), raw...))
-		return nil
+		if m.Version != ManifestVersion {
+			return fmt.Errorf("line %d: shard manifest version %d, want %d", line, m.Version, ManifestVersion)
+		}
+		lines = line
+		return errManifestRead
 	})
-	if err != nil {
-		return f, err
+	switch {
+	case err == errManifestRead:
+		return m, lines, nil
+	case err == nil:
+		err = fmt.Errorf("no shard manifest found")
 	}
-	if !sawManifest {
-		return f, fmt.Errorf("no shard manifest found")
-	}
-	return f, nil
-}
-
-// obsProbe decodes the cell-identifying fields common to both
-// observation kinds: trace observations carry Engine, timing
-// observations carry Sim.
-type obsProbe struct {
-	Engine   string `json:"Engine"`
-	Sim      string `json:"Sim"`
-	Workload string `json:"Workload"`
-	Seed     uint64 `json:"Seed"`
-}
-
-// obsCellKey is a cell's identity as observation records name it.
-type obsCellKey struct {
-	label    string
-	workload string
-	seed     uint64
+	return m, 0, err
 }
 
 // MergeObservations merges per-shard JSONL observation files — each
 // beginning with a ShardManifest, as cmd/timing and cmd/traceeval write
 // under -json -shard — into the full-run observation stream on w: one
 // merged manifest (shard 0 of 1) followed by every input record,
-// verbatim, reordered into the plan's deterministic cell order (records
-// of one cell keep their relative order). It refuses inputs whose plan
-// fingerprints differ, whose shard set does not cover the plan exactly,
-// or whose records name cells outside the plan — merging files from
-// different sweeps is an error, not a silent mix. The merged output is
-// byte-identical to what the unsharded run writes at parallelism 1.
+// verbatim, in the plan's deterministic cell order (records of one cell
+// keep their relative order). It refuses inputs whose plan fingerprints
+// differ, whose shard set does not cover the plan exactly, whose
+// manifest cells do not hash to their plan fingerprint, or whose records
+// name cells outside the plan — merging files from different sweeps is
+// an error, not a silent mix. Past the manifests the inputs are merged
+// by MergeStreams over the plan the manifests carry, in O(inputs)
+// memory; the merged output is byte-identical to what the unsharded run
+// writes.
 func MergeObservations(w io.Writer, shards ...io.Reader) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("destset: no shard files to merge")
 	}
-	files := make([]shardFile, len(shards))
+	streams := make([]*mergeStream, len(shards))
+	var head ShardManifest
+	seen := make(map[int]bool, len(shards))
 	for i, r := range shards {
-		f, err := readShardFile(r)
+		br := bufio.NewReaderSize(r, 64*1024)
+		m, lines, err := readManifest(br)
 		if err != nil {
 			return fmt.Errorf("destset: shard input %d: %w", i, err)
 		}
-		files[i] = f
-	}
-	head := files[0].manifest
-	seen := make(map[int]bool, len(files))
-	for i, f := range files {
-		m := f.manifest
+		streams[i] = &mergeStream{idx: i, br: br, line: lines}
+		if i == 0 {
+			head = m
+		}
 		if m.Plan != head.Plan {
 			return fmt.Errorf("destset: shard input %d has plan fingerprint %s, input 0 has %s — refusing to merge different sweeps",
 				i, m.Plan, head.Plan)
@@ -329,69 +305,9 @@ func MergeObservations(w io.Writer, shards ...io.Reader) error {
 		}
 		return fmt.Errorf("destset: merge needs all %d shards of the plan; missing %v", head.Shards, missing)
 	}
-
-	// Bucket every record by its cell, preserving per-cell file order
-	// (one cell's records never span shards, and within its shard they
-	// are already chronological).
-	cellIndex := make(map[obsCellKey]int, len(head.Cells))
-	for i, c := range head.Cells {
-		key := obsCellKey{label: c.Engine, workload: c.Workload, seed: c.Seed}
-		if _, dup := cellIndex[key]; dup {
-			return fmt.Errorf("destset: plan has two cells labeled (%s, %s, seed %d); records cannot be attributed — give the specs distinct labels",
-				c.Engine, c.Workload, c.Seed)
-		}
-		cellIndex[key] = i
-	}
-	buckets := make([][][]byte, len(head.Cells))
-	for i, f := range files {
-		for _, raw := range f.records {
-			var p obsProbe
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return fmt.Errorf("destset: shard input %d: undecodable record: %w", i, err)
-			}
-			label := p.Engine
-			if head.Kind == PlanKindTiming {
-				label = p.Sim
-			}
-			ci, ok := cellIndex[obsCellKey{label: label, workload: p.Workload, seed: p.Seed}]
-			if !ok {
-				return fmt.Errorf("destset: shard input %d has a record for cell (%s, %s, seed %d) that is not in the plan",
-					i, label, p.Workload, p.Seed)
-			}
-			buckets[ci] = append(buckets[ci], raw)
-		}
-	}
-
-	// Every plan cell must have produced at least one record; a cell
-	// with none means a shard was interrupted mid-sweep and its file,
-	// though manifest-valid, is incomplete — merging it would fabricate
-	// a "full run" with holes (the in-process Merge rejects the same
-	// situation by per-shard result counts).
-	for i, bucket := range buckets {
-		if len(bucket) == 0 {
-			c := head.Cells[i]
-			return fmt.Errorf("destset: cell %d (%s, %s, seed %d) has no records — incomplete shard file (interrupted run?)",
-				i, c.Engine, c.Workload, c.Seed)
-		}
-	}
-
-	bw := bufio.NewWriter(w)
-	merged := head
-	merged.Shard, merged.Shards = 0, 1
-	raw, err := json.Marshal(merged)
+	plan, err := rebuildPlan(head.Kind, head.Plan, head.Cells)
 	if err != nil {
-		return fmt.Errorf("destset: encoding merged manifest: %w", err)
+		return err
 	}
-	bw.Write(raw)
-	bw.WriteByte('\n')
-	for _, bucket := range buckets {
-		for _, rec := range bucket {
-			bw.Write(rec)
-			bw.WriteByte('\n')
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("destset: writing merged observations: %w", err)
-	}
-	return nil
+	return plan.mergeStreams(w, streams)
 }

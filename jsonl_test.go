@@ -3,6 +3,7 @@ package destset_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -271,6 +272,25 @@ func TestMergeObservationsRefusals(t *testing.T) {
 	foreign := bytes.NewBuffer(append(append([]byte(nil), lines[0]...), '\n'))
 	foreign.WriteString("{\"Engine\":\"snooping\",\"Workload\":\"zzz\",\"Seed\":1}\n")
 	check("foreign record", "not in the plan", foreign, s1)
+
+	// A shard file with two cells' lines swapped.
+	fullLines := bytes.Split(bytes.TrimSpace(shardJSONL(t, engines, workloads, 0, 1).Bytes()), []byte("\n"))
+	swapped := bytes.NewBuffer(bytes.Join([][]byte{fullLines[0], fullLines[2], fullLines[1], nil}, []byte("\n")))
+	check("swapped cells", "not in plan order", swapped)
+
+	// A manifest whose cells do not hash to its plan fingerprint.
+	var m destset.ShardManifest
+	if err := json.Unmarshal(lines[0], &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Cells[0].Fingerprint = strings.Repeat("0", 32)
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := bytes.NewBuffer(append(raw, '\n'))
+	forged.Write(lines[1])
+	check("forged manifest cells", "does not match its cells", forged, s1)
 
 	// An interrupted shard: manifest-valid but a cell never streamed.
 	truncated := bytes.NewBuffer(append(append([]byte(nil), lines[0]...), '\n'))

@@ -8,16 +8,54 @@ import (
 	"io"
 )
 
-// External (streaming) observation merge. MergeObservations materializes
-// every shard in memory before a byte is written — fine for figure-sized
-// sweeps, fatal for million-cell ones. MergeStreams is the external
-// counterpart: each input is a JSONL record stream already sorted by the
-// plan's cell order (the coordinator's spill files are written that way;
-// round-robin shard files satisfy it too), and the merge is a k-way heap
-// over the streams' current cells, so residency is O(streams), never
-// O(records). The output is byte-identical to MergeObservations over the
-// same records: one merged manifest followed by every record in plan
-// order, records of one cell keeping their input order.
+// Streaming observation merge. Every JSONL stream the system writes —
+// a -json file, a shard file, a worker upload, a coordinator spill — is
+// plan-ordered, because the runners deliver observations in plan order
+// at any parallelism. Merging streams is therefore a k-way merge over
+// the streams' current cells: residency is O(streams), never
+// O(records), and the output is one merged manifest followed by every
+// record in plan order, records of one cell keeping their input order.
+
+// RecordIndex returns the function that attributes a raw JSONL
+// observation record to its plan cell index, by the (label, workload,
+// seed) the record names: Engine for trace records, Sim for timing
+// ones. It fails when two plan cells share those coordinates, since
+// their records could not be told apart. MergeStreams and the
+// distributed coordinator attribute records through it.
+func (p *SweepPlan) RecordIndex() (func(raw []byte) (int, error), error) {
+	type key struct {
+		label, workload string
+		seed            uint64
+	}
+	cells := make(map[key]int, p.Len())
+	for i, c := range p.Cells() {
+		k := key{c.Engine, c.Workload, c.Seed}
+		if _, dup := cells[k]; dup {
+			return nil, fmt.Errorf("destset: plan has two cells labeled (%s, %s, seed %d); records cannot be attributed — give the specs distinct labels",
+				c.Engine, c.Workload, c.Seed)
+		}
+		cells[k] = i
+	}
+	timing := p.kind == PlanKindTiming
+	return func(raw []byte) (int, error) {
+		var r struct {
+			Engine, Sim, Workload string
+			Seed                  uint64
+		}
+		if err := json.Unmarshal(raw, &r); err != nil {
+			return 0, err
+		}
+		label := r.Engine
+		if timing {
+			label = r.Sim
+		}
+		i, ok := cells[key{label, r.Workload, r.Seed}]
+		if !ok {
+			return 0, fmt.Errorf("record names cell (%s, %s, seed %d) not in the plan", label, r.Workload, r.Seed)
+		}
+		return i, nil
+	}, nil
+}
 
 // mergeStream is one input's read cursor: the current record and the
 // plan index of the cell it belongs to.
@@ -33,7 +71,7 @@ type mergeStream struct {
 // advance reads the stream's next observation record, skipping blank
 // lines and manifest records, and attributes it to a plan cell. At end
 // of stream it sets done.
-func (s *mergeStream) advance(kind string, cells map[obsCellKey]int) error {
+func (s *mergeStream) advance(cellOf func([]byte) (int, error)) error {
 	for {
 		raw, err := s.br.ReadBytes('\n')
 		if len(raw) > 0 {
@@ -41,18 +79,9 @@ func (s *mergeStream) advance(kind string, cells map[obsCellKey]int) error {
 			raw = bytes.TrimSuffix(raw, []byte("\n"))
 			raw = bytes.TrimSuffix(raw, []byte("\r"))
 			if len(raw) > 0 && !isManifest(raw) {
-				var p obsProbe
-				if jerr := json.Unmarshal(raw, &p); jerr != nil {
-					return fmt.Errorf("destset: merge input %d line %d: %w", s.idx, s.line, jerr)
-				}
-				label := p.Engine
-				if kind == PlanKindTiming {
-					label = p.Sim
-				}
-				ci, ok := cells[obsCellKey{label: label, workload: p.Workload, seed: p.Seed}]
-				if !ok {
-					return fmt.Errorf("destset: merge input %d line %d names cell (%s, %s, seed %d) not in the plan",
-						s.idx, s.line, label, p.Workload, p.Seed)
+				ci, cerr := cellOf(raw)
+				if cerr != nil {
+					return fmt.Errorf("destset: merge input %d line %d: %w", s.idx, s.line, cerr)
 				}
 				if ci < s.cell {
 					return fmt.Errorf("destset: merge input %d line %d: cell %d after cell %d — stream is not in plan order",
@@ -83,17 +112,6 @@ func (h streamHeap) less(i, j int) bool {
 	return h[i].idx < h[j].idx
 }
 
-func (h streamHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
 func (h streamHeap) down(i int) {
 	for {
 		l, r, min := 2*i+1, 2*i+2, i
@@ -114,8 +132,7 @@ func (h streamHeap) down(i int) {
 // MergeStreams merges plan-ordered JSONL observation record streams into
 // the full-run observation file on w: one merged manifest (shard 0 of 1)
 // followed by every input record, verbatim, in the plan's cell order —
-// byte-identical to MergeObservations over the same records, and to the
-// unsharded run at parallelism 1. Unlike MergeObservations it never
+// byte-identical to the unsharded run's -json output. It never
 // materializes the inputs: each stream is read once, front to back, and
 // only one record per stream is resident, so arbitrarily large sweeps
 // merge in O(streams) memory.
@@ -124,28 +141,29 @@ func (h streamHeap) down(i int) {
 // non-decreasing (records of one cell stay consecutive and in their
 // original order), one cell must not span two inputs, and the inputs
 // together must cover every plan cell — holes, duplicates, out-of-order
-// records and cells foreign to the plan are refused, exactly as
-// MergeObservations refuses them. Manifest records and blank lines in
-// the inputs are skipped.
+// records and cells foreign to the plan are refused. Manifest records
+// and blank lines in the inputs are skipped.
 func (p *SweepPlan) MergeStreams(w io.Writer, parts ...io.Reader) error {
-	if len(parts) == 0 {
+	streams := make([]*mergeStream, len(parts))
+	for i, r := range parts {
+		streams[i] = &mergeStream{idx: i, br: bufio.NewReaderSize(r, 64*1024)}
+	}
+	return p.mergeStreams(w, streams)
+}
+
+// mergeStreams is MergeStreams over opened cursors; a cursor's line
+// count starts at the lines already consumed from its input.
+func (p *SweepPlan) mergeStreams(w io.Writer, streams []*mergeStream) error {
+	if len(streams) == 0 {
 		return fmt.Errorf("destset: no streams to merge")
 	}
-	planCells := p.Cells()
-	cells := make(map[obsCellKey]int, len(planCells))
-	for i, c := range planCells {
-		key := obsCellKey{label: c.Engine, workload: c.Workload, seed: c.Seed}
-		if _, dup := cells[key]; dup {
-			return fmt.Errorf("destset: plan has two cells labeled (%s, %s, seed %d); records cannot be attributed — give the specs distinct labels",
-				c.Engine, c.Workload, c.Seed)
-		}
-		cells[key] = i
+	cellOf, err := p.RecordIndex()
+	if err != nil {
+		return err
 	}
-
-	heap := make(streamHeap, 0, len(parts))
-	for i, r := range parts {
-		s := &mergeStream{idx: i, br: bufio.NewReaderSize(r, 64*1024)}
-		if err := s.advance(p.kind, cells); err != nil {
+	heap := make(streamHeap, 0, len(streams))
+	for _, s := range streams {
+		if err := s.advance(cellOf); err != nil {
 			return err
 		}
 		if !s.done {
@@ -167,6 +185,7 @@ func (p *SweepPlan) MergeStreams(w io.Writer, parts ...io.Reader) error {
 	// ownedBy[i] is the input that emitted cell i's records (-1: none
 	// yet). A second input arriving at an already-owned cell is a
 	// duplicate; a gap behind the global cursor is a hole.
+	planCells := p.Cells()
 	ownedBy := make([]int, len(planCells))
 	for i := range ownedBy {
 		ownedBy[i] = -1
@@ -180,8 +199,10 @@ func (p *SweepPlan) MergeStreams(w io.Writer, parts ...io.Reader) error {
 				s.cell, c.Engine, c.Workload, c.Seed, ownedBy[s.cell], s.idx)
 		}
 		if s.cell > next {
+			// Every input's next record is past cell next: either no
+			// input holds it, or one holds it behind a later cell.
 			c := planCells[next]
-			return fmt.Errorf("destset: cell %d (%s, %s, seed %d) has no records — incomplete stream set (interrupted run?)",
+			return fmt.Errorf("destset: cell %d (%s, %s, seed %d) has no records where the plan expects them — missing from every input (interrupted run?), or an input holding it is not in plan order",
 				next, c.Engine, c.Workload, c.Seed)
 		}
 		// Emit every record of this cell from this stream; they are
@@ -192,7 +213,7 @@ func (p *SweepPlan) MergeStreams(w io.Writer, parts ...io.Reader) error {
 		for !s.done && s.cell == ci {
 			bw.Write(s.raw)
 			bw.WriteByte('\n')
-			if err := s.advance(p.kind, cells); err != nil {
+			if err := s.advance(cellOf); err != nil {
 				return err
 			}
 		}

@@ -20,9 +20,10 @@ func streamPlan(t *testing.T, engines []destset.EngineSpec, workloads []destset.
 }
 
 // TestMergeStreamsMatchesMergeObservations is the external-merge
-// equivalence pin: round-robin shard files are plan-ordered streams, so
-// MergeStreams over them must produce byte-identical output to
-// MergeObservations — and so to the unsharded parallelism-1 run.
+// equivalence pin: shard files are plan-ordered streams at any
+// parallelism, so MergeStreams over them must produce byte-identical
+// output to MergeObservations — and so to the unsharded run, whose file
+// is itself the same at parallelism 1 and 8.
 func TestMergeStreamsMatchesMergeObservations(t *testing.T) {
 	engines := []destset.EngineSpec{
 		{Protocol: destset.ProtocolSnooping},
@@ -35,10 +36,14 @@ func TestMergeStreamsMatchesMergeObservations(t *testing.T) {
 	}
 	seeds := destset.WithSeeds(3, 4)
 
+	par8 := destset.WithParallelism(8)
 	full := shardJSONL(t, engines, workloads, 0, 1, seeds, destset.WithParallelism(1))
-	s0 := shardJSONL(t, engines, workloads, 0, 3, seeds)
-	s1 := shardJSONL(t, engines, workloads, 1, 3, seeds)
-	s2 := shardJSONL(t, engines, workloads, 2, 3, seeds)
+	if full8 := shardJSONL(t, engines, workloads, 0, 1, seeds, par8); !bytes.Equal(full8.Bytes(), full.Bytes()) {
+		t.Errorf("parallelism-8 stream differs from parallelism 1:\n%s\nvs\n%s", full8.Bytes(), full.Bytes())
+	}
+	s0 := shardJSONL(t, engines, workloads, 0, 3, seeds, par8)
+	s1 := shardJSONL(t, engines, workloads, 1, 3, seeds, par8)
+	s2 := shardJSONL(t, engines, workloads, 2, 3, seeds, par8)
 	plan := streamPlan(t, engines, workloads, seeds)
 
 	var inMemory bytes.Buffer
@@ -101,6 +106,7 @@ func TestMergeStreamsRefusals(t *testing.T) {
 
 	check("no streams", "no streams")
 	check("out-of-order stream", "not in plan order", lines[0]+"\n"+lines[1]+"\n"+lines[0]+"\n")
+	check("swapped cells", "not in plan order", lines[1]+"\n"+lines[0]+"\n")
 	check("duplicate cell across streams", "span streams", lines[0]+"\n"+lines[1]+"\n", lines[0]+"\n")
 	check("hole", "no records", lines[1]+"\n")
 	check("trailing hole", "no records", lines[0]+"\n")

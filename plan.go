@@ -1,6 +1,7 @@
 package destset
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -162,113 +163,88 @@ func fingerprintWorkloadSpec(s WorkloadSpec, defWarm, defMeasure int) string {
 }
 
 // buildPlan enumerates a runner's cells workload-major with stable
-// fingerprints. Trace plans fold the observation interval in: it does
-// not change cell results, but it changes the observation stream shard
-// files carry, and two streams of different granularity must not merge
-// as one sweep. The interval is meaningless to timing cells (one
-// observation each), so timing plans ignore it.
-func buildPlan(kind string, engineLabels, engineFPs []string, workloads []WorkloadSpec, cfg runnerConfig) *SweepPlan {
+// fingerprints, validating its specs first; empty is the error for a
+// runner without specs or workloads. Trace plans fold the observation
+// interval in: it does not change cell results, but it changes the
+// observation stream shard files carry, and two streams of different
+// granularity must not merge as one sweep. The interval is meaningless
+// to timing cells (one observation each), so timing plans ignore it.
+func buildPlan[S interface {
+	validate() error
+	DisplayLabel() string
+}](kind string, specs []S, fingerprint func(S) string, workloads []WorkloadSpec, cfg runnerConfig, empty string) (*SweepPlan, error) {
+	if len(specs) == 0 || len(workloads) == 0 {
+		return nil, errors.New(empty)
+	}
+	labels := make([]string, len(specs))
+	sfps := make([]string, len(specs))
+	for i, s := range specs {
+		if err := s.validate(); err != nil {
+			return nil, err
+		}
+		labels[i], sfps[i] = s.DisplayLabel(), fingerprint(s)
+	}
 	kindFP := kind
 	if kind == PlanKindTrace {
 		kindFP += "|interval=" + strconv.Itoa(cfg.interval)
 	}
-	cells := make([]PlanCell, 0, len(engineLabels)*len(workloads)*len(cfg.seeds))
-	for _, w := range workloads {
-		wfp := fingerprintWorkloadSpec(w, cfg.warm, cfg.measure)
-		for ei, efp := range engineFPs {
-			for _, seed := range cfg.seeds {
-				cells = append(cells, PlanCell{
-					Engine:   engineLabels[ei],
-					Workload: w.label(),
-					Seed:     seed,
-					Fingerprint: sweep.Fingerprint(
-						kindFP, efp, wfp, "seed="+strconv.FormatUint(seed, 10)),
-				})
-			}
+	wfps := make([]string, len(workloads))
+	for i, w := range workloads {
+		wfps[i] = fingerprintWorkloadSpec(w, cfg.warm, cfg.measure)
+	}
+	coords := sweep.Cross(len(workloads), len(specs), cfg.seeds)
+	cells := make([]PlanCell, len(coords))
+	for i, c := range coords {
+		cells[i] = PlanCell{
+			Engine:   labels[c.S],
+			Workload: workloads[c.W].label(),
+			Seed:     c.Seed,
+			Fingerprint: sweep.Fingerprint(
+				kindFP, sfps[c.S], wfps[c.W], "seed="+strconv.FormatUint(c.Seed, 10)),
 		}
 	}
-	return &SweepPlan{kind: kind, plan: sweep.NewPlan(cells)}
+	return &SweepPlan{kind: kind, plan: sweep.NewPlan(cells)}, nil
 }
 
 // Plan returns the runner's sweep plan: its cells in execution order
 // with stable fingerprints. The plan does not depend on WithShard — all
 // shards of a sweep share one plan.
 func (r *Runner) Plan() (*SweepPlan, error) {
-	if len(r.engines) == 0 || len(r.workloads) == 0 {
-		return nil, fmt.Errorf("destset: Runner needs at least one engine spec and one workload spec")
-	}
-	labels := make([]string, len(r.engines))
-	fps := make([]string, len(r.engines))
-	for i, e := range r.engines {
-		if err := e.validate(); err != nil {
-			return nil, err
-		}
-		labels[i] = e.DisplayLabel()
-		fps[i] = fingerprintEngineSpec(e)
-	}
-	return buildPlan(PlanKindTrace, labels, fps, r.workloads, r.cfg), nil
+	return buildPlan(PlanKindTrace, r.engines, fingerprintEngineSpec, r.workloads, r.cfg,
+		"destset: Runner needs at least one engine spec and one workload spec")
 }
 
 // Plan returns the timing runner's sweep plan: its cells in execution
 // order with stable fingerprints. The plan does not depend on WithShard
 // — all shards of a sweep share one plan.
 func (r *TimingRunner) Plan() (*SweepPlan, error) {
-	if len(r.sims) == 0 || len(r.workloads) == 0 {
-		return nil, fmt.Errorf("destset: TimingRunner needs at least one sim spec and one workload spec")
-	}
-	labels := make([]string, len(r.sims))
-	fps := make([]string, len(r.sims))
-	for i, s := range r.sims {
-		if err := s.validate(); err != nil {
-			return nil, err
-		}
-		labels[i] = s.DisplayLabel()
-		fps[i] = fingerprintSimSpec(s)
-	}
-	return buildPlan(PlanKindTiming, labels, fps, r.workloads, r.cfg), nil
+	return buildPlan(PlanKindTiming, r.sims, fingerprintSimSpec, r.workloads, r.cfg,
+		"destset: TimingRunner needs at least one sim spec and one workload spec")
 }
 
-// Merge reassembles per-shard Run outputs into the exact full-run result
-// slice: shards[s] must be the output of an identically-configured
-// Runner run with WithShard(s, len(shards)). Every merged cell is
-// checked against the plan's coordinates, so mixing shards of different
-// sweeps — or supplying them out of order — fails instead of silently
-// mislabeling results.
-func (r *Runner) Merge(shards [][]RunResult) ([]RunResult, error) {
-	p, err := r.Plan()
-	if err != nil {
-		return nil, err
-	}
-	merged, err := sweep.MergeShards(p.Len(), shards)
+// MergeResults reassembles per-shard Run outputs into the exact
+// full-run result slice of plan's sweep: shards[s] must be the output
+// of a Runner or TimingRunner of that plan run with WithShard(s,
+// len(shards)). Every merged cell is checked against the plan's
+// coordinates, so mixing shards of different sweeps — or supplying them
+// out of order — fails instead of silently mislabeling results.
+func MergeResults[T RunResult | TimingResult](plan *SweepPlan, shards [][]T) ([]T, error) {
+	merged, err := sweep.MergeShards(plan.Len(), shards)
 	if err != nil {
 		return nil, err
 	}
 	for i, res := range merged {
-		if c := p.Cell(i); res.Engine != c.Engine || res.Workload != c.Workload || res.Seed != c.Seed {
-			return nil, fmt.Errorf("destset: merged cell %d is (%s, %s, seed %d), plan expects (%s, %s, seed %d)",
-				i, res.Engine, res.Workload, res.Seed, c.Engine, c.Workload, c.Seed)
+		var label, workload string
+		var seed uint64
+		switch r := any(res).(type) {
+		case RunResult:
+			label, workload, seed = r.Engine, r.Workload, r.Seed
+		case TimingResult:
+			label, workload, seed = r.Sim, r.Workload, r.Seed
 		}
-	}
-	return merged, nil
-}
-
-// Merge reassembles per-shard Run outputs into the exact full-run result
-// slice: shards[s] must be the output of an identically-configured
-// TimingRunner run with WithShard(s, len(shards)). Every merged cell is
-// checked against the plan's coordinates.
-func (r *TimingRunner) Merge(shards [][]TimingResult) ([]TimingResult, error) {
-	p, err := r.Plan()
-	if err != nil {
-		return nil, err
-	}
-	merged, err := sweep.MergeShards(p.Len(), shards)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range merged {
-		if c := p.Cell(i); res.Sim != c.Engine || res.Workload != c.Workload || res.Seed != c.Seed {
+		if c := plan.Cell(i); label != c.Engine || workload != c.Workload || seed != c.Seed {
 			return nil, fmt.Errorf("destset: merged cell %d is (%s, %s, seed %d), plan expects (%s, %s, seed %d)",
-				i, res.Sim, res.Workload, res.Seed, c.Engine, c.Workload, c.Seed)
+				i, label, workload, seed, c.Engine, c.Workload, c.Seed)
 		}
 	}
 	return merged, nil

@@ -10,16 +10,18 @@ import (
 
 // Result store: content-addressed memoization of completed sweep cells.
 //
-// A cell's CellID fingerprint (PR 4) is a pure function of its spec,
-// workload, seed, scale and observation interval, so a completed cell's
-// result — the aggregate totals plus the exact observation stream it
-// emitted — can be stored under that fingerprint and replayed by any
-// later run that plans the same cell: same process, next process, or a
-// distributed sweep restarted from scratch. Because the stored stream
-// is the byte-for-byte JSON round-trip of what the cell emitted, and
-// merged output always flows through MergeObservations into plan order,
-// a warm rerun is byte-identical to a cold one while computing only the
-// cells whose fingerprints changed.
+// A cell's CellID fingerprint is a pure function of its spec, workload,
+// seed, scale and observation interval, so a completed cell's result —
+// the aggregate totals plus the exact observation stream it emitted —
+// can be stored under that fingerprint and replayed by any later run
+// that plans the same cell: same process, next process, or a
+// distributed sweep restarted from scratch. Both runners consult the
+// store through the sweep executor's lookup and store hooks, and a hit
+// replays its stored stream in the cell's own plan-order slot. Because
+// the stored stream is the byte-for-byte JSON round-trip of what the
+// cell emitted, a warm rerun writes a JSONL file byte-identical to a
+// cold one, at any parallelism and with no merge pass, while computing
+// only the cells whose fingerprints changed.
 //
 // Cells of workloads with a custom Open stream source are never cached:
 // their fingerprints cover only the label and shape, not the stream
@@ -184,6 +186,50 @@ func (rs *ResultStore) putTiming(fp string, tr TimingResult) {
 	rs.s.Put(PlanKindTiming, fp, payload)
 }
 
+// The runners' record codecs: the result-store hooks (see execute) load
+// and store a planned cell through them.
+
+// traceCell serves trace cell c to a runner: only Final records
+// qualify, since the runner's result needs the built engine's name.
+func (rs *ResultStore) traceCell(c PlanCell) (*sweep.Result, []Observation) {
+	rec, ok := rs.getTrace(c.Fingerprint)
+	if !ok || !rec.Final {
+		return nil, nil
+	}
+	return &sweep.Result{
+		Engine:     c.Engine,
+		EngineName: rec.EngineName,
+		Workload:   c.Workload,
+		Seed:       c.Seed,
+		Totals:     rec.Totals,
+	}, rec.Observations
+}
+
+// putTraceCell stores a computed trace cell as a Final record.
+func (rs *ResultStore) putTraceCell(fp string, res sweep.Result, obs []Observation) {
+	rs.putTrace(fp, traceCellRecord{
+		Final:        true,
+		EngineName:   res.EngineName,
+		Totals:       res.Totals,
+		Observations: obs,
+	})
+}
+
+// timingCell serves timing cell c to a runner; the cell's one
+// observation is its result.
+func (rs *ResultStore) timingCell(c PlanCell) (*TimingResult, []TimingObservation) {
+	tr, ok := rs.getTiming(c.Fingerprint)
+	if !ok {
+		return nil, nil
+	}
+	return &tr, []TimingObservation{tr}
+}
+
+// putTimingCell stores a computed timing cell.
+func (rs *ResultStore) putTimingCell(fp string, tr TimingResult, _ []TimingObservation) {
+	rs.putTiming(fp, tr)
+}
+
 // HasCell reports whether the store can serve cell fp to a runner of
 // the given kind — the lookup the runners themselves perform, without
 // materializing the result. Trace records require Final (see
@@ -288,55 +334,4 @@ func (rs *ResultStore) StoreCellLines(kind, fp string, lines [][]byte) error {
 		return nil
 	}
 	return fmt.Errorf("destset: unknown plan kind %q", kind)
-}
-
-// traceCellCache adapts a ResultStore to the sweep engine's CellCache
-// for one planned trace run. Cells of custom-Open workloads are
-// declined (their fingerprints do not cover the stream contents).
-type traceCellCache struct {
-	store *ResultStore
-	plan  *SweepPlan
-	// cacheable flags each workload index; stride is cells per workload
-	// (engines × seeds), matching the plan's workload-major order.
-	cacheable []bool
-	stride    int
-}
-
-func (c *traceCellCache) cellFP(i int) (string, bool) {
-	if !c.cacheable[i/c.stride] {
-		return "", false
-	}
-	return c.plan.Cell(i).Fingerprint, true
-}
-
-func (c *traceCellCache) Lookup(i int) (*sweep.Result, []Observation, bool) {
-	fp, ok := c.cellFP(i)
-	if !ok {
-		return nil, nil, false
-	}
-	rec, ok := c.store.getTrace(fp)
-	if !ok || !rec.Final {
-		return nil, nil, false
-	}
-	cell := c.plan.Cell(i)
-	return &sweep.Result{
-		Engine:     cell.Engine,
-		EngineName: rec.EngineName,
-		Workload:   cell.Workload,
-		Seed:       cell.Seed,
-		Totals:     rec.Totals,
-	}, rec.Observations, true
-}
-
-func (c *traceCellCache) Store(i int, res sweep.Result, obs []Observation) {
-	fp, ok := c.cellFP(i)
-	if !ok {
-		return
-	}
-	c.store.putTrace(fp, traceCellRecord{
-		Final:        true,
-		EngineName:   res.EngineName,
-		Totals:       res.Totals,
-		Observations: obs,
-	})
 }

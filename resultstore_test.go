@@ -37,10 +37,10 @@ func timingTestDef() destset.SweepDef {
 }
 
 // runDefJSONL runs def with an optional result store at the given
-// parallelism and returns the manifest-headed JSONL stream merged into
-// plan order (what sweepapi serves, and — at parallelism 1 — exactly
-// the raw stream order) plus the result slice.
-func runDefJSONL(t *testing.T, def destset.SweepDef, rs *destset.ResultStore, parallelism int) ([]byte, any) {
+// parallelism, plus any extra options, and returns the manifest-headed
+// JSONL file its observer wrote — byte for byte, no merge pass — plus
+// the result slice.
+func runDefJSONL(t *testing.T, def destset.SweepDef, rs *destset.ResultStore, parallelism int, extra ...destset.RunnerOption) ([]byte, any) {
 	t.Helper()
 	plan, err := def.Plan()
 	if err != nil {
@@ -51,7 +51,7 @@ func runDefJSONL(t *testing.T, def destset.SweepDef, rs *destset.ResultStore, pa
 	if err := sink.WriteManifest(plan.Manifest(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	opts := []destset.RunnerOption{destset.WithParallelism(parallelism)}
+	opts := append([]destset.RunnerOption{destset.WithParallelism(parallelism)}, extra...)
 	if rs != nil {
 		opts = append(opts, destset.WithResultStore(rs))
 	}
@@ -79,11 +79,7 @@ func runDefJSONL(t *testing.T, def destset.SweepDef, rs *destset.ResultStore, pa
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var merged bytes.Buffer
-	if err := destset.MergeObservations(&merged, bytes.NewReader(raw.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	return merged.Bytes(), res
+	return raw.Bytes(), res
 }
 
 // TestResultStoreWarmRerunByteIdentical is the tentpole acceptance
@@ -142,14 +138,45 @@ func TestResultStoreWarmRerunByteIdentical(t *testing.T) {
 				t.Errorf("warm rerun touched the dataset store: %+v -> %+v", dsBefore, dsAfter)
 			}
 
-			// Parallelism N: the raw stream order varies, but the merged
-			// plan-ordered stream and the result slice are pinned.
-			parMerged, parRes := runDefJSONL(t, tc.def, rs, 4)
-			if !bytes.Equal(parMerged, baseline) {
-				t.Error("warm parallel rerun's merged stream diverges from uncached run")
+			// Parallelism N writes the same file, with or without the
+			// store, and returns the same result slice.
+			parStream, parRes := runDefJSONL(t, tc.def, rs, 8)
+			if !bytes.Equal(parStream, baseline) {
+				t.Error("warm parallel rerun's stream diverges from uncached run")
 			}
 			if !reflect.DeepEqual(parRes, baseRes) {
 				t.Error("warm parallel rerun result slice differs from uncached run")
+			}
+			if uncached, _ := runDefJSONL(t, tc.def, nil, 8); !bytes.Equal(uncached, baseline) {
+				t.Error("uncached parallel run's stream diverges from the parallelism-1 run")
+			}
+
+			// A store holding half the cells: the hits replay in their own
+			// slots between computed cells, in the same bytes at
+			// parallelism 1 and 8.
+			var even, odd []int
+			for i := 0; i < plan.Len(); i++ {
+				if i%2 == 0 {
+					even = append(even, i)
+				} else {
+					odd = append(odd, i)
+				}
+			}
+			for _, par := range []int{1, 8} {
+				half := destset.NewResultStore()
+				runDefJSONL(t, tc.def, half, 1, destset.WithCells(even))
+				got, _ := runDefJSONL(t, tc.def, half, par)
+				if !bytes.Equal(got, baseline) {
+					t.Errorf("parallelism %d over a half-warm store diverges from uncached run:\n%s\nvs\n%s", par, got, baseline)
+				}
+				if st := half.Stats(); st.MemHits != uint64(len(even)) || st.Stores != cells {
+					t.Errorf("parallelism %d over a half-warm store: %+v, want %d hits and %d stores", par, st, len(even), cells)
+				}
+			}
+			// A cell subset writes the same bytes at parallelism 1 and 8.
+			sub1, _ := runDefJSONL(t, tc.def, nil, 1, destset.WithCells(odd))
+			if sub8, _ := runDefJSONL(t, tc.def, nil, 8, destset.WithCells(odd)); !bytes.Equal(sub8, sub1) {
+				t.Errorf("WithCells run differs between parallelism 1 and 8:\n%s\nvs\n%s", sub8, sub1)
 			}
 
 			// A cold process sharing the directory: zero computations,

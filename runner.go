@@ -20,7 +20,8 @@ const (
 type Observation = sweep.Observation
 
 // Observer receives per-interval observations. The Runner serializes
-// calls, so observers need not be concurrency-safe.
+// calls, so observers need not be concurrency-safe; see WithObserver
+// for the delivery order.
 type Observer func(Observation)
 
 // RunResult is one completed sweep cell: an engine evaluated on a
@@ -98,6 +99,17 @@ func WithParallelism(n int) RunnerOption {
 
 // WithObserver streams per-interval observations to fn while the sweep
 // runs.
+//
+// Observations arrive in the plan order of the selected cells at any
+// parallelism, so a JSONL sink writes the same bytes at parallelism 1
+// and N. The oldest unfinished cell streams live — at parallelism 1
+// each interval is delivered while its cell runs — and the
+// observations of cells that finish ahead of it are held, then
+// released once every earlier selected cell is done; no worker waits
+// on delivery and there is no window to size. A result-store hit
+// replays its stored stream in its own slot. On cancellation or a
+// failing cell every completed cell is still delivered, in plan order,
+// and cells that did not complete are skipped.
 func WithObserver(fn Observer) RunnerOption {
 	return func(c *runnerConfig) { c.observer = fn }
 }
@@ -106,7 +118,7 @@ func WithObserver(fn Observer) RunnerOption {
 // cell index space (round-robin over the plan's deterministic cell
 // order), so independent processes can split one sweep: give each
 // process the same specs and options plus its own WithShard(i, n), and
-// reassemble the full-run result with Merge (in-process) or
+// reassemble the full-run result with MergeResults (in-process) or
 // MergeObservations / cmd/sweepmerge (JSONL files). shards <= 1
 // restores the default full run. Out-of-range shards fail at Run.
 func WithShard(shard, shards int) RunnerOption {
@@ -185,17 +197,11 @@ func NewRunner(engines []EngineSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 // Run executes the sweep and returns one RunResult per cell, ordered
 // workload-major: for each workload, for each engine, for each seed.
 // Under WithShard only that shard's cells run; the results keep the
-// global order, so Merge reassembles shard outputs into the exact
+// global order, so MergeResults reassembles shard outputs into the exact
 // full-run slice. A nil ctx falls back to WithContext, then
 // context.Background(). On cancellation Run returns promptly with the
 // completed cells (still in order) and the context's error.
 func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
-	if ctx == nil {
-		ctx = r.cfg.ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(r.engines) == 0 || len(r.workloads) == 0 {
 		return nil, fmt.Errorf("destset: Runner needs at least one engine spec and one workload spec")
 	}
@@ -214,40 +220,15 @@ func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 		}
 		workloads[i] = sw
 	}
-	var observe func(Observation)
-	if r.cfg.observer != nil {
-		observe = r.cfg.observer
-	}
-	// Result store: completed cells are served from the store (their
-	// stored observation streams replay through the observer) and only
-	// misses execute — see resultstore.go.
-	var cache sweep.CellCache
-	if store := r.cfg.resolveResultStore(); store != nil {
-		plan, perr := r.Plan()
-		if perr != nil {
-			return nil, perr
-		}
-		cacheable := make([]bool, len(r.workloads))
-		for i, w := range r.workloads {
-			cacheable[i] = w.Open == nil
-		}
-		cache = &traceCellCache{
-			store:     store,
-			plan:      plan,
-			cacheable: cacheable,
-			stride:    len(r.engines) * len(r.cfg.seeds),
-		}
-	}
-	results, err := sweep.Run(ctx, engines, workloads, sweep.Config{
-		Seeds:       r.cfg.seeds,
-		Parallelism: r.cfg.parallelism,
-		Interval:    r.cfg.interval,
-		Observe:     observe,
-		Shard:       r.cfg.shard,
-		Shards:      r.cfg.shards,
-		Cells:       r.cfg.cells,
-		Cache:       cache,
-	})
+	cells := sweep.Cross(len(workloads), len(engines), r.cfg.seeds)
+	results, err := execute(ctx, r.cfg, r.Plan, r.workloads, workloads, cells, (*ResultStore).traceCell, (*ResultStore).putTraceCell,
+		sweep.Exec[sweep.Result, Observation]{
+			Observe: r.cfg.observer,
+			Compute: func(ctx context.Context, i int, emit func(Observation)) (*sweep.Result, error) {
+				c := cells[i]
+				return sweep.RunCell(ctx, engines[c.S], workloads[c.W], c.Seed, r.cfg.interval, emit)
+			},
+		})
 	out := make([]RunResult, len(results))
 	for i, res := range results {
 		out[i] = RunResult{
@@ -264,6 +245,52 @@ func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 		}
 	}
 	return out, err
+}
+
+// execute runs one runner's plan through the sweep executor. x carries
+// the kind's observer and compute function; execute adds what both
+// kinds share: the options' cell selection and parallelism, the prewarm
+// of each cell's shared dataset through its resolved workload, and —
+// when a result store is attached — the store hooks, which address cell
+// i by its plan fingerprint through the kind's record codec (get and
+// put). Cells of custom-Open workloads are never cached: their
+// fingerprints cover only the label and shape, not the stream contents,
+// so a hit could replay a different experiment.
+func execute[R, O any](ctx context.Context, cfg runnerConfig, plan func() (*SweepPlan, error), specs []WorkloadSpec, workloads []sweep.Workload,
+	cells []sweep.Cell, get func(*ResultStore, PlanCell) (*R, []O), put func(*ResultStore, string, R, []O), x sweep.Exec[R, O]) ([]R, error) {
+	if ctx == nil {
+		ctx = cfg.ctx
+	}
+	x.Total, x.Cells, x.Shard, x.Shards, x.Parallelism = len(cells), cfg.cells, cfg.shard, cfg.shards, cfg.parallelism
+	x.Prewarm = func(i int) sweep.PrewarmJob { return sweep.PrewarmJob{W: cells[i].W, Seed: cells[i].Seed} }
+	x.Prepare = func(j sweep.PrewarmJob) error {
+		w := workloads[j.W]
+		if w.Prepare == nil {
+			return nil
+		}
+		if err := w.Prepare(j.Seed); err != nil {
+			return fmt.Errorf("sweep: workload %q: %w", w.Name, err)
+		}
+		return nil
+	}
+	if rs := cfg.resolveResultStore(); rs != nil {
+		p, err := plan()
+		if err != nil {
+			return nil, err
+		}
+		x.Lookup = func(i int) (*R, []O) {
+			if specs[cells[i].W].Open != nil {
+				return nil, nil
+			}
+			return get(rs, p.Cell(i))
+		}
+		x.Store = func(i int, res R, obs []O) {
+			if specs[cells[i].W].Open == nil {
+				put(rs, p.Cell(i).Fingerprint, res, obs)
+			}
+		}
+	}
+	return sweep.Execute(ctx, x)
 }
 
 // Evaluate runs a single (engine, workload) cell — the one-call version

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,10 +143,26 @@ func TestRunnerCancellationReturnsPartialResults(t *testing.T) {
 		res []destset.RunResult
 		err error
 	}
+	// One observation per cell: the observer must see the completed
+	// cells in strictly increasing plan order.
+	var (
+		observed []int
+		index    = map[[2]string]int{}
+	)
+	runner := destset.NewRunner(engines, workloads, destset.WithParallelism(2),
+		destset.WithObserver(func(o destset.Observation) {
+			observed = append(observed, index[[2]string{o.Engine, o.Workload}])
+		}))
+	plan, err := runner.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range plan.Cells() {
+		index[[2]string{c.Engine, c.Workload}] = i
+	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := destset.NewRunner(engines, workloads,
-			destset.WithParallelism(2)).Run(ctx)
+		res, err := runner.Run(ctx)
 		done <- outcome{res, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -157,6 +174,15 @@ func TestRunnerCancellationReturnsPartialResults(t *testing.T) {
 		}
 		if len(o.res) >= len(engines)*len(workloads) {
 			t.Errorf("expected partial results, got all %d", len(o.res))
+		}
+		for k := 1; k < len(observed); k++ {
+			if observed[k] <= observed[k-1] {
+				t.Errorf("observed cells out of plan order: %v", observed)
+				break
+			}
+		}
+		if len(observed) != len(o.res) {
+			t.Errorf("observer saw %d cells, run returned %d completed", len(observed), len(o.res))
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return promptly after cancellation")
@@ -189,6 +215,16 @@ func TestRunnerStreamsObservations(t *testing.T) {
 	}
 }
 
+// registrations numbers the names the registry tests register. The
+// registries are process-global, so a test rerun by -count in the same
+// process registers a fresh name to exercise registration again.
+var registrations atomic.Int64
+
+// runName suffixes base with the next registration number.
+func runName(base string) string {
+	return fmt.Sprintf("%s-%d", base, registrations.Add(1))
+}
+
 func TestRegisterPolicyErrors(t *testing.T) {
 	if err := destset.RegisterPolicy("", func(destset.PredictorConfig) destset.Predictor { return nil }); err == nil {
 		t.Error("empty policy name should fail")
@@ -210,15 +246,17 @@ func TestRegisterPolicyErrors(t *testing.T) {
 	factory := func(cfg destset.PredictorConfig) destset.Predictor {
 		return destset.NewPredictor(destset.DefaultPredictorConfig(destset.Owner, cfg.Nodes))
 	}
-	if err := destset.RegisterPolicy("reg-test-policy", factory); err != nil {
+	name := runName("reg-test-policy")
+	suffix := strings.TrimPrefix(name, "reg-test-policy")
+	if err := destset.RegisterPolicy(name, factory); err != nil {
 		t.Fatal(err)
 	}
-	if err := destset.RegisterPolicy("RegTestPolicy", factory); err == nil {
+	if err := destset.RegisterPolicy("RegTestPolicy"+suffix, factory); err == nil {
 		t.Error("normalized duplicate should fail")
 	}
 	found := false
 	for _, n := range destset.Policies() {
-		if n == "regtestpolicy" {
+		if n == "regtestpolicy"+strings.TrimPrefix(suffix, "-") {
 			found = true
 		}
 	}
@@ -264,18 +302,19 @@ func TestRegisterWorkloadAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	name := runName("tiny-barnes")
 	preset := func(seed uint64) destset.WorkloadParams {
 		p := params
-		p.Name = "tiny-barnes"
+		p.Name = name
 		p.Seed = seed
 		p.SharedUnits = 64
 		p.StreamBlocksPerNode = 2048
 		return p
 	}
-	if err := destset.RegisterWorkload("tiny-barnes", preset); err != nil {
+	if err := destset.RegisterWorkload(name, preset); err != nil {
 		t.Fatal(err)
 	}
-	if err := destset.RegisterWorkload("tiny-barnes", preset); err == nil {
+	if err := destset.RegisterWorkload(name, preset); err == nil {
 		t.Error("duplicate workload registration should fail")
 	}
 	if err := destset.RegisterWorkload("", preset); err == nil {
@@ -283,7 +322,7 @@ func TestRegisterWorkloadAndSweep(t *testing.T) {
 	}
 	found := false
 	for _, n := range destset.Workloads() {
-		if n == "tiny-barnes" {
+		if n == name {
 			found = true
 		}
 	}
@@ -292,7 +331,7 @@ func TestRegisterWorkloadAndSweep(t *testing.T) {
 	}
 	res, err := destset.NewRunner(
 		[]destset.EngineSpec{destset.SpecForPolicy(destset.Owner)},
-		[]destset.WorkloadSpec{{Name: "tiny-barnes", Warm: 500, Measure: 500}},
+		[]destset.WorkloadSpec{{Name: name, Warm: 500, Measure: 500}},
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -311,10 +350,11 @@ func TestRegisterEngineAndSweep(t *testing.T) {
 		}
 		return destset.NewDirectoryEngine(), nil
 	}
-	if err := destset.RegisterEngine("dir-alias", factory); err != nil {
+	name := runName("dir-alias")
+	if err := destset.RegisterEngine(name, factory); err != nil {
 		t.Fatal(err)
 	}
-	if err := destset.RegisterEngine("dir-alias", factory); err == nil {
+	if err := destset.RegisterEngine(name, factory); err == nil {
 		t.Error("duplicate engine registration should fail")
 	}
 	if err := destset.RegisterEngine("", factory); err == nil {
@@ -322,7 +362,7 @@ func TestRegisterEngineAndSweep(t *testing.T) {
 	}
 	found := false
 	for _, n := range destset.Engines() {
-		if n == "dir-alias" {
+		if n == name {
 			found = true
 		}
 	}
@@ -330,7 +370,7 @@ func TestRegisterEngineAndSweep(t *testing.T) {
 		t.Fatalf("registered engine missing from Engines(): %v", destset.Engines())
 	}
 	got, err := destset.Evaluate(context.Background(),
-		destset.EngineSpec{Protocol: "dir-alias"},
+		destset.EngineSpec{Protocol: name},
 		destset.WorkloadSpec{Name: "oltp", Warm: 2000, Measure: 2000})
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func TestRunnerShardUnionEquivalence(t *testing.T) {
 				}
 				parts[s] = res
 			}
-			merged, err := destset.NewRunner(engines, workloads, baseOpts()...).Merge(parts)
+			merged, err := destset.MergeResults(planOf(t, destset.NewRunner(engines, workloads, baseOpts()...)), parts)
 			if err != nil {
 				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
 			}
@@ -106,7 +106,7 @@ func TestTimingRunnerShardUnionEquivalence(t *testing.T) {
 				}
 				parts[s] = res
 			}
-			merged, err := destset.NewTimingRunner(sims, workloads).Merge(parts)
+			merged, err := destset.MergeResults(planOf(t, destset.NewTimingRunner(sims, workloads)), parts)
 			if err != nil {
 				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
 			}
@@ -192,6 +192,18 @@ func TestPlanStability(t *testing.T) {
 
 // TestShardValidation pins the failure modes: out-of-range shards fail
 // at Run, and Merge rejects wrong splits and foreign results.
+// planOf returns a runner's sweep plan, failing the test on error.
+func planOf(t *testing.T, r interface {
+	Plan() (*destset.SweepPlan, error)
+}) *destset.SweepPlan {
+	t.Helper()
+	plan, err := r.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestShardValidation(t *testing.T) {
 	engines := []destset.EngineSpec{{Protocol: destset.ProtocolSnooping}}
 	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 50, Measure: 50}}
@@ -207,15 +219,15 @@ func TestShardValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Merge([][]destset.RunResult{full, full}); err == nil {
+	if _, err := destset.MergeResults(planOf(t, r), [][]destset.RunResult{full, full}); err == nil {
 		t.Error("Merge accepted the full run twice")
 	}
 	foreign := append([]destset.RunResult(nil), full...)
 	foreign[0].Workload = "not-oltp"
-	if _, err := r.Merge([][]destset.RunResult{foreign}); err == nil {
+	if _, err := destset.MergeResults(planOf(t, r), [][]destset.RunResult{foreign}); err == nil {
 		t.Error("Merge accepted a result whose cell is not in the plan")
 	}
-	merged, err := r.Merge([][]destset.RunResult{full})
+	merged, err := destset.MergeResults(planOf(t, r), [][]destset.RunResult{full})
 	if err != nil {
 		t.Fatal(err)
 	}

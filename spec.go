@@ -229,6 +229,28 @@ func (w WorkloadSpec) label() string {
 	return "workload"
 }
 
+// paramsAt returns the spec's fully-specified workload parameters at
+// one cell seed — the identity its shared dataset is generated and
+// addressed by: the preset's for a Name, Params with the seed applied
+// otherwise. Imported traces are fixed data whose identity is the
+// input's content hash, so every seed replays the same dataset and the
+// seed must not perturb it. Custom Open sources have no parameters.
+func (w WorkloadSpec) paramsAt(seed uint64) (workload.Params, error) {
+	switch {
+	case w.Open != nil:
+		return workload.Params{}, fmt.Errorf("destset: workload %q uses a custom Open stream source and has no shared dataset", w.label())
+	case w.Params != nil:
+		p := *w.Params
+		if !p.Import.Enabled() {
+			p.Seed = seed
+		}
+		return p, nil
+	case w.Name != "":
+		return workload.Preset(w.Name, seed)
+	}
+	return workload.Params{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
+}
+
 // resolve turns the spec into a sweep workload, applying the runner's
 // default scale. Preset names are validated here, before the sweep
 // starts.
@@ -236,44 +258,21 @@ func (w WorkloadSpec) resolve(defaultWarm, defaultMeasure int) (sweep.Workload, 
 	// 0 inherits the runner default; negative means "explicitly none".
 	warm, measure := scaleOf(w.Warm, w.Measure, defaultWarm, defaultMeasure)
 	sw := sweep.Workload{Name: w.label(), Warm: warm, Measure: measure, Nodes: w.Nodes}
-	switch {
-	case w.Open != nil:
+	if w.Open != nil {
 		if sw.Nodes <= 0 {
 			return sweep.Workload{}, fmt.Errorf("destset: workload %q uses a custom stream source and must set Nodes", sw.Name)
 		}
 		sw.Open = w.Open
-	case w.Params != nil:
-		base := *w.Params
-		if sw.Nodes == 0 {
-			sw.Nodes = base.Nodes
-		}
-		params := func(seed uint64) (workload.Params, error) {
-			p := base
-			// Imported traces are fixed data: their identity is the
-			// input's content hash, so the cell seed must not perturb the
-			// fingerprint (every seed replays the same dataset).
-			if !p.Import.Enabled() {
-				p.Seed = seed
-			}
-			return p, nil
-		}
-		sw.Open, sw.Prepare = sharedDatasetSource(params, warm, measure)
-	case w.Name != "":
-		base, err := workload.Preset(w.Name, 0)
-		if err != nil {
-			return sweep.Workload{}, err
-		}
-		if sw.Nodes == 0 {
-			sw.Nodes = base.Nodes
-		}
-		name := w.Name
-		params := func(seed uint64) (workload.Params, error) {
-			return workload.Preset(name, seed)
-		}
-		sw.Open, sw.Prepare = sharedDatasetSource(params, warm, measure)
-	default:
-		return sweep.Workload{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
+		return sw, nil
 	}
+	base, err := w.paramsAt(0)
+	if err != nil {
+		return sweep.Workload{}, err
+	}
+	if sw.Nodes == 0 {
+		sw.Nodes = base.Nodes
+	}
+	sw.Open, sw.Prepare = sharedDatasetSource(w.paramsAt, warm, measure)
 	return sw, nil
 }
 
@@ -309,12 +308,7 @@ func NewWorkloadGenerator(spec WorkloadSpec, seed uint64) (*Generator, error) {
 	if spec.Open != nil {
 		return nil, fmt.Errorf("destset: workload %q has a custom stream source; call spec.Open", spec.label())
 	}
-	if spec.Params != nil {
-		p := *spec.Params
-		p.Seed = seed
-		return workload.New(p)
-	}
-	p, err := workload.Preset(spec.Name, seed)
+	p, err := spec.paramsAt(seed)
 	if err != nil {
 		return nil, err
 	}

@@ -224,23 +224,7 @@ type SweepDataset struct {
 // params resolves the dataset's fully-specified workload parameters
 // (seed already applied) — the identity its content address hashes.
 func (sd SweepDataset) params() (workload.Params, error) {
-	w := sd.Workload
-	switch {
-	case w.Open != nil:
-		return workload.Params{}, fmt.Errorf("destset: workload %q uses a custom Open stream source and has no shared dataset", w.label())
-	case w.Params != nil:
-		p := *w.Params
-		// An imported trace is seed-invariant: its identity is the input
-		// content hash and every seed replays the same records.
-		if !p.Import.Enabled() {
-			p.Seed = sd.Seed
-		}
-		return p, nil
-	case w.Name != "":
-		return workload.Preset(w.Name, sd.Seed)
-	default:
-		return workload.Params{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
-	}
+	return sd.Workload.paramsAt(sd.Seed)
 }
 
 // key resolves the dataset's tiered-store key.
@@ -494,14 +478,25 @@ func (p *SweepPlan) UnmarshalJSON(raw []byte) error {
 	if err := json.Unmarshal(raw, &pj); err != nil {
 		return err
 	}
-	if pj.Kind != PlanKindTrace && pj.Kind != PlanKindTiming {
-		return fmt.Errorf("destset: sweep plan kind %q (want %q or %q)", pj.Kind, PlanKindTrace, PlanKindTiming)
+	rebuilt, err := rebuildPlan(pj.Kind, pj.Plan, pj.Cells)
+	if err != nil {
+		return err
 	}
-	rebuilt := sweep.NewPlan(pj.Cells)
-	if rebuilt.Fingerprint() != pj.Plan {
-		return fmt.Errorf("destset: sweep plan fingerprint %s does not match its cells (recomputed %s)",
-			pj.Plan, rebuilt.Fingerprint())
-	}
-	*p = SweepPlan{kind: pj.Kind, plan: rebuilt}
+	*p = *rebuilt
 	return nil
+}
+
+// rebuildPlan restores a serialized plan — a JSON plan or a shard
+// manifest — from its kind, fingerprint and cells, refusing cells that
+// do not hash to the fingerprint.
+func rebuildPlan(kind, fingerprint string, cells []PlanCell) (*SweepPlan, error) {
+	if kind != PlanKindTrace && kind != PlanKindTiming {
+		return nil, fmt.Errorf("destset: sweep plan kind %q (want %q or %q)", kind, PlanKindTrace, PlanKindTiming)
+	}
+	plan := sweep.NewPlan(cells)
+	if plan.Fingerprint() != fingerprint {
+		return nil, fmt.Errorf("destset: sweep plan fingerprint %s does not match its cells (recomputed %s)",
+			fingerprint, plan.Fingerprint())
+	}
+	return &SweepPlan{kind: kind, plan: plan}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"destset"
@@ -135,12 +134,13 @@ func TestTimingRunnerCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var seen atomic.Int32
+	var observed []string
 	partial, err := destset.NewTimingRunner(specs, wl,
 		destset.WithSeeds(1),
 		destset.WithParallelism(2),
-		destset.WithTimingObserver(func(destset.TimingObservation) {
-			if seen.Add(1) == 2 {
+		destset.WithTimingObserver(func(o destset.TimingObservation) {
+			observed = append(observed, o.Config)
+			if len(observed) == 2 {
 				cancel() // cancel mid-sweep, after two cells completed
 			}
 		}),
@@ -160,6 +160,15 @@ func TestTimingRunnerCancellation(t *testing.T) {
 	order := make(map[string]int, len(full))
 	for i, r := range full {
 		order[r.Config] = i
+	}
+	// The observer saw exactly the completed cells, in plan order.
+	for k, cfg := range observed {
+		if k > 0 && order[cfg] <= order[observed[k-1]] {
+			t.Errorf("observed cells out of plan order: %q after %q", cfg, observed[k-1])
+		}
+	}
+	if len(observed) != len(partial) {
+		t.Errorf("observer saw %d cells, run returned %d completed", len(observed), len(partial))
 	}
 	for _, r := range partial {
 		i, ok := order[r.Config]

@@ -3,13 +3,11 @@ package destset
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"destset/internal/dataset"
 	"destset/internal/sim"
 	"destset/internal/sweep"
 	"destset/internal/trace"
-	"destset/internal/workload"
 )
 
 // TimingResult is one completed timing cell: a SimSpec simulated over a
@@ -45,47 +43,47 @@ type TimingObserver func(TimingObservation)
 
 // WithTimingObserver streams each completed timing cell to fn while the
 // sweep runs. It has no effect on the trace-driven Runner.
+//
+// Observations arrive in the plan order of the selected cells at any
+// parallelism, so a JSONL sink writes the same bytes at parallelism 1
+// and N. At parallelism 1 each cell is delivered as it completes; at
+// parallelism N a cell that completes ahead of an earlier one is held
+// until every earlier selected cell is done — no worker waits for it —
+// and a result-store hit is delivered in its own slot. On cancellation
+// every completed cell is still delivered, in plan order; cells that
+// did not complete are skipped.
 func WithTimingObserver(fn TimingObserver) RunnerOption {
 	return func(c *runnerConfig) { c.timingObserver = fn }
 }
 
-// timingWorkload is a resolved WorkloadSpec for the timing path: a
-// source pair per seed plus an optional prepare hook that materializes
-// the shared dataset across the worker pool before cells run.
-type timingWorkload struct {
-	name    string
-	nodes   int
-	open    func(seed uint64) (warm, timed sim.Source, err error)
-	prepare func(seed uint64) error
-}
+// timingSources opens one timing cell's warm and timed sources at a
+// seed.
+type timingSources func(seed uint64) (warm, timed sim.Source, err error)
 
-// resolveTiming turns a WorkloadSpec into timing sources. Name- and
-// Params-based workloads resolve through the process-wide dataset store
-// and replay its columns zero-copy (dataset.Region); custom Open sources
-// are drained once per cell into materialized traces, since the timing
-// simulator needs random access for its reorder-buffer window.
-func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (timingWorkload, error) {
-	// 0 inherits the runner default; negative means "explicitly none".
-	warm, measure := scaleOf(w.Warm, w.Measure, defaultWarm, defaultMeasure)
-	if measure == 0 {
-		return timingWorkload{}, fmt.Errorf("destset: timing workload %q needs measured misses", w.label())
+// resolveTiming resolves a WorkloadSpec for the timing path: the sweep
+// workload resolve builds — whose prepare hook materializes the shared
+// dataset ahead of the cells — plus each cell's timing sources. Name-
+// and Params-based workloads replay the shared dataset's columns
+// zero-copy (dataset.Region); custom Open sources are drained once per
+// cell into materialized traces, since the timing simulator needs
+// random access for its reorder-buffer window.
+func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (sweep.Workload, timingSources, error) {
+	sw, err := w.resolve(defaultWarm, defaultMeasure)
+	if err != nil {
+		return sw, nil, err
 	}
-	tw := timingWorkload{name: w.label(), nodes: w.Nodes}
-	var params func(seed uint64) (WorkloadParams, error)
-	switch {
-	case w.Open != nil:
-		if tw.nodes <= 0 {
-			return timingWorkload{}, fmt.Errorf("destset: workload %q uses a custom stream source and must set Nodes", tw.name)
-		}
-		nodes := tw.nodes
-		open := w.Open
-		tw.open = func(seed uint64) (sim.Source, sim.Source, error) {
-			st, err := open(seed)
+	warm, measure := sw.Warm, sw.Measure
+	if measure == 0 {
+		return sw, nil, fmt.Errorf("destset: timing workload %q needs measured misses", sw.Name)
+	}
+	if w.Open != nil {
+		return sw, func(seed uint64) (sim.Source, sim.Source, error) {
+			st, err := w.Open(seed)
 			if err != nil {
 				return nil, nil, err
 			}
-			warmTr := &trace.Trace{Nodes: nodes, Records: make([]trace.Record, 0, warm)}
-			timedTr := &trace.Trace{Nodes: nodes, Records: make([]trace.Record, 0, measure)}
+			warmTr := &trace.Trace{Nodes: sw.Nodes, Records: make([]trace.Record, 0, warm)}
+			timedTr := &trace.Trace{Nodes: sw.Nodes, Records: make([]trace.Record, 0, measure)}
 			for i := 0; i < warm; i++ {
 				rec, _ := st.Next()
 				warmTr.Append(rec)
@@ -95,39 +93,10 @@ func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (timingWork
 				timedTr.Append(rec)
 			}
 			return sim.TraceSource(warmTr), sim.TraceSource(timedTr), nil
-		}
-		return tw, nil
-	case w.Params != nil:
-		base := *w.Params
-		if tw.nodes == 0 {
-			tw.nodes = base.Nodes
-		}
-		params = func(seed uint64) (WorkloadParams, error) {
-			p := base
-			// Imported traces are seed-invariant: every seed replays the
-			// one content-addressed dataset (same guard as resolve).
-			if !p.Import.Enabled() {
-				p.Seed = seed
-			}
-			return p, nil
-		}
-	case w.Name != "":
-		base, err := workload.Preset(w.Name, 0)
-		if err != nil {
-			return timingWorkload{}, err
-		}
-		if tw.nodes == 0 {
-			tw.nodes = base.Nodes
-		}
-		name := w.Name
-		params = func(seed uint64) (WorkloadParams, error) {
-			return workload.Preset(name, seed)
-		}
-	default:
-		return timingWorkload{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
+		}, nil
 	}
-	tw.open = func(seed uint64) (sim.Source, sim.Source, error) {
-		p, err := params(seed)
+	return sw, func(seed uint64) (sim.Source, sim.Source, error) {
+		p, err := w.paramsAt(seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -140,16 +109,7 @@ func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (timingWork
 			warmSrc = d.WarmRegion()
 		}
 		return warmSrc, d.MeasureRegion(), nil
-	}
-	tw.prepare = func(seed uint64) error {
-		p, err := params(seed)
-		if err != nil {
-			return err
-		}
-		_, err = dataset.GetShared(p, warm, measure)
-		return err
-	}
-	return tw, nil
+	}, nil
 }
 
 // TimingRunner fans a []SimSpec × []WorkloadSpec × seeds cross-product
@@ -177,28 +137,16 @@ func NewTimingRunner(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 	}
 }
 
-// timingCell is one coordinate of the cross-product.
-type timingCell struct {
-	wi, si int
-	seed   uint64
-}
-
 // Run executes the sweep and returns one TimingResult per cell, ordered
 // workload-major: for each workload, for each sim spec, for each seed.
 // Under WithShard only that shard's cells run; the results keep the
-// global order, so Merge reassembles shard outputs into the exact
+// global order, so MergeResults reassembles shard outputs into the exact
 // full-run slice. A nil ctx falls back to WithContext, then
 // context.Background(). On cancellation Run returns promptly with the
 // completed cells (still in order) and the context's error; the
 // execution-driven cells themselves check the context, so even a single
 // huge simulation aborts promptly.
 func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
-	if ctx == nil {
-		ctx = r.cfg.ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(r.sims) == 0 || len(r.workloads) == 0 {
 		return nil, fmt.Errorf("destset: TimingRunner needs at least one sim spec and one workload spec")
 	}
@@ -207,119 +155,45 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 			return nil, err
 		}
 	}
-	workloads := make([]timingWorkload, len(r.workloads))
+	workloads := make([]sweep.Workload, len(r.workloads))
+	sources := make([]timingSources, len(r.workloads))
 	for i, w := range r.workloads {
-		tw, err := w.resolveTiming(r.cfg.warm, r.cfg.measure)
-		if err != nil {
+		var err error
+		if workloads[i], sources[i], err = w.resolveTiming(r.cfg.warm, r.cfg.measure); err != nil {
 			return nil, err
 		}
-		workloads[i] = tw
 	}
-	cells := make([]timingCell, 0, len(r.sims)*len(workloads)*len(r.cfg.seeds))
-	for wi := range workloads {
-		for si := range r.sims {
-			for _, seed := range r.cfg.seeds {
-				cells = append(cells, timingCell{wi: wi, si: si, seed: seed})
-			}
-		}
-	}
-	subset, err := sweep.SubsetIndices(len(cells), r.cfg.cells, r.cfg.shard, r.cfg.shards)
-	if err != nil {
-		return nil, err
-	}
-
-	// Result store: resolve every cell the store can serve up front —
-	// their results replay without simulating, and their datasets are
-	// not even prewarmed, so a fully-warm rerun touches neither the
-	// simulator nor the generator. Custom-Open workloads are never
-	// cached (their fingerprints do not cover the stream contents).
-	store := r.cfg.resolveResultStore()
-	var (
-		cellFPs []string
-		hits    []*TimingResult
-	)
-	live := subset
-	if store != nil {
-		plan, perr := r.Plan()
-		if perr != nil {
-			return nil, perr
-		}
-		cellFPs = make([]string, len(cells))
-		for i := range cells {
-			cellFPs[i] = plan.Cell(i).Fingerprint
-		}
-		hits = make([]*TimingResult, len(cells))
-		live = make([]int, 0, len(subset))
-		for _, i := range subset {
-			if r.workloads[cells[i].wi].Open == nil {
-				if tr, ok := store.getTiming(cellFPs[i]); ok {
-					hit := tr
-					hits[i] = &hit
-					continue
+	cells := sweep.Cross(len(workloads), len(r.sims), r.cfg.seeds)
+	return execute(ctx, r.cfg, r.Plan, r.workloads, workloads, cells, (*ResultStore).timingCell, (*ResultStore).putTimingCell,
+		sweep.Exec[TimingResult, TimingObservation]{
+			Observe: r.cfg.timingObserver,
+			Compute: func(ctx context.Context, i int, emit func(TimingObservation)) (*TimingResult, error) {
+				c := cells[i]
+				spec, w := r.sims[c.S], workloads[c.W]
+				cfg, err := spec.Resolve(w.Nodes)
+				if err != nil {
+					return nil, err
 				}
-			}
-			live = append(live, i)
-		}
-	}
-
-	// Prewarm phase: materialize every shared dataset this shard's cells
-	// replay — once per (workload, seed) — before any cell runs, so
-	// generation fans out over the pool instead of serializing the first
-	// cells of each workload.
-	jobs := sweep.PrewarmJobsFor(live, func(i int) sweep.PrewarmJob {
-		return sweep.PrewarmJob{W: cells[i].wi, Seed: cells[i].seed}
-	})
-	err = sweep.Prewarm(ctx, r.cfg.parallelism, jobs,
-		func(w int) func(uint64) error { return workloads[w].prepare },
-		func(w int) string { return workloads[w].name })
-	if err != nil {
-		return nil, err
-	}
-
-	var obsMu sync.Mutex
-	observe := r.cfg.timingObserver
-	return sweep.Collect(ctx, subset, r.cfg.parallelism, func(ctx context.Context, i int) (*TimingResult, error) {
-		if hits != nil && hits[i] != nil {
-			tr := hits[i]
-			if observe != nil {
-				obsMu.Lock()
-				observe(*tr)
-				obsMu.Unlock()
-			}
-			return tr, nil
-		}
-		c := cells[i]
-		spec, w := r.sims[c.si], workloads[c.wi]
-		cfg, err := spec.Resolve(w.nodes)
-		if err != nil {
-			return nil, err
-		}
-		warmSrc, timedSrc, err := w.open(c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("destset: workload %q: %w", w.name, err)
-		}
-		res, err := sim.Simulate(ctx, cfg, warmSrc, timedSrc)
-		if err != nil {
-			return nil, err
-		}
-		tr := &TimingResult{
-			Sim:      spec.DisplayLabel(),
-			Config:   cfg.Name(),
-			Workload: w.name,
-			Seed:     c.seed,
-			CPU:      cfg.CPU.String(),
-			Result:   res,
-		}
-		if observe != nil {
-			obsMu.Lock()
-			observe(*tr)
-			obsMu.Unlock()
-		}
-		if store != nil && r.workloads[c.wi].Open == nil {
-			store.putTiming(cellFPs[i], *tr)
-		}
-		return tr, nil
-	})
+				warmSrc, timedSrc, err := sources[c.W](c.Seed)
+				if err != nil {
+					return nil, fmt.Errorf("destset: workload %q: %w", w.Name, err)
+				}
+				res, err := sim.Simulate(ctx, cfg, warmSrc, timedSrc)
+				if err != nil {
+					return nil, err
+				}
+				tr := &TimingResult{
+					Sim:      spec.DisplayLabel(),
+					Config:   cfg.Name(),
+					Workload: w.Name,
+					Seed:     c.Seed,
+					CPU:      cfg.CPU.String(),
+					Result:   res,
+				}
+				emit(*tr)
+				return tr, nil
+			},
+		})
 }
 
 // EvaluateTiming runs a single (sim, workload) timing cell — the
