@@ -97,8 +97,10 @@ type line struct {
 // Cache is a set-associative MOSI cache. The zero value is unusable; use
 // New.
 type Cache struct {
-	cfg    Config
-	sets   [][]line
+	cfg Config
+	// lines holds every way of every set in one pointer-free array: set i
+	// is lines[i*Ways : (i+1)*Ways].
+	lines  []line
 	mask   uint64
 	clock  uint64
 	misses uint64
@@ -113,24 +115,25 @@ func New(cfg Config) *Cache {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", n))
 	}
-	sets := make([][]line, n)
-	backing := make([]line, n*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(n - 1)}
+	return &Cache{cfg: cfg, lines: make([]line, n*cfg.Ways), mask: uint64(n - 1)}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) set(a trace.Addr) []line { return c.sets[uint64(a)&c.mask] }
+// set returns the ways of a's set.
+func (c *Cache) set(a trace.Addr) []line {
+	w := c.cfg.Ways
+	i := int(uint64(a)&c.mask) * w
+	return c.lines[i : i+w]
+}
 
 // Lookup returns the block's state without touching LRU. Invalid means not
 // present.
 func (c *Cache) Lookup(a trace.Addr) State {
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
+	set := c.set(a)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.addr == a {
 			return l.state
 		}
@@ -142,8 +145,9 @@ func (c *Cache) Lookup(a trace.Addr) State {
 // present (counting a hit or miss).
 func (c *Cache) Touch(a trace.Addr) bool {
 	c.clock++
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
+	set := c.set(a)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.addr == a {
 			l.lru = c.clock
 			c.hits++
@@ -157,8 +161,9 @@ func (c *Cache) Touch(a trace.Addr) bool {
 // SetState changes the state of a resident block. It panics if the block
 // is not resident — state changes on absent blocks indicate a protocol bug.
 func (c *Cache) SetState(a trace.Addr, s State) {
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
+	set := c.set(a)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.addr == a {
 			if s == Invalid {
 				l.state = Invalid
@@ -173,8 +178,9 @@ func (c *Cache) SetState(a trace.Addr, s State) {
 
 // Invalidate removes a block if present and reports whether it was present.
 func (c *Cache) Invalidate(a trace.Addr) bool {
-	for i := range c.set(a) {
-		l := &c.set(a)[i]
+	set := c.set(a)
+	for i := range set {
+		l := &set[i]
 		if l.state != Invalid && l.addr == a {
 			l.state = Invalid
 			return true
@@ -222,11 +228,9 @@ func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 // reporting).
 func (c *Cache) Resident() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != Invalid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.state != Invalid {
+			n++
 		}
 	}
 	return n

@@ -149,14 +149,15 @@ func TestTouchStats(t *testing.T) {
 
 func TestDifferentSetsDoNotConflict(t *testing.T) {
 	c := tiny()
-	// 0..3 map to distinct sets: no evictions even with 2-way sets.
-	for a := trace.Addr(0); a < 4; a++ {
+	// 0..7 fill both ways of each of the 4 sets: a set never displaces
+	// another set's blocks, so no insert evicts.
+	for a := trace.Addr(0); a < 8; a++ {
 		if _, ev := c.Insert(a, Shared); ev {
 			t.Errorf("insert %d evicted in empty cache", a)
 		}
 	}
-	if c.Resident() != 4 {
-		t.Errorf("Resident = %d, want 4", c.Resident())
+	if c.Resident() != 8 {
+		t.Errorf("Resident = %d, want 8", c.Resident())
 	}
 }
 

@@ -17,6 +17,9 @@ package coherence
 
 import (
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 
 	"destset/internal/cache"
 	"destset/internal/nodeset"
@@ -61,8 +64,9 @@ func DefaultConfig() Config {
 }
 
 // blockState is the directory's view of one 64-byte block. The zero value
-// means: owned by memory, no sharers, never touched — so the block table
-// can grow lazily with zeroed storage.
+// means: owned by memory, no sharers, never touched — so a page of the
+// block table is allocated zeroed on first touch, and a block on a page
+// never allocated reads as the zero value.
 type blockState struct {
 	sharers nodeset.Set    // nodes holding the block in Shared state
 	touched nodeset.Set    // nodes that ever accessed the block (stats)
@@ -157,12 +161,37 @@ func (mi MissInfo) Responder(req nodeset.NodeID) (node nodeset.NodeID, fromMemor
 	}
 }
 
+// The block table is a sparse two-level page table, so its memory follows
+// the blocks a run touches rather than the highest address it touches: a
+// page holds pageBlocks consecutive blocks (96 KB) and is allocated zeroed
+// on first touch; a directory maps the dirPages pages of one 2^regionBits-
+// block region. Pages never move once allocated, so a *blockState stays
+// valid for the life of the System.
+const (
+	pageBits   = 12
+	dirBits    = 15
+	regionBits = pageBits + dirBits
+	pageBlocks = 1 << pageBits
+	dirPages   = 1 << dirBits
+)
+
+type (
+	page      [pageBlocks]blockState
+	directory [dirPages]*page
+)
+
 // System is the global coherence oracle.
 type System struct {
 	cfg    Config
 	caches []*cache.Cache
-	blocks []blockState
-	maxA   trace.Addr
+	// dirs holds the block table's directories keyed by region (block
+	// address >> regionBits). dir is the last one used and dirKey its key,
+	// starting at region 0, whose directory NewSystem creates; every
+	// generated workload fits in region 0, so the hot path is two array
+	// indexes.
+	dirs   map[trace.Addr]*directory
+	dir    *directory
+	dirKey trace.Addr
 
 	// OnWriteback, if set, is called whenever a node evicts an Owned or
 	// Modified block (a writeback of the data to the home memory). The
@@ -181,7 +210,8 @@ func NewSystem(cfg Config) *System {
 	if cfg.Nodes <= 0 || cfg.Nodes > nodeset.MaxNodes {
 		panic(fmt.Sprintf("coherence: bad node count %d", cfg.Nodes))
 	}
-	s := &System{cfg: cfg, caches: make([]*cache.Cache, cfg.Nodes)}
+	s := &System{cfg: cfg, caches: make([]*cache.Cache, cfg.Nodes), dir: new(directory)}
+	s.dirs = map[trace.Addr]*directory{0: s.dir}
 	for i := range s.caches {
 		s.caches[i] = cache.New(cfg.L2)
 	}
@@ -200,16 +230,37 @@ func (s *System) Home(a trace.Addr) nodeset.NodeID {
 	return nodeset.NodeID(uint64(a) % uint64(s.cfg.Nodes))
 }
 
+// block returns a's entry in the block table, allocating its page (and
+// its region's directory) on first touch.
 func (s *System) block(a trace.Addr) *blockState {
-	if int(a) >= len(s.blocks) {
-		grown := make([]blockState, int(a)+1+len(s.blocks)/2)
-		copy(grown, s.blocks)
-		s.blocks = grown
+	if key := a >> regionBits; key != s.dirKey {
+		d := s.dirs[key]
+		if d == nil {
+			d = new(directory)
+			s.dirs[key] = d
+		}
+		s.dir, s.dirKey = d, key
 	}
-	if a > s.maxA {
-		s.maxA = a
+	pg := &s.dir[a>>pageBits%dirPages]
+	if *pg == nil {
+		*pg = new(page)
 	}
-	return &s.blocks[a]
+	return &(*pg)[a%pageBlocks]
+}
+
+// lookup returns a copy of a's entry without allocating: the zero value
+// (memory-owned, no sharers) for a block on a page never touched.
+func (s *System) lookup(a trace.Addr) blockState {
+	d := s.dir
+	if key := a >> regionBits; key != s.dirKey {
+		if d = s.dirs[key]; d == nil {
+			return blockState{}
+		}
+	}
+	if pg := d[a>>pageBits%dirPages]; pg != nil {
+		return pg[a%pageBlocks]
+	}
+	return blockState{}
 }
 
 // Access performs a processor load or store. If the access hits in the
@@ -236,7 +287,7 @@ func (s *System) Access(p nodeset.NodeID, a trace.Addr, k AccessKind) (mi MissIn
 	if k == Store {
 		kind = trace.GetExclusive
 	}
-	return s.apply(p, a, kind), true
+	return s.apply(p, a, b, kind), true
 }
 
 // Peek returns the MissInfo a record would observe right now, without
@@ -245,7 +296,7 @@ func (s *System) Access(p nodeset.NodeID, a trace.Addr, k AccessKind) (mi MissIn
 // is sufficient before committing the transaction, and at the home
 // directory to compute the improved destination set of a reissue.
 func (s *System) Peek(r trace.Record) MissInfo {
-	b := s.block(r.Addr)
+	b := s.lookup(r.Addr)
 	return MissInfo{
 		Home:           s.Home(r.Addr),
 		Owner:          b.ownerID(),
@@ -263,11 +314,12 @@ func (s *System) Apply(r trace.Record) MissInfo {
 	if s.cfg.TrackBlockStats {
 		b.touched = b.touched.Add(nodeset.NodeID(r.Requester))
 	}
-	return s.apply(nodeset.NodeID(r.Requester), r.Addr, r.Kind)
+	return s.apply(nodeset.NodeID(r.Requester), r.Addr, b, r.Kind)
 }
 
-func (s *System) apply(p nodeset.NodeID, a trace.Addr, kind trace.Kind) MissInfo {
-	b := s.block(a)
+// apply runs the coherence transaction for a miss by p to block a, whose
+// table entry is b.
+func (s *System) apply(p nodeset.NodeID, a trace.Addr, b *blockState, kind trace.Kind) MissInfo {
 	mi := MissInfo{
 		Home:           s.Home(a),
 		Owner:          b.ownerID(),
@@ -296,13 +348,11 @@ func (s *System) apply(p nodeset.NodeID, a trace.Addr, kind trace.Kind) MissInfo
 		if s.cfg.Exclusive && !b.ownerC && b.sharers.Empty() {
 			// MOESI: sole reader of a memory-owned block takes E.
 			s.insert(p, a, cache.Exclusive)
-			b = s.block(a) // insert may have grown the table
 			b.owner = p
 			b.ownerC = true
 			break
 		}
 		s.insert(p, a, cache.Shared)
-		b = s.block(a) // insert may have grown the table
 		b.sharers = b.sharers.Add(p)
 	case trace.GetExclusive:
 		// Invalidate every other copy; the requester becomes sole owner.
@@ -315,7 +365,6 @@ func (s *System) apply(p nodeset.NodeID, a trace.Addr, kind trace.Kind) MissInfo
 			s.caches[b.owner].Invalidate(a)
 		}
 		s.insert(p, a, cache.Modified)
-		b = s.block(a)
 		b.sharers = 0
 		b.owner = p
 		b.ownerC = true
@@ -354,19 +403,12 @@ func (s *System) insert(p nodeset.NodeID, a trace.Addr, st cache.State) {
 
 // OwnerOf returns the current owner of a block (MemoryOwner if memory).
 func (s *System) OwnerOf(a trace.Addr) nodeset.NodeID {
-	if int(a) >= len(s.blocks) {
-		return MemoryOwner
-	}
-	return s.blocks[a].ownerID()
+	b := s.lookup(a)
+	return b.ownerID()
 }
 
 // SharersOf returns the current Shared-state holders of a block.
-func (s *System) SharersOf(a trace.Addr) nodeset.Set {
-	if int(a) >= len(s.blocks) {
-		return 0
-	}
-	return s.blocks[a].sharers
-}
+func (s *System) SharersOf(a trace.Addr) nodeset.Set { return s.lookup(a).sharers }
 
 // CacheOf exposes a node's L2 for inspection in tests and the timing model.
 func (s *System) CacheOf(p nodeset.NodeID) *cache.Cache { return s.caches[p] }
@@ -381,12 +423,30 @@ type BlockStat struct {
 // ForEachTouchedBlock visits every block that was ever accessed, in
 // address order. Requires TrackBlockStats.
 func (s *System) ForEachTouchedBlock(fn func(BlockStat)) {
-	for a := trace.Addr(0); a <= s.maxA && int(a) < len(s.blocks); a++ {
-		b := &s.blocks[a]
-		if b.touched.Empty() {
-			continue
+	for a, b := range s.allocated() {
+		if !b.touched.Empty() {
+			fn(BlockStat{Addr: a, Touched: b.touched, Misses: b.misses})
 		}
-		fn(BlockStat{Addr: a, Touched: b.touched, Misses: b.misses})
+	}
+}
+
+// allocated yields every entry on an allocated page, in address order.
+// Entries on pages never allocated are all zero and are skipped.
+func (s *System) allocated() iter.Seq2[trace.Addr, *blockState] {
+	return func(yield func(trace.Addr, *blockState) bool) {
+		for _, k := range slices.Sorted(maps.Keys(s.dirs)) {
+			for pi, pg := range s.dirs[k] {
+				if pg == nil {
+					continue
+				}
+				base := k<<regionBits | trace.Addr(pi)<<pageBits
+				for i := range pg {
+					if !yield(base+trace.Addr(i), &pg[i]) {
+						return
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -394,8 +454,7 @@ func (s *System) ForEachTouchedBlock(fn func(BlockStat)) {
 // cache contents for all touched blocks; tests call it after random
 // workloads. It returns the first violation found, or nil.
 func (s *System) CheckInvariants() error {
-	for a := trace.Addr(0); a <= s.maxA && int(a) < len(s.blocks); a++ {
-		b := &s.blocks[a]
+	for a, b := range s.allocated() {
 		if b.ownerC {
 			st := s.caches[b.owner].Lookup(a)
 			if !st.IsOwner() {

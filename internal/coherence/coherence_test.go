@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,19 +292,76 @@ func TestApplyReplayMatchesAccess(t *testing.T) {
 
 func TestBlockStats(t *testing.T) {
 	s := NewSystem(testConfig())
+	// Touch high blocks first, across a page boundary (4095/4096), a
+	// directory boundary (2^27-1 / 2^27) and far above both: the stats
+	// still come out in address order.
+	s.Access(2, 1<<40, Store)
 	s.Access(0, 5, Load)
 	s.Access(1, 5, Store)
+	s.Access(3, 1<<27, Load)
 	s.Access(0, 9, Load)
+	s.Access(1, 1<<27-1, Load)
+	s.Access(2, 4096, Load)
+	s.Access(2, 4095, Load)
+	s.Access(3, 4096, Store)
 	var stats []BlockStat
 	s.ForEachTouchedBlock(func(b BlockStat) { stats = append(stats, b) })
-	if len(stats) != 2 {
-		t.Fatalf("touched blocks = %d, want 2", len(stats))
+	want := []BlockStat{
+		{Addr: 5, Touched: nodeset.Of(0, 1), Misses: 2},
+		{Addr: 9, Touched: nodeset.Of(0), Misses: 1},
+		{Addr: 4095, Touched: nodeset.Of(2), Misses: 1},
+		{Addr: 4096, Touched: nodeset.Of(2, 3), Misses: 2},
+		{Addr: 1<<27 - 1, Touched: nodeset.Of(1), Misses: 1},
+		{Addr: 1 << 27, Touched: nodeset.Of(3), Misses: 1},
+		{Addr: 1 << 40, Touched: nodeset.Of(2), Misses: 1},
 	}
-	if stats[0].Addr != 5 || stats[0].Touched != nodeset.Of(0, 1) || stats[0].Misses != 2 {
-		t.Errorf("block 5 stats = %+v", stats[0])
+	if !slices.Equal(stats, want) {
+		t.Errorf("block stats = %+v, want %+v", stats, want)
 	}
-	if stats[1].Addr != 9 || stats[1].Touched != nodeset.Of(0) || stats[1].Misses != 1 {
-		t.Errorf("block 9 stats = %+v", stats[1])
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// Reads of blocks never touched see memory ownership and no sharers
+// without allocating, and the block table's memory follows the pages a
+// run touches, not the highest block address.
+func TestBlockTableIsSparse(t *testing.T) {
+	s := NewSystem(testConfig())
+	s.Access(1, 100, Store)
+	// 101 shares 100's page, 4096 is on a page never touched, 1<<27 and
+	// 1<<40 are in regions without a directory.
+	for _, a := range []trace.Addr{101, 4096, 1 << 27, 1 << 40} {
+		r := trace.Record{Addr: a, Requester: 2, Kind: trace.GetShared}
+		if got := s.OwnerOf(a); got != MemoryOwner {
+			t.Errorf("OwnerOf(%#x) = %d, want memory", uint64(a), got)
+		}
+		if got := s.SharersOf(a); !got.Empty() {
+			t.Errorf("SharersOf(%#x) = %v, want empty", uint64(a), got)
+		}
+		if got, want := s.Peek(r), (MissInfo{Home: s.Home(a), Owner: MemoryOwner}); got != want {
+			t.Errorf("Peek(%#x) = %+v, want %+v", uint64(a), got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			s.OwnerOf(a)
+			s.SharersOf(a)
+			s.Peek(r)
+		}); n != 0 {
+			t.Errorf("reading untouched block %#x allocates %v times", uint64(a), n)
+		}
+	}
+
+	s = NewSystem(testConfig())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Access(0, 7, Store)
+	s.Access(1, 7+1<<40, Load)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("touching two blocks 2^40 apart allocated %d bytes, want < 1 MiB", got)
+	}
+	if s.OwnerOf(7) != 0 || !s.SharersOf(7+1<<40).Contains(1) {
+		t.Error("far-apart blocks lost their state")
 	}
 }
 
@@ -328,6 +387,11 @@ func TestNewSystemPanicsOnBadNodes(t *testing.T) {
 	}
 }
 
+// spread is an odd stride that scatters the property tests' 64 blocks
+// over 64 block-table pages in 8 directories while their cache set
+// indices and home nodes still vary.
+const spread = 1<<24 + 1
+
 // Property: after any access sequence, directory state and cache contents
 // stay mutually consistent.
 func TestQuickInvariants(t *testing.T) {
@@ -335,7 +399,7 @@ func TestQuickInvariants(t *testing.T) {
 		s := NewSystem(testConfig())
 		for _, op := range ops {
 			p := nodeset.NodeID(op % 4)
-			a := trace.Addr((op / 4) % 64)
+			a := trace.Addr((op/4)%64) * spread
 			k := Load
 			if op&0x1000 != 0 {
 				k = Store

@@ -164,7 +164,7 @@ func TestQuickMOESIInvariants(t *testing.T) {
 		s := NewSystem(moesiConfig())
 		for _, op := range ops {
 			p := nodeset.NodeID(op % 4)
-			a := trace.Addr((op / 4) % 64)
+			a := trace.Addr((op/4)%64) * spread
 			k := Load
 			if op&0x1000 != 0 {
 				k = Store

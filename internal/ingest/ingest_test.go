@@ -5,11 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"destset/internal/coherence"
 	"destset/internal/dataset"
+	"destset/internal/nodeset"
 	"destset/internal/trace"
 	"destset/internal/workload"
 )
@@ -31,6 +33,17 @@ const sampleText = `# same trace, gem5-style columns
 0x1000 W 0 0x400100 150
 0x1000 R 1 0x400200 220
 0x3080 R 3 0x400400 90
+`
+
+// highCSV mixes low addresses with two user-space ones whose block
+// numbers are near 2^41, far above any generated workload's.
+const highCSV = `addr,cpu,op,pc,gap
+0x7ffd4a3c1040,1,W,0x400200,120
+0x1000,0,W,0x400100,150
+0x7ffd4a3c1000,0,R,0x400300,90
+0x1000,1,R,0x400200,220
+0x7ffd4a3c1040,2,R,0x400400,60
+0x2040,2,W,0x400500,180
 `
 
 func importString(t *testing.T, s string, f Format, opt Options) *dataset.Dataset {
@@ -103,6 +116,20 @@ func TestImportAnnotationsMatchOracleReplay(t *testing.T) {
 	}
 }
 
+func TestImportHighAddresses(t *testing.T) {
+	ds := importString(t, highCSV, FormatCSV, Options{Warm: 2})
+	hi := trace.Addr(0x7ffd4a3c1000 / trace.BlockBytes)
+	want := []coherence.BlockStat{
+		{Addr: 0x1000 / trace.BlockBytes, Touched: nodeset.Of(0, 1), Misses: 2},
+		{Addr: 0x2040 / trace.BlockBytes, Touched: nodeset.Of(2), Misses: 1},
+		{Addr: hi, Touched: nodeset.Of(0), Misses: 1},
+		{Addr: hi + 1, Touched: nodeset.Of(1, 2), Misses: 2},
+	}
+	if got := ds.BlockStats(); !slices.Equal(got, want) {
+		t.Errorf("block stats = %+v, want %+v in address order", got, want)
+	}
+}
+
 func TestImportDefaultsAndDialects(t *testing.T) {
 	// Missing pc and gap; decimal addresses; alternative op tokens.
 	in := "4096,1,read\n8256,0,STORE\n4096,1,ld\n"
@@ -163,18 +190,21 @@ func TestImportErrors(t *testing.T) {
 }
 
 func TestExportImportExportIdentity(t *testing.T) {
-	for _, f := range []Format{FormatCSV, FormatText} {
-		t.Run(string(f), func(t *testing.T) {
-			src := sampleCSV
-			if f == FormatText {
-				src = sampleText
-			}
-			ds := importString(t, src, f, Options{Warm: 2})
+	for _, tc := range []struct {
+		name, src string
+		f         Format
+	}{
+		{"csv", sampleCSV, FormatCSV},
+		{"text", sampleText, FormatText},
+		{"csv_high_addresses", highCSV, FormatCSV},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := importString(t, tc.src, tc.f, Options{Warm: 2})
 			var first bytes.Buffer
-			if err := Export(&first, ds, f); err != nil {
+			if err := Export(&first, ds, tc.f); err != nil {
 				t.Fatal(err)
 			}
-			ds2, err := Import(bytes.NewReader(first.Bytes()), f, Options{Warm: 2, Nodes: ds.Params().Nodes})
+			ds2, err := Import(bytes.NewReader(first.Bytes()), tc.f, Options{Warm: 2, Nodes: ds.Params().Nodes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +216,7 @@ func TestExportImportExportIdentity(t *testing.T) {
 				}
 			}
 			var second bytes.Buffer
-			if err := Export(&second, ds2, f); err != nil {
+			if err := Export(&second, ds2, tc.f); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -32,8 +32,8 @@ func simStreams(t *testing.T, warmN, timedN int) (warm, timed Source) {
 // — issue, ordering, delivery, retry, data response, completion — must
 // not allocate. The first half of the run primes the pools; the second
 // half is measured and must stay at 0 allocs per miss (a tiny amortized
-// tolerance covers geometric growth of the coherence block table and the
-// event queue's backing array).
+// tolerance covers the coherence block table's first-touch pages and the
+// event queue's backing array growth).
 func TestSimLoopAllocFree(t *testing.T) {
 	warm, timed := simStreams(t, 8_000, 16_000)
 	for _, proto := range []Protocol{Snooping, Directory, Multicast} {
@@ -72,5 +72,29 @@ func TestSimLoopAllocFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSimSetupBytes caps what one timing cell allocates before its timed
+// region: newSim (the coherence oracle's caches and block table, the
+// crossbar, the predictor bank) plus warmUp over the OLTP warm stream of
+// a Figure 7 cell. Measured on a multicast cell: 114.6 MB while the block
+// table was a dense slice grown to the highest block touched, 33.5 MB
+// with the sparse page table and flat cache sets.
+func TestSimSetupBytes(t *testing.T) {
+	const maxSetupBytes = 40 << 20
+	warm, _ := simStreams(t, 20_000, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := newSim(DefaultConfig(Multicast))
+	if err := s.warmUp(context.Background(), warm); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxSetupBytes {
+		t.Errorf("newSim + warmUp allocated %.1f MB, want at most %d MB",
+			float64(got)/(1<<20), maxSetupBytes>>20)
 	}
 }
