@@ -17,11 +17,19 @@
 // Links are FIFO resources; contention queues messages and is the
 // mechanism that lets bandwidth-hungry protocols slow themselves down.
 //
+// The crossbar schedules one delivery event per distinct arrival instant
+// of a message, not one per destination copy: copies whose ingress links
+// are idle all arrive together, so an uncontended broadcast costs one
+// ordering and one delivery event. The delivery hands the copies to
+// OnDeliver in ascending node order — the order per-copy events would
+// fire in, since copies scheduled by one ordering step hold consecutive
+// sequence numbers.
+//
 // The crossbar is allocation-free per message in steady state: ordering
 // and delivery events are scheduled through the event loop's typed-arg
-// API (no closures), per-destination delivery records come from an
-// internal free list, and senders that set OnRelease get each message
-// back once its last copy is delivered, so they can pool messages too.
+// API (no closures), delivery groups come from an internal free list,
+// and senders that set OnRelease get each message back once its last
+// copy is delivered, so they can pool messages too.
 package interconnect
 
 import (
@@ -60,15 +68,17 @@ type Message struct {
 	// pointer keeps Send allocation-free.
 	Payload interface{}
 
-	// pending counts undelivered copies after ordering.
+	// pending counts undelivered delivery groups after ordering.
 	pending int
 }
 
-// delivery is one destination copy of an ordered message, pooled in the
-// crossbar's free list so per-copy scheduling never allocates.
+// delivery is the group of an ordered message's copies that arrive at
+// one instant, pooled in the crossbar's free list so scheduling never
+// allocates.
 type delivery struct {
 	msg *Message
-	dst nodeset.NodeID
+	at  event.Time
+	to  nodeset.Set
 }
 
 // link is a FIFO serialization resource.
@@ -115,6 +125,8 @@ type Crossbar struct {
 	orderedEvt event.ArgHandler
 	deliverEvt event.ArgHandler
 	delFree    []*delivery
+	// groups holds the delivery groups of the message being ordered.
+	groups []*delivery
 
 	// statistics
 	totalBytes    uint64
@@ -154,7 +166,10 @@ func (x *Crossbar) Send(msg *Message) {
 }
 
 // ordered is the total-order point: the message takes its global sequence
-// number and one delivery is scheduled per destination copy.
+// number and each destination copy joins the delivery group of its
+// arrival instant. A group's event is scheduled when its lowest
+// destination is found, taking that copy's place in the event order; the
+// group's other copies would have followed it with no event in between.
 func (x *Crossbar) ordered(now event.Time, msg *Message) {
 	x.seq++
 	seq := x.seq
@@ -164,25 +179,46 @@ func (x *Crossbar) ordered(now event.Time, msg *Message) {
 		x.OnOrdered(now, seq, msg)
 	}
 	half := x.cfg.Traversal / 2
-	msg.pending = msg.To.Count()
+	groups := x.groups[:0]
 	for rest := msg.To; !rest.Empty(); {
 		dst := rest.First()
 		rest = rest.Remove(dst)
+		at := x.ingress[dst].acquire(now, msg.Bytes, x.cfg.BytesPerNs) + half
+		if d := findGroup(groups, at); d != nil {
+			d.to = d.to.Add(dst)
+			continue
+		}
 		d := x.getDelivery()
-		d.msg, d.dst = msg, dst
-		done := x.ingress[dst].acquire(now, msg.Bytes, x.cfg.BytesPerNs) + half
-		x.loop.AtArg(done, x.deliverEvt, d)
+		d.msg, d.at, d.to = msg, at, nodeset.Of(dst)
+		groups = append(groups, d)
+		x.loop.AtArg(at, x.deliverEvt, d)
 	}
+	msg.pending = len(groups)
+	x.groups = groups[:0]
 }
 
-// deliver hands one copy to the protocol and releases the message after
-// its last copy.
+// findGroup returns the group arriving at instant at, or nil.
+func findGroup(groups []*delivery, at event.Time) *delivery {
+	for _, d := range groups {
+		if d.at == at {
+			return d
+		}
+	}
+	return nil
+}
+
+// deliver hands one group's copies to the protocol in ascending node
+// order and releases the message after its last group.
 func (x *Crossbar) deliver(now event.Time, d *delivery) {
-	msg, dst := d.msg, d.dst
+	msg, to := d.msg, d.to
 	d.msg = nil
 	x.delFree = append(x.delFree, d)
 	if x.OnDeliver != nil {
-		x.OnDeliver(now, dst, msg)
+		for rest := to; !rest.Empty(); {
+			dst := rest.First()
+			rest = rest.Remove(dst)
+			x.OnDeliver(now, dst, msg)
+		}
 	}
 	msg.pending--
 	if msg.pending == 0 {

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"slices"
 	"testing"
 
 	"destset/internal/event"
@@ -160,5 +161,82 @@ func TestNewPanics(t *testing.T) {
 			}()
 			New(cfg, loop)
 		}()
+	}
+}
+
+// drain runs the loop to completion and returns the number of events it
+// processed.
+func drain(loop *event.Loop) int {
+	steps := 0
+	for loop.Step() {
+		steps++
+	}
+	return steps
+}
+
+func TestIdleBroadcastIsOneDeliveryEvent(t *testing.T) {
+	loop, x := setup()
+	var got []nodeset.NodeID
+	x.OnDeliver = func(now event.Time, dst nodeset.NodeID, msg *Message) {
+		if now != 50*event.Nanosecond {
+			t.Errorf("copy to %d delivered at %v ps, want 50000", dst, now)
+		}
+		got = append(got, dst)
+	}
+	x.Send(&Message{From: 0, To: nodeset.All(16).Remove(0), Bytes: 8})
+	// One ordering event, then every copy in one delivery group.
+	if steps := drain(loop); steps != 2 {
+		t.Errorf("idle 15-destination broadcast took %d events, want 2", steps)
+	}
+	if want := nodeset.All(16).Remove(0).Nodes(); !slices.Equal(got, want) {
+		t.Errorf("delivery order %v, want %v", got, want)
+	}
+}
+
+// TestContendedDeliveryOrder sends a 72-byte message to nodes 3 and 7
+// and, from another node at the same instant, a broadcast ordered right
+// behind it: the broadcast's copies to 3 and 7 queue on their ingress
+// links and arrive 7.2 ns after the other thirteen. The crossbar must
+// deliver in exactly the order one event per copy would — by arrival
+// time, then ordering step, then ascending node — using one event per
+// arrival instant, and release each message once, after its last copy.
+func TestContendedDeliveryOrder(t *testing.T) {
+	loop, x := setup()
+	data := &Message{From: 0, To: nodeset.Of(3, 7), Bytes: 72}
+	bcast := &Message{From: 1, To: nodeset.All(16).Remove(1), Bytes: 8}
+	type rec struct {
+		at  event.Time
+		dst nodeset.NodeID
+		msg *Message
+	}
+	const released nodeset.NodeID = 255 // marks an OnRelease call
+	var got []rec
+	x.OnDeliver = func(now event.Time, dst nodeset.NodeID, msg *Message) {
+		got = append(got, rec{now, dst, msg})
+	}
+	x.OnRelease = func(msg *Message) {
+		got = append(got, rec{loop.Now(), released, msg})
+	}
+	x.Send(data)
+	x.Send(bcast)
+	// Two ordering events, one delivery group for the data message and
+	// two for the broadcast (idle links at 50 ns, 3 and 7 at 57.2 ns).
+	if steps := drain(loop); steps != 5 {
+		t.Errorf("drained in %d events, want 5", steps)
+	}
+
+	idle, queued := 50*event.Nanosecond, 57200*event.Picosecond
+	want := []rec{{idle, 3, data}, {idle, 7, data}, {idle, released, data}}
+	for _, dst := range bcast.To.Remove(3).Remove(7).Nodes() {
+		want = append(want, rec{idle, dst, bcast})
+	}
+	want = append(want, rec{queued, 3, bcast}, rec{queued, 7, bcast}, rec{queued, released, bcast})
+	if !slices.Equal(got, want) {
+		t.Errorf("delivery sequence\n got %v\nwant %v", got, want)
+	}
+
+	msgs, bytes := x.Stats()
+	if msgs != 2 || bytes != 2*72+15*8 {
+		t.Errorf("Stats = %d messages, %d bytes; want 2, %d", msgs, bytes, 2*72+15*8)
 	}
 }
