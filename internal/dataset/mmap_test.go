@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"destset/internal/memtest"
 )
 
 // seedDir spills one dataset file for key into dir and returns the
@@ -271,9 +273,10 @@ func TestMmapVerifiesOnceThenTrusts(t *testing.T) {
 
 // TestMmapColdStartAllocAdvantage pins the headline win: a cold-store
 // load through the mmap tier must allocate at least 5x fewer bytes than
-// the copy path on the 40k-miss dataset (the BenchmarkDatasetColdStart
-// scale) — the mapping replaces the whole-file read, so the copy path
-// scales with the file while mmap stays at the metadata constant.
+// the copy path on a 40k-miss dataset, the scale of perfbench's
+// dataset.load_* probes — the mapping replaces the whole-file read, so
+// the copy path scales with the file while mmap stays at the metadata
+// constant.
 func TestMmapColdStartAllocAdvantage(t *testing.T) {
 	if !mmapSupported || !hostLittle {
 		t.Skip("no mmap path on this platform")
@@ -281,12 +284,8 @@ func TestMmapColdStartAllocAdvantage(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := seedDir(t, dir, 26, 20_000, 20_000)
 
-	bytesPerLoad := func(mmap bool) uint64 {
-		const iters = 8
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < iters; i++ {
+	bytesPerLoad := func(mmap bool) float64 {
+		b, _ := memtest.PerRun(8, func() {
 			s := NewStore()
 			s.SetMmap(mmap)
 			if err := s.SetDir(dir); err != nil {
@@ -295,15 +294,14 @@ func TestMmapColdStartAllocAdvantage(t *testing.T) {
 			if _, err := s.Get(key, nil); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / iters
+		})
+		return b
 	}
 
 	copyB := bytesPerLoad(false)
 	mmapB := bytesPerLoad(true)
-	t.Logf("cold-start alloc: copy %d B/load, mmap %d B/load (%.0fx)", copyB, mmapB, float64(copyB)/float64(mmapB))
+	t.Logf("cold-start alloc: copy %.0f B/load, mmap %.0f B/load (%.0fx)", copyB, mmapB, copyB/mmapB)
 	if copyB < 5*mmapB {
-		t.Fatalf("mmap cold start allocates %d B/load vs copy's %d — want at least a 5x advantage", mmapB, copyB)
+		t.Fatalf("mmap cold start allocates %.0f B/load vs copy's %.0f — want at least a 5x advantage", mmapB, copyB)
 	}
 }

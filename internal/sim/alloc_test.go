@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"destset/internal/memtest"
 	"destset/internal/workload"
 )
 
@@ -84,17 +85,14 @@ func TestSimLoopAllocFree(t *testing.T) {
 func TestSimSetupBytes(t *testing.T) {
 	const maxSetupBytes = 40 << 20
 	warm, _ := simStreams(t, 20_000, 1)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s := newSim(DefaultConfig(Multicast))
-	if err := s.warmUp(context.Background(), warm); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > maxSetupBytes {
+	got, _ := memtest.PerRun(1, func() {
+		s := newSim(DefaultConfig(Multicast))
+		if err := s.warmUp(context.Background(), warm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > maxSetupBytes {
 		t.Errorf("newSim + warmUp allocated %.1f MB, want at most %d MB",
-			float64(got)/(1<<20), maxSetupBytes>>20)
+			got/(1<<20), maxSetupBytes>>20)
 	}
 }

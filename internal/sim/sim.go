@@ -485,7 +485,12 @@ func (s *sim) send(kind msgKind, t *txn, attempt int, from nodeset.NodeID, to no
 
 // warmUp replays the warm source through the coherence state and (for
 // multicast) the predictors using the trace-driven engine semantics.
+// Warm-up is instantaneous (§5.2), so a dirty eviction it causes sends
+// no writeback: the hook is off until warmUp returns.
 func (s *sim) warmUp(ctx context.Context, warm Source) error {
+	onWriteback := s.coh.OnWriteback
+	s.coh.OnWriteback = nil
+	defer func() { s.coh.OnWriteback = onWriteback }()
 	var eng protocol.Engine
 	if s.preds != nil {
 		eng = protocol.NewMulticast(s.preds)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"destset/internal/cache"
@@ -49,6 +50,29 @@ func TestBandwidthContentionSlowsSnooping(t *testing.T) {
 	if dirSlowdown >= snoopSlowdown {
 		t.Errorf("directory slowdown %.2fx should be below snooping's %.2fx",
 			dirSlowdown, snoopSlowdown)
+	}
+}
+
+// TestWarmUpQueuesNoTraffic pins §5.2's instantaneous warm-up: on a 64 KB
+// L2, where the warm region evicts dirty lines, warmUp must leave nothing
+// queued for the timed run and hand the writeback hook back to it.
+func TestWarmUpQueuesNoTraffic(t *testing.T) {
+	warm, _ := simStreams(t, 20_000, 1)
+	for _, proto := range []Protocol{Snooping, Directory, Multicast} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := DefaultConfig(proto)
+			cfg.Coherence.L2 = cache.Config{SizeBytes: 64 << 10, Ways: 4, BlockBytes: 64}
+			s := newSim(cfg)
+			if err := s.warmUp(context.Background(), warm); err != nil {
+				t.Fatal(err)
+			}
+			if !s.loop.Empty() {
+				t.Error("warmUp left events queued for the timed run")
+			}
+			if s.coh.OnWriteback == nil {
+				t.Error("warmUp did not restore the writeback hook")
+			}
+		})
 	}
 }
 

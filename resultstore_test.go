@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"destset"
+	"destset/internal/memtest"
 )
 
 // traceTestDef is a small trace sweep with interval streaming, so every
@@ -424,4 +425,57 @@ func mustRunner(t *testing.T, def destset.SweepDef) *destset.Runner {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestResultStoreLookupAllocBudget pins the incremental-rerun hit path: a
+// fresh store, as after exec, resolving the four cells of a small timing
+// plan from a warm result dir. Measured at 7,648 B and 106 allocations
+// per lookup of all four; the bound is 1.2x that.
+func TestResultStoreLookupAllocBudget(t *testing.T) {
+	const maxBytes, maxAllocs = 1.2 * 7648, 1.2 * 106
+	dir := t.TempDir()
+	def := destset.NewTimingSweepDef(
+		[]destset.SimSpec{
+			{Protocol: destset.ProtocolSnooping},
+			{Protocol: destset.ProtocolDirectory},
+		},
+		[]destset.WorkloadSpec{{Name: "oltp", Warm: 4_000, Measure: 4_000}},
+		destset.WithSeeds(1, 2),
+	)
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := destset.NewResultStore()
+	if err := seed.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	r, err := def.TimingRunner(destset.WithResultStore(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cells := plan.Cells()
+
+	gotB, gotAllocs := memtest.PerRun(20, func() {
+		cold := destset.NewResultStore()
+		if err := cold.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			if !cold.HasCell(plan.Kind(), c.Fingerprint) {
+				t.Fatalf("cell %s not served from the warm result dir", c.Fingerprint)
+			}
+		}
+		if st := cold.Stats(); st.DiskHits != uint64(len(cells)) {
+			t.Fatalf("cold lookup stats: %+v", st)
+		}
+	})
+	t.Logf("cold lookup of %d cells: %.0f B, %.1f allocs", len(cells), gotB, gotAllocs)
+	if gotB > maxBytes || gotAllocs > maxAllocs {
+		t.Errorf("cold lookup of %d cells allocates %.0f B in %.1f allocs, budget %.0f B in %.0f",
+			len(cells), gotB, gotAllocs, maxBytes, maxAllocs)
+	}
 }
