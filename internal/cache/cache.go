@@ -6,10 +6,16 @@
 // keeps one Cache per node; evictions reported by Insert drive the
 // protocol-visible downgrades (writebacks of owned blocks, silent drops of
 // shared blocks).
+//
+// A cache remembers which sets it has filled, so Reset, Snapshot and
+// Restore cost what a run filled rather than the cache's capacity: a
+// timing sweep reuses one oracle per worker and restores each cell's
+// warmed-up contents into it instead of building a new 4 MB cache.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"destset/internal/trace"
 )
@@ -100,7 +106,10 @@ type Cache struct {
 	cfg Config
 	// lines holds every way of every set in one pointer-free array: set i
 	// is lines[i*Ways : (i+1)*Ways].
-	lines  []line
+	lines []line
+	// used has one bit per set, set by Insert: every valid line lies in a
+	// used set, so Reset and Snapshot visit those sets alone.
+	used   []uint64
 	mask   uint64
 	clock  uint64
 	misses uint64
@@ -115,7 +124,12 @@ func New(cfg Config) *Cache {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", n))
 	}
-	return &Cache{cfg: cfg, lines: make([]line, n*cfg.Ways), mask: uint64(n - 1)}
+	return &Cache{
+		cfg:   cfg,
+		lines: make([]line, n*cfg.Ways),
+		used:  make([]uint64, (n+63)/64),
+		mask:  uint64(n - 1),
+	}
 }
 
 // Config returns the cache geometry.
@@ -194,6 +208,8 @@ func (c *Cache) Invalidate(a trace.Addr) bool {
 // is evicted and returned; ok reports whether an eviction happened.
 func (c *Cache) Insert(a trace.Addr, s State) (ev Eviction, ok bool) {
 	c.clock++
+	si := uint64(a) & c.mask
+	c.used[si/64] |= 1 << (si % 64)
 	set := c.set(a)
 	var victim *line
 	for i := range set {
@@ -234,4 +250,73 @@ func (c *Cache) Resident() int {
 		}
 	}
 	return n
+}
+
+// Reset empties the cache and zeroes its clock and statistics, leaving
+// it as New left it. It clears only the sets filled since New or the
+// last Reset.
+func (c *Cache) Reset() {
+	w := c.cfg.Ways
+	for wi, word := range c.used {
+		for ; word != 0; word &= word - 1 {
+			si := wi*64 + bits.TrailingZeros64(word)
+			clear(c.lines[si*w : (si+1)*w])
+		}
+		c.used[wi] = 0
+	}
+	c.clock, c.hits, c.misses = 0, 0, 0
+}
+
+// Snapshot is a compact copy of a cache: its valid lines, each with its
+// way slot and LRU stamp, plus the LRU clock and the Touch statistics.
+// Invalid lines are left out; no lookup or victim choice reads their
+// contents.
+type Snapshot struct {
+	cfg          Config
+	lines        []slotLine
+	clock        uint64
+	hits, misses uint64
+}
+
+// slotLine is one valid line of a Snapshot and its index in lines.
+type slotLine struct {
+	addr  trace.Addr
+	lru   uint64
+	slot  uint32
+	state State
+}
+
+// Snapshot copies the cache's valid lines, visiting only the sets filled
+// since New or the last Reset.
+func (c *Cache) Snapshot() *Snapshot {
+	snap := &Snapshot{cfg: c.cfg, clock: c.clock, hits: c.hits, misses: c.misses}
+	w := c.cfg.Ways
+	for wi, word := range c.used {
+		for ; word != 0; word &= word - 1 {
+			si := wi*64 + bits.TrailingZeros64(word)
+			for i := si * w; i < (si+1)*w; i++ {
+				if l := c.lines[i]; l.state != Invalid {
+					snap.lines = append(snap.lines, slotLine{addr: l.addr, lru: l.lru, slot: uint32(i), state: l.state})
+				}
+			}
+		}
+	}
+	return snap
+}
+
+// Restore makes the cache's contents, clock and statistics those of the
+// snapshot, which must come from a cache of the same geometry: from then
+// on the cache behaves exactly as the snapshotted one did.
+func (c *Cache) Restore(snap *Snapshot) {
+	if snap.cfg != c.cfg {
+		panic(fmt.Sprintf("cache: restoring a %+v snapshot into a %+v cache", snap.cfg, c.cfg))
+	}
+	c.Reset()
+	w := uint32(c.cfg.Ways)
+	for _, l := range snap.lines {
+		c.lines[l.slot] = line{addr: l.addr, state: l.state, lru: l.lru}
+		si := l.slot / w
+		c.used[si/64] |= 1 << (si % 64)
+	}
+	c.clock, c.hits, c.misses = snap.clock, snap.hits, snap.misses
 }

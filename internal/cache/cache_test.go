@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -200,4 +201,96 @@ func TestQuickEvictionSanity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// outcome is everything one cache operation reports.
+type outcome struct {
+	ev    Eviction
+	ok    bool
+	state State
+}
+
+// step decodes op into an Insert, Touch, Invalidate, SetState or Lookup
+// of one of blocks addresses and runs it on c.
+func step(c *Cache, op uint16, blocks int) outcome {
+	a := trace.Addr(int(op) % blocks)
+	st := State(1 + int(op)/blocks%4)
+	switch int(op) / (4 * blocks) % 5 {
+	case 0:
+		ev, ok := c.Insert(a, st)
+		return outcome{ev: ev, ok: ok}
+	case 1:
+		return outcome{ok: c.Touch(a)}
+	case 2:
+		return outcome{ok: c.Invalidate(a)}
+	case 3:
+		if c.Lookup(a) != Invalid {
+			c.SetState(a, st)
+		}
+	}
+	return outcome{state: c.Lookup(a)}
+}
+
+// Property: on an evicting cache, a Reset cache behaves like a new one
+// and a cache restored from a snapshot behaves like the snapshotted one
+// — the same outcome for every later operation, the same evictions,
+// statistics and occupancy — whatever either held before.
+func TestResetAndRestoreAreExact(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 8 * 64, Ways: 2, BlockBytes: 64},   // 4 sets
+		{SizeBytes: 512 * 64, Ways: 4, BlockBytes: 64}, // 128 sets: two bitmap words
+	} {
+		blocks := 4 * cfg.SizeBytes / cfg.BlockBytes
+		f := func(before, after []uint16) bool {
+			x, y, r := New(cfg), New(cfg), New(cfg)
+			for _, op := range before {
+				step(x, op, blocks)
+				step(r, op, blocks)
+			}
+			for _, op := range after {
+				step(y, op, blocks)
+			}
+			snap := x.Snapshot()
+			y.Restore(snap)
+			if !reflect.DeepEqual(y.Snapshot(), snap) {
+				return false
+			}
+			r.Reset()
+			fresh := New(cfg)
+			for _, op := range after {
+				if step(x, op, blocks) != step(y, op, blocks) || step(r, op, blocks) != step(fresh, op, blocks) {
+					return false
+				}
+			}
+			xh, xm := x.Stats()
+			yh, ym := y.Stats()
+			rh, rm := r.Stats()
+			fh, fm := fresh.Stats()
+			if xh != yh || xm != ym || rh != fh || rm != fm ||
+				x.Resident() != y.Resident() || r.Resident() != fresh.Resident() {
+				return false
+			}
+			// A restored cache that ran on resets like any other.
+			y.Reset()
+			fresh = New(cfg)
+			for _, op := range before {
+				if step(y, op, blocks) != step(fresh, op, blocks) {
+					return false
+				}
+			}
+			return y.Resident() == fresh.Resident()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%d sets: %v", cfg.Sets(), err)
+		}
+	}
+}
+
+func TestRestorePanicsOnOtherGeometry(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("restoring a snapshot of another geometry should panic")
+		}
+	}()
+	tiny().Restore(New(L2Default).Snapshot())
 }

@@ -13,6 +13,13 @@
 // multicast snooping protocols — only message routing differs — so a single
 // System annotates a trace once and all protocol/predictor evaluations
 // reuse the annotation (the paper's trace-driven methodology, §4).
+//
+// A System can be reused and its state copied. Reset returns it to
+// NewSystem's state at a cost that follows what its runs touched, not the
+// size of its caches; Snapshot copies the valid cache lines and the
+// non-zero block-table entries, and Restore installs such a copy. The
+// timing simulator uses them to warm up each trace region once per sweep
+// and to keep one System per worker.
 package coherence
 
 import (
@@ -165,8 +172,9 @@ func (mi MissInfo) Responder(req nodeset.NodeID) (node nodeset.NodeID, fromMemor
 // the blocks a run touches rather than the highest address it touches: a
 // page holds pageBlocks consecutive blocks (96 KB) and is allocated zeroed
 // on first touch; a directory maps the dirPages pages of one 2^regionBits-
-// block region. Pages never move once allocated, so a *blockState stays
-// valid for the life of the System.
+// block region. Pages never move once installed, so a *blockState stays
+// valid until the next Reset, which takes every page out of its directory
+// and keeps it for reuse.
 const (
 	pageBits   = 12
 	dirBits    = 15
@@ -192,6 +200,12 @@ type System struct {
 	dirs   map[trace.Addr]*directory
 	dir    *directory
 	dirKey trace.Addr
+	// installed lists the directory slot of every page installed since
+	// NewSystem or the last Reset. Reset moves those pages to spare, and
+	// block takes a spare page, cleared, before allocating a new one, so
+	// a reused System clears only the pages its next run touches.
+	installed []**page
+	spare     []*page
 
 	// OnWriteback, if set, is called whenever a node evicts an Owned or
 	// Modified block (a writeback of the data to the home memory). The
@@ -243,9 +257,22 @@ func (s *System) block(a trace.Addr) *blockState {
 	}
 	pg := &s.dir[a>>pageBits%dirPages]
 	if *pg == nil {
-		*pg = new(page)
+		s.install(pg)
 	}
 	return &(*pg)[a%pageBlocks]
+}
+
+// install fills an empty directory slot with a zeroed page: a spare one
+// if Reset left any, else a new one.
+func (s *System) install(slot **page) {
+	if n := len(s.spare); n > 0 {
+		*slot = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		clear((*slot)[:])
+	} else {
+		*slot = new(page)
+	}
+	s.installed = append(s.installed, slot)
 }
 
 // lookup returns a copy of a's entry without allocating: the zero value
@@ -401,6 +428,83 @@ func (s *System) insert(p nodeset.NodeID, a trace.Addr, st cache.State) {
 	}
 }
 
+// Reset returns s to the state NewSystem(s.Config()) starts in: empty
+// caches, every block owned by memory and no writebacks counted. Its
+// cost follows what the last run touched, not the machine: each cache
+// clears only the sets it filled, and the block table's pages become
+// spares, cleared when a later access installs them again.
+// OnWriteback is left as it is.
+func (s *System) Reset() {
+	for _, c := range s.caches {
+		c.Reset()
+	}
+	s.resetBlocks()
+	s.writebacks = 0
+}
+
+// resetBlocks empties the block table, keeping its pages as spares.
+func (s *System) resetBlocks() {
+	for _, slot := range s.installed {
+		s.spare = append(s.spare, *slot)
+		*slot = nil
+	}
+	s.installed = s.installed[:0]
+}
+
+// Snapshot is a compact copy of a System's state: each cache's valid
+// lines, with their way slots and LRU stamps, each cache's clock, the
+// non-zero block-table entries and the writeback count. It is read-only
+// once taken, so any number of Systems may restore it concurrently.
+type Snapshot struct {
+	cfg        Config
+	caches     []*cache.Snapshot
+	blocks     []blockEntry
+	writebacks uint64
+}
+
+// blockEntry is one non-zero block-table entry of a Snapshot.
+type blockEntry struct {
+	addr trace.Addr
+	b    blockState
+}
+
+// Config returns the configuration of the System the snapshot was taken
+// from.
+func (snap *Snapshot) Config() Config { return snap.cfg }
+
+// Snapshot copies s's state. Its cost follows the cache sets filled and
+// the block-table pages installed since NewSystem or the last Reset.
+func (s *System) Snapshot() *Snapshot {
+	snap := &Snapshot{cfg: s.cfg, caches: make([]*cache.Snapshot, len(s.caches)), writebacks: s.writebacks}
+	for i, c := range s.caches {
+		snap.caches[i] = c.Snapshot()
+	}
+	for a, b := range s.allocated() {
+		if *b != (blockState{}) {
+			snap.blocks = append(snap.blocks, blockEntry{addr: a, b: *b})
+		}
+	}
+	return snap
+}
+
+// Restore makes s's state that of the snapshot, which must come from a
+// System of the same configuration: from then on s behaves exactly as
+// the snapshotted System did. OnWriteback is left as it is, and Restore
+// calls it for nothing.
+func (s *System) Restore(snap *Snapshot) {
+	if snap.cfg != s.cfg {
+		panic(fmt.Sprintf("coherence: restoring a %+v snapshot into a %+v system", snap.cfg, s.cfg))
+	}
+	for i, c := range s.caches {
+		c.Restore(snap.caches[i])
+	}
+	s.resetBlocks()
+	for _, e := range snap.blocks {
+		*s.block(e.addr) = e.b
+	}
+	s.writebacks = snap.writebacks
+}
+
 // OwnerOf returns the current owner of a block (MemoryOwner if memory).
 func (s *System) OwnerOf(a trace.Addr) nodeset.NodeID {
 	b := s.lookup(a)
@@ -430,8 +534,8 @@ func (s *System) ForEachTouchedBlock(fn func(BlockStat)) {
 	}
 }
 
-// allocated yields every entry on an allocated page, in address order.
-// Entries on pages never allocated are all zero and are skipped.
+// allocated yields every entry on an installed page, in address order.
+// Entries on pages not installed are all zero and are skipped.
 func (s *System) allocated() iter.Seq2[trace.Addr, *blockState] {
 	return func(yield func(trace.Addr, *blockState) bool) {
 		for _, k := range slices.Sorted(maps.Keys(s.dirs)) {

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -443,5 +444,94 @@ func TestQuickNeededContainsEssentials(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// observed is everything a System reports for one operation.
+type observed struct {
+	mi, peek MissInfo
+	miss     bool
+}
+
+// play decodes op into a load or store by one node to one of 64 blocks,
+// spread over eight block-table pages in two directories, and runs it on
+// s: through Access, or, for some ops that miss, through Apply as a
+// trace replay would. It reports the operation's outcome and the Peek
+// that preceded it.
+func play(s *System, op uint16) observed {
+	p := nodeset.NodeID(int(op) % s.Nodes())
+	i := trace.Addr(op / 8 % 64)
+	a := i*257 + i%2<<regionBits
+	k, kind := Load, trace.GetShared
+	if op&0x1000 != 0 {
+		k, kind = Store, trace.GetExclusive
+	}
+	r := trace.Record{Addr: a, Requester: uint8(p), Kind: kind}
+	o := observed{peek: s.Peek(r)}
+	st := s.CacheOf(p).Lookup(a)
+	hit := st == cache.Modified || (k == Load && st != cache.Invalid) || (k == Store && st == cache.Exclusive)
+	if op&4 != 0 && !hit {
+		o.mi, o.miss = s.Apply(r), true
+		return o
+	}
+	o.mi, o.miss = s.Access(p, a, k)
+	return o
+}
+
+// Property: on a small, evicting L2, a Reset System behaves like a new
+// one, and a System restored from a snapshot behaves like the
+// snapshotted one: the same Access, Apply and Peek results, the same
+// writebacks in the same order, the same block statistics and a
+// consistent state after each restore — whatever either held before,
+// under MOSI and MOESI.
+func TestResetAndRestoreAreExact(t *testing.T) {
+	moesi := testConfig()
+	moesi.Exclusive = true
+	for _, cfg := range []Config{testConfig(), moesi} {
+		type wb struct {
+			from nodeset.NodeID
+			a    trace.Addr
+		}
+		newSys := func(log *[]wb) *System {
+			s := NewSystem(cfg)
+			s.OnWriteback = func(from nodeset.NodeID, a trace.Addr) { *log = append(*log, wb{from, a}) }
+			return s
+		}
+		stats := func(s *System) []BlockStat {
+			var out []BlockStat
+			s.ForEachTouchedBlock(func(b BlockStat) { out = append(out, b) })
+			return out
+		}
+		f := func(before, after []uint16) bool {
+			var xl, yl, rl, fl []wb
+			x, y, r := newSys(&xl), newSys(&yl), newSys(&rl)
+			for _, op := range before {
+				play(x, op)
+				play(r, op)
+			}
+			for _, op := range after {
+				play(y, op)
+			}
+			snap := x.Snapshot()
+			y.Restore(snap)
+			if y.CheckInvariants() != nil || !reflect.DeepEqual(y.Snapshot(), snap) {
+				return false
+			}
+			r.Reset()
+			fresh := newSys(&fl)
+			xl, yl, rl = nil, nil, nil
+			for _, op := range after {
+				if play(x, op) != play(y, op) || play(r, op) != play(fresh, op) {
+					return false
+				}
+			}
+			return slices.Equal(xl, yl) && slices.Equal(rl, fl) &&
+				x.Writebacks() == y.Writebacks() && r.Writebacks() == fresh.Writebacks() &&
+				reflect.DeepEqual(stats(x), stats(y)) && reflect.DeepEqual(stats(r), stats(fresh)) &&
+				y.CheckInvariants() == nil && r.CheckInvariants() == nil
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("exclusive=%v: %v", cfg.Exclusive, err)
+		}
 	}
 }

@@ -34,6 +34,14 @@
 // crossbar releases them, every event handler is bound once at
 // construction, and the per-node in-flight block filter is a fixed
 // MSHR-sized array instead of a map.
+//
+// Warm-up (warm.go) is one path. The first run of a warm region replays
+// it through its own coherence oracle; a Warmup shared across a sweep's
+// runs keeps a snapshot of that oracle and the MissInfo each warm miss
+// observed, and every later run restores the snapshot and trains its
+// predictors from the recorded MissInfo instead of replaying. A sweep
+// also hands its runs oracles from a free list (Oracles), so a run
+// resets a reused oracle instead of zeroing sixteen new 4 MB caches.
 package sim
 
 import (
@@ -347,24 +355,42 @@ func Run(cfg Config, warm, timed *trace.Trace) (Result, error) {
 // Simulate replays the timed source after warming caches and predictors
 // with the warm source (which may be nil). The sources are read-only and
 // may be shared across concurrent runs. On cancellation Simulate returns
-// promptly with the context's error.
+// promptly with the context's error. It shares nothing with other runs:
+// it builds its own oracle and replays its own warm-up.
 func Simulate(ctx context.Context, cfg Config, warm, timed Source) (Result, error) {
+	var w *Warmup
+	if warm != nil {
+		w = &Warmup{src: warm}
+	}
+	return SimulateWarm(ctx, cfg, w, timed, nil)
+}
+
+// SimulateWarm is Simulate for runs that share their warm-up and
+// oracles: warm (which may be nil) is built by the first run that needs
+// it and restored by the others, and the run takes its oracle from
+// oracles and hands it back when it returns (a nil free list builds a
+// new oracle). Its result equals Simulate's over warm's source.
+func SimulateWarm(ctx context.Context, cfg Config, warm *Warmup, timed Source, oracles *Oracles) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validate(cfg, timed); err != nil {
+	if err := validate(cfg, warm, timed); err != nil {
 		return Result{}, err
 	}
-	s := newSim(cfg)
-	if warm != nil {
-		if err := s.warmUp(ctx, warm); err != nil {
-			return Result{}, err
-		}
+	coh := oracles.get(cohConfig(cfg))
+	defer oracles.put(coh)
+	s := newSim(cfg, coh)
+	if warm == nil {
+		coh.Reset()
+	} else if err := warm.apply(ctx, coh, s.preds); err != nil {
+		return Result{}, err
 	}
-	s.loadStreams(timed)
-	for _, n := range s.nodes {
-		s.tryIssue(n)
-	}
+	s.start(timed)
+	return s.finish(ctx)
+}
+
+// finish runs the started timed run to completion and reports it.
+func (s *sim) finish(ctx context.Context) (Result, error) {
 	for i := 0; s.loop.Step(); i++ {
 		if i%ctxCheckStride == 0 && ctx.Err() != nil {
 			return Result{}, ctx.Err()
@@ -390,12 +416,14 @@ func Simulate(ctx context.Context, cfg Config, warm, timed Source) (Result, erro
 	return res, nil
 }
 
-func validate(cfg Config, timed Source) error {
+func validate(cfg Config, warm *Warmup, timed Source) error {
 	switch {
 	case timed == nil || timed.Len() == 0:
 		return fmt.Errorf("sim: empty trace")
 	case timed.Nodes() != cfg.Nodes:
 		return fmt.Errorf("sim: trace has %d nodes, config %d", timed.Nodes(), cfg.Nodes)
+	case warm != nil && warm.src.Nodes() != cfg.Nodes:
+		return fmt.Errorf("sim: warm trace has %d nodes, config %d", warm.src.Nodes(), cfg.Nodes)
 	case cfg.Nodes <= 0 || cfg.Nodes > nodeset.MaxNodes:
 		return fmt.Errorf("sim: bad node count %d", cfg.Nodes)
 	case cfg.SimpleInstrPerNs <= 0 || cfg.DetailedInstrPerNs <= 0:
@@ -408,19 +436,27 @@ func validate(cfg Config, timed Source) error {
 	return nil
 }
 
-func newSim(cfg Config) *sim {
-	loop := &event.Loop{}
+// cohConfig is the coherence oracle configuration a run of cfg uses.
+func cohConfig(cfg Config) coherence.Config {
 	cohCfg := cfg.Coherence
 	if cohCfg.Nodes == 0 {
 		cohCfg = coherence.DefaultConfig()
 		cohCfg.TrackBlockStats = false
 	}
 	cohCfg.Nodes = cfg.Nodes
+	return cohCfg
+}
+
+// newSim builds a run of cfg over the coherence oracle coh, which the
+// caller resets or warms up before start. The oracle's writeback hook
+// stays off until start.
+func newSim(cfg Config, coh *coherence.System) *sim {
+	loop := &event.Loop{}
 	s := &sim{
 		cfg:       cfg,
 		loop:      loop,
 		xbar:      interconnect.New(cfg.Interconnect, loop),
-		coh:       coherence.NewSystem(cohCfg),
+		coh:       coh,
 		latencies: stats.NewHistogram(4000 / latencyBucketNs),
 	}
 	if cfg.Protocol == Multicast {
@@ -444,13 +480,6 @@ func newSim(cfg Config) *sim {
 	s.dataEvt = func(_ event.Time, arg any) {
 		t := arg.(*txn)
 		s.sendData(t.dataFrom, t)
-	}
-	s.coh.OnWriteback = func(from nodeset.NodeID, a trace.Addr) {
-		home := s.coh.Home(a)
-		if home == from {
-			return // local writeback never crosses the interconnect
-		}
-		s.send(msgWriteback, nil, 0, from, nodeset.Of(home), protocol.DataBytes)
 	}
 	s.xbar.OnOrdered = s.onOrdered
 	s.xbar.OnDeliver = s.onDeliver
@@ -483,29 +512,25 @@ func (s *sim) send(kind msgKind, t *txn, attempt int, from nodeset.NodeID, to no
 	s.xbar.Send(&sm.msg)
 }
 
-// warmUp replays the warm source through the coherence state and (for
-// multicast) the predictors using the trace-driven engine semantics.
-// Warm-up is instantaneous (§5.2), so a dirty eviction it causes sends
-// no writeback: the hook is off until warmUp returns.
-func (s *sim) warmUp(ctx context.Context, warm Source) error {
-	onWriteback := s.coh.OnWriteback
-	s.coh.OnWriteback = nil
-	defer func() { s.coh.OnWriteback = onWriteback }()
-	var eng protocol.Engine
-	if s.preds != nil {
-		eng = protocol.NewMulticast(s.preds)
+// start begins the timed run: it installs the oracle's writeback hook,
+// loads the timed streams and schedules each node's first miss. The hook
+// goes in only now because warm-up is instantaneous (§5.2): a dirty
+// eviction during warm-up must send no writeback.
+func (s *sim) start(timed Source) {
+	s.coh.OnWriteback = s.writeback
+	s.loadStreams(timed)
+	for _, n := range s.nodes {
+		s.tryIssue(n)
 	}
-	for i, n := 0, warm.Len(); i < n; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		rec := warm.Record(i)
-		mi := s.coh.Apply(rec)
-		if eng != nil {
-			eng.Process(rec, mi)
-		}
+}
+
+// writeback charges a dirty eviction's data message to the home node.
+func (s *sim) writeback(from nodeset.NodeID, a trace.Addr) {
+	home := s.coh.Home(a)
+	if home == from {
+		return // local writeback never crosses the interconnect
 	}
-	return nil
+	s.send(msgWriteback, nil, 0, from, nodeset.Of(home), protocol.DataBytes)
 }
 
 // loadStreams splits the timed source into per-node program-order

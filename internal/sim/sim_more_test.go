@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"destset/internal/cache"
@@ -53,26 +54,68 @@ func TestBandwidthContentionSlowsSnooping(t *testing.T) {
 	}
 }
 
-// TestWarmUpQueuesNoTraffic pins §5.2's instantaneous warm-up: on a 64 KB
-// L2, where the warm region evicts dirty lines, warmUp must leave nothing
-// queued for the timed run and hand the writeback hook back to it.
+// TestWarmUpQueuesNoTraffic pins §5.2's instantaneous warm-up, and the
+// exactness of shared warm-ups, on a 64 KB L2, where the warm region
+// evicts dirty lines. One Warmup and one free list of oracles serve every
+// protocol in turn, each over two rounds of both CPU models: the first
+// cell builds the snapshot and every later cell restores it into the
+// oracle the cell before handed back. Each must start its timed run with nothing queued
+// and the writeback hook installed, and equal a one-call run: a
+// writeback leaked by the build would add traffic that a restore, which
+// calls no hook, cannot. A run with no warm region on the reused oracle
+// must equal a one-call cold run.
 func TestWarmUpQueuesNoTraffic(t *testing.T) {
-	warm, _ := simStreams(t, 20_000, 1)
+	warm, timed := simStreams(t, 20_000, 4_000)
+	ctx := context.Background()
+	w := NewWarmup(warm)
+	var oracles Oracles
 	for _, proto := range []Protocol{Snooping, Directory, Multicast} {
 		t.Run(proto.String(), func(t *testing.T) {
-			cfg := DefaultConfig(proto)
-			cfg.Coherence.L2 = cache.Config{SizeBytes: 64 << 10, Ways: 4, BlockBytes: 64}
-			s := newSim(cfg)
-			if err := s.warmUp(context.Background(), warm); err != nil {
-				t.Fatal(err)
-			}
-			if !s.loop.Empty() {
-				t.Error("warmUp left events queued for the timed run")
-			}
-			if s.coh.OnWriteback == nil {
-				t.Error("warmUp did not restore the writeback hook")
+			for round := 0; round < 2; round++ {
+				for _, cpu := range []CPUModel{SimpleCPU, DetailedCPU} {
+					name := fmt.Sprintf("round %d %v/%v", round, proto, cpu)
+					cfg := DefaultConfig(proto)
+					cfg.CPU = cpu
+					cfg.Coherence.L2 = cache.Config{SizeBytes: 64 << 10, Ways: 4, BlockBytes: 64}
+					want, err := Simulate(ctx, cfg, warm, timed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := newSim(cfg, oracles.get(cohConfig(cfg)))
+					if err := w.apply(ctx, s.coh, s.preds); err != nil {
+						t.Fatal(err)
+					}
+					if s.coh.Writebacks() == 0 {
+						t.Fatalf("%s: warm-up evicted no dirty line; the test needs a smaller L2", name)
+					}
+					if !s.loop.Empty() {
+						t.Errorf("%s: warm-up left events queued for the timed run", name)
+					}
+					s.start(timed)
+					if s.coh.OnWriteback == nil {
+						t.Errorf("%s: the timed run starts without the writeback hook", name)
+					}
+					got, err := s.finish(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracles.put(s.coh)
+					if got != want {
+						t.Errorf("%s: shared warm-up run differs from a one-call run\n got %+v\nwant %+v", name, got, want)
+					}
+					want, err = Simulate(ctx, cfg, nil, timed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err = SimulateWarm(ctx, cfg, nil, timed, &oracles); err != nil || got != want {
+						t.Errorf("%s: cold run on a reused oracle differs from a one-call run (%v)\n got %+v\nwant %+v", name, err, got, want)
+					}
+				}
 			}
 		})
+	}
+	if len(oracles.free) != 1 {
+		t.Errorf("free list holds %d oracles after sequential runs, want 1", len(oracles.free))
 	}
 }
 

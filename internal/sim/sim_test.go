@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"destset/internal/predictor"
@@ -287,27 +289,39 @@ func TestAllProtocolsCompleteLargeMix(t *testing.T) {
 func TestValidation(t *testing.T) {
 	good := DefaultConfig(Snooping)
 	tr := mkTrace(trace.Record{Addr: 32, Requester: 1})
-	cases := map[string]func() (Config, *trace.Trace){
-		"empty trace": func() (Config, *trace.Trace) { return good, mkTrace() },
-		"nil trace":   func() (Config, *trace.Trace) { return good, nil },
-		"node mismatch": func() (Config, *trace.Trace) {
-			return good, &trace.Trace{Nodes: 4, Records: tr.Records}
+	cases := map[string]func() (cfg Config, warm, timed *trace.Trace){
+		"empty trace": func() (Config, *trace.Trace, *trace.Trace) { return good, nil, mkTrace() },
+		"nil trace":   func() (Config, *trace.Trace, *trace.Trace) { return good, nil, nil },
+		"node mismatch": func() (Config, *trace.Trace, *trace.Trace) {
+			return good, nil, &trace.Trace{Nodes: 4, Records: tr.Records}
 		},
-		"bad rates": func() (Config, *trace.Trace) {
+		// A warm trace of another system size must be rejected, whether
+		// its requesters overrun the config's nodes or not.
+		"32-node warm trace": func() (Config, *trace.Trace, *trace.Trace) {
+			return good, &trace.Trace{Nodes: 32, Records: []trace.Record{{Addr: 32, Requester: 16}}}, tr
+		},
+		"8-node warm trace": func() (Config, *trace.Trace, *trace.Trace) {
+			return good, &trace.Trace{Nodes: 8, Records: []trace.Record{{Addr: 32, Requester: 1}}}, tr
+		},
+		"bad rates": func() (Config, *trace.Trace, *trace.Trace) {
 			c := good
 			c.SimpleInstrPerNs = 0
-			return c, tr
+			return c, nil, tr
 		},
-		"bad attempts": func() (Config, *trace.Trace) {
+		"bad attempts": func() (Config, *trace.Trace, *trace.Trace) {
 			c := good
 			c.MaxAttempts = 1
-			return c, tr
+			return c, nil, tr
 		},
 	}
 	for name, mk := range cases {
-		cfg, timed := mk()
-		if _, err := Run(cfg, nil, timed); err == nil {
+		cfg, warm, timed := mk()
+		_, err := Run(cfg, warm, timed)
+		switch {
+		case err == nil:
 			t.Errorf("%s: expected error", name)
+		case warm != nil && !strings.Contains(err.Error(), fmt.Sprintf("%d nodes, config %d", warm.Nodes, cfg.Nodes)):
+			t.Errorf("%s: error %q does not name both node counts", name, err)
 		}
 	}
 }

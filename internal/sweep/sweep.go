@@ -11,7 +11,10 @@
 // share mutable state and their results are reproducible at any
 // parallelism. Streams may replay a shared immutable dataset (each cell
 // still gets its own cursor); workloads expose Prepare so such datasets
-// materialize across the worker pool before cells run. Results are
+// materialize across the worker pool before cells run. What the cells of
+// one source share beyond that — the timing runner's warm-up snapshot,
+// built once and read-only after — must not change any cell's result;
+// Release tells the caller when the last of them is done. Results are
 // written to a slot indexed by the cell's position in the selected
 // subset, then compacted in order.
 package sweep
@@ -156,6 +159,14 @@ type Exec[R, O any] struct {
 	// the same source. Store hits prepare nothing.
 	Prewarm func(i int) PrewarmJob
 	Prepare func(PrewarmJob) error
+	// Release, when non-nil (with Prewarm), is called exactly once for
+	// every source of the cells to compute, after its last computed cell
+	// finishes, so whatever the cells of one source share can be dropped
+	// as soon as none will use it. Sources whose cells are all store hits
+	// are never released. On cancellation or a cell error every source
+	// not yet released is released once the pool stops. It is called
+	// from the worker pool and must be safe for concurrent use.
+	Release func(PrewarmJob)
 	// Compute runs cell i, handing each observation to emit as it is
 	// made. It should abandon the cell promptly once ctx ends; a nil
 	// result with a nil error skips the cell's slot.
@@ -201,18 +212,26 @@ func Execute[R, O any](ctx context.Context, x Exec[R, O]) ([]R, error) {
 		}
 		todo = append(todo, k)
 	}
-	if x.Prewarm != nil && x.Prepare != nil {
+	var rel *releaser
+	if x.Prewarm != nil {
 		jobs := make([]PrewarmJob, 0, len(todo))
-		seen := make(map[PrewarmJob]bool, len(todo))
+		users := make(map[PrewarmJob]int, len(todo))
 		for _, k := range todo {
-			if j := x.Prewarm(subset[k]); !seen[j] {
-				seen[j] = true
+			j := x.Prewarm(subset[k])
+			if users[j] == 0 {
 				jobs = append(jobs, j)
 			}
+			users[j]++
 		}
-		err := ForEach(ctx, len(jobs), x.Parallelism, func(j int) error { return x.Prepare(jobs[j]) })
-		if err != nil {
-			return nil, err
+		if x.Release != nil {
+			rel = &releaser{release: x.Release, jobs: jobs, users: users}
+			defer rel.close()
+		}
+		if x.Prepare != nil {
+			err := ForEach(ctx, len(jobs), x.Parallelism, func(j int) error { return x.Prepare(jobs[j]) })
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -246,6 +265,9 @@ func Execute[R, O any](ctx context.Context, x Exec[R, O]) ([]R, error) {
 		}
 		slots[k] = res
 		d.finish(k, res != nil)
+		if rel != nil {
+			rel.done(x.Prewarm(subset[k]))
+		}
 		return nil
 	})
 	d.close()
@@ -260,6 +282,37 @@ func Execute[R, O any](ctx context.Context, x Exec[R, O]) ([]R, error) {
 		return out, firstErr
 	}
 	return out, ctx.Err()
+}
+
+// releaser calls Release for a source once its last computed cell is
+// done, and at close, once the pool has stopped, for every source whose
+// cells did not all run.
+type releaser struct {
+	release func(PrewarmJob)
+	jobs    []PrewarmJob // the sources of the cells to compute
+
+	mu    sync.Mutex
+	users map[PrewarmJob]int // computed cells not yet done, per source
+}
+
+// done records that one computed cell of source j finished.
+func (r *releaser) done(j PrewarmJob) {
+	r.mu.Lock()
+	r.users[j]--
+	last := r.users[j] == 0
+	r.mu.Unlock()
+	if last {
+		r.release(j)
+	}
+}
+
+// close releases, in plan order, every source not yet released.
+func (r *releaser) close() {
+	for _, j := range r.jobs {
+		if r.users[j] > 0 {
+			r.release(j)
+		}
+	}
 }
 
 // Cell states, as delivery tracks them.

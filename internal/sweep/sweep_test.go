@@ -457,3 +457,76 @@ func TestExecuteStoreHooksAndPrewarm(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteReleasesEachSourceOnce: Release is called exactly once per
+// source of the computed cells, only once none of its cells is running
+// and after its last computed cell; never for a source whose cells were
+// all store hits; and, on cancellation, once for every source whose
+// cells did not all run.
+func TestExecuteReleasesEachSourceOnce(t *testing.T) {
+	const n = 12
+	source := func(i int) PrewarmJob { return PrewarmJob{W: i / 3} }
+	hit := func(i int) bool { return source(i).W == 1 || i == 6 }
+	computedCells := map[PrewarmJob]int{{W: 0}: 3, {W: 2}: 2, {W: 3}: 3}
+	for _, par := range []int{1, 4} {
+		for _, cancelAt := range []int{-1, 7} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var (
+				mu       sync.Mutex
+				running  = map[PrewarmJob]int{}
+				done     = map[PrewarmJob]int{}
+				released = map[PrewarmJob]int{}
+			)
+			_, err := Execute(ctx, Exec[int, int]{
+				Total:       n,
+				Parallelism: par,
+				Lookup: func(i int) (*int, []int) {
+					if hit(i) {
+						return &i, nil
+					}
+					return nil, nil
+				},
+				Prewarm: source,
+				Release: func(j PrewarmJob) {
+					mu.Lock()
+					defer mu.Unlock()
+					released[j]++
+					if running[j] != 0 {
+						t.Errorf("par %d cancel %d: source %v released with %d cells running", par, cancelAt, j, running[j])
+					}
+					if cancelAt < 0 && done[j] != computedCells[j] {
+						t.Errorf("par %d: source %v released after %d of its %d cells", par, j, done[j], computedCells[j])
+					}
+				},
+				Compute: func(ctx context.Context, i int, _ func(int)) (*int, error) {
+					j := source(i)
+					mu.Lock()
+					if released[j] != 0 {
+						t.Errorf("par %d cancel %d: cell %d computed after its source was released", par, cancelAt, i)
+					}
+					running[j]++
+					mu.Unlock()
+					defer func() {
+						mu.Lock()
+						running[j]--
+						done[j]++
+						mu.Unlock()
+					}()
+					if i == cancelAt {
+						cancel()
+						return nil, ctx.Err()
+					}
+					return &i, nil
+				},
+			})
+			cancel()
+			if cancelAt < 0 && err != nil {
+				t.Fatal(err)
+			}
+			want := map[PrewarmJob]int{{W: 0}: 1, {W: 2}: 1, {W: 3}: 1}
+			if !reflect.DeepEqual(released, want) {
+				t.Errorf("par %d cancel %d: released %v, want %v", par, cancelAt, released, want)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,54 +63,106 @@ func legacySimConfigs(cpu destset.CPUModel, nodes int) []destset.SimConfig {
 // bit-identically — same runtime, traffic, latency percentiles and retry
 // counts — at parallelism 1 and parallelism N, and under both source
 // kinds (the runner's zero-copy dataset regions versus materialized
-// legacy traces).
+// legacy traces). One sweep covers two workloads × two seeds, so cells
+// of four (workload, seed) pairs share warm-ups and reuse oracles
+// across pairs, and a rerun over a result store that already holds some
+// cells of every pair mixes store hits with restored cells.
 func TestTimingRunnerMatchesLegacySim(t *testing.T) {
-	p, err := workload.Preset("oltp", 1)
-	if err != nil {
-		t.Fatal(err)
+	workloads, seeds := []string{"oltp", "ocean"}, []uint64{1, 2}
+	wl := make([]destset.WorkloadSpec, len(workloads))
+	for i, name := range workloads {
+		wl[i] = destset.WorkloadSpec{Name: name, Warm: timingWarm, Measure: timingMeasure}
 	}
-	d, err := dataset.GetShared(p, timingWarm, timingMeasure)
-	if err != nil {
-		t.Fatal(err)
+	type pair struct {
+		workload string
+		seed     uint64
 	}
-	warmTr, timedTr := d.WarmTrace(), d.MeasureTrace()
-
-	for _, cpu := range []destset.CPUModel{destset.SimpleCPU, destset.DetailedCPU} {
-		cfgs := legacySimConfigs(cpu, p.Nodes)
-		legacy := make([]destset.SimResult, len(cfgs))
-		for i, cfg := range cfgs {
-			res, err := destset.RunTiming(cfg, warmTr, timedTr)
+	traces := map[pair][2]*destset.Trace{}
+	for _, name := range workloads {
+		for _, seed := range seeds {
+			p, err := workload.Preset(name, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy[i] = res
+			d, err := dataset.GetShared(p, timingWarm, timingMeasure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces[pair{name, seed}] = [2]*destset.Trace{d.WarmTrace(), d.MeasureTrace()}
 		}
+	}
 
+	for _, cpu := range []destset.CPUModel{destset.SimpleCPU, destset.DetailedCPU} {
+		cfgs := legacySimConfigs(cpu, 16)
+		legacy := map[pair][]destset.SimResult{}
+		for pr, tr := range traces {
+			for _, cfg := range cfgs {
+				res, err := destset.RunTiming(cfg, tr[0], tr[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				legacy[pr] = append(legacy[pr], res)
+			}
+		}
 		specs := figureSimSpecs(cpu)
-		wl := []destset.WorkloadSpec{{Name: "oltp", Warm: timingWarm, Measure: timingMeasure}}
+		check := func(run string, res []destset.TimingResult) {
+			t.Helper()
+			if want := len(workloads) * len(specs) * len(seeds); len(res) != want {
+				t.Fatalf("cpu=%v %s: %d results, want %d", cpu, run, len(res), want)
+			}
+			for i, r := range res {
+				// Plan order is workload-major, then spec, then seed.
+				w, s := i/(len(specs)*len(seeds)), i/len(seeds)%len(specs)
+				pr := pair{workloads[w], seeds[i%len(seeds)]}
+				if r.Workload != pr.workload || r.Seed != pr.seed || r.CPU != cpu.String() {
+					t.Errorf("cpu=%v %s cell %d: metadata %+v, want %v", cpu, run, i, r, pr)
+				}
+				if r.Config != cfgs[s].Name() {
+					t.Errorf("cpu=%v %s cell %d: config %q, legacy %q", cpu, run, i, r.Config, cfgs[s].Name())
+				}
+				if r.Result != legacy[pr][s] {
+					t.Errorf("cpu=%v %s %v %s: runner result diverges from legacy sim.Run\n runner: %+v\n legacy: %+v",
+						cpu, run, pr, r.Config, r.Result, legacy[pr][s])
+				}
+			}
+		}
 		for _, par := range []int{1, 8} {
 			res, err := destset.NewTimingRunner(specs, wl,
-				destset.WithSeeds(1),
+				destset.WithSeeds(seeds...),
 				destset.WithParallelism(par),
 			).Run(context.Background())
 			if err != nil {
 				t.Fatalf("cpu=%v parallelism=%d: %v", cpu, par, err)
 			}
-			if len(res) != len(cfgs) {
-				t.Fatalf("cpu=%v parallelism=%d: %d results, want %d", cpu, par, len(res), len(cfgs))
+			check(fmt.Sprintf("parallelism=%d", par), res)
+		}
+
+		// Store every third cell — some cells of every (workload, seed) —
+		// then rerun the whole sweep over the store.
+		var stored []int
+		for i := 0; i < len(workloads)*len(specs)*len(seeds); i += 3 {
+			stored = append(stored, i)
+		}
+		for _, par := range []int{1, 8} {
+			rs := destset.NewResultStore()
+			if _, err := destset.NewTimingRunner(specs, wl,
+				destset.WithSeeds(seeds...),
+				destset.WithCells(stored),
+				destset.WithResultStore(rs),
+			).Run(context.Background()); err != nil {
+				t.Fatal(err)
 			}
-			for i := range res {
-				if res[i].Config != cfgs[i].Name() {
-					t.Errorf("cpu=%v parallelism=%d cell %d: config %q, legacy %q",
-						cpu, par, i, res[i].Config, cfgs[i].Name())
-				}
-				if res[i].Result != legacy[i] {
-					t.Errorf("cpu=%v parallelism=%d %s: runner result diverges from legacy sim.Run\n runner: %+v\n legacy: %+v",
-						cpu, par, res[i].Config, res[i].Result, legacy[i])
-				}
-				if res[i].CPU != cpu.String() || res[i].Workload != "oltp" || res[i].Seed != 1 {
-					t.Errorf("cell metadata wrong: %+v", res[i])
-				}
+			res, err := destset.NewTimingRunner(specs, wl,
+				destset.WithSeeds(seeds...),
+				destset.WithParallelism(par),
+				destset.WithResultStore(rs),
+			).Run(context.Background())
+			if err != nil {
+				t.Fatalf("cpu=%v store rerun parallelism=%d: %v", cpu, par, err)
+			}
+			check(fmt.Sprintf("store rerun parallelism=%d", par), res)
+			if st := rs.Stats(); st.MemHits != uint64(len(stored)) {
+				t.Errorf("cpu=%v store rerun parallelism=%d: %d store hits, want %d", cpu, par, st.MemHits, len(stored))
 			}
 		}
 	}

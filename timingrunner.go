@@ -3,6 +3,7 @@ package destset
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"destset/internal/dataset"
 	"destset/internal/sim"
@@ -117,8 +118,17 @@ func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (sweep.Work
 // analogue of Runner. Every cell resolves a fresh sim.Config from its
 // spec; Name- and Params-based workloads resolve through the shared
 // dataset store and are replayed zero-copy by any number of concurrent
-// cells. Cells share no mutable state, so Run returns the same results
-// in the same order at parallelism 1 and parallelism N.
+// cells.
+//
+// Within one Run, the cells of a (workload, seed) share its warm-up: the
+// first to run replays the warm region and keeps a snapshot of the
+// coherence oracle, the others restore it and train their own predictors
+// (sim.Warmup), and the snapshot is dropped after the last computed cell
+// of that (workload, seed). Cells take their oracles from a free list
+// that holds one per worker. A restored cell equals a replayed one
+// exactly, so Run returns the same results in the same order at
+// parallelism 1 and parallelism N, and each equals the cell's one-call
+// sim.Simulate value.
 type TimingRunner struct {
 	sims      []SimSpec
 	workloads []WorkloadSpec
@@ -164,9 +174,34 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 		}
 	}
 	cells := sweep.Cross(len(workloads), len(r.sims), r.cfg.seeds)
+	var (
+		oracles sim.Oracles
+		mu      sync.Mutex
+		warmups = map[sweep.PrewarmJob]*sim.Warmup{}
+	)
+	// warmup returns the warm-up the cells of job share, made from the
+	// first cell's warm source: every cell of a job replays the same one.
+	warmup := func(job sweep.PrewarmJob, src sim.Source) *sim.Warmup {
+		if src == nil {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		w := warmups[job]
+		if w == nil {
+			w = sim.NewWarmup(src)
+			warmups[job] = w
+		}
+		return w
+	}
 	return execute(ctx, r.cfg, r.Plan, r.workloads, workloads, cells, (*ResultStore).timingCell, (*ResultStore).putTimingCell,
 		sweep.Exec[TimingResult, TimingObservation]{
 			Observe: r.cfg.timingObserver,
+			Release: func(job sweep.PrewarmJob) {
+				mu.Lock()
+				defer mu.Unlock()
+				delete(warmups, job)
+			},
 			Compute: func(ctx context.Context, i int, emit func(TimingObservation)) (*TimingResult, error) {
 				c := cells[i]
 				spec, w := r.sims[c.S], workloads[c.W]
@@ -178,7 +213,8 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 				if err != nil {
 					return nil, fmt.Errorf("destset: workload %q: %w", w.Name, err)
 				}
-				res, err := sim.Simulate(ctx, cfg, warmSrc, timedSrc)
+				job := sweep.PrewarmJob{W: c.W, Seed: c.Seed}
+				res, err := sim.SimulateWarm(ctx, cfg, warmup(job, warmSrc), timedSrc, &oracles)
 				if err != nil {
 					return nil, err
 				}
