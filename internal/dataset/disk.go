@@ -118,11 +118,22 @@ func layoutFor(n, paramsLen, nstats int) layout {
 	return l
 }
 
+// chunkStats is how many block statistics the encoder packs into one
+// write. Every section that needs encoding — the block statistics, and
+// on big-endian hosts the 8- and 4-byte columns — goes out through one
+// reused chunk of chunkStats*statLen bytes (80 KiB), so a dataset costs
+// a few dozen writes however many blocks it touched, and a bare
+// *os.File needs no buffering in front of it.
+const chunkStats = 4096
+
 // payload visits every payload byte-run in file order: the parameter
 // blob, each column (as little-endian bytes), inter-section padding and
 // the block statistics. Both the checksum pass and the write pass walk
-// it, so the two can never disagree about the byte stream.
-func (d *Dataset) payload(paramsJSON []byte, visit func([]byte) error) error {
+// it, so the two can never disagree about the byte stream. Columns
+// already in the file's byte order (native) are visited zero-copy;
+// everything else is encoded into chunk and visited one filled chunk at
+// a time.
+func (d *Dataset) payload(paramsJSON, chunk []byte, native bool, visit func([]byte) error) error {
 	var padBuf [8]byte
 	pad := func(have int) error {
 		if p := pad8(have) - have; p > 0 {
@@ -131,30 +142,16 @@ func (d *Dataset) payload(paramsJSON []byte, visit func([]byte) error) error {
 		return nil
 	}
 	emit64 := func(s []uint64) error {
-		if hostLittle {
+		if native {
 			return visit(bytesOf(s))
 		}
-		var buf [8]byte
-		for _, v := range s {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			if err := visit(buf[:]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return encodeChunked(chunk, s, 8, binary.LittleEndian.PutUint64, visit)
 	}
 	emit32 := func(s []uint32) error {
-		if hostLittle {
+		if native {
 			return visit(bytesOf(s))
 		}
-		var buf [4]byte
-		for _, v := range s {
-			binary.LittleEndian.PutUint32(buf[:], v)
-			if err := visit(buf[:]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return encodeChunked(chunk, s, 4, binary.LittleEndian.PutUint32, visit)
 	}
 	if err := visit(paramsJSON); err != nil {
 		return err
@@ -185,30 +182,53 @@ func (d *Dataset) payload(paramsJSON []byte, visit func([]byte) error) error {
 	if err := pad(4 * d.n); err != nil { // four 1-byte columns since last alignment point
 		return err
 	}
-	var stat [statLen]byte
-	for _, b := range d.BlockStats() {
-		binary.LittleEndian.PutUint64(stat[0:], uint64(b.Addr))
-		binary.LittleEndian.PutUint64(stat[8:], uint64(b.Touched))
-		binary.LittleEndian.PutUint32(stat[16:], b.Misses)
-		if err := visit(stat[:]); err != nil {
+	return encodeChunked(chunk, d.BlockStats(), statLen, putStat, visit)
+}
+
+// encodeChunked encodes s, size bytes per element, into chunk as many
+// elements at a time as fit and visits each filled chunk whole.
+func encodeChunked[T any](chunk []byte, s []T, size int, put func([]byte, T), visit func([]byte) error) error {
+	per := len(chunk) / size
+	for len(s) > 0 {
+		k := min(len(s), per)
+		b := chunk[:k*size]
+		for i, v := range s[:k] {
+			put(b[i*size:], v)
+		}
+		if err := visit(b); err != nil {
 			return err
 		}
+		s = s[k:]
 	}
 	return nil
 }
 
+// putStat encodes one block statistic as its statLen on-file bytes.
+func putStat(b []byte, s coherence.BlockStat) {
+	binary.LittleEndian.PutUint64(b[0:], uint64(s.Addr))
+	binary.LittleEndian.PutUint64(b[8:], uint64(s.Touched))
+	binary.LittleEndian.PutUint32(b[16:], s.Misses)
+}
+
 // WriteTo serializes the dataset in the on-disk columnar format. It
 // implements io.WriterTo.
-func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
+func (d *Dataset) WriteTo(w io.Writer) (int64, error) { return d.writeTo(w, hostLittle) }
+
+// writeTo is WriteTo with the column byte order made explicit, so tests
+// can drive the big-endian hosts' encoding path on any host.
+func (d *Dataset) writeTo(w io.Writer, native bool) (int64, error) {
 	paramsJSON, err := json.Marshal(d.params)
 	if err != nil {
 		return 0, fmt.Errorf("dataset: encoding params: %w", err)
 	}
 	l := layoutFor(d.n, len(paramsJSON), d.nstats)
+	// No section is longer than the file, so this chunk always holds at
+	// least one element of whatever payload encodes.
+	chunk := make([]byte, min(chunkStats*statLen, l.total))
 
 	// Pass 1: checksum the payload exactly as it will be written.
 	sum := uint64(0)
-	_ = d.payload(paramsJSON, func(b []byte) error {
+	_ = d.payload(paramsJSON, chunk, native, func(b []byte) error {
 		sum = crc64.Update(sum, crcTable, b)
 		return nil
 	})
@@ -229,7 +249,7 @@ func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
 	}
 	written += headerLen
 	// Pass 2: write.
-	err = d.payload(paramsJSON, func(b []byte) error {
+	err = d.payload(paramsJSON, chunk, native, func(b []byte) error {
 		n, err := w.Write(b)
 		written += int64(n)
 		return err

@@ -2,10 +2,17 @@ package dataset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"destset/internal/coherence"
+	"destset/internal/nodeset"
+	"destset/internal/trace"
+	"destset/internal/workload"
 )
 
 // equalDatasets compares every record, annotation, block statistic and
@@ -91,6 +98,138 @@ func TestDiskWriteDeterministic(t *testing.T) {
 	}
 	if Sniff([]byte("DSPT....")) {
 		t.Error("Sniff accepts the legacy trace magic")
+	}
+}
+
+// countingWriter keeps the bytes written to it and counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	calls int
+}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.calls++
+	return w.Buffer.Write(b)
+}
+
+// encode serializes d through the native (zero-copy columns) or the
+// portable (big-endian hosts') path and returns the bytes and the
+// number of Write calls.
+func encode(t *testing.T, d *Dataset, native bool) ([]byte, int) {
+	t.Helper()
+	var w countingWriter
+	if _, err := d.writeTo(&w, native); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes(), w.calls
+}
+
+// maxWrites bounds the Write calls of one encoding of d: the header,
+// the parameter blob, three paddings and the eight columns take at most
+// 16, the block statistics one per chunk, and on the portable path each
+// 8- or 4-byte column one per chunk instead of one.
+func maxWrites(d *Dataset, native bool) int {
+	chunks := func(n int) int { return (n + chunkStats*statLen - 1) / (chunkStats * statLen) }
+	bound := 16 + chunks(statLen*d.nstats)
+	if !native {
+		bound += 3*(chunks(8*d.n)-1) + chunks(4*d.n) - 1
+	}
+	return bound
+}
+
+// manyStatsDataset is a generated dataset whose block-statistic table
+// is replaced by one that spans three full chunks and part of a fourth.
+func manyStatsDataset(t *testing.T) *Dataset {
+	t.Helper()
+	d, err := Generate(testParams(t, 16), 500, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]coherence.BlockStat, 3*chunkStats+17)
+	for i := range stats {
+		stats[i] = coherence.BlockStat{
+			Addr:    trace.Addr(3 * i),
+			Touched: nodeset.Set(uint64(i) * 0x9e3779b97f4a7c15),
+			Misses:  uint32(i),
+		}
+	}
+	d.blockStats, d.nstats = stats, len(stats)
+	return d
+}
+
+// TestWriteToMakesFewLargeWrites pins the encoder's write pattern: the
+// block statistics go out chunkStats at a time, not one write each, so
+// a bare *os.File needs no buffering in front of WriteTo.
+func TestWriteToMakesFewLargeWrites(t *testing.T) {
+	d := manyStatsDataset(t)
+	var w countingWriter
+	if _, err := d.WriteTo(&w); err != nil {
+		t.Fatal(err)
+	}
+	if bound := 16 + (d.nstats+chunkStats-1)/chunkStats; w.calls > bound {
+		t.Errorf("WriteTo made %d Write calls for %d block stats, want at most %d", w.calls, d.nstats, bound)
+	}
+	got, err := Decode(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalDatasets(t, got, d)
+}
+
+// TestPortableEncodingMatchesNative drives the big-endian hosts'
+// encoding path, which converts every 8- and 4-byte column through the
+// chunk, on this host: it must write the same bytes as the native path
+// within the same bound on Write calls — for columns that fit one chunk
+// and for columns that span several.
+func TestPortableEncodingMatchesNative(t *testing.T) {
+	long, err := Generate(testParams(t, 17), 6000, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Dataset{"many stats": manyStatsDataset(t), "long columns": long} {
+		native, _ := encode(t, d, true)
+		portable, calls := encode(t, d, false)
+		if !bytes.Equal(portable, native) {
+			t.Errorf("%s: the portable path wrote different bytes", name)
+		}
+		if bound := maxWrites(d, false); calls > bound {
+			t.Errorf("%s: the portable path made %d Write calls, want at most %d", name, calls, bound)
+		}
+	}
+}
+
+// TestPaperDatasetBytesPinned pins the encoding, and the generator
+// behind it, to the files the format has always written: every paper
+// workload at seed 1 and 2,000 + 2,000 misses serializes to the same
+// sha256 through both encoding paths.
+func TestPaperDatasetBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"apache":     "ed704e8b2f68fda9401b6761ae8197757b8dbf3f3c268e1b7f59502b27faabfa",
+		"barnes-hut": "da53f2163b03b00d574ee7f61719fbb7da8a4e92fda149f77190f9b87f8985b8",
+		"ocean":      "ec7c98b806663842a0f97b206f1152ea17746e130f1143321c51758492468dc1",
+		"oltp":       "6a3704131e0b49037b1abda4c17d3031fc53683022ea6a47910c4fdc1a4006da",
+		"slashcode":  "c19c7d80a08b03fff7bf8748b5b0c2f47518bd5a6acdf49ac24d2dcce4a874ab",
+		"specjbb":    "cd0817300cf76958c08e6ac5ecc04e9893638de238e719d778bbb3f067a4107a",
+	}
+	for _, name := range workload.PaperNames() {
+		p, err := workload.Preset(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Generate(p, 2000, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, native := range []bool{true, false} {
+			b, calls := encode(t, d, native)
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != want[name] {
+				t.Errorf("%s (native %v): sha256 %s, want %s", name, native, got, want[name])
+			}
+			if bound := maxWrites(d, native); calls > bound {
+				t.Errorf("%s (native %v): %d Write calls, want at most %d", name, native, calls, bound)
+			}
+		}
 	}
 }
 
@@ -260,5 +399,44 @@ func TestStorePurgeDir(t *testing.T) {
 	bare := NewStore()
 	if n, err := bare.PurgeDir(); n != 0 || err != nil {
 		t.Fatalf("PurgeDir without a dir = (%d, %v)", n, err)
+	}
+}
+
+// TestStoreCountsSpillErrors: a dataset the disk tier cannot save is
+// still served (the spill is best-effort), and the failure shows in
+// SpillErrors instead of only in later cold starts.
+func TestStoreCountsSpillErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "datasets")
+	s := NewStore()
+	if err := s.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	// With the directory gone CreateTemp fails, even for root.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	p := testParams(t, 18)
+	get := func(key Key) {
+		t.Helper()
+		if _, err := s.Get(key, func() (*Dataset, error) { return Generate(p, key.Warm, key.Measure) }); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+	}
+	get(KeyOf(p, 100, 100))
+	if st := s.Stats(); st.SpillErrors != 1 || st.Generations != 1 {
+		t.Fatalf("stats after a failed spill: %+v", st)
+	}
+	// A working directory again: the next spill lands and counts no
+	// error.
+	if err := s.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf(p, 120, 120)
+	get(key)
+	if st := s.Stats(); st.SpillErrors != 1 || st.Generations != 2 {
+		t.Fatalf("stats after a good spill: %+v", st)
+	}
+	if _, err := os.Stat(key.Path(dir)); err != nil {
+		t.Fatalf("dataset was not spilled: %v", err)
 	}
 }

@@ -101,6 +101,11 @@ type Stats struct {
 	// is collected and the region is unmapped.
 	MapHits     uint64
 	MappedBytes int64
+	// SpillErrors counts generated datasets the disk tier failed to
+	// save (a full, removed or read-only directory). The spill stays
+	// best-effort, so this counter is the only sign that later cold
+	// starts will regenerate instead of loading.
+	SpillErrors uint64
 }
 
 // NewStore returns an empty store with no size limit. The mmap disk
@@ -202,7 +207,8 @@ func (key Key) Path(dir string) string {
 // (when configured), else by generating it with gen. Concurrent callers
 // of the same key share one load/generation; callers of different keys
 // proceed in parallel. Generated datasets are spilled to the disk tier
-// best-effort. A failed generation is not cached.
+// best-effort: a failed spill only counts in Stats.SpillErrors. A failed
+// generation is not cached.
 func (s *Store) Get(key Key, gen func() (*Dataset, error)) (*Dataset, error) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -265,8 +271,11 @@ func (s *Store) Get(key Key, gen func() (*Dataset, error)) (*Dataset, error) {
 		if spill {
 			if dir := s.Dir(); dir != "" {
 				// Best-effort: a read-only or full directory must not fail
-				// the sweep, it only costs the next cold start.
-				if WriteFile(key.Path(dir), e.ds) == nil {
+				// the sweep, it only costs the next cold start — and
+				// shows in SpillErrors.
+				if WriteFile(key.Path(dir), e.ds) != nil {
+					s.bump(func(st *Stats) { st.SpillErrors++ })
+				} else {
 					// We wrote the bytes ourselves; a later reopen can
 					// skip the checksum scan.
 					s.mu.Lock()

@@ -28,6 +28,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"destset/internal/coherence"
 	"destset/internal/nodeset"
@@ -311,7 +312,7 @@ type Generator struct {
 	units   [3][]*unit // per shared pattern
 	unitZ   [3]*xrand.Zipf
 	pcZ     *xrand.Zipf
-	gapMean float64
+	gapDist xrand.Geometric // a step's first miss: mean 1000/MissesPer1000Instr
 
 	streamBase   []trace.Addr
 	streamCursor []int
@@ -379,7 +380,7 @@ func newGenerator(p Params, sys *coherence.System) (*Generator, error) {
 		pcZ:    xrand.NewZipf(p.StaticPCs, pcTheta(p)),
 		instr:  make([]uint64, p.Nodes),
 	}
-	g.gapMean = 1000 / p.MissesPer1000Instr
+	g.gapDist = xrand.NewGeometric(1000 / p.MissesPer1000Instr)
 
 	// Split shared units across the three shared patterns in proportion
 	// to their step weights, with at least one unit for any active
@@ -480,15 +481,17 @@ func (g *Generator) sampleGroupSizes(pat Pattern, n int) []int {
 	if g.p.HotUnitsGetLargeGroups {
 		// Descending: unit 0 (the hottest Zipf rank) gets the largest
 		// group, concentrating misses on widely-touched blocks.
-		for i := 0; i < len(sizes); i++ {
-			for j := i + 1; j < len(sizes); j++ {
-				if sizes[j] > sizes[i] {
-					sizes[i], sizes[j] = sizes[j], sizes[i]
-				}
-			}
-		}
+		sortDescending(sizes)
 	}
 	return sizes
+}
+
+// sortDescending orders group sizes largest first. A multiset of ints
+// has one sorted order, so the units get the same groups whatever sort
+// does it.
+func sortDescending(sizes []int) {
+	slices.Sort(sizes)
+	slices.Reverse(sizes)
 }
 
 func (g *Generator) sampleGroup(k int) []nodeset.NodeID {
@@ -550,10 +553,18 @@ func (g *Generator) Next() (trace.Record, coherence.MissInfo) {
 // spatial burst (these overlap in an out-of-order core, §5.1).
 func (g *Generator) drawGap(first bool) uint32 {
 	if first {
-		return uint32(g.rng.Geometric(g.gapMean)) + 1
+		return uint32(g.gapDist.Sample(g.rng)) + 1
 	}
-	return uint32(g.rng.Geometric(4)) + 1
+	return uint32(burstGapDist.Sample(g.rng)) + 1
 }
+
+// The generator's fixed-mean geometric samplers: the gap between the
+// misses of one spatial burst, and the run of blocks one migratory
+// handoff touches.
+var (
+	burstGapDist     = xrand.NewGeometric(4)
+	migratoryRunDist = xrand.NewGeometric(2)
+)
 
 // step schedules one pattern step, refilling the access burst.
 func (g *Generator) step() {
@@ -598,7 +609,7 @@ func (g *Generator) stepMigratory() {
 	// a few lines, not the whole macroblock), so different blocks of a
 	// unit have different last writers — the irregularity that separates
 	// block-indexed from macroblock-indexed predictors (§3.4).
-	runLen := 1 + g.rng.Geometric(2)
+	runLen := 1 + migratoryRunDist.Sample(g.rng)
 	if runLen > len(u.blocks) {
 		runLen = len(u.blocks)
 	}

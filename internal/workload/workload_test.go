@@ -1,11 +1,15 @@
 package workload
 
 import (
+	"math"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"destset/internal/cache"
 	"destset/internal/coherence"
 	"destset/internal/trace"
+	"destset/internal/xrand"
 )
 
 // smallParams is a fast, fully shared-pattern workload for unit tests.
@@ -322,6 +326,79 @@ func TestGroupSizesRespectDistribution(t *testing.T) {
 	for _, u := range g.units[Migratory] {
 		if len(u.group) != 2 {
 			t.Fatalf("group size = %d, want 2", len(u.group))
+		}
+	}
+}
+
+// TestSortDescendingMatchesExchangeSort checks the group-size sort
+// against the O(n²) exchange sort it replaced, kept here as the
+// reference: both give the same order on any group sizes, so every
+// preset lays out the same groups.
+func TestSortDescendingMatchesExchangeSort(t *testing.T) {
+	exchange := func(sizes []int) {
+		for i := 0; i < len(sizes); i++ {
+			for j := i + 1; j < len(sizes); j++ {
+				if sizes[j] > sizes[i] {
+					sizes[i], sizes[j] = sizes[j], sizes[i]
+				}
+			}
+		}
+	}
+	f := func(raw []uint8) bool {
+		got := make([]int, len(raw))
+		for i, v := range raw {
+			got[i] = 2 + int(v%63) // group sizes in [2, 64]
+		}
+		want := slices.Clone(got)
+		sortDescending(got)
+		exchange(want)
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGeometricSamplersMatchPerDrawLog pins the generator's precomputed
+// geometric samplers to the formula they replaced, which took log(p) on
+// every draw. For edge means, the generator's fixed means (2 and 4) and
+// every preset's gap mean, both draw the same sequence from the same RNG
+// stream and leave the stream in the same place, so every generated
+// trace stays bit-identical.
+func TestGeometricSamplersMatchPerDrawLog(t *testing.T) {
+	means := []float64{-1, 0, 0.5, 2, 4}
+	for _, name := range Names() {
+		p, err := Preset(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		means = append(means, 1000/p.MissesPer1000Instr)
+	}
+	for _, mean := range means {
+		perDraw := func(r *xrand.RNG) int {
+			if mean <= 0 {
+				return 0
+			}
+			p := mean / (1 + mean)
+			u := r.Float64()
+			if u == 0 {
+				u = math.SmallestNonzeroFloat64
+			}
+			k := int(math.Log(u) / math.Log(p))
+			if k < 0 {
+				k = 0
+			}
+			return k
+		}
+		g := xrand.NewGeometric(mean)
+		a, b := xrand.New(21, 3), xrand.New(21, 3)
+		for i := 0; i < 10000; i++ {
+			if got, want := g.Sample(a), perDraw(b); got != want {
+				t.Fatalf("mean %v, draw %d: %d, want %d", mean, i, got, want)
+			}
+		}
+		if a.Uint32() != b.Uint32() {
+			t.Fatalf("mean %v: the RNG streams diverged", mean)
 		}
 	}
 }

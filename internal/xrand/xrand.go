@@ -6,7 +6,8 @@
 // repository must be bit-reproducible (the paper's trace methodology depends
 // on "deterministic and precise comparisons", §2.1), so we implement our own
 // PCG-XSH-RR generator plus the samplers the generators need: uniform,
-// bounded, Bernoulli, categorical (weighted choice) and bounded Zipf.
+// bounded, Bernoulli, categorical (weighted choice), bounded Zipf and
+// geometric.
 package xrand
 
 import "math"
@@ -215,20 +216,34 @@ func (z *Zipf) Sample(r *RNG) int {
 // Len returns the support size.
 func (z *Zipf) Len() int { return len(z.cdf) }
 
-// Geometric samples a non-negative int with P(k) = (1-p) p^k, i.e. the
-// number of failures before a success with success probability 1-p... see
-// note: parameter mean is the distribution mean; p = mean/(1+mean).
-func (r *RNG) Geometric(mean float64) int {
+// Geometric samples non-negative ints with a fixed mean m: P(k) =
+// (1-p) p^k with p = m/(1+m), drawn by inverse-CDF sampling. Callers
+// draw many times from one mean, so NewGeometric takes log(p) once
+// instead of every draw paying for it.
+type Geometric struct {
+	logP  float64
+	draws bool // false for a non-positive mean, which always samples 0
+}
+
+// NewGeometric builds a sampler with the given mean. A non-positive mean
+// samples 0 without drawing from the RNG.
+func NewGeometric(mean float64) Geometric {
 	if mean <= 0 {
+		return Geometric{}
+	}
+	return Geometric{logP: math.Log(mean / (1 + mean)), draws: true}
+}
+
+// Sample draws one value: k = floor(log(u) / log(p)).
+func (g Geometric) Sample(r *RNG) int {
+	if !g.draws {
 		return 0
 	}
-	p := mean / (1 + mean)
-	// Inverse-CDF sampling: k = floor(log(u) / log(p)).
 	u := r.Float64()
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	k := int(math.Log(u) / math.Log(p))
+	k := int(math.Log(u) / g.logP)
 	if k < 0 {
 		k = 0
 	}

@@ -201,16 +201,17 @@ func TestZipfBounds(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	r := New(9, 9)
 	const mean = 5.0
+	g := NewGeometric(mean)
 	sum := 0
 	const trials = 50000
 	for i := 0; i < trials; i++ {
-		sum += r.Geometric(mean)
+		sum += g.Sample(r)
 	}
 	got := float64(sum) / trials
 	if math.Abs(got-mean) > 0.3 {
 		t.Errorf("Geometric mean = %v, want ~%v", got, mean)
 	}
-	if r.Geometric(0) != 0 || r.Geometric(-1) != 0 {
+	if NewGeometric(0).Sample(r) != 0 || NewGeometric(-1).Sample(r) != 0 {
 		t.Error("Geometric with non-positive mean must be 0")
 	}
 }
