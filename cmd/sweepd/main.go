@@ -39,10 +39,11 @@
 // distribution peer-to-peer: workers announce their read-only peer
 // dataset servers and installed keys (POST /v1/announce, plus the same
 // fields piggybacked on lease and heartbeat bodies), GET
-// /v1/holders/{key} answers a shuffled list of live holders, and
-// holders vanish from the directory with their leases. Fetches try
-// hinted peers before the uplink, so the coordinator serves each
-// dataset O(1) times per sweep however many workers join; GET
+// /v1/holders/{key} answers a shuffled list of live holders with the
+// sha256 every peer-served copy must match, and holders vanish from the
+// directory with their leases. Fetches try hinted peers before the
+// uplink, so the coordinator serves each dataset O(1) times per sweep
+// however many workers join; GET
 // /v1/progress reports dataset_bytes_served and peer_hints_served to
 // make that visible.
 //
@@ -75,7 +76,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -272,7 +272,7 @@ func writeMerged(coord *distrib.Coordinator, out string) error {
 	if out == "" {
 		return coord.WriteMerged(os.Stdout)
 	}
-	return atomicfile.Write(nil, out, func(w io.Writer) error {
-		return coord.WriteMerged(w)
+	return atomicfile.Write(nil, out, func(f *os.File) error {
+		return coord.WriteMerged(f)
 	})
 }

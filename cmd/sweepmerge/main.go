@@ -73,7 +73,7 @@ func merge(ctx context.Context, out string, paths []string) error {
 	if out == "" {
 		return destset.MergeObservations(os.Stdout, readers...)
 	}
-	return atomicfile.Write(ctx, out, func(w io.Writer) error {
-		return destset.MergeObservations(w, readers...)
+	return atomicfile.Write(ctx, out, func(f *os.File) error {
+		return destset.MergeObservations(f, readers...)
 	})
 }

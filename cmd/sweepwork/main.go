@@ -15,8 +15,11 @@
 // holders before falling back to the coordinator — so the coordinator
 // uplink serves each dataset roughly once per fleet, not once per
 // worker. Peers are untrusted: every install re-validates the payload,
-// so a corrupt or lying peer costs one retried attempt, nothing more.
-// -no-peer opts a worker out of the fabric entirely.
+// and a peer's bytes must also hash to the sha256 the coordinator
+// returns with its holder hints — a check a forged file cannot pass by
+// recomputing its own checksum — so a corrupt or lying peer costs one
+// retried attempt, nothing more. -no-peer opts a worker out of the
+// fabric entirely.
 //
 // Usage:
 //

@@ -122,7 +122,7 @@ func withOutput(ctx context.Context, out string, fn func(io.Writer) error) error
 	if out == "" {
 		return fn(os.Stdout)
 	}
-	return atomicfile.Write(ctx, out, fn)
+	return atomicfile.Write(ctx, out, func(f *os.File) error { return fn(f) })
 }
 
 // generate writes the full columnar dataset: trace plus coherence
@@ -174,8 +174,8 @@ func importTrace(ctx context.Context, path, format string, opt ingest.Options, o
 			return err
 		}
 		dest := key.Path(dir)
-		err = atomicfile.Write(ctx, dest, func(w io.Writer) error {
-			_, err := ds.WriteTo(w)
+		err = atomicfile.Write(ctx, dest, func(f *os.File) error {
+			_, err := ds.WriteTo(f)
 			return err
 		})
 		if err != nil {

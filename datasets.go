@@ -46,9 +46,9 @@ func DatasetDir() string { return dataset.Shared.Dir() }
 // the disk tier.
 func PurgeDatasets() int { return dataset.Shared.Purge() }
 
-// PurgeDatasetDir removes every dataset file from the configured disk
-// tier and returns how many were removed; it is a no-op without a
-// configured directory. Memory-tier residents are unaffected, so a
+// PurgeDatasetDir removes every dataset file (and temp file a crash
+// orphaned mid-write) from the configured disk tier and returns how
+// many were removed; it is a no-op without a configured directory. Memory-tier residents are unaffected, so a
 // process can clear stale disk space without giving up its warm cache.
 func PurgeDatasetDir() (int, error) { return dataset.Shared.PurgeDir() }
 

@@ -40,9 +40,9 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
-	"path/filepath"
 	"unsafe"
 
+	"destset/internal/atomicfile"
 	"destset/internal/cache"
 	"destset/internal/coherence"
 	"destset/internal/nodeset"
@@ -264,31 +264,14 @@ func (d *Dataset) writeTo(w io.Writer, native bool) (int64, error) {
 }
 
 // WriteFile atomically writes the dataset to path in the on-disk
-// columnar format: the bytes land in a temporary file in the same
-// directory and are renamed into place, so concurrent readers (other
+// columnar format (internal/atomicfile), so concurrent readers (other
 // shard processes sharing a dataset directory) never observe a partial
 // file.
 func WriteFile(path string, d *Dataset) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".dset-*")
-	if err != nil {
+	return atomicfile.Write(nil, path, func(f *os.File) error {
+		_, err := d.WriteTo(f)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := d.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // Sniff reports whether the byte prefix looks like a columnar dataset
@@ -300,14 +283,16 @@ func Sniff(prefix []byte) bool {
 // Decode validates and decodes a serialized dataset. On little-endian
 // hosts the returned dataset's columns alias buf zero-copy (buf must not
 // be mutated afterwards); on big-endian hosts the columns are converted
-// into fresh slices. Truncated or corrupted input fails with
-// ErrBadFormat.
+// into fresh slices. Truncated or corrupted input — including a record
+// no replay could serve, such as a requester outside the node count —
+// fails with ErrBadFormat.
 func Decode(buf []byte) (*Dataset, error) { return decode(buf, true) }
 
-// decode is Decode's core. verifyCRC gates only the payload checksum
-// pass — header, version, layout and parameter validation always run —
-// so the mmap path can skip the one full-file scan on files the store
-// has already verified (the "check once, then trust" contract).
+// decode is Decode's core. verifyCRC gates the full-payload passes —
+// the checksum and the per-record range checks; header, version, node
+// count, layout and parameter validation always run — so the mmap path
+// can skip the scans on files the store has already verified (the
+// "check once, then trust" contract).
 func decode(buf []byte, verifyCRC bool) (*Dataset, error) {
 	if len(buf) < headerLen || !Sniff(buf) {
 		return nil, fmt.Errorf("%w (not a dataset file)", ErrBadFormat)
@@ -326,6 +311,9 @@ func decode(buf []byte, verifyCRC bool) (*Dataset, error) {
 	if warm > sane || measure > sane || nstats > sane || paramsLen > sane {
 		return nil, fmt.Errorf("%w (implausible header counts)", ErrBadFormat)
 	}
+	if nodes < 1 || nodes > nodeset.MaxNodes {
+		return nil, fmt.Errorf("%w (%d nodes, want 1..%d)", ErrBadFormat, nodes, nodeset.MaxNodes)
+	}
 	n := int(warm + measure)
 	l := layoutFor(n, int(paramsLen), int(nstats))
 	if len(buf) != l.total {
@@ -334,6 +322,9 @@ func decode(buf []byte, verifyCRC bool) (*Dataset, error) {
 	if verifyCRC {
 		if got := crc64.Checksum(buf[headerLen:], crcTable); got != sum {
 			return nil, fmt.Errorf("%w (payload checksum %#x, header says %#x — corrupted?)", ErrBadFormat, got, sum)
+		}
+		if err := checkRecords(buf, l, n, nodes); err != nil {
+			return nil, err
 		}
 	}
 
@@ -381,6 +372,29 @@ func decode(buf []byte, verifyCRC bool) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// checkRecords rejects one-byte column values no replay can serve: a
+// requester outside the node count, an owner outside it other than
+// coherence.MemoryOwner, or a request kind or requester state outside
+// its enumeration. A checksum only proves the bytes are the ones
+// written, and a file can come from anywhere.
+func checkRecords(buf []byte, l layout, n, nodes int) error {
+	req, kind := buf[l.req:l.req+n], buf[l.kind:l.kind+n]
+	owner, state := buf[l.owner:l.owner+n], buf[l.state:l.state+n]
+	for i := range n {
+		switch {
+		case int(req[i]) >= nodes:
+			return fmt.Errorf("%w (record %d: requester %d outside %d nodes)", ErrBadFormat, i, req[i], nodes)
+		case int(owner[i]) >= nodes && nodeset.NodeID(owner[i]) != coherence.MemoryOwner:
+			return fmt.Errorf("%w (record %d: owner %d outside %d nodes)", ErrBadFormat, i, owner[i], nodes)
+		case trace.Kind(kind[i]) > trace.GetExclusive:
+			return fmt.Errorf("%w (record %d: request kind %d)", ErrBadFormat, i, kind[i])
+		case cache.State(state[i]) > cache.Modified:
+			return fmt.Errorf("%w (record %d: requester state %d)", ErrBadFormat, i, state[i])
+		}
+	}
+	return nil
 }
 
 // decodeBlockStats unpacks an on-file stats region (statLen-byte

@@ -3,10 +3,14 @@ package dataset
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"destset/internal/coherence"
@@ -269,6 +273,39 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 		return b
 	})
+	// Files that pass the checksum but hold records no replay can serve.
+	l := fileLayout(raw)
+	corrupt("requester outside the nodes", func(b []byte) []byte { b[l.req] = 200; return rechecksum(b) })
+	corrupt("owner outside the nodes", func(b []byte) []byte { b[l.owner+1] = 200; return rechecksum(b) })
+	corrupt("request kind out of range", func(b []byte) []byte { b[l.kind+2] = 2; return rechecksum(b) })
+	corrupt("requester state out of range", func(b []byte) []byte { b[l.state+3] = 5; return rechecksum(b) })
+	corrupt("zero nodes", func(b []byte) []byte { return rechecksum(zeroNodes(t, b)) })
+}
+
+// fileLayout returns the section offsets of a well-formed file.
+func fileLayout(b []byte) layout {
+	n := binary.LittleEndian.Uint64(b[16:]) + binary.LittleEndian.Uint64(b[24:])
+	return layoutFor(int(n), int(binary.LittleEndian.Uint64(b[40:])), int(binary.LittleEndian.Uint64(b[32:])))
+}
+
+// rechecksum recomputes a file's payload checksum, as a crafted file
+// meant to pass the check would.
+func rechecksum(b []byte) []byte {
+	binary.LittleEndian.PutUint64(b[48:], crc64.Checksum(b[headerLen:], crcTable))
+	return b
+}
+
+// zeroNodes makes the header and the params both say 0 nodes, keeping
+// the params blob's length.
+func zeroNodes(t testing.TB, b []byte) []byte {
+	t.Helper()
+	nodes := fmt.Sprintf(`"Nodes":%d`, binary.LittleEndian.Uint32(b[12:]))
+	zero := `"Nodes":0` + strings.Repeat(" ", len(nodes)-len(`"Nodes":0`))
+	if !bytes.Contains(b, []byte(nodes)) {
+		t.Fatalf("params blob has no %s", nodes)
+	}
+	binary.LittleEndian.PutUint32(b[12:], 0)
+	return bytes.Replace(b, []byte(nodes), []byte(zero), 1)
 }
 
 // TestStoreDiskTier is the tiered-store acceptance test: a cold store
@@ -380,14 +417,17 @@ func TestStorePurgeDir(t *testing.T) {
 	if _, err := s.Get(key, func() (*Dataset, error) { return Generate(p, 100, 100) }); err != nil {
 		t.Fatal(err)
 	}
-	// An orphaned temp file (a crash between WriteFile's create and
-	// rename) must be cleaned up too.
-	if err := os.WriteFile(filepath.Join(dir, ".dset-orphan"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+	// Orphaned temp files (a crash between an atomic write's create and
+	// rename) must be cleaned up too: the older writers' name and
+	// internal/atomicfile's.
+	for _, orphan := range []string{".dset-orphan", "." + key.Name() + "-orphan"} {
+		if err := os.WriteFile(filepath.Join(dir, orphan), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n, err := s.PurgeDir()
-	if err != nil || n != 2 {
-		t.Fatalf("PurgeDir = (%d, %v), want (2, nil): orphaned temp files must be removed", n, err)
+	if err != nil || n != 3 {
+		t.Fatalf("PurgeDir = (%d, %v), want (3, nil): orphaned temp files must be removed", n, err)
 	}
 	if st := s.Stats(); st.Datasets != 1 {
 		t.Fatalf("PurgeDir evicted memory residents: %+v", st)

@@ -1,16 +1,16 @@
 package dataset
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
+	"destset/internal/tier"
 	"destset/internal/workload"
 )
 
@@ -34,47 +34,31 @@ func KeyOf(p workload.Params, warm, measure int) Key {
 	return Key{Source: fmt.Sprintf("%#v", p), Warm: warm, Measure: measure}
 }
 
-// entry is one memoized dataset. The store hands out entries under its
-// lock but generates outside it: the first caller runs gen inside the
-// entry's once while later callers block on the same once, so every key
-// is generated exactly once no matter how many sweep cells race for it.
-type entry struct {
-	once sync.Once
-	ds   *Dataset
-	err  error
-	elem *list.Element // position in the store's LRU list
-	// charged is what this entry currently contributes to the store's
-	// byte total: the dataset's generation-time footprint plus any
-	// legacy views materialized since (reported through Dataset.grow).
-	charged int64
-}
-
 // Store memoizes datasets by key. The zero value is not ready; use
 // NewStore. All methods are safe for concurrent use.
 //
-// A store is tiered. The memory tier is always present: a singleflight
-// map with an LRU byte limit. When a dataset directory is configured
-// (SetDir) an on-disk content-addressed tier sits behind it: memory
-// misses first probe dir/<sha256(key)>.dset and load the columns
-// zero-copy (disk.go) before falling back to generation, and every
-// generated dataset is spilled to the directory so later — and cold —
-// processes skip generation entirely. Evicting or purging the memory
-// tier never touches disk entries; they stay valid and reloadable.
+// A store is a tier.Cache: a memory tier with an LRU byte limit and one
+// generation per key, and, when a dataset directory is configured
+// (SetDir), a content-addressed disk tier behind it: memory misses first
+// probe dir/<Key.Name()> and load the columns zero-copy (disk.go) before
+// falling back to generation, and every generated dataset is spilled to
+// the directory so later — and cold — processes skip generation
+// entirely. Evicting or purging the memory tier never touches disk
+// entries; they stay valid and reloadable.
 type Store struct {
-	mu      sync.Mutex
-	entries map[Key]*entry
-	lru     *list.List // of Key, front = most recently used
-	bytes   int64
-	limit   int64
-	dir     string
-	mmap    bool
+	c *tier.Cache[Key, *Dataset]
+
+	mu   sync.Mutex
+	mmap bool
 	// verified remembers keys whose on-disk file has passed a full CRC
 	// check (or was written by this process). Later opens of a verified
 	// key skip the checksum scan: content addressing plus deterministic
 	// generation make every rewrite of the file byte-identical, so one
 	// verification is as good as many.
 	verified map[Key]bool
-	stats    Stats
+
+	generations, mapHits atomic.Uint64
+	mappedBytes          atomic.Int64
 }
 
 // Stats are a store's per-tier counters since process start, plus its
@@ -111,12 +95,20 @@ type Stats struct {
 // NewStore returns an empty store with no size limit. The mmap disk
 // path is on by default wherever the platform supports it.
 func NewStore() *Store {
-	return &Store{
-		entries:  make(map[Key]*entry),
-		lru:      list.New(),
-		mmap:     mmapSupported && hostLittle,
-		verified: make(map[Key]bool),
-	}
+	s := &Store{mmap: mmapSupported && hostLittle, verified: make(map[Key]bool)}
+	s.c = tier.New(tier.Codec[Key, *Dataset]{
+		Ext:   ".dset",
+		Name:  Key.Name,
+		Size:  (*Dataset).Bytes,
+		Read:  s.openDisk,
+		Write: s.spill,
+		// Late allocations (materialized legacy views) keep the byte
+		// accounting honest: without this, timing-path datasets would
+		// outgrow their recorded footprint by up to ~1.75x and defeat the
+		// limit.
+		Track: func(ds *Dataset, grow func(int64)) { ds.grow = grow },
+	})
+	return s
 }
 
 // Shared is the process-wide store the experiment Runner and harnesses
@@ -128,35 +120,16 @@ var Shared = NewStore()
 // means unbounded. When an insert pushes the total over the limit the
 // least-recently-used datasets are evicted (never the one being
 // inserted). Evicted keys regenerate on next use.
-func (s *Store) SetLimit(bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limit = bytes
-	s.trimLocked(nil)
-}
+func (s *Store) SetLimit(bytes int64) { s.c.SetLimit(bytes) }
 
 // SetDir configures the on-disk dataset tier rooted at dir (created if
 // missing); an empty dir disables the tier. Changing the directory does
 // not invalidate datasets already resident in memory.
-func (s *Store) SetDir(dir string) error {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dir = dir
-	return nil
-}
+func (s *Store) SetDir(dir string) error { return s.c.SetDir(dir) }
 
 // Dir returns the configured dataset directory ("" when the disk tier is
 // disabled).
-func (s *Store) Dir() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dir
-}
+func (s *Store) Dir() string { return s.c.Dir() }
 
 // SetMmap enables or disables the mmap disk path. It is on by default;
 // platforms without mmap support (or big-endian hosts, whose columns
@@ -171,12 +144,7 @@ func (s *Store) SetMmap(on bool) {
 // Contains reports whether key is resident in the memory tier right
 // now. It never touches disk and never populates anything — a cheap
 // pre-check for callers deciding whether a fetch is needed.
-func (s *Store) Contains(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	return ok && e.elem != nil
-}
+func (s *Store) Contains(key Key) bool { return s.c.Contains(key) }
 
 // Addr returns the key's content address: the key (workload fingerprint
 // and scale) plus the format version, hashed to a fixed-width hex
@@ -210,126 +178,48 @@ func (key Key) Path(dir string) string {
 // best-effort: a failed spill only counts in Stats.SpillErrors. A failed
 // generation is not cached.
 func (s *Store) Get(key Key, gen func() (*Dataset, error)) (*Dataset, error) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.stats.MemHits++
-		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-		}
-	} else {
-		s.stats.MemMisses++
-		e = &entry{}
-		s.entries[key] = e
-	}
-	s.mu.Unlock()
-
-	e.once.Do(func() {
-		if dir := s.Dir(); dir != "" {
-			// Disk tier: a valid file whose decoded identity re-derives
-			// the same key is authoritative — generation is deterministic,
-			// so its contents are exactly what gen would produce. A
-			// missing, truncated, corrupted or colliding file is a plain
-			// disk miss and falls through to generation (which rewrites
-			// the file, healing corruption in place).
-			if ds, err := s.openDisk(key, dir); err == nil {
-				s.bump(func(st *Stats) { st.DiskHits++ })
-				e.ds = ds
-			} else {
-				s.bump(func(st *Stats) { st.DiskMisses++ })
-			}
-		}
-		spill := false
-		if e.ds == nil {
-			s.bump(func(st *Stats) { st.Generations++ })
-			e.ds, e.err = gen()
-			spill = e.err == nil
-		}
-		s.mu.Lock()
-		if e.err != nil {
-			// Do not cache failures: the next caller retries.
-			if s.entries[key] == e {
-				delete(s.entries, key)
-			}
-			s.mu.Unlock()
-			return
-		}
-		if s.entries[key] == e {
-			e.elem = s.lru.PushFront(key)
-			e.charged = e.ds.Bytes()
-			s.bytes += e.charged
-			// Late allocations (materialized legacy views) keep the byte
-			// accounting honest: without this, timing-path datasets would
-			// outgrow their recorded footprint by up to ~1.75x and defeat
-			// the limit.
-			e.ds.grow = func(delta int64) { s.growEntry(e, delta) }
-			s.trimLocked(e)
-		}
-		// else: purged while loading — hand the dataset to the waiters
-		// without caching it.
-		s.mu.Unlock()
-		if spill {
-			if dir := s.Dir(); dir != "" {
-				// Best-effort: a read-only or full directory must not fail
-				// the sweep, it only costs the next cold start — and
-				// shows in SpillErrors.
-				if WriteFile(key.Path(dir), e.ds) != nil {
-					s.bump(func(st *Stats) { st.SpillErrors++ })
-				} else {
-					// We wrote the bytes ourselves; a later reopen can
-					// skip the checksum scan.
-					s.mu.Lock()
-					s.verified[key] = true
-					s.mu.Unlock()
-				}
-			}
-		}
+	return s.c.Get(key, func() (*Dataset, error) {
+		s.generations.Add(1)
+		return gen()
 	})
-	return e.ds, e.err
 }
 
-// openDisk loads key's content-addressed file, preferring the mmap tier
-// when it is enabled: the columns alias the mapping zero-copy, the CRC
-// is verified on the key's first open only, and the mapped bytes are
-// tracked in Stats until the mapping's last reader is collected. Any
-// reason the mmap path can't serve this file (platform, byte order, the
-// syscall itself) falls back to the ReadFile copy; validation failures
-// do not — a corrupt file is corrupt either way.
-func (s *Store) openDisk(key Key, dir string) (*Dataset, error) {
-	path := key.Path(dir)
+// openDisk loads key's content-addressed file at path, preferring the
+// mmap tier when it is enabled: the columns alias the mapping zero-copy,
+// the CRC is verified on the key's first open only, and the mapped
+// bytes are tracked in Stats until the mapping's last reader is
+// collected. Any reason the mmap path can't serve this file (platform,
+// byte order, the syscall itself) falls back to the ReadFile copy;
+// validation failures do not — a corrupt file is corrupt either way.
+// A file whose decoded identity does not re-derive key (a collision or
+// a misplaced file) is a miss.
+func (s *Store) openDisk(path string, key Key) (*Dataset, error) {
 	s.mu.Lock()
 	useMmap := s.mmap
 	verify := !s.verified[key]
 	s.mu.Unlock()
+	var ds *Dataset
+	var size int64
+	err := errMmapUnsupported
 	if useMmap {
-		ds, size, err := openMapped(path, verify, func(n int64) {
-			s.bump(func(st *Stats) { st.MappedBytes -= n })
-		})
-		switch {
-		case err == nil:
-			s.bump(func(st *Stats) { st.MappedBytes += size })
-			if KeyOf(ds.Params(), ds.Warm(), ds.Measure()) != key {
-				// Collision or misplaced file; the mapping is released
-				// when ds is collected.
-				return nil, fmt.Errorf("dataset: %s: content does not match key", path)
-			}
-			s.mu.Lock()
-			s.stats.MapHits++
-			s.verified[key] = true
-			s.mu.Unlock()
-			return ds, nil
-		case errors.Is(err, errMmapUnsupported):
-			// Fall through to the copy path.
-		default:
-			return nil, err
-		}
+		ds, size, err = openMapped(path, verify, func(n int64) { s.mappedBytes.Add(-n) })
 	}
-	ds, err := ReadFile(path)
+	mapped := err == nil
+	if mapped {
+		// Released when ds is collected, whether or not it matches key.
+		s.mappedBytes.Add(size)
+	}
+	if errors.Is(err, errMmapUnsupported) {
+		ds, err = ReadFile(path)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if KeyOf(ds.Params(), ds.Warm(), ds.Measure()) != key {
 		return nil, fmt.Errorf("dataset: %s: content does not match key", path)
+	}
+	if mapped {
+		s.mapHits.Add(1)
 	}
 	s.mu.Lock()
 	s.verified[key] = true
@@ -337,120 +227,44 @@ func (s *Store) openDisk(key Key, dir string) (*Dataset, error) {
 	return ds, nil
 }
 
-// bump applies one counter update under the store lock.
-func (s *Store) bump(fn func(*Stats)) {
+// spill writes a generated dataset to the disk tier. The store wrote
+// the bytes itself, so a later reopen can skip the checksum scan.
+func (s *Store) spill(path string, key Key, ds *Dataset) error {
+	if err := WriteFile(path, ds); err != nil {
+		return err
+	}
 	s.mu.Lock()
-	fn(&s.stats)
+	s.verified[key] = true
 	s.mu.Unlock()
-}
-
-// growEntry records a dataset's late allocation against its entry and,
-// while the entry is still resident, against the store's byte total.
-func (s *Store) growEntry(e *entry, delta int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e.charged += delta
-	if e.elem != nil {
-		s.bytes += delta
-		s.trimLocked(e)
-	}
-}
-
-// trimLocked evicts LRU entries until the byte total fits the limit,
-// sparing keep (the entry just inserted). Callers hold s.mu.
-func (s *Store) trimLocked(keep *entry) {
-	if s.limit <= 0 {
-		return
-	}
-	for s.bytes > s.limit {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(Key)
-		e := s.entries[key]
-		if e == keep {
-			// The newest dataset may alone exceed the limit; keep it
-			// rather than thrash.
-			if s.lru.Len() == 1 {
-				return
-			}
-			s.lru.MoveToFront(back)
-			continue
-		}
-		s.removeLocked(key, e)
-	}
-}
-
-// removeLocked drops one fully-generated entry. Callers hold s.mu.
-func (s *Store) removeLocked(key Key, e *entry) {
-	delete(s.entries, key)
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
-	}
-	s.bytes -= e.charged
-	e.charged = 0
+	return nil
 }
 
 // Purge drops every cached dataset from the memory tier and returns how
 // many were dropped. In-flight generations are unaffected (their callers
-// still get their dataset; it just won't be cached under a purged key —
-// the entry object itself survives for them). The disk tier is not
-// touched: spilled files stay valid and purged keys reload from disk on
-// next use instead of regenerating. Use PurgeDir to drop the disk tier.
-func (s *Store) Purge() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for key, e := range s.entries {
-		if e.elem == nil {
-			// Still generating: detach it so it completes uncached;
-			// waiters blocked on the entry still get their dataset.
-			delete(s.entries, key)
-			continue
-		}
-		s.removeLocked(key, e)
-		n++
-	}
-	return n
-}
+// still get their dataset; it just won't be cached under a purged key).
+// The disk tier is not touched: spilled files stay valid and purged keys
+// reload from disk on next use instead of regenerating. Use PurgeDir to
+// drop the disk tier.
+func (s *Store) Purge() int { return s.c.Purge() }
 
 // PurgeDir removes every dataset file from the configured disk tier —
-// including any ".dset-*" temp files orphaned by a crash between
-// WriteFile's create and rename — and returns how many were removed.
-// It is a no-op (0, nil) when no directory is configured. Memory-tier
-// residents are unaffected.
-func (s *Store) PurgeDir() (int, error) {
-	dir := s.Dir()
-	if dir == "" {
-		return 0, nil
-	}
-	removed := 0
-	for _, pattern := range []string{"*.dset", ".dset-*"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			return removed, err
-		}
-		for _, path := range matches {
-			if err := os.Remove(path); err != nil {
-				return removed, err
-			}
-			removed++
-		}
-	}
-	return removed, nil
-}
+// including temp files orphaned by a crash between an atomic write's
+// create and rename — and returns how many were removed. It is a no-op
+// (0, nil) when no directory is configured. Memory-tier residents are
+// unaffected.
+func (s *Store) PurgeDir() (int, error) { return s.c.PurgeDir() }
 
 // Stats reports the store's per-tier counters since process start and
 // the resident memory-tier footprint.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Datasets = s.lru.Len()
-	st.Bytes = s.bytes
-	return st
+	t := s.c.Stats()
+	return Stats{
+		Datasets: t.Entries, Bytes: t.Bytes,
+		MemHits: t.MemHits, MemMisses: t.MemMisses,
+		DiskHits: t.DiskHits, DiskMisses: t.DiskMisses,
+		Generations: s.generations.Load(), MapHits: s.mapHits.Load(), MappedBytes: s.mappedBytes.Load(),
+		SpillErrors: t.SpillErrors,
+	}
 }
 
 // OpenShared resolves a fully-specified workload through the Shared

@@ -34,10 +34,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -664,14 +667,16 @@ func (c *Coordinator) Info() SweepInfo {
 }
 
 // wireDataset is one fetchable dataset: its definition plus the
-// lazily-materialized serving file. The once makes materialization —
-// including validation of a pre-existing file — happen exactly once per
-// coordinator, however many workers fetch concurrently.
+// lazily-materialized serving file and the sha256 of its bytes. The
+// once makes materialization — including validation of a pre-existing
+// file — happen exactly once per coordinator, however many workers
+// fetch concurrently.
 type wireDataset struct {
-	sd   destset.SweepDataset
-	once sync.Once
-	path string
-	err  error
+	sd     destset.SweepDataset
+	once   sync.Once
+	path   string
+	sha256 string
+	err    error
 }
 
 // DatasetPath resolves a content key to the on-disk dataset file the
@@ -691,19 +696,37 @@ func (c *Coordinator) DatasetPath(key string) (string, error) {
 		if dir == "" {
 			dir = c.st.spillDir
 		}
-		wd.path, wd.err = wd.sd.SpillTo(dir)
-		if wd.err == nil {
+		if wd.path, wd.err = wd.sd.SpillTo(dir); wd.err != nil {
+			return
+		}
+		// The digest vouches for these bytes in /v1/holders replies.
+		if wd.sha256, wd.err = fileSHA256(wd.path); wd.err == nil {
 			c.logf("dataset %s ready at %s", key, wd.path)
 		}
 	})
 	return wd.path, wd.err
 }
 
+// fileSHA256 returns the hex sha256 of a file's bytes.
+func fileSHA256(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // peerHolder is one worker's advertised peer dataset server: its base
 // URL and the content keys it is believed to hold. Workers are servers
-// too — the wire format is content-addressed and every receiver
-// re-validates the full payload, so an untrusted (or stale, or lying)
-// holder can waste a fetch attempt but never poison an install.
+// too — every receiver checks a peer's bytes against the sha256 the
+// coordinator vouches for in its /v1/holders reply, so an untrusted (or
+// stale, or lying) holder can waste a fetch attempt but never poison an
+// install.
 type peerHolder struct {
 	addr string
 	keys map[string]bool
@@ -745,20 +768,26 @@ func (c *Coordinator) Announce(worker, planFP, peer string, holds []string) erro
 }
 
 // HoldersReply is the /v1/holders response: peer base URLs believed to
-// hold the key, shuffled so a thundering fleet spreads across holders.
+// hold the key, shuffled so a thundering fleet spreads across holders,
+// and the sha256 of the coordinator's own copy of the bytes. A worker
+// installs peer-served bytes only if they hash to SHA256.
 type HoldersReply struct {
 	Key     string   `json:"key"`
 	Holders []string `json:"holders"`
+	SHA256  string   `json:"sha256"`
 }
 
 // Holders answers one fetch hint: the shuffled addresses of live
-// workers holding key. Liveness is the same two-TTL horizon the worker
-// count uses, and an expired lease prunes its worker's entry outright —
-// a dead worker stops being hinted as soon as its lease dies. Unknown
-// keys are refused like the fetch endpoint refuses them.
+// workers holding key, and the digest their bytes must match. Liveness
+// is the same two-TTL horizon the worker count uses, and an expired
+// lease prunes its worker's entry outright — a dead worker stops being
+// hinted as soon as its lease dies. The digest comes from the
+// coordinator's own materialized file, so the first hint for a key
+// materializes it, exactly as the first fetch would. Unknown keys are
+// refused like the fetch endpoint refuses them.
 func (c *Coordinator) Holders(key string) (HoldersReply, error) {
-	if _, ok := c.wire[key]; !ok {
-		return HoldersReply{}, fmt.Errorf("%w: %s", ErrUnknownDataset, key)
+	if _, err := c.DatasetPath(key); err != nil {
+		return HoldersReply{}, err
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -778,7 +807,7 @@ func (c *Coordinator) Holders(key string) (HoldersReply, error) {
 	if len(out) > 0 {
 		c.peerHints.Add(1)
 	}
-	return HoldersReply{Key: key, Holders: out}, nil
+	return HoldersReply{Key: key, Holders: out, SHA256: c.wire[key].sha256}, nil
 }
 
 // Lease is one granted cell range.

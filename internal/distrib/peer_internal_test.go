@@ -10,7 +10,9 @@ package distrib
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"net/http"
 	"os"
 	"strings"
@@ -267,9 +269,10 @@ func TestPeerFetchFanOut(t *testing.T) {
 }
 
 // TestPeerCorruptionNeverPoisons registers a lying peer as the sole
-// holder: whatever it serves — truncated, bit-flipped, or not a dataset
-// at all — fails receipt validation, installs nothing, and the fetch
-// falls back to the coordinator. A clean worker then pulls the
+// holder: whatever it serves — truncated, bit-flipped, not a dataset at
+// all, or a forged file that passes every self-check — fails receipt
+// validation or the coordinator's digest, installs nothing, and the
+// fetch falls back to the coordinator. A clean worker then pulls the
 // recovered install peer-to-peer and gets byte-identical data: the lie
 // stops at the validator, it never propagates.
 func TestPeerCorruptionNeverPoisons(t *testing.T) {
@@ -284,6 +287,15 @@ func TestPeerCorruptionNeverPoisons(t *testing.T) {
 			return c
 		}},
 		{"not-a-dataset", func(b []byte) []byte { return []byte("trust me, this is oltp") }},
+		// Valid in every way a receiver can check on its own — header,
+		// layout, payload CRC, decoded key — but not the bytes the
+		// coordinator serves: only the coordinator's digest catches it.
+		{"re-checksummed", func(b []byte) []byte {
+			c := bytes.Clone(b)
+			c[len(c)/2] ^= 0x01
+			binary.LittleEndian.PutUint64(c[48:], crc64.Checksum(c[64:], crc64.MakeTable(crc64.ECMA)))
+			return c
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			def := peerTestDef()

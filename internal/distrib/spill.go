@@ -17,8 +17,7 @@ package distrib
 //
 // Names are content addresses: sha256 over (version, plan fingerprint,
 // range), so re-completions and resumed coordinators converge on the
-// same file, written with the same temp + rename discipline as
-// internal/results.
+// same file, written atomically through internal/atomicfile.
 
 import (
 	"bufio"
@@ -30,6 +29,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"destset/internal/atomicfile"
 )
 
 // spillFormat names the header line's format field.
@@ -62,7 +63,7 @@ func spillName(plan string, lo, hi int) string {
 
 // writeSpill persists one completed range: perCell[i] holds cell
 // lo+i's record lines in upload order. The file appears atomically
-// (temp + rename) under its content-addressed name, which is returned.
+// under its content-addressed name, which is returned.
 func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) (string, error) {
 	crc := crc64.New(walCRCTable)
 	records := 0
@@ -82,27 +83,19 @@ func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) (string,
 	}
 
 	name := spillName(plan, lo, hi)
-	tmp, err := os.CreateTemp(dir, ".spill-*")
-	if err != nil {
-		return "", fmt.Errorf("distrib: spilling cells [%d,%d): %w", lo, hi, err)
-	}
-	bw := bufio.NewWriterSize(tmp, 64*1024)
-	bw.Write(hdr)
-	bw.WriteByte('\n')
-	for _, lines := range perCell {
-		for _, line := range lines {
-			bw.Write(line)
-			bw.WriteByte('\n')
+	err = atomicfile.Write(nil, filepath.Join(dir, name), func(f *os.File) error {
+		bw := bufio.NewWriterSize(f, 64*1024)
+		bw.Write(hdr)
+		bw.WriteByte('\n')
+		for _, lines := range perCell {
+			for _, line := range lines {
+				bw.Write(line)
+				bw.WriteByte('\n')
+			}
 		}
-	}
-	ferr := bw.Flush()
-	cerr := tmp.Close()
-	if ferr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("distrib: spilling cells [%d,%d): flush %v, close %v", lo, hi, ferr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
+		return bw.Flush()
+	})
+	if err != nil {
 		return "", fmt.Errorf("distrib: spilling cells [%d,%d): %w", lo, hi, err)
 	}
 	return name, nil

@@ -38,6 +38,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"destset/internal/atomicfile"
 )
 
 // ErrStateCorrupt reports a coordinator state dir that failed integrity
@@ -352,21 +354,11 @@ func (st *walState) commit(cp *checkpoint) error {
 		f.Close()
 		return st.disable(err)
 	}
-	path := filepath.Join(st.dir, "checkpoint")
-	tmp, err := os.CreateTemp(st.dir, ".checkpoint-*")
+	err = atomicfile.Write(nil, filepath.Join(st.dir, "checkpoint"), func(tmp *os.File) error {
+		_, err := tmp.Write(appendFrame(append([]byte(nil), ckptMagic[:]...), payload))
+		return err
+	})
 	if err != nil {
-		f.Close()
-		return st.disable(err)
-	}
-	_, werr := tmp.Write(appendFrame(append([]byte(nil), ckptMagic[:]...), payload))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		f.Close()
-		return st.disable(errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		f.Close()
 		return st.disable(err)
 	}

@@ -3,9 +3,12 @@ package distrib
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -569,28 +572,29 @@ func (w *worker) fetchShared(ctx context.Context, sd destset.SweepDataset, key, 
 }
 
 // holderHints asks the coordinator which peers hold key, best-effort:
-// an error, a coordinator without the endpoint or an empty holder set
-// all just mean fetching straight from the uplink. The worker's own
-// address is filtered out.
-func (w *worker) holderHints(ctx context.Context, key string) []string {
+// an error, a coordinator without the endpoint, an empty holder set or
+// a reply without the digest that peer bytes must match all just mean
+// fetching straight from the uplink. The worker's own address is
+// filtered out.
+func (w *worker) holderHints(ctx context.Context, key string) HoldersReply {
 	if w.cfg.NoPeer {
-		return nil
+		return HoldersReply{}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/v1/holders/"+key, nil)
 	if err != nil {
-		return nil
+		return HoldersReply{}
 	}
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return nil
+		return HoldersReply{}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil
+		return HoldersReply{}
 	}
 	var reply HoldersReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || reply.SHA256 == "" {
+		return HoldersReply{}
 	}
 	hints := reply.Holders[:0]
 	for _, h := range reply.Holders {
@@ -598,13 +602,16 @@ func (w *worker) holderHints(ctx context.Context, key string) []string {
 			hints = append(hints, h)
 		}
 	}
-	return hints
+	reply.Holders = hints
+	return reply
 }
 
 // fetchSource is one place a fetch attempt asks for the bytes.
 type fetchSource struct {
 	base string
 	peer bool
+	// sha256, set for peers, is the coordinator's digest of the bytes.
+	sha256 string
 }
 
 // fetchSources orders one fetch's attempts: up to maxPeerFetches hinted
@@ -613,11 +620,12 @@ type fetchSource struct {
 // the coordinator for every remaining attempt.
 func (w *worker) fetchSources(ctx context.Context, key string) []fetchSource {
 	var srcs []fetchSource
-	for _, h := range w.holderHints(ctx, key) {
+	hints := w.holderHints(ctx, key)
+	for _, h := range hints.Holders {
 		if len(srcs) == maxPeerFetches {
 			break
 		}
-		srcs = append(srcs, fetchSource{base: strings.TrimRight(h, "/"), peer: true})
+		srcs = append(srcs, fetchSource{base: strings.TrimRight(h, "/"), peer: true, sha256: hints.SHA256})
 	}
 	for len(srcs) < maxFetchAttempts {
 		srcs = append(srcs, fetchSource{base: w.base})
@@ -669,9 +677,10 @@ func (w *worker) fetchDataset(ctx context.Context, sd destset.SweepDataset, key,
 
 // fetchOnce is one fetch attempt against src: GET the content-addressed
 // bytes and install them under dir (validated, temp + rename) only
-// after the whole body checks out — which is also the entire trust
-// model for peers: a corrupt or lying stream fails validation, installs
-// nothing, and costs one attempt. A coordinator answering 404 does not
+// after the whole body checks out. A peer's body must also hash to the
+// coordinator's digest — the entire trust model for peers: a corrupt or
+// lying stream, even one that re-checksums its own header, installs
+// nothing and costs one attempt. A coordinator answering 404 does not
 // know the key at all (its vanished-file case is 503), which is
 // permanent; a peer's 404 just means the hint went stale.
 func (w *worker) fetchOnce(ctx context.Context, src fetchSource, sd destset.SweepDataset, key, dir string) (int64, error) {
@@ -696,7 +705,29 @@ func (w *worker) fetchOnce(ctx context.Context, src fetchSource, sd destset.Swee
 			return 0, ctx.Err()
 		}
 	}
-	return sd.InstallTo(dir, resp.Body)
+	body := io.Reader(resp.Body)
+	if src.peer {
+		body = &digestReader{r: resp.Body, h: sha256.New(), want: src.sha256}
+	}
+	return sd.InstallTo(dir, body)
+}
+
+// digestReader passes r through and turns its EOF into an error unless
+// the bytes read hash to want. InstallTo reads to EOF before it renames,
+// so bytes that fail the check never appear in the dataset directory.
+type digestReader struct {
+	r    io.Reader
+	h    hash.Hash
+	want string
+}
+
+func (d *digestReader) Read(p []byte) (int, error) {
+	n, err := d.r.Read(p)
+	d.h.Write(p[:n])
+	if err == io.EOF && hex.EncodeToString(d.h.Sum(nil)) != d.want {
+		err = fmt.Errorf("distrib: peer bytes do not hash to the coordinator's sha256 %s", d.want)
+	}
+	return n, err
 }
 
 // leaseLoop leases, executes and uploads ranges until done. Failures to

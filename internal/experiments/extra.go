@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"os"
 
 	"destset"
-	"destset/internal/atomicfile"
 	"destset/internal/dataset"
 )
 
@@ -38,11 +35,7 @@ func LoadExtraDatasets(paths []string, datasetDir string) ([]destset.WorkloadSpe
 			if err := os.MkdirAll(datasetDir, 0o755); err != nil {
 				return nil, err
 			}
-			err := atomicfile.Write(context.Background(), dest, func(w io.Writer) error {
-				_, err := ds.WriteTo(w)
-				return err
-			})
-			if err != nil {
+			if err := dataset.WriteFile(dest, ds); err != nil {
 				return nil, fmt.Errorf("experiments: installing %s into %s: %w", path, datasetDir, err)
 			}
 		}

@@ -7,8 +7,8 @@ package results
 // facade stores JSON-encoded cell results there, but the format does
 // not care). The discipline mirrors internal/dataset/disk.go — a
 // versioned little-endian header, a CRC-64/ECMA checksum over the whole
-// payload, atomic temp+rename writes — scaled down to records of a few
-// kilobytes that are read whole rather than aliased.
+// payload, atomic writes through internal/atomicfile — scaled down to
+// records of a few kilobytes that are read whole rather than aliased.
 //
 //	header (48 bytes, little-endian):
 //	  0  magic      8   "DSETRSLT"
@@ -37,6 +37,8 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+
+	"destset/internal/atomicfile"
 )
 
 // FileVersion is the current on-disk format version. Files written with
@@ -82,8 +84,8 @@ func Sniff(prefix []byte) bool {
 }
 
 // Decode validates and decodes a serialized record. The returned
-// payload aliases buf. Truncated or corrupted input fails with
-// ErrBadFormat.
+// payload aliases buf, and Encode of what it returns gives buf back.
+// Truncated or corrupted input fails with ErrBadFormat.
 func Decode(buf []byte) (kind, fp string, payload []byte, err error) {
 	if len(buf) < headerLen || !Sniff(buf) {
 		return "", "", nil, fmt.Errorf("%w (not a result file)", ErrBadFormat)
@@ -97,6 +99,10 @@ func Decode(buf []byte) (kind, fp string, payload []byte, err error) {
 	sum := binary.LittleEndian.Uint64(buf[24:])
 	if kindLen > sane || fpLen > sane || payloadLen > sane {
 		return "", "", nil, fmt.Errorf("%w (implausible header lengths)", ErrBadFormat)
+	}
+	// Encode writes zeros there; anything else is not a record it wrote.
+	if binary.LittleEndian.Uint64(buf[32:]) != 0 || binary.LittleEndian.Uint64(buf[40:]) != 0 {
+		return "", "", nil, fmt.Errorf("%w (reserved header bytes set)", ErrBadFormat)
 	}
 	total := headerLen + int(kindLen) + int(fpLen) + int(payloadLen)
 	if len(buf) != total {
@@ -115,41 +121,27 @@ func Decode(buf []byte) (kind, fp string, payload []byte, err error) {
 // dir: the fingerprint plus the format version, hashed. Versioning the
 // address means a format bump never misreads old files — they are
 // simply unreachable and recompute.
-func Path(dir, fp string) string {
+func Path(dir, fp string) string { return filepath.Join(dir, name(fp)) }
+
+// name is the content-addressed file name of a fingerprint.
+func name(fp string) string {
 	h := sha256.New()
 	var num [8]byte
 	binary.LittleEndian.PutUint64(num[:], FileVersion)
 	h.Write(num[:])
 	h.Write([]byte(fp))
-	return filepath.Join(dir, hex.EncodeToString(h.Sum(nil)[:16])+".rslt")
+	return hex.EncodeToString(h.Sum(nil)[:16]) + ".rslt"
 }
 
-// WriteFile atomically writes one record to path: the bytes land in a
-// temporary file in the same directory and are renamed into place, so
-// concurrent readers (other processes sharing a result directory)
+// WriteFile atomically writes one record to path (internal/atomicfile),
+// so concurrent readers (other processes sharing a result directory)
 // never observe a partial file. Rewriting an existing path heals a
 // corrupted or stale-version file in place.
 func WriteFile(path, kind, fp string, payload []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".rslt-*")
-	if err != nil {
+	return atomicfile.Write(nil, path, func(f *os.File) error {
+		_, err := f.Write(Encode(kind, fp, payload))
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(Encode(kind, fp, payload)); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // ReadFile loads a record file written by WriteFile and verifies it

@@ -101,6 +101,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 		return b
 	})
+	// The checksum covers only the payload, so a set reserved byte passes
+	// it; Decode must still refuse a header Encode never writes.
+	corrupt("reserved byte set", func(b []byte) []byte { b[40] = 1; return b })
 }
 
 // TestReadFileRejectsWrongFingerprint pins the address check: a valid

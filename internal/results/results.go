@@ -5,46 +5,41 @@
 // memoizes the *outputs* — a few kilobytes of observations per cell —
 // so a rerun whose specs changed in 3 of 10,000 cells computes 3 cells.
 //
-// A store is tiered. The memory tier is always present: a map with an
-// LRU byte limit. When a result directory is configured (SetDir) an
-// on-disk content-addressed tier sits behind it: memory misses probe
-// dir/<sha256(fingerprint)>.rslt before reporting a miss, and every
-// stored record is spilled to the directory so later — and cold —
-// processes skip the computation entirely. Records are opaque payloads
-// tagged with a kind; corruption, truncation and version skew are
-// CRC-guarded misses (disk.go), healed in place by the next Put.
+// Both stores are instances of one shared tier (internal/tier), so this
+// package keeps only its record codec, its content address and its
+// Stores counter. The memory tier has an LRU byte limit; when a result
+// directory is configured (SetDir) an on-disk content-addressed tier
+// sits behind it: memory misses probe dir/<sha256(fingerprint)>.rslt
+// before reporting a miss, and every stored record is spilled to the
+// directory so later — and cold — processes skip the computation
+// entirely. Records are opaque payloads tagged with a kind; corruption,
+// truncation and version skew are CRC-guarded misses (disk.go), healed
+// in place by the next Put.
 package results
 
 import (
-	"container/list"
-	"os"
-	"path/filepath"
-	"sync"
+	"sync/atomic"
+
+	"destset/internal/tier"
 )
 
-// entry is one resident record.
-type entry struct {
+// record is one stored cell result: a kind tag and its opaque payload.
+type record struct {
 	kind    string
 	payload []byte
-	elem    *list.Element // position in the store's LRU list
 }
 
 // Store memoizes result records by fingerprint. The zero value is not
 // ready; use NewStore. All methods are safe for concurrent use.
 //
-// Unlike the dataset store there is no singleflight generation: the
-// store does not know how to compute a cell, so Get simply reports a
-// miss and the caller computes and Puts. Concurrent Puts of the same
-// fingerprint carry identical bytes (results are deterministic), so
-// last-write-wins is harmless.
+// Unlike the dataset store there is no generation: the store does not
+// know how to compute a cell, so Get simply reports a miss and the
+// caller computes and Puts. Concurrent Puts of the same fingerprint
+// carry identical bytes (results are deterministic), so last-write-wins
+// is harmless.
 type Store struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // of fingerprint, front = most recently used
-	bytes   int64
-	limit   int64
-	dir     string
-	stats   Stats
+	c      *tier.Cache[string, record]
+	stores atomic.Uint64
 }
 
 // Stats are a store's per-tier counters since process start, plus its
@@ -66,11 +61,25 @@ type Stats struct {
 	// an upload) rather than served from a tier. A warm store keeps this
 	// at zero across reruns.
 	Stores uint64 `json:"stores"`
+	// SpillErrors counts stored records the disk tier failed to save (a
+	// full, removed or read-only directory). The spill stays
+	// best-effort, so this counter is the only sign that later cold
+	// processes will recompute instead of loading.
+	SpillErrors uint64 `json:"spill_errors"`
 }
 
 // NewStore returns an empty store with no size limit.
 func NewStore() *Store {
-	return &Store{entries: make(map[string]*entry), lru: list.New()}
+	return &Store{c: tier.New(tier.Codec[string, record]{
+		Ext:  ".rslt",
+		Name: name,
+		Size: func(r record) int64 { return int64(len(r.payload)) },
+		Read: func(path, fp string) (record, error) {
+			kind, payload, err := ReadFile(path, fp)
+			return record{kind, payload}, err
+		},
+		Write: func(path, fp string, r record) error { return WriteFile(path, r.kind, fp, r.payload) },
+	})}
 }
 
 // SetLimit caps the store's resident record bytes; 0 (the default)
@@ -78,175 +87,57 @@ func NewStore() *Store {
 // least-recently-used records are evicted (never the one being
 // inserted). Evicted records reload from disk — or recompute — on next
 // use.
-func (s *Store) SetLimit(bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limit = bytes
-	s.trimLocked(nil)
-}
+func (s *Store) SetLimit(bytes int64) { s.c.SetLimit(bytes) }
 
 // SetDir configures the on-disk result tier rooted at dir (created if
 // missing); an empty dir disables the tier. Changing the directory
 // does not invalidate records already resident in memory.
-func (s *Store) SetDir(dir string) error {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dir = dir
-	return nil
-}
+func (s *Store) SetDir(dir string) error { return s.c.SetDir(dir) }
 
 // Dir returns the configured result directory ("" when the disk tier
 // is disabled).
-func (s *Store) Dir() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dir
-}
+func (s *Store) Dir() string { return s.c.Dir() }
 
 // Get returns the record stored under fp: from memory, else from the
 // disk tier (when configured). The returned payload is shared; do not
 // mutate it.
 func (s *Store) Get(fp string) (kind string, payload []byte, ok bool) {
-	s.mu.Lock()
-	if e, hit := s.entries[fp]; hit {
-		s.stats.MemHits++
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		return e.kind, e.payload, true
-	}
-	s.stats.MemMisses++
-	dir := s.dir
-	s.mu.Unlock()
-	if dir == "" {
-		return "", nil, false
-	}
-	kind, payload, err := ReadFile(Path(dir, fp), fp)
-	s.mu.Lock()
-	if err != nil {
-		s.stats.DiskMisses++
-		s.mu.Unlock()
-		return "", nil, false
-	}
-	s.stats.DiskHits++
-	s.insertLocked(fp, kind, payload)
-	s.mu.Unlock()
-	return kind, payload, true
+	r, err := s.c.Get(fp, nil)
+	return r.kind, r.payload, err == nil
 }
 
 // Put stores a record under fp, replacing any resident one, and spills
 // it to the disk tier best-effort (a read-only or full directory must
-// not fail the sweep; it only costs the next cold start). Rewriting a
-// fingerprint whose file was corrupted heals it in place. The payload
-// is retained; do not mutate it afterwards.
+// not fail the sweep; it only costs the next cold start, and shows in
+// Stats.SpillErrors). Rewriting a fingerprint whose file was corrupted
+// heals it in place. The payload is retained; do not mutate it
+// afterwards.
 func (s *Store) Put(kind, fp string, payload []byte) {
-	s.mu.Lock()
-	s.stats.Stores++
-	if e, hit := s.entries[fp]; hit {
-		s.removeLocked(fp, e)
-	}
-	s.insertLocked(fp, kind, payload)
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		_ = WriteFile(Path(dir, fp), kind, fp, payload)
-	}
-}
-
-// insertLocked adds one record to the memory tier and trims to the
-// byte limit. Callers hold s.mu.
-func (s *Store) insertLocked(fp, kind string, payload []byte) {
-	e := &entry{kind: kind, payload: payload}
-	e.elem = s.lru.PushFront(fp)
-	s.entries[fp] = e
-	s.bytes += int64(len(payload))
-	s.trimLocked(e)
-}
-
-// trimLocked evicts LRU records until the byte total fits the limit,
-// sparing keep (the record just inserted). Callers hold s.mu.
-func (s *Store) trimLocked(keep *entry) {
-	if s.limit <= 0 {
-		return
-	}
-	for s.bytes > s.limit {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		fp := back.Value.(string)
-		e := s.entries[fp]
-		if e == keep {
-			// The newest record may alone exceed the limit; keep it
-			// rather than thrash.
-			if s.lru.Len() == 1 {
-				return
-			}
-			s.lru.MoveToFront(back)
-			continue
-		}
-		s.removeLocked(fp, e)
-	}
-}
-
-// removeLocked drops one resident record. Callers hold s.mu.
-func (s *Store) removeLocked(fp string, e *entry) {
-	delete(s.entries, fp)
-	s.lru.Remove(e.elem)
-	s.bytes -= int64(len(e.payload))
+	s.stores.Add(1)
+	s.c.Put(fp, record{kind, payload})
 }
 
 // Purge drops every record from the memory tier and returns how many
 // were dropped. The disk tier is not touched: spilled files stay valid
 // and purged fingerprints reload from disk on next use. Use PurgeDir
 // to drop the disk tier.
-func (s *Store) Purge() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.entries)
-	s.entries = make(map[string]*entry)
-	s.lru.Init()
-	s.bytes = 0
-	return n
-}
+func (s *Store) Purge() int { return s.c.Purge() }
 
 // PurgeDir removes every record file from the configured disk tier —
-// including any ".rslt-*" temp files orphaned by a crash between
-// WriteFile's create and rename — and returns how many were removed.
-// It is a no-op (0, nil) when no directory is configured. Memory-tier
-// residents are unaffected.
-func (s *Store) PurgeDir() (int, error) {
-	dir := s.Dir()
-	if dir == "" {
-		return 0, nil
-	}
-	removed := 0
-	for _, pattern := range []string{"*.rslt", ".rslt-*"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			return removed, err
-		}
-		for _, path := range matches {
-			if err := os.Remove(path); err != nil {
-				return removed, err
-			}
-			removed++
-		}
-	}
-	return removed, nil
-}
+// including temp files orphaned by a crash between an atomic write's
+// create and rename — and returns how many were removed. It is a no-op
+// (0, nil) when no directory is configured. Memory-tier residents are
+// unaffected.
+func (s *Store) PurgeDir() (int, error) { return s.c.PurgeDir() }
 
 // Stats reports the store's per-tier counters since process start and
 // the resident memory-tier footprint.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Records = s.lru.Len()
-	st.Bytes = s.bytes
-	return st
+	t := s.c.Stats()
+	return Stats{
+		Records: t.Entries, Bytes: t.Bytes,
+		MemHits: t.MemHits, MemMisses: t.MemMisses,
+		DiskHits: t.DiskHits, DiskMisses: t.DiskMisses,
+		Stores: s.stores.Load(), SpillErrors: t.SpillErrors,
+	}
 }

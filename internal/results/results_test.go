@@ -172,14 +172,17 @@ func TestStorePurgeDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put("timing", "fp-pd", []byte("payload"))
-	// An orphaned temp file (a crash between WriteFile's create and
-	// rename) must be cleaned up too.
-	if err := os.WriteFile(filepath.Join(dir, ".rslt-orphan"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+	// Orphaned temp files (a crash between an atomic write's create and
+	// rename) must be cleaned up too: the older writers' name and
+	// internal/atomicfile's.
+	for _, orphan := range []string{".rslt-orphan", "." + filepath.Base(Path(dir, "fp-pd")) + "-orphan"} {
+		if err := os.WriteFile(filepath.Join(dir, orphan), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n, err := s.PurgeDir()
-	if err != nil || n != 2 {
-		t.Fatalf("PurgeDir = (%d, %v), want (2, nil): orphaned temp files must be removed", n, err)
+	if err != nil || n != 3 {
+		t.Fatalf("PurgeDir = (%d, %v), want (3, nil): orphaned temp files must be removed", n, err)
 	}
 	if st := s.Stats(); st.Records != 1 {
 		t.Fatalf("PurgeDir evicted memory residents: %+v", st)
@@ -191,6 +194,41 @@ func TestStorePurgeDir(t *testing.T) {
 	bare := NewStore()
 	if n, err := bare.PurgeDir(); n != 0 || err != nil {
 		t.Fatalf("PurgeDir without a dir = (%d, %v)", n, err)
+	}
+}
+
+// TestStoreCountsSpillErrors: a record the disk tier cannot save is
+// still stored in memory (the spill is best-effort), and the failure
+// shows in SpillErrors instead of only in later cold processes.
+func TestStoreCountsSpillErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	s := NewStore()
+	if err := s.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	// With the directory gone the temp file cannot be created, even for
+	// root.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("trace", "fp-lost", []byte("payload"))
+	if _, _, ok := s.Get("fp-lost"); !ok {
+		t.Fatal("record lost with its spill")
+	}
+	if st := s.Stats(); st.SpillErrors != 1 || st.Stores != 1 {
+		t.Fatalf("stats after a failed spill: %+v", st)
+	}
+	// A working directory again: the next spill lands and counts no
+	// error.
+	if err := s.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Put("trace", "fp-kept", []byte("payload"))
+	if st := s.Stats(); st.SpillErrors != 1 || st.Stores != 2 {
+		t.Fatalf("stats after a good spill: %+v", st)
+	}
+	if _, err := os.Stat(Path(dir, "fp-kept")); err != nil {
+		t.Fatalf("record was not spilled: %v", err)
 	}
 }
 

@@ -100,8 +100,8 @@ func ResultStoreStats() ResultStats { return sharedResults.Stats() }
 // PurgeResults drops the process-wide result store's memory tier.
 func PurgeResults() int { return sharedResults.Purge() }
 
-// PurgeResultDir removes every record file from the process-wide
-// store's disk tier.
+// PurgeResultDir removes every record file (and temp file a crash
+// orphaned mid-write) from the process-wide store's disk tier.
 func PurgeResultDir() (int, error) { return sharedResults.PurgeDir() }
 
 // WithResultStore attaches a result store to a runner: each planned

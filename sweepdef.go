@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"destset/internal/atomicfile"
 	"destset/internal/dataset"
 	"destset/internal/sweep"
 	"destset/internal/workload"
@@ -316,30 +317,21 @@ func (sd SweepDataset) InstallTo(dir string, r io.Reader) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	f, err := os.CreateTemp(dir, ".dset-*")
+	var n int64
+	err = atomicfile.Write(nil, key.Path(dir), func(f *os.File) error {
+		if n, err = io.Copy(f, r); err != nil {
+			return err
+		}
+		ds, err := dataset.ReadFile(f.Name())
+		if err != nil {
+			return err
+		}
+		if dataset.KeyOf(ds.Params(), ds.Warm(), ds.Measure()) != key {
+			return fmt.Errorf("destset: fetched dataset %s does not match its key", key.Addr())
+		}
+		return nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	n, err := io.Copy(f, r)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	ds, err := dataset.ReadFile(tmp)
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if dataset.KeyOf(ds.Params(), ds.Warm(), ds.Measure()) != key {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("destset: fetched dataset %s does not match its key", key.Addr())
-	}
-	if err := os.Rename(tmp, key.Path(dir)); err != nil {
-		os.Remove(tmp)
 		return 0, err
 	}
 	return n, nil
