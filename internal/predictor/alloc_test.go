@@ -3,6 +3,7 @@ package predictor
 import (
 	"testing"
 
+	"destset/internal/memtest"
 	"destset/internal/nodeset"
 	"destset/internal/trace"
 )
@@ -76,3 +77,38 @@ func TestTrainResponseAndRetryAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestNewBankBytes bounds what a 16-node bank of the paper's standout
+// configuration (8192 entries, 4 ways) allocates: one set-major array
+// of {tag, entry} lines plus a 4-byte fill count per set. Lines are 16
+// bytes for Owner and BroadcastIfShared, 32 for Group and 40 for
+// OwnerGroup; StickySpatial keeps 17 bytes per entry in three arrays.
+// Lines that also carry an LRU stamp and a valid flag are 8 to 16 bytes
+// larger and fail every table-backed bound.
+func TestNewBankBytes(t *testing.T) {
+	const (
+		nodes   = 16
+		entries = 8192
+		fill    = nodes * entries / 4 * 4
+		slack   = 8 << 10
+	)
+	bounds := map[Policy]float64{
+		Owner:             nodes*entries*16 + fill + slack,
+		BroadcastIfShared: nodes*entries*16 + fill + slack,
+		Group:             nodes*entries*32 + fill + slack,
+		OwnerGroup:        nodes*entries*40 + fill + slack,
+		StickySpatial:     nodes*entries*17 + slack,
+		Minimal:           slack,
+		Broadcast:         slack,
+		Oracle:            slack,
+	}
+	for _, pol := range builtinPolicies {
+		cfg := DefaultConfig(pol, nodes)
+		bytes, _ := memtest.PerRun(3, func() { bankSink = NewBank(cfg) })
+		if bytes > bounds[pol] {
+			t.Errorf("%v: a %d-node bank allocates %.0f bytes, want at most %.0f", pol, nodes, bytes, bounds[pol])
+		}
+	}
+}
+
+var bankSink []Predictor

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"strings"
 	"testing"
 
 	"destset/internal/nodeset"
@@ -68,7 +69,7 @@ func TestOwnerGroupMemoryResponseClears(t *testing.T) {
 		t.Errorf("memory response should clear the owner half: %v", got)
 	}
 	// A memory response on an absent entry must not allocate.
-	p2 := newOwnerGroup(unboundedCfg(OwnerGroup))
+	p2 := New(unboundedCfg(OwnerGroup)).(*ownerGroupPredictor)
 	p2.TrainResponse(Response{Addr: 99, FromMemory: true})
 	if p2.table.Len() != 0 {
 		t.Error("memory response allocated an OwnerGroup entry")
@@ -126,6 +127,33 @@ func TestGroupRolloverConfigurable(t *testing.T) {
 	}
 }
 
+// TestGroupRolloverBeyondEightBits: limits past an 8-bit counter's
+// range still train down. A saturated node leaves the predicted set
+// after a few limits' worth of requests from another node, and not
+// before one limit has passed.
+func TestGroupRolloverBeyondEightBits(t *testing.T) {
+	for _, limit := range []int{255, 256, 300, 1024} {
+		cfg := unboundedCfg(Group)
+		cfg.GroupRollover = limit
+		p := New(cfg)
+		for i := 0; i < 4; i++ {
+			p.TrainRequest(External{Addr: 5, Requester: 2, Kind: trace.GetExclusive})
+		}
+		for i := 0; i < limit-8; i++ {
+			p.TrainRequest(External{Addr: 5, Requester: 9, Kind: trace.GetExclusive})
+		}
+		if got := p.Predict(q(5, 3, trace.GetExclusive)); !got.Contains(2) {
+			t.Errorf("limit %d: node 2 decayed before one limit passed: %v", limit, got)
+		}
+		for i := 0; i < 2*limit; i++ {
+			p.TrainRequest(External{Addr: 5, Requester: 9, Kind: trace.GetExclusive})
+		}
+		if got := p.Predict(q(5, 3, trace.GetExclusive)); got.Contains(2) || !got.Contains(9) {
+			t.Errorf("limit %d: after %d requests from node 9, prediction %v (want 9 and not 2)", limit, 3*limit-8, got)
+		}
+	}
+}
+
 func TestStickySpatialSharedRequestsTrain(t *testing.T) {
 	// Unlike the Table 3 policies, StickySpatial aggregates everything it
 	// observes, including GETS requesters.
@@ -156,4 +184,31 @@ func TestNewPanicsOnUnknownPolicy(t *testing.T) {
 		}
 	}()
 	New(Config{Policy: Policy(42), Nodes: 16})
+}
+
+// TestValidateMatchesNew: Validate accepts exactly the configurations
+// New builds without panicking.
+func TestValidateMatchesNew(t *testing.T) {
+	var cfgs []Config
+	for _, pol := range append(builtinPolicies, Policy(42)) {
+		for _, g := range [][2]int{{8192, 4}, {0, 0}, {0, 3}, {64, 0}, {1000, 4}, {1002, 4}, {-8, 4}, {100, 1}, {12, 3}} {
+			for _, nodes := range []int{16, 0, 65} {
+				cfgs = append(cfgs, Config{Policy: pol, Nodes: nodes, Entries: g[0], Ways: g[1]})
+			}
+		}
+		cfgs = append(cfgs,
+			Config{Policy: pol, Nodes: 16, Entries: 64, GroupRollover: maxRolloverLimit},
+			Config{Policy: pol, Nodes: 16, Entries: 64, GroupRollover: maxRolloverLimit + 1})
+	}
+	for _, cfg := range cfgs {
+		err := cfg.Validate()
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			New(cfg)
+			return false
+		}()
+		if panicked != (err != nil) || (cfg.GroupRollover > maxRolloverLimit) != (err != nil && strings.Contains(err.Error(), "rollover")) {
+			t.Errorf("%+v: Validate() = %v, New panics: %v", cfg, err, panicked)
+		}
+	}
 }

@@ -34,16 +34,12 @@ type ownerEntry struct {
 
 type ownerPredictor struct {
 	cfg   Config
-	table *Table[ownerEntry]
-}
-
-func newOwner(cfg Config) *ownerPredictor {
-	return &ownerPredictor{cfg: cfg, table: NewTable[ownerEntry](cfg.Entries, cfg.Ways)}
+	table Table[ownerEntry]
 }
 
 func (p *ownerPredictor) Name() string { return p.cfg.Name() }
 
-func (p *ownerPredictor) CloneFresh() Predictor { return newOwner(p.cfg) }
+func (p *ownerPredictor) CloneFresh() Predictor { return New(p.cfg) }
 
 func (p *ownerPredictor) Predict(q Query) nodeset.Set {
 	min := q.MinimalSet()
@@ -89,20 +85,12 @@ type bisEntry struct {
 type bisPredictor struct {
 	cfg   Config
 	all   nodeset.Set
-	table *Table[bisEntry]
-}
-
-func newBIS(cfg Config) *bisPredictor {
-	return &bisPredictor{
-		cfg:   cfg,
-		all:   nodeset.All(cfg.Nodes),
-		table: NewTable[bisEntry](cfg.Entries, cfg.Ways),
-	}
+	table Table[bisEntry]
 }
 
 func (p *bisPredictor) Name() string { return p.cfg.Name() }
 
-func (p *bisPredictor) CloneFresh() Predictor { return newBIS(p.cfg) }
+func (p *bisPredictor) CloneFresh() Predictor { return New(p.cfg) }
 
 func (p *bisPredictor) Predict(q Query) nodeset.Set {
 	if e := p.table.Lookup(p.cfg.Indexing.Key(q.Addr, q.PC)); e != nil && e.counter > 1 {
@@ -139,13 +127,20 @@ func (p *bisPredictor) TrainRetry(Retry) {}
 // defaultRolloverLimit is the paper's 5-bit rollover counter.
 const defaultRolloverLimit = 32
 
+// maxRolloverLimit is the largest limit groupEntry's rollover counter
+// reaches before it wraps.
+const maxRolloverLimit = 1<<32 - 1
+
 // laneLSB masks the low bit of every 2-bit counter lane.
 const laneLSB = 0x5555555555555555
 
-// groupEntry holds one 2-bit counter per node plus the 5-bit rollover
-// counter that implements training-down: when the rollover counter wraps,
-// every per-node counter is decremented, so processors that stopped
-// touching the block eventually leave the predicted set.
+// groupEntry holds one 2-bit counter per node plus the rollover counter
+// that implements training-down: when the rollover counter reaches its
+// limit (32, the paper's 5-bit counter, unless GroupRollover says
+// otherwise), every per-node counter is decremented, so processors that
+// stopped touching the block eventually leave the predicted set. The
+// counter is 32 bits wide, so any limit up to maxRolloverLimit is
+// reached before it wraps; it fits in the padding after the lanes.
 //
 // The counters are packed as 2-bit lanes in two machine words (node n
 // occupies bits 2n..2n+1 of lo for n < 32, of hi otherwise), so an entry
@@ -155,7 +150,7 @@ const laneLSB = 0x5555555555555555
 // build it: a row of 2-bit saturating counters, not an array walk.
 type groupEntry struct {
 	lo, hi   uint64
-	rollover uint8
+	rollover uint32
 }
 
 // inc2w saturates-up the 2-bit lane for bit offset sh within w.
@@ -209,19 +204,12 @@ func (e *groupEntry) predicted() nodeset.Set {
 
 type groupPredictor struct {
 	cfg   Config
-	table *Table[groupEntry]
-}
-
-func newGroup(cfg Config) *groupPredictor {
-	if cfg.GroupRollover <= 0 {
-		cfg.GroupRollover = defaultRolloverLimit
-	}
-	return &groupPredictor{cfg: cfg, table: NewTable[groupEntry](cfg.Entries, cfg.Ways)}
+	table Table[groupEntry]
 }
 
 func (p *groupPredictor) Name() string { return p.cfg.Name() }
 
-func (p *groupPredictor) CloneFresh() Predictor { return newGroup(p.cfg) }
+func (p *groupPredictor) CloneFresh() Predictor { return New(p.cfg) }
 
 func (p *groupPredictor) Predict(q Query) nodeset.Set {
 	min := q.MinimalSet()
@@ -264,19 +252,12 @@ type ownerGroupEntry struct {
 
 type ownerGroupPredictor struct {
 	cfg   Config
-	table *Table[ownerGroupEntry]
-}
-
-func newOwnerGroup(cfg Config) *ownerGroupPredictor {
-	if cfg.GroupRollover <= 0 {
-		cfg.GroupRollover = defaultRolloverLimit
-	}
-	return &ownerGroupPredictor{cfg: cfg, table: NewTable[ownerGroupEntry](cfg.Entries, cfg.Ways)}
+	table Table[ownerGroupEntry]
 }
 
 func (p *ownerGroupPredictor) Name() string { return p.cfg.Name() }
 
-func (p *ownerGroupPredictor) CloneFresh() Predictor { return newOwnerGroup(p.cfg) }
+func (p *ownerGroupPredictor) CloneFresh() Predictor { return New(p.cfg) }
 
 func (p *ownerGroupPredictor) Predict(q Query) nodeset.Set {
 	min := q.MinimalSet()

@@ -86,7 +86,7 @@ func TestOwnerClearsOnMemoryResponse(t *testing.T) {
 
 func TestOwnerMemoryResponseDoesNotAllocate(t *testing.T) {
 	cfg := unboundedCfg(Owner)
-	p := newOwner(cfg)
+	p := New(cfg).(*ownerPredictor)
 	p.TrainResponse(Response{Addr: 5, FromMemory: true})
 	if p.table.Len() != 0 {
 		t.Error("memory responses must not allocate entries (§3.1)")
@@ -206,7 +206,7 @@ func TestGroupRolloverDecay(t *testing.T) {
 
 func TestGroupMemoryResponseTicksClockWithoutAllocating(t *testing.T) {
 	cfg := unboundedCfg(Group)
-	p := newGroup(cfg)
+	p := New(cfg).(*groupPredictor)
 	p.TrainResponse(Response{Addr: 5, FromMemory: true})
 	if p.table.Len() != 0 {
 		t.Error("memory response must not allocate a Group entry")

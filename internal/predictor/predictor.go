@@ -12,8 +12,8 @@
 //     (bandwidth-biased).
 //   - BroadcastIfShared: a 2-bit counter chooses between broadcast and the
 //     minimal set (latency-biased).
-//   - Group: per-node 2-bit counters with a 5-bit rollover decay counter
-//     (balanced).
+//   - Group: per-node 2-bit counters with a rollover decay counter whose
+//     limit defaults to 32, the paper's 5-bit counter (balanced).
 //   - OwnerGroup: Group for writes, Owner for reads (stable sharing,
 //     less bandwidth than Group).
 //   - StickySpatial(1): the original multicast snooping predictor of Bilir
@@ -22,6 +22,13 @@
 // Predictors are tagged and set-associative, indexed by data block address,
 // macroblock address, or program counter (§3.4), and allocate entries only
 // when the minimal destination set proved insufficient (§3.1).
+//
+// A finite table (Table) keeps each set in recency order, so LRU
+// replacement needs no stamps, valid flags or victim scan: a line is a
+// tag and an entry, plus one fill count per set. NewBank lays the
+// tables of all nodes out in one set-major array, so the training
+// lookups one request makes in every observer's table touch adjacent
+// memory. Config.Validate reports the configurations New cannot build.
 package predictor
 
 import (
@@ -177,8 +184,8 @@ type Config struct {
 	// StickySpatial is always direct-mapped, as in the original design.
 	Ways int
 	// GroupRollover overrides the Group policy's rollover counter limit
-	// (default 32, the paper's 5-bit counter). Smaller values train down
-	// faster; the ablation benchmarks sweep it.
+	// (default 32, the paper's 5-bit counter; at most 2^32-1). Smaller
+	// values train down faster; the ablation benchmarks sweep it.
 	GroupRollover int
 	// Indexing selects block, macroblock or PC indexing.
 	Indexing Indexing
@@ -225,10 +232,48 @@ func (c Config) EntryBytes() int {
 // paper's standout predictors are 32–64 kB, under 2% of the 4 MB L2.
 func (c Config) StorageBytes() int { return c.EntryBytes() * c.Entries }
 
-// New builds a predictor for one node from the configuration.
-func New(cfg Config) Predictor {
-	if cfg.Nodes <= 0 || cfg.Nodes > nodeset.MaxNodes {
-		panic(fmt.Sprintf("predictor: bad node count %d", cfg.Nodes))
+// Validate reports why New cannot build c, or nil when it can: a node
+// count outside 1..nodeset.MaxNodes, an unknown policy, a table geometry
+// NewTable rejects, a StickySpatial size that is not a power of two, or
+// a GroupRollover limit the rollover counter cannot reach. The spec
+// layers call it before a sweep starts, so that such a configuration
+// fails validation instead of panicking inside a sweep worker.
+func (c Config) Validate() error {
+	if c.Nodes <= 0 || c.Nodes > nodeset.MaxNodes {
+		return fmt.Errorf("predictor: bad node count %d (want 1..%d)", c.Nodes, nodeset.MaxNodes)
+	}
+	if c.GroupRollover > 0 && uint64(c.GroupRollover) > maxRolloverLimit {
+		return fmt.Errorf("predictor: group rollover limit %d exceeds %d", c.GroupRollover, uint64(maxRolloverLimit))
+	}
+	switch c.Policy {
+	case Owner, BroadcastIfShared, Group, OwnerGroup:
+		_, _, err := geometry(c.Entries, c.Ways)
+		return err
+	case StickySpatial:
+		if c.Entries < 0 || c.Entries&(c.Entries-1) != 0 {
+			return fmt.Errorf("predictor: StickySpatial entries %d is not a power of two", c.Entries)
+		}
+	case Minimal, Broadcast, Oracle:
+	default:
+		return fmt.Errorf("predictor: unknown policy %v", c.Policy)
+	}
+	return nil
+}
+
+// New builds a predictor for one node from the configuration: a bank of
+// one, with a standalone table.
+func New(cfg Config) Predictor { return newBank(cfg, 1)[0] }
+
+// NewBank builds one predictor per node, all with the same configuration.
+// The tables of a table-backed policy share one set-major array (see
+// Table).
+func NewBank(cfg Config) []Predictor { return newBank(cfg, cfg.Nodes) }
+
+// newBank builds n predictors from cfg. It panics on a configuration
+// Validate rejects.
+func newBank(cfg Config, n int) []Predictor {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Ways <= 0 {
 		cfg.Ways = 4
@@ -239,33 +284,40 @@ func New(cfg Config) Predictor {
 	if cfg.GroupRollover <= 0 {
 		cfg.GroupRollover = defaultRolloverLimit
 	}
+	bank := make([]Predictor, n)
 	switch cfg.Policy {
 	case Owner:
-		return newOwner(cfg)
+		for i, t := range newTables[ownerEntry](cfg.Entries, cfg.Ways, n) {
+			bank[i] = &ownerPredictor{cfg: cfg, table: t}
+		}
 	case BroadcastIfShared:
-		return newBIS(cfg)
+		for i, t := range newTables[bisEntry](cfg.Entries, cfg.Ways, n) {
+			bank[i] = &bisPredictor{cfg: cfg, all: nodeset.All(cfg.Nodes), table: t}
+		}
 	case Group:
-		return newGroup(cfg)
+		for i, t := range newTables[groupEntry](cfg.Entries, cfg.Ways, n) {
+			bank[i] = &groupPredictor{cfg: cfg, table: t}
+		}
 	case OwnerGroup:
-		return newOwnerGroup(cfg)
+		for i, t := range newTables[ownerGroupEntry](cfg.Entries, cfg.Ways, n) {
+			bank[i] = &ownerGroupPredictor{cfg: cfg, table: t}
+		}
 	case StickySpatial:
-		return newStickySpatial(cfg)
+		for i := range bank {
+			bank[i] = newStickySpatial(cfg)
+		}
 	case Minimal:
-		return minimalPredictor{}
+		for i := range bank {
+			bank[i] = minimalPredictor{}
+		}
 	case Broadcast:
-		return broadcastPredictor{nodes: cfg.Nodes}
+		for i := range bank {
+			bank[i] = broadcastPredictor{nodes: cfg.Nodes}
+		}
 	case Oracle:
-		return &oraclePredictor{}
-	default:
-		panic(fmt.Sprintf("predictor: unknown policy %v", cfg.Policy))
-	}
-}
-
-// NewBank builds one predictor per node, all with the same configuration.
-func NewBank(cfg Config) []Predictor {
-	bank := make([]Predictor, cfg.Nodes)
-	for i := range bank {
-		bank[i] = New(cfg)
+		for i := range bank {
+			bank[i] = &oraclePredictor{}
+		}
 	}
 	return bank
 }

@@ -51,3 +51,20 @@ func (*oraclePredictor) CloneFresh() Predictor  { return &oraclePredictor{} }
 type OracleSetter interface {
 	SetOracle(needed nodeset.Set)
 }
+
+// OracleSetters returns each bank member's OracleSetter, indexed by
+// node, or nil when no member is one. A caller that primes the oracle on
+// every miss decides it once per bank this way instead of asserting the
+// interface on every miss.
+func OracleSetters(preds []Predictor) []OracleSetter {
+	var out []OracleSetter
+	for i, p := range preds {
+		if o, ok := p.(OracleSetter); ok {
+			if out == nil {
+				out = make([]OracleSetter, len(preds))
+			}
+			out[i] = o
+		}
+	}
+	return out
+}

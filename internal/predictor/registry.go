@@ -98,6 +98,21 @@ func policyAliases(p Policy) []string {
 	return aliases
 }
 
+// BuiltinPolicy returns the built-in policy registered under name, or
+// false when name is not one of the built-in policies' names (Register
+// refuses those to custom policies).
+func BuiltinPolicy(name string) (Policy, bool) {
+	key := CanonicalName(name)
+	for _, p := range builtinPolicies {
+		for _, alias := range policyAliases(p) {
+			if alias == key {
+				return p, true
+			}
+		}
+	}
+	return 0, false
+}
+
 func init() {
 	for _, p := range builtinPolicies {
 		p := p

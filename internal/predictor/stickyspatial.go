@@ -37,9 +37,6 @@ func newStickySpatial(cfg Config) *stickySpatialPredictor {
 		// needs a fixed geometry); default to the published 4K entries.
 		entries = 4096
 	}
-	if entries&(entries-1) != 0 {
-		panic("predictor: StickySpatial entries must be a power of two")
-	}
 	return &stickySpatialPredictor{
 		cfg:   cfg,
 		mask:  uint64(entries - 1),
@@ -51,7 +48,7 @@ func newStickySpatial(cfg Config) *stickySpatialPredictor {
 
 func (p *stickySpatialPredictor) Name() string { return p.cfg.Name() }
 
-func (p *stickySpatialPredictor) CloneFresh() Predictor { return newStickySpatial(p.cfg) }
+func (p *stickySpatialPredictor) CloneFresh() Predictor { return New(p.cfg) }
 
 func (p *stickySpatialPredictor) index(addr trace.Addr, pc trace.PC) uint64 {
 	return p.cfg.Indexing.Key(addr, pc) & p.mask

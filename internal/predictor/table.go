@@ -6,14 +6,32 @@ import "fmt"
 // associative LRU table (Entries > 0) or an unbounded map (Entries == 0,
 // the paper's "unbounded predictors" used for limit studies in §4.4).
 //
+// A finite set keeps its lines in recency order, most recent first. A
+// hit moves its line to the front; an allocation shifts the set down one
+// line and takes the front; a full set evicts its last line. That is
+// exactly LRU replacement, with no stamps, valid flags or victim scan: a
+// line is only a tag and an entry, and a fill count per set says how
+// many of its lines are live. Lines never become invalid, so the live
+// lines are always the set's first ones.
+//
+// The tables of one bank (NewBank) share one backing array laid out
+// set-major: set s of every node's table sits next to set s of the
+// others, so the lookups one request makes in up to nodes-1 tables land
+// in adjacent memory. A standalone table (NewTable, New) is a bank of
+// one.
+//
 // The entry type E is policy-specific; its zero value must mean "freshly
-// allocated, knows nothing".
+// allocated, knows nothing". An entry pointer is valid until the next
+// Lookup or LookupAlloc on the same table, which may move the line.
 type Table[E any] struct {
-	// finite mode
-	lines []tableLine[E]
-	ways  int
-	mask  uint64
-	clock uint64
+	// finite mode: set s of this table is group g = s*tables+index of
+	// the bank, with lines [g*ways, (g+1)*ways) and fill count fill[g]
+	lines  []tableLine[E]
+	fill   []uint32
+	ways   int
+	mask   uint64
+	tables int
+	index  int
 	// unbounded mode
 	unbounded map[uint64]*E
 	// statistics
@@ -22,8 +40,6 @@ type Table[E any] struct {
 
 type tableLine[E any] struct {
 	tag   uint64
-	lru   uint64
-	valid bool
 	entry E
 }
 
@@ -31,20 +47,48 @@ type tableLine[E any] struct {
 // associativity. Finite capacities must be a power of two and a multiple
 // of ways.
 func NewTable[E any](entries, ways int) *Table[E] {
+	return &newTables[E](entries, ways, 1)[0]
+}
+
+// newTables returns n tables of one geometry that share one set-major
+// backing array (see Table).
+func newTables[E any](entries, ways, n int) []Table[E] {
+	tables := make([]Table[E], n)
 	if entries == 0 {
-		return &Table[E]{unbounded: make(map[uint64]*E)}
+		for i := range tables {
+			tables[i].unbounded = make(map[uint64]*E)
+		}
+		return tables
 	}
+	sets, ways, err := geometry(entries, ways)
+	if err != nil {
+		panic(err.Error())
+	}
+	lines := make([]tableLine[E], n*entries)
+	fill := make([]uint32, n*sets)
+	for i := range tables {
+		tables[i] = Table[E]{lines: lines, fill: fill, ways: ways, mask: uint64(sets - 1), tables: n, index: i}
+	}
+	return tables
+}
+
+// geometry returns the set count and associativity of a finite table,
+// with ways <= 0 meaning 4, or why there is no such table.
+func geometry(entries, ways int) (int, int, error) {
 	if ways <= 0 {
 		ways = 4
 	}
+	if entries < 0 {
+		return 0, 0, fmt.Errorf("predictor: negative entries %d", entries)
+	}
 	if entries%ways != 0 {
-		panic(fmt.Sprintf("predictor: entries %d not a multiple of ways %d", entries, ways))
+		return 0, 0, fmt.Errorf("predictor: entries %d not a multiple of ways %d", entries, ways)
 	}
 	sets := entries / ways
 	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("predictor: set count %d is not a power of two", sets))
+		return 0, 0, fmt.Errorf("predictor: set count %d is not a power of two", sets)
 	}
-	return &Table[E]{lines: make([]tableLine[E], entries), ways: ways, mask: uint64(sets - 1)}
+	return sets, ways, nil
 }
 
 // Lookup returns the entry for key, or nil if absent. It never allocates;
@@ -59,54 +103,61 @@ func (t *Table[E]) Lookup(key uint64) *E {
 		}
 		return e
 	}
-	set := t.set(key)
-	for i := range set {
-		if set[i].valid && set[i].tag == key {
-			t.hits++
-			t.clock++
-			set[i].lru = t.clock
-			return &set[i].entry
-		}
-	}
-	return nil
+	set, fill := t.set(key)
+	return t.hit(set[:*fill], key)
 }
 
 // LookupAlloc returns the entry for key, allocating a zero entry (and
 // evicting the set's LRU entry if necessary) when absent.
 func (t *Table[E]) LookupAlloc(key uint64) *E {
-	if e := t.Lookup(key); e != nil {
-		return e
-	}
-	t.allocs++
 	if t.unbounded != nil {
+		if e := t.Lookup(key); e != nil {
+			return e
+		}
+		t.allocs++
 		e := new(E)
 		t.unbounded[key] = e
 		return e
 	}
-	set := t.set(key)
-	victim := &set[0]
-	for i := 1; i < len(set); i++ {
-		l := &set[i]
-		if !l.valid {
-			victim = l
-			break
-		}
-		if victim.valid && l.lru < victim.lru {
-			victim = l
-		}
+	t.lookups++
+	set, fill := t.set(key)
+	n := int(*fill)
+	if e := t.hit(set[:n], key); e != nil {
+		return e
 	}
-	if victim.valid {
+	t.allocs++
+	if n == len(set) {
 		t.evictions++
+		n--
+	} else {
+		*fill++
 	}
-	var zero E
-	t.clock++
-	*victim = tableLine[E]{tag: key, lru: t.clock, valid: true, entry: zero}
-	return &victim.entry
+	copy(set[1:n+1], set[:n])
+	set[0] = tableLine[E]{tag: key}
+	return &set[0].entry
 }
 
-func (t *Table[E]) set(key uint64) []tableLine[E] {
-	s := int(key&t.mask) * t.ways
-	return t.lines[s : s+t.ways]
+// set returns the lines of key's set and its fill count.
+func (t *Table[E]) set(key uint64) ([]tableLine[E], *uint32) {
+	g := int(key&t.mask)*t.tables + t.index
+	return t.lines[g*t.ways : (g+1)*t.ways], &t.fill[g]
+}
+
+// hit returns the entry for key among a set's live lines after moving
+// its line to the front, or nil.
+func (t *Table[E]) hit(live []tableLine[E], key uint64) *E {
+	for i := range live {
+		if live[i].tag == key {
+			t.hits++
+			if i > 0 {
+				l := live[i]
+				copy(live[1:i+1], live[:i])
+				live[0] = l
+			}
+			return &live[0].entry
+		}
+	}
+	return nil
 }
 
 // Len returns the number of live entries.
@@ -115,10 +166,8 @@ func (t *Table[E]) Len() int {
 		return len(t.unbounded)
 	}
 	n := 0
-	for i := range t.lines {
-		if t.lines[i].valid {
-			n++
-		}
+	for g := t.index; g < len(t.fill); g += t.tables {
+		n += int(t.fill[g])
 	}
 	return n
 }

@@ -171,6 +171,8 @@ func (d *Directory) Process(rec trace.Record, mi coherence.MissInfo) Result {
 type Multicast struct {
 	nodes int
 	preds []predictor.Predictor
+	// oracles is predictor.OracleSetters(preds), decided once per bank.
+	oracles []predictor.OracleSetter
 	// newBank rebuilds the predictor bank for Reset/Clone; nil when the
 	// engine wraps a caller-owned bank.
 	newBank func() []predictor.Predictor
@@ -195,7 +197,7 @@ func NewMulticast(preds []predictor.Predictor) *Multicast {
 	if len(preds) == 0 {
 		panic("protocol: multicast engine needs at least one predictor")
 	}
-	return &Multicast{nodes: len(preds), preds: preds}
+	return &Multicast{nodes: len(preds), preds: preds, oracles: predictor.OracleSetters(preds)}
 }
 
 // NewMulticastWithFactory builds a multicast snooping engine whose
@@ -225,6 +227,7 @@ func (m *Multicast) Reset() {
 	} else if fresh, ok := predictor.CloneBank(m.preds); ok {
 		m.preds = fresh
 	}
+	m.oracles = predictor.OracleSetters(m.preds)
 }
 
 // Clone implements Engine. Factory-built and cloneable banks yield an
@@ -255,8 +258,8 @@ func (m *Multicast) Process(rec trace.Record, mi coherence.MissInfo) Result {
 		Kind:      rec.Kind,
 	}
 	needed := mi.Needed(req, rec.Kind)
-	if o, ok := m.preds[req].(predictor.OracleSetter); ok {
-		o.SetOracle(needed)
+	if m.oracles != nil && m.oracles[req] != nil {
+		m.oracles[req].SetOracle(needed)
 	}
 	mask := m.preds[req].Predict(q).Union(q.MinimalSet())
 

@@ -314,8 +314,10 @@ type sim struct {
 	xbar  *interconnect.Crossbar
 	coh   *coherence.System
 	preds []predictor.Predictor
-	nodes []*node
-	txns  []txn
+	// oracles is predictor.OracleSetters(preds), decided once per run.
+	oracles []predictor.OracleSetter
+	nodes   []*node
+	txns    []txn
 
 	// Long-lived event handlers, bound once so scheduling never
 	// allocates a closure.
@@ -467,6 +469,7 @@ func newSim(cfg Config, coh *coherence.System) *sim {
 			pc.Nodes = cfg.Nodes
 			s.preds = predictor.NewBank(pc)
 		}
+		s.oracles = predictor.OracleSetters(s.preds)
 	}
 	s.issueEvt = func(now event.Time, arg any) {
 		n := arg.(*node)
@@ -641,11 +644,10 @@ func (s *sim) initialMask(t *txn) nodeset.Set {
 			Home:      home,
 			Kind:      t.rec.Kind,
 		}
-		p := s.preds[req]
-		if o, ok := p.(predictor.OracleSetter); ok {
-			o.SetOracle(s.coh.Peek(t.rec).Needed(req, t.rec.Kind))
+		if s.oracles != nil && s.oracles[req] != nil {
+			s.oracles[req].SetOracle(s.coh.Peek(t.rec).Needed(req, t.rec.Kind))
 		}
-		return p.Predict(q).Union(q.MinimalSet())
+		return s.preds[req].Predict(q).Union(q.MinimalSet())
 	}
 }
 

@@ -9,7 +9,10 @@
 // simulator (§5) needs to reconstruct compute time between misses.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind is the coherence request type of a MOSI write-invalidate protocol.
 type Kind uint8
@@ -52,9 +55,15 @@ const MacroblockBytes = 1024
 const BlocksPerMacroblock = MacroblockBytes / BlockBytes
 
 // Macroblock returns the macroblock index of a for the given macroblock
-// size in bytes (which must be a multiple of BlockBytes).
+// size in bytes (which must be a multiple of BlockBytes). A power-of-two
+// block count, as in every paper figure, is a shift instead of a
+// division: predictors compute a key on every predict and train.
 func Macroblock(a Addr, sizeBytes int) Addr {
-	return a / Addr(sizeBytes/BlockBytes)
+	n := uint64(sizeBytes / BlockBytes)
+	if n != 0 && n&(n-1) == 0 {
+		return a >> bits.TrailingZeros64(n)
+	}
+	return a / Addr(n)
 }
 
 // Record is one L2 cache miss / coherence request.

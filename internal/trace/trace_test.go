@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +38,30 @@ func TestMacroblock(t *testing.T) {
 	for _, c := range cases {
 		if got := Macroblock(c.addr, c.size); got != c.want {
 			t.Errorf("Macroblock(%d, %d) = %d, want %d", c.addr, c.size, got, c.want)
+		}
+	}
+}
+
+// TestMacroblockShiftMatchesDivision pins Macroblock's shift for
+// power-of-two block counts to the plain division, and checks sizes
+// whose block count is not a power of two still divide, over random
+// addresses and addresses at and above 2^40.
+func TestMacroblockShiftMatchesDivision(t *testing.T) {
+	sizes := []int{192, 320}
+	for size := 64; size <= 4096; size *= 2 {
+		sizes = append(sizes, size)
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := []Addr{0, 1, 1 << 40, 1<<40 + 17, 1<<63 + 5, ^Addr(0)}
+	for i := 0; i < 1000; i++ {
+		addrs = append(addrs, Addr(rng.Uint64()), Addr(1<<40+rng.Uint64()%(1<<40)))
+	}
+	for _, size := range sizes {
+		n := Addr(size / BlockBytes)
+		for _, a := range addrs {
+			if got, want := Macroblock(a, size), a/n; got != want {
+				t.Fatalf("Macroblock(%#x, %d) = %#x, want %#x", uint64(a), size, uint64(got), uint64(want))
+			}
 		}
 	}
 }

@@ -130,13 +130,19 @@ func (s SimSpec) DisplayLabel() string {
 // protocol fails before any sweep work starts (the TimingRunner calls it
 // for every sim spec up front).
 func (s SimSpec) validate() error {
-	if _, err := s.simProtocol(); err != nil {
+	proto, err := s.simProtocol()
+	if err != nil {
 		return err
 	}
 	if s.PolicyName != "" {
 		if _, ok := predictor.LookupFactory(s.PolicyName); !ok {
 			return fmt.Errorf("destset: unknown policy %q (have %v)",
 				s.PolicyName, predictor.RegisteredPolicies())
+		}
+	}
+	if proto == sim.Multicast && s.hasPolicy() {
+		if err := checkBank("sim", s.DisplayLabel(), s.PolicyName, s.Policy, s.Predictor, s.Nodes); err != nil {
+			return err
 		}
 	}
 	if s.LinkBytesPerNs < 0 || s.TraversalNs < 0 || s.L2LatencyNs < 0 || s.MemLatencyNs < 0 ||

@@ -121,6 +121,40 @@ func (s EngineSpec) validate() error {
 				s.PolicyName, predictor.RegisteredPolicies())
 		}
 	}
+	if s.hasPolicy() {
+		return checkBank("engine", s.DisplayLabel(), s.PolicyName, s.Policy, s.Predictor, s.Nodes)
+	}
+	return nil
+}
+
+// checkBank reports, naming the spec, a predictor bank that the spec's
+// bank factory could not build: an explicit configuration New rejects,
+// or a node count out of range. It runs before any sweep work, so such a
+// spec fails validation instead of panicking in a sweep worker. Nodes
+// left 0 come from the workload, whose own validation bounds them. A
+// registered custom policy reads the configuration its own way, so for
+// it only the node count is checked.
+func checkBank(kind, label, policyName string, policy Policy, pc *PredictorConfig, nodes int) error {
+	cfg := predictor.DefaultConfig(policy, nodes)
+	if pc != nil {
+		cfg = *pc
+		if cfg.Nodes == 0 {
+			cfg.Nodes = nodes
+		}
+	}
+	if cfg.Nodes == 0 {
+		cfg.Nodes = 1
+	}
+	if policyName != "" {
+		if p, builtin := predictor.BuiltinPolicy(policyName); builtin {
+			cfg.Policy = p
+		} else {
+			cfg = PredictorConfig{Policy: Minimal, Nodes: cfg.Nodes}
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("destset: %s spec %q: %w", kind, label, err)
+	}
 	return nil
 }
 

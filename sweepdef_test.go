@@ -421,3 +421,91 @@ func TestSweepDefComposedRoundTrip(t *testing.T) {
 		t.Error("cell seed perturbed an imported dataset's content key")
 	}
 }
+
+// TestBadPredictorConfigFailsValidation: an explicit predictor
+// configuration that no bank can be built from is a validation error
+// from the Runner, the TimingRunner and a sweep definition that went
+// through JSON, naming the spec, not a panic in a sweep worker.
+func TestBadPredictorConfigFailsValidation(t *testing.T) {
+	group := func(edit func(*destset.PredictorConfig)) *destset.PredictorConfig {
+		cfg := destset.DefaultPredictorConfig(destset.Group, 0)
+		edit(&cfg)
+		return &cfg
+	}
+	bad := map[string]struct {
+		cfg   *destset.PredictorConfig
+		nodes int
+		want  string
+	}{
+		"entries not a multiple of ways": {cfg: group(func(c *destset.PredictorConfig) { c.Entries = 1002 }), want: "not a multiple of ways"},
+		"set count not a power of two":   {cfg: group(func(c *destset.PredictorConfig) { c.Entries = 1000 }), want: "set count 250 is not a power of two"},
+		"negative entries":               {cfg: group(func(c *destset.PredictorConfig) { c.Entries = -8 }), want: "negative entries"},
+		"sticky size not a power of two": {cfg: &destset.PredictorConfig{Policy: destset.StickySpatial, Entries: 100}, want: "StickySpatial entries 100"},
+		"unknown policy":                 {cfg: &destset.PredictorConfig{Policy: destset.Policy(42)}, want: "unknown policy"},
+		"too many nodes in the config":   {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = 65 }), want: "bad node count 65"},
+		"negative nodes in the config":   {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = -1 }), want: "bad node count -1"},
+		"too many nodes in the spec":     {nodes: 65, want: "bad node count 65"},
+		"rollover beyond the counter":    {cfg: group(func(c *destset.PredictorConfig) { c.GroupRollover = 1 << 32 }), want: "rollover limit"},
+	}
+	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}}
+	for name, c := range bad {
+		t.Run(name, func(t *testing.T) {
+			engine := destset.EngineSpec{Protocol: destset.ProtocolMulticast, Predictor: c.cfg, Nodes: c.nodes, Label: "bad-engine"}
+			simSpec := destset.SimSpec{Protocol: destset.ProtocolMulticast, Predictor: c.cfg, Nodes: c.nodes, Label: "bad-sim"}
+			if c.cfg == nil {
+				engine.Policy, engine.UsePolicy = destset.Group, true
+				simSpec.Policy, simSpec.UsePolicy = destset.Group, true
+			}
+			check := func(what string, err error, label string) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), label) {
+					t.Errorf("%s: err = %v, want one naming %q and containing %q", what, err, label, c.want)
+				}
+			}
+			_, err := destset.NewRunner([]destset.EngineSpec{engine}, workloads).Run(context.Background())
+			check("Runner", err, "bad-engine")
+			_, err = destset.NewTimingRunner([]destset.SimSpec{simSpec}, workloads).Run(context.Background())
+			check("TimingRunner", err, "bad-sim")
+			for kind, def := range map[string]destset.SweepDef{
+				"trace def":  destset.NewTraceSweepDef([]destset.EngineSpec{engine}, workloads),
+				"timing def": destset.NewTimingSweepDef([]destset.SimSpec{simSpec}, workloads),
+			} {
+				raw, err := json.Marshal(def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back destset.SweepDef
+				if err := json.Unmarshal(raw, &back); err != nil {
+					t.Fatal(err)
+				}
+				label := "bad-engine"
+				if kind == "timing def" {
+					label = "bad-sim"
+				}
+				check(kind, back.Validate(), label)
+			}
+		})
+	}
+	// A built-in policy chosen by name builds from the configuration, so
+	// its geometry is checked. A registered custom policy reads the
+	// configuration its own way, so only its node count is.
+	odd := group(func(c *destset.PredictorConfig) { c.Entries = 1000 })
+	builtin := destset.EngineSpec{Protocol: destset.ProtocolMulticast, PolicyName: "owner", Predictor: odd}
+	if _, err := destset.NewRunner([]destset.EngineSpec{builtin}, workloads).Run(context.Background()); err == nil {
+		t.Error("a built-in PolicyName must check the configuration's geometry")
+	}
+	name := runName("validation-minimal")
+	if err := destset.RegisterPolicy(name, func(cfg destset.PredictorConfig) destset.Predictor {
+		return destset.NewPredictor(destset.PredictorConfig{Policy: destset.Minimal, Nodes: cfg.Nodes})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	custom := destset.EngineSpec{Protocol: destset.ProtocolMulticast, PolicyName: name, Predictor: odd}
+	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, workloads).Run(context.Background()); err != nil {
+		t.Errorf("custom policy: %v", err)
+	}
+	custom.Nodes = 65
+	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, workloads).Run(context.Background()); err == nil {
+		t.Error("custom policy on 65 nodes: want a node count error")
+	}
+}
