@@ -140,6 +140,98 @@ type firing struct {
 	at Time
 }
 
+// child is an event that a firing schedules (or, in a program's initial
+// list, one scheduled at time 0): delay after the firing's time, or,
+// with edge set, delay after the start of the wheelBucket its time
+// falls in, so that it can land exactly on a bucket or horizon edge.
+type child struct {
+	delay Time
+	edge  bool
+	id    int
+}
+
+// at is the time c is scheduled for when its parent fires at now.
+func (c child) at(now Time) Time {
+	if c.edge {
+		return now - now%wheelBucket + c.delay
+	}
+	return now + c.delay
+}
+
+// program is a schedule: the events scheduled at time 0, and the
+// children each event schedules when it fires.
+type program struct {
+	initial  []child
+	children [][]child
+}
+
+// add returns the id of a new event with no children yet.
+func (p *program) add() int {
+	p.children = append(p.children, nil)
+	return len(p.children) - 1
+}
+
+// run fires p on a Loop. Children with a plain delay go through
+// AfterArg, the rest through AtArg.
+func (p *program) run() []firing {
+	var l Loop
+	var got []firing
+	var fire ArgHandler
+	fire = func(now Time, arg any) {
+		id := arg.(int)
+		got = append(got, firing{id, now})
+		for _, c := range p.children[id] {
+			if c.edge {
+				l.AtArg(c.at(now), fire, c.id)
+			} else {
+				l.AfterArg(c.delay, fire, c.id)
+			}
+		}
+	}
+	for _, c := range p.initial {
+		l.AtArg(c.delay, fire, c.id)
+	}
+	l.Run()
+	return got
+}
+
+// reference fires p on a reference queue that keeps every pending event
+// in a list and always picks the smallest (clamped time, scheduling
+// order).
+func (p *program) reference() []firing {
+	type pending struct {
+		at  Time
+		seq int
+		id  int
+	}
+	var q []pending
+	var want []firing
+	now, seq := Time(0), 0
+	schedule := func(at Time, id int) {
+		seq++
+		q = append(q, pending{max(at, now), seq, id})
+	}
+	for _, c := range p.initial {
+		schedule(c.delay, c.id)
+	}
+	for len(q) > 0 {
+		m := 0
+		for i, e := range q {
+			if e.at < q[m].at || e.at == q[m].at && e.seq < q[m].seq {
+				m = i
+			}
+		}
+		e := q[m]
+		q = slices.Delete(q, m, m+1)
+		now = e.at
+		want = append(want, firing{e.id, now})
+		for _, c := range p.children[e.id] {
+			schedule(c.at(now), c.id)
+		}
+	}
+	return want
+}
+
 // TestOrderMatchesReference is a differential property test of the
 // queue's order. Random programs schedule events at times drawn from a
 // narrow range (so many collide) including past times that clamp, and
@@ -150,90 +242,147 @@ type firing struct {
 func TestOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x5eed))
-		// children[id] lists the (delay, child) pairs event id schedules
-		// when it fires; delays may be negative (clamped) or zero.
-		type child struct {
-			delay Time
-			id    int
+		// p.children[id] lists the events id schedules when it fires;
+		// delays may be negative (clamped) or zero.
+		var p program
+		for n := rng.IntN(200); len(p.initial) < n; {
+			p.initial = append(p.initial, child{delay: Time(rng.IntN(60) - 10), id: p.add()})
 		}
-		var children [][]child
-		var initial []child
-		nextID := func() int { children = append(children, nil); return len(children) - 1 }
-		for n := rng.IntN(200); len(initial) < n; {
-			initial = append(initial, child{Time(rng.IntN(60) - 10), nextID()})
-		}
-		for id := 0; id < len(children) && len(children) < 1500; id++ {
+		for id := 0; id < len(p.children) && len(p.children) < 1500; id++ {
 			for k := rng.IntN(4); k > 0; k-- {
-				children[id] = append(children[id], child{Time(rng.IntN(30) - 8), nextID()})
+				p.children[id] = append(p.children[id], child{delay: Time(rng.IntN(30) - 8), id: p.add()})
 			}
 		}
-
-		var l Loop
-		var got []firing
-		var fire ArgHandler
-		fire = func(now Time, arg any) {
-			id := arg.(int)
-			got = append(got, firing{id, now})
-			for _, c := range children[id] {
-				l.AfterArg(c.delay, fire, c.id)
-			}
-		}
-		for _, c := range initial {
-			l.AtArg(c.delay, fire, c.id)
-		}
-		l.Run()
-
-		type pending struct {
-			at  Time
-			seq int
-			id  int
-		}
-		var q []pending
-		var want []firing
-		now, seq := Time(0), 0
-		schedule := func(at Time, id int) {
-			seq++
-			q = append(q, pending{max(at, now), seq, id})
-		}
-		for _, c := range initial {
-			schedule(c.delay, c.id)
-		}
-		for len(q) > 0 {
-			m := 0
-			for i, p := range q {
-				if p.at < q[m].at || p.at == q[m].at && p.seq < q[m].seq {
-					m = i
-				}
-			}
-			p := q[m]
-			q = slices.Delete(q, m, m+1)
-			now = p.at
-			want = append(want, firing{p.id, now})
-			for _, c := range children[p.id] {
-				schedule(now+c.delay, c.id)
-			}
-		}
-
-		if !slices.Equal(got, want) {
+		if got, want := p.run(), p.reference(); !slices.Equal(got, want) {
 			t.Fatalf("seed %d: firing order diverges from the reference\n got %v\nwant %v", seed, got, want)
 		}
 	}
 }
 
+// The timing wheel's geometry (event.go's bucketBits and buckets),
+// restated so that the order tests run against any queue.
+const (
+	wheelBucket = 4096 * Picosecond
+	wheelSpan   = 64 * wheelBucket
+)
+
+// paperLatencies are delays the timing model schedules most of its
+// events at: an instant, an 8-byte flit on a 10 GB/s link, the L2, half
+// a traversal (the most common), a traversal and memory.
+var paperLatencies = [...]Time{0, 800, 12 * Nanosecond, 25 * Nanosecond, 50 * Nanosecond, 80 * Nanosecond}
+
+// spanChild is event id scheduled at a delay of the given kind across
+// the wheel's geometry; mag picks the delay within its kind.
+func spanChild(kind byte, mag uint16, id int) child {
+	m := Time(mag)
+	switch kind % 8 {
+	case 0: // in the past (clamped), now, or a few ps later
+		return child{delay: m%24 - 8, id: id}
+	case 1: // within the current bucket or into the next
+		return child{delay: m % (2 * wheelBucket), id: id}
+	case 2: // anywhere in the span
+		return child{delay: m * 4 % wheelSpan, id: id}
+	case 3: // a bucket's first picosecond or the one before it, up to two buckets past the span
+		return child{delay: m%66*wheelBucket - m>>15, edge: true, id: id}
+	case 4: // the span's last picosecond, the first beyond it, or the next
+		return child{delay: wheelSpan - 1 + m%3, edge: true, id: id}
+	case 5: // one span from now, give or take a picosecond
+		return child{delay: wheelSpan - 1 + m%3, id: id}
+	case 6: // far: up to 17 spans ahead
+		return child{delay: wheelSpan + m*64, id: id}
+	default:
+		return child{delay: paperLatencies[int(m)%len(paperLatencies)], id: id}
+	}
+}
+
+// TestOrderMatchesReferenceAcrossBuckets is TestOrderMatchesReference
+// over the wheel's whole geometry: delays within a bucket and across
+// many, on bucket edges and on the horizon's, and far beyond it, where
+// far events land on the same instants as later-scheduled near ones.
+// Each firing schedules one child on average, so chains run long enough
+// that the simulated clock wraps the wheel's ring many times.
+func TestOrderMatchesReferenceAcrossBuckets(t *testing.T) {
+	for seed := uint64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x3ee1))
+		draw := func(p *program) child {
+			return spanChild(byte(rng.IntN(8)), uint16(rng.Uint32()), p.add())
+		}
+		var p program
+		for n := 1 + rng.IntN(40); len(p.initial) < n; {
+			p.initial = append(p.initial, draw(&p))
+		}
+		for id := 0; id < len(p.children) && len(p.children) < 2500; id++ {
+			for k := []int{0, 1, 1, 2}[rng.IntN(4)]; k > 0; k-- {
+				p.children[id] = append(p.children[id], draw(&p))
+			}
+		}
+		got, want := p.run(), p.reference()
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: firing order diverges from the reference\n got %v\nwant %v", seed, got, want)
+		}
+		if end := got[len(got)-1].at; end < 8*wheelSpan {
+			t.Fatalf("seed %d: run ends at %d ps, before the ring wrapped 8 times", seed, end)
+		}
+	}
+}
+
+// FuzzLoopMatchesReference checks the queue's order against the
+// reference on schedule programs decoded from the input, three bytes per
+// event: a kind byte and a 16-bit magnitude for spanChild. The first
+// byte sets how many events are scheduled at time 0; every later event
+// is a child of the current parent, and a kind byte with its top bit set
+// moves the parent on to the next event first.
+func FuzzLoopMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		initial, data := 1+int(data[0]%16), data[1:]
+		var p program
+		parent := -1
+		for ; len(data) >= 3 && len(p.children) < 2000; data = data[3:] {
+			kind, mag := data[0], uint16(data[1])<<8|uint16(data[2])
+			if len(p.initial) < initial {
+				p.initial = append(p.initial, spanChild(kind, mag, p.add()))
+				continue
+			}
+			if parent < 0 || kind&0x80 != 0 {
+				parent++
+			}
+			if parent == len(p.children) {
+				break
+			}
+			p.children[parent] = append(p.children[parent], spanChild(kind, mag, p.add()))
+		}
+		if got, want := p.run(), p.reference(); !slices.Equal(got, want) {
+			t.Fatalf("firing order diverges from the reference\n got %v\nwant %v", got, want)
+		}
+	})
+}
+
 // TestScheduleAllocFree pins the queue's steady state at zero
-// allocations: once the heap, slot slab and free list have grown to the
-// run's peak depth, scheduling and stepping reuse them.
+// allocations: once the slot slab, the bucket links, the far heap and
+// the free list have grown to the run's peak depth, scheduling and
+// stepping reuse them. The delays cycle within a bucket, across
+// buckets, over the horizon's edge and far beyond it.
 func TestScheduleAllocFree(t *testing.T) {
 	var l Loop
 	subject := &struct{ n int }{}
 	tick := func(_ Time, arg any) { arg.(*struct{ n int }).n++ }
+	delays := [...]Time{300, 5 * Nanosecond, 25 * Nanosecond, 80 * Nanosecond, wheelSpan - 1, wheelSpan, wheelSpan + 1, 4 * wheelSpan}
 	for i := 0; i < 64; i++ {
-		l.AtArg(Time(i), tick, subject)
+		l.AtArg(Time(i)*3*wheelBucket, tick, subject)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		l.AtArg(l.Now()+64, tick, subject)
+	i := 0
+	step := func() {
+		l.AfterArg(delays[i%len(delays)], tick, subject)
 		l.Step()
-	})
+		i++
+	}
+	for range 10 * len(delays) * 64 {
+		step()
+	}
+	allocs := testing.AllocsPerRun(1000, step)
 	if allocs != 0 {
 		t.Errorf("AtArg+Step allocates %.2f times per event, want 0", allocs)
 	}

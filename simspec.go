@@ -41,8 +41,9 @@ type SimSpec struct {
 	UsePolicy bool
 	// Predictor overrides the predictor configuration. Nil uses the
 	// paper's standout configuration (DefaultPredictorConfig) for the
-	// selected policy. The Nodes field may be left 0 to inherit the
-	// workload's node count.
+	// selected policy. Its Nodes field is 0 to inherit the system's node
+	// count (the spec's Nodes, or else the workload's); any other value
+	// must equal that count.
 	Predictor *PredictorConfig
 	// CPU selects the processor model (§5.2): SimpleCPU (the zero value)
 	// or DetailedCPU.
@@ -180,12 +181,9 @@ func (s SimSpec) Resolve(nodes int) (SimConfig, error) {
 	// A multicast spec without an explicit policy keeps DefaultConfig's
 	// predictor (the paper's standout Group configuration).
 	if proto == sim.Multicast && s.hasPolicy() {
-		pc := predictor.DefaultConfig(s.Policy, nodes)
-		if s.Predictor != nil {
-			pc = *s.Predictor
-			if pc.Nodes == 0 {
-				pc.Nodes = nodes
-			}
+		pc, err := bankConfig("sim", s.DisplayLabel(), s.Policy, s.Predictor, nodes)
+		if err != nil {
+			return SimConfig{}, err
 		}
 		cfg.Predictor = pc
 		if s.PolicyName != "" {

@@ -41,8 +41,9 @@ type EngineSpec struct {
 	UsePolicy bool
 	// Predictor overrides the predictor configuration. Nil uses the
 	// paper's standout configuration (DefaultPredictorConfig) for the
-	// selected policy. The Nodes field may be left 0 to inherit the
-	// workload's node count.
+	// selected policy. Its Nodes field is 0 to inherit the system's node
+	// count (the spec's Nodes, or else the workload's); any other value
+	// must equal that count.
 	Predictor *PredictorConfig
 	// Nodes overrides the system size; 0 inherits the workload's.
 	Nodes int
@@ -135,12 +136,9 @@ func (s EngineSpec) validate() error {
 // registered custom policy reads the configuration its own way, so for
 // it only the node count is checked.
 func checkBank(kind, label, policyName string, policy Policy, pc *PredictorConfig, nodes int) error {
-	cfg := predictor.DefaultConfig(policy, nodes)
-	if pc != nil {
-		cfg = *pc
-		if cfg.Nodes == 0 {
-			cfg.Nodes = nodes
-		}
+	cfg, err := bankConfig(kind, label, policy, pc, nodes)
+	if err != nil {
+		return err
 	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
@@ -158,20 +156,39 @@ func checkBank(kind, label, policyName string, policy Policy, pc *PredictorConfi
 	return nil
 }
 
-// bankFactory resolves the spec's predictor policy into a bank factory,
-// or nil when no policy is configured. An explicit Predictor config is
-// used verbatim (aside from filling Nodes); otherwise the Policy /
-// PolicyName selection gets the paper's standout configuration.
+// bankConfig is the predictor configuration a spec's bank is built from
+// on a system of nodes: the explicit pc, whose Nodes 0 inherits the
+// system's node count and any other value must equal it, or else the
+// paper's standout configuration for policy. Spec validation runs before
+// the workload is known and passes nodes 0 unless the spec sets Nodes;
+// then pc's Nodes is left as set.
+func bankConfig(kind, label string, policy Policy, pc *PredictorConfig, nodes int) (PredictorConfig, error) {
+	if pc == nil {
+		return predictor.DefaultConfig(policy, nodes), nil
+	}
+	cfg := *pc
+	switch {
+	case cfg.Nodes == 0:
+		cfg.Nodes = nodes
+	case nodes > 0 && cfg.Nodes != nodes:
+		return cfg, fmt.Errorf("destset: %s spec %q: predictor config has %d nodes, but the system has %d",
+			kind, label, cfg.Nodes, nodes)
+	}
+	return cfg, nil
+}
+
+// bankFactory resolves the spec's predictor policy into a bank factory
+// for a system of nodes, or nil when no policy is configured. An explicit
+// Predictor config is used verbatim (aside from filling Nodes);
+// otherwise the Policy / PolicyName selection gets the paper's standout
+// configuration.
 func (s EngineSpec) bankFactory(nodes int) (func() []predictor.Predictor, error) {
 	if !s.hasPolicy() {
 		return nil, nil
 	}
-	cfg := predictor.DefaultConfig(s.Policy, nodes)
-	if s.Predictor != nil {
-		cfg = *s.Predictor
-		if cfg.Nodes == 0 {
-			cfg.Nodes = nodes
-		}
+	cfg, err := bankConfig("engine", s.DisplayLabel(), s.Policy, s.Predictor, nodes)
+	if err != nil {
+		return nil, err
 	}
 	if s.PolicyName != "" {
 		factory, ok := predictor.LookupFactory(s.PolicyName)

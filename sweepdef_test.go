@@ -3,6 +3,7 @@ package destset_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -445,6 +446,7 @@ func TestBadPredictorConfigFailsValidation(t *testing.T) {
 		"too many nodes in the config":   {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = 65 }), want: "bad node count 65"},
 		"negative nodes in the config":   {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = -1 }), want: "bad node count -1"},
 		"too many nodes in the spec":     {nodes: 65, want: "bad node count 65"},
+		"config nodes not the spec's":    {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = 8 }), nodes: 16, want: "predictor config has 8 nodes, but the system has 16"},
 		"rollover beyond the counter":    {cfg: group(func(c *destset.PredictorConfig) { c.GroupRollover = 1 << 32 }), want: "rollover limit"},
 	}
 	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}}
@@ -507,5 +509,46 @@ func TestBadPredictorConfigFailsValidation(t *testing.T) {
 	custom.Nodes = 65
 	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, workloads).Run(context.Background()); err == nil {
 		t.Error("custom policy on 65 nodes: want a node count error")
+	}
+}
+
+// TestPredictorNodesMustMatchSystem: an explicit predictor
+// configuration's Nodes is 0 to inherit the workload's node count, and
+// any other value must equal it. A mismatch is an error naming the spec
+// from both runners and for both kinds of bank (the built-in one and one
+// built by a policy chosen by name), not a panic in a sweep worker or a
+// bank silently resized. A spec that sets its own Nodes is checked at
+// validation, in TestBadPredictorConfigFailsValidation.
+func TestPredictorNodesMustMatchSystem(t *testing.T) {
+	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}} // 16 nodes
+	type outcome struct {
+		runner, label string
+		err           error
+	}
+	run := func(policyName string, nodes int) []outcome {
+		cfg := destset.DefaultPredictorConfig(destset.Group, nodes)
+		engine := destset.EngineSpec{Protocol: destset.ProtocolMulticast, PolicyName: policyName, Predictor: &cfg, Label: "the-engine"}
+		simSpec := destset.SimSpec{Protocol: destset.ProtocolMulticast, PolicyName: policyName, Predictor: &cfg, Label: "the-sim"}
+		_, traceErr := destset.NewRunner([]destset.EngineSpec{engine}, workloads).Run(context.Background())
+		_, timingErr := destset.NewTimingRunner([]destset.SimSpec{simSpec}, workloads).Run(context.Background())
+		return []outcome{{"Runner", "the-engine", traceErr}, {"TimingRunner", "the-sim", timingErr}}
+	}
+	for _, policyName := range []string{"", "group"} {
+		for _, nodes := range []int{0, 16} {
+			for _, r := range run(policyName, nodes) {
+				if r.err != nil {
+					t.Errorf("policy %q, predictor Nodes %d on 16 nodes: %s: %v", policyName, nodes, r.runner, r.err)
+				}
+			}
+		}
+		for _, nodes := range []int{8, 32} {
+			want := fmt.Sprintf("predictor config has %d nodes, but the system has 16", nodes)
+			for _, r := range run(policyName, nodes) {
+				if r.err == nil || !strings.Contains(r.err.Error(), want) || !strings.Contains(r.err.Error(), r.label) {
+					t.Errorf("policy %q, predictor Nodes %d on 16 nodes: %s err = %v, want one naming %q and containing %q",
+						policyName, nodes, r.runner, r.err, r.label, want)
+				}
+			}
+		}
 	}
 }
