@@ -33,19 +33,7 @@
 // generated and spilled on first fetch. Workers with their own (cold,
 // private) -dataset-dir fetch every announced dataset, verify the CRC
 // on receipt, and cold-start with zero generations and zero shared
-// mounts.
-//
-// The coordinator also runs the holder directory that makes dataset
-// distribution peer-to-peer: workers announce their read-only peer
-// dataset servers and installed keys (POST /v1/announce, plus the same
-// fields piggybacked on lease and heartbeat bodies), GET
-// /v1/holders/{key} answers a shuffled list of live holders with the
-// sha256 every peer-served copy must match, and holders vanish from the
-// directory with their leases. Fetches try hinted peers before the
-// uplink, so the coordinator serves each dataset O(1) times per sweep
-// however many workers join; GET
-// /v1/progress reports dataset_bytes_served and peer_hints_served to
-// make that visible.
+// mounts. GET /v1/progress reports dataset_bytes_served.
 //
 // Workers (cmd/sweepwork) find the coordinator at -addr. -chunk sets
 // cells per lease, -lease-ttl the heartbeat deadline, -max-attempts the

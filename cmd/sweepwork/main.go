@@ -3,29 +3,16 @@
 // fingerprint from the served sweep definition, resolves the
 // pre-announced datasets — zero generations against a warm -dataset-dir,
 // and still zero against an empty private one: datasets missing from
-// the local directory are fetched over the wire, CRC-verified on
+// the local directory are fetched from the coordinator, CRC-verified on
 // receipt and installed atomically — then leases cell ranges, executes
 // them through the ordinary facade runners, and streams the JSONL
 // observation records back — heartbeating so a live lease never expires
 // and a dead worker's lease does.
 //
-// Wire fetches are peer-to-peer first: each worker with a -dataset-dir
-// serves its installed datasets read-only on -peer-addr and announces
-// what it holds, and fetches try up to two coordinator-hinted peer
-// holders before falling back to the coordinator — so the coordinator
-// uplink serves each dataset roughly once per fleet, not once per
-// worker. Peers are untrusted: every install re-validates the payload,
-// and a peer's bytes must also hash to the sha256 the coordinator
-// returns with its holder hints — a check a forged file cannot pass by
-// recomputing its own checksum — so a corrupt or lying peer costs one
-// retried attempt, nothing more. -no-peer opts a worker out of the
-// fabric entirely.
-//
 // Usage:
 //
 //	sweepwork -coordinator http://host:port [-name w1] [-parallel N]
 //	          [-dataset-dir path] [-plan fingerprint] [-poll 300ms]
-//	          [-peer-addr 127.0.0.1:0] [-no-peer]
 //
 // -plan pins the exact sweep this worker will execute; a coordinator
 // serving any other plan is refused. -hold delays each lease's execution
@@ -62,9 +49,6 @@ func main() {
 		poll        = flag.Duration("poll", 300*time.Millisecond, "idle wait between lease requests")
 		hold        = flag.Duration("hold", 0, "hold each lease this long before running it (failure-injection knob)")
 		fetchHold   = flag.Duration("fetch-hold", 0, "hold each dataset wire fetch this long before installing it (failure-injection knob)")
-		noPrewarm   = flag.Bool("no-prewarm", false, "skip resolving the coordinator's pre-announced datasets")
-		peerAddr    = flag.String("peer-addr", "127.0.0.1:0", "address the read-only peer dataset server listens on (needs -dataset-dir; empty disables serving)")
-		noPeer      = flag.Bool("no-peer", false, "opt out of the peer dataset fabric: serve nothing, fetch only from the coordinator")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 	)
 	flag.Parse()
@@ -102,16 +86,12 @@ func main() {
 		PollInterval: *poll,
 		Hold:         *hold,
 		FetchHold:    *fetchHold,
-		NoPrewarm:    *noPrewarm,
-		PeerAddr:     *peerAddr,
-		NoPeer:       *noPeer,
 		Logf:         logf,
 	})
 	if err != nil {
 		fail(err)
 	}
 	ds := destset.DatasetCacheStats()
-	logf("done: %d lease(s), %d cell(s), %d dataset(s) prewarmed, %d fetched (%d bytes, %d from peers), %d peer bytes served, dataset generations %d",
-		stats.Leases, stats.Cells, stats.Prewarmed, stats.Fetched, stats.FetchedBytes, stats.FetchedFromPeers,
-		stats.PeerServedBytes, ds.Generations)
+	logf("done: %d lease(s), %d cell(s), %d dataset(s) prewarmed, %d fetched (%d bytes), dataset generations %d",
+		stats.Leases, stats.Cells, stats.Prewarmed, stats.Fetched, stats.FetchedBytes, ds.Generations)
 }

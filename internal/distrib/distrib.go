@@ -34,12 +34,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -167,22 +164,14 @@ type Coordinator struct {
 	wire     map[string]*wireDataset
 	dsetKeys []string
 
-	// dsBytes counts dataset bytes the coordinator's own uplink served
-	// over GET /v1/dataset; peerHints counts /v1/holders responses that
-	// carried at least one live peer — fetches the uplink did not have
-	// to serve. Both are written by HTTP handlers outside mu.
-	dsBytes   atomic.Int64
-	peerHints atomic.Int64
+	// dsBytes counts dataset bytes served over GET /v1/dataset; HTTP
+	// handlers write it outside mu.
+	dsBytes atomic.Int64
 
 	mu      sync.Mutex
 	st      *walState
 	tasks   []*task
 	pending []int // task indices, front = next granted
-	// peers is the holder directory: for each worker that announced a
-	// peer dataset server, its base URL and the content keys it holds.
-	// Entries are pruned when the worker's lease expires and ignored
-	// once the worker falls off the liveness horizon.
-	peers map[string]*peerHolder
 	// leased holds the currently-granted task indices, so lazy expiry
 	// scans O(outstanding leases), not O(all tasks).
 	leased      map[int]bool
@@ -260,7 +249,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		leases:   make(map[string]int),
 		done:     make(chan struct{}),
 		workers:  make(map[string]time.Time),
-		peers:    make(map[string]*peerHolder),
 	}
 
 	var cp *checkpoint
@@ -597,7 +585,7 @@ func (c *Coordinator) Plan() *destset.SweepPlan { return c.plan }
 // Drain stops the coordinator granting leases: outstanding leases keep
 // renewing and completing, but pending work stays queued — the graceful
 // half of a shutdown, before Checkpoint and exit. Progress reports the
-// draining state so supervisors stop launching workers.
+// draining state.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -666,148 +654,47 @@ func (c *Coordinator) Info() SweepInfo {
 	}
 }
 
-// wireDataset is one fetchable dataset: its definition plus the
-// lazily-materialized serving file and the sha256 of its bytes. The
-// once makes materialization — including validation of a pre-existing
-// file — happen exactly once per coordinator, however many workers
-// fetch concurrently.
+// wireDataset is one fetchable dataset: its definition plus the path of
+// its materialized serving file ("" until the first success). mu makes
+// concurrent fetchers of one key share one materialization.
 type wireDataset struct {
-	sd     destset.SweepDataset
-	once   sync.Once
-	path   string
-	sha256 string
-	err    error
+	sd   destset.SweepDataset
+	mu   sync.Mutex
+	path string
 }
 
 // DatasetPath resolves a content key to the on-disk dataset file the
-// fetch endpoint streams, materializing it on first use: an existing
+// fetch endpoint streams, materializing it when needed: an existing
 // valid file in the dataset dir is served as-is, otherwise the dataset
 // is generated and spilled there (or, with no dataset dir configured,
-// next to the coordinator's spill files). Unknown keys — anything this
-// sweep does not replay — are refused, so the endpoint can never be
-// used to make a coordinator generate arbitrary datasets.
+// next to the coordinator's spill files). Only success is remembered: a
+// failed materialization is retried by the next fetch, and a serving
+// file that has since vanished is materialized again. Unknown keys —
+// anything this sweep does not replay — are refused, so the endpoint
+// can never be used to make a coordinator generate arbitrary datasets.
 func (c *Coordinator) DatasetPath(key string) (string, error) {
 	wd, ok := c.wire[key]
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrUnknownDataset, key)
 	}
-	wd.once.Do(func() {
-		dir := c.cfg.DatasetDir
-		if dir == "" {
-			dir = c.st.spillDir
+	wd.mu.Lock()
+	defer wd.mu.Unlock()
+	if wd.path != "" {
+		if _, err := os.Stat(wd.path); err == nil {
+			return wd.path, nil
 		}
-		if wd.path, wd.err = wd.sd.SpillTo(dir); wd.err != nil {
-			return
-		}
-		// The digest vouches for these bytes in /v1/holders replies.
-		if wd.sha256, wd.err = fileSHA256(wd.path); wd.err == nil {
-			c.logf("dataset %s ready at %s", key, wd.path)
-		}
-	})
-	return wd.path, wd.err
-}
-
-// fileSHA256 returns the hex sha256 of a file's bytes.
-func fileSHA256(path string) (string, error) {
-	f, err := os.Open(path)
+	}
+	dir := c.cfg.DatasetDir
+	if dir == "" {
+		dir = c.st.spillDir
+	}
+	path, err := wd.sd.SpillTo(dir)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("distrib: materializing dataset %s: %w", key, err)
 	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// peerHolder is one worker's advertised peer dataset server: its base
-// URL and the content keys it is believed to hold. Workers are servers
-// too — every receiver checks a peer's bytes against the sha256 the
-// coordinator vouches for in its /v1/holders reply, so an untrusted (or
-// stale, or lying) holder can waste a fetch attempt but never poison an
-// install.
-type peerHolder struct {
-	addr string
-	keys map[string]bool
-}
-
-// Announce registers a worker's peer dataset server address and the
-// content keys it newly holds, growing the holder directory the
-// /v1/holders hints are answered from. Workers announce at handshake
-// (keys already in their dataset dir), after each wire fetch installs,
-// and after prewarm generations; later announcements are cumulative.
-// Keys the sweep does not replay are refused — version skew, not data.
-func (c *Coordinator) Announce(worker, planFP, peer string, holds []string) error {
-	if err := c.checkPlan(planFP); err != nil {
-		return err
-	}
-	if worker == "" {
-		return fmt.Errorf("distrib: announce needs a worker name")
-	}
-	for _, k := range holds {
-		if _, ok := c.wire[k]; !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownDataset, k)
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers[worker] = c.cfg.Now()
-	p := c.peers[worker]
-	if p == nil {
-		p = &peerHolder{keys: make(map[string]bool)}
-		c.peers[worker] = p
-	}
-	if peer != "" {
-		p.addr = peer
-	}
-	for _, k := range holds {
-		p.keys[k] = true
-	}
-	return nil
-}
-
-// HoldersReply is the /v1/holders response: peer base URLs believed to
-// hold the key, shuffled so a thundering fleet spreads across holders,
-// and the sha256 of the coordinator's own copy of the bytes. A worker
-// installs peer-served bytes only if they hash to SHA256.
-type HoldersReply struct {
-	Key     string   `json:"key"`
-	Holders []string `json:"holders"`
-	SHA256  string   `json:"sha256"`
-}
-
-// Holders answers one fetch hint: the shuffled addresses of live
-// workers holding key, and the digest their bytes must match. Liveness
-// is the same two-TTL horizon the worker count uses, and an expired
-// lease prunes its worker's entry outright — a dead worker stops being
-// hinted as soon as its lease dies. The digest comes from the
-// coordinator's own materialized file, so the first hint for a key
-// materializes it, exactly as the first fetch would. Unknown keys are
-// refused like the fetch endpoint refuses them.
-func (c *Coordinator) Holders(key string) (HoldersReply, error) {
-	if _, err := c.DatasetPath(key); err != nil {
-		return HoldersReply{}, err
-	}
-	now := c.cfg.Now()
-	c.mu.Lock()
-	horizon := now.Add(-2 * c.cfg.LeaseTTL)
-	var out []string
-	for name, p := range c.peers {
-		if p.addr == "" || !p.keys[key] {
-			continue
-		}
-		if seen, ok := c.workers[name]; !ok || !seen.After(horizon) {
-			continue
-		}
-		out = append(out, p.addr)
-	}
-	c.mu.Unlock()
-	rand.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	if len(out) > 0 {
-		c.peerHints.Add(1)
-	}
-	return HoldersReply{Key: key, Holders: out, SHA256: c.wire[key].sha256}, nil
+	wd.path = path
+	c.logf("dataset %s ready at %s", key, path)
+	return path, nil
 }
 
 // Lease is one granted cell range.
@@ -851,10 +738,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 				t.leaseID, t.worker, t.lo, t.hi, t.attempts)
 			c.recordLocked(walEvent{E: "expire", Task: i, Lease: t.leaseID, Worker: t.worker})
 			t.lastFailed = t.worker
-			// An expired lease usually means a dead worker: stop hinting
-			// it as a dataset holder. A live-but-slow worker re-announces
-			// on its next contact.
-			delete(c.peers, t.worker)
 			c.requeueLocked(i)
 		}
 	}
@@ -1154,15 +1037,9 @@ type Progress struct {
 	PendingCells  int `json:"pending_cells"`
 	// Workers counts workers seen within the last two lease TTLs.
 	Workers int `json:"workers"`
-	// DatasetBytesServed counts dataset bytes the coordinator's own
-	// uplink served over GET /v1/dataset — with peer fetch on, ~one
-	// copy per key regardless of fleet size. PeerHintsServed counts
-	// /v1/holders responses carrying at least one live peer (fetches
-	// the uplink did not have to serve); PeerHolders counts workers
-	// currently registered in the holder directory.
+	// DatasetBytesServed counts dataset bytes served over GET
+	// /v1/dataset.
 	DatasetBytesServed int64 `json:"dataset_bytes_served"`
-	PeerHintsServed    int64 `json:"peer_hints_served"`
-	PeerHolders        int   `json:"peer_holders"`
 	// Draining means the coordinator has stopped granting leases and is
 	// waiting out the outstanding ones (graceful shutdown).
 	Draining bool   `json:"draining,omitempty"`
@@ -1192,8 +1069,6 @@ func (c *Coordinator) Progress() Progress {
 		Draining:           c.draining,
 		Done:               c.doneTasks == len(c.tasks),
 		DatasetBytesServed: c.dsBytes.Load(),
-		PeerHintsServed:    c.peerHints.Load(),
-		PeerHolders:        len(c.peers),
 	}
 	if c.cfg.Results != nil {
 		stats := c.cfg.Results.Stats()

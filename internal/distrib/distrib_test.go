@@ -319,6 +319,58 @@ func cellRecords(t *testing.T, def destset.SweepDef) map[int][]string {
 	return out
 }
 
+// TestDrainStopsGrantsButKeepsLeases pins the graceful half of a
+// shutdown: after Drain the coordinator grants nothing and does not
+// report done, Progress says it is draining, and a lease granted before
+// the drain still heartbeats and completes.
+func TestDrainStopsGrantsButKeepsLeases(t *testing.T) {
+	def := timingDef()
+	records := cellRecords(t, def)
+	coord, err := distrib.NewCoordinator(distrib.Config{Def: def, ChunkSize: 1, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	fp := coord.Plan().Fingerprint()
+
+	held, err := coord.Lease("w1", fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Lease == nil {
+		t.Fatalf("no lease before the drain: %+v", held)
+	}
+	coord.Drain()
+	if !coord.Progress().Draining {
+		t.Error("Progress().Draining = false after Drain")
+	}
+	reply, err := coord.Lease("w2", fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Lease != nil || reply.Done || reply.Failed != "" {
+		t.Errorf("Lease after Drain = %+v, want nothing granted and not done", reply)
+	}
+
+	if err := coord.Heartbeat(held.Lease.ID, "w1", fp); err != nil {
+		t.Errorf("heartbeat of a lease granted before the drain: %v", err)
+	}
+	if cr := uploadRange(t, coord, *held.Lease, "w1", fp, records); !cr.Accepted || cr.Done {
+		t.Errorf("completion of a lease granted before the drain = %+v, want accepted, sweep not done", cr)
+	}
+	p := coord.Progress()
+	if p.DoneCells != 1 || p.Done || p.PendingCells != p.Cells-1 || !p.Draining {
+		t.Errorf("progress after the completion = %+v, want 1 done, the rest pending, still draining", p)
+	}
+	reply, err = coord.Lease("w1", fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Lease != nil || reply.Done {
+		t.Errorf("Lease after the completion = %+v, want nothing granted and not done", reply)
+	}
+}
+
 // TestFirstCompleteWinsAfterExpiry drives the coordinator API through
 // the late-completion race: a lease expires, its range is re-granted,
 // and then the original worker's upload arrives first — it wins, and the

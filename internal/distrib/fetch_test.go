@@ -2,19 +2,20 @@ package distrib_test
 
 // Dataset wire-fetch tests: the no-shared-mount property (a worker with
 // an empty private dataset dir completes the sweep with zero
-// generations and byte-identical output) and the fetch failure matrix —
+// generations and byte-identical output), the fetch failure matrix —
 // truncated body, CRC mismatch on receipt, coordinator restart
-// mid-fetch. Concurrent duplicate fetches are pinned both here (request
-// counting on the real endpoint) and in fetch_internal_test.go (many
-// goroutines racing one key).
+// mid-fetch — and a coordinator whose serving files heal. Concurrent
+// duplicate fetches are pinned both here (request counting on the real
+// endpoint) and in fetch_internal_test.go (many goroutines racing one
+// key).
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -124,6 +125,9 @@ func TestWorkerFetchesMissingDatasets(t *testing.T) {
 	}
 	if err := coord.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if served := coord.Progress().DatasetBytesServed; served != stats.FetchedBytes {
+		t.Errorf("Progress.DatasetBytesServed = %d, want the worker's FetchedBytes %d", served, stats.FetchedBytes)
 	}
 	var got bytes.Buffer
 	if err := coord.WriteMerged(&got); err != nil {
@@ -315,128 +319,117 @@ func TestFetchCoordinatorRestartMidFetch(t *testing.T) {
 	}
 }
 
-// TestWorkerFetchesFromSeededPeer is the end-to-end peer-fabric
-// property: with one pre-seeded peer announced as holder of every
-// dataset, a mountless worker completes the whole sweep without the
-// coordinator uplink streaming a single dataset byte — the bytes come
-// from the peer, validated on receipt exactly like coordinator bytes —
-// and the merged output is still byte-identical to the single-process
-// run.
-func TestWorkerFetchesFromSeededPeer(t *testing.T) {
+// TestDatasetServingHeals pins that the coordinator remembers only a
+// materialization that worked. A serving file deleted after it was
+// materialized is materialized again by the next fetch, and a dataset
+// dir that cannot be created answers a 5xx, not a client error, until
+// the cause is fixed — then the same coordinator serves. Either way a
+// mountless worker completes the sweep byte-identical with zero
+// generations.
+func TestDatasetServingHeals(t *testing.T) {
 	def := timingDef()
 	want := localJSONL(t, def)
-	datasets, err := def.Datasets()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The seed: a warm directory with every dataset materialized,
-	// served read-only on its own in-memory host.
-	seedDir := t.TempDir()
-	paths := make(map[string]string, len(datasets))
-	keys := make([]string, len(datasets))
-	for i, sd := range datasets {
-		if keys[i], err = sd.ContentKey(); err != nil {
+	runMountless := func(t *testing.T, coord *distrib.Coordinator, client *http.Client) {
+		t.Helper()
+		resetSharedDatasets(t, t.TempDir())
+		before := destset.DatasetCacheStats()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		stats, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
+			URL:          "http://coordinator",
+			Client:       client,
+			Name:         "healed",
+			Parallelism:  2,
+			PollInterval: 20 * time.Millisecond,
+			RetryBase:    5 * time.Millisecond,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if paths[keys[i]], err = sd.SpillTo(seedDir); err != nil {
+		if stats.Fetched != 2 {
+			t.Errorf("stats = %+v, want 2 fetched", stats)
+		}
+		if gens := destset.DatasetCacheStats().Generations - before.Generations; gens != 0 {
+			t.Errorf("worker generated %d datasets, want 0", gens)
+		}
+		if err := coord.Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}
-	net := distrib.NewMemNet()
-	seedMux := http.NewServeMux()
-	seedMux.HandleFunc("GET /v1/dataset/{key}", func(w http.ResponseWriter, r *http.Request) {
-		path, ok := paths[r.PathValue("key")]
-		if !ok {
-			http.NotFound(w, r)
-			return
+		var got bytes.Buffer
+		if err := coord.WriteMerged(&got); err != nil {
+			t.Fatal(err)
 		}
-		http.ServeFile(w, r, path)
-	})
-	seedLn := net.Listen("seedpeer")
-	seedSrv := &http.Server{Handler: seedMux}
-	go seedSrv.Serve(seedLn)
-	t.Cleanup(func() { seedSrv.Close(); seedLn.Close() })
-
-	var dsGets atomic.Int64
-	coord, err := distrib.NewCoordinator(distrib.Config{Def: def, LeaseTTL: 5 * time.Second, DatasetDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := distrib.NewHandler(coord)
-	outer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/dataset/") {
-			dsGets.Add(1)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Error("distributed output differs from the single-process run")
 		}
-		inner.ServeHTTP(w, r)
-	})
-	coordLn := net.Listen("coordinator")
-	coordSrv := &http.Server{Handler: outer}
-	go coordSrv.Serve(coordLn)
-	t.Cleanup(func() { coordSrv.Close(); coordLn.Close(); coord.Close() })
-
-	// Register the seed as holder of everything, exactly as a live
-	// worker's handshake announcement would.
-	plan, err := def.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := json.Marshal(map[string]any{
-		"worker": "seed", "plan": plan.Fingerprint(), "peer": "http://seedpeer", "holds": keys,
-	})
-	resp, err := net.Client().Post("http://coordinator/v1/announce", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("announce: status %d", resp.StatusCode)
 	}
 
-	resetSharedDatasets(t, t.TempDir())
-	before := destset.DatasetCacheStats()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	stats, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
-		URL:           "http://coordinator",
-		Client:        net.Client(),
-		Name:          "leecher",
-		Parallelism:   2,
-		PollInterval:  20 * time.Millisecond,
-		RetryBase:     10 * time.Millisecond,
-		PeerListener:  net.Listen("leecher"),
-		PeerAdvertise: "http://leecher",
+	t.Run("vanished-file", func(t *testing.T) {
+		coordDir := t.TempDir()
+		var ready atomic.Int64 // materializations, one log line each
+		coord, client := serve(t, distrib.Config{Def: def, LeaseTTL: 5 * time.Second, DatasetDir: coordDir,
+			Logf: func(format string, args ...any) {
+				if strings.Contains(format, " ready at ") {
+					ready.Add(1)
+				}
+			}})
+		// Concurrent first fetches of a key share one materialization.
+		keys := coord.Info().DatasetKeys
+		paths := make([]string, 8*len(keys))
+		errs := make([]error, len(paths))
+		var wg sync.WaitGroup
+		for i := range paths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				paths[i], errs[i] = coord.DatasetPath(keys[i%len(keys)])
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paths[i] != paths[i%len(keys)] {
+				t.Fatalf("key %s resolved to %s and %s", keys[i%len(keys)], paths[i], paths[i%len(keys)])
+			}
+		}
+		if n := ready.Load(); n != int64(len(keys)) {
+			t.Errorf("%d concurrent fetches materialized %d times, want %d (once per key)", len(paths), n, len(keys))
+		}
+		for _, path := range paths[:len(keys)] {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runMountless(t, coord, client)
+		if n := ready.Load(); n != 2*int64(len(keys)) {
+			t.Errorf("materialized %d times in all, want %d (each deleted key exactly once more)", n, 2*len(keys))
+		}
+		if files, _ := filepath.Glob(filepath.Join(coordDir, "*.dset")); len(files) != 2 {
+			t.Errorf("coordinator dir holds %d dataset files after the refetch, want 2", len(files))
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Fetched != 2 || stats.FetchedFromPeers != 2 {
-		t.Errorf("stats = %+v, want 2 fetched, 2 from peers", stats)
-	}
-	if n := dsGets.Load(); n != 0 {
-		t.Errorf("coordinator uplink served %d dataset GETs, want 0 (all bytes peer-to-peer)", n)
-	}
-	if gens := destset.DatasetCacheStats().Generations - before.Generations; gens != 0 {
-		t.Errorf("worker generated %d datasets, want 0", gens)
-	}
-	if err := coord.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	prog := coord.Progress()
-	if prog.DatasetBytesServed != 0 {
-		t.Errorf("Progress.DatasetBytesServed = %d, want 0", prog.DatasetBytesServed)
-	}
-	if prog.PeerHintsServed == 0 {
-		t.Error("Progress.PeerHintsServed = 0, want > 0")
-	}
-	if prog.PeerHolders < 2 {
-		t.Errorf("Progress.PeerHolders = %d, want >= 2 (the seed and the worker)", prog.PeerHolders)
-	}
-	var got bytes.Buffer
-	if err := coord.WriteMerged(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Error("peer-fetched distributed output differs from the single-process run")
-	}
+
+	t.Run("failed-first-materialization", func(t *testing.T) {
+		// A regular file where the dataset dir's parent should be: no
+		// dataset can be spilled until it is removed.
+		blocker := filepath.Join(t.TempDir(), "blocker")
+		if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		coord, client := serve(t, distrib.Config{Def: def, LeaseTTL: 5 * time.Second, DatasetDir: filepath.Join(blocker, "datasets")})
+		resp, err := client.Get("http://coordinator/v1/dataset/" + coord.Info().DatasetKeys[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 500 {
+			t.Errorf("failed materialization answered %s, want a 5xx server error", resp.Status)
+		}
+		if err := os.Remove(blocker); err != nil {
+			t.Fatal(err)
+		}
+		runMountless(t, coord, client)
+	})
 }

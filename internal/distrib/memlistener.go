@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -75,58 +74,3 @@ type memAddr struct{}
 
 func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "mem" }
-
-// MemNet is an in-memory network: a registry of MemListeners keyed by
-// host name, plus an HTTP client that routes each request to the
-// listener registered under the URL's host. Tests and benchmarks use it
-// to stand up a coordinator and a whole fleet of peer-serving workers
-// — every node addressable by name — with no sockets.
-type MemNet struct {
-	mu    sync.Mutex
-	hosts map[string]*MemListener
-}
-
-// NewMemNet returns an empty in-memory network.
-func NewMemNet() *MemNet {
-	return &MemNet{hosts: make(map[string]*MemListener)}
-}
-
-// Listen registers a fresh listener under host (replacing any prior
-// one, which keeps serving its open connections but receives no new
-// dials).
-func (n *MemNet) Listen(host string) *MemListener {
-	l := NewMemListener()
-	n.mu.Lock()
-	n.hosts[host] = l
-	n.mu.Unlock()
-	return l
-}
-
-// Drop unregisters host; later dials to it refuse like a dead peer.
-func (n *MemNet) Drop(host string) {
-	n.mu.Lock()
-	delete(n.hosts, host)
-	n.mu.Unlock()
-}
-
-// Client returns an HTTP client that dials by host name. Unknown hosts
-// refuse the connection — exactly what a fetch from a dead peer sees.
-func (n *MemNet) Client() *http.Client {
-	return &http.Client{
-		Transport: &http.Transport{
-			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-				host := addr
-				if h, _, err := net.SplitHostPort(addr); err == nil {
-					host = h
-				}
-				n.mu.Lock()
-				l := n.hosts[host]
-				n.mu.Unlock()
-				if l == nil {
-					return nil, &net.OpError{Op: "dial", Net: network, Err: fmt.Errorf("mem host %q is not listening", host)}
-				}
-				return l.Dial(ctx)
-			},
-		},
-	}
-}

@@ -13,54 +13,30 @@ import (
 // The wire protocol, one endpoint per coordinator method:
 //
 //	GET  /v1/sweep          -> SweepInfo (open: the handshake)
-//	POST /v1/lease          {worker, plan[, peer, holds]} -> LeaseReply
-//	POST /v1/heartbeat      {worker, plan, lease[, peer, holds]} -> 204
+//	POST /v1/lease          {worker, plan} -> LeaseReply
+//	POST /v1/heartbeat      {worker, plan, lease} -> 204
 //	POST /v1/fail           {worker, plan, lease, error} -> 204
 //	POST /v1/complete       ?worker=&plan=&lease=  body: JSONL records -> CompleteReply
-//	POST /v1/announce       {worker, plan, peer, holds} -> 204
 //	GET  /v1/progress       -> Progress
 //	GET  /v1/dataset/{key}  -> the content-addressed dataset file bytes
-//	GET  /v1/holders/{key}  -> HoldersReply (shuffled peer base URLs)
 //
-// Every request except the handshake and the dataset/holders reads
-// carries the plan fingerprint; a mismatch is 409 Conflict. An unknown
-// lease id is 404, a stale one (expired and re-queued) is 410 Gone, an
-// unusable upload is 400 (and the range is already re-queued by the
-// time the response is written). A dataset key the sweep does not
-// replay is 404; the served bytes carry their own CRC (the columnar
-// file format), so receivers validate the payload end to end without a
-// separate digest header.
-//
-// The holder directory turns workers into dataset servers: /v1/announce
-// registers a worker's peer address and installed keys (lease and
-// heartbeat bodies piggyback the same fields incrementally), and
-// /v1/holders answers fetch hints so workers pull datasets from each
-// other instead of the coordinator — the uplink serves each key ~once
-// however large the fleet.
+// Every request except the handshake and the reads carries the plan
+// fingerprint; a mismatch is 409 Conflict. An unknown lease id is 404,
+// a stale one (expired and re-queued) is 410 Gone, an unusable upload
+// is 400 (and the range is already re-queued by the time the response
+// is written). A dataset key the sweep does not replay is 404; a
+// dataset the coordinator fails to materialize is 500, and a serving
+// file that vanished mid-request is 503, so workers retry both. The
+// served bytes carry their own CRC (the columnar file format), so
+// receivers validate the payload end to end without a separate digest
+// header.
 
-// workerRequest is the JSON body of lease, heartbeat, fail and announce
-// requests. Peer and Holds piggyback holder-directory updates: the
-// worker's peer dataset server base URL and content keys newly
-// installed since its last report.
+// workerRequest is the JSON body of lease, heartbeat and fail requests.
 type workerRequest struct {
-	Worker string   `json:"worker"`
-	Plan   string   `json:"plan"`
-	Lease  string   `json:"lease,omitempty"`
-	Error  string   `json:"error,omitempty"`
-	Peer   string   `json:"peer,omitempty"`
-	Holds  []string `json:"holds,omitempty"`
-}
-
-// announce folds a request's piggybacked holder update into the
-// directory, best-effort: a bad announcement must not fail the lease or
-// heartbeat riding alongside it.
-func announce(c *Coordinator, req workerRequest) {
-	if req.Peer == "" && len(req.Holds) == 0 {
-		return
-	}
-	if err := c.Announce(req.Worker, req.Plan, req.Peer, req.Holds); err != nil {
-		c.logf("announce from %s ignored: %v", req.Worker, err)
-	}
+	Worker string `json:"worker"`
+	Plan   string `json:"plan"`
+	Lease  string `json:"lease,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
 // NewHandler serves the coordinator protocol.
@@ -76,43 +52,25 @@ func NewHandler(c *Coordinator) http.Handler {
 		key := r.PathValue("key")
 		path, err := c.DatasetPath(key)
 		if err != nil {
-			writeErr(w, err)
+			// Only an unknown key is the permanent 404; a failed
+			// materialization is this side's fault, and the worker retries.
+			code := http.StatusInternalServerError
+			if errors.Is(err, ErrUnknownDataset) {
+				code = http.StatusNotFound
+			}
+			writeJSON(w, code, map[string]string{"error": err.Error()})
 			return
 		}
-		// A materialized file that has since vanished (a racing purge) is
-		// transient, not an unknown key: 503 keeps the worker retrying
-		// instead of failing fast on the permanent-404 classification.
-		n := streamFile(w, path, http.StatusServiceUnavailable)
-		if n > 0 {
+		if n := streamFile(w, path); n > 0 {
 			c.dsBytes.Add(n)
 			c.logf("dataset %s served (%d bytes)", key, n)
 		}
-	})
-	mux.HandleFunc("GET /v1/holders/{key}", func(w http.ResponseWriter, r *http.Request) {
-		reply, err := c.Holders(r.PathValue("key"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, reply)
-	})
-	mux.HandleFunc("POST /v1/announce", func(w http.ResponseWriter, r *http.Request) {
-		var req workerRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if err := c.Announce(req.Worker, req.Plan, req.Peer, req.Holds); err != nil {
-			writeErr(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req workerRequest
 		if !readJSON(w, r, &req) {
 			return
 		}
-		announce(c, req)
 		reply, err := c.Lease(req.Worker, req.Plan)
 		if err != nil {
 			writeErr(w, err)
@@ -125,7 +83,6 @@ func NewHandler(c *Coordinator) http.Handler {
 		if !readJSON(w, r, &req) {
 			return
 		}
-		announce(c, req)
 		if err := c.Heartbeat(req.Lease, req.Worker, req.Plan); err != nil {
 			writeErr(w, err)
 			return
@@ -156,17 +113,17 @@ func NewHandler(c *Coordinator) http.Handler {
 }
 
 // streamFile streams one content-addressed dataset file with its length
-// declared up front, answering missingCode when the file does not exist
-// — 404 from a peer that no longer (or never) holds the key, 503 from a
-// coordinator whose materialized copy vanished under it. It returns the
-// bytes written; receivers re-validate the payload whole, so a stream
-// cut mid-copy is just a failed attempt on their side.
-func streamFile(w http.ResponseWriter, path string, missingCode int) int64 {
+// declared up front. A file that vanished after DatasetPath resolved it
+// (a racing purge) answers 503: transient, not an unknown key, so the
+// worker retries and the next DatasetPath re-materializes the file. It
+// returns the bytes written; receivers re-validate the payload whole,
+// so a stream cut mid-copy is just a failed attempt on their side.
+func streamFile(w http.ResponseWriter, path string) int64 {
 	f, err := os.Open(path)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if os.IsNotExist(err) {
-			code = missingCode
+			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return 0
@@ -205,7 +162,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrPlanMismatch):
 		code = http.StatusConflict
-	case errors.Is(err, ErrUnknownLease), errors.Is(err, ErrUnknownDataset):
+	case errors.Is(err, ErrUnknownLease):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrLeaseGone):
 		code = http.StatusGone

@@ -249,9 +249,9 @@ func (rs *ResultStore) HasCell(kind, fp string) bool {
 // CellRecords returns cell fp's stored observation stream as JSONL
 // record lines — byte-identical to what a JSONLObserver wrote when the
 // cell computed — along with the plan kind the record belongs to. It is
-// the kind-agnostic lookup behind CellLines and the sweepapi
-// observations endpoint. Unlike the runner path, non-Final trace
-// records qualify — replaying observations needs no engine name.
+// the kind-agnostic lookup behind CellLines. Unlike the runner path,
+// non-Final trace records qualify — replaying observations needs no
+// engine name.
 func (rs *ResultStore) CellRecords(fp string) (kind string, lines [][]byte, ok bool) {
 	kind, payload, ok := rs.s.Get(fp)
 	if !ok {

@@ -308,7 +308,7 @@ func TestResultStoreSkipsOpenWorkloads(t *testing.T) {
 }
 
 // TestResultStoreCellLines pins the raw-record interface the
-// distributed coordinator and sweepapi use: StoreCellLines round-trips
+// distributed coordinator uses: StoreCellLines round-trips
 // byte-identically through CellRecords/CellLines; a spilled (non-Final)
 // trace record serves observation replay but reads as a miss to a
 // runner, which upgrades it on compute.

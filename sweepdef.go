@@ -285,21 +285,6 @@ func (sd SweepDataset) Stored(dir string) bool {
 	return statErr == nil
 }
 
-// PathIn returns the dataset's content-addressed file path under dir
-// without materializing anything — the read-only lookup peer serving
-// uses: a worker streams the file when it exists and never generates
-// on another worker's behalf.
-func (sd SweepDataset) PathIn(dir string) (string, error) {
-	key, err := sd.key()
-	if err != nil {
-		return "", err
-	}
-	if dir == "" {
-		return "", fmt.Errorf("destset: no dataset directory")
-	}
-	return key.Path(dir), nil
-}
-
 // InstallTo streams r into the dataset's content-addressed file under
 // dir with the fetch-receipt discipline: the bytes land in a temporary
 // file, are fully validated (header, layout, payload CRC, and decoded
