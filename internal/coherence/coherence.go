@@ -117,7 +117,7 @@ func (mi MissInfo) CacheToCache(req nodeset.NodeID) bool {
 // multicast snooping transaction to succeed: requester, home, the owner,
 // and for GetExclusive all sharers.
 func (mi MissInfo) Needed(req nodeset.NodeID, kind trace.Kind) nodeset.Set {
-	s := nodeset.Of(req, mi.Home)
+	s := nodeset.Pair(req, mi.Home)
 	if !mi.OwnerIsMemory() {
 		s = s.Add(mi.Owner)
 	}
@@ -131,7 +131,7 @@ func (mi MissInfo) Needed(req nodeset.NodeID, kind trace.Kind) nodeset.Set {
 // protocol's initial request and by predictors as the floor of every
 // prediction: requester plus home.
 func MinimalSet(req, home nodeset.NodeID) nodeset.Set {
-	return nodeset.Of(req, home)
+	return nodeset.Pair(req, home)
 }
 
 // DirIndirection reports whether a directory protocol would add an

@@ -60,6 +60,12 @@ var (
 	// ErrUnknownDataset means a dataset fetch named a content key this
 	// sweep does not replay.
 	ErrUnknownDataset = errors.New("distrib: unknown dataset key")
+	// ErrBadRequest means the request itself was at fault: a lease
+	// request without a worker name, or an upload whose records do not
+	// parse or do not cover exactly the leased range. Any other failure
+	// of a coordinator method is the coordinator's own, such as a spill
+	// file it cannot write.
+	ErrBadRequest = errors.New("distrib: bad request")
 )
 
 // Config tunes a Coordinator.
@@ -774,7 +780,7 @@ func (c *Coordinator) Lease(worker, planFP string) (LeaseReply, error) {
 		return LeaseReply{}, err
 	}
 	if worker == "" {
-		return LeaseReply{}, fmt.Errorf("distrib: lease request needs a worker name")
+		return LeaseReply{}, fmt.Errorf("%w: lease request needs a worker name", ErrBadRequest)
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -996,11 +1002,11 @@ func (c *Coordinator) readRecords(lo, hi int, body io.Reader) ([][][]byte, error
 			if len(raw) > 0 {
 				ci, cerr := c.cellOf(raw)
 				if cerr != nil {
-					return nil, fmt.Errorf("distrib: upload line %d: %w", line, cerr)
+					return nil, fmt.Errorf("%w: upload line %d: %w", ErrBadRequest, line, cerr)
 				}
 				if ci < lo || ci >= hi {
-					return nil, fmt.Errorf("distrib: upload line %d names cell %d outside the leased range [%d,%d)",
-						line, ci, lo, hi)
+					return nil, fmt.Errorf("%w: upload line %d names cell %d outside the leased range [%d,%d)",
+						ErrBadRequest, line, ci, lo, hi)
 				}
 				if len(perCell[ci-lo]) == 0 {
 					covered++
@@ -1012,11 +1018,11 @@ func (c *Coordinator) readRecords(lo, hi int, body io.Reader) ([][][]byte, error
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("distrib: reading upload: %w", err)
+			return nil, fmt.Errorf("%w: reading upload: %w", ErrBadRequest, err)
 		}
 	}
 	if covered != hi-lo {
-		return nil, fmt.Errorf("distrib: upload covers %d of %d leased cells — incomplete run", covered, hi-lo)
+		return nil, fmt.Errorf("%w: upload covers %d of %d leased cells — incomplete run", ErrBadRequest, covered, hi-lo)
 	}
 	return perCell, nil
 }

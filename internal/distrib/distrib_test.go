@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -480,6 +483,39 @@ func TestCompleteRejectsBadUploads(t *testing.T) {
 	if _, err := coord.Complete(reply3.Lease.ID, "w3", fp, strings.NewReader("{not json}\n")); err == nil ||
 		!strings.Contains(err.Error(), "line 1") {
 		t.Errorf("garbage upload error = %v", err)
+	}
+}
+
+// TestCompleteStatusBlamesTheRightSide: a correct upload that the
+// coordinator fails to spill is the coordinator's failure and answers
+// 500, while a malformed upload is the worker's and still answers 400.
+func TestCompleteStatusBlamesTheRightSide(t *testing.T) {
+	def := timingDef()
+	records := cellRecords(t, def)
+	dir := t.TempDir()
+	_, client := serve(t, distrib.Config{Def: def, ChunkSize: 1, LeaseTTL: time.Minute, StateDir: dir})
+	plan, _ := def.Plan()
+	fp := plan.Fingerprint()
+	complete := func(id, body string) int {
+		t.Helper()
+		u := "http://coordinator/v1/complete?" + url.Values{"lease": {id}, "worker": {"w"}, "plan": {fp}}.Encode()
+		resp, err := client.Post(u, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "spill")); err != nil {
+		t.Fatal(err)
+	}
+	lease := rawLease(t, client, "w", fp).Lease
+	if code := complete(lease.ID, strings.Join(records[lease.Lo], "\n")+"\n"); code != http.StatusInternalServerError {
+		t.Errorf("a correct upload the coordinator cannot spill answered %d, want 500", code)
+	}
+	next := rawLease(t, client, "w", fp).Lease
+	if code := complete(next.ID, "{not json}\n"); code != http.StatusBadRequest {
+		t.Errorf("a malformed upload answered %d, want 400", code)
 	}
 }
 

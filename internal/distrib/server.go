@@ -23,7 +23,8 @@ import (
 // Every request except the handshake and the reads carries the plan
 // fingerprint; a mismatch is 409 Conflict. An unknown lease id is 404,
 // a stale one (expired and re-queued) is 410 Gone, an unusable upload
-// is 400 (and the range is already re-queued by the time the response
+// is 400, and a valid upload the coordinator fails to spill is 500 (in
+// both cases the range is already re-queued by the time the response
 // is written). A dataset key the sweep does not replay is 404; a
 // dataset the coordinator fails to materialize is 500, and a serving
 // file that vanished mid-request is 503, so workers retry both. The
@@ -156,10 +157,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeErr maps coordinator errors onto protocol status codes.
+// writeErr maps coordinator errors onto protocol status codes. An error
+// with no sentinel is the coordinator's own failure.
 func writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
+	code := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, ErrBadRequest):
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrPlanMismatch):
 		code = http.StatusConflict
 	case errors.Is(err, ErrUnknownLease):

@@ -189,7 +189,7 @@ func (x *Crossbar) ordered(now event.Time, msg *Message) {
 			continue
 		}
 		d := x.getDelivery()
-		d.msg, d.at, d.to = msg, at, nodeset.Of(dst)
+		d.msg, d.at, d.to = msg, at, nodeset.Single(dst)
 		groups = append(groups, d)
 		x.loop.AtArg(at, x.deliverEvt, d)
 	}

@@ -27,7 +27,9 @@ type NodeID uint8
 // empty set and is ready to use.
 type Set uint64
 
-// Of returns a Set containing exactly the given nodes.
+// Of returns a Set containing exactly the given nodes. Per-miss paths
+// use Single and Pair instead: a variadic call builds its slice and
+// loops over it on every miss.
 func Of(nodes ...NodeID) Set {
 	var s Set
 	for _, n := range nodes {
@@ -35,6 +37,12 @@ func Of(nodes ...NodeID) Set {
 	}
 	return s
 }
+
+// Single returns the set {n}.
+func Single(n NodeID) Set { return 1 << uint(n) }
+
+// Pair returns the set {a, b}, which is {a} when a == b.
+func Pair(a, b NodeID) Set { return 1<<uint(a) | 1<<uint(b) }
 
 // All returns the maximal destination set for a system of n nodes
 // (the broadcast set). It panics if n is out of range.

@@ -36,6 +36,18 @@ func TestOf(t *testing.T) {
 	if s.Count() != 3 {
 		t.Errorf("Count() = %d, want 3", s.Count())
 	}
+	// The fixed-arity forms equal Of for every node and every pair,
+	// a == b and node 63 included.
+	for a := NodeID(0); a < MaxNodes; a++ {
+		if Single(a) != Of(a) {
+			t.Errorf("Single(%d) = %v, Of = %v", a, Single(a), Of(a))
+		}
+		for b := NodeID(0); b < MaxNodes; b++ {
+			if Pair(a, b) != Of(a, b) {
+				t.Errorf("Pair(%d, %d) = %v, Of = %v", a, b, Pair(a, b), Of(a, b))
+			}
+		}
+	}
 }
 
 func TestAddRemove(t *testing.T) {

@@ -32,47 +32,79 @@ type ownerEntry struct {
 	valid bool
 }
 
-type ownerPredictor struct {
-	cfg   Config
-	table Table[ownerEntry]
-}
-
-func (p *ownerPredictor) Name() string { return p.cfg.Name() }
-
-func (p *ownerPredictor) CloneFresh() Predictor { return New(p.cfg) }
-
-func (p *ownerPredictor) Predict(q Query) nodeset.Set {
-	min := q.MinimalSet()
-	if e := p.table.Lookup(p.cfg.Indexing.Key(q.Addr, q.PC)); e != nil && e.valid {
+// predict adds the owner, if known, to the minimal set min; e is nil
+// when the table has no entry.
+func (e *ownerEntry) predict(min nodeset.Set) nodeset.Set {
+	if e != nil && e.valid {
 		return min.Add(e.owner)
 	}
 	return min
 }
 
-func (p *ownerPredictor) TrainResponse(ev Response) {
-	key := p.cfg.Indexing.Key(ev.Addr, ev.PC)
-	if ev.FromMemory {
-		// The minimal set was sufficient: clear without allocating.
-		if e := p.table.Lookup(key); e != nil {
-			e.valid = false
-		}
+// learn records n as the owner.
+func (e *ownerEntry) learn(n nodeset.NodeID) { *e = ownerEntry{owner: n, valid: true} }
+
+// respond trains on a data response: a response from memory means the
+// minimal set sufficed, so the owner is forgotten.
+func (e *ownerEntry) respond(n nodeset.NodeID, fromMemory bool) {
+	if fromMemory {
+		e.valid = false
 		return
 	}
-	e := p.table.LookupAlloc(key)
-	e.owner = ev.Responder
-	e.valid = true
+	e.learn(n)
+}
+
+type ownerPredictor struct{ member[ownerEntry] }
+
+func (p *ownerPredictor) step() Step { return ownerStep{p.bank} }
+
+func (p *ownerPredictor) Predict(q Query) nodeset.Set {
+	return p.table.Lookup(p.key(q.Addr, q.PC)).predict(q.MinimalSet())
+}
+
+func (p *ownerPredictor) TrainResponse(ev Response) {
+	if e := p.table.response(p.key(ev.Addr, ev.PC), ev.FromMemory); e != nil {
+		e.respond(ev.Responder, ev.FromMemory)
+	}
 }
 
 func (p *ownerPredictor) TrainRequest(ev External) {
 	if ev.Kind != trace.GetExclusive {
 		return // requests for shared are ignored (Table 3)
 	}
-	e := p.table.LookupAlloc(p.cfg.Indexing.Key(ev.Addr, ev.PC))
-	e.owner = ev.Requester
-	e.valid = true
+	p.table.LookupAlloc(p.key(ev.Addr, ev.PC)).learn(ev.Requester)
 }
 
 func (p *ownerPredictor) TrainRetry(Retry) {}
+
+// ownerStep is the bank step (Step) of an Owner bank. Each table
+// policy writes its step out with its own entry rules, the ones its
+// per-node methods call: calling the rules through a type parameter of
+// one shared step goes through a dictionary per entry, and gave back
+// most of the step's gain when measured.
+type ownerStep struct{ *tableBank[ownerEntry] }
+
+func (b ownerStep) Miss(q Query, needed nodeset.Set, responder nodeset.NodeID, fromMemory, none bool) nodeset.Set {
+	key, base := b.at(q.Addr, q.PC)
+	req := q.Requester
+	mask := b.entry(req, base, key, false).predict(nodeset.Pair(req, q.Home))
+	obs := b.observers(req, needed, mask)
+	if q.Kind != trace.GetExclusive {
+		obs = 0 // requests for shared are ignored (Table 3)
+	}
+	for rem := obs; !rem.Empty(); {
+		n := rem.First()
+		rem = rem.Remove(n)
+		b.entry(n, base, key, true).learn(req)
+	}
+	if none {
+		return mask
+	}
+	if e := b.entry(req, base, key, !fromMemory); e != nil {
+		e.respond(responder, fromMemory)
+	}
+	return mask
+}
 
 // ---------------------------------------------------------------------
 // Broadcast-If-Shared (Table 3, column 2)
@@ -82,44 +114,70 @@ type bisEntry struct {
 	counter uint8
 }
 
-type bisPredictor struct {
-	cfg   Config
-	all   nodeset.Set
-	table Table[bisEntry]
+// predict returns all for a shared-looking block and the minimal set
+// min otherwise; e is nil when the table has no entry.
+func (e *bisEntry) predict(min, all nodeset.Set) nodeset.Set {
+	if e != nil && e.counter > 1 {
+		return all
+	}
+	return min
 }
 
-func (p *bisPredictor) Name() string { return p.cfg.Name() }
+// Unlike Owner, Broadcast-If-Shared counts every external request as
+// sharing evidence ("incremented on requests and responses from other
+// processors", §3.3) — a read from elsewhere means the block is shared.
+func (e *bisEntry) request() { e.counter = inc2(e.counter) }
 
-func (p *bisPredictor) CloneFresh() Predictor { return New(p.cfg) }
+// respond counts a response from another cache up and one from memory
+// down.
+func (e *bisEntry) respond(fromMemory bool) {
+	if fromMemory {
+		e.counter = dec2(e.counter)
+		return
+	}
+	e.counter = inc2(e.counter)
+}
+
+type bisPredictor struct{ member[bisEntry] }
+
+func (p *bisPredictor) step() Step { return bisStep{p.bank} }
 
 func (p *bisPredictor) Predict(q Query) nodeset.Set {
-	if e := p.table.Lookup(p.cfg.Indexing.Key(q.Addr, q.PC)); e != nil && e.counter > 1 {
-		return p.all
-	}
-	return q.MinimalSet()
+	return p.table.Lookup(p.key(q.Addr, q.PC)).predict(q.MinimalSet(), p.bank.all)
 }
 
 func (p *bisPredictor) TrainResponse(ev Response) {
-	key := p.cfg.Indexing.Key(ev.Addr, ev.PC)
-	if ev.FromMemory {
-		if e := p.table.Lookup(key); e != nil {
-			e.counter = dec2(e.counter)
-		}
-		return
+	if e := p.table.response(p.key(ev.Addr, ev.PC), ev.FromMemory); e != nil {
+		e.respond(ev.FromMemory)
 	}
-	e := p.table.LookupAlloc(key)
-	e.counter = inc2(e.counter)
 }
 
 func (p *bisPredictor) TrainRequest(ev External) {
-	// Unlike Owner, Broadcast-If-Shared counts every external request as
-	// sharing evidence ("incremented on requests and responses from other
-	// processors", §3.3) — a read from elsewhere means the block is shared.
-	e := p.table.LookupAlloc(p.cfg.Indexing.Key(ev.Addr, ev.PC))
-	e.counter = inc2(e.counter)
+	p.table.LookupAlloc(p.key(ev.Addr, ev.PC)).request()
 }
 
 func (p *bisPredictor) TrainRetry(Retry) {}
+
+// bisStep is the bank step of a BroadcastIfShared bank.
+type bisStep struct{ *tableBank[bisEntry] }
+
+func (b bisStep) Miss(q Query, needed nodeset.Set, responder nodeset.NodeID, fromMemory, none bool) nodeset.Set {
+	key, base := b.at(q.Addr, q.PC)
+	req := q.Requester
+	mask := b.entry(req, base, key, false).predict(nodeset.Pair(req, q.Home), b.all)
+	for rem := b.observers(req, needed, mask); !rem.Empty(); {
+		n := rem.First()
+		rem = rem.Remove(n)
+		b.entry(n, base, key, true).request()
+	}
+	if none {
+		return mask
+	}
+	if e := b.entry(req, base, key, !fromMemory); e != nil {
+		e.respond(fromMemory)
+	}
+	return mask
+}
 
 // ---------------------------------------------------------------------
 // Group (Table 3, column 3)
@@ -202,43 +260,69 @@ func (e *groupEntry) predicted() nodeset.Set {
 	return nodeset.Set(compactOdd(e.lo) | compactOdd(e.hi)<<32)
 }
 
-type groupPredictor struct {
-	cfg   Config
-	table Table[groupEntry]
-}
-
-func (p *groupPredictor) Name() string { return p.cfg.Name() }
-
-func (p *groupPredictor) CloneFresh() Predictor { return New(p.cfg) }
-
-func (p *groupPredictor) Predict(q Query) nodeset.Set {
-	min := q.MinimalSet()
-	if e := p.table.Lookup(p.cfg.Indexing.Key(q.Addr, q.PC)); e != nil {
+// predict adds the predicted group to the minimal set min; e is nil when
+// the table has no entry.
+func (e *groupEntry) predict(min nodeset.Set) nodeset.Set {
+	if e != nil {
 		return min.Union(e.predicted())
 	}
 	return min
 }
 
-func (p *groupPredictor) TrainResponse(ev Response) {
-	key := p.cfg.Indexing.Key(ev.Addr, ev.PC)
-	if ev.FromMemory {
-		// No allocation; an existing entry still advances its decay clock.
-		if e := p.table.Lookup(key); e != nil {
-			e.tick(p.cfg.GroupRollover)
-		}
+// respond trains on a data response: the responder joins the group. A
+// response from memory still advances the decay clock.
+func (e *groupEntry) respond(n nodeset.NodeID, fromMemory bool, limit int) {
+	if fromMemory {
+		e.tick(limit)
 		return
 	}
-	p.table.LookupAlloc(key).bump(ev.Responder, p.cfg.GroupRollover)
+	e.bump(n, limit)
 }
 
+type groupPredictor struct{ member[groupEntry] }
+
+func (p *groupPredictor) step() Step { return groupStep{p.bank} }
+
+func (p *groupPredictor) Predict(q Query) nodeset.Set {
+	return p.table.Lookup(p.key(q.Addr, q.PC)).predict(q.MinimalSet())
+}
+
+func (p *groupPredictor) TrainResponse(ev Response) {
+	if e := p.table.response(p.key(ev.Addr, ev.PC), ev.FromMemory); e != nil {
+		e.respond(ev.Responder, ev.FromMemory, p.bank.cfg.GroupRollover)
+	}
+}
+
+// TrainRequest: Group increments "on each request or response" (§3.3):
+// readers join the predicted set so that writes find the sharers they
+// must invalidate.
 func (p *groupPredictor) TrainRequest(ev External) {
-	// Group increments "on each request or response" (§3.3): readers join
-	// the predicted set so that writes find the sharers they must
-	// invalidate.
-	p.table.LookupAlloc(p.cfg.Indexing.Key(ev.Addr, ev.PC)).bump(ev.Requester, p.cfg.GroupRollover)
+	p.table.LookupAlloc(p.key(ev.Addr, ev.PC)).bump(ev.Requester, p.bank.cfg.GroupRollover)
 }
 
 func (p *groupPredictor) TrainRetry(Retry) {}
+
+// groupStep is the bank step of a Group bank.
+type groupStep struct{ *tableBank[groupEntry] }
+
+func (b groupStep) Miss(q Query, needed nodeset.Set, responder nodeset.NodeID, fromMemory, none bool) nodeset.Set {
+	key, base := b.at(q.Addr, q.PC)
+	req := q.Requester
+	limit := b.cfg.GroupRollover
+	mask := b.entry(req, base, key, false).predict(nodeset.Pair(req, q.Home))
+	for rem := b.observers(req, needed, mask); !rem.Empty(); {
+		n := rem.First()
+		rem = rem.Remove(n)
+		b.entry(n, base, key, true).bump(req, limit)
+	}
+	if none {
+		return mask
+	}
+	if e := b.entry(req, base, key, !fromMemory); e != nil {
+		e.respond(responder, fromMemory, limit)
+	}
+	return mask
+}
 
 // ---------------------------------------------------------------------
 // Owner/Group hybrid (§3.3)
@@ -250,55 +334,76 @@ type ownerGroupEntry struct {
 	group groupEntry
 }
 
-type ownerGroupPredictor struct {
-	cfg   Config
-	table Table[ownerGroupEntry]
+// predict returns the minimal set min plus, for a request for shared,
+// only the predicted owner: every node in a stable sharing set sees all
+// GETX traffic, so each tracks the current owner and pairwise finds it
+// directly. Other requests add the predicted group. e is nil when the
+// table has no entry.
+func (e *ownerGroupEntry) predict(min nodeset.Set, kind trace.Kind) nodeset.Set {
+	switch {
+	case e == nil:
+		return min
+	case kind == trace.GetShared:
+		return e.owner.predict(min)
+	default:
+		return e.group.predict(min)
+	}
 }
 
-func (p *ownerGroupPredictor) Name() string { return p.cfg.Name() }
+// request trains on an external request: the group side counts all
+// requests (readers must be invalidated by later writes); the owner side
+// only tracks writers.
+func (e *ownerGroupEntry) request(n nodeset.NodeID, kind trace.Kind, limit int) {
+	e.group.bump(n, limit)
+	if kind == trace.GetExclusive {
+		e.owner.learn(n)
+	}
+}
 
-func (p *ownerGroupPredictor) CloneFresh() Predictor { return New(p.cfg) }
+// respond trains both halves on a data response.
+func (e *ownerGroupEntry) respond(n nodeset.NodeID, fromMemory bool, limit int) {
+	e.owner.respond(n, fromMemory)
+	e.group.respond(n, fromMemory, limit)
+}
+
+type ownerGroupPredictor struct{ member[ownerGroupEntry] }
+
+func (p *ownerGroupPredictor) step() Step { return ownerGroupStep{p.bank} }
 
 func (p *ownerGroupPredictor) Predict(q Query) nodeset.Set {
-	min := q.MinimalSet()
-	e := p.table.Lookup(p.cfg.Indexing.Key(q.Addr, q.PC))
-	if e == nil {
-		return min
-	}
-	if q.Kind == trace.GetShared {
-		// Requests for shared go only to the predicted owner: every node
-		// in a stable sharing set sees all GETX traffic, so each tracks
-		// the current owner and pairwise finds it directly.
-		if e.owner.valid {
-			return min.Add(e.owner.owner)
-		}
-		return min
-	}
-	return min.Union(e.group.predicted())
+	return p.table.Lookup(p.key(q.Addr, q.PC)).predict(q.MinimalSet(), q.Kind)
 }
 
 func (p *ownerGroupPredictor) TrainResponse(ev Response) {
-	key := p.cfg.Indexing.Key(ev.Addr, ev.PC)
-	if ev.FromMemory {
-		if e := p.table.Lookup(key); e != nil {
-			e.owner.valid = false
-			e.group.tick(p.cfg.GroupRollover)
-		}
-		return
+	if e := p.table.response(p.key(ev.Addr, ev.PC), ev.FromMemory); e != nil {
+		e.respond(ev.Responder, ev.FromMemory, p.bank.cfg.GroupRollover)
 	}
-	e := p.table.LookupAlloc(key)
-	e.owner = ownerEntry{owner: ev.Responder, valid: true}
-	e.group.bump(ev.Responder, p.cfg.GroupRollover)
 }
 
 func (p *ownerGroupPredictor) TrainRequest(ev External) {
-	e := p.table.LookupAlloc(p.cfg.Indexing.Key(ev.Addr, ev.PC))
-	// The group side counts all requests (readers must be invalidated by
-	// later writes); the owner side only tracks writers.
-	e.group.bump(ev.Requester, p.cfg.GroupRollover)
-	if ev.Kind == trace.GetExclusive {
-		e.owner = ownerEntry{owner: ev.Requester, valid: true}
-	}
+	p.table.LookupAlloc(p.key(ev.Addr, ev.PC)).request(ev.Requester, ev.Kind, p.bank.cfg.GroupRollover)
 }
 
 func (p *ownerGroupPredictor) TrainRetry(Retry) {}
+
+// ownerGroupStep is the bank step of an OwnerGroup bank.
+type ownerGroupStep struct{ *tableBank[ownerGroupEntry] }
+
+func (b ownerGroupStep) Miss(q Query, needed nodeset.Set, responder nodeset.NodeID, fromMemory, none bool) nodeset.Set {
+	key, base := b.at(q.Addr, q.PC)
+	req := q.Requester
+	limit := b.cfg.GroupRollover
+	mask := b.entry(req, base, key, false).predict(nodeset.Pair(req, q.Home), q.Kind)
+	for rem := b.observers(req, needed, mask); !rem.Empty(); {
+		n := rem.First()
+		rem = rem.Remove(n)
+		b.entry(n, base, key, true).request(req, q.Kind, limit)
+	}
+	if none {
+		return mask
+	}
+	if e := b.entry(req, base, key, !fromMemory); e != nil {
+		e.respond(responder, fromMemory, limit)
+	}
+	return mask
+}

@@ -29,6 +29,16 @@
 // tables of all nodes out in one set-major array, so the training
 // lookups one request makes in every observer's table touch adjacent
 // memory. Config.Validate reports the configurations New cannot build.
+//
+// Every node that receives a request trains on it, so one miss updates
+// up to all the tables of a bank at one key. A bank that NewBank builds
+// with a finite Owner, BroadcastIfShared, Group or OwnerGroup table has
+// a bank step (StepOf) that does one miss's whole prediction and
+// training in one call: it computes the key and set once and walks the
+// requester's and every observer's adjacent set. Each policy's rules are
+// written once, as methods of its entry type that both the step and the
+// per-node Predictor methods call, so the two paths train the same
+// tables the same way, counters included.
 package predictor
 
 import (
@@ -48,7 +58,7 @@ type Query struct {
 }
 
 // MinimalSet returns the floor of every prediction: requester plus home.
-func (q Query) MinimalSet() nodeset.Set { return nodeset.Of(q.Requester, q.Home) }
+func (q Query) MinimalSet() nodeset.Set { return nodeset.Pair(q.Requester, q.Home) }
 
 // Response is the training event delivered when the data response for a
 // node's own miss arrives (§3.2): data-response messages carry the
@@ -106,8 +116,15 @@ type Cloner interface {
 }
 
 // CloneBank returns a fresh, untrained copy of a predictor bank, or
-// false if any member does not implement Cloner.
+// false if any member does not implement Cloner. A whole bank from
+// NewBank is rebuilt as one, so the copy keeps its layout and its step
+// (StepOf).
 func CloneBank(preds []Predictor) ([]Predictor, bool) {
+	if len(preds) > 0 {
+		if m, ok := preds[0].(tableMember); ok && m.whole(preds) {
+			return newBank(m.config(), len(preds)), true
+		}
+	}
 	out := make([]Predictor, len(preds))
 	for i, p := range preds {
 		c, ok := p.(Cloner)
@@ -284,24 +301,18 @@ func newBank(cfg Config, n int) []Predictor {
 	if cfg.GroupRollover <= 0 {
 		cfg.GroupRollover = defaultRolloverLimit
 	}
-	bank := make([]Predictor, n)
 	switch cfg.Policy {
 	case Owner:
-		for i, t := range newTables[ownerEntry](cfg.Entries, cfg.Ways, n) {
-			bank[i] = &ownerPredictor{cfg: cfg, table: t}
-		}
+		return newMembers(cfg, n, func(m member[ownerEntry]) Predictor { return &ownerPredictor{m} })
 	case BroadcastIfShared:
-		for i, t := range newTables[bisEntry](cfg.Entries, cfg.Ways, n) {
-			bank[i] = &bisPredictor{cfg: cfg, all: nodeset.All(cfg.Nodes), table: t}
-		}
+		return newMembers(cfg, n, func(m member[bisEntry]) Predictor { return &bisPredictor{m} })
 	case Group:
-		for i, t := range newTables[groupEntry](cfg.Entries, cfg.Ways, n) {
-			bank[i] = &groupPredictor{cfg: cfg, table: t}
-		}
+		return newMembers(cfg, n, func(m member[groupEntry]) Predictor { return &groupPredictor{m} })
 	case OwnerGroup:
-		for i, t := range newTables[ownerGroupEntry](cfg.Entries, cfg.Ways, n) {
-			bank[i] = &ownerGroupPredictor{cfg: cfg, table: t}
-		}
+		return newMembers(cfg, n, func(m member[ownerGroupEntry]) Predictor { return &ownerGroupPredictor{m} })
+	}
+	bank := make([]Predictor, n)
+	switch cfg.Policy {
 	case StickySpatial:
 		for i := range bank {
 			bank[i] = newStickySpatial(cfg)

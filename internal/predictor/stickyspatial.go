@@ -80,11 +80,11 @@ func (p *stickySpatialPredictor) TrainResponse(ev Response) {
 	if ev.FromMemory {
 		return // sticky: never trains down
 	}
-	p.trainUp(ev.Addr, ev.PC, nodeset.Of(ev.Responder))
+	p.trainUp(ev.Addr, ev.PC, nodeset.Single(ev.Responder))
 }
 
 func (p *stickySpatialPredictor) TrainRequest(ev External) {
-	p.trainUp(ev.Addr, ev.PC, nodeset.Of(ev.Requester))
+	p.trainUp(ev.Addr, ev.PC, nodeset.Single(ev.Requester))
 }
 
 func (p *stickySpatialPredictor) TrainRetry(ev Retry) {

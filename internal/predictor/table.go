@@ -95,57 +95,82 @@ func geometry(entries, ways int) (int, int, error) {
 // policies use it for training events that must not allocate (e.g.
 // responses from memory, §3.1).
 func (t *Table[E]) Lookup(key uint64) *E {
-	t.lookups++
-	if t.unbounded != nil {
-		e := t.unbounded[key]
-		if e != nil {
-			t.hits++
-		}
-		return e
+	if t.unbounded == nil {
+		return t.lookupIn(t.group(key), key)
 	}
-	set, fill := t.set(key)
-	return t.hit(set[:*fill], key)
+	t.lookups++
+	e := t.unbounded[key]
+	if e != nil {
+		t.hits++
+	}
+	return e
 }
 
 // LookupAlloc returns the entry for key, allocating a zero entry (and
 // evicting the set's LRU entry if necessary) when absent.
 func (t *Table[E]) LookupAlloc(key uint64) *E {
-	if t.unbounded != nil {
-		if e := t.Lookup(key); e != nil {
-			return e
-		}
-		t.allocs++
-		e := new(E)
-		t.unbounded[key] = e
-		return e
+	if t.unbounded == nil {
+		return t.allocIn(t.group(key), key)
 	}
-	t.lookups++
-	set, fill := t.set(key)
-	n := int(*fill)
-	if e := t.hit(set[:n], key); e != nil {
+	if e := t.Lookup(key); e != nil {
 		return e
 	}
 	t.allocs++
+	e := new(E)
+	t.unbounded[key] = e
+	return e
+}
+
+// response returns the entry of t that a data response trains: an
+// existing one only when memory responded, since the minimal set then
+// sufficed and nothing is allocated (§3.1), else one allocated if
+// absent. It is nil when there is no such entry.
+func (t *Table[E]) response(key uint64, fromMemory bool) *E {
+	if fromMemory {
+		return t.Lookup(key)
+	}
+	return t.LookupAlloc(key)
+}
+
+// group returns the group of the backing array that holds key's set of
+// this finite table.
+func (t *Table[E]) group(key uint64) int {
+	return int(key&t.mask)*t.tables + t.index
+}
+
+// lookupIn is Lookup for a finite table, given the group that holds
+// key's set. A bank step, which finds the group of every member from
+// one key, calls it directly.
+func (t *Table[E]) lookupIn(g int, key uint64) *E {
+	t.lookups++
+	return t.hitIn(g, key)
+}
+
+// allocIn is LookupAlloc for a finite table, given the group that holds
+// key's set.
+func (t *Table[E]) allocIn(g int, key uint64) *E {
+	t.lookups++
+	if e := t.hitIn(g, key); e != nil {
+		return e
+	}
+	t.allocs++
+	set := t.lines[g*t.ways : (g+1)*t.ways]
+	n := int(t.fill[g])
 	if n == len(set) {
 		t.evictions++
 		n--
 	} else {
-		*fill++
+		t.fill[g]++
 	}
 	copy(set[1:n+1], set[:n])
 	set[0] = tableLine[E]{tag: key}
 	return &set[0].entry
 }
 
-// set returns the lines of key's set and its fill count.
-func (t *Table[E]) set(key uint64) ([]tableLine[E], *uint32) {
-	g := int(key&t.mask)*t.tables + t.index
-	return t.lines[g*t.ways : (g+1)*t.ways], &t.fill[g]
-}
-
-// hit returns the entry for key among a set's live lines after moving
-// its line to the front, or nil.
-func (t *Table[E]) hit(live []tableLine[E], key uint64) *E {
+// hitIn returns the entry for key among the live lines of group g after
+// moving its line to the front, or nil.
+func (t *Table[E]) hitIn(g int, key uint64) *E {
+	live := t.lines[g*t.ways : g*t.ways+int(t.fill[g])]
 	for i := range live {
 		if live[i].tag == key {
 			t.hits++

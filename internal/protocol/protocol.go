@@ -168,11 +168,22 @@ func (d *Directory) Process(rec trace.Record, mi coherence.MissInfo) Result {
 
 // Multicast is the multicast snooping engine with per-node destination-set
 // predictors.
+//
+// A bank that NewBank built with a finite Owner, BroadcastIfShared,
+// Group or OwnerGroup table trains through its bank step
+// (predictor.StepOf): one call per miss computes the table key once and
+// walks the requester's and every observer's adjacent set. Any other
+// bank, such as one with a registered custom member, StickySpatial,
+// Minimal, Broadcast, Oracle or unbounded tables, takes the per-node
+// path: one Predict and one Train call per node. Both train the same
+// tables the same way.
 type Multicast struct {
 	nodes int
 	preds []predictor.Predictor
-	// oracles is predictor.OracleSetters(preds), decided once per bank.
+	// oracles is predictor.OracleSetters(preds) and step is
+	// predictor.StepOf(preds), both decided once per bank.
 	oracles []predictor.OracleSetter
+	step    predictor.Step
 	// newBank rebuilds the predictor bank for Reset/Clone; nil when the
 	// engine wraps a caller-owned bank.
 	newBank func() []predictor.Predictor
@@ -197,7 +208,17 @@ func NewMulticast(preds []predictor.Predictor) *Multicast {
 	if len(preds) == 0 {
 		panic("protocol: multicast engine needs at least one predictor")
 	}
-	return &Multicast{nodes: len(preds), preds: preds, oracles: predictor.OracleSetters(preds)}
+	m := &Multicast{nodes: len(preds)}
+	m.setBank(preds)
+	return m
+}
+
+// setBank installs preds and decides, once per bank, which members take
+// the oracle's needed set and whether the bank step applies.
+func (m *Multicast) setBank(preds []predictor.Predictor) {
+	m.preds = preds
+	m.oracles = predictor.OracleSetters(preds)
+	m.step = predictor.StepOf(preds)
 }
 
 // NewMulticastWithFactory builds a multicast snooping engine whose
@@ -223,11 +244,10 @@ func (m *Multicast) Name() string { return "Multicast+" + m.preds[0].Name() }
 func (m *Multicast) Reset() {
 	m.stats = MulticastStats{}
 	if m.newBank != nil {
-		m.preds = m.newBank()
+		m.setBank(m.newBank())
 	} else if fresh, ok := predictor.CloneBank(m.preds); ok {
-		m.preds = fresh
+		m.setBank(fresh)
 	}
-	m.oracles = predictor.OracleSetters(m.preds)
 }
 
 // Clone implements Engine. Factory-built and cloneable banks yield an
@@ -250,62 +270,65 @@ func (m *Multicast) Stats() MulticastStats { return m.stats }
 // home directory, reissue if insufficient, and deliver training events.
 func (m *Multicast) Process(rec trace.Record, mi coherence.MissInfo) Result {
 	req := nodeset.NodeID(rec.Requester)
-	q := predictor.Query{
-		Addr:      rec.Addr,
-		PC:        rec.PC,
-		Requester: req,
-		Home:      mi.Home,
-		Kind:      rec.Kind,
-	}
 	needed := mi.Needed(req, rec.Kind)
-	if m.oracles != nil && m.oracles[req] != nil {
-		m.oracles[req].SetOracle(needed)
+	responder, fromMemory, none := mi.Responder(req)
+	q := predictor.Query{Addr: rec.Addr, PC: rec.PC, Requester: req, Home: mi.Home, Kind: rec.Kind}
+	var mask nodeset.Set
+	if m.step != nil {
+		mask = m.step.Miss(q, needed, responder, fromMemory, none)
+	} else {
+		mask = m.perNode(q, needed, responder, fromMemory, none)
 	}
-	mask := m.preds[req].Predict(q).Union(q.MinimalSet())
 
-	res := Result{
-		RequestMsgs: mask.Remove(req).Count(),
-		DataMsgs:    dataMsgs(mi, req),
-		InitialSet:  mask,
-	}
-	sufficient := mask.Superset(needed)
-	observers := mask
-	if sufficient {
+	msgs, retries := mask.Remove(req).Count(), 0
+	if mask.Superset(needed) {
 		m.stats.Sufficient++
 	} else {
 		// The home directory reissues the request to the exact set of
 		// nodes that must act, like a directory forward (§4.1). In trace
 		// order there are no races, so one reissue always succeeds.
 		m.stats.Insufficient++
-		res.Indirect = true
-		res.Retries = 1
-		reissue := needed.Minus(mask).Remove(mi.Home)
-		res.RequestMsgs += reissue.Count()
-		observers = observers.Union(needed)
-		m.preds[req].TrainRetry(predictor.Retry{Addr: rec.Addr, PC: rec.PC, Needed: needed})
+		retries = 1
+		msgs += needed.Minus(mask).Remove(mi.Home).Count()
 	}
 	m.stats.PredictedNodes += uint64(mask.Count())
 	m.stats.NeededNodes += uint64(needed.Count())
+	data := 1
+	if none {
+		data = 0
+	}
+	// One composite literal: a Result filled field by field just before
+	// the return stalls the caller's load of it on store forwarding.
+	return Result{RequestMsgs: msgs, DataMsgs: data, Indirect: retries != 0, Retries: retries, InitialSet: mask}
+}
 
-	// Training: every node that received the request observes it; the
-	// requester observes the data response. The explicit bit loop (rather
-	// than Set.ForEach with a closure) keeps this path free of per-miss
-	// call overhead — it runs up to nodes-1 times per miss.
-	ext := predictor.External{Addr: rec.Addr, PC: rec.PC, Requester: req, Kind: rec.Kind}
+// perNode trains a bank without a bank step on one miss, one member call
+// per node, and returns the initial destination set: every node that
+// receives the request observes it, the requester observes a reissue
+// and the data response. The explicit bit loop (rather than Set.ForEach
+// with a closure) keeps this path free of per-miss call overhead — it
+// runs up to nodes-1 times per miss.
+func (m *Multicast) perNode(q predictor.Query, needed nodeset.Set, responder nodeset.NodeID, fromMemory, none bool) nodeset.Set {
+	req := q.Requester
+	if m.oracles != nil && m.oracles[req] != nil {
+		m.oracles[req].SetOracle(needed)
+	}
+	mask := m.preds[req].Predict(q).Union(q.MinimalSet())
+	observers := mask
+	if !mask.Superset(needed) {
+		observers = observers.Union(needed)
+		m.preds[req].TrainRetry(predictor.Retry{Addr: q.Addr, PC: q.PC, Needed: needed})
+	}
+	ext := predictor.External{Addr: q.Addr, PC: q.PC, Requester: req, Kind: q.Kind}
 	for rem := observers.Remove(req); !rem.Empty(); {
 		n := rem.First()
 		rem = rem.Remove(n)
 		m.preds[n].TrainRequest(ext)
 	}
-	if responder, fromMemory, none := mi.Responder(req); !none {
-		m.preds[req].TrainResponse(predictor.Response{
-			Addr:       rec.Addr,
-			PC:         rec.PC,
-			Responder:  responder,
-			FromMemory: fromMemory,
-		})
+	if !none {
+		m.preds[req].TrainResponse(predictor.Response{Addr: q.Addr, PC: q.PC, Responder: responder, FromMemory: fromMemory})
 	}
-	return res
+	return mask
 }
 
 // ---------------------------------------------------------------------

@@ -533,7 +533,7 @@ func (s *sim) writeback(from nodeset.NodeID, a trace.Addr) {
 	if home == from {
 		return // local writeback never crosses the interconnect
 	}
-	s.send(msgWriteback, nil, 0, from, nodeset.Of(home), protocol.DataBytes)
+	s.send(msgWriteback, nil, 0, from, nodeset.Single(home), protocol.DataBytes)
 }
 
 // loadStreams splits the timed source into per-node program-order
@@ -661,7 +661,7 @@ func (s *sim) sendAttempt(t *txn) {
 	req := nodeset.NodeID(t.rec.Requester)
 	to := t.mask.Remove(req)
 	if to.Empty() {
-		to = nodeset.Of(req) // ordering echo only
+		to = nodeset.Single(req) // ordering echo only
 	}
 	s.send(msgRequest, t, t.attempts, req, to, protocol.ControlBytes)
 }
@@ -818,13 +818,13 @@ func (s *sim) directoryAct(t *txn) {
 	case none && home == req:
 		s.complete(t, s.loop.Now())
 	case none:
-		s.send(msgDone, t, t.attempts, home, nodeset.Of(req), protocol.ControlBytes)
+		s.send(msgDone, t, t.attempts, home, nodeset.Single(req), protocol.ControlBytes)
 	case fromMem && home == req:
 		s.complete(t, s.loop.Now())
 	case fromMem:
 		s.sendData(home, t)
 	default:
-		s.send(msgForward, t, t.attempts, home, nodeset.Of(responder), protocol.ControlBytes)
+		s.send(msgForward, t, t.attempts, home, nodeset.Single(responder), protocol.ControlBytes)
 	}
 	if t.rec.Kind == trace.GetExclusive {
 		invals := t.mi.Sharers.Remove(req).Remove(t.mi.Owner).Remove(home)
@@ -880,7 +880,7 @@ func (s *sim) sendData(from nodeset.NodeID, t *txn) {
 	if t.completed {
 		return
 	}
-	s.send(msgData, t, t.attempts, from, nodeset.Of(nodeset.NodeID(t.rec.Requester)), protocol.DataBytes)
+	s.send(msgData, t, t.attempts, from, nodeset.Single(nodeset.NodeID(t.rec.Requester)), protocol.DataBytes)
 }
 
 // complete retires a transaction and unblocks the node's stream.

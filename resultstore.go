@@ -246,56 +246,45 @@ func (rs *ResultStore) HasCell(kind, fp string) bool {
 	return false
 }
 
-// CellRecords returns cell fp's stored observation stream as JSONL
-// record lines — byte-identical to what a JSONLObserver wrote when the
-// cell computed — along with the plan kind the record belongs to. It is
-// the kind-agnostic lookup behind CellLines. Unlike the runner path,
-// non-Final trace records qualify — replaying observations needs no
-// engine name.
-func (rs *ResultStore) CellRecords(fp string) (kind string, lines [][]byte, ok bool) {
-	kind, payload, ok := rs.s.Get(fp)
-	if !ok {
-		return "", nil, false
+// CellLines returns cell fp's stored observation stream as JSONL record
+// lines — byte-identical to what a JSONLObserver wrote when the cell
+// computed — when the stored record belongs to a plan of the given
+// kind. This is the distributed coordinator's lookup: a hit cell's lines
+// are merged into the output without leasing the cell to any worker.
+// Unlike the runner path, non-Final trace records qualify — replaying
+// observations needs no engine name.
+func (rs *ResultStore) CellLines(kind, fp string) ([][]byte, bool) {
+	got, payload, ok := rs.s.Get(fp)
+	if !ok || got != kind {
+		return nil, false
 	}
 	switch kind {
 	case PlanKindTrace:
 		var rec traceCellRecord
 		if json.Unmarshal(payload, &rec) != nil || len(rec.Observations) == 0 {
-			return "", nil, false
+			return nil, false
 		}
-		lines = make([][]byte, 0, len(rec.Observations))
+		lines := make([][]byte, 0, len(rec.Observations))
 		for _, o := range rec.Observations {
 			line, err := json.Marshal(o)
 			if err != nil {
-				return "", nil, false
+				return nil, false
 			}
 			lines = append(lines, line)
 		}
-		return kind, lines, true
+		return lines, true
 	case PlanKindTiming:
 		var tr TimingResult
 		if json.Unmarshal(payload, &tr) != nil {
-			return "", nil, false
+			return nil, false
 		}
 		line, err := json.Marshal(tr)
 		if err != nil {
-			return "", nil, false
+			return nil, false
 		}
-		return kind, [][]byte{line}, true
+		return [][]byte{line}, true
 	}
-	return "", nil, false
-}
-
-// CellLines returns cell fp's observation stream when the stored record
-// belongs to a plan of the given kind. This is the distributed
-// coordinator's lookup: a hit cell's lines are merged into the output
-// without leasing the cell to any worker.
-func (rs *ResultStore) CellLines(kind, fp string) ([][]byte, bool) {
-	got, lines, ok := rs.CellRecords(fp)
-	if !ok || got != kind {
-		return nil, false
-	}
-	return lines, true
+	return nil, false
 }
 
 // StoreCellLines stores cell fp from its raw JSONL observation lines —

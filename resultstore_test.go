@@ -309,7 +309,7 @@ func TestResultStoreSkipsOpenWorkloads(t *testing.T) {
 
 // TestResultStoreCellLines pins the raw-record interface the
 // distributed coordinator uses: StoreCellLines round-trips
-// byte-identically through CellRecords/CellLines; a spilled (non-Final)
+// byte-identically through CellLines; a spilled (non-Final)
 // trace record serves observation replay but reads as a miss to a
 // runner, which upgrades it on compute.
 func TestResultStoreCellLines(t *testing.T) {
@@ -340,9 +340,9 @@ func TestResultStoreCellLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The spill is replayable...
-	kind, got, ok := rs.CellRecords(fp)
-	if !ok || kind != destset.PlanKindTrace {
-		t.Fatalf("CellRecords = (%q, %t)", kind, ok)
+	got, ok := rs.CellLines(destset.PlanKindTrace, fp)
+	if !ok {
+		t.Fatal("CellLines misses a trace cell just stored")
 	}
 	if !reflect.DeepEqual(got, lines) {
 		t.Fatalf("spilled lines diverge:\n%q\nvs\n%q", got, lines)
@@ -366,7 +366,7 @@ func TestResultStoreCellLines(t *testing.T) {
 		t.Error("computing the cell did not upgrade the record to Final")
 	}
 	// The upgraded record replays the identical observation stream.
-	if _, got, _ := rs.CellRecords(fp); !reflect.DeepEqual(got, lines) {
+	if got, _ := rs.CellLines(destset.PlanKindTrace, fp); !reflect.DeepEqual(got, lines) {
 		t.Error("upgraded record's observation lines diverge from the original stream")
 	}
 

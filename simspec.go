@@ -185,23 +185,13 @@ func (s SimSpec) Resolve(nodes int) (SimConfig, error) {
 		if err != nil {
 			return SimConfig{}, err
 		}
-		cfg.Predictor = pc
 		if s.PolicyName != "" {
-			factory, ok := predictor.LookupFactory(s.PolicyName)
-			if !ok {
-				return SimConfig{}, fmt.Errorf("destset: unknown policy %q (have %v)",
-					s.PolicyName, predictor.RegisteredPolicies())
-			}
-			bankCfg := pc
-			cfg.NewBank = func() []predictor.Predictor {
-				bank := make([]predictor.Predictor, bankCfg.Nodes)
-				for i := range bank {
-					bank[i] = factory(bankCfg)
-				}
-				return bank
+			if cfg.NewBank, err = namedBank(s.PolicyName, &pc); err != nil {
+				return SimConfig{}, err
 			}
 			cfg.Label = "Multicast+" + predictor.CanonicalName(s.PolicyName)
 		}
+		cfg.Predictor = pc
 	}
 	if s.LinkBytesPerNs > 0 {
 		cfg.Interconnect.BytesPerNs = s.LinkBytesPerNs

@@ -191,20 +191,38 @@ func (s EngineSpec) bankFactory(nodes int) (func() []predictor.Predictor, error)
 		return nil, err
 	}
 	if s.PolicyName != "" {
-		factory, ok := predictor.LookupFactory(s.PolicyName)
-		if !ok {
-			return nil, fmt.Errorf("destset: unknown policy %q (have %v)",
-				s.PolicyName, predictor.RegisteredPolicies())
+		custom, err := namedBank(s.PolicyName, &cfg)
+		if custom != nil || err != nil {
+			return custom, err
 		}
-		return func() []predictor.Predictor {
-			bank := make([]predictor.Predictor, cfg.Nodes)
-			for i := range bank {
-				bank[i] = factory(cfg)
-			}
-			return bank
-		}, nil
 	}
 	return func() []predictor.Predictor { return predictor.NewBank(cfg) }, nil
+}
+
+// namedBank resolves a policy name for a bank of configuration cfg. A
+// built-in policy's name sets cfg's policy and returns no factory, so
+// that the caller builds the bank with predictor.NewBank, as for a
+// policy given by value: its tables then share one array and it takes
+// the multicast engine's bank step. A registered custom policy's name
+// returns a factory that builds each node's predictor through the
+// registry.
+func namedBank(name string, cfg *PredictorConfig) (func() []predictor.Predictor, error) {
+	if p, builtin := predictor.BuiltinPolicy(name); builtin {
+		cfg.Policy = p
+		return nil, nil
+	}
+	factory, ok := predictor.LookupFactory(name)
+	if !ok {
+		return nil, fmt.Errorf("destset: unknown policy %q (have %v)", name, predictor.RegisteredPolicies())
+	}
+	bankCfg := *cfg
+	return func() []predictor.Predictor {
+		bank := make([]predictor.Predictor, bankCfg.Nodes)
+		for i := range bank {
+			bank[i] = factory(bankCfg)
+		}
+		return bank
+	}, nil
 }
 
 // NewEngine builds one fresh engine from the spec for a system of the
