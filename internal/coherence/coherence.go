@@ -104,6 +104,44 @@ type MissInfo struct {
 	RequesterState cache.State
 }
 
+// Columns is the column layout of a recorded, annotated miss stream: one
+// slice per field of a trace.Record and its MissInfo, all indexed by
+// miss, except the home node, which HomeOf derives from the address and
+// Nodes. internal/dataset stores its datasets this way, and protocol
+// engines account whole ranges of them (protocol.ProcessRange).
+//
+// A dataset loaded from disk may alias its columns into a file mapping
+// the garbage collector does not see. Its views hand out a *Columns that
+// pins the dataset, so a reader keeps that pointer reachable until it is
+// done with the range.
+type Columns struct {
+	Nodes    int
+	Addr     []trace.Addr
+	PC       []trace.PC
+	Sharers  []nodeset.Set
+	Gap      []uint32
+	Req      []uint8
+	Kind     []trace.Kind
+	Owner    []nodeset.NodeID
+	ReqState []cache.State
+}
+
+// At returns miss i as a record and its annotation.
+func (c *Columns) At(i int) (trace.Record, MissInfo) {
+	return trace.Record{
+			Addr:      c.Addr[i],
+			PC:        c.PC[i],
+			Requester: c.Req[i],
+			Kind:      c.Kind[i],
+			Gap:       c.Gap[i],
+		}, MissInfo{
+			Home:           HomeOf(c.Addr[i], c.Nodes),
+			Owner:          c.Owner[i],
+			Sharers:        c.Sharers[i],
+			RequesterState: c.ReqState[i],
+		}
+}
+
 // OwnerIsMemory reports whether memory owned the block before the request.
 func (mi MissInfo) OwnerIsMemory() bool { return mi.Owner == MemoryOwner }
 
@@ -238,10 +276,14 @@ func (s *System) Config() Config { return s.cfg }
 // Nodes returns the node count.
 func (s *System) Nodes() int { return s.cfg.Nodes }
 
-// Home returns the home node of a block: physical memory is block-
-// interleaved across the per-node memory controllers.
-func (s *System) Home(a trace.Addr) nodeset.NodeID {
-	return nodeset.NodeID(uint64(a) % uint64(s.cfg.Nodes))
+// Home returns the home node of a block (see HomeOf).
+func (s *System) Home(a trace.Addr) nodeset.NodeID { return HomeOf(a, s.cfg.Nodes) }
+
+// HomeOf returns the home node of block a in a system of the given node
+// count: physical memory is block-interleaved across the per-node memory
+// controllers.
+func HomeOf(a trace.Addr, nodes int) nodeset.NodeID {
+	return nodeset.NodeID(uint64(a) % uint64(nodes))
 }
 
 // block returns a's entry in the block table, allocating its page (and

@@ -3,16 +3,19 @@
 // The paper's evaluation sweeps many protocol configurations over the
 // *same* six workload traces (§4–§5). Generating a workload's annotated
 // miss stream is expensive — every access runs through the coherence
-// oracle's set-associative caches — while replaying it is a pair of
-// array reads. This package therefore materializes each (workload, seed,
+// oracle's set-associative caches — while replaying it only walks
+// arrays. This package therefore materializes each (workload, seed,
 // scale) trace exactly once and hands every consumer a cheap cursor:
 //
-//   - Dataset is an immutable, columnar (struct-of-arrays) recording of
-//     a generated trace together with its per-miss coherence
-//     annotations: one contiguous slice per column, sized exactly at
-//     generation time (the warm+measure scale is known up front).
+//   - Dataset is an immutable recording of a generated trace together
+//     with its per-miss coherence annotations, in the column layout of
+//     coherence.Columns: one contiguous slice per column, sized exactly
+//     at generation time (the warm+measure scale is known up front).
 //   - Replayer is a zero-copy, zero-allocation cursor over a Dataset
-//     implementing the sweep engine's Stream contract. Any number of
+//     implementing the sweep engine's Stream contract. Next returns one
+//     miss; Take advances by a whole run of misses and returns the
+//     columns with the range they occupy, which protocol engines account
+//     without rebuilding each miss (protocol.ProcessRange). Any number of
 //     replayers can walk the same dataset concurrently.
 //   - Store (store.go) memoizes datasets behind a concurrency-safe,
 //     singleflight map so concurrent sweep cells generate each dataset
@@ -39,32 +42,22 @@ import (
 	"destset/internal/workload"
 )
 
-// cols holds one contiguous slice per recorded column. All columns of a
-// record share one index, so a (Record, MissInfo) pair is reassembled
-// from eight parallel reads of the same slot. Columns are allocated
-// exactly once at the generation scale — or, for datasets loaded from
-// disk, aliased zero-copy into the file buffer (disk.go).
-type cols struct {
-	addr     []trace.Addr
-	pc       []trace.PC
-	sharers  []nodeset.Set
-	gap      []uint32
-	req      []uint8
-	kind     []trace.Kind
-	owner    []nodeset.NodeID
-	reqState []cache.State
-}
-
-// alloc sizes every column for exactly n records.
-func (c *cols) alloc(n int) {
-	c.addr = make([]trace.Addr, n)
-	c.pc = make([]trace.PC, n)
-	c.sharers = make([]nodeset.Set, n)
-	c.gap = make([]uint32, n)
-	c.req = make([]uint8, n)
-	c.kind = make([]trace.Kind, n)
-	c.owner = make([]nodeset.NodeID, n)
-	c.reqState = make([]cache.State, n)
+// newColumns allocates every column for exactly n records of a
+// nodes-node system. A dataset's columns are allocated exactly once at
+// the generation scale — or, for datasets loaded from disk, aliased
+// zero-copy into the file buffer (disk.go).
+func newColumns(nodes, n int) coherence.Columns {
+	return coherence.Columns{
+		Nodes:    nodes,
+		Addr:     make([]trace.Addr, n),
+		PC:       make([]trace.PC, n),
+		Sharers:  make([]nodeset.Set, n),
+		Gap:      make([]uint32, n),
+		Req:      make([]uint8, n),
+		Kind:     make([]trace.Kind, n),
+		Owner:    make([]nodeset.NodeID, n),
+		ReqState: make([]cache.State, n),
+	}
 }
 
 // Dataset is one workload's generated, annotated trace: a warm region
@@ -75,7 +68,7 @@ type Dataset struct {
 	params workload.Params
 	warm   int
 	n      int // warm + measure
-	c      cols
+	c      coherence.Columns
 
 	// blockStats is the compact snapshot of the oracle's per-block
 	// touched-set and miss counters after the whole run, in address
@@ -125,18 +118,17 @@ func Generate(p workload.Params, warm, measure int) (*Dataset, error) {
 		return nil, err
 	}
 	n := warm + measure
-	d := &Dataset{params: p, warm: warm, n: n}
-	d.c.alloc(n)
+	d := &Dataset{params: p, warm: warm, n: n, c: newColumns(p.Nodes, n)}
 	for i := 0; i < n; i++ {
 		rec, mi := g.Next()
-		d.c.addr[i] = rec.Addr
-		d.c.pc[i] = rec.PC
-		d.c.gap[i] = rec.Gap
-		d.c.req[i] = rec.Requester
-		d.c.kind[i] = rec.Kind
-		d.c.owner[i] = mi.Owner
-		d.c.sharers[i] = mi.Sharers
-		d.c.reqState[i] = mi.RequesterState
+		d.c.Addr[i] = rec.Addr
+		d.c.PC[i] = rec.PC
+		d.c.Gap[i] = rec.Gap
+		d.c.Req[i] = rec.Requester
+		d.c.Kind[i] = rec.Kind
+		d.c.Owner[i] = mi.Owner
+		d.c.Sharers[i] = mi.Sharers
+		d.c.ReqState[i] = mi.RequesterState
 	}
 	// A bandwidth-regulated workload's gaps ARE the regulator's output —
 	// rescaling them to the nominal rate would erase the throttling the
@@ -170,20 +162,19 @@ func FromRecords(p workload.Params, recs []trace.Record, infos []coherence.MissI
 		return nil, fmt.Errorf("dataset: warm region of %d records leaves no measured region (have %d)", warm, len(recs))
 	}
 	n := len(recs)
-	d := &Dataset{params: p, warm: warm, n: n}
-	d.c.alloc(n)
+	d := &Dataset{params: p, warm: warm, n: n, c: newColumns(p.Nodes, n)}
 	for i, rec := range recs {
 		if int(rec.Requester) >= p.Nodes {
 			return nil, fmt.Errorf("dataset: record %d requester %d outside %d nodes", i, rec.Requester, p.Nodes)
 		}
-		d.c.addr[i] = rec.Addr
-		d.c.pc[i] = rec.PC
-		d.c.gap[i] = rec.Gap
-		d.c.req[i] = rec.Requester
-		d.c.kind[i] = rec.Kind
-		d.c.owner[i] = infos[i].Owner
-		d.c.sharers[i] = infos[i].Sharers
-		d.c.reqState[i] = infos[i].RequesterState
+		d.c.Addr[i] = rec.Addr
+		d.c.PC[i] = rec.PC
+		d.c.Gap[i] = rec.Gap
+		d.c.Req[i] = rec.Requester
+		d.c.Kind[i] = rec.Kind
+		d.c.Owner[i] = infos[i].Owner
+		d.c.Sharers[i] = infos[i].Sharers
+		d.c.ReqState[i] = infos[i].RequesterState
 	}
 	d.blockStats = stats
 	d.nstats = len(stats)
@@ -200,7 +191,7 @@ func (d *Dataset) rescaleGaps(lo, hi int) {
 	}
 	var totalGap uint64
 	for i := lo; i < hi; i++ {
-		totalGap += uint64(d.c.gap[i])
+		totalGap += uint64(d.c.Gap[i])
 	}
 	if totalGap == 0 {
 		return
@@ -208,11 +199,11 @@ func (d *Dataset) rescaleGaps(lo, hi int) {
 	target := float64(hi-lo) * 1000 / d.params.MissesPer1000Instr
 	scale := target / float64(totalGap)
 	for i := lo; i < hi; i++ {
-		gap := float64(d.c.gap[i]) * scale
+		gap := float64(d.c.Gap[i]) * scale
 		if gap < 1 {
 			gap = 1
 		}
-		d.c.gap[i] = uint32(gap)
+		d.c.Gap[i] = uint32(gap)
 	}
 }
 
@@ -258,22 +249,7 @@ func (d *Dataset) Bytes() int64 {
 
 // At returns record i and its coherence annotation. Index 0 is the first
 // warm record; the measured region starts at Warm().
-func (d *Dataset) At(i int) (trace.Record, coherence.MissInfo) {
-	return trace.Record{
-			Addr:      d.c.addr[i],
-			PC:        d.c.pc[i],
-			Requester: d.c.req[i],
-			Kind:      d.c.kind[i],
-			Gap:       d.c.gap[i],
-		}, coherence.MissInfo{
-			// The home node is block-interleaved across the memory
-			// controllers; deriving it saves a column.
-			Home:           nodeset.NodeID(uint64(d.c.addr[i]) % uint64(d.params.Nodes)),
-			Owner:          d.c.owner[i],
-			Sharers:        d.c.sharers[i],
-			RequesterState: d.c.reqState[i],
-		}
-}
+func (d *Dataset) At(i int) (trace.Record, coherence.MissInfo) { return d.c.At(i) }
 
 // EachMeasured calls fn for every measured-region record in order. It is
 // the characterization harness's scan loop.
@@ -341,11 +317,11 @@ func (d *Dataset) MeasureTrace() *trace.Trace {
 // their own live coherence state.
 func (d *Dataset) RecordAt(i int) trace.Record {
 	return trace.Record{
-		Addr:      d.c.addr[i],
-		PC:        d.c.pc[i],
-		Requester: d.c.req[i],
-		Kind:      d.c.kind[i],
-		Gap:       d.c.gap[i],
+		Addr:      d.c.Addr[i],
+		PC:        d.c.PC[i],
+		Requester: d.c.Req[i],
+		Kind:      d.c.Kind[i],
+		Gap:       d.c.Gap[i],
 	}
 }
 
@@ -375,24 +351,24 @@ func (d *Dataset) WarmRegion() Region { return Region{d: d, lo: 0, hi: d.warm} }
 func (d *Dataset) MeasureRegion() Region { return Region{d: d, lo: d.warm, hi: d.n} }
 
 // Replay returns a fresh zero-copy cursor positioned at the first warm
-// record. Replayers allocate nothing per Next call and never mutate the
-// dataset, so any number can run concurrently.
+// record. Replayers allocate nothing per Next or Take call and never
+// mutate the dataset, so any number can run concurrently.
 func (d *Dataset) Replay() *Replayer {
-	return &Replayer{d: d, c: d.c, n: d.n, nodes: uint64(d.params.Nodes)}
+	return &Replayer{d: d, c: d.c, n: d.n}
 }
 
 // Replayer is a sequential cursor over a Dataset: the warm region first,
 // then the measured region. It implements the sweep engine's Stream
-// contract (Next), with reads straight out of the shared columns. A
-// cursor pins its dataset for its whole lifetime — required for
-// mmap-backed datasets, whose columns alias a mapping that must not be
-// unmapped while any cursor can still read it.
+// contract (Next), with reads straight out of the shared columns, and
+// hands out whole runs of them (Take). A cursor pins its dataset for its
+// whole lifetime — required for mmap-backed datasets, whose columns
+// alias a mapping that must not be unmapped while any cursor can still
+// read it.
 type Replayer struct {
-	d     *Dataset // pins the dataset (and any backing mapping)
-	c     cols
-	i     int
-	n     int
-	nodes uint64
+	d *Dataset // pins the dataset (and any backing mapping)
+	c coherence.Columns
+	i int
+	n int
 }
 
 // Next returns the next record and its coherence annotation. It panics
@@ -404,19 +380,21 @@ func (r *Replayer) Next() (trace.Record, coherence.MissInfo) {
 		panic("dataset: replay past the end of the recorded trace")
 	}
 	r.i = i + 1
-	c := &r.c
-	return trace.Record{
-			Addr:      c.addr[i],
-			PC:        c.pc[i],
-			Requester: c.req[i],
-			Kind:      c.kind[i],
-			Gap:       c.gap[i],
-		}, coherence.MissInfo{
-			Home:           nodeset.NodeID(uint64(c.addr[i]) % r.nodes),
-			Owner:          c.owner[i],
-			Sharers:        c.sharers[i],
-			RequesterState: c.reqState[i],
-		}
+	return r.c.At(i)
+}
+
+// Take advances the cursor by n records and returns the dataset's
+// columns with the range [lo, hi) those records occupy. Like Next it
+// panics past the end. The columns are read-only. c points into the
+// cursor, which pins the dataset, so a reader that keeps c reachable
+// until it is done with the range keeps any backing mapping alive.
+func (r *Replayer) Take(n int) (c *coherence.Columns, lo, hi int) {
+	lo, hi = r.i, r.i+n
+	if n < 0 || hi > r.n {
+		panic("dataset: replay past the end of the recorded trace")
+	}
+	r.i = hi
+	return &r.c, lo, hi
 }
 
 // Remaining returns how many records are left.

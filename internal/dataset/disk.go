@@ -159,22 +159,22 @@ func (d *Dataset) payload(paramsJSON, chunk []byte, native bool, visit func([]by
 	if err := pad(headerLen + len(paramsJSON)); err != nil {
 		return err
 	}
-	if err := emit64(sliceOf[uint64](bytesOf(d.c.addr), d.n)); err != nil {
+	if err := emit64(sliceOf[uint64](bytesOf(d.c.Addr), d.n)); err != nil {
 		return err
 	}
-	if err := emit64(sliceOf[uint64](bytesOf(d.c.pc), d.n)); err != nil {
+	if err := emit64(sliceOf[uint64](bytesOf(d.c.PC), d.n)); err != nil {
 		return err
 	}
-	if err := emit64(sliceOf[uint64](bytesOf(d.c.sharers), d.n)); err != nil {
+	if err := emit64(sliceOf[uint64](bytesOf(d.c.Sharers), d.n)); err != nil {
 		return err
 	}
-	if err := emit32(d.c.gap); err != nil {
+	if err := emit32(d.c.Gap); err != nil {
 		return err
 	}
 	if err := pad(4 * d.n); err != nil {
 		return err
 	}
-	for _, col := range [][]byte{d.c.req, bytesOf(d.c.kind), bytesOf(d.c.owner), bytesOf(d.c.reqState)} {
+	for _, col := range [][]byte{d.c.Req, bytesOf(d.c.Kind), bytesOf(d.c.Owner), bytesOf(d.c.ReqState)} {
 		if err := visit(col); err != nil {
 			return err
 		}
@@ -339,25 +339,26 @@ func decode(buf []byte, verifyCRC bool) (*Dataset, error) {
 	d := &Dataset{params: p, warm: int(warm), n: n, nstats: int(nstats)}
 	aliased := hostLittle && (len(buf) == 0 || uintptr(unsafe.Pointer(&buf[0]))%8 == 0)
 	if aliased {
-		d.c.addr = sliceOf[trace.Addr](buf[l.addr:], n)
-		d.c.pc = sliceOf[trace.PC](buf[l.pc:], n)
-		d.c.sharers = sliceOf[nodeset.Set](buf[l.sharers:], n)
-		d.c.gap = sliceOf[uint32](buf[l.gap:], n)
-		d.c.req = buf[l.req : l.req+n : l.req+n]
-		d.c.kind = sliceOf[trace.Kind](buf[l.kind:], n)
-		d.c.owner = sliceOf[nodeset.NodeID](buf[l.owner:], n)
-		d.c.reqState = sliceOf[cache.State](buf[l.state:], n)
+		d.c.Nodes = nodes
+		d.c.Addr = sliceOf[trace.Addr](buf[l.addr:], n)
+		d.c.PC = sliceOf[trace.PC](buf[l.pc:], n)
+		d.c.Sharers = sliceOf[nodeset.Set](buf[l.sharers:], n)
+		d.c.Gap = sliceOf[uint32](buf[l.gap:], n)
+		d.c.Req = buf[l.req : l.req+n : l.req+n]
+		d.c.Kind = sliceOf[trace.Kind](buf[l.kind:], n)
+		d.c.Owner = sliceOf[nodeset.NodeID](buf[l.owner:], n)
+		d.c.ReqState = sliceOf[cache.State](buf[l.state:], n)
 	} else {
-		d.c.alloc(n)
+		d.c = newColumns(nodes, n)
 		for i := 0; i < n; i++ {
-			d.c.addr[i] = trace.Addr(binary.LittleEndian.Uint64(buf[l.addr+8*i:]))
-			d.c.pc[i] = trace.PC(binary.LittleEndian.Uint64(buf[l.pc+8*i:]))
-			d.c.sharers[i] = nodeset.Set(binary.LittleEndian.Uint64(buf[l.sharers+8*i:]))
-			d.c.gap[i] = binary.LittleEndian.Uint32(buf[l.gap+4*i:])
-			d.c.req[i] = buf[l.req+i]
-			d.c.kind[i] = trace.Kind(buf[l.kind+i])
-			d.c.owner[i] = nodeset.NodeID(buf[l.owner+i])
-			d.c.reqState[i] = cache.State(buf[l.state+i])
+			d.c.Addr[i] = trace.Addr(binary.LittleEndian.Uint64(buf[l.addr+8*i:]))
+			d.c.PC[i] = trace.PC(binary.LittleEndian.Uint64(buf[l.pc+8*i:]))
+			d.c.Sharers[i] = nodeset.Set(binary.LittleEndian.Uint64(buf[l.sharers+8*i:]))
+			d.c.Gap[i] = binary.LittleEndian.Uint32(buf[l.gap+4*i:])
+			d.c.Req[i] = buf[l.req+i]
+			d.c.Kind[i] = trace.Kind(buf[l.kind+i])
+			d.c.Owner[i] = nodeset.NodeID(buf[l.owner+i])
+			d.c.ReqState[i] = cache.State(buf[l.state+i])
 		}
 	}
 	if nstats > 0 {

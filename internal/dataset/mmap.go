@@ -14,7 +14,8 @@ package dataset
 // the Go runtime knows nothing about mapped memory, so unmapping while
 // any view is live would fault. Every mapping is therefore refcounted,
 // the Dataset holds the reference, and every view type (Region,
-// Replayer, the materialized legacy traces) pins the Dataset. The
+// Replayer, the materialized legacy traces) pins the Dataset, as do the
+// columns Replayer.Take hands out, which point into the cursor. The
 // reference is released by a GC cleanup when the Dataset becomes
 // unreachable — which, by construction, is after the last view is gone.
 // Store purges and in-place heals remove or rename over the *file*;

@@ -33,11 +33,8 @@ func recordStream(n int) ([]trace.Record, []coherence.MissInfo) {
 	return recs, infos
 }
 
-// TestProcessAllocFree is the protocol-accounting allocation budget:
-// Process runs once per miss on every engine of every sweep cell and
-// must never allocate.
-func TestProcessAllocFree(t *testing.T) {
-	recs, infos := recordStream(4096)
+// allocEngines are the engines the allocation budgets run.
+func allocEngines() map[string]Engine {
 	engines := map[string]Engine{
 		"snooping":  NewSnooping(16),
 		"directory": NewDirectory(),
@@ -51,8 +48,15 @@ func TestProcessAllocFree(t *testing.T) {
 	}
 	engines["predictive-directory"] =
 		NewPredictiveDirectory(predictor.NewBank(predictor.DefaultConfig(predictor.Owner, 16)))
+	return engines
+}
 
-	for name, eng := range engines {
+// TestProcessAllocFree is the protocol-accounting allocation budget:
+// Process runs once per miss on every engine of every sweep cell and
+// must never allocate.
+func TestProcessAllocFree(t *testing.T) {
+	recs, infos := recordStream(4096)
+	for name, eng := range allocEngines() {
 		t.Run(name, func(t *testing.T) {
 			i := 0
 			if n := testing.AllocsPerRun(1000, func() {
@@ -61,6 +65,26 @@ func TestProcessAllocFree(t *testing.T) {
 				i++
 			}); n != 0 {
 				t.Errorf("Process allocates %.1f/op, want 0", n)
+			}
+		})
+	}
+}
+
+// TestProcessRangeAllocFree: ProcessRange, which replays every
+// dataset-backed sweep cell, allocates nothing either, on the range
+// methods and on the Process fallback, measured and in warm-up.
+func TestProcessRangeAllocFree(t *testing.T) {
+	cols := columnsOf(recordStream(4096))
+	for name, eng := range allocEngines() {
+		t.Run(name, func(t *testing.T) {
+			var tot Totals
+			lo := 0
+			if n := testing.AllocsPerRun(100, func() {
+				ProcessRange(eng, cols, lo, lo+64, nil)
+				ProcessRange(eng, cols, lo+64, lo+128, &tot)
+				lo = (lo + 128) % 4096
+			}); n != 0 {
+				t.Errorf("ProcessRange allocates %.1f/op, want 0", n)
 			}
 		})
 	}

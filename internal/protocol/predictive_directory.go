@@ -165,7 +165,7 @@ func (p *PredictiveDirectory) Process(rec trace.Record, mi coherence.MissInfo) R
 
 	return Result{
 		RequestMsgs: msgs,
-		DataMsgs:    dataMsgs(mi, req),
+		DataMsgs:    dataMsgs(req, mi.Owner),
 		Indirect:    indirect,
 		InitialSet:  coherence.MinimalSet(req, mi.Home).Union(guessSet),
 	}

@@ -17,10 +17,17 @@
 // invalidations + retries), data messages and whether the miss required an
 // indirection. The multicast engine also drives predictor training with
 // exactly the events each node would observe (§3.2).
+//
+// A recorded stream can also be accounted a range at a time, straight
+// from its columns (ProcessRange): Snooping, Directory and Multicast
+// read the columns of each miss and apply the same per-miss rules as
+// Process, with no Record, MissInfo or Result built per miss; any other
+// engine gets each miss rebuilt and passed to Process.
 package protocol
 
 import (
 	"fmt"
+	"runtime"
 
 	"destset/internal/coherence"
 	"destset/internal/nodeset"
@@ -81,13 +88,48 @@ type Engine interface {
 	Clone() Engine
 }
 
-// dataMsgs returns how many data responses a miss produces: none when the
-// requester already owns the block (an upgrade), one otherwise.
-func dataMsgs(mi coherence.MissInfo, req nodeset.NodeID) int {
-	if _, _, none := mi.Responder(req); none {
+// dataMsgs returns how many data responses a miss by req produces: none
+// when req already owns the block (an upgrade, MissInfo.Responder's none
+// case), one otherwise.
+func dataMsgs(req, owner nodeset.NodeID) int {
+	if owner == req {
 		return 0
 	}
 	return 1
+}
+
+// ranger is an engine that accounts a range of a recorded stream's
+// columns itself (see ProcessRange).
+type ranger interface {
+	// processRange accounts misses [lo, hi) of c into t, exactly as
+	// Process on each miss in order followed by t.Add would; a nil t is
+	// warm-up, which trains the engine without accounting.
+	processRange(c *coherence.Columns, lo, hi int, t *Totals)
+}
+
+// ProcessRange accounts misses [lo, hi) of a recorded stream on e, in
+// order, into t; a nil t is warm-up, which trains e without accounting.
+// Snooping, Directory and Multicast read the columns directly. Any other
+// engine, such as PredictiveDirectory or one registered with
+// RegisterEngine, gets each miss rebuilt as a (Record, MissInfo) pair and
+// passed to Process. This is the only place that decides.
+//
+// c may alias a file mapping that the garbage collector does not see,
+// pinned only by c itself (dataset.Replayer.Take), so c is kept
+// reachable until the range has been read.
+func ProcessRange(e Engine, c *coherence.Columns, lo, hi int, t *Totals) {
+	if r, ok := e.(ranger); ok {
+		r.processRange(c, lo, hi, t)
+	} else {
+		for i := lo; i < hi; i++ {
+			rec, mi := c.At(i)
+			res := e.Process(rec, mi)
+			if t != nil {
+				t.Add(res)
+			}
+		}
+	}
+	runtime.KeepAlive(c)
 }
 
 // ---------------------------------------------------------------------
@@ -113,12 +155,25 @@ func (s *Snooping) Clone() Engine { return NewSnooping(s.nodes) }
 // Process implements Engine. A broadcast is always sufficient: the owner
 // and all sharers observe every request, so no miss ever indirects.
 func (s *Snooping) Process(rec trace.Record, mi coherence.MissInfo) Result {
-	req := nodeset.NodeID(rec.Requester)
 	return Result{
 		RequestMsgs: s.nodes - 1,
-		DataMsgs:    dataMsgs(mi, req),
+		DataMsgs:    dataMsgs(nodeset.NodeID(rec.Requester), mi.Owner),
 		InitialSet:  nodeset.All(s.nodes),
 	}
+}
+
+// processRange implements ranger. Broadcast snooping keeps no state, so
+// warm-up has nothing to do.
+func (s *Snooping) processRange(c *coherence.Columns, lo, hi int, t *Totals) {
+	if t == nil {
+		return
+	}
+	data := 0
+	for i := lo; i < hi; i++ {
+		data += dataMsgs(nodeset.NodeID(c.Req[i]), c.Owner[i])
+	}
+	n := uint64(hi - lo)
+	t.Merge(Totals{Misses: n, RequestMsgs: n * uint64(s.nodes-1), DataMsgs: uint64(data)})
 }
 
 // ---------------------------------------------------------------------
@@ -140,27 +195,55 @@ func (d *Directory) Reset() {}
 // Clone implements Engine.
 func (d *Directory) Clone() Engine { return NewDirectory() }
 
-// Process implements Engine. The request goes to the home; the directory
-// forwards to a remote owner (the indirection) and invalidates remote
-// sharers for write requests. No acknowledgments are needed on the
-// totally-ordered interconnect.
+// Process implements Engine.
 func (d *Directory) Process(rec trace.Record, mi coherence.MissInfo) Result {
 	req := nodeset.NodeID(rec.Requester)
-	msgs := 1 // request to home
+	msgs, indirect := directoryMiss(req, rec.Kind, mi.Owner, mi.Sharers)
+	return Result{
+		RequestMsgs: msgs,
+		DataMsgs:    dataMsgs(req, mi.Owner),
+		Indirect:    indirect,
+		InitialSet:  coherence.MinimalSet(req, mi.Home),
+	}
+}
+
+// directoryMiss returns the request messages of one directory miss and
+// whether it indirects; Process and processRange share it. The request
+// goes to the home; the directory forwards to a remote owner (the
+// indirection) and invalidates remote sharers for write requests. No
+// acknowledgments are needed on the totally-ordered interconnect. The
+// rules read only the owner and the sharers of the miss's annotation.
+func directoryMiss(req nodeset.NodeID, kind trace.Kind, owner nodeset.NodeID, sharers nodeset.Set) (msgs int, indirect bool) {
+	mi := coherence.MissInfo{Owner: owner, Sharers: sharers}
+	msgs = 1 // request to home
 	if mi.CacheToCache(req) {
 		msgs++ // forward to the remote owner
 	}
-	if rec.Kind == trace.GetExclusive {
+	if kind == trace.GetExclusive {
 		// Invalidations to remote sharers (the owner already sees the
 		// forward; the requester upgrades in place).
-		msgs += mi.Sharers.Remove(req).Remove(mi.Owner).Count()
+		msgs += sharers.Remove(req).Remove(owner).Count()
 	}
-	return Result{
-		RequestMsgs: msgs,
-		DataMsgs:    dataMsgs(mi, req),
-		Indirect:    mi.DirIndirection(req),
-		InitialSet:  coherence.MinimalSet(req, mi.Home),
+	return msgs, mi.DirIndirection(req)
+}
+
+// processRange implements ranger. The directory engine keeps no state,
+// so warm-up has nothing to do.
+func (d *Directory) processRange(c *coherence.Columns, lo, hi int, t *Totals) {
+	if t == nil {
+		return
 	}
+	var msgs, data, indirect uint64
+	for i := lo; i < hi; i++ {
+		req, owner := nodeset.NodeID(c.Req[i]), c.Owner[i]
+		n, ind := directoryMiss(req, c.Kind[i], owner, c.Sharers[i])
+		msgs += uint64(n)
+		data += uint64(dataMsgs(req, owner))
+		if ind {
+			indirect++
+		}
+	}
+	t.Merge(Totals{Misses: uint64(hi - lo), RequestMsgs: msgs, DataMsgs: data, Indirect: indirect})
 }
 
 // ---------------------------------------------------------------------
@@ -269,18 +352,49 @@ func (m *Multicast) Stats() MulticastStats { return m.stats }
 // Process implements Engine: predict, multicast, check sufficiency at the
 // home directory, reissue if insufficient, and deliver training events.
 func (m *Multicast) Process(rec trace.Record, mi coherence.MissInfo) Result {
-	req := nodeset.NodeID(rec.Requester)
-	needed := mi.Needed(req, rec.Kind)
+	mask, msgs, retries, data := m.miss(rec.Addr, rec.PC, nodeset.NodeID(rec.Requester), rec.Kind, mi.Home, mi.Owner, mi.Sharers)
+	// One composite literal: a Result filled field by field just before
+	// the return stalls the caller's load of it on store forwarding.
+	return Result{RequestMsgs: msgs, DataMsgs: data, Indirect: retries != 0, Retries: retries, InitialSet: mask}
+}
+
+// processRange implements ranger: it applies miss to every miss of the
+// range, the home derived from the address as the recording derived it.
+func (m *Multicast) processRange(c *coherence.Columns, lo, hi int, t *Totals) {
+	var msgs, retries, data, indirect uint64
+	for i := lo; i < hi; i++ {
+		addr := c.Addr[i]
+		_, n, r, d := m.miss(addr, c.PC[i], nodeset.NodeID(c.Req[i]), c.Kind[i], coherence.HomeOf(addr, c.Nodes), c.Owner[i], c.Sharers[i])
+		msgs += uint64(n)
+		retries += uint64(r)
+		data += uint64(d)
+		if r != 0 {
+			indirect++
+		}
+	}
+	if t != nil {
+		t.Merge(Totals{Misses: uint64(hi - lo), RequestMsgs: msgs, DataMsgs: data, Indirect: indirect, Retries: retries})
+	}
+}
+
+// miss is the multicast engine's per-miss rule, which Process and
+// processRange share: it trains the bank on one miss, counts its
+// accuracy, and returns the initial destination set, the request
+// messages, the reissues and the data messages. The miss comes as
+// separate fields and the outcome goes back as separate results, so no
+// struct is copied across the call.
+func (m *Multicast) miss(addr trace.Addr, pc trace.PC, req nodeset.NodeID, kind trace.Kind, home, owner nodeset.NodeID, sharers nodeset.Set) (mask nodeset.Set, msgs, retries, data int) {
+	mi := coherence.MissInfo{Home: home, Owner: owner, Sharers: sharers}
+	needed := mi.Needed(req, kind)
 	responder, fromMemory, none := mi.Responder(req)
-	q := predictor.Query{Addr: rec.Addr, PC: rec.PC, Requester: req, Home: mi.Home, Kind: rec.Kind}
-	var mask nodeset.Set
+	q := predictor.Query{Addr: addr, PC: pc, Requester: req, Home: home, Kind: kind}
 	if m.step != nil {
 		mask = m.step.Miss(q, needed, responder, fromMemory, none)
 	} else {
 		mask = m.perNode(q, needed, responder, fromMemory, none)
 	}
 
-	msgs, retries := mask.Remove(req).Count(), 0
+	msgs = mask.Remove(req).Count()
 	if mask.Superset(needed) {
 		m.stats.Sufficient++
 	} else {
@@ -289,17 +403,11 @@ func (m *Multicast) Process(rec trace.Record, mi coherence.MissInfo) Result {
 		// order there are no races, so one reissue always succeeds.
 		m.stats.Insufficient++
 		retries = 1
-		msgs += needed.Minus(mask).Remove(mi.Home).Count()
+		msgs += needed.Minus(mask).Remove(home).Count()
 	}
 	m.stats.PredictedNodes += uint64(mask.Count())
 	m.stats.NeededNodes += uint64(needed.Count())
-	data := 1
-	if none {
-		data = 0
-	}
-	// One composite literal: a Result filled field by field just before
-	// the return stalls the caller's load of it on store forwarding.
-	return Result{RequestMsgs: msgs, DataMsgs: data, Indirect: retries != 0, Retries: retries, InitialSet: mask}
+	return mask, msgs, retries, dataMsgs(req, owner)
 }
 
 // perNode trains a bank without a bank step on one miss, one member call
@@ -353,6 +461,15 @@ func (t *Totals) Add(r Result) {
 		t.Indirect++
 	}
 	t.Retries += uint64(r.Retries)
+}
+
+// Merge accumulates every miss of u.
+func (t *Totals) Merge(u Totals) {
+	t.Misses += u.Misses
+	t.RequestMsgs += u.RequestMsgs
+	t.DataMsgs += u.DataMsgs
+	t.Indirect += u.Indirect
+	t.Retries += u.Retries
 }
 
 // IndirectionPercent returns the percent of misses requiring indirection

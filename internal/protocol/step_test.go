@@ -51,15 +51,19 @@ func stepMisses(accesses []stepAccess) ([]trace.Record, []coherence.MissInfo) {
 	return recs, infos
 }
 
-// compareStep runs one miss stream through a multicast engine over
-// NewBank(cfg), which must take the bank step, and through one over a
-// bank of the same configuration whose members are hidden, which must
-// take the per-node path. Every Result and the MulticastStats must agree
-// after every miss, and each member table's Stats and Len every 64
-// misses and at the end.
-func compareStep(cfg predictor.Config, recs []trace.Record, infos []coherence.MissInfo) error {
-	stepBank := predictor.NewBank(cfg)
-	refBank := predictor.NewBank(cfg)
+// compareStep runs one miss stream through multicast engines over
+// NewBank(cfg), which must take the bank step, and through a reference
+// engine over a bank of the same configuration whose members are hidden,
+// which takes the per-node path and Process per miss. One step engine
+// takes Process per miss: every Result and the MulticastStats must agree
+// with the reference's after every miss, and each member table's Stats
+// and Len every 64 misses and at the end. One more step engine per chunk
+// length takes the misses through the range method, that many at a
+// time, the first chunk as warm-up: at the end of every chunk its Totals
+// must equal the reference's Results added up since its warm-up, and its
+// MulticastStats and member tables must equal the reference's.
+func compareStep(cfg predictor.Config, recs []trace.Record, infos []coherence.MissInfo, chunks ...int) error {
+	stepBank, refBank := predictor.NewBank(cfg), predictor.NewBank(cfg)
 	hiddenBank := make([]predictor.Predictor, len(refBank))
 	for i, p := range refBank {
 		hiddenBank[i] = hidden{p}
@@ -71,32 +75,68 @@ func compareStep(cfg predictor.Config, recs []trace.Record, infos []coherence.Mi
 	if ref.step != nil {
 		return fmt.Errorf("a bank of hidden members takes the bank step")
 	}
-	tables := func(i int) error {
-		for n := range stepBank {
-			gl, gh, ga, ge, glen := stepBank[n].(tableStats).TableStats()
+	tables := func(i int, path string, bank []predictor.Predictor) error {
+		for n := range bank {
+			gl, gh, ga, ge, glen := bank[n].(tableStats).TableStats()
 			wl, wh, wa, we, wlen := refBank[n].(tableStats).TableStats()
 			if gl != wl || gh != wh || ga != wa || ge != we || glen != wlen {
-				return fmt.Errorf("after miss %d, node %d's table: step %d/%d/%d/%d len %d, per-node %d/%d/%d/%d len %d",
-					i, n, gl, gh, ga, ge, glen, wl, wh, wa, we, wlen)
+				return fmt.Errorf("after miss %d, node %d's table: %s %d/%d/%d/%d len %d, per-node %d/%d/%d/%d len %d",
+					i, n, path, gl, gh, ga, ge, glen, wl, wh, wa, we, wlen)
 			}
 		}
 		return nil
 	}
+	// ranged is one range-path engine and its progress.
+	type ranged struct {
+		chunk, lo int
+		bank      []predictor.Predictor
+		eng       *Multicast
+		got, want Totals
+	}
+	rs := make([]*ranged, len(chunks))
+	for k, chunk := range chunks {
+		bank := predictor.NewBank(cfg)
+		rs[k] = &ranged{chunk: chunk, bank: bank, eng: NewMulticast(bank)}
+	}
+	cols := columnsOf(recs, infos)
 	for i := range recs {
-		got, want := eng.Process(recs[i], infos[i]), ref.Process(recs[i], infos[i])
-		if got != want {
-			return fmt.Errorf("miss %d %+v: step %+v, per-node %+v", i, recs[i], got, want)
+		r, w := eng.Process(recs[i], infos[i]), ref.Process(recs[i], infos[i])
+		if r != w {
+			return fmt.Errorf("miss %d %+v: step %+v, per-node %+v", i, recs[i], r, w)
 		}
 		if eng.Stats() != ref.Stats() {
 			return fmt.Errorf("after miss %d: step stats %+v, per-node %+v", i, eng.Stats(), ref.Stats())
 		}
 		if i%64 == 0 {
-			if err := tables(i); err != nil {
+			if err := tables(i, "step", stepBank); err != nil {
 				return err
 			}
 		}
+		for _, g := range rs {
+			g.want.Add(w)
+			hi := i + 1
+			if hi-g.lo != g.chunk && hi != len(recs) {
+				continue
+			}
+			if g.lo == 0 {
+				g.eng.processRange(cols, g.lo, hi, nil)
+				g.want = Totals{}
+			} else {
+				g.eng.processRange(cols, g.lo, hi, &g.got)
+			}
+			if g.got != g.want {
+				return fmt.Errorf("chunks of %d, after misses [%d, %d): range totals %+v, per-node %+v", g.chunk, g.lo, hi, g.got, g.want)
+			}
+			if g.eng.Stats() != ref.Stats() {
+				return fmt.Errorf("chunks of %d, after misses [%d, %d): range stats %+v, per-node %+v", g.chunk, g.lo, hi, g.eng.Stats(), ref.Stats())
+			}
+			if err := tables(i, fmt.Sprintf("range in chunks of %d", g.chunk), g.bank); err != nil {
+				return err
+			}
+			g.lo = hi
+		}
 	}
-	return tables(len(recs))
+	return tables(len(recs), "step", stepBank)
 }
 
 // stepConfigs are the configurations TestBankStepMatchesPerNode runs for
@@ -124,13 +164,12 @@ func stepConfigs(pol predictor.Policy) map[string]predictor.Config {
 	return cfgs
 }
 
-// TestBankStepMatchesPerNode: the bank step trains exactly like one
-// Predict, TrainRequest and TrainResponse call per node, on a stream
-// with memory responses, cache-to-cache transfers, upgrades, retries
-// and table evictions. Three accesses in four go to 24 blocks that
-// every node shares; the rest go to 512 blocks 17 apart, with every
+// stepStream is the miss stream TestBankStepMatchesPerNode runs: 7,262
+// misses with memory responses, cache-to-cache transfers, upgrades,
+// retries and table evictions. Three accesses in four go to 24 blocks
+// that every node shares; the rest go to 512 blocks 17 apart, with every
 // home and hundreds of keys at 1024 B macroblocks.
-func TestBankStepMatchesPerNode(t *testing.T) {
+func stepStream() ([]trace.Record, []coherence.MissInfo) {
 	rng := rand.New(rand.NewSource(1))
 	var accesses []stepAccess
 	for i := 0; i < 8000; i++ {
@@ -142,12 +181,19 @@ func TestBankStepMatchesPerNode(t *testing.T) {
 		}
 		accesses = append(accesses, a)
 	}
-	recs, infos := stepMisses(accesses)
+	return stepMisses(accesses)
+}
+
+// TestBankStepMatchesPerNode: the bank step trains exactly like one
+// Predict, TrainRequest and TrainResponse call per node, per miss and
+// over column ranges of 61 and 2048 misses, on stepStream.
+func TestBankStepMatchesPerNode(t *testing.T) {
+	recs, infos := stepStream()
 	for _, pol := range []predictor.Policy{
 		predictor.Owner, predictor.BroadcastIfShared, predictor.Group, predictor.OwnerGroup,
 	} {
 		for name, cfg := range stepConfigs(pol) {
-			if err := compareStep(cfg, recs, infos); err != nil {
+			if err := compareStep(cfg, recs, infos, 61, 2048); err != nil {
 				t.Errorf("%v %s: %v", pol, name, err)
 			}
 		}
@@ -174,18 +220,19 @@ func TestBankStepSurvivesLifecycle(t *testing.T) {
 	}
 }
 
-// FuzzBankStepMatchesPerNode runs compareStep on a configuration and an
-// access sequence decoded from the input: byte 0 picks the policy (low
-// two bits) and the indexing (block, 256 B macroblock or PC), byte 1 the
-// ways (1..4) and the set count (1..16), byte 2 the Group rollover limit
-// (0 keeps the default), and every further two bytes one access (node
-// in the low four bits, a store in bit 4, address bits above, and the
-// address's low byte).
+// FuzzBankStepMatchesPerNode runs compareStep on a configuration, an
+// access sequence and a chunk length decoded from the input. In data,
+// byte 0 picks the policy (low two bits) and the indexing (block, 256 B
+// macroblock or PC), byte 1 the ways (1..4) and the set count (1..16),
+// byte 2 the Group rollover limit (0 keeps the default), and every
+// further two bytes one access (node in the low four bits, a store in
+// bit 4, address bits above, and the address's low byte). The range
+// path takes the misses in chunks of chunk+1.
 func FuzzBankStepMatchesPerNode(f *testing.F) {
 	policies := []predictor.Policy{
 		predictor.Owner, predictor.BroadcastIfShared, predictor.Group, predictor.OwnerGroup,
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
 		if len(data) < 3 {
 			return
 		}
@@ -213,7 +260,7 @@ func FuzzBankStepMatchesPerNode(f *testing.F) {
 			})
 		}
 		recs, infos := stepMisses(accesses)
-		if err := compareStep(cfg, recs, infos); err != nil {
+		if err := compareStep(cfg, recs, infos, int(chunk)+1); err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
 	})

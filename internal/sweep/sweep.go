@@ -33,8 +33,21 @@ import (
 // Stream produces a workload's miss stream: one coherence request and
 // its oracle annotation per call. *workload.Generator implements it; so
 // do replayers over pre-generated traces.
+//
+// A stream that also hands out whole runs of a recorded dataset's
+// columns — a method Take(n int) (*coherence.Columns, int, int), as
+// *dataset.Replayer has — is replayed a range at a time through
+// protocol.ProcessRange instead of one Next and one Process call per
+// miss. Its home nodes are the address interleave by construction. Any
+// other stream, whose MissInfo.Home need not be, is replayed miss by
+// miss.
 type Stream interface {
 	Next() (trace.Record, coherence.MissInfo)
+}
+
+// rangeStream is a Stream that hands out column ranges (see Stream).
+type rangeStream interface {
+	Take(n int) (c *coherence.Columns, lo, hi int)
 }
 
 // Engine names a protocol engine and knows how to build a fresh,
@@ -94,7 +107,8 @@ type Result struct {
 }
 
 // ctxCheckStride bounds how many misses a cell processes between
-// cancellation checks, so cancellation is prompt even on huge cells.
+// cancellation checks, so cancellation is prompt even on huge cells. It
+// is also the longest chunk RunCell hands an engine at once.
 const ctxCheckStride = 2048
 
 // Cell is one coordinate of a sweep's cross-product: workload W, spec
@@ -441,9 +455,10 @@ func (d *delivery[O]) ready() []O {
 
 // RunCell trains and measures engine e on workload w at one seed,
 // handing each measurement interval's observation to emit (interval <= 0
-// emits one observation for the whole cell). It checks for cancellation
-// every ctxCheckStride misses and abandons the cell promptly when the
-// context ends.
+// emits one observation for the whole cell). It runs the stream in
+// chunks of at most ctxCheckStride misses, cuts measured chunks at
+// interval boundaries, checks for cancellation once per chunk and
+// abandons the cell promptly when the context ends.
 func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval int, emit func(Observation)) (*Result, error) {
 	if w.Open == nil {
 		return nil, fmt.Errorf("sweep: workload %q has no stream source", w.Name)
@@ -459,14 +474,17 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 	if err != nil {
 		return nil, fmt.Errorf("sweep: workload %q: %w", w.Name, err)
 	}
-	for i := 0; i < w.Warm; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+	for left := w.Warm; left > 0; {
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		rec, mi := st.Next()
-		eng.Process(rec, mi)
+		n := min(left, ctxCheckStride)
+		runChunk(eng, st, n, nil)
+		left -= n
 	}
-	var cum, cur protocol.Totals
+	// chunk is declared once: the engine's range method gets its address,
+	// so it lives on the heap.
+	var cum, cur, chunk protocol.Totals
 	intervalIdx := 0
 	flush := func() {
 		emit(Observation{
@@ -480,14 +498,19 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 		intervalIdx++
 		cur = protocol.Totals{}
 	}
-	for i := 0; i < w.Measure; i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
+	for left := w.Measure; left > 0; {
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		rec, mi := st.Next()
-		r := eng.Process(rec, mi)
-		cum.Add(r)
-		cur.Add(r)
+		n := min(left, ctxCheckStride)
+		if interval > 0 {
+			n = min(n, interval-int(cur.Misses))
+		}
+		chunk = protocol.Totals{}
+		runChunk(eng, st, n, &chunk)
+		cum.Merge(chunk)
+		cur.Merge(chunk)
+		left -= n
 		if interval > 0 && cur.Misses >= uint64(interval) {
 			flush()
 		}
@@ -502,6 +525,24 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 		Seed:       seed,
 		Totals:     cum,
 	}, nil
+}
+
+// runChunk runs the stream's next n misses through eng, accounting them
+// into t unless t is nil (warm-up): one range of columns when the stream
+// hands them out, else one Next and one Process call per miss.
+func runChunk(eng protocol.Engine, st Stream, n int, t *protocol.Totals) {
+	if rs, ok := st.(rangeStream); ok {
+		c, lo, hi := rs.Take(n)
+		protocol.ProcessRange(eng, c, lo, hi, t)
+		return
+	}
+	for ; n > 0; n-- {
+		rec, mi := st.Next()
+		r := eng.Process(rec, mi)
+		if t != nil {
+			t.Add(r)
+		}
+	}
 }
 
 // ForEach runs fn(i) for every i in [0, n) across a worker pool of the
