@@ -28,14 +28,16 @@
 // -result-dir is the output-side mirror of -dataset-dir: completed
 // sweep cells spill to a content-addressed result store and reruns
 // serve them from it, computing only cells whose specs changed — the
-// JSONL output stays byte-identical to a cold run. A summary line on
-// stderr reports how many cells were served vs computed.
+// tables and the JSONL output stay byte-identical to a cold run. A
+// summary line on stderr reports how many cells were served vs
+// computed.
 //
 // -dataset (repeatable) adds a pre-built dataset file — typically
-// tracegen -import output — to the Figure 5 sweep as an extra workload.
-// It requires -dataset-dir: the file is installed there under its
-// content address, which is how every sweep cell (and every shard or
-// distributed worker sharing the directory) resolves it.
+// tracegen -import output — to Figure 5 (its table, -json stream and
+// shards) as an extra workload. It requires -dataset-dir: the file is
+// installed there under its content address, which is how every sweep
+// cell (and every shard or distributed worker sharing the directory)
+// resolves it.
 //
 // With no selection flags, everything is printed.
 package main

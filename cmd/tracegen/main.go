@@ -51,9 +51,9 @@ import (
 	"os"
 	"os/signal"
 
-	"destset"
 	"destset/internal/atomicfile"
 	"destset/internal/dataset"
+	"destset/internal/experiments"
 	"destset/internal/ingest"
 	"destset/internal/trace"
 	"destset/internal/workload"
@@ -170,26 +170,13 @@ func importTrace(ctx context.Context, path, format string, opt ingest.Options, o
 	p := ds.Params()
 	if dir != "" {
 		key := dataset.KeyOf(p, ds.Warm(), ds.Measure())
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		dest := key.Path(dir)
-		err = atomicfile.Write(ctx, dest, func(f *os.File) error {
-			_, err := ds.WriteTo(f)
-			return err
-		})
+		dest, err := dataset.Install(dir, key, func() (*dataset.Dataset, error) { return ds, nil })
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: imported %d records of %s (%s) into %s\n",
 			ds.Len(), p.Name, p.Import.Format, dest)
-		spec := destset.WorkloadSpec{
-			Name:    p.Name,
-			Params:  &p,
-			Warm:    explicitScale(ds.Warm()),
-			Measure: explicitScale(ds.Measure()),
-		}
-		enc, err := json.MarshalIndent(spec, "", "  ")
+		enc, err := json.MarshalIndent(experiments.DatasetWorkload(ds), "", "  ")
 		if err != nil {
 			return err
 		}
@@ -206,16 +193,6 @@ func importTrace(ctx context.Context, path, format string, opt ingest.Options, o
 	fmt.Fprintf(os.Stderr, "tracegen: imported %d warm + %d measured records of %s (%s format, %d block stats)\n",
 		ds.Warm(), ds.Measure(), p.Name, p.Import.Format, len(ds.BlockStats()))
 	return nil
-}
-
-// explicitScale converts a dataset region size to WorkloadSpec's scale
-// convention, where 0 means "inherit the runner default" and negative
-// means "explicitly none".
-func explicitScale(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return n
 }
 
 // exportDataset re-emits a columnar dataset as an external text trace.

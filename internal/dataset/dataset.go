@@ -17,12 +17,19 @@
 //     columns with the range they occupy, which protocol engines account
 //     without rebuilding each miss (protocol.ProcessRange). Any number of
 //     replayers can walk the same dataset concurrently.
+//   - Region is a zero-copy random-access view of the warm or measured
+//     span for the timing simulator, and At reads one miss anywhere.
+//     Nothing materializes a second copy of a dataset's records, so
+//     its Bytes is its whole footprint.
 //   - Store (store.go) memoizes datasets behind a concurrency-safe,
 //     singleflight map so concurrent sweep cells generate each dataset
 //     once and replay it everywhere. When a dataset directory is
 //     configured the store is tiered: memory in front of an on-disk
 //     content-addressed cache (disk.go), so cold processes load the
-//     columns straight off disk instead of regenerating.
+//     columns straight off disk instead of regenerating. Install is the
+//     one rule for placing a dataset file under its content address
+//     from outside the store: keep a file that loads as its key, replace
+//     anything else atomically.
 //
 // Columnar layout matters twice over: it drops per-record padding (a
 // Record+MissInfo pair costs 56 bytes as Go structs but 32 bytes as
@@ -85,16 +92,6 @@ type Dataset struct {
 	statsRaw   []byte
 	nstats     int
 	statsOnce  sync.Once
-
-	// Legacy []trace.Record views, materialized at most once for
-	// consumers that need contiguous records (the timing simulator).
-	warmOnce, measOnce sync.Once
-	warmTr, measTr     *trace.Trace
-
-	// grow, when set (by the owning Store), reports late allocations —
-	// the materialized views above — so the store's byte accounting
-	// tracks the dataset's real footprint, not just the columns.
-	grow func(delta int64)
 
 	// mp, when set, is the mmap region the columns alias (mmap.go). The
 	// dataset holds the mapping's reference; a runtime cleanup releases
@@ -184,7 +181,7 @@ func FromRecords(p workload.Params, recs []trace.Record, infos []coherence.MissI
 // rescaleGaps rescales the instruction gaps of records [lo, hi) so their
 // sum hits the workload's misses-per-1000-instructions target despite
 // burst structure — the same float arithmetic as Generator.Generate, so
-// materialized views reproduce its output bit for bit.
+// each region's records reproduce its output bit for bit.
 func (d *Dataset) rescaleGaps(lo, hi int) {
 	if hi <= lo {
 		return
@@ -236,13 +233,10 @@ func (d *Dataset) Len() int { return d.n }
 const (
 	perRecord = 8 + 8 + 4 + 1 + 1 + 1 + 8 + 1 // one slot across all columns
 	perStat   = 24                            // coherence.BlockStat with padding
-	perLegacy = 32                            // trace.Record with padding
 )
 
 // Bytes returns the approximate in-memory footprint of the dataset's
-// columns and block statistics at generation time; the Store budgets
-// with it and is additionally notified (via grow) when the legacy
-// record views materialize later.
+// columns and block statistics; the Store budgets with it.
 func (d *Dataset) Bytes() int64 {
 	return int64(d.n)*perRecord + int64(d.nstats)*perStat
 }
@@ -272,44 +266,6 @@ func (d *Dataset) BlockStats() []coherence.BlockStat {
 		d.statsRaw = nil
 	})
 	return d.blockStats
-}
-
-// materialize copies records [lo, hi) into a contiguous legacy trace.
-func (d *Dataset) materialize(lo, hi int) *trace.Trace {
-	t := &trace.Trace{Nodes: d.params.Nodes, Records: make([]trace.Record, 0, hi-lo)}
-	for i := lo; i < hi; i++ {
-		rec, _ := d.At(i)
-		t.Append(rec)
-	}
-	return t
-}
-
-// grew reports a late allocation to the owning store, if any.
-func (d *Dataset) grew(delta int64) {
-	if d.grow != nil {
-		d.grow(delta)
-	}
-}
-
-// WarmTrace returns the warm region as a contiguous legacy trace,
-// materialized on first use and cached. The execution-driven timing
-// simulator consumes it.
-func (d *Dataset) WarmTrace() *trace.Trace {
-	d.warmOnce.Do(func() {
-		d.warmTr = d.materialize(0, d.warm)
-		d.grew(int64(d.warm) * perLegacy)
-	})
-	return d.warmTr
-}
-
-// MeasureTrace returns the measured region as a contiguous legacy trace,
-// materialized on first use and cached.
-func (d *Dataset) MeasureTrace() *trace.Trace {
-	d.measOnce.Do(func() {
-		d.measTr = d.materialize(d.warm, d.n)
-		d.grew(int64(d.n-d.warm) * perLegacy)
-	})
-	return d.measTr
 }
 
 // RecordAt returns record i without assembling its coherence annotation

@@ -58,8 +58,8 @@ func TestReplayMatchesLiveGenerator(t *testing.T) {
 	}
 }
 
-// TestGapsMatchGeneratorGenerate pins the materialized views to the
-// legacy Generator.Generate output bit for bit, per region.
+// TestGapsMatchGeneratorGenerate pins each region's records (At) to the
+// legacy Generator.Generate output bit for bit.
 func TestGapsMatchGeneratorGenerate(t *testing.T) {
 	const warm, measure = 1200, 800
 	p := testParams(t, 5)
@@ -73,22 +73,24 @@ func TestGapsMatchGeneratorGenerate(t *testing.T) {
 	}
 	wantWarm, _ := g.Generate(warm)
 	wantMeas, _ := g.Generate(measure)
-	for name, pair := range map[string][2]*trace.Trace{
-		"warm":    {d.WarmTrace(), wantWarm},
-		"measure": {d.MeasureTrace(), wantMeas},
+	for name, region := range map[string]struct {
+		lo   int
+		want *trace.Trace
+	}{
+		"warm":    {0, wantWarm},
+		"measure": {warm, wantMeas},
 	} {
-		got, want := pair[0], pair[1]
-		if got.Nodes != want.Nodes || got.Len() != want.Len() {
-			t.Fatalf("%s: shape %d/%d vs %d/%d", name, got.Nodes, got.Len(), want.Nodes, want.Len())
+		if region.want.Nodes != d.Nodes() {
+			t.Fatalf("%s: %d nodes, want %d", name, d.Nodes(), region.want.Nodes)
 		}
-		for i := range want.Records {
-			if got.Records[i] != want.Records[i] {
-				t.Fatalf("%s record %d: %+v vs %+v", name, i, got.Records[i], want.Records[i])
+		for i, want := range region.want.Records {
+			if got, _ := d.At(region.lo + i); got != want {
+				t.Fatalf("%s record %d: %+v vs %+v", name, i, got, want)
 			}
 		}
 	}
-	if tr := d.WarmTrace(); tr != d.WarmTrace() {
-		t.Error("WarmTrace not memoized")
+	if d.Warm() != wantWarm.Len() || d.Measure() != wantMeas.Len() {
+		t.Errorf("regions %d+%d, want %d+%d", d.Warm(), d.Measure(), wantWarm.Len(), wantMeas.Len())
 	}
 }
 
@@ -242,32 +244,6 @@ func TestStoreLimitEvictsLRU(t *testing.T) {
 	}
 	if st := s.Stats(); st.Datasets != 0 || st.Bytes != 0 {
 		t.Errorf("after purge: %d datasets, %d bytes", st.Datasets, st.Bytes)
-	}
-}
-
-// TestStoreCountsMaterializedViews pins the late-allocation accounting:
-// legacy trace views materialized after insert (the timing path) must
-// show up in the store's byte total, or a configured limit would be
-// silently defeated.
-func TestStoreCountsMaterializedViews(t *testing.T) {
-	s := NewStore()
-	p := testParams(t, 6)
-	const warm, measure = 150, 250
-	ds, err := s.Get(KeyOf(p, warm, measure), func() (*Dataset, error) { return Generate(p, warm, measure) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats().Bytes
-	ds.WarmTrace()
-	ds.MeasureTrace()
-	ds.WarmTrace() // memoized: must not double-charge
-	after := s.Stats().Bytes
-	if want := before + int64(warm+measure)*perLegacy; after != want {
-		t.Errorf("bytes after materialization = %d, want %d (before %d)", after, want, before)
-	}
-	s.Purge()
-	if bytes := s.Stats().Bytes; bytes != 0 {
-		t.Errorf("bytes after purge = %d, want 0 (growth must be uncharged on removal)", bytes)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -102,11 +103,6 @@ func NewStore() *Store {
 		Size:  (*Dataset).Bytes,
 		Read:  s.openDisk,
 		Write: s.spill,
-		// Late allocations (materialized legacy views) keep the byte
-		// accounting honest: without this, timing-path datasets would
-		// outgrow their recorded footprint by up to ~1.75x and defeat the
-		// limit.
-		Track: func(ds *Dataset, grow func(int64)) { ds.grow = grow },
 	})
 	return s
 }
@@ -169,6 +165,31 @@ func (key Key) Name() string { return key.Addr() + ".dset" }
 // Path returns the content-addressed file a key lives at under dir.
 func (key Key) Path(dir string) string {
 	return filepath.Join(dir, key.Name())
+}
+
+// Install makes key's content-addressed file under dir hold key's
+// dataset and returns the file's path. A file already there is reused
+// only if it loads and its contents re-derive key; a missing, torn or
+// mismatched file is replaced, atomically, by the dataset ds returns.
+func Install(dir string, key Key, ds func() (*Dataset, error)) (string, error) {
+	if dir == "" {
+		return "", fmt.Errorf("dataset: no directory to install into")
+	}
+	path := key.Path(dir)
+	if old, err := ReadFile(path); err == nil && KeyOf(old.Params(), old.Warm(), old.Measure()) == key {
+		return path, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	d, err := ds()
+	if err != nil {
+		return "", err
+	}
+	if err := WriteFile(path, d); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 // Get returns the dataset for key: from memory, else from the disk tier

@@ -923,9 +923,9 @@ func (c *Coordinator) Complete(leaseID, worker, planFP string, body io.Reader) (
 
 	// Parse and spill outside the lock: uploads may be large and slow,
 	// and other workers must keep leasing meanwhile. Racing completions
-	// for the same range spill byte-identical files (records are grouped
-	// per cell in plan order) and serialize at the commit below; the
-	// first one in wins.
+	// for the same range spill byte-identical files (records arrive in
+	// plan order) and serialize at the commit below; the first one in
+	// wins.
 	perCell, err := c.readRecords(lo, hi, body)
 	if err != nil {
 		// The upload was unusable; put the range back in play if this
@@ -984,13 +984,15 @@ func (c *Coordinator) Complete(leaseID, worker, planFP string, body io.Reader) (
 }
 
 // readRecords streams one upload, attributing every line to a plan cell
-// and requiring the lease's range [lo, hi) to be exactly covered: no
-// foreign cells, no holes. It returns the lines grouped per cell
-// (perCell[i] holds cell lo+i, in upload order within the cell) — the
-// shape both the spill file and the result store want.
+// and requiring the lease's range [lo, hi) to be exactly covered, in
+// plan order: no foreign cells, no holes, and no line whose cell
+// precedes the previous line's (workers upload in the plan order their
+// runner delivers observations in). It returns the lines per cell
+// (perCell[i] holds cell lo+i, in upload order) — the shape both the
+// spill file and the result store want.
 func (c *Coordinator) readRecords(lo, hi int, body io.Reader) ([][][]byte, error) {
 	perCell := make([][][]byte, hi-lo)
-	covered := 0
+	covered, prev := 0, lo
 	br := bufio.NewReaderSize(body, 64*1024)
 	line := 0
 	for {
@@ -1008,6 +1010,11 @@ func (c *Coordinator) readRecords(lo, hi int, body io.Reader) ([][][]byte, error
 					return nil, fmt.Errorf("%w: upload line %d names cell %d outside the leased range [%d,%d)",
 						ErrBadRequest, line, ci, lo, hi)
 				}
+				if ci < prev {
+					return nil, fmt.Errorf("%w: upload line %d names cell %d after cell %d, out of plan order",
+						ErrBadRequest, line, ci, prev)
+				}
+				prev = ci
 				if len(perCell[ci-lo]) == 0 {
 					covered++
 				}

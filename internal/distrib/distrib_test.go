@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -516,6 +517,53 @@ func TestCompleteStatusBlamesTheRightSide(t *testing.T) {
 	next := rawLease(t, client, "w", fp).Lease
 	if code := complete(next.ID, "{not json}\n"); code != http.StatusBadRequest {
 		t.Errorf("a malformed upload answered %d, want 400", code)
+	}
+}
+
+// TestCompleteRefusesUploadsOutOfPlanOrder: workers upload a lease's
+// lines in plan order, so a two-cell upload whose cells are swapped is
+// refused as the worker's fault (400, naming the line) and re-queues
+// the range, and the same lines in plan order complete it.
+func TestCompleteRefusesUploadsOutOfPlanOrder(t *testing.T) {
+	def := traceDef()
+	records := cellRecords(t, def)
+	coord, client := serve(t, distrib.Config{Def: def, ChunkSize: 2, LeaseTTL: time.Minute})
+	plan, _ := def.Plan()
+	fp := plan.Fingerprint()
+	complete := func(lease *distrib.Lease, worker string, cells ...int) (int, string) {
+		t.Helper()
+		var lines []string
+		for _, ci := range cells {
+			lines = append(lines, records[ci]...)
+		}
+		u := "http://coordinator/v1/complete?" + url.Values{"lease": {lease.ID}, "worker": {worker}, "plan": {fp}}.Encode()
+		resp, err := client.Post(u, "application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	lease := rawLease(t, client, "w", fp).Lease
+	if lease == nil || lease.Hi-lease.Lo != 2 {
+		t.Fatalf("lease %+v, want two cells", lease)
+	}
+	swappedAt := len(records[lease.Lo+1]) + 1
+	code, body := complete(lease, "w", lease.Lo+1, lease.Lo)
+	if code != http.StatusBadRequest || !strings.Contains(body, fmt.Sprintf("line %d", swappedAt)) ||
+		!strings.Contains(body, "out of plan order") {
+		t.Errorf("swapped upload answered %d %s, want 400 naming line %d", code, body, swappedAt)
+	}
+	again := rawLease(t, client, "w2", fp).Lease
+	if again == nil || again.Lo != lease.Lo || again.Hi != lease.Hi {
+		t.Fatalf("after the refusal, re-lease = %+v; want range [%d,%d)", again, lease.Lo, lease.Hi)
+	}
+	if code, body := complete(again, "w2", again.Lo, again.Lo+1); code != http.StatusOK {
+		t.Errorf("in-order upload answered %d %s, want 200", code, body)
+	}
+	if p := coord.Progress(); p.DoneCells != 2 {
+		t.Errorf("done cells %d after the in-order upload, want 2", p.DoneCells)
 	}
 }
 

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
+
 	"destset/internal/coherence"
+	"destset/internal/dataset"
 	"destset/internal/stats"
+	"destset/internal/sweep"
 	"destset/internal/trace"
 )
 
@@ -41,12 +45,23 @@ type Characterization struct {
 var LocalityCurvePoints = []int{0, 100, 250, 500, 1000, 2000, 4000, 6000, 8000, 10000}
 
 // Characterize runs the §2 analysis for every selected workload,
-// producing the data behind Table 2 and Figures 2-4.
+// producing the data behind Table 2 and Figures 2-4. It reads the
+// workloads' datasets from the shared store, fanning any still-missing
+// generations over a worker pool (each dataset is an independent seeded
+// generator, so the output is identical at any parallelism).
 func Characterize(opt Options) ([]Characterization, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	datasets, err := opt.datasets()
+	params, err := opt.workloads()
+	if err != nil {
+		return nil, err
+	}
+	datasets := make([]*dataset.Dataset, len(params))
+	err = sweep.ForEach(context.Background(), len(params), opt.Parallelism, func(i int) (err error) {
+		datasets[i], err = dataset.GetShared(params[i], opt.WarmMisses, opt.Misses)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -57,11 +72,11 @@ func Characterize(opt Options) ([]Characterization, error) {
 	return out, nil
 }
 
-func characterizeDataset(d *Dataset) Characterization {
-	nodes := d.Params.Nodes
+func characterizeDataset(d *dataset.Dataset) Characterization {
+	nodes := d.Nodes()
 	c := Characterization{
-		Workload:        d.Params.Name,
-		Misses:          uint64(d.Data.Measure()),
+		Workload:        d.Params().Name,
+		Misses:          uint64(d.Measure()),
 		BlocksTouchedBy: make([]float64, nodes+1),
 		MissesTouchedBy: make([]float64, nodes+1),
 		LocalityNs:      LocalityCurvePoints,
@@ -76,7 +91,7 @@ func characterizeDataset(d *Dataset) Characterization {
 	var indirect uint64
 	var instr uint64
 
-	d.Data.EachMeasured(func(rec trace.Record, mi coherence.MissInfo) {
+	d.EachMeasured(func(rec trace.Record, mi coherence.MissInfo) {
 		req := requesterOf(rec)
 		instr += uint64(rec.Gap)
 		pcs[rec.PC] = struct{}{}
@@ -110,7 +125,7 @@ func characterizeDataset(d *Dataset) Characterization {
 	missHist := stats.NewHistogram(nodes)
 	var touched64 uint64
 	macroSeen := make(map[trace.Addr]struct{})
-	for _, b := range d.Data.BlockStats() {
+	for _, b := range d.BlockStats() {
 		touched64++
 		macroSeen[trace.Macroblock(b.Addr, trace.MacroblockBytes)] = struct{}{}
 		blockHist.Add(b.Touched.Count())

@@ -11,6 +11,13 @@
 //	Figure 7   — runtime vs traffic, simple processor model (§5.3)
 //	Figure 8   — runtime vs traffic, detailed processor model (§5.3)
 //
+// Every harness names its workloads in the process-wide dataset store
+// (internal/dataset) and runs one destset.SweepDef: a figure's cells are
+// listed once, in its def, and the panels, the -json stream, a shard and
+// a distributed worker all run that same plan, through the shared
+// result store when one is armed. Table 2 and Figures 2-4 read the
+// store's datasets directly.
+//
 // The CLI tools in cmd/ and the repository benchmarks are thin wrappers
 // over these functions.
 package experiments
@@ -23,7 +30,6 @@ import (
 	"destset/internal/dataset"
 	"destset/internal/nodeset"
 	"destset/internal/predictor"
-	"destset/internal/sweep"
 	"destset/internal/trace"
 	"destset/internal/workload"
 )
@@ -48,10 +54,11 @@ type Options struct {
 	// Workloads restricts the benchmark set (default: the paper's six).
 	Workloads []string
 	// ExtraWorkloads appends value-described workload specs — imported
-	// trace datasets or composed parameter sets — to the sweep paths
-	// (TradeoffSweep/TimingSweep, their defs and plans). Each spec is
-	// used verbatim: its Warm/Measure must match the dataset it names.
-	// Figure-panel assembly (Figure2..Figure8 and Table 2) ignores them.
+	// trace datasets or composed parameter sets — to Figure 5 and
+	// Figures 7/8: their panels, sweeps, defs and plans (Figure5,
+	// TradeoffSweep*, Figure7, Figure8, TimingSweep*). Each spec is used
+	// verbatim: its Warm/Measure must match the dataset it names. Table
+	// 2, Figures 2-4 and 6, the extensions and the ablations ignore them.
 	ExtraWorkloads []destset.WorkloadSpec
 	// Protocols restricts the execution-driven protocol configurations
 	// (§5), matched against SimSpec display labels: "snooping",
@@ -96,11 +103,19 @@ func QuickOptions() Options {
 	}
 }
 
-func (o Options) workloads() ([]workload.Params, error) {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = workload.PaperNames()
+// names returns the selected workload names: Options.Workloads, or
+// the paper's six.
+func (o Options) names() []string {
+	if len(o.Workloads) > 0 {
+		return o.Workloads
 	}
+	return workload.PaperNames()
+}
+
+// workloads resolves the selected workloads' parameters at the option
+// set's seed.
+func (o Options) workloads() ([]workload.Params, error) {
+	names := o.names()
 	out := make([]workload.Params, 0, len(names))
 	for _, n := range names {
 		p, err := workload.Preset(n, o.Seed)
@@ -112,61 +127,6 @@ func (o Options) workloads() ([]workload.Params, error) {
 	return out, nil
 }
 
-// Dataset is one workload's generated, annotated trace, backed by the
-// process-wide columnar dataset store: generated once per (workload,
-// seed, scale), replayed by every figure and sweep cell that needs it.
-type Dataset struct {
-	Params workload.Params
-	// Data is the shared columnar recording: warm region, measured
-	// region, per-miss coherence annotations and whole-run block
-	// statistics.
-	Data *dataset.Dataset
-}
-
-// NewDataset resolves a workload's dataset at the given scale through
-// the shared store, generating it only if no earlier experiment or sweep
-// already has.
-func NewDataset(p workload.Params, warm, measure int) (*Dataset, error) {
-	ds, err := dataset.GetShared(p, warm, measure)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Params: p, Data: ds}, nil
-}
-
-// datasets resolves every selected workload's dataset, fanning any
-// still-missing generations over a worker pool (each dataset is an
-// independent seeded generator, so the output is identical at any
-// parallelism).
-func (o Options) datasets() ([]*Dataset, error) {
-	params, err := o.workloads()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Dataset, len(params))
-	err = sweep.ForEach(context.Background(), len(params), o.Parallelism, func(i int) error {
-		d, err := NewDataset(params[i], o.WarmMisses, o.Misses)
-		out[i] = d
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// extraLabel names an extra workload spec for sweep panels — the same
-// derivation destset uses for result labels.
-func extraLabel(w destset.WorkloadSpec) string {
-	if w.Name != "" {
-		return w.Name
-	}
-	if w.Params != nil && w.Params.Name != "" {
-		return w.Params.Name
-	}
-	return "workload"
-}
-
 // explicitScale marks a zero miss count as "explicitly none" for
 // WorkloadSpec, whose 0 means "inherit the runner default".
 func explicitScale(n int) int {
@@ -176,20 +136,65 @@ func explicitScale(n int) int {
 	return n
 }
 
-// ReplaySpec adapts the dataset for the public Runner: the sweep replays
-// the already-generated warm and measured regions through zero-copy
-// cursors instead of regenerating them, which keeps every engine's
-// comparison like-for-like on the identical trace.
-func (d *Dataset) ReplaySpec() destset.WorkloadSpec {
-	return destset.WorkloadSpec{
-		Name:    d.Params.Name,
-		Nodes:   d.Params.Nodes,
-		Warm:    explicitScale(d.Data.Warm()),
-		Measure: explicitScale(d.Data.Measure()),
-		Open: func(uint64) (destset.Stream, error) {
-			return d.Data.Replay(), nil
-		},
+// named names each workload in the shared dataset store at one scale:
+// every sweep cell of a (workload, seed, scale) replays the one dataset
+// the store generates or loads for it.
+func named(names []string, warm, measure int) []destset.WorkloadSpec {
+	out := make([]destset.WorkloadSpec, len(names))
+	for i, n := range names {
+		out[i] = destset.WorkloadSpec{Name: n, Warm: explicitScale(warm), Measure: explicitScale(measure)}
 	}
+	return out
+}
+
+// DatasetWorkload names a dataset in the shared store: the workload
+// spec whose cells replay exactly ds, at ds's own warm/measure split.
+func DatasetWorkload(ds *dataset.Dataset) destset.WorkloadSpec {
+	p := ds.Params()
+	return destset.WorkloadSpec{
+		Name:    p.Name,
+		Params:  &p,
+		Warm:    explicitScale(ds.Warm()),
+		Measure: explicitScale(ds.Measure()),
+	}
+}
+
+// runOptions are the process-local runner options of every sweep: the
+// parallelism, the observers, and shard shard of shards when shards > 1.
+// A Runner consults only the trace observer and a TimingRunner only the
+// timing one.
+func (o Options) runOptions(shard, shards int) []destset.RunnerOption {
+	opts := []destset.RunnerOption{destset.WithParallelism(o.Parallelism)}
+	if o.Observer != nil {
+		opts = append(opts, destset.WithObserver(o.Observer))
+	}
+	if o.TimingObserver != nil {
+		opts = append(opts, destset.WithTimingObserver(o.TimingObserver))
+	}
+	if shards > 1 {
+		opts = append(opts, destset.WithShard(shard, shards))
+	}
+	return opts
+}
+
+// runTrace executes shard shard of shards of a trace-driven sweep
+// definition (shards <= 1 runs every cell) and returns its results in
+// plan order.
+func (o Options) runTrace(ctx context.Context, def destset.SweepDef, shard, shards int) ([]destset.RunResult, error) {
+	r, err := def.Runner(o.runOptions(shard, shards)...)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(ctx)
+}
+
+// runTiming is runTrace's execution-driven twin.
+func (o Options) runTiming(ctx context.Context, def destset.SweepDef, shard, shards int) ([]destset.TimingResult, error) {
+	r, err := def.TimingRunner(o.runOptions(shard, shards)...)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(ctx)
 }
 
 // baselineSpecs returns the two protocol extremes every figure anchors
@@ -218,41 +223,43 @@ func standoutSpecs() []destset.EngineSpec {
 	return specs
 }
 
-// runTradeoff sweeps the engine specs over the datasets through the
-// public Runner and converts each cell into a tradeoff point, grouped
-// per dataset in spec order.
-func runTradeoff(opt Options, datasets []*Dataset, specs []destset.EngineSpec) ([][]TradeoffPoint, error) {
-	workloads := make([]destset.WorkloadSpec, len(datasets))
-	for i, d := range datasets {
-		workloads[i] = d.ReplaySpec()
+// traceWorkloads names workloads at the trace-driven scale.
+func (o Options) traceWorkloads(names ...string) []destset.WorkloadSpec {
+	return named(names, o.WarmMisses, o.Misses)
+}
+
+// traceDef crosses engine specs with workloads at the option set's seed.
+func (o Options) traceDef(specs []destset.EngineSpec, workloads []destset.WorkloadSpec) destset.SweepDef {
+	return destset.NewTraceSweepDef(specs, workloads, destset.WithSeeds(o.Seed))
+}
+
+// panels runs a one-seed trace sweep definition and converts each cell
+// into a tradeoff point: one panel per workload, points in spec order.
+func (o Options) panels(def destset.SweepDef) ([]WorkloadTradeoff, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
-	opts := []destset.RunnerOption{
-		destset.WithSeeds(opt.Seed),
-		destset.WithParallelism(opt.Parallelism),
-	}
-	if opt.Observer != nil {
-		opts = append(opts, destset.WithObserver(opt.Observer))
-	}
-	res, err := destset.NewRunner(specs, workloads, opts...).Run(context.Background())
+	res, err := o.runTrace(context.Background(), def, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	if len(res) != len(specs)*len(datasets) {
-		return nil, fmt.Errorf("experiments: sweep returned %d cells, want %d", len(res), len(specs)*len(datasets))
+	n := len(def.Engines)
+	if len(res) != n*len(def.Workloads) {
+		return nil, fmt.Errorf("experiments: sweep returned %d cells, want %d", len(res), n*len(def.Workloads))
 	}
-	out := make([][]TradeoffPoint, len(datasets))
-	for wi := range datasets {
-		pts := make([]TradeoffPoint, len(specs))
-		for ei := range specs {
-			r := res[wi*len(specs)+ei]
-			pts[ei] = TradeoffPoint{
+	out := make([]WorkloadTradeoff, len(def.Workloads))
+	for wi := range out {
+		cells := res[wi*n : (wi+1)*n]
+		pts := make([]TradeoffPoint, n)
+		for i, r := range cells {
+			pts[i] = TradeoffPoint{
 				Config:         r.Tradeoff.Config,
 				MsgsPerMiss:    r.Tradeoff.RequestMsgsPerMiss,
 				IndirectionPct: r.Tradeoff.IndirectionPercent,
 				BytesPerMiss:   r.Tradeoff.BytesPerMiss,
 			}
 		}
-		out[wi] = pts
+		out[wi] = WorkloadTradeoff{Workload: cells[0].Workload, Points: pts}
 	}
 	return out, nil
 }

@@ -70,10 +70,8 @@ func BandwidthSweep(ctx context.Context, opt Options, bandwidthsBytesPerNs []flo
 			bws = append(bws, bw)
 		}
 	}
-	runner := destset.NewTimingRunner(specs,
-		[]destset.WorkloadSpec{opt.timingWorkloadSpec(name)},
-		opt.timingRunnerOptions()...)
-	res, err := runner.Run(ctx)
+	def := destset.NewTimingSweepDef(specs, opt.timedWorkloads(name), destset.WithSeeds(opt.Seed))
+	res, err := opt.runTiming(ctx, def, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -98,13 +96,6 @@ func BandwidthSweep(ctx context.Context, opt Options, bandwidthsBytesPerNs []flo
 // workload. The predictive-directory hybrid rides the same Runner sweep
 // as every other engine.
 func HybridComparison(opt Options) ([]WorkloadTradeoff, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	datasets, err := opt.datasets()
-	if err != nil {
-		return nil, err
-	}
 	specs := append(baselineSpecs(),
 		destset.EngineSpec{
 			Protocol: destset.ProtocolPredictiveDirectory,
@@ -115,42 +106,19 @@ func HybridComparison(opt Options) ([]WorkloadTradeoff, error) {
 			Policy:   predictor.Owner, UsePolicy: true,
 		},
 	)
-	panels, err := runTradeoff(opt, datasets, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkloadTradeoff, len(datasets))
-	for i, d := range datasets {
-		out[i] = WorkloadTradeoff{Workload: d.Params.Name, Points: panels[i]}
-	}
-	return out, nil
+	return opt.panels(opt.traceDef(specs, opt.traceWorkloads(opt.names()...)))
 }
 
 // OracleLimit reports the perfect-prediction bound next to the best
 // realizable predictors on each workload: exact needed sets, zero
 // retries.
 func OracleLimit(opt Options) ([]WorkloadTradeoff, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	datasets, err := opt.datasets()
-	if err != nil {
-		return nil, err
-	}
 	specs := []destset.EngineSpec{
 		predictorSpec(predictor.Config{Policy: predictor.Oracle}),
 		{Policy: predictor.OwnerGroup, UsePolicy: true},
 		{Policy: predictor.Group, UsePolicy: true},
 	}
-	panels, err := runTradeoff(opt, datasets, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WorkloadTradeoff, len(datasets))
-	for i, d := range datasets {
-		out[i] = WorkloadTradeoff{Workload: d.Params.Name, Points: panels[i]}
-	}
-	return out, nil
+	return opt.panels(opt.traceDef(specs, opt.traceWorkloads(opt.names()...)))
 }
 
 // AblationRollover sweeps the Group policy's rollover (training-down)

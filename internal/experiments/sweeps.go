@@ -1,13 +1,14 @@
 package experiments
 
-// Sharded sweep entry points. The figure harnesses assemble panels and
-// therefore need every cell of a sweep; a shard process by definition
-// holds only a subset. These functions expose the figures' underlying
-// runners directly: the same specs, workloads, seeds and scale — so the
-// plan (and its fingerprint) is identical across processes — but raw
+// The figures' sweep definitions and their sharded entry points. A
+// figure harness assembles panels and therefore needs every cell of its
+// sweep; a shard process by definition holds only a subset. The
+// functions below expose each figure's definition directly — the same
+// specs, workloads, seeds and scale the figure runs, so the plan (and
+// its fingerprint) is identical across processes — and run it with raw
 // results streamed to observers instead of panels. cmd/traceeval and
-// cmd/timing use them for -json and -shard runs; cmd/sweepmerge
-// reassembles the shard files.
+// cmd/timing use them for -json and -shard runs, cmd/sweepd serves the
+// definitions to workers, and cmd/sweepmerge reassembles shard files.
 
 import (
 	"context"
@@ -15,69 +16,49 @@ import (
 	"destset"
 )
 
-// tradeoffRunner builds the single Runner behind the Figure 5 sweep:
-// the snooping/directory baselines plus the four standout-configuration
-// policies, over every selected workload at the trace-driven scale.
-// Workloads resolve by name through the shared dataset store, which
-// keys identically across processes — the property sharding and the
-// disk tier both rely on.
-func (o Options) tradeoffRunner(shard, shards int) (*destset.Runner, error) {
-	params, err := o.workloads()
-	if err != nil {
-		return nil, err
-	}
-	workloads := make([]destset.WorkloadSpec, len(params))
-	for i, p := range params {
-		workloads[i] = destset.WorkloadSpec{
-			Name:    p.Name,
-			Warm:    explicitScale(o.WarmMisses),
-			Measure: explicitScale(o.Misses),
-		}
-	}
-	workloads = append(workloads, o.ExtraWorkloads...)
-	specs := append(baselineSpecs(), standoutSpecs()...)
-	opts := []destset.RunnerOption{
-		destset.WithSeeds(o.Seed),
-		destset.WithParallelism(o.Parallelism),
-	}
-	if o.Observer != nil {
-		opts = append(opts, destset.WithObserver(o.Observer))
-	}
-	if shards > 1 {
-		opts = append(opts, destset.WithShard(shard, shards))
-	}
-	return destset.NewRunner(specs, workloads, opts...), nil
-}
-
 // TradeoffSweepDef captures the Figure 5 trace-driven sweep under opt as
-// a serializable definition — the same specs, workloads, seeds and scale
-// the runner uses, so the def's plan fingerprint matches a local
-// cmd/traceeval run's. cmd/sweepd serves it to workers.
+// a serializable definition: the snooping/directory baselines plus the
+// four standout-configuration policies, over every selected workload at
+// the trace-driven scale and then every extra workload. Workloads
+// resolve by name through the shared dataset store, which keys
+// identically across processes — the property sharding, the disk tier
+// and the distributed workers all rely on.
 func TradeoffSweepDef(opt Options) (destset.SweepDef, error) {
 	if err := opt.validate(); err != nil {
 		return destset.SweepDef{}, err
 	}
-	params, err := opt.workloads()
+	workloads := append(opt.traceWorkloads(opt.names()...), opt.ExtraWorkloads...)
+	return opt.traceDef(append(baselineSpecs(), standoutSpecs()...), workloads), nil
+}
+
+// TradeoffSweepPlan returns the plan of the Figure 5 trace-driven sweep
+// under opt without running anything; shard processes and merge tools
+// use its fingerprint and cell list to agree on the cell index space.
+func TradeoffSweepPlan(opt Options) (*destset.SweepPlan, error) {
+	def, err := TradeoffSweepDef(opt)
 	if err != nil {
-		return destset.SweepDef{}, err
+		return nil, err
 	}
-	workloads := make([]destset.WorkloadSpec, len(params))
-	for i, p := range params {
-		workloads[i] = destset.WorkloadSpec{
-			Name:    p.Name,
-			Warm:    explicitScale(opt.WarmMisses),
-			Measure: explicitScale(opt.Misses),
-		}
+	return def.Plan()
+}
+
+// TradeoffSweep executes shard shard of shards of the Figure 5
+// trace-driven sweep (shards <= 1 runs everything), streaming each
+// cell's observation to opt.Observer and returning the raw results in
+// global plan order.
+func TradeoffSweep(ctx context.Context, opt Options, shard, shards int) ([]destset.RunResult, error) {
+	def, err := TradeoffSweepDef(opt)
+	if err != nil {
+		return nil, err
 	}
-	workloads = append(workloads, opt.ExtraWorkloads...)
-	specs := append(baselineSpecs(), standoutSpecs()...)
-	return destset.NewTraceSweepDef(specs, workloads, destset.WithSeeds(opt.Seed)), nil
+	return opt.runTrace(ctx, def, shard, shards)
 }
 
 // TimingSweepDef captures a figure's timing sweep under opt — the simple
 // model's Figure 7 cells or the detailed model's Figure 8 cells — as a
-// serializable definition whose plan fingerprint matches a local
-// cmd/timing run's.
+// serializable definition: every selected protocol configuration over
+// every selected workload at the timed scale and then every extra
+// workload, in one addressable plan that runs entire or shard by shard.
 func TimingSweepDef(opt Options, cpu destset.CPUModel) (destset.SweepDef, error) {
 	if err := opt.validate(); err != nil {
 		return destset.SweepDef{}, err
@@ -86,43 +67,33 @@ func TimingSweepDef(opt Options, cpu destset.CPUModel) (destset.SweepDef, error)
 	if err != nil {
 		return destset.SweepDef{}, err
 	}
-	names, err := opt.timingNames(cpu)
-	if err != nil {
-		return destset.SweepDef{}, err
-	}
-	workloads := make([]destset.WorkloadSpec, len(names))
-	for i, n := range names {
-		workloads[i] = opt.timingWorkloadSpec(n)
-	}
-	workloads = append(workloads, opt.ExtraWorkloads...)
+	workloads := append(opt.timedWorkloads(opt.timingNames(cpu)...), opt.ExtraWorkloads...)
 	return destset.NewTimingSweepDef(specs, workloads, destset.WithSeeds(opt.Seed)), nil
 }
 
-// TradeoffSweepPlan returns the plan of the Figure 5 trace-driven sweep
-// under opt without running anything; shard processes and merge tools
-// use its fingerprint and cell list to agree on the cell index space.
-func TradeoffSweepPlan(opt Options) (*destset.SweepPlan, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	runner, err := opt.tradeoffRunner(0, 0)
+// TimingSweepPlan returns the plan of a figure's timing sweep without
+// running anything. Shard processes and merge tools use its fingerprint
+// and cell list (via destset.SweepPlan.Manifest) to agree on the cell
+// index space.
+func TimingSweepPlan(opt Options, cpu destset.CPUModel) (*destset.SweepPlan, error) {
+	def, err := TimingSweepDef(opt, cpu)
 	if err != nil {
 		return nil, err
 	}
-	return runner.Plan()
+	return def.Plan()
 }
 
-// TradeoffSweep executes shard shard of shards of the Figure 5
-// trace-driven sweep (shards <= 1 runs everything), streaming each
-// cell's observation to opt.Observer and returning the raw results in
-// global plan order.
-func TradeoffSweep(ctx context.Context, opt Options, shard, shards int) ([]destset.RunResult, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	runner, err := opt.tradeoffRunner(shard, shards)
+// TimingSweep executes shard shard of shards of a figure's timing sweep
+// (shards <= 1 runs everything), streaming each completed cell to
+// opt.TimingObserver and returning the raw results in global plan
+// order. It is the sharded-execution entry point behind
+// cmd/timing -json -shard; unlike Figure7/Figure8 it performs no panel
+// assembly, since a shard does not hold the normalization anchors of
+// every workload.
+func TimingSweep(ctx context.Context, opt Options, cpu destset.CPUModel, shard, shards int) ([]destset.TimingResult, error) {
+	def, err := TimingSweepDef(opt, cpu)
 	if err != nil {
 		return nil, err
 	}
-	return runner.Run(ctx)
+	return opt.runTiming(ctx, def, shard, shards)
 }

@@ -66,10 +66,8 @@ func Figure7Variability(ctx context.Context, opt Options, workloadName string, r
 	for r := range seeds {
 		seeds[r] = opt.Seed + uint64(r)
 	}
-	runner := destset.NewTimingRunner(specs,
-		[]destset.WorkloadSpec{opt.timingWorkloadSpec(workloadName)},
-		opt.timingRunnerOptions(seeds...)...)
-	res, err := runner.Run(ctx)
+	def := destset.NewTimingSweepDef(specs, opt.timedWorkloads(workloadName), destset.WithSeeds(seeds...))
+	res, err := opt.runTiming(ctx, def, 0, 0)
 	if err != nil {
 		return nil, err
 	}

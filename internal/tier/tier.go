@@ -6,13 +6,14 @@
 //
 // The memory tier is always present: an entry map with an LRU byte
 // limit and a once-per-key load, so concurrent callers of one key share
-// one disk read or computation. When a directory is configured (SetDir)
-// a content-addressed directory tier sits behind it: memory misses
-// probe dir/<Name(key)> before falling back to the caller's load, and
-// every loaded or stored value is spilled to the directory best-effort
-// so later — and cold — processes skip the load entirely. Evicting or
-// purging the memory tier never touches files; they stay valid and
-// reloadable.
+// one disk read or computation. The limit charges each value its Size
+// once, when it becomes resident; values do not grow afterwards. When a
+// directory is configured (SetDir) a content-addressed directory tier
+// sits behind it: memory misses probe dir/<Name(key)> before falling
+// back to the caller's load, and every loaded or stored value is
+// spilled to the directory best-effort so later — and cold — processes
+// skip the load entirely. Evicting or purging the memory tier never
+// touches files; they stay valid and reloadable.
 package tier
 
 import (
@@ -42,10 +43,6 @@ type Codec[K comparable, V any] struct {
 	Read func(path string, k K) (V, error)
 	// Write saves v as k's file at path, atomically.
 	Write func(path string, k K, v V) error
-	// Track, when set, receives every value a load or Put produces,
-	// before any other caller sees it, with a function that charges the
-	// value's later allocations to the tier's byte total.
-	Track func(v V, grow func(delta int64))
 }
 
 // entry is one key's slot. The cache hands out entries under its lock
@@ -56,9 +53,7 @@ type entry[V any] struct {
 	v    V
 	err  error
 	elem *list.Element // position in the LRU list; nil until resident
-	// size is what the entry contributes to the byte total while
-	// resident: its Size plus any growth reported since it was tracked.
-	size int64
+	size int64         // the value's Size while resident
 }
 
 // Stats are a cache's counters since it was made, plus its resident
@@ -183,9 +178,6 @@ func (c *Cache[K, V]) fill(k K, e *entry[V], load func() (V, error)) {
 			e.v, e.err = load()
 		}
 	}
-	if e.err == nil {
-		c.track(e)
-	}
 	c.mu.Lock()
 	current := c.entries[k] == e
 	if current && e.err != nil {
@@ -206,7 +198,6 @@ func (c *Cache[K, V]) fill(k K, e *entry[V], load func() (V, error)) {
 func (c *Cache[K, V]) Put(k K, v V) {
 	e := &entry[V]{v: v}
 	e.once.Do(func() {}) // complete: a Get finding it must not load
-	c.track(e)
 	c.mu.Lock()
 	if old, ok := c.entries[k]; ok {
 		c.removeLocked(k, old)
@@ -231,32 +222,12 @@ func (c *Cache[K, V]) spill(k K, v V) {
 	}
 }
 
-// track hands a loaded or stored value to the codec's Track hook before
-// any other caller can see it.
-func (c *Cache[K, V]) track(e *entry[V]) {
-	if c.codec.Track != nil {
-		c.codec.Track(e.v, func(delta int64) { c.grow(e, delta) })
-	}
-}
-
-// grow charges a late allocation to e and, while e is resident, to the
-// byte total.
-func (c *Cache[K, V]) grow(e *entry[V], delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.size += delta
-	if e.elem != nil {
-		c.bytes += delta
-		c.trimLocked(e)
-	}
-}
-
 // insertLocked makes e resident as k's most recently used entry and
 // trims to the limit. Callers hold c.mu.
 func (c *Cache[K, V]) insertLocked(k K, e *entry[V]) {
 	c.entries[k] = e
 	e.elem = c.lru.PushFront(k)
-	e.size += c.codec.Size(e.v)
+	e.size = c.codec.Size(e.v)
 	c.bytes += e.size
 	c.trimLocked(e)
 }

@@ -326,33 +326,16 @@ func (sd SweepDataset) InstallTo(dir string, r io.Reader) (int64, error) {
 // and returns its path — the coordinator's serving primitive. An
 // existing valid file is reused as-is; otherwise the dataset is
 // generated (without touching the process-wide store) and written
-// atomically. Generation is deterministic, so every process spilling
-// the same key writes byte-identical files.
+// atomically (dataset.Install). Generation is deterministic, so every
+// process spilling the same key writes byte-identical files.
 func (sd SweepDataset) SpillTo(dir string) (string, error) {
 	p, err := sd.params()
 	if err != nil {
 		return "", err
 	}
-	key := dataset.KeyOf(p, sd.Warm, sd.Measure)
-	if dir == "" {
-		return "", fmt.Errorf("destset: no dataset directory to spill into")
-	}
-	path := key.Path(dir)
-	if ds, err := dataset.ReadFile(path); err == nil &&
-		dataset.KeyOf(ds.Params(), ds.Warm(), ds.Measure()) == key {
-		return path, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	ds, err := dataset.Generate(p, sd.Warm, sd.Measure)
-	if err != nil {
-		return "", err
-	}
-	if err := dataset.WriteFile(path, ds); err != nil {
-		return "", err
-	}
-	return path, nil
+	return dataset.Install(dir, dataset.KeyOf(p, sd.Warm, sd.Measure), func() (*dataset.Dataset, error) {
+		return dataset.Generate(p, sd.Warm, sd.Measure)
+	})
 }
 
 // Datasets enumerates the shared datasets the sweep's cells replay, one

@@ -88,7 +88,16 @@ func TestTimingRunnerMatchesLegacySim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			traces[pair{name, seed}] = [2]*destset.Trace{d.WarmTrace(), d.MeasureTrace()}
+			warm, measure := &destset.Trace{Nodes: d.Nodes()}, &destset.Trace{Nodes: d.Nodes()}
+			for i := 0; i < d.Len(); i++ {
+				rec, _ := d.At(i)
+				if i < d.Warm() {
+					warm.Append(rec)
+				} else {
+					measure.Append(rec)
+				}
+			}
+			traces[pair{name, seed}] = [2]*destset.Trace{warm, measure}
 		}
 	}
 
