@@ -41,21 +41,22 @@
 // lingers for -linger, still answering "done", so idle workers observe
 // completion and exit cleanly.
 //
-// -state-dir makes the coordinator crash-safe: every lease-table
-// transition is appended to a CRC-guarded write-ahead log with periodic
-// compacted checkpoints, and accepted uploads are spilled there as
-// content-addressed files. A coordinator killed mid-sweep — even with
-// kill -9 — restarts over the same -state-dir, replays its state,
-// re-adopts completed ranges without re-leasing them, requeues whatever
-// was in flight, and produces byte-identical output. Without -state-dir
-// the spill directory is a private temp dir and a crash loses progress
-// (unless -result-dir caches it).
+// -state-dir makes the coordinator crash-safe: it holds one CRC-guarded
+// log, wal.log, that opens with the lease table as the coordinator
+// started and appends every grant, expiry, failure and completion after
+// it, and a spill/ directory of accepted uploads as content-addressed
+// files. A coordinator killed mid-sweep — even with kill -9 — restarts
+// over the same -state-dir, replays its log, re-adopts completed ranges
+// without re-leasing them, requeues whatever was in flight, and produces
+// byte-identical output. Without -state-dir the spill directory is a
+// private temp dir and a crash loses progress (unless -result-dir
+// caches it).
 //
 // Ctrl-C cancels the run; the output file is written atomically
 // (temp + rename), so an interrupted coordinator leaves no torn file.
 // SIGTERM drains instead: the coordinator stops granting leases,
-// checkpoints its state, reports progress, and exits 0 so a later
-// sweepd over the same -state-dir picks up exactly where it stopped.
+// reports progress, and exits 0 so a later sweepd over the same
+// -state-dir picks up exactly where it stopped.
 package main
 
 import (
@@ -96,7 +97,7 @@ func main() {
 		maxAttempts = flag.Int("max-attempts", 5, "grants per cell range before the sweep fails")
 		linger      = flag.Duration("linger", 3*time.Second, "how long to keep answering workers after the output is written")
 		resultDir   = flag.String("result-dir", "", "persistent result store: known cells are pre-marked complete, accepted uploads spill back")
-		stateDir    = flag.String("state-dir", "", "crash-safe coordinator state: lease WAL, checkpoints and spilled uploads; restart with the same dir to resume")
+		stateDir    = flag.String("state-dir", "", "crash-safe coordinator state: the lease log and spilled uploads; restart with the same dir to resume")
 		dataDir     = flag.String("dataset-dir", "", "dataset files served to workers over GET /v1/dataset/{key}; missing ones are generated and spilled here on first fetch")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 	)
@@ -146,18 +147,15 @@ func main() {
 	}
 	defer coord.Close()
 
-	// SIGTERM drains: stop granting, persist a checkpoint, report where
-	// the sweep stands, and exit 0 — a later sweepd over the same
-	// -state-dir resumes from exactly this point. Ctrl-C (above) stays
-	// the hard cancel.
+	// SIGTERM drains: stop granting, report where the sweep stands, and
+	// exit 0 — the log already holds every transition, so a later sweepd
+	// over the same -state-dir resumes from exactly this point. Ctrl-C
+	// (above) stays the hard cancel.
 	term := make(chan os.Signal, 1)
 	signal.Notify(term, syscall.SIGTERM)
 	go func() {
 		<-term
 		coord.Drain()
-		if err := coord.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, "sweepd: drain checkpoint:", err)
-		}
 		p := coord.Progress()
 		if *stateDir != "" {
 			fmt.Fprintf(os.Stderr, "sweepd: drained: %d/%d cells done (%d leased, %d pending); resume with -state-dir %s\n",

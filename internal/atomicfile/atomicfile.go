@@ -5,7 +5,7 @@
 // just nothing (the temp file is removed on every non-success path).
 // Every file the module writes whole goes through it: the cmds' output
 // files (tracegen, sweepmerge, sweepd), dataset and result files, wire
-// installs, and the coordinator's spill files and checkpoint.
+// installs, and the coordinator's spill files and each new lease log.
 package atomicfile
 
 import (

@@ -26,10 +26,10 @@
 //     once and replay it everywhere. When a dataset directory is
 //     configured the store is tiered: memory in front of an on-disk
 //     content-addressed cache (disk.go), so cold processes load the
-//     columns straight off disk instead of regenerating. Install is the
-//     one rule for placing a dataset file under its content address
-//     from outside the store: keep a file that loads as its key, replace
-//     anything else atomically.
+//     columns straight off disk instead of regenerating. Check is the
+//     one rule for trusting a file under a content address from
+//     outside the store (it loads as its key), and Install places one:
+//     keep a file that passes Check, replace anything else atomically.
 //
 // Columnar layout matters twice over: it drops per-record padding (a
 // Record+MissInfo pair costs 56 bytes as Go structs but 32 bytes as

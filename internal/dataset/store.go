@@ -167,16 +167,30 @@ func (key Key) Path(dir string) string {
 	return filepath.Join(dir, key.Name())
 }
 
+// Check reports whether the file at path holds key's dataset: it must
+// load (header, layout and CRC) and its contents must re-derive key. It
+// is the one rule for trusting a file under a content address.
+func Check(path string, key Key) error {
+	d, err := ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if KeyOf(d.Params(), d.Warm(), d.Measure()) != key {
+		return fmt.Errorf("dataset: %s does not hold dataset %s", path, key.Addr())
+	}
+	return nil
+}
+
 // Install makes key's content-addressed file under dir hold key's
 // dataset and returns the file's path. A file already there is reused
-// only if it loads and its contents re-derive key; a missing, torn or
-// mismatched file is replaced, atomically, by the dataset ds returns.
+// only if it passes Check; a missing, torn or mismatched file is
+// replaced, atomically, by the dataset ds returns.
 func Install(dir string, key Key, ds func() (*Dataset, error)) (string, error) {
 	if dir == "" {
 		return "", fmt.Errorf("dataset: no directory to install into")
 	}
 	path := key.Path(dir)
-	if old, err := ReadFile(path); err == nil && KeyOf(old.Params(), old.Warm(), old.Measure()) == key {
+	if Check(path, key) == nil {
 		return path, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -3,8 +3,11 @@ package distrib_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -57,9 +60,8 @@ func finishSweep(t *testing.T, coord *distrib.Coordinator, worker, fp string, re
 // same dir resumes it: completed ranges are re-adopted (never
 // re-leased), the in-flight lease is requeued, and the final merged
 // output is byte-identical to the uninterrupted single-process run.
-// Covers both plan kinds; the tiny CheckpointEvery forces a live WAL
-// compaction mid-sweep so resume exercises checkpoint + tail replay,
-// not just one or the other.
+// Covers both plan kinds; resume replays the logged table plus every
+// grant and completion after it.
 func TestCoordinatorCrashResume(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -78,16 +80,15 @@ func TestCoordinatorCrashResume(t *testing.T) {
 			}
 			fp := plan.Fingerprint()
 			cfg := distrib.Config{
-				Def:             def,
-				ChunkSize:       1,
-				LeaseTTL:        time.Minute,
-				StateDir:        t.TempDir(),
-				CheckpointEvery: 2,
-				Logf:            t.Logf,
+				Def:       def,
+				ChunkSize: 1,
+				LeaseTTL:  time.Minute,
+				StateDir:  t.TempDir(),
+				Logf:      t.Logf,
 			}
 
 			// First incarnation: complete two ranges, leave a third
-			// in flight, then "crash" — no Close, no Checkpoint.
+			// in flight, then "crash" — no Drain, no Close.
 			coord1, err := distrib.NewCoordinator(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -207,12 +208,12 @@ func TestResumeRefusesDifferentPlan(t *testing.T) {
 	}
 }
 
-// TestSpilledUploadsAndWideMerge is the bounded-memory pin: with more
-// ranges than the merge fan-in (70 single-cell tasks > 64), every
-// accepted upload must be present as a spill file on disk — the
-// coordinator holds no records — and WriteMerged must still reproduce
-// the single-process stream byte for byte, twice (spills are re-read,
-// not consumed).
+// TestSpilledUploadsAndWideMerge is the bounded-memory pin: over 70
+// single-cell ranges, every accepted upload must be present as a spill
+// file on disk — the coordinator holds no records, and its state dir
+// holds nothing but wal.log and spill/ — and WriteMerged must still
+// reproduce the single-process stream byte for byte, twice (spills are
+// re-read, not consumed).
 func TestSpilledUploadsAndWideMerge(t *testing.T) {
 	seeds := make([]uint64, 35)
 	for i := range seeds {
@@ -232,9 +233,6 @@ func TestSpilledUploadsAndWideMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Len() <= 64 {
-		t.Fatalf("plan has %d cells; the test needs more than the merge fan-in (64)", plan.Len())
-	}
 	fp := plan.Fingerprint()
 	stateDir := t.TempDir()
 	coord, err := distrib.NewCoordinator(distrib.Config{
@@ -249,6 +247,9 @@ func TestSpilledUploadsAndWideMerge(t *testing.T) {
 	defer coord.Close()
 	finishSweep(t, coord, "spiller", fp, records)
 
+	if names := dirNames(t, stateDir); !reflect.DeepEqual(names, []string{"spill", "wal.log"}) {
+		t.Errorf("state dir holds %v, want exactly [spill wal.log]", names)
+	}
 	entries, err := os.ReadDir(filepath.Join(stateDir, "spill"))
 	if err != nil {
 		t.Fatal(err)
@@ -271,5 +272,219 @@ func TestSpilledUploadsAndWideMerge(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("merge pass %d differs from the single-process stream", pass)
 		}
+	}
+}
+
+// dirNames lists a directory's entry names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestHeartbeatsLogNothing: a renewed deadline is not durable state (a
+// resumed coordinator requeues every in-flight lease anyway), so a
+// heartbeat must not grow the log — only grants, expiries, failures and
+// completions do.
+func TestHeartbeatsLogNothing(t *testing.T) {
+	def := timingDef()
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := plan.Fingerprint()
+	dir := t.TempDir()
+	coord, err := distrib.NewCoordinator(distrib.Config{Def: def, LeaseTTL: time.Minute, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	reply, err := coord.Lease("beater", fp)
+	if err != nil || reply.Lease == nil {
+		t.Fatalf("lease = %+v, %v", reply, err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := size()
+	for i := 0; i < 100; i++ {
+		if err := coord.Heartbeat(reply.Lease.ID, "beater", fp); err != nil {
+			t.Fatalf("heartbeat %d: %v", i, err)
+		}
+	}
+	if after := size(); after != before {
+		t.Errorf("100 heartbeats grew wal.log from %d to %d bytes", before, after)
+	}
+}
+
+// TestWriteMergedRejectsAlteredSpill: the merge copies spills verbatim,
+// so it must check each against the record count and checksum its
+// header recorded at acceptance. A digit changed in a spilled record
+// afterwards — same length, still valid JSON — is ErrStateCorrupt, not
+// a merged file with a different number in it.
+func TestWriteMergedRejectsAlteredSpill(t *testing.T) {
+	def := timingDef()
+	records := cellRecords(t, def)
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	coord, err := distrib.NewCoordinator(distrib.Config{Def: def, ChunkSize: 2, LeaseTTL: time.Minute, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	finishSweep(t, coord, "w", plan.Fingerprint(), records)
+
+	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.jsonl"))
+	if err != nil || len(spills) == 0 {
+		t.Fatalf("no spill files (%v)", err)
+	}
+	raw, err := os.ReadFile(spills[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := bytes.IndexByte(raw, '\n') + 1
+	at := bytes.Index(raw[header:], []byte(`"RuntimeNs":`))
+	if at < 0 {
+		t.Fatalf("no RuntimeNs in %s", spills[0])
+	}
+	digit := header + at + len(`"RuntimeNs":`)
+	raw[digit] = '0' + (raw[digit]-'0'+1)%10
+	if raw[digit] == '0' {
+		raw[digit] = '1' // keep the number free of a leading zero
+	}
+	if err := os.WriteFile(spills[0], raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := coord.WriteMerged(&got); !errors.Is(err, distrib.ErrStateCorrupt) {
+		t.Fatalf("merge over an altered spill: err = %v, want ErrStateCorrupt", err)
+	}
+}
+
+// TestResumeTwiceNeverReissuesLeaseIDs crashes the coordinator twice
+// with a lease in flight: the incarnations run at epochs 1, 2 and 3, no
+// lease id is ever granted twice, and the final merge is still
+// byte-identical to the single-process run.
+func TestResumeTwiceNeverReissuesLeaseIDs(t *testing.T) {
+	def := timingDef()
+	want := localJSONL(t, def)
+	records := cellRecords(t, def)
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := plan.Fingerprint()
+	cfg := distrib.Config{Def: def, ChunkSize: 1, LeaseTTL: time.Minute, StateDir: t.TempDir(), Logf: t.Logf}
+
+	seen := make(map[string]bool)
+	grant := func(coord *distrib.Coordinator, epoch int) distrib.Lease {
+		t.Helper()
+		reply, err := coord.Lease("w", fp)
+		if err != nil || reply.Lease == nil {
+			t.Fatalf("epoch %d lease = %+v, %v", epoch, reply, err)
+		}
+		id := reply.Lease.ID
+		if seen[id] {
+			t.Fatalf("epoch %d re-issued lease id %s", epoch, id)
+		}
+		if !strings.HasPrefix(id, fmt.Sprintf("lease-%d-", epoch)) {
+			t.Errorf("epoch %d granted %s", epoch, id)
+		}
+		seen[id] = true
+		return *reply.Lease
+	}
+	var coord *distrib.Coordinator
+	for epoch := 1; epoch <= 2; epoch++ {
+		if coord, err = distrib.NewCoordinator(cfg); err != nil {
+			t.Fatal(err)
+		}
+		uploadRange(t, coord, grant(coord, epoch), "w", fp, records)
+		grant(coord, epoch) // left in flight by the crash
+	}
+	coord, err = distrib.NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for !coord.Progress().Done {
+		uploadRange(t, coord, grant(coord, 3), "w", fp, records)
+	}
+	var got bytes.Buffer
+	if err := coord.WriteMerged(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("merged output after two resumes differs from the single-process run")
+	}
+}
+
+// TestResumeDemotesDamagedSpill: a resumed coordinator trusts no spill
+// unseen. A completed range whose spill was altered while the
+// coordinator was down goes back to pending and is recomputed, the
+// intact one stays done, and the merge is still byte-identical.
+func TestResumeDemotesDamagedSpill(t *testing.T) {
+	def := timingDef()
+	want := localJSONL(t, def)
+	records := cellRecords(t, def)
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := plan.Fingerprint()
+	stateDir := t.TempDir()
+	cfg := distrib.Config{Def: def, ChunkSize: 1, LeaseTTL: time.Minute, StateDir: stateDir, Logf: t.Logf}
+	coord1, err := distrib.NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		reply, err := coord1.Lease("pre-crash", fp)
+		if err != nil || reply.Lease == nil {
+			t.Fatalf("lease %d = %+v, %v", i, reply, err)
+		}
+		uploadRange(t, coord1, *reply.Lease, "pre-crash", fp, records)
+	}
+	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.jsonl"))
+	if err != nil || len(spills) != 2 {
+		t.Fatalf("%d spill files (%v), want 2", len(spills), err)
+	}
+	raw, err := os.ReadFile(spills[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-2] ^= 0x01 // inside the last record, before its newline
+	if err := os.WriteFile(spills[0], raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	coord2, err := distrib.NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if done := coord2.Progress().DoneCells; done != 1 {
+		t.Fatalf("resumed with %d cells done, want 1 (the damaged range demoted)", done)
+	}
+	finishSweep(t, coord2, "post-crash", fp, records)
+	var got bytes.Buffer
+	if err := coord2.WriteMerged(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("merged output after a demoted range differs from the single-process run")
 	}
 }

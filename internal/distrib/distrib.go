@@ -19,21 +19,24 @@
 //
 // The coordinator itself holds no observation records: every accepted
 // upload is streamed to a content-addressed spill file (spill.go), so
-// residency is O(open leases) regardless of sweep size, and the final
-// output is an external k-way merge (destset.MergeStreams) over the
-// spill files — byte-identical to what the same sweep writes in one
-// process at parallelism 1, the invariant that makes the whole service
-// testable end to end. With a -state-dir, every lease-table transition
-// is also appended to a CRC-guarded WAL with periodic compacted
-// checkpoints (wal.go): a coordinator killed mid-sweep and restarted
-// over the same state dir re-adopts completed ranges, requeues in-flight
-// leases, and resumes the same sweep under the same plan fingerprint.
+// residency is O(open leases) regardless of sweep size. Uploads arrive
+// in plan order and tasks partition the plan in order, so the final
+// output is the merged manifest followed by the spills concatenated in
+// task order, each checked against its header while it is copied —
+// byte-identical to what the same sweep writes in one process at
+// parallelism 1, the invariant that makes the whole service testable
+// end to end. With a -state-dir, the lease table and every transition
+// after it are also appended to one CRC-guarded log (wal.go): a
+// coordinator killed mid-sweep and restarted over the same state dir
+// re-adopts completed ranges, requeues in-flight leases, and resumes
+// the same sweep under the same plan fingerprint.
 package distrib
 
 import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -84,15 +87,12 @@ type Config struct {
 	// coordinator declares the sweep failed; <= 0 means 5.
 	MaxAttempts int
 	// StateDir, when non-empty, makes the coordinator crash-safe: spill
-	// files live under it, every lease-table transition is WAL-logged,
-	// and a coordinator restarted over the same dir resumes the sweep
-	// instead of restarting it. Empty means ephemeral — spills go to a
-	// private temp dir removed by Close, and nothing survives the
-	// process.
+	// files live under it, the lease table and every transition after
+	// it are logged to its wal.log, and a coordinator restarted over the
+	// same dir resumes the sweep instead of restarting it. Empty means
+	// ephemeral — spills go to a private temp dir removed by Close, and
+	// nothing survives the process.
 	StateDir string
-	// CheckpointEvery compacts the WAL into a fresh checkpoint after
-	// this many logged events; <= 0 means 1024.
-	CheckpointEvery int
 	// DatasetDir, when non-empty, is where the coordinator finds — or
 	// materializes on first fetch — the sweep's content-addressed
 	// dataset files for workers fetching over the wire
@@ -151,11 +151,6 @@ type task struct {
 // covers, bounding build-time residency on warm resumes.
 const maxCachedRun = 1024
 
-// mergeFanIn bounds WriteMerged's k-way fan-in: beyond this many
-// completed ranges, consecutive spills are concatenated (they are
-// plan-ordered) so the merge holds at most this many open streams.
-const mergeFanIn = 64
-
 // Coordinator owns one sweep: the plan, the lease queue and the spilled
 // results. All methods are safe for concurrent use; the HTTP handlers in
 // server.go are thin wrappers over them.
@@ -196,9 +191,10 @@ type Coordinator struct {
 
 // NewCoordinator validates the definition, computes the plan and splits
 // it into lease ranges — or, when cfg.StateDir holds a prior
-// incarnation's checkpoint for the same plan, resumes it: the WAL is
-// replayed over the checkpoint, completed ranges are re-adopted after
-// their spill files revalidate, and in-flight leases are requeued.
+// incarnation's log for the same plan, resumes it: the logged events are
+// replayed over the logged lease table, completed ranges are re-adopted
+// after their spill files revalidate, and in-flight leases are
+// requeued.
 // It fails on defs whose cells are not uniquely labeled — observation
 // records name cells by (label, workload, seed), and ambiguous labels
 // would make uploads unattributable (see SweepPlan.RecordIndex).
@@ -211,9 +207,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 5
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1024
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -237,9 +230,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := wire[key]; dup {
-			continue
-		}
 		wire[key] = &wireDataset{sd: sd}
 		dsetKeys = append(dsetKeys, key)
 	}
@@ -257,18 +247,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		workers:  make(map[string]time.Time),
 	}
 
-	var cp *checkpoint
+	var tbl *leaseTable
 	var events []walEvent
 	if cfg.StateDir != "" {
-		c.st, cp, events, err = openWALState(cfg.StateDir, cfg.CheckpointEvery)
+		c.st, tbl, events, err = openWALState(cfg.StateDir)
 	} else {
 		c.st, err = newEphemeralState()
 	}
 	if err != nil {
 		return nil, err
 	}
-	if cp != nil {
-		err = c.resume(cp, events)
+	if tbl != nil {
+		err = c.resume(tbl, events)
 	} else {
 		err = c.build()
 	}
@@ -277,7 +267,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 
-	for i, t := range c.tasks {
+	for _, t := range c.tasks {
 		if t.state == taskDone {
 			c.doneTasks++
 			c.doneCells += t.hi - t.lo
@@ -285,15 +275,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 				c.cachedCells += t.hi - t.lo
 			}
 		}
-		_ = i
 	}
 	if c.cachedCells > 0 {
 		c.logf("result store served %d/%d cells; %d to compute",
 			c.cachedCells, plan.Len(), plan.Len()-c.doneCells)
 	}
-	// Durable truth at birth: the compacted checkpoint of the (re)built
+	// Durable truth at birth: a new log that opens with the (re)built
 	// lease table. A failure here disables durability but not the sweep.
-	if err := c.st.commit(c.snapshotLocked()); err != nil {
+	if err := c.st.begin(c.tableLocked()); err != nil {
 		c.stateWarned = true
 		c.logf("%v", err)
 	}
@@ -356,24 +345,24 @@ func (c *Coordinator) spillStored(lo, hi int) (string, error) {
 	return writeSpill(c.st.spillDir, c.def.Kind, c.plan.Fingerprint(), lo, hi, perCell)
 }
 
-// resume rebuilds the lease table a prior incarnation checkpointed,
-// replays the WAL events logged after the checkpoint, and reconciles:
+// resume rebuilds the lease table a prior incarnation logged, replays
+// the events logged after it, and reconciles:
 // in-flight leases are requeued to the front (their grants already
 // counted against the attempt budget; surviving workers' heartbeats get
 // ErrLeaseGone, but a completion they upload for the old lease id is
 // still adopted), completed ranges are kept only if their spill files
 // revalidate, and pending ranges the result store can now serve whole
 // are completed without leasing.
-func (c *Coordinator) resume(cp *checkpoint, events []walEvent) error {
+func (c *Coordinator) resume(tbl *leaseTable, events []walEvent) error {
 	fp := c.plan.Fingerprint()
-	if cp.Plan != fp || cp.Kind != c.def.Kind {
+	if tbl.Plan != fp || tbl.Kind != c.def.Kind {
 		return fmt.Errorf("distrib: state dir %q holds a %s sweep with plan %s, not this %s sweep (plan %s) — resume must use the same def",
-			c.cfg.StateDir, cp.Kind, cp.Plan, c.def.Kind, fp)
+			c.cfg.StateDir, tbl.Kind, tbl.Plan, c.def.Kind, fp)
 	}
 	next := 0
-	for ti, tc := range cp.Tasks {
+	for ti, tc := range tbl.Tasks {
 		if tc.Lo != next || tc.Hi <= tc.Lo || tc.Hi > c.plan.Len() {
-			return fmt.Errorf("%w: checkpoint task %d covers [%d,%d), want a partition resuming at %d",
+			return fmt.Errorf("%w: lease table task %d covers [%d,%d), want a partition resuming at %d",
 				ErrStateCorrupt, ti, tc.Lo, tc.Hi, next)
 		}
 		next = tc.Hi
@@ -390,25 +379,25 @@ func (c *Coordinator) resume(cp *checkpoint, events []walEvent) error {
 		case "done":
 			t.state = taskDone
 		default:
-			return fmt.Errorf("%w: checkpoint task %d in unknown state %q", ErrStateCorrupt, ti, tc.State)
+			return fmt.Errorf("%w: lease table task %d in unknown state %q", ErrStateCorrupt, ti, tc.State)
 		}
 		c.tasks = append(c.tasks, t)
 	}
 	if next != c.plan.Len() {
-		return fmt.Errorf("%w: checkpoint tasks cover %d of %d plan cells", ErrStateCorrupt, next, c.plan.Len())
+		return fmt.Errorf("%w: lease table tasks cover %d of %d plan cells", ErrStateCorrupt, next, c.plan.Len())
 	}
-	for _, ti := range cp.Pending {
+	for _, ti := range tbl.Pending {
 		if ti < 0 || ti >= len(c.tasks) || c.tasks[ti].state != taskPending {
-			return fmt.Errorf("%w: checkpoint queues task %d, which is not pending", ErrStateCorrupt, ti)
+			return fmt.Errorf("%w: lease table queues task %d, which is not pending", ErrStateCorrupt, ti)
 		}
 		c.pending = append(c.pending, ti)
 	}
-	if cp.Failed != "" {
-		c.failed = errors.New(cp.Failed)
+	if tbl.Failed != "" {
+		c.failed = errors.New(tbl.Failed)
 	}
 	for i, ev := range events {
 		if err := c.applyLocked(ev); err != nil {
-			return fmt.Errorf("%w: WAL event %d (%s): %v", ErrStateCorrupt, i, ev.E, err)
+			return fmt.Errorf("%w: logged event %d (%s): %v", ErrStateCorrupt, i, ev.E, err)
 		}
 	}
 
@@ -434,7 +423,7 @@ func (c *Coordinator) resume(cp *checkpoint, events []walEvent) error {
 		if t.state != taskDone {
 			continue
 		}
-		if err := validateSpill(c.st.spillDir, t.spill, c.def.Kind, fp, t.lo, t.hi); err != nil {
+		if err := copySpill(io.Discard, c.st.spillDir, t.spill, c.def.Kind, fp, t.lo, t.hi); err != nil {
 			c.logf("spill for cells [%d,%d) failed validation; recomputing: %v", t.lo, t.hi, err)
 			t.state, t.spill, t.cached = taskPending, "", false
 			c.pending = append([]int{ti}, c.pending...)
@@ -469,7 +458,7 @@ func (c *Coordinator) resume(cp *checkpoint, events []walEvent) error {
 	return nil
 }
 
-// applyLocked replays one WAL event onto the checkpointed lease table.
+// applyLocked replays one logged event onto the logged lease table.
 // Replay is strict: an event that does not apply cleanly means the
 // state dir is corrupt, and recovery refuses rather than guesses.
 func (c *Coordinator) applyLocked(ev walEvent) error {
@@ -503,8 +492,6 @@ func (c *Coordinator) applyLocked(ev walEvent) error {
 		t.leaseID, t.worker = ev.Lease, ev.Worker
 		c.leased[ev.Task] = true
 		c.leases[ev.Lease] = ev.Task
-	case "renew":
-		// Deadlines are not durable; nothing to apply.
 	case "expire", "fail":
 		if t.state != taskLeased || t.leaseID != ev.Lease {
 			return fmt.Errorf("%s of a lease that is not current", ev.E)
@@ -534,16 +521,16 @@ func (c *Coordinator) applyLocked(ev walEvent) error {
 	return nil
 }
 
-// snapshotLocked captures the lease table as a checkpoint.
-func (c *Coordinator) snapshotLocked() *checkpoint {
-	cp := &checkpoint{
+// tableLocked captures the lease table for the log's first frame.
+func (c *Coordinator) tableLocked() *leaseTable {
+	tbl := &leaseTable{
 		Plan:    c.plan.Fingerprint(),
 		Kind:    c.def.Kind,
-		Tasks:   make([]taskCheckpoint, len(c.tasks)),
+		Tasks:   make([]tableTask, len(c.tasks)),
 		Pending: append([]int(nil), c.pending...),
 	}
 	for i, t := range c.tasks {
-		tc := taskCheckpoint{Lo: t.lo, Hi: t.hi, Attempts: t.attempts,
+		tc := tableTask{Lo: t.lo, Hi: t.hi, Attempts: t.attempts,
 			Cached: t.cached, LastFailed: t.lastFailed, Spill: t.spill}
 		switch t.state {
 		case taskPending:
@@ -554,27 +541,21 @@ func (c *Coordinator) snapshotLocked() *checkpoint {
 		case taskDone:
 			tc.State = "done"
 		}
-		cp.Tasks[i] = tc
+		tbl.Tasks[i] = tc
 	}
 	if c.failed != nil {
-		cp.Failed = c.failed.Error()
+		tbl.Failed = c.failed.Error()
 	}
-	return cp
+	return tbl
 }
 
-// recordLocked logs one lease-table transition to the WAL and compacts
-// when due. Durability failures are logged once and disable further
-// state writes; the in-memory sweep continues.
+// recordLocked logs one lease-table transition. Durability failures are
+// logged once and disable further state writes; the in-memory sweep
+// continues.
 func (c *Coordinator) recordLocked(ev walEvent) {
 	if err := c.st.append(ev); err != nil && !c.stateWarned {
 		c.stateWarned = true
 		c.logf("%v", err)
-	}
-	if c.st.due() {
-		if err := c.st.commit(c.snapshotLocked()); err != nil && !c.stateWarned {
-			c.stateWarned = true
-			c.logf("%v", err)
-		}
 	}
 }
 
@@ -590,8 +571,9 @@ func (c *Coordinator) Plan() *destset.SweepPlan { return c.plan }
 
 // Drain stops the coordinator granting leases: outstanding leases keep
 // renewing and completing, but pending work stays queued — the graceful
-// half of a shutdown, before Checkpoint and exit. Progress reports the
-// draining state.
+// half of a shutdown, before exit. Every transition is already logged,
+// so a coordinator over the same state dir resumes from exactly here.
+// Progress reports the draining state.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -599,15 +581,6 @@ func (c *Coordinator) Drain() {
 		c.draining = true
 		c.logf("draining: no further leases will be granted")
 	}
-}
-
-// Checkpoint compacts the durable state to the current lease table on
-// demand (it also happens automatically every CheckpointEvery events).
-// Ephemeral coordinators have no durable state; Checkpoint is a no-op.
-func (c *Coordinator) Checkpoint() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.commit(c.snapshotLocked())
 }
 
 // Close releases the coordinator's state files; an ephemeral
@@ -639,10 +612,10 @@ type SweepInfo struct {
 	// workers pointed at a warm dataset directory resolve them all
 	// before leasing any cells.
 	Datasets []destset.SweepDataset `json:"datasets,omitempty"`
-	// DatasetKeys are the coordinator's content addresses for Datasets
-	// (deduplicated, announcement order). A worker recomputes each key
-	// from the announced dataset and must agree before fetching — the
-	// dataset analogue of the plan fingerprint handshake.
+	// DatasetKeys are the coordinator's content addresses for Datasets,
+	// one per dataset in announcement order. A worker recomputes each
+	// key from the announced dataset and must agree before fetching —
+	// the dataset analogue of the plan fingerprint handshake.
 	DatasetKeys []string `json:"dataset_keys,omitempty"`
 }
 
@@ -848,7 +821,6 @@ func (c *Coordinator) Heartbeat(leaseID, worker, planFP string) error {
 		return fmt.Errorf("%w: %s over cells [%d,%d)", ErrLeaseGone, leaseID, t.lo, t.hi)
 	}
 	t.deadline = now.Add(c.cfg.LeaseTTL)
-	c.recordLocked(walEvent{E: "renew", Task: ti, Lease: leaseID, Worker: worker})
 	return nil
 }
 
@@ -1113,16 +1085,14 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	return c.failed
 }
 
-// WriteMerged reassembles the spilled per-range record streams into the
-// full-run JSONL observation file on w — one merged manifest followed by
-// every record in plan order, byte-identical to the file the same sweep
-// writes in one process at parallelism 1. The merge is external
-// (destset.MergeStreams over the spill files): no task's records are
-// ever materialized, each spill is opened lazily when the merge reaches
-// it, and beyond mergeFanIn completed ranges consecutive spills are
-// concatenated — tasks partition the plan in order, so their spills
-// chain into plan-ordered streams — keeping the fan-in, and the open
-// descriptor count, bounded.
+// WriteMerged writes the full-run JSONL observation file on w: one
+// merged manifest followed by every record in plan order, byte-identical
+// to the file the same sweep writes in one process at parallelism 1.
+// Tasks partition the plan in order and every spill holds its range's
+// records in plan order, so the records are the spills concatenated in
+// task order: each is streamed through copySpill, which checks its
+// header, record count and checksum on the way. A spill that fails is
+// ErrStateCorrupt, and what was written to w must then be discarded.
 func (c *Coordinator) WriteMerged(w io.Writer) error {
 	c.mu.Lock()
 	if c.failed != nil {
@@ -1133,35 +1103,22 @@ func (c *Coordinator) WriteMerged(w io.Writer) error {
 		c.mu.Unlock()
 		return fmt.Errorf("distrib: sweep incomplete (%d/%d ranges done)", c.doneTasks, len(c.tasks))
 	}
-	fp := c.plan.Fingerprint()
-	readers := make([]*lazySpill, len(c.tasks))
-	for i, t := range c.tasks {
-		readers[i] = &lazySpill{dir: c.st.spillDir, name: t.spill, kind: c.def.Kind,
-			plan: fp, lo: t.lo, hi: t.hi}
-	}
+	// Completed tasks never change again, so they are read unlocked.
+	tasks := c.tasks
 	c.mu.Unlock()
-	defer func() {
-		for _, r := range readers {
-			r.Close()
-		}
-	}()
 
-	var parts []io.Reader
-	if len(readers) <= mergeFanIn {
-		parts = make([]io.Reader, len(readers))
-		for i, r := range readers {
-			parts[i] = r
-		}
-	} else {
-		per := (len(readers) + mergeFanIn - 1) / mergeFanIn
-		for lo := 0; lo < len(readers); lo += per {
-			hi := min(lo+per, len(readers))
-			group := make([]io.Reader, hi-lo)
-			for i, r := range readers[lo:hi] {
-				group[i] = r
-			}
-			parts = append(parts, io.MultiReader(group...))
+	manifest, err := json.Marshal(c.plan.Manifest(0, 1))
+	if err != nil {
+		return fmt.Errorf("distrib: encoding merged manifest: %w", err)
+	}
+	bw := bufio.NewWriterSize(w, 64*1024)
+	bw.Write(manifest)
+	bw.WriteByte('\n')
+	fp := c.plan.Fingerprint()
+	for _, t := range tasks {
+		if err := copySpill(bw, c.st.spillDir, t.spill, c.def.Kind, fp, t.lo, t.hi); err != nil {
+			return err
 		}
 	}
-	return c.plan.MergeStreams(w, parts...)
+	return bw.Flush()
 }

@@ -832,11 +832,9 @@ func TestCoordinatorLeasesOnlyStoreMisses(t *testing.T) {
 	}
 }
 
-// ingestDef builds a trace-driven def over an imported CSV trace plus
-// the three composed workload presets, installing the imported dataset
-// file under the active dataset directory — the workload mix every
-// worker must resolve identically.
-func ingestDef(t *testing.T) destset.SweepDef {
+// importedWorkload imports a small CSV trace, installs its dataset file
+// under dir and returns the spec that names it.
+func importedWorkload(t *testing.T, dir string) destset.WorkloadSpec {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("addr,cpu,op,pc,gap\n")
@@ -858,18 +856,25 @@ func ingestDef(t *testing.T) destset.SweepDef {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := destset.DatasetDir()
-	if dir == "" {
-		t.Fatal("ingestDef needs an active dataset directory")
-	}
 	p := ds.Params()
 	key := dataset.KeyOf(p, ds.Warm(), ds.Measure())
 	if err := dataset.WriteFile(key.Path(dir), ds); err != nil {
 		t.Fatal(err)
 	}
-	specs := []destset.WorkloadSpec{{
-		Name: p.Name, Params: &p, Warm: ds.Warm(), Measure: ds.Measure(),
-	}}
+	return destset.WorkloadSpec{Name: p.Name, Params: &p, Warm: ds.Warm(), Measure: ds.Measure()}
+}
+
+// ingestDef builds a trace-driven def over an imported CSV trace plus
+// the three composed workload presets, installing the imported dataset
+// file under the active dataset directory — the workload mix every
+// worker must resolve identically.
+func ingestDef(t *testing.T) destset.SweepDef {
+	t.Helper()
+	dir := destset.DatasetDir()
+	if dir == "" {
+		t.Fatal("ingestDef needs an active dataset directory")
+	}
+	specs := []destset.WorkloadSpec{importedWorkload(t, dir)}
 	for _, name := range []string{"phased", "tenant-mix", "regulated"} {
 		cp, err := workload.Preset(name, 0)
 		if err != nil {

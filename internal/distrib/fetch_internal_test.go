@@ -1,101 +1,20 @@
 package distrib
 
-// White-box tests of the worker's fetch path: the singleflight per
-// content key, the fail-fast classification of a coordinator that does
-// not know the key, and the backoff jitter envelope.
+// White-box tests of the worker's fetch path: the fail-fast
+// classification of a coordinator that does not know the key, and the
+// backoff jitter envelope.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net/http"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"destset"
 )
-
-// TestFetchSingleflight races many goroutines at fetchShared for one
-// content key: exactly one GET may reach the server, everyone must get
-// the same installed file. This is the unit-level pin of the dedupe the
-// end-to-end tests observe through request counting.
-func TestFetchSingleflight(t *testing.T) {
-	sd := destset.SweepDataset{
-		Workload: destset.WorkloadSpec{Name: "oltp", Warm: 100, Measure: 100},
-		Seed:     5, Warm: 100, Measure: 100,
-	}
-	key, err := sd.ContentKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcPath, err := sd.SpillTo(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := os.ReadFile(srcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var gets atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/dataset/{key}", func(w http.ResponseWriter, r *http.Request) {
-		gets.Add(1)
-		time.Sleep(20 * time.Millisecond) // widen the race window
-		w.Write(src)
-	})
-	l := NewMemListener()
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close(); l.Close() })
-
-	w := &worker{
-		cfg:    WorkerConfig{RetryBase: 10 * time.Millisecond, RetryMax: 50 * time.Millisecond},
-		client: l.Client(),
-		base:   "http://coordinator",
-		name:   "racer",
-	}
-	dir := t.TempDir()
-	const racers = 16
-	errs := make([]error, racers)
-	var wg sync.WaitGroup
-	for i := range racers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = w.fetchShared(context.Background(), sd, key, dir)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("racer %d: %v", i, err)
-		}
-	}
-	if n := gets.Load(); n != 1 {
-		t.Errorf("server saw %d GETs, want exactly 1", n)
-	}
-	if !sd.Stored(dir) {
-		t.Fatal("dataset not installed after the shared fetch")
-	}
-	// SpillTo on a valid existing file is a read-only resolve; the
-	// installed bytes must be exactly what the server sent.
-	installed, err := sd.SpillTo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(installed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Error("installed file differs from the served bytes")
-	}
-}
 
 // TestBackoffJitterBounds pins the retry-delay envelope: each delay is
 // drawn from [cur/2, 3·cur/2), cur doubles per draw and saturates at
@@ -173,7 +92,7 @@ func TestFetchUnknownKeyFailsFast(t *testing.T) {
 		base:   "http://coordinator",
 		name:   "lost",
 	}
-	fetchErr := w.fetchShared(context.Background(), foreign, key, t.TempDir())
+	_, fetchErr := w.fetchDataset(context.Background(), foreign, key, t.TempDir())
 	if fetchErr == nil {
 		t.Fatal("fetching an unannounced key succeeded")
 	}

@@ -4,10 +4,10 @@ package distrib_test
 // an empty private dataset dir completes the sweep with zero
 // generations and byte-identical output), the fetch failure matrix —
 // truncated body, CRC mismatch on receipt, coordinator restart
-// mid-fetch — and a coordinator whose serving files heal. Concurrent
-// duplicate fetches are pinned both here (request counting on the real
-// endpoint) and in fetch_internal_test.go (many goroutines racing one
-// key).
+// mid-fetch — and a coordinator whose serving files heal. Request
+// counting on the real endpoint pins one GET per content key: the
+// coordinator announces each key once, and a local file that does not
+// load as its key is fetched again.
 
 import (
 	"bytes"
@@ -77,14 +77,7 @@ func TestWorkerFetchesMissingDatasets(t *testing.T) {
 	coordDir := t.TempDir()
 	var gets atomic.Int64
 	coord, client := serveWrapped(t, distrib.Config{Def: def, LeaseTTL: 5 * time.Second, DatasetDir: coordDir},
-		func(next http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasPrefix(r.URL.Path, "/v1/dataset/") {
-					gets.Add(1)
-				}
-				next.ServeHTTP(w, r)
-			})
-		})
+		countDatasetGETs(&gets))
 
 	// The worker's world: an empty private dir, nothing in memory.
 	resetSharedDatasets(t, t.TempDir())
@@ -432,4 +425,99 @@ func TestDatasetServingHeals(t *testing.T) {
 		}
 		runMountless(t, coord, client)
 	})
+}
+
+// countDatasetGETs wraps a coordinator handler to count dataset fetches.
+func countDatasetGETs(gets *atomic.Int64) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/dataset/") {
+				gets.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
+// TestWorkerRefetchesTornLocalDataset: a worker whose private dataset
+// dir already holds a file under an announced key trusts it only if it
+// loads as that key. A torn 100-byte file is fetched again from the
+// coordinator like a missing one — not skipped, left to fail its CRC on
+// load and regenerate (which an imported trace cannot do at all).
+func TestWorkerRefetchesTornLocalDataset(t *testing.T) {
+	def := timingDef()
+	var gets atomic.Int64
+	coord, client := serveWrapped(t, distrib.Config{Def: def, LeaseTTL: 5 * time.Second, DatasetDir: t.TempDir()},
+		countDatasetGETs(&gets))
+	workerDir := t.TempDir()
+	resetSharedDatasets(t, workerDir)
+	torn := filepath.Join(workerDir, coord.Info().DatasetKeys[0]+".dset")
+	if err := os.WriteFile(torn, bytes.Repeat([]byte{0xa5}, 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := destset.DatasetCacheStats()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	stats, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
+		URL:          "http://coordinator",
+		Client:       client,
+		Name:         "torn",
+		Parallelism:  2,
+		PollInterval: 20 * time.Millisecond,
+		RetryBase:    10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Fetched != 2 || gets.Load() != 2 {
+		t.Errorf("stats = %+v after %d GETs, want 2 fetched with 2 GETs (the torn file refetched)", stats, gets.Load())
+	}
+	if gens := destset.DatasetCacheStats().Generations - before.Generations; gens != 0 {
+		t.Errorf("worker generated %d datasets, want 0", gens)
+	}
+}
+
+// TestImportedDatasetAnnouncedOnce: an imported trace ignores the cell
+// seed, so a def that sweeps it at three seeds replays one dataset. The
+// def lists it once, the coordinator announces it once, and a mountless
+// worker fetches it with exactly one GET.
+func TestImportedDatasetAnnouncedOnce(t *testing.T) {
+	coordDir := t.TempDir()
+	def := destset.NewTraceSweepDef(
+		[]destset.EngineSpec{{Protocol: destset.ProtocolSnooping}},
+		[]destset.WorkloadSpec{importedWorkload(t, coordDir)},
+		destset.WithSeeds(1, 2, 3),
+	)
+	datasets, err := def.Datasets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(datasets) != 1 {
+		t.Fatalf("def lists %d datasets for one imported trace, want 1", len(datasets))
+	}
+	var gets atomic.Int64
+	coord, client := serveWrapped(t, distrib.Config{Def: def, LeaseTTL: 5 * time.Second, DatasetDir: coordDir},
+		countDatasetGETs(&gets))
+	if keys := coord.Info().DatasetKeys; len(keys) != 1 {
+		t.Fatalf("coordinator announces %d dataset keys, want 1", len(keys))
+	}
+	resetSharedDatasets(t, t.TempDir())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	stats, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
+		URL:          "http://coordinator",
+		Client:       client,
+		Name:         "importer",
+		Parallelism:  4,
+		PollInterval: 20 * time.Millisecond,
+		RetryBase:    10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Prewarmed != 1 || stats.Fetched != 1 || gets.Load() != 1 {
+		t.Errorf("stats = %+v after %d GETs, want 1 prewarmed and 1 fetched with exactly 1 GET", stats, gets.Load())
+	}
 }

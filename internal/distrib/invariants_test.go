@@ -147,13 +147,12 @@ func TestLeaseLifecycleRaceInvariants(t *testing.T) {
 	fp := plan.Fingerprint()
 	clock := &raceClock{now: time.Unix(1_700_000_000, 0)}
 	coord, err := NewCoordinator(Config{
-		Def:             def,
-		ChunkSize:       1,
-		LeaseTTL:        50 * time.Millisecond,
-		MaxAttempts:     10_000,
-		CheckpointEvery: 8,
-		StateDir:        t.TempDir(),
-		Now:             clock.Now,
+		Def:         def,
+		ChunkSize:   1,
+		LeaseTTL:    50 * time.Millisecond,
+		MaxAttempts: 10_000,
+		StateDir:    t.TempDir(),
+		Now:         clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)

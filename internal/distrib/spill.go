@@ -8,12 +8,12 @@ package distrib
 // A spill is the manifest-headed JSONL discipline scaled down to one
 // lease range: a single JSON header line naming the format, the plan
 // fingerprint, the range [lo, hi) and a CRC-64/ECMA over the record
-// bytes, followed by the range's observation records grouped per cell
-// in plan order. Grouping per cell makes the file bytes deterministic —
-// two workers racing to complete the same range spill identical files —
-// and plan-ordered, which is exactly the input contract of
-// destset.MergeStreams: the final output is a k-way merge over spill
-// readers, never an in-memory join.
+// bytes, followed by the range's observation records in plan order (the
+// coordinator refuses uploads out of plan order). That makes the file
+// bytes deterministic — two workers racing to complete the same range
+// spill identical files — and, since tasks partition the plan in order,
+// the final output is the merged manifest followed by the spills' record
+// bytes concatenated in task order, never an in-memory join.
 //
 // Names are content addresses: sha256 over (version, plan fingerprint,
 // range), so re-completions and resumed coordinators converge on the
@@ -65,18 +65,16 @@ func spillName(plan string, lo, hi int) string {
 // lo+i's record lines in upload order. The file appears atomically
 // under its content-addressed name, which is returned.
 func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) (string, error) {
-	crc := crc64.New(walCRCTable)
-	records := 0
+	var check spillCheck
 	for _, lines := range perCell {
 		for _, line := range lines {
-			crc.Write(line)
-			crc.Write([]byte{'\n'})
-			records++
+			check.Write(line)
+			check.Write([]byte{'\n'})
 		}
 	}
 	hdr, err := json.Marshal(spillHeader{
 		Format: spillFormat, Version: spillVersion, Kind: kind, Plan: plan,
-		Lo: lo, Hi: hi, Records: records, CRC64: fmt.Sprintf("%016x", crc.Sum64()),
+		Lo: lo, Hi: hi, Records: check.records, CRC64: fmt.Sprintf("%016x", check.crc),
 	})
 	if err != nil {
 		return "", fmt.Errorf("distrib: encoding spill header: %w", err)
@@ -101,124 +99,58 @@ func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) (string,
 	return name, nil
 }
 
-// spillReadCloser hands out the records after the header.
-type spillReadCloser struct {
-	io.Reader
-	f *os.File
+// spillCheck counts the record lines and checksums the record bytes
+// written through it: the header's Records and CRC64 when a spill is
+// written, the values they must match when it is read back.
+type spillCheck struct {
+	crc     uint64
+	records int
 }
 
-func (s *spillReadCloser) Close() error { return s.f.Close() }
+func (c *spillCheck) Write(p []byte) (int, error) {
+	c.records += bytes.Count(p, []byte{'\n'})
+	c.crc = crc64.Update(c.crc, walCRCTable, p)
+	return len(p), nil
+}
 
-// openSpill opens a spill file and validates its header against the
-// range the caller expects; the returned reader starts at the first
-// record line.
-func openSpill(dir, name, kind, plan string, lo, hi int) (*spillHeader, io.ReadCloser, error) {
+// copySpill copies a spill file's records to w and checks the file as it
+// goes: the header must name cells [lo, hi) of this plan and kind, and
+// the records must match the header's count and checksum. Anything else
+// is ErrStateCorrupt — after the bytes were copied, so a caller writing
+// the merged output must discard it on error. Resume calls it with
+// io.Discard to revalidate a completed range before re-adopting it.
+func copySpill(w io.Writer, dir, name, kind, plan string, lo, hi int) error {
 	path := filepath.Join(dir, name)
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	br := bufio.NewReaderSize(f, 64*1024)
+	defer f.Close()
+	// Hiding the file's WriteTo makes the copy below reuse this reader's
+	// buffer instead of allocating a 32 KB one per spill.
+	br := bufio.NewReader(struct{ io.Reader }{f})
 	line, err := br.ReadBytes('\n')
 	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s: reading spill header: %v", ErrStateCorrupt, path, err)
+		return fmt.Errorf("%w: %s: reading spill header: %v", ErrStateCorrupt, path, err)
 	}
 	var hdr spillHeader
-	if err := json.Unmarshal(bytes.TrimSuffix(line, []byte("\n")), &hdr); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s: decoding spill header: %v", ErrStateCorrupt, path, err)
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return fmt.Errorf("%w: %s: decoding spill header: %v", ErrStateCorrupt, path, err)
 	}
 	if hdr.Format != spillFormat || hdr.Version != spillVersion ||
 		hdr.Kind != kind || hdr.Plan != plan || hdr.Lo != lo || hdr.Hi != hi {
-		f.Close()
-		return nil, nil, fmt.Errorf("%w: %s: spill header names %s cells [%d,%d) of plan %q, want [%d,%d) of %q",
+		return fmt.Errorf("%w: %s: spill header names %s cells [%d,%d) of plan %q, want [%d,%d) of %q",
 			ErrStateCorrupt, path, hdr.Kind, hdr.Lo, hdr.Hi, hdr.Plan, lo, hi, plan)
 	}
-	return &hdr, &spillReadCloser{Reader: br, f: f}, nil
-}
-
-// validateSpill fully scans a spill file — header, record count,
-// checksum — the gate a resuming coordinator applies before re-adopting
-// a completed range. A range whose spill fails validation is simply
-// recomputed.
-func validateSpill(dir, name, kind, plan string, lo, hi int) error {
-	hdr, rc, err := openSpill(dir, name, kind, plan, lo, hi)
-	if err != nil {
-		return err
+	var check spillCheck
+	if _, err := br.WriteTo(io.MultiWriter(w, &check)); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	defer rc.Close()
-	crc := crc64.New(walCRCTable)
-	records := 0
-	br := bufio.NewReaderSize(rc, 64*1024)
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			if line[len(line)-1] != '\n' {
-				return fmt.Errorf("%w: %s: torn final record", ErrStateCorrupt, filepath.Join(dir, name))
-			}
-			crc.Write(line)
-			records++
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", filepath.Join(dir, name), err)
-		}
+	if check.records != hdr.Records {
+		return fmt.Errorf("%w: %s holds %d records, header says %d", ErrStateCorrupt, path, check.records, hdr.Records)
 	}
-	if records != hdr.Records {
-		return fmt.Errorf("%w: %s holds %d records, header says %d",
-			ErrStateCorrupt, filepath.Join(dir, name), records, hdr.Records)
-	}
-	if sum := fmt.Sprintf("%016x", crc.Sum64()); sum != hdr.CRC64 {
-		return fmt.Errorf("%w: %s records checksum %s, header says %s — corrupted?",
-			ErrStateCorrupt, filepath.Join(dir, name), sum, hdr.CRC64)
-	}
-	return nil
-}
-
-// lazySpill is an io.Reader over one spill's records that opens the
-// file on first Read and closes it at EOF — so a merge over thousands
-// of spills holds only the handful of open descriptors the k-way fan-in
-// is actually reading.
-type lazySpill struct {
-	dir, name, kind, plan string
-	lo, hi                int
-
-	opened bool
-	rc     io.ReadCloser
-	err    error
-}
-
-func (l *lazySpill) Read(p []byte) (int, error) {
-	if l.err != nil {
-		return 0, l.err
-	}
-	if !l.opened {
-		l.opened = true
-		_, rc, err := openSpill(l.dir, l.name, l.kind, l.plan, l.lo, l.hi)
-		if err != nil {
-			l.err = err
-			return 0, err
-		}
-		l.rc = rc
-	}
-	n, err := l.rc.Read(p)
-	if err != nil {
-		l.rc.Close()
-		l.rc = nil
-		l.err = err
-	}
-	return n, err
-}
-
-// Close releases the descriptor if a merge error left it open.
-func (l *lazySpill) Close() error {
-	if l.rc != nil {
-		err := l.rc.Close()
-		l.rc, l.err = nil, io.EOF
-		return err
+	if sum := fmt.Sprintf("%016x", check.crc); sum != hdr.CRC64 {
+		return fmt.Errorf("%w: %s records checksum %s, header says %s — corrupted?", ErrStateCorrupt, path, sum, hdr.CRC64)
 	}
 	return nil
 }

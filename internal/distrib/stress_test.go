@@ -6,9 +6,9 @@ package distrib_test
 // driven by .github/workflows/nightly-stress.yml). The sweep is never
 // executed — cells are completed with synthesized records straight
 // through Lease/Complete, so the test measures exactly the coordinator:
-// plan and lease-table residency at a million cells, WAL/checkpoint
-// cadence under a durable state dir, and how long a restarted
-// coordinator takes to resume a half-done sweep.
+// plan and lease-table residency at a million cells, the size of the
+// lease log and spills under a durable state dir, and how long a
+// restarted coordinator takes to resume a half-done sweep.
 //
 // Run it by hand with:
 //
@@ -116,11 +116,10 @@ func TestMillionCellSweep(t *testing.T) {
 	def := stressDef(cells)
 	stateDir := t.TempDir()
 	cfg := distrib.Config{
-		Def:             def,
-		ChunkSize:       2000,
-		LeaseTTL:        time.Minute,
-		StateDir:        stateDir,
-		CheckpointEvery: 64,
+		Def:       def,
+		ChunkSize: 2000,
+		LeaseTTL:  time.Minute,
+		StateDir:  stateDir,
 	}
 
 	baseline := heapMB()
@@ -149,7 +148,7 @@ func TestMillionCellSweep(t *testing.T) {
 	}
 
 	// Phase 2: resume over the same state dir. Nothing completed may be
-	// lost, and recovery must be checkpoint-fast, not replay-everything.
+	// lost; recovery replays the logged table and the events after it.
 	start = time.Now()
 	coord2, err := distrib.NewCoordinator(cfg)
 	if err != nil {
@@ -186,24 +185,20 @@ func TestMillionCellSweep(t *testing.T) {
 	t.Logf("merge: %d records streamed in %s", out.lines, time.Since(start))
 }
 
-// logStateDir reports the WAL/checkpoint footprint: file counts and
-// total bytes show whether compaction is keeping up.
+// logStateDir reports the state dir's footprint: the lease log's size
+// and the spill files' count and total bytes.
 func logStateDir(t *testing.T, dir string) {
 	t.Helper()
-	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	wal, err := os.Stat(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := func(paths []string) (n int64) {
-		for _, p := range paths {
-			if fi, err := os.Stat(p); err == nil {
-				n += fi.Size()
-			}
-		}
-		return n
-	}
 	spills, _ := filepath.Glob(filepath.Join(dir, "spill", "*.jsonl"))
-	walBytes, spillBytes := size(wals), size(spills)
-	t.Logf("state dir: %d WAL file(s) (%d bytes), %d spill file(s) (%d bytes)",
-		len(wals), walBytes, len(spills), spillBytes)
+	var spillBytes int64
+	for _, p := range spills {
+		if fi, err := os.Stat(p); err == nil {
+			spillBytes += fi.Size()
+		}
+	}
+	t.Logf("state dir: wal.log (%d bytes), %d spill file(s) (%d bytes)", wal.Size(), len(spills), spillBytes)
 }

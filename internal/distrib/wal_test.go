@@ -8,119 +8,178 @@ import (
 	"testing"
 )
 
-// writeWALFile lays down a WAL file with the given events, the way a
-// live coordinator does: magic, then one frame per event.
-func writeWALFile(t *testing.T, path string, events ...walEvent) []byte {
+// testTable is a lease table with a task in every state.
+func testTable() *leaseTable {
+	return &leaseTable{
+		Plan: "fp-round-trip",
+		Kind: "timing",
+		Tasks: []tableTask{
+			{Lo: 0, Hi: 2, State: "done", Cached: true, Spill: "aa.jsonl"},
+			{Lo: 2, Hi: 4, State: "leased", Attempts: 2, Lease: "lease-1-0", Worker: "w1", LastFailed: "w2"},
+			{Lo: 4, Hi: 6, State: "pending", Attempts: 1, LastFailed: "w1"},
+		},
+		Pending: []int{2},
+	}
+}
+
+// testEvents is one event of every kind.
+func testEvents() []walEvent {
+	return []walEvent{
+		{E: "grant", Task: 2, Lease: "lease-1-1", Worker: "w1", Attempts: 2},
+		{E: "expire", Task: 2, Lease: "lease-1-1", Worker: "w1"},
+		{E: "grant", Task: 2, Lease: "lease-1-2", Worker: "w2", Attempts: 3},
+		{E: "complete", Task: 2, Lease: "lease-1-2", Worker: "w2", Spill: "0123456789abcdef.jsonl"},
+		{E: "fail", Task: 1, Lease: "lease-1-0", Worker: "w1", Reason: "worker reported failure"},
+		{E: "sweepfail", Reason: "cells 2-4 failed after 3 attempts"},
+	}
+}
+
+// writeLog lays down dir's log the way a coordinator does — the table at
+// birth, then one frame per event — and returns its bytes.
+func writeLog(t *testing.T, dir string, tbl *leaseTable, events ...walEvent) []byte {
 	t.Helper()
-	st := &walState{dir: filepath.Dir(path)}
-	f, err := os.Create(path)
+	st, _, _, err := openWALState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(walMagic[:]); err != nil {
+	if err := st.begin(tbl); err != nil {
 		t.Fatal(err)
 	}
-	st.f = f
 	for _, ev := range events {
 		if err := st.append(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Close(); err != nil {
+	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
 }
 
-// TestWALRoundTrip is the frame fidelity property: events appended to a
-// WAL read back identical, in order.
-func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-000001.log")
-	want := []walEvent{
-		{E: "grant", Task: 0, Lease: "lease-1-0", Worker: "w1", Attempts: 1},
-		{E: "renew", Task: 0, Lease: "lease-1-0", Worker: "w1"},
-		{E: "expire", Task: 0, Lease: "lease-1-0", Worker: "w1"},
-		{E: "grant", Task: 0, Lease: "lease-1-1", Worker: "w2", Attempts: 2},
-		{E: "complete", Task: 0, Lease: "lease-1-1", Worker: "w2", Spill: "0123456789abcdef.jsonl"},
-		{E: "fail", Task: 1, Lease: "lease-1-2", Worker: "w1", Reason: "worker reported failure"},
-		{E: "sweepfail", Reason: "cells 2-4 failed after 3 attempts"},
-	}
-	writeWALFile(t, path, want...)
-	got, err := readWAL(path)
+// TestCheckpointRoundTrip is the fidelity property of the log's first
+// frame, its checkpoint: the lease table begin writes reads back
+// identical, stamped with the incarnation's epoch; each incarnation over
+// the dir gets the next epoch; and a rebirth replaces the log with a
+// fresh one that holds only its own checkpoint.
+func TestCheckpointRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st, tbl, events, err := openWALState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tbl != nil || len(events) != 0 || st.epoch != 1 {
+		t.Fatalf("fresh dir: table %v, %d events, epoch %d; want none, none, 1", tbl, len(events), st.epoch)
+	}
+	st.close()
+
+	want := testTable()
+	writeLog(t, dir, want, testEvents()...)
+	st2, got, _, err := openWALState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Epoch != 1 || st2.epoch != 2 {
+		t.Fatalf("epochs: logged table %d, reopened state %d, want 1 and 2", want.Epoch, st2.epoch)
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("WAL round trip:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("table round trip:\n got %+v\nwant %+v", got, want)
+	}
+
+	// The second incarnation's birth replaces the log with its table.
+	if err := st2.begin(got); err != nil {
+		t.Fatal(err)
+	}
+	st2.close()
+	st3, again, againEvents, err := openWALState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.close()
+	if again.Epoch != 2 || st3.epoch != 3 || len(againEvents) != 0 {
+		t.Fatalf("after a rebirth: table epoch %d, state epoch %d, %d events; want 2, 3, 0",
+			again.Epoch, st3.epoch, len(againEvents))
 	}
 }
 
-// TestWALToleratesTornTail pins the crash semantics: a WAL whose final
-// frame is incomplete — the coordinator died mid-append — loads every
-// complete frame before it. Truncation at any byte of the last frame
-// must never poison the events already durable.
-func TestWALToleratesTornTail(t *testing.T) {
+// TestWALRoundTrip is the log's fidelity property: the events appended
+// after the checkpoint read back identical and in order, behind the
+// table they were appended to.
+func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	events := []walEvent{
-		{E: "grant", Task: 3, Lease: "lease-1-0", Worker: "w1", Attempts: 1},
-		{E: "complete", Task: 3, Lease: "lease-1-0", Worker: "w1", Spill: "aa.jsonl"},
-		{E: "grant", Task: 4, Lease: "lease-1-1", Worker: "w1", Attempts: 1},
+	want, wantEvents := testTable(), testEvents()
+	writeLog(t, dir, want, wantEvents...)
+	st, got, gotEvents, err := openWALState(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "wal-000001.log")
-	raw := writeWALFile(t, path, events...)
+	defer st.close()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("table round trip:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(gotEvents, wantEvents) {
+		t.Fatalf("event round trip:\n got %+v\nwant %+v", gotEvents, wantEvents)
+	}
+}
 
-	// Find where the last frame begins by re-encoding the prefix.
-	prefix := writeWALFile(t, filepath.Join(dir, "prefix.log"), events[:2]...)
-	for cut := len(prefix) + 1; cut < len(raw); cut++ {
+// TestWALToleratesTornTail pins the crash semantics: a log whose final
+// event frame is incomplete — the coordinator died mid-append — loads
+// the table and every complete event before it, whichever byte the cut
+// falls on.
+func TestWALToleratesTornTail(t *testing.T) {
+	tbl, events := testTable(), testEvents()
+	raw := writeLog(t, t.TempDir(), tbl, events...)
+	// ends[k] is the log's length holding the table and k events.
+	ends := make([]int, len(events)+1)
+	for k := range ends {
+		ends[k] = len(writeLog(t, t.TempDir(), testTable(), events[:k]...))
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, walFile)
+	k := 0
+	for cut := ends[0]; cut < len(raw); cut++ {
+		for ends[k+1] <= cut {
+			k++
+		}
 		if err := os.WriteFile(path, raw[:cut], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readWAL(path)
+		got, gotEvents, err := readWAL(path)
 		if err != nil {
 			t.Fatalf("torn at byte %d: %v", cut, err)
 		}
-		if !reflect.DeepEqual(got, events[:2]) {
-			t.Fatalf("torn at byte %d: got %d events, want the 2 complete ones", cut, len(got))
+		if !reflect.DeepEqual(got, tbl) || !reflect.DeepEqual(gotEvents, events[:k]) {
+			t.Fatalf("torn at byte %d: got %d events, want the %d complete ones and the table", cut, len(gotEvents), k)
 		}
-	}
-	// Torn inside the *first* frame: zero events, still not an error.
-	if err := os.WriteFile(path, raw[:len(walMagic)+3], 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := readWAL(path); err != nil || len(got) != 0 {
-		t.Fatalf("torn first frame: (%d events, %v), want (0, nil)", len(got), err)
 	}
 }
 
-// TestWALRejectsCorruption is the rejection matrix, mirroring
-// internal/results: any damage other than a torn tail — bit flips in
-// payload or checksum, bad magic, absurd lengths, non-JSON payloads —
-// is ErrStateCorrupt, never a silently different lease table.
-func TestWALRejectsCorruption(t *testing.T) {
+// wantCorrupt writes raw, altered by mutate, as a state dir's log and
+// requires openWALState to refuse it as ErrStateCorrupt.
+func wantCorrupt(t *testing.T, raw []byte, name string, mutate func([]byte) []byte) {
+	t.Helper()
 	dir := t.TempDir()
-	raw := writeWALFile(t, filepath.Join(dir, "pristine.log"),
-		walEvent{E: "grant", Task: 0, Lease: "lease-1-0", Worker: "w1", Attempts: 1},
-		walEvent{E: "complete", Task: 0, Lease: "lease-1-0", Worker: "w1", Spill: "aa.jsonl"},
-	)
-
-	corrupt := func(name string, mutate func([]byte) []byte) {
-		t.Helper()
-		path := filepath.Join(dir, name+".log")
-		if err := os.WriteFile(path, mutate(append([]byte(nil), raw...)), 0o666); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readWAL(path); !errors.Is(err, ErrStateCorrupt) {
-			t.Errorf("%s: err = %v, want ErrStateCorrupt", name, err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, walFile), mutate(append([]byte(nil), raw...)), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	corrupt("bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b })
-	corrupt("future-version", func(b []byte) []byte { b[7] = 99; return b })
-	corrupt("flipped-payload-byte", func(b []byte) []byte { b[len(walMagic)+frameHeaderLen] ^= 0x01; return b })
-	corrupt("flipped-last-payload-byte", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
+	if _, _, _, err := openWALState(dir); !errors.Is(err, ErrStateCorrupt) {
+		t.Errorf("%s: err = %v, want ErrStateCorrupt", name, err)
+	}
+}
+
+// TestCheckpointRejectsCorruption is the rejection matrix of the log's
+// checkpoint frame, mirroring internal/results: bit flips in the table
+// or its checksum, an absurd length, a missing or torn table, a non-JSON
+// table, and a dir in the older checkpoint-file layout are all
+// ErrStateCorrupt — a torn table is never a torn tail, since begin
+// writes it atomically — and never a silently different lease table.
+func TestCheckpointRejectsCorruption(t *testing.T) {
+	raw := writeLog(t, t.TempDir(), testTable(), testEvents()[:2]...)
+	corrupt := func(name string, mutate func([]byte) []byte) { t.Helper(); wantCorrupt(t, raw, name, mutate) }
+	corrupt("flipped-table-byte", func(b []byte) []byte { b[len(walMagic)+frameHeaderLen] ^= 0x01; return b })
 	corrupt("flipped-checksum", func(b []byte) []byte { b[len(walMagic)+4] ^= 0x01; return b })
 	corrupt("absurd-length", func(b []byte) []byte {
 		for i := 0; i < 4; i++ {
@@ -129,204 +188,51 @@ func TestWALRejectsCorruption(t *testing.T) {
 		return b
 	})
 	corrupt("empty-file", func([]byte) []byte { return nil })
-
+	corrupt("magic-only", func(b []byte) []byte { return b[:len(walMagic)] })
+	corrupt("torn-table", func(b []byte) []byte { return b[:len(walMagic)+frameHeaderLen+3] })
 	// A frame holding non-JSON bytes passes the CRC (it guards what was
-	// written) but must still be refused as an event.
-	garbage := appendFrame(append([]byte(nil), walMagic[:]...), []byte("{not json"))
-	path := filepath.Join(dir, "garbage-payload.log")
-	if err := os.WriteFile(path, garbage, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readWAL(path); !errors.Is(err, ErrStateCorrupt) {
-		t.Errorf("garbage payload: err = %v, want ErrStateCorrupt", err)
-	}
-}
+	// written) but must still be refused as a table.
+	corrupt("non-json-table", func([]byte) []byte {
+		return appendFrame(append([]byte(nil), walMagic[:]...), []byte("{not json"))
+	})
 
-// TestCheckpointRoundTrip pins checkpoint fidelity through commit: the
-// snapshot handed to commit reads back identical, stamped with the
-// state's epoch and the WAL sequence opened alongside it.
-func TestCheckpointRoundTrip(t *testing.T) {
+	// A state dir in the checkpoint-plus-rotated-logs layout: resuming
+	// it as a fresh sweep would silently restart the work it recorded.
 	dir := t.TempDir()
-	st, cp, events, err := openWALState(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != nil || len(events) != 0 {
-		t.Fatalf("fresh dir: checkpoint %v, %d events, want none", cp, len(events))
-	}
-	want := &checkpoint{
-		Plan: "fp-round-trip",
-		Kind: "timing",
-		Tasks: []taskCheckpoint{
-			{Lo: 0, Hi: 2, State: "done", Cached: true, Spill: "aa.jsonl"},
-			{Lo: 2, Hi: 4, State: "leased", Attempts: 2, Lease: "lease-1-0", Worker: "w1", LastFailed: "w2"},
-			{Lo: 4, Hi: 6, State: "pending", Attempts: 1, LastFailed: "w1"},
-		},
-		Pending: []int{2},
-	}
-	if err := st.commit(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, got, events, err := openWALState(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.close()
-	if len(events) != 0 {
-		t.Fatalf("replayed %d events from a just-checkpointed dir", len(events))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpoint round trip:\n got %+v\nwant %+v", got, want)
-	}
-	if got.Epoch != 1 || st2.epoch != 2 {
-		t.Fatalf("epochs: checkpoint %d, reopened state %d, want 1 and 2", got.Epoch, st2.epoch)
-	}
-}
-
-// TestCheckpointRejectsCorruption: checkpoints are written atomically,
-// so unlike the WAL there is no legitimate torn state — every damaged
-// variant, truncation included, is ErrStateCorrupt.
-func TestCheckpointRejectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	st, _, _, err := openWALState(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := &checkpoint{Plan: "fp-x", Kind: "trace",
-		Tasks: []taskCheckpoint{{Lo: 0, Hi: 8, State: "pending"}}, Pending: []int{0}}
-	if err := st.commit(cp); err != nil {
-		t.Fatal(err)
-	}
-	st.close()
-	raw, err := os.ReadFile(filepath.Join(dir, "checkpoint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corrupt := func(name string, mutate func([]byte) []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint"), mutate(append([]byte(nil), raw...)), 0o666); err != nil {
+	for _, name := range []string{"checkpoint", "wal-000001.log"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("DSETCKP\x01"), 0o666); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := openWALState(dir, 4); !errors.Is(err, ErrStateCorrupt) {
-			t.Errorf("%s: err = %v, want ErrStateCorrupt", name, err)
-		}
 	}
+	if _, _, _, err := openWALState(dir); !errors.Is(err, ErrStateCorrupt) {
+		t.Errorf("older layout: err = %v, want ErrStateCorrupt", err)
+	}
+}
+
+// TestWALRejectsCorruption is the rejection matrix of the rest of the
+// log: bad magic or version, and any damage to a complete event frame —
+// a bit flip in its payload or checksum, an absurd length, a non-JSON
+// payload — is ErrStateCorrupt; only a torn event tail is tolerated
+// (TestWALToleratesTornTail).
+func TestWALRejectsCorruption(t *testing.T) {
+	raw := writeLog(t, t.TempDir(), testTable(), testEvents()[:2]...)
+	// ev is the offset of the first event frame, just past the checkpoint.
+	ev := len(writeLog(t, t.TempDir(), testTable()))
+	table := appendFrame(append([]byte(nil), walMagic[:]...), []byte(`{"plan":"fp","kind":"trace","epoch":1}`))
+	corrupt := func(name string, mutate func([]byte) []byte) { t.Helper(); wantCorrupt(t, raw, name, mutate) }
 	corrupt("bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b })
-	corrupt("future-version", func(b []byte) []byte { b[7] = 99; return b })
-	corrupt("flipped-payload", func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b })
-	corrupt("flipped-last-byte", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b })
-	corrupt("flipped-checksum", func(b []byte) []byte { b[len(ckptMagic)+4] ^= 0x01; return b })
-	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-5] })
-	corrupt("truncated-to-magic", func(b []byte) []byte { return b[:len(ckptMagic)] })
-	corrupt("extended", func(b []byte) []byte { return append(b, 0) })
-	corrupt("empty", func([]byte) []byte { return []byte{} })
-}
-
-// TestWALWithoutCheckpointIsCorrupt: WAL events reference task indices
-// only a checkpoint defines, so a state dir holding logs but no
-// checkpoint cannot be interpreted.
-func TestWALWithoutCheckpointIsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	writeWALFile(t, filepath.Join(dir, walName(1)),
-		walEvent{E: "grant", Task: 0, Lease: "lease-1-0", Worker: "w1", Attempts: 1})
-	if _, _, _, err := openWALState(dir, 4); !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("WAL without checkpoint: err = %v, want ErrStateCorrupt", err)
-	}
-}
-
-// TestCommitCompactsWALs pins the compaction ordering contract: commit
-// opens wal-<seq+1>, writes the checkpoint pointing at it, and deletes
-// older logs — and a reopened state replays only events after the
-// checkpoint.
-func TestCommitCompactsWALs(t *testing.T) {
-	dir := t.TempDir()
-	st, _, _, err := openWALState(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.commit(&checkpoint{Plan: "fp-c", Kind: "timing",
-		Tasks: []taskCheckpoint{{Lo: 0, Hi: 4, State: "pending"}}, Pending: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	// Two events: the second makes compaction due.
-	if err := st.append(walEvent{E: "grant", Task: 0, Lease: "lease-1-0", Worker: "w1", Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st.due() {
-		t.Fatal("compaction due after 1 of 2 events")
-	}
-	if err := st.append(walEvent{E: "renew", Task: 0, Lease: "lease-1-0", Worker: "w1"}); err != nil {
-		t.Fatal(err)
-	}
-	if !st.due() {
-		t.Fatal("compaction not due after 2 of 2 events")
-	}
-	if err := st.commit(&checkpoint{Plan: "fp-c", Kind: "timing",
-		Tasks: []taskCheckpoint{{Lo: 0, Hi: 4, State: "leased", Attempts: 1, Lease: "lease-1-0", Worker: "w1"}}}); err != nil {
-		t.Fatal(err)
-	}
-	if st.due() {
-		t.Fatal("compaction still due right after checkpointing")
-	}
-	// Post-checkpoint events land in the new WAL.
-	if err := st.append(walEvent{E: "expire", Task: 0, Lease: "lease-1-0", Worker: "w1"}); err != nil {
-		t.Fatal(err)
-	}
-	st.close()
-
-	seqs, err := walSeqs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqs, []int{2}) {
-		t.Fatalf("WAL files after compaction: %v, want just [2]", seqs)
-	}
-	_, cp, events, err := openWALState(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.WalSeq != 2 || cp.Tasks[0].State != "leased" {
-		t.Fatalf("reloaded checkpoint: seq %d, task state %q", cp.WalSeq, cp.Tasks[0].State)
-	}
-	if len(events) != 1 || events[0].E != "expire" {
-		t.Fatalf("replayed events %+v, want just the post-checkpoint expire", events)
-	}
-}
-
-// TestOpenWALStateIgnoresStaleWALs: a crash between checkpoint rename
-// and old-WAL deletion leaves logs below WalSeq on disk; they are
-// compacted history and must not replay.
-func TestOpenWALStateIgnoresStaleWALs(t *testing.T) {
-	dir := t.TempDir()
-	st, _, _, err := openWALState(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.commit(&checkpoint{Plan: "fp-s", Kind: "trace",
-		Tasks: []taskCheckpoint{{Lo: 0, Hi: 2, State: "pending"}}, Pending: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	st.close()
-	// Resurrect a stale WAL below the checkpoint's WalSeq (1): seq 0.
-	writeWALFile(t, filepath.Join(dir, walName(0)),
-		walEvent{E: "grant", Task: 0, Lease: "lease-0-9", Worker: "ghost", Attempts: 7})
-
-	st2, cp, events, err := openWALState(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.close()
-	if len(events) != 0 {
-		t.Fatalf("stale WAL replayed: %+v", events)
-	}
-	if cp.Tasks[0].State != "pending" {
-		t.Fatalf("checkpoint state %q, want pending", cp.Tasks[0].State)
-	}
+	corrupt("older-version", func(b []byte) []byte { b[7] = 1; return b })
+	corrupt("flipped-event-byte", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
+	corrupt("flipped-event-checksum", func(b []byte) []byte { b[ev+4] ^= 0x01; return b })
+	corrupt("absurd-event-length", func(b []byte) []byte {
+		for i := 0; i < 4; i++ {
+			b[ev+i] = 0xff
+		}
+		return b
+	})
+	// A frame holding non-JSON bytes passes the CRC but must still be
+	// refused as an event.
+	corrupt("non-json-event", func([]byte) []byte { return appendFrame(append([]byte(nil), table...), []byte("{not json")) })
 }
 
 // TestEphemeralStateDropsEverything: a coordinator without -state-dir
@@ -337,18 +243,19 @@ func TestEphemeralStateDropsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := st.begin(&leaseTable{Plan: "fp-e"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.append(walEvent{E: "grant", Task: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if st.due() {
-		t.Fatal("ephemeral state wants a checkpoint")
-	}
-	if err := st.commit(&checkpoint{Plan: "fp-e"}); err != nil {
-		t.Fatal(err)
-	}
 	dir := st.spillDir
-	if _, err := os.Stat(dir); err != nil {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatalf("ephemeral spill dir missing before close: %v", err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("ephemeral state wrote %d files", len(entries))
 	}
 	if err := st.close(); err != nil {
 		t.Fatal(err)

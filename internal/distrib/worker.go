@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"destset"
@@ -126,41 +125,6 @@ type worker struct {
 	info   SweepInfo
 	planFP string
 	stats  WorkerStats
-	fg     fetchGroup
-}
-
-// fetchGroup deduplicates concurrent wire fetches per content key:
-// however many prewarm goroutines want the same dataset, exactly one
-// GET runs and the rest wait on its outcome.
-type fetchGroup struct {
-	mu    sync.Mutex
-	calls map[string]*fetchCall
-}
-
-// fetchCall is one in-flight (or finished) fetch; done is closed when
-// n and err are final.
-type fetchCall struct {
-	done chan struct{}
-	n    int64
-	err  error
-}
-
-// totals sums the group's successful fetches.
-func (g *fetchGroup) totals() (fetched int, bytes int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, c := range g.calls {
-		select {
-		case <-c.done:
-		default:
-			continue
-		}
-		if c.err == nil {
-			fetched++
-			bytes += c.n
-		}
-	}
-	return fetched, bytes
 }
 
 // RunWorker executes sweep cells for a coordinator until the sweep
@@ -255,11 +219,14 @@ func (w *worker) handshake(ctx context.Context) error {
 // else a local dataset-dir load, else — when a local dataset directory
 // is configured — a wire fetch from the coordinator, installed
 // atomically after full receipt validation and then loaded like any
-// local file. Against a warm shared directory every dataset is a disk
-// load; with empty private directories the whole fleet still starts
-// without a single generation, because the bytes come over the wire.
-// Without a local directory there is nowhere to install, so missing
-// datasets generate exactly as before.
+// local file. A local file counts only if it loads as its key, so a
+// torn one is fetched again rather than regenerated. Against a warm
+// shared directory every dataset is a disk load; with empty private
+// directories the whole fleet still starts without a single generation,
+// because the bytes come over the wire. Without a local directory there
+// is nowhere to install, so missing datasets generate exactly as before.
+// The coordinator announces each content key once, so no two prewarm
+// goroutines fetch the same dataset.
 func (w *worker) prewarm(ctx context.Context) error {
 	if len(w.info.Datasets) == 0 {
 		return nil
@@ -286,12 +253,15 @@ func (w *worker) prewarm(ctx context.Context) error {
 		keys[i] = key
 	}
 	dir := destset.DatasetDir()
+	fetched := make([]int64, len(datasets)) // bytes fetched per dataset
 	err := sweep.ForEach(ctx, len(datasets), w.cfg.Parallelism, func(i int) error {
 		sd := datasets[i]
 		if dir != "" && !sd.Cached() && !sd.Stored(dir) {
-			if err := w.fetchShared(ctx, sd, keys[i], dir); err != nil {
+			n, err := w.fetchDataset(ctx, sd, keys[i], dir)
+			if err != nil {
 				return err
 			}
+			fetched[i] = n
 		}
 		return sd.Prewarm()
 	})
@@ -299,36 +269,17 @@ func (w *worker) prewarm(ctx context.Context) error {
 		return fmt.Errorf("distrib: prewarming datasets: %w", err)
 	}
 	w.stats.Prewarmed = len(datasets)
-	w.stats.Fetched, w.stats.FetchedBytes = w.fg.totals()
+	for _, n := range fetched {
+		if n > 0 {
+			w.stats.Fetched++
+			w.stats.FetchedBytes += n
+		}
+	}
 	if w.stats.Fetched > 0 {
 		w.logf("worker %s: fetched %d datasets (%d bytes)", w.name, w.stats.Fetched, w.stats.FetchedBytes)
 	}
 	w.logf("worker %s: resolved %d pre-announced dataset(s)", w.name, len(datasets))
 	return nil
-}
-
-// fetchShared runs at most one wire fetch per content key; concurrent
-// callers of the same key wait for the single in-flight fetch.
-func (w *worker) fetchShared(ctx context.Context, sd destset.SweepDataset, key, dir string) error {
-	w.fg.mu.Lock()
-	if w.fg.calls == nil {
-		w.fg.calls = make(map[string]*fetchCall)
-	}
-	if c, ok := w.fg.calls[key]; ok {
-		w.fg.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.err
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	c := &fetchCall{done: make(chan struct{})}
-	w.fg.calls[key] = c
-	w.fg.mu.Unlock()
-	c.n, c.err = w.fetchDataset(ctx, sd, key, dir)
-	close(c.done)
-	return c.err
 }
 
 // fetchDataset pulls one dataset from the coordinator with the jittered

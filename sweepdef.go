@@ -273,16 +273,12 @@ func (sd SweepDataset) Cached() bool {
 	return dataset.Shared.Contains(key)
 }
 
-// Stored reports whether the dataset's content-addressed file exists
-// under dir. It checks existence only — a corrupt file is caught by the
-// CRC validation on load and heals through regeneration or refetch.
+// Stored reports whether the dataset's content-addressed file under dir
+// loads and re-derives the dataset's key — the file dataset.Install
+// would keep. A missing, torn or mismatched file is not stored.
 func (sd SweepDataset) Stored(dir string) bool {
 	key, err := sd.key()
-	if err != nil || dir == "" {
-		return false
-	}
-	_, statErr := os.Stat(key.Path(dir))
-	return statErr == nil
+	return err == nil && dir != "" && dataset.Check(key.Path(dir), key) == nil
 }
 
 // InstallTo streams r into the dataset's content-addressed file under
@@ -307,14 +303,7 @@ func (sd SweepDataset) InstallTo(dir string, r io.Reader) (int64, error) {
 		if n, err = io.Copy(f, r); err != nil {
 			return err
 		}
-		ds, err := dataset.ReadFile(f.Name())
-		if err != nil {
-			return err
-		}
-		if dataset.KeyOf(ds.Params(), ds.Warm(), ds.Measure()) != key {
-			return fmt.Errorf("destset: fetched dataset %s does not match its key", key.Addr())
-		}
-		return nil
+		return dataset.Check(f.Name(), key)
 	})
 	if err != nil {
 		return 0, err
@@ -338,9 +327,10 @@ func (sd SweepDataset) SpillTo(dir string) (string, error) {
 	})
 }
 
-// Datasets enumerates the shared datasets the sweep's cells replay, one
-// per (workload, seed) at the resolved scale, in plan order of first
-// use.
+// Datasets enumerates the shared datasets the sweep's cells replay at
+// the resolved scale, one per content key, in plan order of first use.
+// A generated workload has one dataset per seed; an imported trace
+// ignores the seed, so all its cells share one.
 func (d SweepDef) Datasets() ([]SweepDataset, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -357,10 +347,19 @@ func (d SweepDef) Datasets() ([]SweepDataset, error) {
 		defMeasure = DefaultMeasureMisses
 	}
 	out := make([]SweepDataset, 0, len(d.Workloads)*len(seeds))
+	seen := make(map[dataset.Key]bool, cap(out))
 	for _, w := range d.Workloads {
 		warm, measure := scaleOf(w.Warm, w.Measure, defWarm, defMeasure)
 		for _, seed := range seeds {
-			out = append(out, SweepDataset{Workload: w, Seed: seed, Warm: warm, Measure: measure})
+			sd := SweepDataset{Workload: w, Seed: seed, Warm: warm, Measure: measure}
+			key, err := sd.key()
+			if err != nil {
+				return nil, err
+			}
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, sd)
+			}
 		}
 	}
 	return out, nil
