@@ -7,15 +7,24 @@
 // protocol-visible downgrades (writebacks of owned blocks, silent drops of
 // shared blocks).
 //
-// A cache remembers which sets it has filled, so Reset, Snapshot and
-// Restore cost what a run filled rather than the cache's capacity: a
-// timing sweep reuses one oracle per worker and restores each cell's
-// warmed-up contents into it instead of building a new 4 MB cache.
+// A set keeps its valid lines first, most recently used first: a Touch,
+// or an Insert of a resident block, moves its line to the front; an
+// Insert of a new block shifts the set down one line and takes the
+// front, so a full set evicts its last line; Invalidate closes the gap a
+// line leaves. That is exactly LRU replacement, with no clock and no
+// stamps.
+//
+// A cache holds the sets a run fills, not its capacity. Sets are
+// allocated in pages of 16 on the first Insert into a page; a page table
+// of 4-byte entries finds each page's storage, which is handed out in
+// chunks of 16 pages so that growth never copies a line. A lookup on a
+// page never filled reads Invalid without allocating, and Reset,
+// Snapshot and Restore cost the pages filled: a timing sweep reuses one
+// oracle per worker and restores each cell's warmed-up contents into it.
 package cache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"destset/internal/trace"
 )
@@ -93,32 +102,41 @@ type Eviction struct {
 	State State
 }
 
-// line is one cache way. lru is a per-set timestamp: higher = more recent.
+// line is one cache way; the zero line is Invalid.
 type line struct {
 	addr  trace.Addr
 	state State
-	lru   uint64
 }
+
+// A page holds pageSets consecutive sets; a cache of fewer sets has one
+// page, whose sets past its last are never used. A chunk holds
+// chunkPages pages, or all the pages of a smaller cache.
+const (
+	pageSets   = 16
+	chunkPages = 16
+)
 
 // Cache is a set-associative MOSI cache. The zero value is unusable; use
 // New.
 type Cache struct {
-	cfg Config
-	// lines holds every way of every set in one pointer-free array: set i
-	// is lines[i*Ways : (i+1)*Ways].
-	lines []line
-	// used has one bit per set, set by Insert: every valid line lies in a
-	// used set, so Reset and Snapshot visit those sets alone.
-	used   []uint64
-	mask   uint64
-	clock  uint64
-	misses uint64
-	hits   uint64
+	cfg  Config
+	mask uint64
+	// table has one entry per page of sets: 0 while the page is not
+	// filled, else 1 + the page's index in the storage. Storage page p
+	// is page p%chunkPages of chunks[p/chunkPages], and set s of a page
+	// starts at line s*ways of the page.
+	table  []uint32
+	chunks [][]line
+	// filled lists the table index of each page in use, in storage
+	// order. Storage pages past len(filled) are all Invalid.
+	filled       []uint32
+	misses, hits uint64
 }
 
 // New returns an empty cache with the given geometry. The set count must be
 // a power of two (true for all realistic configurations; New panics
-// otherwise to catch sizing bugs early).
+// otherwise to catch sizing bugs early). It allocates only the page
+// table: 4 bytes per page of sets.
 func New(cfg Config) *Cache {
 	n := cfg.Sets()
 	if n&(n-1) != 0 {
@@ -126,29 +144,64 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:   cfg,
-		lines: make([]line, n*cfg.Ways),
-		used:  make([]uint64, (n+63)/64),
 		mask:  uint64(n - 1),
+		table: make([]uint32, (n+pageSets-1)/pageSets),
 	}
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// set returns the ways of a's set.
+// set returns the ways of a's set, or nil if its page is not filled.
 func (c *Cache) set(a trace.Addr) []line {
-	w := c.cfg.Ways
-	i := int(uint64(a)&c.mask) * w
-	return c.lines[i : i+w]
+	s := uint64(a) & c.mask
+	p := c.table[s/pageSets]
+	if p == 0 {
+		return nil
+	}
+	return c.setIn(p-1, s)
+}
+
+// setIn returns the ways of set s, which lies on storage page p.
+func (c *Cache) setIn(p uint32, s uint64) []line {
+	i := int(uint64(p%chunkPages)*pageSets+s%pageSets) * c.cfg.Ways
+	return c.chunks[p/chunkPages][i : i+c.cfg.Ways]
+}
+
+// find returns a's set (nil if its page is not filled) and the index of
+// a's line in it, or -1 if a is not resident.
+func (c *Cache) find(a trace.Addr) ([]line, int) {
+	set := c.set(a)
+	for i := range set {
+		if set[i].state == Invalid {
+			break
+		}
+		if set[i].addr == a {
+			return set, i
+		}
+	}
+	return set, -1
+}
+
+// toFront moves line i of set to the front, shifting the lines before
+// it down one.
+func toFront(set []line, i int) {
+	l := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = l
+}
+
+// remove deletes line i of set, shifting the lines after it up one.
+func remove(set []line, i int) {
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = line{}
 }
 
 // Lookup returns the block's state without touching LRU. Invalid means not
 // present.
 func (c *Cache) Lookup(a trace.Addr) State {
-	set := c.set(a)
-	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.addr == a {
+	for _, l := range c.set(a) {
+		if l.state == Invalid || l.addr == a {
 			return l.state
 		}
 	}
@@ -158,83 +211,89 @@ func (c *Cache) Lookup(a trace.Addr) State {
 // Touch updates LRU for a resident block and reports whether it was
 // present (counting a hit or miss).
 func (c *Cache) Touch(a trace.Addr) bool {
-	c.clock++
-	set := c.set(a)
-	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.addr == a {
-			l.lru = c.clock
-			c.hits++
-			return true
-		}
+	set, i := c.find(a)
+	if i < 0 {
+		c.misses++
+		return false
 	}
-	c.misses++
-	return false
+	toFront(set, i)
+	c.hits++
+	return true
 }
 
-// SetState changes the state of a resident block. It panics if the block
-// is not resident — state changes on absent blocks indicate a protocol bug.
+// SetState changes the state of a resident block without touching LRU;
+// Invalid removes it. It panics if the block is not resident — state
+// changes on absent blocks indicate a protocol bug.
 func (c *Cache) SetState(a trace.Addr, s State) {
-	set := c.set(a)
-	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.addr == a {
-			if s == Invalid {
-				l.state = Invalid
-				return
-			}
-			l.state = s
-			return
-		}
+	set, i := c.find(a)
+	switch {
+	case i < 0:
+		panic(fmt.Sprintf("cache: SetState(%#x) on non-resident block", uint64(a)))
+	case s == Invalid:
+		remove(set, i)
+	default:
+		set[i].state = s
 	}
-	panic(fmt.Sprintf("cache: SetState(%#x) on non-resident block", uint64(a)))
 }
 
 // Invalidate removes a block if present and reports whether it was present.
 func (c *Cache) Invalidate(a trace.Addr) bool {
-	set := c.set(a)
-	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.addr == a {
-			l.state = Invalid
-			return true
-		}
+	set, i := c.find(a)
+	if i < 0 {
+		return false
 	}
-	return false
+	remove(set, i)
+	return true
 }
 
 // Insert places a block in state s, updating LRU. If the block is already
 // resident its state is updated in place. If the set is full the LRU line
-// is evicted and returned; ok reports whether an eviction happened.
+// is evicted and returned; ok reports whether an eviction happened. It
+// panics if s is Invalid: a block leaves a cache by Invalidate.
 func (c *Cache) Insert(a trace.Addr, s State) (ev Eviction, ok bool) {
-	c.clock++
-	si := uint64(a) & c.mask
-	c.used[si/64] |= 1 << (si % 64)
-	set := c.set(a)
-	var victim *line
-	for i := range set {
-		l := &set[i]
-		if l.state != Invalid && l.addr == a {
-			l.state = s
-			l.lru = c.clock
-			return Eviction{}, false
-		}
-		if l.state == Invalid {
-			if victim == nil || victim.state != Invalid {
-				victim = l
-			}
-		} else if victim == nil || (victim.state != Invalid && l.lru < victim.lru) {
-			victim = l
-		}
+	if s == Invalid {
+		panic(fmt.Sprintf("cache: Insert(%#x) in state I", uint64(a)))
 	}
-	if victim.state != Invalid {
-		ev = Eviction{Addr: victim.addr, State: victim.state}
-		ok = true
+	set, i := c.find(a)
+	if i >= 0 {
+		set[i].state = s
+		toFront(set, i)
+		return Eviction{}, false
 	}
-	victim.addr = a
-	victim.state = s
-	victim.lru = c.clock
+	if set == nil {
+		set = c.fill(a)
+	}
+	if last := set[len(set)-1]; last.state != Invalid {
+		ev, ok = Eviction{Addr: last.addr, State: last.state}, true
+	}
+	copy(set[1:], set)
+	set[0] = line{addr: a, state: s}
 	return ev, ok
+}
+
+// fill gives a's page the next storage page, adding a chunk when every
+// page of the chunks held so far is in use, and returns a's set.
+func (c *Cache) fill(a trace.Addr) []line {
+	s := uint64(a) & c.mask
+	p := uint32(len(c.filled))
+	if int(p/chunkPages) == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]line, min(len(c.table), chunkPages)*pageSets*c.cfg.Ways))
+	}
+	c.table[s/pageSets] = p + 1
+	c.filled = append(c.filled, uint32(s/pageSets))
+	return c.setIn(p, s)
+}
+
+// used calls fn with the lines of the pages in use, a chunk at a time.
+func (c *Cache) used(fn func([]line)) {
+	n := len(c.filled) * pageSets * c.cfg.Ways
+	for _, ch := range c.chunks {
+		if n <= 0 {
+			return
+		}
+		fn(ch[:min(n, len(ch))])
+		n -= len(ch)
+	}
 }
 
 // Stats returns cumulative hit and miss counts observed by Touch.
@@ -244,67 +303,54 @@ func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 // reporting).
 func (c *Cache) Resident() int {
 	n := 0
-	for _, l := range c.lines {
-		if l.state != Invalid {
-			n++
+	c.used(func(lines []line) {
+		for _, l := range lines {
+			if l.state != Invalid {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 
-// Reset empties the cache and zeroes its clock and statistics, leaving
-// it as New left it. It clears only the sets filled since New or the
-// last Reset.
+// Reset empties the cache and zeroes its statistics, leaving it as New
+// left it. It clears only the pages filled since New or the last Reset,
+// and keeps their storage for the next run.
 func (c *Cache) Reset() {
-	w := c.cfg.Ways
-	for wi, word := range c.used {
-		for ; word != 0; word &= word - 1 {
-			si := wi*64 + bits.TrailingZeros64(word)
-			clear(c.lines[si*w : (si+1)*w])
-		}
-		c.used[wi] = 0
+	c.used(func(lines []line) { clear(lines) })
+	for _, pi := range c.filled {
+		c.table[pi] = 0
 	}
-	c.clock, c.hits, c.misses = 0, 0, 0
+	c.filled = c.filled[:0]
+	c.hits, c.misses = 0, 0
 }
 
-// Snapshot is a compact copy of a cache: its valid lines, each with its
-// way slot and LRU stamp, plus the LRU clock and the Touch statistics.
-// Invalid lines are left out; no lookup or victim choice reads their
-// contents.
+// Snapshot is a compact copy of a cache: its valid lines and the Touch
+// statistics.
 type Snapshot struct {
 	cfg          Config
-	lines        []slotLine
-	clock        uint64
+	lines        []line
 	hits, misses uint64
 }
 
-// slotLine is one valid line of a Snapshot and its index in lines.
-type slotLine struct {
-	addr  trace.Addr
-	lru   uint64
-	slot  uint32
-	state State
-}
-
-// Snapshot copies the cache's valid lines, visiting only the sets filled
-// since New or the last Reset.
+// Snapshot copies the cache's valid lines, visiting only the pages filled
+// since New or the last Reset. Each set's lines are listed least recent
+// first, so inserting them in order rebuilds the set.
 func (c *Cache) Snapshot() *Snapshot {
-	snap := &Snapshot{cfg: c.cfg, clock: c.clock, hits: c.hits, misses: c.misses}
-	w := c.cfg.Ways
-	for wi, word := range c.used {
-		for ; word != 0; word &= word - 1 {
-			si := wi*64 + bits.TrailingZeros64(word)
-			for i := si * w; i < (si+1)*w; i++ {
-				if l := c.lines[i]; l.state != Invalid {
-					snap.lines = append(snap.lines, slotLine{addr: l.addr, lru: l.lru, slot: uint32(i), state: l.state})
+	snap := &Snapshot{cfg: c.cfg, hits: c.hits, misses: c.misses}
+	c.used(func(lines []line) {
+		for s := 0; s < len(lines); s += c.cfg.Ways {
+			for i := s + c.cfg.Ways - 1; i >= s; i-- {
+				if lines[i].state != Invalid {
+					snap.lines = append(snap.lines, lines[i])
 				}
 			}
 		}
-	}
+	})
 	return snap
 }
 
-// Restore makes the cache's contents, clock and statistics those of the
+// Restore makes the cache's contents and statistics those of the
 // snapshot, which must come from a cache of the same geometry: from then
 // on the cache behaves exactly as the snapshotted one did.
 func (c *Cache) Restore(snap *Snapshot) {
@@ -312,11 +358,8 @@ func (c *Cache) Restore(snap *Snapshot) {
 		panic(fmt.Sprintf("cache: restoring a %+v snapshot into a %+v cache", snap.cfg, c.cfg))
 	}
 	c.Reset()
-	w := uint32(c.cfg.Ways)
 	for _, l := range snap.lines {
-		c.lines[l.slot] = line{addr: l.addr, state: l.state, lru: l.lru}
-		si := l.slot / w
-		c.used[si/64] |= 1 << (si % 64)
+		c.Insert(l.addr, l.state)
 	}
-	c.clock, c.hits, c.misses = snap.clock, snap.hits, snap.misses
+	c.hits, c.misses = snap.hits, snap.misses
 }

@@ -286,6 +286,31 @@ func TestResetAndRestoreAreExact(t *testing.T) {
 	}
 }
 
+// Operations on filled pages allocate nothing, and neither does a read
+// of a page never filled, which sees Invalid.
+func TestFilledPagesAllocFree(t *testing.T) {
+	c := New(L2Default)
+	c.Insert(5, Shared)
+	far := trace.Addr(L2Default.Sets() / 2)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Lookup(5)
+		c.Touch(5)
+		c.Insert(5, Modified)
+		c.Insert(6, Shared)
+		c.Insert(6+trace.Addr(L2Default.Sets()), Owned)
+		c.Invalidate(6)
+		if c.Lookup(far) != Invalid || c.Touch(far) {
+			t.Fatal("a page never filled holds a block")
+		}
+		c.Invalidate(far)
+	}); n != 0 {
+		t.Errorf("operations on filled pages allocate %v times", n)
+	}
+	if len(c.filled) != 1 {
+		t.Errorf("%d pages filled, want 1: reads filled a page", len(c.filled))
+	}
+}
+
 func TestRestorePanicsOnOtherGeometry(t *testing.T) {
 	defer func() {
 		if recover() == nil {

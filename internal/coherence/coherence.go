@@ -281,8 +281,12 @@ func (s *System) Home(a trace.Addr) nodeset.NodeID { return HomeOf(a, s.cfg.Node
 
 // HomeOf returns the home node of block a in a system of the given node
 // count: physical memory is block-interleaved across the per-node memory
-// controllers.
+// controllers. A power-of-two count, as in every preset, is a mask
+// instead of a division: the multicast range path asks on every miss.
 func HomeOf(a trace.Addr, nodes int) nodeset.NodeID {
+	if n := uint64(nodes); n&(n-1) == 0 {
+		return nodeset.NodeID(uint64(a) & (n - 1))
+	}
 	return nodeset.NodeID(uint64(a) % uint64(nodes))
 }
 
@@ -473,8 +477,8 @@ func (s *System) insert(p nodeset.NodeID, a trace.Addr, st cache.State) {
 // Reset returns s to the state NewSystem(s.Config()) starts in: empty
 // caches, every block owned by memory and no writebacks counted. Its
 // cost follows what the last run touched, not the machine: each cache
-// clears only the sets it filled, and the block table's pages become
-// spares, cleared when a later access installs them again.
+// clears only the pages of sets it filled, and the block table's pages
+// become spares, cleared when a later access installs them again.
 // OnWriteback is left as it is.
 func (s *System) Reset() {
 	for _, c := range s.caches {
@@ -494,9 +498,9 @@ func (s *System) resetBlocks() {
 }
 
 // Snapshot is a compact copy of a System's state: each cache's valid
-// lines, with their way slots and LRU stamps, each cache's clock, the
-// non-zero block-table entries and the writeback count. It is read-only
-// once taken, so any number of Systems may restore it concurrently.
+// lines in recency order, the non-zero block-table entries and the
+// writeback count. It is read-only once taken, so any number of Systems
+// may restore it concurrently.
 type Snapshot struct {
 	cfg        Config
 	caches     []*cache.Snapshot
@@ -514,7 +518,7 @@ type blockEntry struct {
 // from.
 func (snap *Snapshot) Config() Config { return snap.cfg }
 
-// Snapshot copies s's state. Its cost follows the cache sets filled and
+// Snapshot copies s's state. Its cost follows the cache pages filled and
 // the block-table pages installed since NewSystem or the last Reset.
 func (s *System) Snapshot() *Snapshot {
 	snap := &Snapshot{cfg: s.cfg, caches: make([]*cache.Snapshot, len(s.caches)), writebacks: s.writebacks}

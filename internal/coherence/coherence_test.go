@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"destset/internal/cache"
+	"destset/internal/memtest"
 	"destset/internal/nodeset"
 	"destset/internal/trace"
 )
@@ -366,11 +368,37 @@ func TestBlockTableIsSparse(t *testing.T) {
 	}
 }
 
+// A new System allocates its block-table directory for region 0 and
+// each cache's page table, not its caches' lines: 25.5 MB while every
+// 4 MB L2 was a dense array of lines.
+func TestNewSystemBytes(t *testing.T) {
+	var sink *System
+	got, _ := memtest.PerRun(3, func() { sink = NewSystem(DefaultConfig()) })
+	if got >= 1<<20 {
+		t.Errorf("NewSystem(DefaultConfig()) allocated %.2f MB, want under 1 MB", got/(1<<20))
+	}
+	_ = sink
+}
+
 func TestHomeInterleaving(t *testing.T) {
 	s := NewSystem(testConfig())
 	for a := trace.Addr(0); a < 16; a++ {
 		if got, want := s.Home(a), nodeset.NodeID(a%4); got != want {
 			t.Errorf("Home(%d) = %d, want %d", a, got, want)
+		}
+	}
+}
+
+// HomeOf masks power-of-two node counts and divides the others; both
+// must agree with the modulus.
+func TestHomeOfMatchesModulus(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for nodes := 1; nodes <= nodeset.MaxNodes; nodes++ {
+		for i := 0; i < 1000; i++ {
+			a := trace.Addr(rng.Uint64() >> uint(rng.Intn(64)))
+			if got, want := HomeOf(a, nodes), nodeset.NodeID(uint64(a)%uint64(nodes)); got != want {
+				t.Fatalf("HomeOf(%#x, %d) = %d, want %d", uint64(a), nodes, got, want)
+			}
 		}
 	}
 }

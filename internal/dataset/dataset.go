@@ -80,8 +80,9 @@ type Dataset struct {
 	// blockStats is the compact snapshot of the oracle's per-block
 	// touched-set and miss counters after the whole run, in address
 	// order. Keeping the snapshot instead of the live coherence.System
-	// releases the oracle's dense block table and all sixteen modelled
-	// L2 caches — tens of megabytes per workload — to the GC.
+	// releases the oracle's block-table pages and the filled pages of
+	// its sixteen modelled L2 caches — megabytes per workload — to the
+	// GC.
 	//
 	// Disk loads whose columns alias the file buffer defer the snapshot:
 	// statsRaw aliases the on-file stats region and blockStats is decoded

@@ -193,34 +193,43 @@ func openWALState(dir string) (st *walState, tbl *leaseTable, events []walEvent,
 	return st, tbl, events, nil
 }
 
-// readWAL loads a log's lease table and events. A torn final event is
-// dropped (crash mid-append); anything else that fails validation —
-// a missing or torn table included, since the table is written
-// atomically — is ErrStateCorrupt. os.ErrNotExist passes through so
-// callers can tell a fresh dir from damage.
+// readWAL loads a log's lease table and events (decodeWAL). os.ErrNotExist
+// passes through so callers can tell a fresh dir from damage.
 func readWAL(path string) (*leaseTable, []walEvent, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(raw) < len(walMagic) || [8]byte(raw[:8]) != walMagic {
-		return nil, nil, fmt.Errorf("%w: %s is not a lease log of this version", ErrStateCorrupt, path)
-	}
-	frames, err := readFrames(raw[len(walMagic):])
+	tbl, events, err := decodeWAL(raw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return tbl, events, nil
+}
+
+// decodeWAL decodes a log's bytes into its lease table and events. A
+// torn final event is dropped (crash mid-append); anything else that
+// fails validation — a missing or torn table included, since the table
+// is written atomically — is ErrStateCorrupt.
+func decodeWAL(raw []byte) (*leaseTable, []walEvent, error) {
+	if len(raw) < len(walMagic) || [8]byte(raw[:8]) != walMagic {
+		return nil, nil, fmt.Errorf("%w: not a lease log of this version", ErrStateCorrupt)
+	}
+	frames, err := readFrames(raw[len(walMagic):])
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(frames) == 0 {
-		return nil, nil, fmt.Errorf("%w: %s holds no lease table", ErrStateCorrupt, path)
+		return nil, nil, fmt.Errorf("%w: no lease table", ErrStateCorrupt)
 	}
 	var tbl leaseTable
 	if err := json.Unmarshal(frames[0], &tbl); err != nil {
-		return nil, nil, fmt.Errorf("%s: lease table: %w (%v)", path, ErrStateCorrupt, err)
+		return nil, nil, fmt.Errorf("lease table: %w (%v)", ErrStateCorrupt, err)
 	}
 	events := make([]walEvent, len(frames)-1)
 	for i, frame := range frames[1:] {
 		if err := json.Unmarshal(frame, &events[i]); err != nil {
-			return nil, nil, fmt.Errorf("%s: event %d: %w (%v)", path, i, ErrStateCorrupt, err)
+			return nil, nil, fmt.Errorf("event %d: %w (%v)", i, ErrStateCorrupt, err)
 		}
 	}
 	return &tbl, events, nil

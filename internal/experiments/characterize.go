@@ -46,9 +46,10 @@ var LocalityCurvePoints = []int{0, 100, 250, 500, 1000, 2000, 4000, 6000, 8000, 
 
 // Characterize runs the §2 analysis for every selected workload,
 // producing the data behind Table 2 and Figures 2-4. It reads the
-// workloads' datasets from the shared store, fanning any still-missing
-// generations over a worker pool (each dataset is an independent seeded
-// generator, so the output is identical at any parallelism).
+// workloads' datasets from the shared store and scans each on a worker
+// pool, which also runs any still-missing generations (each dataset is
+// an independent seeded generator, scanned alone into its own slot, so
+// the output is identical at any parallelism).
 func Characterize(opt Options) ([]Characterization, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -57,17 +58,17 @@ func Characterize(opt Options) ([]Characterization, error) {
 	if err != nil {
 		return nil, err
 	}
-	datasets := make([]*dataset.Dataset, len(params))
-	err = sweep.ForEach(context.Background(), len(params), opt.Parallelism, func(i int) (err error) {
-		datasets[i], err = dataset.GetShared(params[i], opt.WarmMisses, opt.Misses)
-		return err
+	out := make([]Characterization, len(params))
+	err = sweep.ForEach(context.Background(), len(params), opt.Parallelism, func(i int) error {
+		d, err := dataset.GetShared(params[i], opt.WarmMisses, opt.Misses)
+		if err != nil {
+			return err
+		}
+		out[i] = characterizeDataset(d)
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]Characterization, 0, len(datasets))
-	for _, d := range datasets {
-		out = append(out, characterizeDataset(d))
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +83,25 @@ func (c Characterization) Workload2StaticPool() int {
 		return 1 << 30
 	}
 	return p.StaticPCs
+}
+
+// Each dataset is characterized on its own worker into its own slot, so
+// any parallelism returns the same results in workload order.
+func TestCharacterizeIsParallelismInvariant(t *testing.T) {
+	opt := quick(t)
+	opt.WarmMisses, opt.Misses = 2000, 4000
+	var runs [][]Characterization
+	for _, par := range []int{1, 4} {
+		opt.Parallelism = par
+		cs, err := Characterize(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, cs)
+	}
+	if len(runs[0]) != 6 || !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("parallelism 1 and 4 differ:\n%+v\n%+v", runs[0], runs[1])
+	}
 }
 
 func TestCharacterizeMPKIMatchesPreset(t *testing.T) {

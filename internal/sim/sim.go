@@ -41,7 +41,8 @@
 // observed, and every later run restores the snapshot and trains its
 // predictors from the recorded MissInfo instead of replaying. A sweep
 // also hands its runs oracles from a free list (Oracles), so a run
-// resets a reused oracle instead of zeroing sixteen new 4 MB caches.
+// resets a reused oracle, whose caches keep the pages of sets earlier
+// runs filled, instead of building a new one.
 package sim
 
 import (

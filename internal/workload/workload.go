@@ -173,6 +173,9 @@ func (p Params) Validate() error {
 	if p.Nodes < 2 || p.Nodes > nodeset.MaxNodes {
 		return fmt.Errorf("workload %q: bad node count %d", p.Name, p.Nodes)
 	}
+	if err := p.validateL2(); err != nil {
+		return err
+	}
 	kinds := 0
 	if p.Import.Enabled() {
 		kinds++
@@ -203,6 +206,25 @@ func (p Params) Validate() error {
 		return p.validateTenantMix()
 	}
 	return p.validateGenerated()
+}
+
+// validateL2 checks an explicit L2 override, which builds the oracle of
+// a generated or composed workload: it must have the workload's node
+// count and a cache geometry cache.New accepts.
+func (p Params) validateL2() error {
+	if p.L2 == (coherence.Config{}) {
+		return nil
+	}
+	l2 := p.L2.L2
+	switch {
+	case p.L2.Nodes != p.Nodes:
+		return fmt.Errorf("workload %q: L2 override has %d nodes, workload has %d", p.Name, p.L2.Nodes, p.Nodes)
+	case l2.SizeBytes <= 0 || l2.Ways <= 0 || l2.BlockBytes <= 0:
+		return fmt.Errorf("workload %q: L2 geometry %+v needs a positive size, ways and block size", p.Name, l2)
+	case l2.Sets()&(l2.Sets()-1) != 0:
+		return fmt.Errorf("workload %q: L2 set count %d is not a power of two", p.Name, l2.Sets())
+	}
+	return nil
 }
 
 // validateImported checks the fields an ingested trace carries.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"destset"
+	"destset/internal/coherence"
 	"destset/internal/workload"
 )
 
@@ -331,6 +332,38 @@ func TestSweepDefRefusesInvalidComposedParams(t *testing.T) {
 			def := destset.NewTraceSweepDef(engines, []destset.WorkloadSpec{{Params: &p}})
 			if err := def.Validate(); err == nil {
 				t.Error("Validate accepted invalid composed params")
+			}
+		})
+	}
+}
+
+// TestMalformedL2IsRefused: an L2 override that would build no oracle is
+// an error naming the workload, from Validate and from a sweep's Run,
+// instead of a panic in the sweep worker that generates its dataset.
+func TestMalformedL2IsRefused(t *testing.T) {
+	engines := []destset.EngineSpec{{Protocol: destset.ProtocolSnooping}}
+	for name, mutate := range map[string]func(*destset.WorkloadParams){
+		"set count not a power of two": func(p *destset.WorkloadParams) { p.L2.L2.SizeBytes = 3000 },
+		"zero ways":                    func(p *destset.WorkloadParams) { p.L2.L2.Ways = 0 },
+		"other node count":             func(p *destset.WorkloadParams) { p.L2.Nodes = 4 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p, err := destset.NewWorkload("oltp", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.L2 = coherence.DefaultConfig()
+			mutate(&p)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), `"oltp"`) {
+				t.Errorf("Validate = %v, want an error naming the workload", err)
+			}
+			def := destset.NewTraceSweepDef(engines, []destset.WorkloadSpec{{Params: &p, Warm: 1000, Measure: 1000}})
+			r, err := def.Runner()
+			if err == nil {
+				_, err = r.Run(context.Background())
+			}
+			if err == nil || !strings.Contains(err.Error(), `"oltp"`) {
+				t.Errorf("sweep = %v, want an error naming the workload", err)
 			}
 		})
 	}
