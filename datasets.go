@@ -51,19 +51,3 @@ func PurgeDatasets() int { return dataset.Shared.Purge() }
 // many were removed; it is a no-op without a configured directory. Memory-tier residents are unaffected, so a
 // process can clear stale disk space without giving up its warm cache.
 func PurgeDatasetDir() (int, error) { return dataset.Shared.PurgeDir() }
-
-// SetDatasetCacheLimit caps the shared dataset store's resident
-// memory-tier bytes; 0 restores the default (unbounded). Over-limit
-// inserts evict the least-recently-used datasets, which transparently
-// reload from the disk tier (or regenerate) on next use.
-func SetDatasetCacheLimit(bytes int64) { dataset.Shared.SetLimit(bytes) }
-
-// SetDatasetMmap enables or disables the shared store's mmap disk path.
-// It is on by default where the platform supports it: disk loads map
-// the file and alias the columns zero-copy, so cold-start residency is
-// proportional to the region actually replayed and co-located processes
-// share one page-cache copy. Platforms without mmap (or big-endian
-// hosts) use the ReadFile copy path regardless of this setting.
-// DatasetCacheStats reports the mapped footprint (MappedBytes) and
-// mmap-served disk hits (MapHits).
-func SetDatasetMmap(on bool) { dataset.Shared.SetMmap(on) }

@@ -106,12 +106,6 @@ type (
 	External = predictor.External
 	// Retry is the insufficient-prediction training event.
 	Retry = predictor.Retry
-	// ClonePredictor is the optional interface predictors implement to
-	// produce fresh, untrained copies of themselves. Engines wrapping a
-	// caller-owned bank (NewMulticastEngine,
-	// NewPredictiveDirectoryEngine) use it to give Reset and Clone full
-	// lifecycle fidelity; all built-in policies implement it.
-	ClonePredictor = predictor.Cloner
 )
 
 // Prediction policies (the paper's Table 3 plus reference policies).

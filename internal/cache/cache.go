@@ -87,6 +87,19 @@ type Config struct {
 // L2Default is the paper's Table 4 L2 configuration: 4 MB, 4-way, 64 B.
 var L2Default = Config{SizeBytes: 4 << 20, Ways: 4, BlockBytes: trace.BlockBytes}
 
+// Validate reports why New cannot build c, or nil when it can: the
+// size, ways and block size must be positive and the set count a power
+// of two.
+func (c Config) Validate() error {
+	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockBytes <= 0 {
+		return fmt.Errorf("cache: geometry %+v needs a positive size, ways and block size", c)
+	}
+	if n := c.Sets(); n&(n-1) != 0 {
+		return fmt.Errorf("cache: set count %d is not a power of two", n)
+	}
+	return nil
+}
+
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int {
 	s := c.SizeBytes / (c.Ways * c.BlockBytes)
@@ -133,15 +146,14 @@ type Cache struct {
 	misses, hits uint64
 }
 
-// New returns an empty cache with the given geometry. The set count must be
-// a power of two (true for all realistic configurations; New panics
-// otherwise to catch sizing bugs early). It allocates only the page
-// table: 4 bytes per page of sets.
+// New returns an empty cache with the given geometry; it panics on a
+// geometry Validate rejects. It allocates only the page table: 4 bytes
+// per page of sets.
 func New(cfg Config) *Cache {
-	n := cfg.Sets()
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d is not a power of two", n))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
+	n := cfg.Sets()
 	return &Cache{
 		cfg:   cfg,
 		mask:  uint64(n - 1),

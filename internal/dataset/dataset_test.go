@@ -147,7 +147,7 @@ func TestReplayersAreIndependent(t *testing.T) {
 }
 
 // TestStoreSingleflight hammers one key from many goroutines and counts
-// generations.
+// generations; a Purge then empties the memory tier.
 func TestStoreSingleflight(t *testing.T) {
 	s := NewStore()
 	p := testParams(t, 4)
@@ -185,6 +185,12 @@ func TestStoreSingleflight(t *testing.T) {
 	if st := s.Stats(); st.Datasets != 1 || st.Bytes <= 0 || st.MemHits+st.MemMisses != 16 {
 		t.Errorf("stats = %+v", st)
 	}
+	if n := s.Purge(); n != 1 {
+		t.Errorf("Purge dropped %d datasets, want 1", n)
+	}
+	if st := s.Stats(); st.Datasets != 0 || st.Bytes != 0 {
+		t.Errorf("after purge: %d datasets, %d bytes", st.Datasets, st.Bytes)
+	}
 }
 
 // TestStoreErrorsAreNotCached verifies a failed generation retries.
@@ -207,43 +213,6 @@ func TestStoreErrorsAreNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("generator ran %d times, want 2", calls)
-	}
-}
-
-// TestStoreLimitEvictsLRU fills a store past its byte limit and checks
-// the least-recently-used dataset goes first.
-func TestStoreLimitEvictsLRU(t *testing.T) {
-	s := NewStore()
-	mk := func(seed uint64) (Key, func() (*Dataset, error)) {
-		p := testParams(t, seed)
-		return KeyOf(p, 100, 100), func() (*Dataset, error) { return Generate(p, 100, 100) }
-	}
-	k1, g1 := mk(1)
-	k2, g2 := mk(2)
-	d1, err := s.Get(k1, g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetLimit(d1.Bytes() + d1.Bytes()/2) // room for ~1.5 datasets
-	if _, err := s.Get(k2, g2); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Datasets != 1 {
-		t.Fatalf("after over-limit insert: %d datasets resident, want 1", st.Datasets)
-	}
-	// k1 was evicted; getting it again regenerates (a store miss).
-	regen := 0
-	if _, err := s.Get(k1, func() (*Dataset, error) { regen++; return Generate(testParams(t, 1), 100, 100) }); err != nil {
-		t.Fatal(err)
-	}
-	if regen != 1 {
-		t.Errorf("evicted key regenerated %d times, want 1", regen)
-	}
-	if s.Purge() == 0 {
-		t.Error("Purge dropped nothing")
-	}
-	if st := s.Stats(); st.Datasets != 0 || st.Bytes != 0 {
-		t.Errorf("after purge: %d datasets, %d bytes", st.Datasets, st.Bytes)
 	}
 }
 

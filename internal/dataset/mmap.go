@@ -12,12 +12,12 @@ package dataset
 //
 // Lifecycle is the delicate part: column slices alias the mapping, and
 // the Go runtime knows nothing about mapped memory, so unmapping while
-// any view is live would fault. Every mapping is therefore refcounted,
-// the Dataset holds the reference, and every view type (Region,
-// Replayer, the materialized legacy traces) pins the Dataset, as do the
-// columns Replayer.Take hands out, which point into the cursor. The
-// reference is released by a GC cleanup when the Dataset becomes
-// unreachable — which, by construction, is after the last view is gone.
+// any view is live would fault. Every mapping is therefore owned by the
+// one Dataset decoded from it, and every view type (Region, Replayer,
+// the materialized legacy traces) pins the Dataset, as do the columns
+// Replayer.Take hands out, which point into the cursor. A GC cleanup
+// unmaps the region when the Dataset becomes unreachable — which, by
+// construction, is after the last view is gone.
 // Store purges and in-place heals remove or rename over the *file*;
 // POSIX keeps established mappings valid across both, so a replay that
 // spans a purge never notices.
@@ -28,7 +28,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sync/atomic"
 )
 
 // errMmapUnsupported tells the store to fall back to the ReadFile copy
@@ -37,24 +36,17 @@ import (
 // refused this particular file (some filesystems do).
 var errMmapUnsupported = errors.New("dataset: mmap unavailable")
 
-// mapping is one refcounted mmap region. The initial reference belongs
-// to the Dataset decoded from it and is dropped by a runtime cleanup
-// when the Dataset is collected; the last release unmaps and reports
-// the freed bytes through onUnmap (the owning store's accounting).
+// mapping is one mmap region, owned by the Dataset decoded from it. A
+// runtime cleanup releases it when the Dataset is collected.
 type mapping struct {
 	data    []byte
-	refs    atomic.Int32
 	onUnmap func(int64)
 }
 
-func (m *mapping) retain() { m.refs.Add(1) }
-
-// release drops one reference, unmapping on the last. Safe to call from
-// the runtime's cleanup goroutine.
+// release unmaps the region and reports the freed bytes through onUnmap
+// (the owning store's accounting). It runs once per mapping, and is safe
+// to call from the runtime's cleanup goroutine.
 func (m *mapping) release() {
-	if m.refs.Add(-1) != 0 {
-		return
-	}
 	size := int64(len(m.data))
 	_ = munmapBytes(m.data)
 	m.data = nil
@@ -68,7 +60,7 @@ func (m *mapping) release() {
 // store verifies a key's file once and trusts it afterwards (content
 // addresses make rewrites byte-identical, so the trust is sound). The
 // returned dataset's columns alias the mapping zero-copy; onUnmap fires
-// once, when the mapping is finally released. Returns
+// once, when the dataset is collected and the mapping released. Returns
 // errMmapUnsupported when the caller should fall back to the copy path,
 // any other error for a genuinely unreadable or invalid file.
 func openMapped(path string, verifyCRC bool, onUnmap func(int64)) (*Dataset, int64, error) {
@@ -96,7 +88,6 @@ func openMapped(path string, verifyCRC bool, onUnmap func(int64)) (*Dataset, int
 		return nil, 0, fmt.Errorf("%w (%v)", errMmapUnsupported, err)
 	}
 	mp := &mapping{data: data, onUnmap: onUnmap}
-	mp.refs.Store(1)
 	ds, err := decode(data, verifyCRC)
 	if err != nil {
 		// Nothing ever observed this mapping: unmap directly, without

@@ -38,14 +38,14 @@ func KeyOf(p workload.Params, warm, measure int) Key {
 // Store memoizes datasets by key. The zero value is not ready; use
 // NewStore. All methods are safe for concurrent use.
 //
-// A store is a tier.Cache: a memory tier with an LRU byte limit and one
-// generation per key, and, when a dataset directory is configured
-// (SetDir), a content-addressed disk tier behind it: memory misses first
-// probe dir/<Key.Name()> and load the columns zero-copy (disk.go) before
-// falling back to generation, and every generated dataset is spilled to
-// the directory so later — and cold — processes skip generation
-// entirely. Evicting or purging the memory tier never touches disk
-// entries; they stay valid and reloadable.
+// A store is a tier.Cache: a memory tier that holds every dataset it
+// loads until Purge, with one generation per key, and, when a dataset
+// directory is configured (SetDir), a content-addressed disk tier behind
+// it: memory misses first probe dir/<Key.Name()> and load the columns
+// zero-copy (disk.go) before falling back to generation, and every
+// generated dataset is spilled to the directory so later — and cold —
+// processes skip generation entirely. Purging the memory tier never
+// touches disk entries; they stay valid and reloadable.
 type Store struct {
 	c *tier.Cache[Key, *Dataset]
 
@@ -93,8 +93,8 @@ type Stats struct {
 	SpillErrors uint64
 }
 
-// NewStore returns an empty store with no size limit. The mmap disk
-// path is on by default wherever the platform supports it.
+// NewStore returns an empty store. The mmap disk path is on by default
+// wherever the platform supports it.
 func NewStore() *Store {
 	s := &Store{mmap: mmapSupported && hostLittle, verified: make(map[Key]bool)}
 	s.c = tier.New(tier.Codec[Key, *Dataset]{
@@ -111,12 +111,6 @@ func NewStore() *Store {
 // use, so repeated sweeps — even across independent Runner instances —
 // generate each (workload, seed, scale) trace once per process.
 var Shared = NewStore()
-
-// SetLimit caps the store's resident dataset bytes; 0 (the default)
-// means unbounded. When an insert pushes the total over the limit the
-// least-recently-used datasets are evicted (never the one being
-// inserted). Evicted keys regenerate on next use.
-func (s *Store) SetLimit(bytes int64) { s.c.SetLimit(bytes) }
 
 // SetDir configures the on-disk dataset tier rooted at dir (created if
 // missing); an empty dir disables the tier. Changing the directory does

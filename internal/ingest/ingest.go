@@ -10,7 +10,7 @@
 // workloads get and accumulates the same whole-run block statistics.
 // The result lands in the columnar dataset format (internal/dataset),
 // so an imported trace flows through the dataset store, sharding, the
-// result store and the p2p dataset fabric exactly like a generated one.
+// result store and distributed sweeps exactly like a generated one.
 //
 // Identity: the imported workload's Params carry the format, a SHA-256
 // of the raw input bytes, and the record count. The dataset store's
@@ -188,9 +188,10 @@ func splitLine(lineNo int, f Format, line string) (fields []string, skip bool) {
 			fields[i] = strings.TrimSpace(fields[i])
 		}
 		// A leading header line ("addr,cpu,op,...") is tolerated so our
-		// own exports round-trip.
+		// own exports round-trip: line 1 is a header when its first field
+		// is not an address.
 		if lineNo == 1 {
-			if _, err := strconv.ParseUint(fields[0], 0, 64); err != nil {
+			if _, err := parseAddr(fields[0]); err != nil {
 				return nil, true
 			}
 		}

@@ -152,6 +152,11 @@ func TestImportDefaultsAndDialects(t *testing.T) {
 	if ds.Params().Nodes != 2 {
 		t.Errorf("nodes = %d, want clamp to 2", ds.Params().Nodes)
 	}
+	// A first line whose address is bare hex is a record, not a header.
+	bare := importString(t, "deadbeef,0,r\n1000,1,w\n2000,2,r\n", FormatCSV, Options{})
+	if bare.Len() != 3 || bare.RecordAt(0).Addr != 0xdeadbeef/trace.BlockBytes {
+		t.Errorf("bare-hex first line: %d records, record 0 = %+v", bare.Len(), bare.RecordAt(0))
+	}
 }
 
 func TestImportErrors(t *testing.T) {

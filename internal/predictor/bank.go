@@ -88,8 +88,6 @@ func newMembers[E any](cfg Config, n int, wrap func(member[E]) Predictor) []Pred
 
 func (m member[E]) Name() string { return m.bank.cfg.Name() }
 
-func (m member[E]) CloneFresh() Predictor { return New(m.bank.cfg) }
-
 func (m member[E]) config() Config { return m.bank.cfg }
 
 func (m member[E]) whole(preds []Predictor) bool {

@@ -8,17 +8,13 @@ type wrapped struct{ Predictor }
 
 // TestStepOfOnlyWholeTableBanks: StepOf finds the bank step exactly for
 // a bank NewBank built with a finite table policy, whole and in node
-// order, and CloneBank keeps it; every other bank takes the per-node
-// path.
+// order; every other bank takes the per-node path.
 func TestStepOfOnlyWholeTableBanks(t *testing.T) {
 	for _, pol := range []Policy{Owner, BroadcastIfShared, Group, OwnerGroup} {
 		cfg := DefaultConfig(pol, 16)
 		bank := NewBank(cfg)
 		if StepOf(bank) == nil {
 			t.Errorf("%v: a NewBank bank has no step", pol)
-		}
-		if fresh, ok := CloneBank(bank); !ok || StepOf(fresh) == nil {
-			t.Errorf("%v: CloneBank lost the step", pol)
 		}
 		standalone := make([]Predictor, 16)
 		for i := range standalone {

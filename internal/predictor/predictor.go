@@ -105,37 +105,6 @@ type Predictor interface {
 	Name() string
 }
 
-// Cloner is an optional Predictor extension: CloneFresh returns a new
-// predictor with the same configuration and no training state. Protocol
-// engines wrapping caller-owned predictor banks use it to give Reset and
-// Clone full lifecycle fidelity — without it they can only clear
-// accounting, not training. Every built-in policy implements it;
-// registered custom predictors may.
-type Cloner interface {
-	CloneFresh() Predictor
-}
-
-// CloneBank returns a fresh, untrained copy of a predictor bank, or
-// false if any member does not implement Cloner. A whole bank from
-// NewBank is rebuilt as one, so the copy keeps its layout and its step
-// (StepOf).
-func CloneBank(preds []Predictor) ([]Predictor, bool) {
-	if len(preds) > 0 {
-		if m, ok := preds[0].(tableMember); ok && m.whole(preds) {
-			return newBank(m.config(), len(preds)), true
-		}
-	}
-	out := make([]Predictor, len(preds))
-	for i, p := range preds {
-		c, ok := p.(Cloner)
-		if !ok {
-			return nil, false
-		}
-		out[i] = c.CloneFresh()
-	}
-	return out, true
-}
-
 // Policy selects a prediction policy.
 type Policy uint8
 

@@ -12,7 +12,6 @@ func (minimalPredictor) TrainResponse(Response)      {}
 func (minimalPredictor) TrainRequest(External)       {}
 func (minimalPredictor) TrainRetry(Retry)            {}
 func (minimalPredictor) Name() string                { return "Minimal" }
-func (minimalPredictor) CloneFresh() Predictor       { return minimalPredictor{} }
 
 // broadcastPredictor always predicts all nodes, degenerating multicast
 // snooping into broadcast snooping.
@@ -25,7 +24,6 @@ func (broadcastPredictor) TrainResponse(Response)      {}
 func (broadcastPredictor) TrainRequest(External)       {}
 func (broadcastPredictor) TrainRetry(Retry)            {}
 func (broadcastPredictor) Name() string                { return "Broadcast" }
-func (p broadcastPredictor) CloneFresh() Predictor     { return broadcastPredictor{nodes: p.nodes} }
 
 // oraclePredictor predicts exactly the needed destination set, which the
 // harness supplies before each Predict call. It bounds how well any
@@ -44,7 +42,6 @@ func (*oraclePredictor) TrainResponse(Response) {}
 func (*oraclePredictor) TrainRequest(External)  {}
 func (*oraclePredictor) TrainRetry(Retry)       {}
 func (*oraclePredictor) Name() string           { return "Oracle" }
-func (*oraclePredictor) CloneFresh() Predictor  { return &oraclePredictor{} }
 
 // OracleSetter is implemented by predictors that need the true destination
 // set supplied before prediction (the Oracle reference policy).

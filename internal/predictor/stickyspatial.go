@@ -48,8 +48,6 @@ func newStickySpatial(cfg Config) *stickySpatialPredictor {
 
 func (p *stickySpatialPredictor) Name() string { return p.cfg.Name() }
 
-func (p *stickySpatialPredictor) CloneFresh() Predictor { return New(p.cfg) }
-
 func (p *stickySpatialPredictor) index(addr trace.Addr, pc trace.PC) uint64 {
 	return p.cfg.Indexing.Key(addr, pc) & p.mask
 }

@@ -22,10 +22,7 @@ import (
 // comparing the two hybrid styles on equal workloads.
 type PredictiveDirectory struct {
 	preds []predictor.Predictor
-	// newBank rebuilds the predictor bank for Reset/Clone; nil when the
-	// engine wraps a caller-owned bank.
-	newBank func() []predictor.Predictor
-	stats   PredictiveDirectoryStats
+	stats PredictiveDirectoryStats
 }
 
 // PredictiveDirectoryStats counts prediction outcomes.
@@ -50,47 +47,9 @@ func NewPredictiveDirectory(preds []predictor.Predictor) *PredictiveDirectory {
 	return &PredictiveDirectory{preds: preds}
 }
 
-// NewPredictiveDirectoryWithFactory builds the hybrid engine over a
-// predictor-bank factory, enabling full-fidelity Reset and independent
-// Clone: every call must return a fresh, untrained bank.
-func NewPredictiveDirectoryWithFactory(newBank func() []predictor.Predictor) *PredictiveDirectory {
-	if newBank == nil {
-		panic("protocol: nil predictor bank factory")
-	}
-	p := NewPredictiveDirectory(newBank())
-	p.newBank = newBank
-	return p
-}
-
 // Name implements Engine.
 func (p *PredictiveDirectory) Name() string {
 	return "PredictiveDirectory+" + p.preds[0].Name()
-}
-
-// Reset implements Engine: outcome counters clear and the predictor
-// bank is replaced with a fresh, untrained one — via the factory when
-// one was provided, via predictor.Cloner otherwise. Only caller-owned
-// banks with non-cloneable members keep their training.
-func (p *PredictiveDirectory) Reset() {
-	p.stats = PredictiveDirectoryStats{}
-	if p.newBank != nil {
-		p.preds = p.newBank()
-	} else if fresh, ok := predictor.CloneBank(p.preds); ok {
-		p.preds = fresh
-	}
-}
-
-// Clone implements Engine. Factory-built and cloneable banks yield an
-// independent fresh bank; only non-cloneable caller-owned banks are
-// shared with the clone.
-func (p *PredictiveDirectory) Clone() Engine {
-	if p.newBank != nil {
-		return NewPredictiveDirectoryWithFactory(p.newBank)
-	}
-	if fresh, ok := predictor.CloneBank(p.preds); ok {
-		return NewPredictiveDirectory(fresh)
-	}
-	return NewPredictiveDirectory(p.preds)
 }
 
 // Stats returns prediction-outcome counters.

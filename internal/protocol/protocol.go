@@ -65,27 +65,15 @@ type Result struct {
 // Bytes returns the traffic of this miss in bytes.
 func (r Result) Bytes() int { return r.RequestMsgs*ControlBytes + r.DataMsgs*DataBytes }
 
-// Engine processes misses in interconnect order.
+// Engine processes misses in interconnect order. A sweep cell builds
+// its engine fresh, calling the engine's registered factory once, and
+// the engine keeps what it learns for as long as it is fed.
 type Engine interface {
 	// Process accounts one miss. mi must be the coherence oracle's
 	// annotation for rec.
 	Process(rec trace.Record, mi coherence.MissInfo) Result
 	// Name identifies the protocol (and predictor, if any) in reports.
 	Name() string
-	// Reset restores the engine to its freshly-constructed state so it
-	// can be reused for another run. Engines wrapping a caller-owned
-	// predictor bank (NewMulticast, NewPredictiveDirectory) rebuild the
-	// bank fresh when every member implements predictor.Cloner — all
-	// built-in policies do; otherwise they clear accounting counters
-	// but keep the bank's training. The *WithFactory constructors (and
-	// the engine registry) always reset with full fidelity.
-	Reset()
-	// Clone returns an engine with the same configuration and no
-	// accumulated accounting state. Factory-built engines clone with a
-	// fresh, untrained predictor bank, as do bank-wrapping engines whose
-	// members all implement predictor.Cloner; only banks with
-	// non-cloneable custom predictors are shared with clones.
-	Clone() Engine
 }
 
 // dataMsgs returns how many data responses a miss by req produces: none
@@ -146,12 +134,6 @@ func NewSnooping(n int) *Snooping { return &Snooping{nodes: n} }
 // Name implements Engine.
 func (s *Snooping) Name() string { return "Broadcast Snooping" }
 
-// Reset implements Engine; broadcast snooping is stateless.
-func (s *Snooping) Reset() {}
-
-// Clone implements Engine.
-func (s *Snooping) Clone() Engine { return NewSnooping(s.nodes) }
-
 // Process implements Engine. A broadcast is always sufficient: the owner
 // and all sharers observe every request, so no miss ever indirects.
 func (s *Snooping) Process(rec trace.Record, mi coherence.MissInfo) Result {
@@ -187,13 +169,6 @@ func NewDirectory() *Directory { return &Directory{} }
 
 // Name implements Engine.
 func (d *Directory) Name() string { return "Directory" }
-
-// Reset implements Engine; the directory engine is stateless (directory
-// state lives in the coherence oracle's annotations).
-func (d *Directory) Reset() {}
-
-// Clone implements Engine.
-func (d *Directory) Clone() Engine { return NewDirectory() }
 
 // Process implements Engine.
 func (d *Directory) Process(rec trace.Record, mi coherence.MissInfo) Result {
@@ -267,9 +242,6 @@ type Multicast struct {
 	// predictor.StepOf(preds), both decided once per bank.
 	oracles []predictor.OracleSetter
 	step    predictor.Step
-	// newBank rebuilds the predictor bank for Reset/Clone; nil when the
-	// engine wraps a caller-owned bank.
-	newBank func() []predictor.Predictor
 	stats   MulticastStats
 }
 
@@ -291,60 +263,16 @@ func NewMulticast(preds []predictor.Predictor) *Multicast {
 	if len(preds) == 0 {
 		panic("protocol: multicast engine needs at least one predictor")
 	}
-	m := &Multicast{nodes: len(preds)}
-	m.setBank(preds)
-	return m
-}
-
-// setBank installs preds and decides, once per bank, which members take
-// the oracle's needed set and whether the bank step applies.
-func (m *Multicast) setBank(preds []predictor.Predictor) {
-	m.preds = preds
-	m.oracles = predictor.OracleSetters(preds)
-	m.step = predictor.StepOf(preds)
-}
-
-// NewMulticastWithFactory builds a multicast snooping engine whose
-// predictor bank comes from newBank, enabling full-fidelity Reset and
-// independent Clone: every call must return a fresh, untrained bank of
-// the same shape.
-func NewMulticastWithFactory(newBank func() []predictor.Predictor) *Multicast {
-	if newBank == nil {
-		panic("protocol: nil predictor bank factory")
+	return &Multicast{
+		nodes:   len(preds),
+		preds:   preds,
+		oracles: predictor.OracleSetters(preds),
+		step:    predictor.StepOf(preds),
 	}
-	m := NewMulticast(newBank())
-	m.newBank = newBank
-	return m
 }
 
 // Name implements Engine.
 func (m *Multicast) Name() string { return "Multicast+" + m.preds[0].Name() }
-
-// Reset implements Engine: accuracy counters clear and the predictor
-// bank is replaced with a fresh, untrained one — via the factory when
-// one was provided, via predictor.Cloner otherwise. Only caller-owned
-// banks with non-cloneable members keep their training.
-func (m *Multicast) Reset() {
-	m.stats = MulticastStats{}
-	if m.newBank != nil {
-		m.setBank(m.newBank())
-	} else if fresh, ok := predictor.CloneBank(m.preds); ok {
-		m.setBank(fresh)
-	}
-}
-
-// Clone implements Engine. Factory-built and cloneable banks yield an
-// independent fresh bank; only non-cloneable caller-owned banks are
-// shared with the clone.
-func (m *Multicast) Clone() Engine {
-	if m.newBank != nil {
-		return NewMulticastWithFactory(m.newBank)
-	}
-	if fresh, ok := predictor.CloneBank(m.preds); ok {
-		return NewMulticast(fresh)
-	}
-	return NewMulticast(m.preds)
-}
 
 // Stats returns the accumulated prediction-accuracy counters.
 func (m *Multicast) Stats() MulticastStats { return m.stats }

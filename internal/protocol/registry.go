@@ -21,18 +21,12 @@ const (
 	PredictiveDirectoryName = "predictive-directory"
 )
 
-// Spec carries what an engine factory needs to build one engine instance.
-type Spec struct {
-	// Nodes is the system size of the workload being evaluated.
-	Nodes int
-	// NewBank returns a fresh, untrained predictor bank (one predictor
-	// per node). It is nil when the caller configured no prediction
-	// policy; predictor-based engines must reject that.
-	NewBank func() []predictor.Predictor
-}
-
-// EngineFactory builds an engine from a Spec.
-type EngineFactory func(s Spec) (Engine, error)
+// EngineFactory builds one engine for a system of nodes. newBank
+// returns a fresh, untrained predictor bank (one predictor per node); it
+// is nil when the caller configured no prediction policy, and
+// predictor-based engines must reject that. Each call must return a new
+// engine.
+type EngineFactory func(nodes int, newBank func() []predictor.Predictor) (Engine, error)
 
 var engineRegistry = struct {
 	sync.RWMutex
@@ -79,14 +73,14 @@ func EngineNames() []string {
 }
 
 // NewByName builds an engine from a registered protocol name.
-func NewByName(name string, s Spec) (Engine, error) {
+func NewByName(name string, nodes int, newBank func() []predictor.Predictor) (Engine, error) {
 	engineRegistry.RLock()
 	f, ok := engineRegistry.m[strings.ToLower(strings.TrimSpace(name))]
 	engineRegistry.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("protocol: unknown engine %q (have %v)", name, EngineNames())
 	}
-	return f(s)
+	return f(nodes, newBank)
 }
 
 func init() {
@@ -95,25 +89,25 @@ func init() {
 			panic(err)
 		}
 	}
-	mustRegister(SnoopingName, func(s Spec) (Engine, error) {
-		if s.Nodes <= 0 {
+	mustRegister(SnoopingName, func(nodes int, _ func() []predictor.Predictor) (Engine, error) {
+		if nodes <= 0 {
 			return nil, fmt.Errorf("protocol: snooping engine needs a node count")
 		}
-		return NewSnooping(s.Nodes), nil
+		return NewSnooping(nodes), nil
 	})
-	mustRegister(DirectoryName, func(s Spec) (Engine, error) {
+	mustRegister(DirectoryName, func(int, func() []predictor.Predictor) (Engine, error) {
 		return NewDirectory(), nil
 	})
-	mustRegister(MulticastName, func(s Spec) (Engine, error) {
-		if s.NewBank == nil {
+	mustRegister(MulticastName, func(_ int, newBank func() []predictor.Predictor) (Engine, error) {
+		if newBank == nil {
 			return nil, fmt.Errorf("protocol: multicast engine needs a prediction policy")
 		}
-		return NewMulticastWithFactory(s.NewBank), nil
+		return NewMulticast(newBank()), nil
 	})
-	mustRegister(PredictiveDirectoryName, func(s Spec) (Engine, error) {
-		if s.NewBank == nil {
+	mustRegister(PredictiveDirectoryName, func(_ int, newBank func() []predictor.Predictor) (Engine, error) {
+		if newBank == nil {
 			return nil, fmt.Errorf("protocol: predictive-directory engine needs a prediction policy")
 		}
-		return NewPredictiveDirectoryWithFactory(s.NewBank), nil
+		return NewPredictiveDirectory(newBank()), nil
 	})
 }

@@ -200,26 +200,6 @@ func TestBankStepMatchesPerNode(t *testing.T) {
 	}
 }
 
-// TestBankStepSurvivesLifecycle: Reset and Clone rebuild a NewBank bank
-// whole, so the engine keeps its bank step.
-func TestBankStepSurvivesLifecycle(t *testing.T) {
-	eng := NewMulticast(predictor.NewBank(predictor.DefaultConfig(predictor.Group, 16)))
-	eng.Reset()
-	if eng.step == nil {
-		t.Error("Reset dropped the bank step")
-	}
-	if eng.Clone().(*Multicast).step == nil {
-		t.Error("Clone dropped the bank step")
-	}
-	factory := NewMulticastWithFactory(func() []predictor.Predictor {
-		return predictor.NewBank(predictor.DefaultConfig(predictor.Owner, 16))
-	})
-	factory.Reset()
-	if factory.step == nil || factory.Clone().(*Multicast).step == nil {
-		t.Error("a factory-built engine lost the bank step")
-	}
-}
-
 // FuzzBankStepMatchesPerNode runs compareStep on a configuration, an
 // access sequence and a chunk length decoded from the input. In data,
 // byte 0 picks the policy (low two bits) and the indexing (block, 256 B

@@ -7,9 +7,9 @@
 //
 // Both stores are instances of one shared tier (internal/tier), so this
 // package keeps only its record codec, its content address and its
-// Stores counter. The memory tier has an LRU byte limit; when a result
-// directory is configured (SetDir) an on-disk content-addressed tier
-// sits behind it: memory misses probe dir/<sha256(fingerprint)>.rslt
+// Stores counter. The memory tier holds every record until Purge; when
+// a result directory is configured (SetDir) an on-disk content-addressed
+// tier sits behind it: memory misses probe dir/<sha256(fingerprint)>.rslt
 // before reporting a miss, and every stored record is spilled to the
 // directory so later — and cold — processes skip the computation
 // entirely. Records are opaque payloads tagged with a kind; corruption,
@@ -68,7 +68,7 @@ type Stats struct {
 	SpillErrors uint64 `json:"spill_errors"`
 }
 
-// NewStore returns an empty store with no size limit.
+// NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{c: tier.New(tier.Codec[string, record]{
 		Ext:  ".rslt",
@@ -81,13 +81,6 @@ func NewStore() *Store {
 		Write: func(path, fp string, r record) error { return WriteFile(path, r.kind, fp, r.payload) },
 	})}
 }
-
-// SetLimit caps the store's resident record bytes; 0 (the default)
-// means unbounded. When an insert pushes the total over the limit the
-// least-recently-used records are evicted (never the one being
-// inserted). Evicted records reload from disk — or recompute — on next
-// use.
-func (s *Store) SetLimit(bytes int64) { s.c.SetLimit(bytes) }
 
 // SetDir configures the on-disk result tier rooted at dir (created if
 // missing); an empty dir disables the tier. Changing the directory

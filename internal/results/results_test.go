@@ -123,46 +123,6 @@ func TestStoreDiskTier(t *testing.T) {
 	}
 }
 
-// TestStoreLimit pins the LRU byte cap: inserts over the limit evict
-// the least-recently-used records (never the one being inserted), and
-// a touched record survives eviction over an untouched one.
-func TestStoreLimit(t *testing.T) {
-	s := NewStore()
-	s.SetLimit(30)
-	pay := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 10) }
-	s.Put("trace", "fp-0", pay(0))
-	s.Put("trace", "fp-1", pay(1))
-	s.Put("trace", "fp-2", pay(2))
-	if st := s.Stats(); st.Records != 3 || st.Bytes != 30 {
-		t.Fatalf("at the limit: %+v", st)
-	}
-	// Touch fp-0 so fp-1 is the LRU record, then push over the limit.
-	if _, _, ok := s.Get("fp-0"); !ok {
-		t.Fatal("fp-0 evicted early")
-	}
-	s.Put("trace", "fp-3", pay(3))
-	if _, _, ok := s.Get("fp-1"); ok {
-		t.Fatal("LRU record fp-1 survived an over-limit insert")
-	}
-	for _, fp := range []string{"fp-0", "fp-2", "fp-3"} {
-		if _, _, ok := s.Get(fp); !ok {
-			t.Fatalf("%s evicted, want fp-1 only", fp)
-		}
-	}
-	// A record alone exceeding the limit is kept rather than thrashed.
-	s.Put("trace", "fp-big", bytes.Repeat([]byte("x"), 100))
-	if _, _, ok := s.Get("fp-big"); !ok {
-		t.Fatal("oversized record not retained")
-	}
-	// Tightening the limit trims immediately; the thrash guard protects
-	// only the record being inserted, so shrinking below every resident
-	// record empties the tier.
-	s.SetLimit(1)
-	if st := s.Stats(); st.Records != 0 || st.Bytes != 0 {
-		t.Fatalf("SetLimit(1) left %d records (%d bytes) resident", st.Records, st.Bytes)
-	}
-}
-
 // TestStorePurgeDir drops the disk tier — including orphaned temp
 // files — without touching memory residents.
 func TestStorePurgeDir(t *testing.T) {
@@ -239,7 +199,6 @@ func TestStoreConcurrent(t *testing.T) {
 	if err := s.SetDir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	s.SetLimit(1 << 10)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

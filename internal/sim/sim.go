@@ -108,7 +108,7 @@ func (m CPUModel) String() string {
 // Config describes a timing simulation.
 type Config struct {
 	Protocol  Protocol
-	Predictor predictor.Config // used when Protocol == Multicast
+	Predictor predictor.Config // used when Protocol == Multicast; Nodes 0 inherits Nodes
 	CPU       CPUModel
 
 	// NewBank, when non-nil, overrides predictor-bank construction for
@@ -419,6 +419,11 @@ func (s *sim) finish(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
+// validate reports why cfg cannot run over warm and timed: a malformed
+// Config is refused here, naming the field, instead of panicking in a
+// constructor newSim calls. A multicast run builds its bank from
+// Predictor (unless NewBank is set), whose Nodes must be 0 or the
+// system's node count.
 func validate(cfg Config, warm *Warmup, timed Source) error {
 	switch {
 	case timed == nil || timed.Len() == 0:
@@ -435,6 +440,23 @@ func validate(cfg Config, warm *Warmup, timed Source) error {
 		return fmt.Errorf("sim: MSHRs and ROBWindow must be positive")
 	case cfg.MaxAttempts < 2:
 		return fmt.Errorf("sim: need at least 2 attempts (initial + broadcast)")
+	case cfg.Interconnect.Nodes < cfg.Nodes || cfg.Interconnect.Nodes > nodeset.MaxNodes:
+		return fmt.Errorf("sim: Interconnect.Nodes is %d, want %d..%d", cfg.Interconnect.Nodes, cfg.Nodes, nodeset.MaxNodes)
+	case !(cfg.Interconnect.BytesPerNs > 0):
+		return fmt.Errorf("sim: Interconnect.BytesPerNs is %v, want a positive bandwidth", cfg.Interconnect.BytesPerNs)
+	}
+	if err := cohConfig(cfg).L2.Validate(); err != nil {
+		return fmt.Errorf("sim: Coherence.L2: %w", err)
+	}
+	if cfg.Protocol == Multicast && cfg.NewBank == nil {
+		pc := cfg.Predictor
+		if pc.Nodes != 0 && pc.Nodes != cfg.Nodes {
+			return fmt.Errorf("sim: Predictor.Nodes is %d, but the system has %d nodes", pc.Nodes, cfg.Nodes)
+		}
+		pc.Nodes = cfg.Nodes
+		if err := pc.Validate(); err != nil {
+			return fmt.Errorf("sim: Predictor: %w", err)
+		}
 	}
 	return nil
 }

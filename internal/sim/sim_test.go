@@ -326,6 +326,47 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestMalformedConfigIsRefused: a Config that newSim would hand to a
+// constructor that panics, or whose predictor node count it would
+// overwrite, is refused with an error naming the field.
+func TestMalformedConfigIsRefused(t *testing.T) {
+	tr := mkTrace(trace.Record{Addr: 32, Requester: 1}, trace.Record{Addr: 32, Requester: 2, Kind: trace.GetExclusive})
+	cases := map[string]struct {
+		mutate func(*Config)
+		field  string
+	}{
+		"predictor entries 3":         {func(c *Config) { c.Predictor.Entries = 3 }, "Predictor"},
+		"unknown predictor policy":    {func(c *Config) { c.Predictor.Policy = 99 }, "Predictor"},
+		"unreachable group rollover":  {func(c *Config) { c.Predictor.GroupRollover = 1 << 40 }, "Predictor"},
+		"8-node predictor on 16":      {func(c *Config) { c.Predictor.Nodes = 8 }, "Predictor.Nodes"},
+		"3 MB L2":                     {func(c *Config) { c.Coherence.L2.SizeBytes = 3 << 20 }, "Coherence.L2"},
+		"L2 of no ways":               {func(c *Config) { c.Coherence.L2.Ways = 0 }, "Coherence.L2"},
+		"no link bandwidth":           {func(c *Config) { c.Interconnect.BytesPerNs = 0 }, "Interconnect.BytesPerNs"},
+		"8-node interconnect on 16":   {func(c *Config) { c.Interconnect.Nodes = 8 }, "Interconnect.Nodes"},
+		"interconnect over max nodes": {func(c *Config) { c.Interconnect.Nodes = 65 }, "Interconnect.Nodes"},
+	}
+	for name, tc := range cases {
+		cfg := DefaultConfig(Multicast)
+		tc.mutate(&cfg)
+		_, err := Run(cfg, nil, tr)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Run = %v, want an error naming %s", name, err, tc.field)
+		}
+	}
+	// A predictor node count of 0 inherits the system's, and a bank from
+	// NewBank is not built from Predictor at all.
+	inherit := DefaultConfig(Multicast)
+	inherit.Predictor.Nodes = 0
+	custom := DefaultConfig(Multicast)
+	custom.Predictor.Entries = 3
+	custom.NewBank = func() []predictor.Predictor { return predictor.NewBank(predictor.DefaultConfig(predictor.Owner, 16)) }
+	for name, cfg := range map[string]Config{"inherited nodes": inherit, "NewBank": custom} {
+		if _, err := Run(cfg, nil, tr); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestConfigNames(t *testing.T) {
 	if got := DefaultConfig(Snooping).Name(); got != "snooping" {
 		t.Errorf("Name = %q", got)

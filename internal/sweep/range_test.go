@@ -30,21 +30,20 @@ type nextOnly struct{ Stream }
 // over one that takes the per-node path, and PredictiveDirectory, which
 // takes ProcessRange's Process fallback.
 func rangeEngines() []Engine {
-	bank := func(pol predictor.Policy, nodes int) func() []predictor.Predictor {
-		cfg := predictor.DefaultConfig(pol, nodes)
-		return func() []predictor.Predictor { return predictor.NewBank(cfg) }
+	bank := func(pol predictor.Policy, nodes int) []predictor.Predictor {
+		return predictor.NewBank(predictor.DefaultConfig(pol, nodes))
 	}
 	return []Engine{
 		{Label: "snooping", New: func(nodes int) (protocol.Engine, error) { return protocol.NewSnooping(nodes), nil }},
 		{Label: "directory", New: func(int) (protocol.Engine, error) { return protocol.NewDirectory(), nil }},
 		{Label: "group", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewMulticastWithFactory(bank(predictor.Group, nodes)), nil
+			return protocol.NewMulticast(bank(predictor.Group, nodes)), nil
 		}},
 		{Label: "minimal", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewMulticastWithFactory(bank(predictor.Minimal, nodes)), nil
+			return protocol.NewMulticast(bank(predictor.Minimal, nodes)), nil
 		}},
 		{Label: "predictive-directory", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewPredictiveDirectoryWithFactory(bank(predictor.Owner, nodes)), nil
+			return protocol.NewPredictiveDirectory(bank(predictor.Owner, nodes)), nil
 		}},
 	}
 }

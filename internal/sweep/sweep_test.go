@@ -25,10 +25,7 @@ func testEngines() []Engine {
 			return protocol.NewDirectory(), nil
 		}},
 		{Label: "owner", New: func(nodes int) (protocol.Engine, error) {
-			cfg := predictor.DefaultConfig(predictor.Owner, nodes)
-			return protocol.NewMulticastWithFactory(func() []predictor.Predictor {
-				return predictor.NewBank(cfg)
-			}), nil
+			return protocol.NewMulticast(predictor.NewBank(predictor.DefaultConfig(predictor.Owner, nodes))), nil
 		}},
 	}
 }

@@ -4,20 +4,20 @@
 // Codec — how a value is named, sized, read and written — and keeping
 // its own extra counters.
 //
-// The memory tier is always present: an entry map with an LRU byte
-// limit and a once-per-key load, so concurrent callers of one key share
-// one disk read or computation. The limit charges each value its Size
-// once, when it becomes resident; values do not grow afterwards. When a
-// directory is configured (SetDir) a content-addressed directory tier
-// sits behind it: memory misses probe dir/<Name(key)> before falling
-// back to the caller's load, and every loaded or stored value is
-// spilled to the directory best-effort so later — and cold — processes
-// skip the load entirely. Evicting or purging the memory tier never
-// touches files; they stay valid and reloadable.
+// The memory tier is always present: an entry map that holds every
+// value it loads until Purge, with a once-per-key load, so concurrent
+// callers of one key share one disk read or computation. Its footprint
+// is each resident value's Size, taken once, when the value becomes
+// resident; values do not grow afterwards. When a directory is
+// configured (SetDir) a content-addressed directory tier sits behind
+// it: memory misses probe dir/<Name(key)> before falling back to the
+// caller's load, and every loaded or stored value is spilled to the
+// directory best-effort so later — and cold — processes skip the load
+// entirely. Purging the memory tier never touches files; they stay
+// valid and reloadable.
 package tier
 
 import (
-	"container/list"
 	"errors"
 	"os"
 	"path/filepath"
@@ -49,11 +49,11 @@ type Codec[K comparable, V any] struct {
 // but loads outside it: the first caller runs the load inside the
 // entry's once while later callers block on the same once.
 type entry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-	elem *list.Element // position in the LRU list; nil until resident
-	size int64         // the value's Size while resident
+	once     sync.Once
+	v        V
+	err      error
+	resident bool  // in the memory tier: loaded, and not purged or replaced
+	size     int64 // the value's Size while resident
 }
 
 // Stats are a cache's counters since it was made, plus its resident
@@ -76,29 +76,18 @@ type Stats struct {
 // Cache memoizes values by key in memory, with an optional directory
 // tier behind. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
-	codec   Codec[K, V]
-	mu      sync.Mutex
-	entries map[K]*entry[V]
-	lru     *list.List // of K, front = most recently used
-	bytes   int64
-	limit   int64
-	dir     string
-	stats   Stats
+	codec    Codec[K, V]
+	mu       sync.Mutex
+	entries  map[K]*entry[V]
+	resident int   // entries in the memory tier
+	bytes    int64 // their total Size
+	dir      string
+	stats    Stats
 }
 
-// New returns an empty cache with no size limit and no directory.
+// New returns an empty cache with no directory.
 func New[K comparable, V any](codec Codec[K, V]) *Cache[K, V] {
-	return &Cache[K, V]{codec: codec, entries: make(map[K]*entry[V]), lru: list.New()}
-}
-
-// SetLimit caps the resident bytes; 0 means unbounded. When the total
-// exceeds the limit the least-recently-used entries are evicted, never
-// the one just inserted.
-func (c *Cache[K, V]) SetLimit(bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.limit = bytes
-	c.trimLocked(nil)
+	return &Cache[K, V]{codec: codec, entries: make(map[K]*entry[V])}
 }
 
 // SetDir configures the directory tier rooted at dir (created if
@@ -128,7 +117,7 @@ func (c *Cache[K, V]) Contains(k K) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
-	return ok && e.elem != nil
+	return ok && e.resident
 }
 
 // Get returns k's value: from memory, else from the directory tier,
@@ -141,9 +130,6 @@ func (c *Cache[K, V]) Get(k K, load func() (V, error)) (V, error) {
 	e, ok := c.entries[k]
 	if ok {
 		c.stats.MemHits++
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
-		}
 	} else {
 		c.stats.MemMisses++
 		e = &entry[V]{}
@@ -222,51 +208,23 @@ func (c *Cache[K, V]) spill(k K, v V) {
 	}
 }
 
-// insertLocked makes e resident as k's most recently used entry and
-// trims to the limit. Callers hold c.mu.
+// insertLocked makes e resident as k's entry. Callers hold c.mu.
 func (c *Cache[K, V]) insertLocked(k K, e *entry[V]) {
 	c.entries[k] = e
-	e.elem = c.lru.PushFront(k)
+	e.resident = true
 	e.size = c.codec.Size(e.v)
+	c.resident++
 	c.bytes += e.size
-	c.trimLocked(e)
-}
-
-// trimLocked evicts LRU entries until the byte total fits the limit,
-// sparing keep (the entry just inserted). Callers hold c.mu.
-func (c *Cache[K, V]) trimLocked(keep *entry[V]) {
-	if c.limit <= 0 {
-		return
-	}
-	for c.bytes > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		k := back.Value.(K)
-		e := c.entries[k]
-		if e == keep {
-			// The newest entry may alone exceed the limit; keep it
-			// rather than thrash.
-			if c.lru.Len() == 1 {
-				return
-			}
-			c.lru.MoveToFront(back)
-			continue
-		}
-		c.removeLocked(k, e)
-	}
 }
 
 // removeLocked drops k's entry. Callers hold c.mu.
 func (c *Cache[K, V]) removeLocked(k K, e *entry[V]) {
 	delete(c.entries, k)
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
+	if e.resident {
+		c.resident--
+		c.bytes -= e.size
+		e.resident, e.size = false, 0
 	}
-	c.bytes -= e.size
-	e.size = 0
 }
 
 // Purge drops every resident entry and returns how many were dropped.
@@ -276,11 +234,8 @@ func (c *Cache[K, V]) removeLocked(k K, e *entry[V]) {
 func (c *Cache[K, V]) Purge() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
+	n := c.resident
 	for k, e := range c.entries {
-		if e.elem != nil {
-			n++
-		}
 		c.removeLocked(k, e)
 	}
 	return n
@@ -320,7 +275,7 @@ func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Entries = c.lru.Len()
+	st.Entries = c.resident
 	st.Bytes = c.bytes
 	return st
 }

@@ -215,14 +215,11 @@ func (p Params) validateL2() error {
 	if p.L2 == (coherence.Config{}) {
 		return nil
 	}
-	l2 := p.L2.L2
-	switch {
-	case p.L2.Nodes != p.Nodes:
+	if p.L2.Nodes != p.Nodes {
 		return fmt.Errorf("workload %q: L2 override has %d nodes, workload has %d", p.Name, p.L2.Nodes, p.Nodes)
-	case l2.SizeBytes <= 0 || l2.Ways <= 0 || l2.BlockBytes <= 0:
-		return fmt.Errorf("workload %q: L2 geometry %+v needs a positive size, ways and block size", p.Name, l2)
-	case l2.Sets()&(l2.Sets()-1) != 0:
-		return fmt.Errorf("workload %q: L2 set count %d is not a power of two", p.Name, l2.Sets())
+	}
+	if err := p.L2.L2.Validate(); err != nil {
+		return fmt.Errorf("workload %q: L2 override: %w", p.Name, err)
 	}
 	return nil
 }

@@ -149,7 +149,7 @@ func TestEachObservationStopsOnCallbackError(t *testing.T) {
 
 // shardJSONL runs one shard of a sweep into a manifest-headed JSONL
 // buffer, the way cmd/traceeval -json -shard does.
-func shardJSONL(t *testing.T, engines []destset.EngineSpec, workloads []destset.WorkloadSpec, shard, shards int, opts ...destset.RunnerOption) *bytes.Buffer {
+func shardJSONL(t testing.TB, engines []destset.EngineSpec, workloads []destset.WorkloadSpec, shard, shards int, opts ...destset.RunnerOption) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := destset.NewJSONLObserver(&buf)
@@ -232,6 +232,51 @@ func TestMergeObservationsEmptyManifestedShard(t *testing.T) {
 	if err := destset.MergeObservations(&merged, bytes.NewReader(s0.Bytes()), bytes.NewReader(s1.Bytes())); err == nil {
 		t.Error("merge without the empty shard should report it missing")
 	}
+}
+
+// mergeSep separates the shard files within one FuzzMergeObservations
+// input; JSONL text never holds it.
+const mergeSep = 0x1e
+
+// FuzzMergeObservations splits its input at mergeSep into up to three
+// shard files and merges them, as sweepmerge does with files from other
+// processes. MergeObservations must never panic, and a merge it
+// completes, fed back as its only input, must reproduce itself byte for
+// byte. The seeds are the two shard files of a tiny sharded sweep (two
+// engines, one workload, two seeds, so that each shard holds two cells
+// of four observations), the same with shard 1 truncated, and with two
+// records of shard 0, of different cells, swapped.
+func FuzzMergeObservations(f *testing.F) {
+	engines := []destset.EngineSpec{{Protocol: destset.ProtocolSnooping}, {Protocol: destset.ProtocolDirectory}}
+	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 200}}
+	opts := []destset.RunnerOption{destset.WithSeeds(1, 2), destset.WithInterval(50)}
+	s0 := shardJSONL(f, engines, workloads, 0, 2, opts...).Bytes()
+	s1 := shardJSONL(f, engines, workloads, 1, 2, opts...).Bytes()
+	join := func(shards ...[]byte) []byte { return bytes.Join(shards, []byte{mergeSep}) }
+	f.Add(join(s0, s1))
+	f.Add(join(s0, s1[:len(s1)/2]))
+	lines := bytes.SplitAfter(s0, []byte("\n"))
+	last := len(lines) - 2 // the final element is the empty rest after the last newline
+	lines[1], lines[last] = lines[last], lines[1]
+	f.Add(join(bytes.Join(lines, nil), s1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var shards []io.Reader
+		for _, shard := range bytes.SplitN(data, []byte{mergeSep}, 3) {
+			shards = append(shards, bytes.NewReader(shard))
+		}
+		var merged bytes.Buffer
+		if destset.MergeObservations(&merged, shards...) != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := destset.MergeObservations(&again, bytes.NewReader(merged.Bytes())); err != nil {
+			t.Fatalf("a merged file does not merge again: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), merged.Bytes()) {
+			t.Fatalf("merging a merged file changed it:\n%s\nbecame\n%s", merged.Bytes(), again.Bytes())
+		}
+	})
 }
 
 // TestMergeObservationsRefusals pins the refusal matrix: mismatched

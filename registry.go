@@ -40,20 +40,16 @@ func RegisterWorkload(name string, preset WorkloadPreset) error {
 
 // EngineFactory builds a protocol engine from the system size and an
 // optional predictor-bank factory (nil when the sweep configured no
-// prediction policy). Each call must return a fresh engine.
-type EngineFactory func(nodes int, newBank func() []Predictor) (Engine, error)
+// prediction policy). Each call must return a fresh engine; a sweep
+// cell calls it once.
+type EngineFactory = protocol.EngineFactory
 
 // RegisterEngine adds a named protocol engine, making it usable as
 // EngineSpec.Protocol alongside the built-in snooping, directory,
 // multicast and predictive-directory engines. It fails on an empty
 // name, a nil factory, or a name collision.
 func RegisterEngine(name string, factory EngineFactory) error {
-	if factory == nil {
-		return protocol.RegisterEngine(name, nil)
-	}
-	return protocol.RegisterEngine(name, func(s protocol.Spec) (protocol.Engine, error) {
-		return factory(s.Nodes, s.NewBank)
-	})
+	return protocol.RegisterEngine(name, factory)
 }
 
 // Engines returns the registered protocol engine names.

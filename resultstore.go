@@ -32,7 +32,7 @@ import (
 // the store — a warm rerun keeps it at zero.
 type ResultStats = results.Stats
 
-// ResultStore is a tiered (memory LRU + disk) store of completed sweep
+// ResultStore is a tiered (memory + disk) store of completed sweep
 // cells, content-addressed by plan-cell fingerprint. Attach one to a
 // runner with WithResultStore, or configure the process-wide shared
 // store with SetResultDir. All methods are safe for concurrent use.
@@ -53,11 +53,6 @@ func (rs *ResultStore) SetDir(dir string) error { return rs.s.SetDir(dir) }
 // Dir returns the configured result directory ("" when the disk tier
 // is disabled).
 func (rs *ResultStore) Dir() string { return rs.s.Dir() }
-
-// SetLimit caps the store's resident record bytes; 0 (the default)
-// means unbounded. Least-recently-used records are evicted first and
-// reload from the disk tier — or recompute — on next use.
-func (rs *ResultStore) SetLimit(bytes int64) { rs.s.SetLimit(bytes) }
 
 // Purge drops every record from the memory tier and returns how many
 // were dropped; the disk tier is untouched.

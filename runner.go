@@ -60,7 +60,6 @@ type runnerConfig struct {
 	// freshly-computed ones (see WithResultStore); nil falls back to the
 	// shared store once SetResultDir has armed it.
 	resultStore *ResultStore
-	ctx         context.Context
 }
 
 // RunnerOption tunes a Runner.
@@ -143,12 +142,6 @@ func WithCells(indices []int) RunnerOption {
 	}
 }
 
-// WithContext sets the context used when Run is called with a nil
-// context.
-func WithContext(ctx context.Context) RunnerOption {
-	return func(c *runnerConfig) { c.ctx = ctx }
-}
-
 // Runner fans a []EngineSpec × []WorkloadSpec × seeds cross-product
 // over a worker pool. Every cell builds a fresh engine, and Name- and
 // Params-based workloads resolve through the process-wide dataset
@@ -198,9 +191,9 @@ func NewRunner(engines []EngineSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 // workload-major: for each workload, for each engine, for each seed.
 // Under WithShard only that shard's cells run; the results keep the
 // global order, so MergeResults reassembles shard outputs into the exact
-// full-run slice. A nil ctx falls back to WithContext, then
-// context.Background(). On cancellation Run returns promptly with the
-// completed cells (still in order) and the context's error.
+// full-run slice. A nil ctx means context.Background(). On cancellation
+// Run returns promptly with the completed cells (still in order) and
+// the context's error.
 func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 	if len(r.engines) == 0 || len(r.workloads) == 0 {
 		return nil, fmt.Errorf("destset: Runner needs at least one engine spec and one workload spec")
@@ -258,9 +251,6 @@ func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 // so a hit could replay a different experiment.
 func execute[R, O any](ctx context.Context, cfg runnerConfig, plan func() (*SweepPlan, error), specs []WorkloadSpec, workloads []sweep.Workload,
 	cells []sweep.Cell, get func(*ResultStore, PlanCell) (*R, []O), put func(*ResultStore, string, R, []O), x sweep.Exec[R, O]) ([]R, error) {
-	if ctx == nil {
-		ctx = cfg.ctx
-	}
 	x.Total, x.Cells, x.Shard, x.Shards, x.Parallelism = len(cells), cfg.cells, cfg.shard, cfg.shards, cfg.parallelism
 	x.Prewarm = func(i int) sweep.PrewarmJob { return sweep.PrewarmJob{W: cells[i].W, Seed: cells[i].Seed} }
 	x.Prepare = func(j sweep.PrewarmJob) error {

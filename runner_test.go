@@ -386,12 +386,10 @@ func TestRegisterEngineAndSweep(t *testing.T) {
 	}
 }
 
-func TestEngineResetCloneLifecycle(t *testing.T) {
-	spec := destset.SpecForPolicy(destset.Group)
-	eng, err := spec.NewEngine(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestNewEngineBuildsIndependentBanks: two engines built from one
+// EngineSpec share no training, so training one leaves the other
+// untrained.
+func TestNewEngineBuildsIndependentBanks(t *testing.T) {
 	run := func(e destset.Engine) destset.Totals {
 		t.Helper()
 		g, err := destset.NewWorkloadGenerator(destset.WorkloadSpec{Name: "slashcode"}, 5)
@@ -405,23 +403,25 @@ func TestEngineResetCloneLifecycle(t *testing.T) {
 		}
 		return tot
 	}
-	first := run(eng)
-	trained := run(eng) // second pass on a trained engine differs
-	if first == trained {
-		t.Fatal("expected trained second pass to differ from cold first pass")
-	}
-	eng.Reset()
-	if again := run(eng); again != first {
-		t.Errorf("Reset engine differs from fresh: %+v vs %+v", again, first)
-	}
-	clone := eng.Clone()
-	if cloned := run(clone); cloned != first {
-		t.Errorf("Clone differs from fresh: %+v vs %+v", cloned, first)
-	}
-	// The clone's training must not leak back into the original.
-	eng.Reset()
-	if again := run(eng); again != first {
-		t.Errorf("original polluted by clone: %+v vs %+v", again, first)
+	for _, spec := range []destset.EngineSpec{
+		destset.SpecForPolicy(destset.Group),
+		{Protocol: destset.ProtocolPredictiveDirectory, PolicyName: "owner"},
+	} {
+		a, err := spec.NewEngine(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := spec.NewEngine(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := run(a)
+		if trained := run(a); trained == first {
+			t.Fatalf("%s: a trained second pass equals the cold first pass", a.Name())
+		}
+		if other := run(b); other != first {
+			t.Errorf("%s: the second engine starts trained: %+v vs fresh %+v", b.Name(), other, first)
+		}
 	}
 }
 

@@ -177,6 +177,7 @@ func (s SimSpec) Resolve(nodes int) (SimConfig, error) {
 	cfg.Nodes = nodes
 	cfg.Interconnect.Nodes = nodes
 	cfg.Coherence.Nodes = nodes
+	cfg.Predictor.Nodes = nodes
 	cfg.CPU = sim.CPUModel(s.CPU)
 	// A multicast spec without an explicit policy keeps DefaultConfig's
 	// predictor (the paper's standout Group configuration).

@@ -227,7 +227,8 @@ func namedBank(name string, cfg *PredictorConfig) (func() []predictor.Predictor,
 
 // NewEngine builds one fresh engine from the spec for a system of the
 // given node count (0 uses the spec's own Nodes, which must then be
-// set). Engines built this way have full Reset/Clone fidelity.
+// set), with its own untrained predictor bank: engines built from one
+// spec share no training. A sweep cell builds its engine this way.
 func (s EngineSpec) NewEngine(nodes int) (Engine, error) {
 	if s.Nodes > 0 {
 		nodes = s.Nodes
@@ -243,7 +244,7 @@ func (s EngineSpec) NewEngine(nodes int) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return protocol.NewByName(name, protocol.Spec{Nodes: nodes, NewBank: newBank})
+	return protocol.NewByName(name, nodes, newBank)
 }
 
 // sweepEngine adapts the spec for the sweep runner.

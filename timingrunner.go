@@ -151,11 +151,10 @@ func NewTimingRunner(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 // workload-major: for each workload, for each sim spec, for each seed.
 // Under WithShard only that shard's cells run; the results keep the
 // global order, so MergeResults reassembles shard outputs into the exact
-// full-run slice. A nil ctx falls back to WithContext, then
-// context.Background(). On cancellation Run returns promptly with the
-// completed cells (still in order) and the context's error; the
-// execution-driven cells themselves check the context, so even a single
-// huge simulation aborts promptly.
+// full-run slice. A nil ctx means context.Background(). On cancellation
+// Run returns promptly with the completed cells (still in order) and
+// the context's error; the execution-driven cells themselves check the
+// context, so even a single huge simulation aborts promptly.
 func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 	if len(r.sims) == 0 || len(r.workloads) == 0 {
 		return nil, fmt.Errorf("destset: TimingRunner needs at least one sim spec and one workload spec")
