@@ -161,6 +161,9 @@ func NewGenerator(p WorkloadParams) (*Generator, error) { return workload.New(p)
 type (
 	// Engine processes misses under one protocol.
 	Engine = protocol.Engine
+	// Result is the accounting outcome of one miss, which
+	// Engine.Process returns.
+	Result = protocol.Result
 	// Totals aggregates per-miss accounting.
 	Totals = protocol.Totals
 )

@@ -126,6 +126,35 @@ type Columns struct {
 	ReqState []cache.State
 }
 
+// NewColumns allocates every column for exactly n misses of a
+// nodes-node system.
+func NewColumns(nodes, n int) Columns {
+	return Columns{
+		Nodes:    nodes,
+		Addr:     make([]trace.Addr, n),
+		PC:       make([]trace.PC, n),
+		Sharers:  make([]nodeset.Set, n),
+		Gap:      make([]uint32, n),
+		Req:      make([]uint8, n),
+		Kind:     make([]trace.Kind, n),
+		Owner:    make([]nodeset.NodeID, n),
+		ReqState: make([]cache.State, n),
+	}
+}
+
+// Set records rec and its annotation mi as miss i. The home node is not
+// recorded: At derives it from the address.
+func (c *Columns) Set(i int, rec trace.Record, mi MissInfo) {
+	c.Addr[i] = rec.Addr
+	c.PC[i] = rec.PC
+	c.Gap[i] = rec.Gap
+	c.Req[i] = rec.Requester
+	c.Kind[i] = rec.Kind
+	c.Owner[i] = mi.Owner
+	c.Sharers[i] = mi.Sharers
+	c.ReqState[i] = mi.RequesterState
+}
+
 // At returns miss i as a record and its annotation.
 func (c *Columns) At(i int) (trace.Record, MissInfo) {
 	return trace.Record{

@@ -42,30 +42,10 @@ import (
 	"fmt"
 	"sync"
 
-	"destset/internal/cache"
 	"destset/internal/coherence"
-	"destset/internal/nodeset"
 	"destset/internal/trace"
 	"destset/internal/workload"
 )
-
-// newColumns allocates every column for exactly n records of a
-// nodes-node system. A dataset's columns are allocated exactly once at
-// the generation scale — or, for datasets loaded from disk, aliased
-// zero-copy into the file buffer (disk.go).
-func newColumns(nodes, n int) coherence.Columns {
-	return coherence.Columns{
-		Nodes:    nodes,
-		Addr:     make([]trace.Addr, n),
-		PC:       make([]trace.PC, n),
-		Sharers:  make([]nodeset.Set, n),
-		Gap:      make([]uint32, n),
-		Req:      make([]uint8, n),
-		Kind:     make([]trace.Kind, n),
-		Owner:    make([]nodeset.NodeID, n),
-		ReqState: make([]cache.State, n),
-	}
-}
 
 // Dataset is one workload's generated, annotated trace: a warm region
 // followed by a measured region, plus the whole-run block statistics the
@@ -116,17 +96,10 @@ func Generate(p workload.Params, warm, measure int) (*Dataset, error) {
 		return nil, err
 	}
 	n := warm + measure
-	d := &Dataset{params: p, warm: warm, n: n, c: newColumns(p.Nodes, n)}
+	d := &Dataset{params: p, warm: warm, n: n, c: coherence.NewColumns(p.Nodes, n)}
 	for i := 0; i < n; i++ {
 		rec, mi := g.Next()
-		d.c.Addr[i] = rec.Addr
-		d.c.PC[i] = rec.PC
-		d.c.Gap[i] = rec.Gap
-		d.c.Req[i] = rec.Requester
-		d.c.Kind[i] = rec.Kind
-		d.c.Owner[i] = mi.Owner
-		d.c.Sharers[i] = mi.Sharers
-		d.c.ReqState[i] = mi.RequesterState
+		d.c.Set(i, rec, mi)
 	}
 	// A bandwidth-regulated workload's gaps ARE the regulator's output —
 	// rescaling them to the nominal rate would erase the throttling the
@@ -160,19 +133,12 @@ func FromRecords(p workload.Params, recs []trace.Record, infos []coherence.MissI
 		return nil, fmt.Errorf("dataset: warm region of %d records leaves no measured region (have %d)", warm, len(recs))
 	}
 	n := len(recs)
-	d := &Dataset{params: p, warm: warm, n: n, c: newColumns(p.Nodes, n)}
+	d := &Dataset{params: p, warm: warm, n: n, c: coherence.NewColumns(p.Nodes, n)}
 	for i, rec := range recs {
 		if int(rec.Requester) >= p.Nodes {
 			return nil, fmt.Errorf("dataset: record %d requester %d outside %d nodes", i, rec.Requester, p.Nodes)
 		}
-		d.c.Addr[i] = rec.Addr
-		d.c.PC[i] = rec.PC
-		d.c.Gap[i] = rec.Gap
-		d.c.Req[i] = rec.Requester
-		d.c.Kind[i] = rec.Kind
-		d.c.Owner[i] = infos[i].Owner
-		d.c.Sharers[i] = infos[i].Sharers
-		d.c.ReqState[i] = infos[i].RequesterState
+		d.c.Set(i, rec, infos[i])
 	}
 	d.blockStats = stats
 	d.nstats = len(stats)

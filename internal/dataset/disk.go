@@ -349,7 +349,7 @@ func decode(buf []byte, verifyCRC bool) (*Dataset, error) {
 		d.c.Owner = sliceOf[nodeset.NodeID](buf[l.owner:], n)
 		d.c.ReqState = sliceOf[cache.State](buf[l.state:], n)
 	} else {
-		d.c = newColumns(nodes, n)
+		d.c = coherence.NewColumns(nodes, n)
 		for i := 0; i < n; i++ {
 			d.c.Addr[i] = trace.Addr(binary.LittleEndian.Uint64(buf[l.addr+8*i:]))
 			d.c.PC[i] = trace.PC(binary.LittleEndian.Uint64(buf[l.pc+8*i:]))

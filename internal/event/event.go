@@ -110,6 +110,15 @@ type Loop struct {
 // Now returns the current simulation time.
 func (l *Loop) Now() Time { return l.now }
 
+// Reset empties the loop and winds its clock back to zero, keeping the
+// capacity its slot slab, free list and far heap grew to, so that one
+// loop serves run after run without allocating. Events still queued, as
+// an abandoned run leaves them, are dropped.
+func (l *Loop) Reset() {
+	clear(l.slots)
+	*l = Loop{slots: l.slots[:0], links: l.links[:0], free: l.free[:0], far: l.far[:0]}
+}
+
 // AtArg schedules fn(at, arg) at absolute time at. Scheduling in the past
 // (before Now) fires the handler at the current time instead — events
 // cannot rewrite history. fn is typically a long-lived handler bound

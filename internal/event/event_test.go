@@ -171,10 +171,12 @@ func (p *program) add() int {
 	return len(p.children) - 1
 }
 
-// run fires p on a Loop. Children with a plain delay go through
-// AfterArg, the rest through AtArg.
-func (p *program) run() []firing {
-	var l Loop
+// run fires p on a new Loop.
+func (p *program) run() []firing { return p.runOn(&Loop{}) }
+
+// runOn fires p on l, which must be empty at time 0. Children with a
+// plain delay go through AfterArg, the rest through AtArg.
+func (p *program) runOn(l *Loop) []firing {
 	var got []firing
 	var fire ArgHandler
 	fire = func(now Time, arg any) {
@@ -322,6 +324,43 @@ func TestOrderMatchesReferenceAcrossBuckets(t *testing.T) {
 		}
 		if end := got[len(got)-1].at; end < 8*wheelSpan {
 			t.Fatalf("seed %d: run ends at %d ps, before the ring wrapped 8 times", seed, end)
+		}
+	}
+}
+
+// TestResetStartsOver: a loop reset in the middle of a run, with events
+// still queued on the wheel and in the far heap, is empty at time 0, and
+// fires a new program across the wheel's geometry exactly as a new loop
+// does.
+func TestResetStartsOver(t *testing.T) {
+	nop := func(Time, any) {}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x2e5e))
+		var l Loop
+		for i := 0; i < 300; i++ {
+			l.AtArg(Time(rng.IntN(int(20*wheelSpan))), nop, nil)
+		}
+		for i := rng.IntN(200); i > 0; i-- {
+			l.Step()
+		}
+		if l.Empty() {
+			t.Fatalf("seed %d: the abandoned run left nothing queued", seed)
+		}
+		l.Reset()
+		if !l.Empty() || l.Now() != 0 {
+			t.Fatalf("seed %d: after Reset Empty() = %v and Now() = %d, want true and 0", seed, l.Empty(), l.Now())
+		}
+		var p program
+		for n := 1 + rng.IntN(40); len(p.initial) < n; {
+			p.initial = append(p.initial, spanChild(byte(rng.IntN(8)), uint16(rng.Uint32()), p.add()))
+		}
+		for id := 0; id < len(p.children) && len(p.children) < 1000; id++ {
+			for k := []int{0, 1, 1, 2}[rng.IntN(4)]; k > 0; k-- {
+				p.children[id] = append(p.children[id], spanChild(byte(rng.IntN(8)), uint16(rng.Uint32()), p.add()))
+			}
+		}
+		if got, want := p.runOn(&l), p.reference(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: firing order after Reset diverges from the reference\n got %v\nwant %v", seed, got, want)
 		}
 	}
 }

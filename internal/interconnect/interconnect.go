@@ -86,19 +86,31 @@ type link struct {
 	freeAt event.Time
 }
 
-// acquire occupies the link for size bytes starting no earlier than now
-// and returns the start time. The link is cut-through: the head flit
-// proceeds at the start time while serialization continues to occupy the
-// link's bandwidth behind it, so unloaded latency is pure traversal time
-// and contention appears as queuing delay.
-func (l *link) acquire(now event.Time, bytes int, bytesPerNs float64) event.Time {
+// acquire occupies the link for d, a message's serialization time,
+// starting no earlier than now, and returns the start time. The link is
+// cut-through: the head flit proceeds at the start time while
+// serialization continues to occupy the link's bandwidth behind it, so
+// unloaded latency is pure traversal time and contention appears as
+// queuing delay.
+func (l *link) acquire(now, d event.Time) event.Time {
 	start := now
 	if l.freeAt > start {
 		start = l.freeAt
 	}
-	l.freeAt = start + event.Time(float64(bytes)/bytesPerNs*float64(event.Nanosecond))
+	l.freeAt = start + d
 	return start
 }
+
+// serialization is how long a message of the given size occupies a link
+// of the given bandwidth.
+func serialization(bytes int, bytesPerNs float64) event.Time {
+	return event.Time(float64(bytes) / bytesPerNs * float64(event.Nanosecond))
+}
+
+// tabled bounds the message sizes whose serialization times a crossbar
+// keeps in a table: the protocols send 8-byte control and 72-byte data
+// messages.
+const tabled = 128
 
 // Crossbar is the switch plus all node links.
 type Crossbar struct {
@@ -128,6 +140,11 @@ type Crossbar struct {
 	// groups holds the delivery groups of the message being ordered.
 	groups []*delivery
 
+	// serial[b] is a b-byte message's serialization time, for every size
+	// below tabled, computed once per bandwidth with the expression a
+	// larger message's time is computed with as it is sent.
+	serial [tabled]event.Time
+
 	// statistics
 	totalBytes    uint64
 	totalMessages uint64
@@ -135,21 +152,55 @@ type Crossbar struct {
 
 // New builds a crossbar bound to an event loop.
 func New(cfg Config, loop *event.Loop) *Crossbar {
+	x := &Crossbar{loop: loop}
+	x.orderedEvt = func(now event.Time, arg any) { x.ordered(now, arg.(*Message)) }
+	x.deliverEvt = func(now event.Time, arg any) { x.deliver(now, arg.(*delivery)) }
+	x.Reset(cfg)
+	return x
+}
+
+// Reset makes x a crossbar of configuration cfg with idle links and no
+// message ordered or counted, keeping its handlers and delivery pool, so
+// that one crossbar serves run after run. The events x scheduled before
+// must be dropped with it (event.Loop.Reset), and so must any message
+// still in flight. Like New, it panics on a malformed cfg.
+func (x *Crossbar) Reset(cfg Config) {
 	if cfg.Nodes <= 0 || cfg.Nodes > nodeset.MaxNodes {
 		panic(fmt.Sprintf("interconnect: bad node count %d", cfg.Nodes))
 	}
 	if cfg.BytesPerNs <= 0 {
 		panic("interconnect: bandwidth must be positive")
 	}
-	x := &Crossbar{
-		cfg:     cfg,
-		loop:    loop,
-		egress:  make([]link, cfg.Nodes),
-		ingress: make([]link, cfg.Nodes),
+	if cfg.BytesPerNs != x.cfg.BytesPerNs {
+		for b := range x.serial {
+			x.serial[b] = serialization(b, cfg.BytesPerNs)
+		}
 	}
-	x.orderedEvt = func(now event.Time, arg any) { x.ordered(now, arg.(*Message)) }
-	x.deliverEvt = func(now event.Time, arg any) { x.deliver(now, arg.(*delivery)) }
-	return x
+	x.cfg = cfg
+	x.egress = idle(x.egress, cfg.Nodes)
+	x.ingress = idle(x.ingress, cfg.Nodes)
+	x.groups = x.groups[:0]
+	x.seq, x.totalBytes, x.totalMessages = 0, 0, 0
+}
+
+// idle returns n idle links, reusing links' array when it is large
+// enough.
+func idle(links []link, n int) []link {
+	if cap(links) < n {
+		return make([]link, n)
+	}
+	links = links[:n]
+	clear(links)
+	return links
+}
+
+// occupancy returns how long a message of the given size occupies a
+// link.
+func (x *Crossbar) occupancy(bytes int) event.Time {
+	if uint(bytes) < tabled {
+		return x.serial[bytes]
+	}
+	return serialization(bytes, x.cfg.BytesPerNs)
 }
 
 // Send injects a message. The sender's egress link serializes it once
@@ -161,7 +212,7 @@ func (x *Crossbar) Send(msg *Message) {
 		return
 	}
 	half := x.cfg.Traversal / 2
-	atSwitch := x.egress[msg.From].acquire(x.loop.Now(), msg.Bytes, x.cfg.BytesPerNs) + half
+	atSwitch := x.egress[msg.From].acquire(x.loop.Now(), x.occupancy(msg.Bytes)) + half
 	x.loop.AtArg(atSwitch, x.orderedEvt, msg)
 }
 
@@ -179,11 +230,12 @@ func (x *Crossbar) ordered(now event.Time, msg *Message) {
 		x.OnOrdered(now, seq, msg)
 	}
 	half := x.cfg.Traversal / 2
+	ser := x.occupancy(msg.Bytes)
 	groups := x.groups[:0]
 	for rest := msg.To; !rest.Empty(); {
 		dst := rest.First()
 		rest = rest.Remove(dst)
-		at := x.ingress[dst].acquire(now, msg.Bytes, x.cfg.BytesPerNs) + half
+		at := x.ingress[dst].acquire(now, ser) + half
 		if d := findGroup(groups, at); d != nil {
 			d.to = d.to.Add(dst)
 			continue

@@ -240,3 +240,52 @@ func TestContendedDeliveryOrder(t *testing.T) {
 		t.Errorf("Stats = %d messages, %d bytes; want 2, %d", msgs, bytes, 2*72+15*8)
 	}
 }
+
+// TestResetStartsOver: a crossbar reset in the middle of a run, onto
+// another node count and bandwidth, charges every message size the
+// link arithmetic's own expression, and orders, delivers and counts a
+// script of messages exactly as a new crossbar of that configuration
+// does.
+func TestResetStartsOver(t *testing.T) {
+	cfg := Config{Nodes: 8, BytesPerNs: 0.3, Traversal: 50 * event.Nanosecond}
+	type rec struct {
+		at  event.Time
+		seq uint64 // 0 for a delivery
+		dst nodeset.NodeID
+	}
+	script := func(loop *event.Loop, x *Crossbar) ([]rec, uint64, uint64) {
+		var got []rec
+		x.OnOrdered = func(now event.Time, seq uint64, msg *Message) { got = append(got, rec{now, seq, msg.From}) }
+		x.OnDeliver = func(now event.Time, dst nodeset.NodeID, msg *Message) { got = append(got, rec{now, 0, dst}) }
+		for i, bytes := range []int{8, 72, 1000, 72, 8, tabled - 1, tabled} {
+			from := nodeset.NodeID(i % 3)
+			x.Send(&Message{From: from, To: nodeset.All(cfg.Nodes).Remove(from), Bytes: bytes})
+		}
+		loop.Run()
+		msgs, bytes := x.Stats()
+		return got, msgs, bytes
+	}
+	newLoop := &event.Loop{}
+	want, wantMsgs, wantBytes := script(newLoop, New(cfg, newLoop))
+
+	loop, x := setup()
+	for i := 0; i < 4; i++ {
+		x.Send(&Message{From: nodeset.NodeID(i), To: nodeset.All(16), Bytes: 72})
+	}
+	loop.Step()
+	loop.Step()
+	loop.Reset()
+	x.Reset(cfg)
+	for b := 0; b < 2*tabled; b++ {
+		if got, want := x.occupancy(b), event.Time(float64(b)/cfg.BytesPerNs*float64(event.Nanosecond)); got != want {
+			t.Fatalf("a %d-byte message occupies a link for %d ps after Reset, want %d", b, got, want)
+		}
+	}
+	got, msgs, bytes := script(loop, x)
+	if !slices.Equal(got, want) {
+		t.Errorf("reset crossbar's sequence\n got %v\nwant %v", got, want)
+	}
+	if msgs != wantMsgs || bytes != wantBytes {
+		t.Errorf("reset crossbar's Stats = %d messages, %d bytes; want %d, %d", msgs, bytes, wantMsgs, wantBytes)
+	}
+}

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"destset/internal/coherence"
 	"destset/internal/memtest"
+	"destset/internal/predictor"
 	"destset/internal/workload"
 )
 
@@ -29,39 +29,37 @@ func simStreams(t *testing.T, warmN, timedN int) (warm, timed Source) {
 }
 
 // restoredSim sets up a run of cfg the way a sweep's later cells are set
-// up: a first SimulateWarm call builds w's snapshot and returns its
-// oracle to a free list, and the returned run takes that oracle back and
-// restores w into it.
-func restoredSim(t *testing.T, cfg Config, w *Warmup, timed Source) *sim {
+// up: a first SimulateWarm call builds job's warm-up and streams and
+// returns its shell to a free list, and the returned run takes that
+// shell back and restores job's warm-up into its oracle.
+func restoredSim(t *testing.T, cfg Config, job *Job) *sim {
 	t.Helper()
-	var oracles Oracles
-	if _, err := SimulateWarm(context.Background(), cfg, w, timed, &oracles); err != nil {
+	var shells Shells
+	if _, err := SimulateWarm(context.Background(), cfg, job, &shells); err != nil {
 		t.Fatal(err)
 	}
-	if len(oracles.free) != 1 {
-		t.Fatalf("free list holds %d oracles after one run, want 1", len(oracles.free))
+	if len(shells.free) != 1 {
+		t.Fatalf("free list holds %d shells after one run, want 1", len(shells.free))
 	}
-	reused := oracles.free[0]
-	s := newSim(cfg, oracles.get(cohConfig(cfg)))
-	if s.coh != reused {
-		t.Fatal("run did not reuse the free oracle")
+	reused := shells.free[0]
+	if s := shells.get(cfg); s != reused {
+		t.Fatal("run did not reuse the free shell")
 	}
-	if err := w.apply(context.Background(), s.coh, s.preds); err != nil {
+	if err := job.warmUp(context.Background(), reused.coh, reused.preds); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return reused
 }
 
 // TestSimLoopAllocFree is the timing-simulator allocation budget: once a
-// run reaches steady state (transaction slab loaded, message and
-// delivery pools grown to peak concurrency), the per-simulated-miss path
-// — issue, ordering, delivery, retry, data response, completion — must
-// not allocate. The run restores a shared warm-up into a reused oracle,
-// as a sweep's cells do. The first half of the run primes the pools; the
-// second half is measured and must stay at 0 allocs per miss (a tiny
-// amortized tolerance covers the first-touch pages of the coherence
-// block table, the caches' first-fill chunks and the event queue's
-// backing array growth).
+// run reaches steady state (message and delivery pools grown to peak
+// concurrency), the per-simulated-miss path — issue, ordering, delivery,
+// retry, data response, completion — must not allocate. The run restores
+// a shared warm-up into a reused shell, as a sweep's cells do. The first
+// half of the run primes the pools; the second half is measured and must
+// stay at 0 allocs per miss (a tiny amortized tolerance covers the
+// first-touch pages of the coherence block table, the caches' first-fill
+// chunks and the event queue's backing array growth).
 func TestSimLoopAllocFree(t *testing.T) {
 	warm, timed := simStreams(t, 8_000, 16_000)
 	for _, proto := range []Protocol{Snooping, Directory, Multicast} {
@@ -69,8 +67,9 @@ func TestSimLoopAllocFree(t *testing.T) {
 			t.Run(proto.String()+"/"+cpu.String(), func(t *testing.T) {
 				cfg := DefaultConfig(proto)
 				cfg.CPU = cpu
-				s := restoredSim(t, cfg, NewWarmup(warm), timed)
-				s.start(timed)
+				job := NewJob(warm, timed)
+				s := restoredSim(t, cfg, job)
+				s.start(job.layout())
 				// Prime: run the first half of the misses.
 				half := s.total / 2
 				for s.completed < half && s.loop.Step() {
@@ -97,37 +96,47 @@ func TestSimLoopAllocFree(t *testing.T) {
 	}
 }
 
+// bankSink keeps the bank TestSimSetupBytes measures reachable.
+var bankSink []predictor.Predictor
+
 // TestSimSetupBytes caps what one timing cell allocates before its timed
-// region: its oracle (the caches and block table), the crossbar, the
-// predictor bank, and warm-up over the OLTP warm stream of a Figure 7
-// cell.
+// region runs, on the OLTP streams of a Figure 7 cell (20,000 warm and
+// 20,000 timed misses).
 //
-//   - A one-call run (Simulate) builds a new oracle and replays the warm
-//     stream. Measured on a multicast cell: 114.6 MB while the block
-//     table was a dense slice grown to the highest block touched, 33.5 MB
-//     with the sparse page table and flat cache sets, and 10,490,328
-//     bytes (the most of plain go test, -cpu 1,4 and -race) once the
-//     caches allocate the pages of sets they fill. Its cap is 1.2x that.
-//   - A sweep's later cell restores a shared warm-up into a reused oracle,
-//     so it allocates little beyond its predictor bank. Under plain go
-//     test, -cpu 1,4 and -race alike, a multicast cell allocates
-//     4,339,640 bytes, and its cap is 1.2x that. A directory cell
-//     allocates 9,048 bytes: 8,760 with the heap-only event queue, plus
-//     288 for the timing wheel's fixed bucket state. Its cap stays at
-//     1.2x the 7,712 bytes first measured, so the event queue's fixed
-//     state cannot grow by more than about 200 bytes unnoticed.
+//   - A one-call run (Simulate) builds a new shell (oracle, crossbar,
+//     event loop), a predictor bank, and replays the warm stream. Its
+//     set-up before start was measured on a multicast cell: 114.6 MB
+//     while the block table was a dense slice grown to the highest block
+//     touched, 33.5 MB with the sparse page table and flat cache sets, and
+//     10,490,328 bytes (the most of plain go test, -cpu 1,4 and -race)
+//     once the caches allocate the pages of sets they fill. Its cap is
+//     1.2x that. Recording the warm stream as columns, which the bank
+//     trains over, brought it to 11,147,096.
+//   - A sweep's later cell restores a shared warm-up into a reused shell,
+//     so it allocates little beyond its predictor bank. A multicast cell
+//     allocated 4,339,640 bytes when only its oracle was reused, and its
+//     cap is 1.2x that; on a reused shell it allocates 4,329,464. A
+//     directory cell's cap stays at 1.2x the 7,712 bytes first measured
+//     for a new crossbar, event loop and histogram; on a reused shell it
+//     allocates 1,016.
+//   - The whole cell — set-up and start, which schedules each node's first
+//     miss — on the shell a completed run of the same job handed back
+//     allocates at most 1.2x its predictor bank: 4,329,496 bytes against
+//     a bank's 4,328,304. A per-cell layout of the timed streams and a
+//     per-cell transaction slab would add 3 MB.
 func TestSimSetupBytes(t *testing.T) {
-	warm, _ := simStreams(t, 20_000, 1)
+	warm, timed := simStreams(t, 20_000, 20_000)
 	ctx := context.Background()
 	t.Run("one-call", func(t *testing.T) {
 		const maxSetupBytes = 1.2 * 10_490_328
 		cfg := DefaultConfig(Multicast)
 		got, _ := memtest.PerRun(1, func() {
-			s := newSim(cfg, coherence.NewSystem(cohConfig(cfg)))
-			if err := (&Warmup{src: warm}).apply(ctx, s.coh, s.preds); err != nil {
+			s := newSim(cfg)
+			if err := (&Job{warm: warm, timed: timed}).warmUp(ctx, s.coh, s.preds); err != nil {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("one-call set-up allocated %.0f bytes", got)
 		if got > maxSetupBytes {
 			t.Errorf("one-call set-up allocated %.2f MB, want at most %.2f MB",
 				got/(1<<20), maxSetupBytes/(1<<20))
@@ -142,21 +151,54 @@ func TestSimSetupBytes(t *testing.T) {
 	} {
 		t.Run("restored/"+c.proto.String(), func(t *testing.T) {
 			cfg := DefaultConfig(c.proto)
-			w := NewWarmup(warm)
-			var oracles Oracles
+			job := NewJob(warm, timed)
+			var shells Shells
 			// PerRun's first call builds the snapshot; the measured call
-			// restores it into the oracle the first call handed back.
+			// restores it into the shell the first call handed back.
 			got, _ := memtest.PerRun(1, func() {
-				s := newSim(cfg, oracles.get(cohConfig(cfg)))
-				if err := w.apply(ctx, s.coh, s.preds); err != nil {
+				s := shells.get(cfg)
+				if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
 					t.Fatal(err)
 				}
-				oracles.put(s.coh)
+				shells.put(s)
 			})
+			t.Logf("restored set-up allocated %.0f bytes", got)
 			if got > c.maxBytes {
 				t.Errorf("restored set-up allocated %.3f MB, want at most %.3f MB",
 					got/(1<<20), c.maxBytes/(1<<20))
 			}
 		})
 	}
+	t.Run("whole-cell/multicast", func(t *testing.T) {
+		cfg := DefaultConfig(Multicast)
+		pc := cfg.Predictor
+		pc.Nodes = cfg.Nodes
+		bank, _ := memtest.PerRun(1, func() { bankSink = predictor.NewBank(pc) })
+		bankSink = nil
+		job := NewJob(warm, timed)
+		var shells Shells
+		// PerRun's first call runs a whole cell, which builds the job's
+		// warm-up and streams and hands its shell back; the measured call
+		// sets up and starts the next cell on that shell.
+		first := true
+		got, _ := memtest.PerRun(1, func() {
+			if first {
+				first = false
+				if _, err := SimulateWarm(ctx, cfg, job, &shells); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			s := shells.get(cfg)
+			if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
+				t.Fatal(err)
+			}
+			s.start(job.layout())
+		})
+		t.Logf("whole cell allocated %.0f bytes, its bank %.0f", got, bank)
+		if got > 1.2*bank {
+			t.Errorf("whole-cell set-up and start allocated %.3f MB, want at most 1.2x the bank's %.3f MB",
+				got/(1<<20), bank/(1<<20))
+		}
+	})
 }

@@ -2,10 +2,27 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"destset/internal/predictor"
 )
+
+// countdown is a context whose Err turns non-nil at its n-th call.
+type countdown struct {
+	context.Context
+	n int
+}
+
+func (c *countdown) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
 
 // TestGoldenResults pins the timing model's exact output: every Result
 // field of the six Figure 7/8 configurations under both CPU models, plus
@@ -13,6 +30,13 @@ import (
 // broadcast's copies over many arrival instants. Any change to event
 // order, link arithmetic or protocol handling moves at least one of these
 // numbers; a change that only makes the simulator faster moves none.
+//
+// Each case runs as a one-call Simulate, and then all of them run again
+// in a shuffled order through one Job and one free list of shells, as a
+// sweep's cells do: shells are reused across protocols, both CPU models
+// and the 0.3 B/ns crossbar. Halfway through, a run is cancelled in the
+// middle of its event loop; its shell, which still holds queued events
+// and messages in flight, must be dropped, not handed back.
 func TestGoldenResults(t *testing.T) {
 	warm, timed := simStreams(t, 6_000, 6_000)
 	multicast := func(p predictor.Policy) Config {
@@ -53,6 +77,33 @@ func TestGoldenResults(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	names := slices.Sorted(maps.Keys(cases))
+	rand.New(rand.NewPCG(30, 1)).Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	job := NewJob(warm, timed)
+	var shells Shells
+	for k, name := range names {
+		if k == len(names)/2 {
+			// A multicast run's restored warm-up checks the context twice,
+			// once per 4,096 warm misses it trains on, and its event loop
+			// once per 4,096 events: the fifth check is the loop's third.
+			ctx := &countdown{Context: context.Background(), n: 5}
+			_, err := SimulateWarm(ctx, cases["multicast+group/detailed"], job, &shells)
+			if !errors.Is(err, context.Canceled) || ctx.n != 0 {
+				t.Fatalf("cancelled run returned %v with %d checks to go, want context.Canceled at the fifth", err, ctx.n)
+			}
+			if len(shells.free) != 0 {
+				t.Fatalf("free list holds %d shells after a cancelled run took the only one, want 0", len(shells.free))
+			}
+		}
+		got, err := SimulateWarm(context.Background(), cases[name], job, &shells)
+		if err != nil {
+			t.Fatalf("%s on a shared job: %v", name, err)
+		}
+		if want := goldenResults[name]; got != want {
+			t.Errorf("%s on a shared job and a reused shell:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }

@@ -29,20 +29,24 @@
 //
 // The simulator replays Sources — random-access cursors over a recorded
 // trace region (source.go) — and its per-miss path is allocation-free in
-// steady state: transactions live in a slab sized to the timed region,
-// protocol messages and their payloads are pooled and recycled when the
-// crossbar releases them, every event handler is bound once at
+// steady state: transactions live in a slab with one slot per timed
+// record, protocol messages and their payloads are pooled and recycled
+// when the crossbar releases them, every event handler is bound once at
 // construction, and the per-node in-flight block filter is a fixed
 // MSHR-sized array instead of a map.
 //
-// Warm-up (warm.go) is one path. The first run of a warm region replays
-// it through its own coherence oracle; a Warmup shared across a sweep's
-// runs keeps a snapshot of that oracle and the MissInfo each warm miss
-// observed, and every later run restores the snapshot and trains its
-// predictors from the recorded MissInfo instead of replaying. A sweep
-// also hands its runs oracles from a free list (Oracles), so a run
-// resets a reused oracle, whose caches keep the pages of sets earlier
-// runs filled, instead of building a new one.
+// A run builds only what is its own: its predictor bank (job.go). What
+// the runs of one warm and timed region pair share lives in their Job:
+// the first run replays the warm region through its own coherence
+// oracle and lays out the timed region's per-node streams, a shared Job
+// keeps the oracle's snapshot and the warm misses with the MissInfo each
+// observed, and every later run restores the snapshot, trains its bank
+// over the recorded columns and replays the same streams. Everything
+// else a run mutates — oracle, event loop, crossbar links, transaction
+// slab, message pool, latency histogram — is a shell that a sweep lends
+// its runs from a free list (Shells), so each run resets a shell,
+// whose oracle's caches keep the pages of sets earlier runs filled,
+// instead of building one.
 package sim
 
 import (
@@ -251,10 +255,11 @@ type simMsg struct {
 
 // txn is one in-flight miss transaction. Transactions live in a slab
 // with one slot per timed record, so issuing a miss never allocates and
-// a stale event can never observe a recycled transaction.
+// a stale event can never observe a recycled transaction. A slot is
+// filled when its miss issues: no event of a run refers to it before,
+// and a reused slab still holds the last run's transactions.
 type txn struct {
 	node      *node
-	sidx      int32 // position in the node's program-order stream
 	rec       trace.Record
 	issuedAt  event.Time
 	attempts  int
@@ -270,15 +275,14 @@ type txn struct {
 	dataFrom nodeset.NodeID
 }
 
-// node is one processor's stream state.
+// node is one processor's stream state: its program order, from the
+// run's job, and how far the run has got along it.
 type node struct {
-	id  nodeset.NodeID
-	idx []int32  // global record index of each stream position
-	pos []uint64 // cumulative instructions before each miss issues
+	id nodeset.NodeID
+	stream
 
-	next         int
-	oldest       int
-	doneMask     []bool
+	next         int // first stream position not yet issued
+	oldest       int // first stream position not yet completed
 	inflight     int
 	blks         []trace.Addr // addresses of in-flight misses (<= MSHRs)
 	lastIssue    event.Time
@@ -308,7 +312,8 @@ func (n *node) blkRemove(a trace.Addr) {
 	}
 }
 
-// sim is one simulation run.
+// sim is a run shell: one simulation run's state, which newSim builds
+// and reset makes ready for another run (Shells).
 type sim struct {
 	cfg   Config
 	loop  *event.Loop
@@ -317,8 +322,11 @@ type sim struct {
 	preds []predictor.Predictor
 	// oracles is predictor.OracleSetters(preds), decided once per run.
 	oracles []predictor.OracleSetter
-	nodes   []*node
-	txns    []txn
+	// recs are the timed records in trace order, shared with the run's
+	// job.
+	recs  []trace.Record
+	nodes []*node
+	txns  []txn
 
 	// Long-lived event handlers, bound once so scheduling never
 	// allocates a closure.
@@ -328,12 +336,17 @@ type sim struct {
 	completeEvt event.ArgHandler
 	dataEvt     event.ArgHandler
 
-	msgFree []*simMsg
+	msgFree   []*simMsg
+	latencies *stats.Histogram // 5ns buckets up to 4000ns
 
+	tally
+}
+
+// tally is a run's statistics.
+type tally struct {
 	completed      uint64
 	total          uint64
 	latencySum     event.Time
-	latencies      *stats.Histogram // 5ns buckets up to 4000ns
 	lastComplete   event.Time
 	indirections   uint64
 	retries        uint64
@@ -359,44 +372,43 @@ func Run(cfg Config, warm, timed *trace.Trace) (Result, error) {
 // with the warm source (which may be nil). The sources are read-only and
 // may be shared across concurrent runs. On cancellation Simulate returns
 // promptly with the context's error. It shares nothing with other runs:
-// it builds its own oracle and replays its own warm-up.
+// it runs a private Job on a shell of its own.
 func Simulate(ctx context.Context, cfg Config, warm, timed Source) (Result, error) {
-	var w *Warmup
-	if warm != nil {
-		w = &Warmup{src: warm}
-	}
-	return SimulateWarm(ctx, cfg, w, timed, nil)
+	return SimulateWarm(ctx, cfg, &Job{warm: warm, timed: timed}, nil)
 }
 
-// SimulateWarm is Simulate for runs that share their warm-up and
-// oracles: warm (which may be nil) is built by the first run that needs
-// it and restored by the others, and the run takes its oracle from
-// oracles and hands it back when it returns (a nil free list builds a
-// new oracle). Its result equals Simulate's over warm's source.
-func SimulateWarm(ctx context.Context, cfg Config, warm *Warmup, timed Source, oracles *Oracles) (Result, error) {
+// SimulateWarm is Simulate for runs that share their regions' Job and
+// their shells: job's warm-up and timed streams are built by the first
+// run that needs them and read by the others, and the run takes its
+// shell from shells and hands it back when it completes (a nil free list
+// builds a new shell). Its result equals Simulate's over job's regions.
+func SimulateWarm(ctx context.Context, cfg Config, job *Job, shells *Shells) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validate(cfg, warm, timed); err != nil {
+	if err := validate(cfg, job); err != nil {
 		return Result{}, err
 	}
-	coh := oracles.get(cohConfig(cfg))
-	defer oracles.put(coh)
-	s := newSim(cfg, coh)
-	if warm == nil {
-		coh.Reset()
-	} else if err := warm.apply(ctx, coh, s.preds); err != nil {
+	s := shells.get(cfg)
+	if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
 		return Result{}, err
 	}
-	s.start(timed)
-	return s.finish(ctx)
+	s.start(job.layout())
+	res, err := s.finish(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	shells.put(s)
+	return res, nil
 }
 
 // finish runs the started timed run to completion and reports it.
 func (s *sim) finish(ctx context.Context) (Result, error) {
 	for i := 0; s.loop.Step(); i++ {
-		if i%ctxCheckStride == 0 && ctx.Err() != nil {
-			return Result{}, ctx.Err()
+		if i%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
 		}
 	}
 	if s.completed != s.total {
@@ -419,19 +431,19 @@ func (s *sim) finish(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// validate reports why cfg cannot run over warm and timed: a malformed
+// validate reports why cfg cannot run over job's regions: a malformed
 // Config is refused here, naming the field, instead of panicking in a
-// constructor newSim calls. A multicast run builds its bank from
+// constructor reset calls. A multicast run builds its bank from
 // Predictor (unless NewBank is set), whose Nodes must be 0 or the
 // system's node count.
-func validate(cfg Config, warm *Warmup, timed Source) error {
+func validate(cfg Config, job *Job) error {
 	switch {
-	case timed == nil || timed.Len() == 0:
+	case job == nil || job.timed == nil || job.timed.Len() == 0:
 		return fmt.Errorf("sim: empty trace")
-	case timed.Nodes() != cfg.Nodes:
-		return fmt.Errorf("sim: trace has %d nodes, config %d", timed.Nodes(), cfg.Nodes)
-	case warm != nil && warm.src.Nodes() != cfg.Nodes:
-		return fmt.Errorf("sim: warm trace has %d nodes, config %d", warm.src.Nodes(), cfg.Nodes)
+	case job.timed.Nodes() != cfg.Nodes:
+		return fmt.Errorf("sim: trace has %d nodes, config %d", job.timed.Nodes(), cfg.Nodes)
+	case job.warm != nil && job.warm.Nodes() != cfg.Nodes:
+		return fmt.Errorf("sim: warm trace has %d nodes, config %d", job.warm.Nodes(), cfg.Nodes)
 	case cfg.Nodes <= 0 || cfg.Nodes > nodeset.MaxNodes:
 		return fmt.Errorf("sim: bad node count %d", cfg.Nodes)
 	case cfg.SimpleInstrPerNs <= 0 || cfg.DetailedInstrPerNs <= 0:
@@ -472,27 +484,13 @@ func cohConfig(cfg Config) coherence.Config {
 	return cohCfg
 }
 
-// newSim builds a run of cfg over the coherence oracle coh, which the
-// caller resets or warms up before start. The oracle's writeback hook
-// stays off until start.
-func newSim(cfg Config, coh *coherence.System) *sim {
+// newSim builds a shell ready for a run of cfg (see reset).
+func newSim(cfg Config) *sim {
 	loop := &event.Loop{}
 	s := &sim{
-		cfg:       cfg,
 		loop:      loop,
 		xbar:      interconnect.New(cfg.Interconnect, loop),
-		coh:       coh,
 		latencies: stats.NewHistogram(4000 / latencyBucketNs),
-	}
-	if cfg.Protocol == Multicast {
-		if cfg.NewBank != nil {
-			s.preds = cfg.NewBank()
-		} else {
-			pc := cfg.Predictor
-			pc.Nodes = cfg.Nodes
-			s.preds = predictor.NewBank(pc)
-		}
-		s.oracles = predictor.OracleSetters(s.preds)
 	}
 	s.issueEvt = func(now event.Time, arg any) {
 		n := arg.(*node)
@@ -510,7 +508,36 @@ func newSim(cfg Config, coh *coherence.System) *sim {
 	s.xbar.OnOrdered = s.onOrdered
 	s.xbar.OnDeliver = s.onDeliver
 	s.xbar.OnRelease = s.releaseMsg
+	s.reset(cfg)
 	return s
+}
+
+// reset makes the shell ready for a run of cfg: an empty event loop,
+// idle links, zeroed statistics and a fresh predictor bank. The oracle,
+// replaced when its configuration is not cfg's, keeps its state for the
+// run's warm-up to reset or restore, and its writeback hook stays off
+// until start.
+func (s *sim) reset(cfg Config) {
+	s.cfg = cfg
+	s.loop.Reset()
+	s.xbar.Reset(cfg.Interconnect)
+	if cc := cohConfig(cfg); s.coh == nil || s.coh.Config() != cc {
+		s.coh = coherence.NewSystem(cc)
+	}
+	s.coh.OnWriteback = nil
+	s.preds, s.oracles = nil, nil
+	if cfg.Protocol == Multicast {
+		if cfg.NewBank != nil {
+			s.preds = cfg.NewBank()
+		} else {
+			pc := cfg.Predictor
+			pc.Nodes = cfg.Nodes
+			s.preds = predictor.NewBank(pc)
+		}
+		s.oracles = predictor.OracleSetters(s.preds)
+	}
+	s.latencies.Reset()
+	s.tally = tally{}
 }
 
 // getMsg pops a pooled message or grows the pool.
@@ -538,14 +565,25 @@ func (s *sim) send(kind msgKind, t *txn, attempt int, from nodeset.NodeID, to no
 	s.xbar.Send(&sm.msg)
 }
 
-// start begins the timed run: it installs the oracle's writeback hook,
-// loads the timed streams and schedules each node's first miss. The hook
-// goes in only now because warm-up is instantaneous (§5.2): a dirty
-// eviction during warm-up must send no writeback.
-func (s *sim) start(timed Source) {
+// start begins the timed run over st: it installs the oracle's
+// writeback hook, points each node at its stream and schedules each
+// node's first miss. The hook goes in only now because warm-up is
+// instantaneous (§5.2): a dirty eviction during warm-up must send no
+// writeback.
+func (s *sim) start(st *streams) {
 	s.coh.OnWriteback = s.writeback
-	s.loadStreams(timed)
-	for _, n := range s.nodes {
+	s.recs = st.recs
+	s.total = uint64(len(st.recs))
+	if cap(s.txns) < len(st.recs) {
+		s.txns = make([]txn, len(st.recs))
+	}
+	s.txns = s.txns[:len(st.recs)]
+	for len(s.nodes) < len(st.nodes) {
+		s.nodes = append(s.nodes, &node{})
+	}
+	s.nodes = s.nodes[:len(st.nodes)]
+	for i, n := range s.nodes {
+		*n = node{id: nodeset.NodeID(i), stream: st.nodes[i], blks: n.blks[:0]}
 		s.tryIssue(n)
 	}
 }
@@ -559,41 +597,6 @@ func (s *sim) writeback(from nodeset.NodeID, a trace.Addr) {
 	s.send(msgWriteback, nil, 0, from, nodeset.Single(home), protocol.DataBytes)
 }
 
-// loadStreams splits the timed source into per-node program-order
-// streams: index lists into the shared source plus a transaction slab
-// with one preloaded slot per record. The source is walked exactly once,
-// cursor-style; the hot loop afterwards reads records from the slab.
-func (s *sim) loadStreams(src Source) {
-	s.nodes = make([]*node, s.cfg.Nodes)
-	for i := range s.nodes {
-		s.nodes[i] = &node{
-			id:   nodeset.NodeID(i),
-			blks: make([]trace.Addr, 0, s.cfg.MSHRs),
-		}
-	}
-	total := src.Len()
-	s.txns = make([]txn, total)
-	for i := 0; i < total; i++ {
-		rec := src.Record(i)
-		n := s.nodes[rec.Requester]
-		t := &s.txns[i]
-		t.node = n
-		t.sidx = int32(len(n.idx))
-		t.rec = rec
-		n.idx = append(n.idx, int32(i))
-	}
-	for _, n := range s.nodes {
-		n.pos = make([]uint64, len(n.idx))
-		var cum uint64
-		for i, gi := range n.idx {
-			cum += uint64(s.txns[gi].rec.Gap)
-			n.pos[i] = cum
-		}
-		n.doneMask = make([]bool, len(n.idx))
-		s.total += uint64(len(n.idx))
-	}
-}
-
 // gapTime converts an instruction gap to compute time at the given rate.
 func gapTime(gap uint32, instrPerNs float64) event.Time {
 	return event.Time(float64(gap) / instrPerNs * float64(event.Nanosecond))
@@ -604,7 +607,7 @@ func (s *sim) tryIssue(n *node) {
 	if n.issuePending || n.next >= len(n.idx) {
 		return
 	}
-	t := &s.txns[n.idx[n.next]]
+	rec := &s.recs[n.idx[n.next]]
 	var at event.Time
 	switch s.cfg.CPU {
 	case SimpleCPU:
@@ -613,12 +616,12 @@ func (s *sim) tryIssue(n *node) {
 		if n.inflight > 0 {
 			return
 		}
-		at = s.loop.Now() + gapTime(t.rec.Gap, s.cfg.SimpleInstrPerNs)
+		at = s.loop.Now() + gapTime(rec.Gap, s.cfg.SimpleInstrPerNs)
 	case DetailedCPU:
 		if n.inflight >= s.cfg.MSHRs {
 			return
 		}
-		if n.blkInflight(t.rec.Addr) {
+		if n.blkInflight(rec.Addr) {
 			return // same-block request must wait (MSHR merge)
 		}
 		// The reorder buffer bounds how far the front end runs ahead of
@@ -626,7 +629,7 @@ func (s *sim) tryIssue(n *node) {
 		if n.inflight > 0 && n.pos[n.next]-n.pos[n.oldest] >= uint64(s.cfg.ROBWindow) {
 			return
 		}
-		at = n.lastIssue + gapTime(t.rec.Gap, s.cfg.DetailedInstrPerNs)
+		at = n.lastIssue + gapTime(rec.Gap, s.cfg.DetailedInstrPerNs)
 		if now := s.loop.Now(); at < now {
 			at = now
 		}
@@ -637,7 +640,9 @@ func (s *sim) tryIssue(n *node) {
 
 // issue sends the node's next miss into the memory system.
 func (s *sim) issue(n *node, now event.Time) {
-	t := &s.txns[n.idx[n.next]]
+	gi := n.idx[n.next]
+	t := &s.txns[gi]
+	*t = txn{node: n, rec: s.recs[gi], issuedAt: now}
 	n.next++
 	n.inflight++
 	if n.inflight > s.maxOutstanding {
@@ -645,7 +650,6 @@ func (s *sim) issue(n *node, now event.Time) {
 	}
 	n.lastIssue = now
 	n.blkAdd(t.rec.Addr)
-	t.issuedAt = now
 	t.mask = s.initialMask(t)
 	s.sendAttempt(t)
 }
@@ -915,8 +919,9 @@ func (s *sim) complete(t *txn, now event.Time) {
 	n := t.node
 	n.inflight--
 	n.blkRemove(t.rec.Addr)
-	n.doneMask[t.sidx] = true
-	for n.oldest < len(n.doneMask) && n.doneMask[n.oldest] {
+	// Only issued positions can be complete: a slot past next may hold a
+	// transaction of the shell's last run.
+	for n.oldest < n.next && s.txns[n.idx[n.oldest]].completed {
 		n.oldest++
 	}
 	s.completed++

@@ -8,6 +8,7 @@ import (
 	"destset/internal/cache"
 	"destset/internal/coherence"
 	"destset/internal/predictor"
+	"destset/internal/protocol"
 	"destset/internal/trace"
 )
 
@@ -56,19 +57,19 @@ func TestBandwidthContentionSlowsSnooping(t *testing.T) {
 
 // TestWarmUpQueuesNoTraffic pins §5.2's instantaneous warm-up, and the
 // exactness of shared warm-ups, on a 64 KB L2, where the warm region
-// evicts dirty lines. One Warmup and one free list of oracles serve every
+// evicts dirty lines. One Job and one free list of shells serve every
 // protocol in turn, each over two rounds of both CPU models: the first
 // cell builds the snapshot and every later cell restores it into the
-// oracle the cell before handed back. Each must start its timed run with nothing queued
-// and the writeback hook installed, and equal a one-call run: a
-// writeback leaked by the build would add traffic that a restore, which
-// calls no hook, cannot. A run with no warm region on the reused oracle
-// must equal a one-call cold run.
+// shell the cell before handed back. Each must start its timed run with
+// nothing queued and the writeback hook installed, and equal a one-call
+// run: a writeback leaked by the build would add traffic that a restore,
+// which calls no hook, cannot. A run with no warm region on the reused
+// shell must equal a one-call cold run.
 func TestWarmUpQueuesNoTraffic(t *testing.T) {
 	warm, timed := simStreams(t, 20_000, 4_000)
 	ctx := context.Background()
-	w := NewWarmup(warm)
-	var oracles Oracles
+	job := NewJob(warm, timed)
+	var shells Shells
 	for _, proto := range []Protocol{Snooping, Directory, Multicast} {
 		t.Run(proto.String(), func(t *testing.T) {
 			for round := 0; round < 2; round++ {
@@ -81,8 +82,8 @@ func TestWarmUpQueuesNoTraffic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s := newSim(cfg, oracles.get(cohConfig(cfg)))
-					if err := w.apply(ctx, s.coh, s.preds); err != nil {
+					s := shells.get(cfg)
+					if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
 						t.Fatal(err)
 					}
 					if s.coh.Writebacks() == 0 {
@@ -91,7 +92,7 @@ func TestWarmUpQueuesNoTraffic(t *testing.T) {
 					if !s.loop.Empty() {
 						t.Errorf("%s: warm-up left events queued for the timed run", name)
 					}
-					s.start(timed)
+					s.start(job.layout())
 					if s.coh.OnWriteback == nil {
 						t.Errorf("%s: the timed run starts without the writeback hook", name)
 					}
@@ -99,7 +100,7 @@ func TestWarmUpQueuesNoTraffic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					oracles.put(s.coh)
+					shells.put(s)
 					if got != want {
 						t.Errorf("%s: shared warm-up run differs from a one-call run\n got %+v\nwant %+v", name, got, want)
 					}
@@ -107,15 +108,15 @@ func TestWarmUpQueuesNoTraffic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, err = SimulateWarm(ctx, cfg, nil, timed, &oracles); err != nil || got != want {
-						t.Errorf("%s: cold run on a reused oracle differs from a one-call run (%v)\n got %+v\nwant %+v", name, err, got, want)
+					if got, err = SimulateWarm(ctx, cfg, NewJob(nil, timed), &shells); err != nil || got != want {
+						t.Errorf("%s: cold run on a reused shell differs from a one-call run (%v)\n got %+v\nwant %+v", name, err, got, want)
 					}
 				}
 			}
 		})
 	}
-	if len(oracles.free) != 1 {
-		t.Errorf("free list holds %d oracles after sequential runs, want 1", len(oracles.free))
+	if len(shells.free) != 1 {
+		t.Errorf("free list holds %d shells after sequential runs, want 1", len(shells.free))
 	}
 }
 
@@ -235,5 +236,83 @@ func TestProtocolStrings(t *testing.T) {
 	}
 	if Protocol(9).String() != "Protocol(9)" {
 		t.Error("unknown protocol should format numerically")
+	}
+}
+
+// hidden wraps a bank member so that its concrete type is out of sight.
+type hidden struct{ predictor.Predictor }
+
+// TestRestoredBankWithoutStep: a multicast run whose NewBank bank has no
+// bank step (its members hide their type, so predictor.StepOf gives
+// none) trains member by member over the warm-up's recorded columns. A
+// run that builds a shared job's warm-up, and one that restores it into
+// the shell the first handed back, must each equal the same run with a
+// private job and no free list.
+func TestRestoredBankWithoutStep(t *testing.T) {
+	warm, timed := simStreams(t, 6_000, 3_000)
+	ctx := context.Background()
+	cfg := DefaultConfig(Multicast)
+	cfg.NewBank = func() []predictor.Predictor {
+		bank := predictor.NewBank(cfg.Predictor)
+		for i, p := range bank {
+			bank[i] = hidden{p}
+		}
+		return bank
+	}
+	if predictor.StepOf(cfg.NewBank()) != nil {
+		t.Fatal("a bank of hidden members has a bank step")
+	}
+	want, err := SimulateWarm(ctx, cfg, &Job{warm: warm, timed: timed}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := NewJob(warm, timed)
+	var shells Shells
+	for _, run := range []string{"built", "restored"} {
+		got, err := SimulateWarm(ctx, cfg, job, &shells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s warm-up differs from a private run\n got %+v\nwant %+v", run, got, want)
+		}
+	}
+}
+
+// TestWarmUpTrainsLikeProcess: a bank trained over a job's recorded warm
+// columns, whether the job builds its warm-up or restores it, ends where
+// the per-miss reference leaves one: Multicast.Process on every warm
+// miss with the MissInfo a new oracle's Apply gives it. Every member's
+// table counts must match.
+func TestWarmUpTrainsLikeProcess(t *testing.T) {
+	warm, timed := simStreams(t, 6_000, 1)
+	cfg := DefaultConfig(Multicast)
+	pc := cfg.Predictor
+	pc.Nodes = cfg.Nodes
+	ref := predictor.NewBank(pc)
+	eng := protocol.NewMulticast(ref)
+	coh := coherence.NewSystem(cohConfig(cfg))
+	for i := 0; i < warm.Len(); i++ {
+		rec := warm.Record(i)
+		eng.Process(rec, coh.Apply(rec))
+	}
+	type counted interface {
+		TableStats() (lookups, hits, allocs, evictions uint64, live int)
+	}
+	stats := func(p predictor.Predictor) [5]uint64 {
+		l, h, a, e, n := p.(counted).TableStats()
+		return [5]uint64{l, h, a, e, uint64(n)}
+	}
+	job := NewJob(warm, timed)
+	for _, run := range []string{"built", "restored"} {
+		bank := predictor.NewBank(pc)
+		if err := job.warmUp(context.Background(), coherence.NewSystem(cohConfig(cfg)), bank); err != nil {
+			t.Fatal(err)
+		}
+		for i := range bank {
+			if got, want := stats(bank[i]), stats(ref[i]); got != want {
+				t.Errorf("%s warm-up: node %d's table counts %v, want %v", run, i, got, want)
+			}
+		}
 	}
 }

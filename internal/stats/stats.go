@@ -40,6 +40,12 @@ func (h *Histogram) AddN(v int, n uint64) {
 	h.total += n
 }
 
+// Reset drops every observation, keeping the histogram's range.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.total = 0
+}
+
 // Count returns the number of observations of value v.
 func (h *Histogram) Count(v int) uint64 {
 	if v < 0 || v >= len(h.counts) {

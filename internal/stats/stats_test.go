@@ -28,6 +28,10 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Max() != 4 {
 		t.Errorf("Max = %d, want 4", h.Max())
 	}
+	h.Reset()
+	if h.Total() != 0 || h.Max() != -1 || len(h.Buckets()) != 5 {
+		t.Errorf("after Reset: Total = %d, Max = %d, %d buckets; want 0, -1, 5", h.Total(), h.Max(), len(h.Buckets()))
+	}
 }
 
 func TestHistogramClamping(t *testing.T) {

@@ -12,9 +12,10 @@
 // parallelism. Streams may replay a shared immutable dataset (each cell
 // still gets its own cursor); workloads expose Prepare so such datasets
 // materialize across the worker pool before cells run. What the cells of
-// one source share beyond that — the timing runner's warm-up snapshot,
-// built once and read-only after — must not change any cell's result;
-// Release tells the caller when the last of them is done. Results are
+// one source share beyond that — the timing runner's warm-up snapshot
+// and timed streams, built once and read-only after — must not change
+// any cell's result; Release tells the caller when the last of them is
+// done. Results are
 // written to a slot indexed by the cell's position in the selected
 // subset, then compacted in order.
 package sweep

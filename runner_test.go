@@ -386,6 +386,40 @@ func TestRegisterEngineAndSweep(t *testing.T) {
 	}
 }
 
+// facadeEngine is a custom engine written with the facade's names
+// alone, as a module outside destset writes one: it delegates to the
+// directory engine.
+type facadeEngine struct{ dir destset.Engine }
+
+func (e facadeEngine) Process(rec destset.Record, mi destset.MissInfo) destset.Result {
+	return e.dir.Process(rec, mi)
+}
+
+func (e facadeEngine) Name() string { return "facade " + e.dir.Name() }
+
+// TestRegisterFacadeEngine: an engine that names its types through the
+// facade registers with RegisterEngine and sweeps exactly as the
+// directory engine it delegates to.
+func TestRegisterFacadeEngine(t *testing.T) {
+	name := runName("facade-directory")
+	err := destset.RegisterEngine(name, func(int, func() []destset.Predictor) (destset.Engine, error) {
+		return facadeEngine{destset.NewDirectoryEngine()}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := destset.NewRunner(
+		[]destset.EngineSpec{{Protocol: name}, {Protocol: destset.ProtocolDirectory}},
+		[]destset.WorkloadSpec{{Name: "ocean", Warm: 1000, Measure: 1000}},
+	).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0].Totals.Misses != 1000 || res[0].Totals != res[1].Totals {
+		t.Errorf("facade engine's sweep %+v, want the directory engine's Totals", res)
+	}
+}
+
 // TestNewEngineBuildsIndependentBanks: two engines built from one
 // EngineSpec share no training, so training one leaves the other
 // untrained.

@@ -176,6 +176,41 @@ func TestSweepDefDatasets(t *testing.T) {
 	if ds[2].Warm != 1000 || ds[2].Measure != 1100 {
 		t.Errorf("default-scale dataset = %+v, want def defaults 1000/1100", ds[2])
 	}
+	// A listed or decoded dataset hands on the key derived for it; one
+	// whose fields change since derives the changed dataset's key.
+	key := func(sd destset.SweepDataset) string {
+		t.Helper()
+		k, err := sd.ContentKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	raw, err := json.Marshal(ds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back destset.SweepDataset
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if key(back) != key(ds[0]) {
+		t.Errorf("decoded dataset's content key %s, listed %s", key(back), key(ds[0]))
+	}
+	for name, change := range map[string]func(*destset.SweepDataset){
+		"seed":     func(sd *destset.SweepDataset) { sd.Seed = 7 },
+		"measure":  func(sd *destset.SweepDataset) { sd.Measure = 801 },
+		"workload": func(sd *destset.SweepDataset) { sd.Workload.Name = "ocean" },
+	} {
+		for _, sd := range []destset.SweepDataset{ds[0], back} {
+			changed := sd
+			change(&changed)
+			fresh := destset.SweepDataset{Workload: changed.Workload, Seed: changed.Seed, Warm: changed.Warm, Measure: changed.Measure}
+			if key(changed) == key(sd) || key(changed) != key(fresh) {
+				t.Errorf("dataset with a changed %s has content key %s, want the changed dataset's %s", name, key(changed), key(fresh))
+			}
+		}
+	}
 	before := destset.DatasetCacheStats()
 	if err := ds[0].Prewarm(); err != nil {
 		t.Fatal(err)

@@ -120,15 +120,18 @@ func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (sweep.Work
 // dataset store and are replayed zero-copy by any number of concurrent
 // cells.
 //
-// Within one Run, the cells of a (workload, seed) share its warm-up: the
-// first to run replays the warm region and keeps a snapshot of the
-// coherence oracle, the others restore it and train their own predictors
-// (sim.Warmup), and the snapshot is dropped after the last computed cell
-// of that (workload, seed). Cells take their oracles from a free list
-// that holds one per worker. A restored cell equals a replayed one
-// exactly, so Run returns the same results in the same order at
-// parallelism 1 and parallelism N, and each equals the cell's one-call
-// sim.Simulate value.
+// Within one Run, the cells of a (workload, seed) share one sim.Job: the
+// first to run replays the warm region, keeping a snapshot of the
+// coherence oracle and the warm misses it recorded, and lays out the
+// timed region's per-node streams; the others restore the snapshot,
+// train their own predictors over the recorded misses and replay the
+// same streams. The job is dropped after the last computed cell of that
+// (workload, seed). Cells take their run shells — oracle, event loop,
+// crossbar links, transaction slab, message pool — from a free list that
+// holds one per worker, so a cell builds only its predictor bank. A
+// restored cell equals a replayed one exactly, so Run returns the same
+// results in the same order at parallelism 1 and parallelism N, and each
+// equals the cell's one-call sim.Simulate value.
 type TimingRunner struct {
 	sims      []SimSpec
 	workloads []WorkloadSpec
@@ -174,32 +177,38 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 	}
 	cells := sweep.Cross(len(workloads), len(r.sims), r.cfg.seeds)
 	var (
-		oracles sim.Oracles
-		mu      sync.Mutex
-		warmups = map[sweep.PrewarmJob]*sim.Warmup{}
+		shells sim.Shells
+		mu     sync.Mutex
+		jobs   = map[sweep.PrewarmJob]*sim.Job{}
 	)
-	// warmup returns the warm-up the cells of job share, made from the
-	// first cell's warm source: every cell of a job replays the same one.
-	warmup := func(job sweep.PrewarmJob, src sim.Source) *sim.Warmup {
-		if src == nil {
-			return nil
+	// jobOf returns the job the cells of key share, made from the sources
+	// its first cell opens: every cell of a key replays the same regions.
+	jobOf := func(key sweep.PrewarmJob) (*sim.Job, error) {
+		mu.Lock()
+		j := jobs[key]
+		mu.Unlock()
+		if j != nil {
+			return j, nil
+		}
+		warm, timed, err := sources[key.W](key.Seed)
+		if err != nil {
+			return nil, err
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		w := warmups[job]
-		if w == nil {
-			w = sim.NewWarmup(src)
-			warmups[job] = w
+		if j = jobs[key]; j == nil {
+			j = sim.NewJob(warm, timed)
+			jobs[key] = j
 		}
-		return w
+		return j, nil
 	}
 	return execute(ctx, r.cfg, r.Plan, r.workloads, workloads, cells, (*ResultStore).timingCell, (*ResultStore).putTimingCell,
 		sweep.Exec[TimingResult, TimingObservation]{
 			Observe: r.cfg.timingObserver,
-			Release: func(job sweep.PrewarmJob) {
+			Release: func(key sweep.PrewarmJob) {
 				mu.Lock()
 				defer mu.Unlock()
-				delete(warmups, job)
+				delete(jobs, key)
 			},
 			Compute: func(ctx context.Context, i int, emit func(TimingObservation)) (*TimingResult, error) {
 				c := cells[i]
@@ -208,12 +217,11 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				warmSrc, timedSrc, err := sources[c.W](c.Seed)
+				job, err := jobOf(sweep.PrewarmJob{W: c.W, Seed: c.Seed})
 				if err != nil {
 					return nil, fmt.Errorf("destset: workload %q: %w", w.Name, err)
 				}
-				job := sweep.PrewarmJob{W: c.W, Seed: c.Seed}
-				res, err := sim.SimulateWarm(ctx, cfg, warmup(job, warmSrc), timedSrc, &oracles)
+				res, err := sim.SimulateWarm(ctx, cfg, job, &shells)
 				if err != nil {
 					return nil, err
 				}
