@@ -172,9 +172,13 @@ func (d *Dataset) rescaleGaps(lo, hi int) {
 }
 
 // snapshotBlockStats copies the oracle's per-block statistics into a
-// compact slice (touched blocks only, address order).
+// compact slice (touched blocks only, address order). It counts the
+// touched blocks first and fills one slice of exactly that length: a
+// slice grown by append allocates several times what it keeps.
 func snapshotBlockStats(sys *coherence.System) []coherence.BlockStat {
-	var out []coherence.BlockStat
+	n := 0
+	sys.ForEachTouchedBlock(func(coherence.BlockStat) { n++ })
+	out := make([]coherence.BlockStat, 0, n)
 	sys.ForEachTouchedBlock(func(b coherence.BlockStat) {
 		out = append(out, b)
 	})

@@ -2,7 +2,10 @@
 // for the tier-1 allocation budgets.
 package memtest
 
-import "runtime"
+import (
+	"runtime"
+	"runtime/debug"
+)
 
 // PerRun calls op once to warm up (first dials, pool growth, lazy
 // set-up), then runs more times, and returns the mean heap bytes and
@@ -12,8 +15,26 @@ import "runtime"
 func PerRun(runs int, op func()) (bytes, allocs float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	op()
-	var before, after runtime.MemStats
 	runtime.GC()
+	return measure(runs, op)
+}
+
+// PerRunNoGC is PerRun with the collector off from the warm-up call to
+// the last measured one (debug.SetGCPercent(-1), restored afterwards)
+// and no collection between them: what an earlier call left held only
+// weakly, such as a recycled predictor bank, is still there for the next
+// call to take.
+func PerRunNoGC(runs int, op func()) (bytes, allocs float64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op()
+	return measure(runs, op)
+}
+
+// measure runs op runs times and returns the mean heap bytes and
+// allocations per call.
+func measure(runs int, op func()) (bytes, allocs float64) {
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		op()

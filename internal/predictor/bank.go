@@ -49,17 +49,22 @@ type tableMember interface {
 	whole(preds []Predictor) bool
 	config() Config
 	step() Step
+	recycle()
 }
 
 // tableBank is what the members one newBank call builds for a table
 // policy share: the configuration, the broadcast set, one table per
 // member (all on one set-major array when finite, see Table) and the
-// members in node order.
+// members in node order. A finite bank may be recycled (Recycle) and
+// built again from the free list.
 type tableBank[E any] struct {
 	cfg     Config
 	all     nodeset.Set
 	tables  []Table[E]
 	members []Predictor
+	// idle is set while the bank is on the free list; free's lock
+	// guards it.
+	idle bool
 }
 
 // member is one node's predictor of a table policy: its bank and its
@@ -70,16 +75,24 @@ type member[E any] struct {
 }
 
 // newMembers builds n members of a table policy's bank; wrap makes the
-// policy's predictor around each.
+// policy's predictor around each. A finite bank of the same normalized
+// configuration and size that was recycled and survives on the free
+// list is reset and taken instead.
 func newMembers[E any](cfg Config, n int, wrap func(member[E]) Predictor) []Predictor {
-	b := &tableBank[E]{
-		cfg:     cfg,
-		all:     nodeset.All(cfg.Nodes),
-		tables:  newTables[E](cfg.Entries, cfg.Ways, n),
-		members: make([]Predictor, n),
+	var b *tableBank[E]
+	if cfg.Entries > 0 {
+		b = takeBank[E](freeKey{cfg, n})
 	}
-	for i := range b.members {
-		b.members[i] = wrap(member[E]{bank: b, table: &b.tables[i]})
+	if b == nil {
+		b = &tableBank[E]{
+			cfg:     cfg,
+			all:     nodeset.All(cfg.Nodes),
+			tables:  newTables[E](cfg.Entries, cfg.Ways, n),
+			members: make([]Predictor, n),
+		}
+		for i := range b.members {
+			b.members[i] = wrap(member[E]{bank: b, table: &b.tables[i]})
+		}
 	}
 	// The caller owns the slice it gets and may replace members, so the
 	// bank keeps its own.

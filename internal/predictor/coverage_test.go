@@ -199,6 +199,9 @@ func TestValidateMatchesNew(t *testing.T) {
 		cfgs = append(cfgs,
 			Config{Policy: pol, Nodes: 16, Entries: 64, GroupRollover: maxRolloverLimit},
 			Config{Policy: pol, Nodes: 16, Entries: 64, GroupRollover: maxRolloverLimit + 1})
+		for _, ix := range []Indexing{{Mode: ByPC, MacroblockBytes: 256}, {MacroblockBytes: 192}, {MacroblockBytes: 100}, {MacroblockBytes: -64}, {Mode: 9}} {
+			cfgs = append(cfgs, Config{Policy: pol, Nodes: 16, Entries: 64, Indexing: ix})
+		}
 	}
 	for _, cfg := range cfgs {
 		err := cfg.Validate()

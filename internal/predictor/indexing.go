@@ -21,7 +21,8 @@ const (
 type Indexing struct {
 	Mode IndexMode
 	// MacroblockBytes is the spatial aggregation unit for ByBlock: 64
-	// (plain block), 256 or 1024 in the paper's experiments. Must be a
+	// (plain block), 256 or 1024 in the paper's experiments; 0 means 64.
+	// Config.Validate refuses any size that is negative or not a
 	// multiple of 64.
 	MacroblockBytes int
 }

@@ -39,6 +39,14 @@
 // written once, as methods of its entry type that both the step and the
 // per-node Predictor methods call, so the two paths train the same
 // tables the same way, counters included.
+//
+// Such a bank is 2–5 MB at the paper's standout configuration, and a
+// sweep builds one per cell. A caller that built a bank for one run and
+// showed it to nobody else hands it back with Recycle when the run is
+// over, and the next NewBank of the same configuration resets it (fill
+// counts and counters only) instead of allocating and zeroing a new
+// one. The free list holds idle banks only through weak pointers, so it
+// never pins memory: a bank the next collection finds idle is freed.
 package predictor
 
 import (
@@ -220,16 +228,26 @@ func (c Config) StorageBytes() int { return c.EntryBytes() * c.Entries }
 
 // Validate reports why New cannot build c, or nil when it can: a node
 // count outside 1..nodeset.MaxNodes, an unknown policy, a table geometry
-// NewTable rejects, a StickySpatial size that is not a power of two, or
-// a GroupRollover limit the rollover counter cannot reach. The spec
-// layers call it before a sweep starts, so that such a configuration
-// fails validation instead of panicking inside a sweep worker.
+// NewTable rejects, a StickySpatial size that is not a power of two, a
+// GroupRollover limit the rollover counter cannot reach, an index mode
+// other than ByBlock and ByPC, or a macroblock size that is negative or
+// not a multiple of the 64-byte block (keys are whole blocks, so such a
+// size would be named one way and keyed another). The spec layers call
+// it before a sweep starts, so that such a configuration fails
+// validation instead of panicking inside a sweep worker or running
+// under a name it does not honour.
 func (c Config) Validate() error {
 	if c.Nodes <= 0 || c.Nodes > nodeset.MaxNodes {
 		return fmt.Errorf("predictor: bad node count %d (want 1..%d)", c.Nodes, nodeset.MaxNodes)
 	}
 	if c.GroupRollover > 0 && uint64(c.GroupRollover) > maxRolloverLimit {
 		return fmt.Errorf("predictor: group rollover limit %d exceeds %d", c.GroupRollover, uint64(maxRolloverLimit))
+	}
+	if m := c.Indexing.Mode; m != ByBlock && m != ByPC {
+		return fmt.Errorf("predictor: unknown index mode %d", m)
+	}
+	if mb := c.Indexing.MacroblockBytes; mb < 0 || mb%trace.BlockBytes != 0 {
+		return fmt.Errorf("predictor: macroblock size %d bytes is not a multiple of the %d-byte block", mb, trace.BlockBytes)
 	}
 	switch c.Policy {
 	case Owner, BroadcastIfShared, Group, OwnerGroup:
@@ -252,7 +270,9 @@ func New(cfg Config) Predictor { return newBank(cfg, 1)[0] }
 
 // NewBank builds one predictor per node, all with the same configuration.
 // The tables of a table-backed policy share one set-major array (see
-// Table).
+// Table). A finite table bank may be one that Recycle handed back and no
+// collection has freed since, reset to empty tables with zeroed
+// counters: it predicts, trains and counts exactly as a new one.
 func NewBank(cfg Config) []Predictor { return newBank(cfg, cfg.Nodes) }
 
 // newBank builds n predictors from cfg. It panics on a configuration

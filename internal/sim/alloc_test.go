@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"destset/internal/memtest"
-	"destset/internal/predictor"
 	"destset/internal/workload"
 )
 
@@ -96,9 +95,6 @@ func TestSimLoopAllocFree(t *testing.T) {
 	}
 }
 
-// bankSink keeps the bank TestSimSetupBytes measures reachable.
-var bankSink []predictor.Predictor
-
 // TestSimSetupBytes caps what one timing cell allocates before its timed
 // region runs, on the OLTP streams of a Figure 7 cell (20,000 warm and
 // 20,000 timed misses).
@@ -112,18 +108,24 @@ var bankSink []predictor.Predictor
 //     once the caches allocate the pages of sets they fill. Its cap is
 //     1.2x that. Recording the warm stream as columns, which the bank
 //     trains over, brought it to 11,147,096.
-//   - A sweep's later cell restores a shared warm-up into a reused shell,
-//     so it allocates little beyond its predictor bank. A multicast cell
-//     allocated 4,339,640 bytes when only its oracle was reused, and its
-//     cap is 1.2x that; on a reused shell it allocates 4,329,464. A
-//     directory cell's cap stays at 1.2x the 7,712 bytes first measured
-//     for a new crossbar, event loop and histogram; on a reused shell it
-//     allocates 1,016.
+//   - A sweep's later cell restores a shared warm-up into a reused shell.
+//     A multicast cell allocated 4,339,640 bytes when only its oracle was
+//     reused, almost all of it a new predictor bank (4,328,304 bytes).
+//     Now a completed run hands its bank back (predictor.Recycle) and the
+//     next cell of the configuration resets it, so the cell's cap is
+//     64 KB. A directory cell's cap stays at 1.2x the 7,712 bytes first
+//     measured for a new crossbar, event loop and histogram; on a reused
+//     shell it allocates 1,016.
 //   - The whole cell — set-up and start, which schedules each node's first
 //     miss — on the shell a completed run of the same job handed back
-//     allocates at most 1.2x its predictor bank: 4,329,496 bytes against
-//     a bank's 4,328,304. A per-cell layout of the timed streams and a
-//     per-cell transaction slab would add 3 MB.
+//     allocated 4,329,496 bytes, 1.2 KB beyond its new bank; with the
+//     bank taken over, its cap is 64 KB too. A per-cell layout of the
+//     timed streams and a per-cell transaction slab would add 3 MB.
+//
+// The restored and whole-cell runs measure with the collector off
+// (memtest.PerRunNoGC), since the free list holds idle banks only
+// weakly: a collection between two cells frees the bank, and the next
+// cell builds a new one.
 func TestSimSetupBytes(t *testing.T) {
 	warm, timed := simStreams(t, 20_000, 20_000)
 	ctx := context.Background()
@@ -146,16 +148,17 @@ func TestSimSetupBytes(t *testing.T) {
 		proto    Protocol
 		maxBytes float64
 	}{
-		{Multicast, 1.2 * 4_339_640},
+		{Multicast, 64 << 10},
 		{Directory, 1.2 * 7_712},
 	} {
 		t.Run("restored/"+c.proto.String(), func(t *testing.T) {
 			cfg := DefaultConfig(c.proto)
 			job := NewJob(warm, timed)
 			var shells Shells
-			// PerRun's first call builds the snapshot; the measured call
-			// restores it into the shell the first call handed back.
-			got, _ := memtest.PerRun(1, func() {
+			// PerRunNoGC's first call builds the snapshot; the measured
+			// call restores it into the shell the first call handed back,
+			// with the bank that shell's run recycled.
+			got, _ := memtest.PerRunNoGC(1, func() {
 				s := shells.get(cfg)
 				if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
 					t.Fatal(err)
@@ -164,24 +167,20 @@ func TestSimSetupBytes(t *testing.T) {
 			})
 			t.Logf("restored set-up allocated %.0f bytes", got)
 			if got > c.maxBytes {
-				t.Errorf("restored set-up allocated %.3f MB, want at most %.3f MB",
-					got/(1<<20), c.maxBytes/(1<<20))
+				t.Errorf("restored set-up allocated %.0f bytes, want at most %.0f", got, c.maxBytes)
 			}
 		})
 	}
 	t.Run("whole-cell/multicast", func(t *testing.T) {
+		const maxCellBytes = 64 << 10
 		cfg := DefaultConfig(Multicast)
-		pc := cfg.Predictor
-		pc.Nodes = cfg.Nodes
-		bank, _ := memtest.PerRun(1, func() { bankSink = predictor.NewBank(pc) })
-		bankSink = nil
 		job := NewJob(warm, timed)
 		var shells Shells
-		// PerRun's first call runs a whole cell, which builds the job's
-		// warm-up and streams and hands its shell back; the measured call
-		// sets up and starts the next cell on that shell.
+		// PerRunNoGC's first call runs a whole cell, which builds the
+		// job's warm-up and streams and hands its shell and bank back; the
+		// measured call sets up and starts the next cell on that shell.
 		first := true
-		got, _ := memtest.PerRun(1, func() {
+		got, _ := memtest.PerRunNoGC(1, func() {
 			if first {
 				first = false
 				if _, err := SimulateWarm(ctx, cfg, job, &shells); err != nil {
@@ -195,10 +194,9 @@ func TestSimSetupBytes(t *testing.T) {
 			}
 			s.start(job.layout())
 		})
-		t.Logf("whole cell allocated %.0f bytes, its bank %.0f", got, bank)
-		if got > 1.2*bank {
-			t.Errorf("whole-cell set-up and start allocated %.3f MB, want at most 1.2x the bank's %.3f MB",
-				got/(1<<20), bank/(1<<20))
+		t.Logf("whole cell allocated %.0f bytes", got)
+		if got > maxCellBytes {
+			t.Errorf("whole-cell set-up and start allocated %.0f bytes, want at most %d", got, maxCellBytes)
 		}
 	})
 }

@@ -172,7 +172,9 @@ func newStreams(src Source) *streams {
 // its coherence oracle, event loop, crossbar links, transaction slab,
 // message pool and latency histogram. A run resets the shell it takes;
 // the oracle keeps its lines until the run's warm-up resets or restores
-// it, and one of another coherence configuration is replaced. A run that
+// it, and one of another coherence configuration is replaced. A shell
+// on the free list holds no predictor bank: each run gets its own from
+// NewBank, which may be one an earlier run recycled (put). A run that
 // fails or is cancelled drops its shell, which may still hold queued
 // events and messages in flight. The zero value is empty and ready; it
 // is safe for concurrent use.
@@ -199,8 +201,15 @@ func (f *Shells) get(cfg Config) *sim {
 }
 
 // put returns the shell of a completed run to the free list; a nil free
-// list drops it.
+// list drops it. Either way the shell lets go of its predictor bank, and
+// a bank it built with predictor.NewBank goes back to predictor's free
+// list (predictor.Recycle), since the run was its only user; a bank from
+// Config.NewBank is the caller's and is only dropped.
 func (f *Shells) put(s *sim) {
+	if s.cfg.NewBank == nil {
+		predictor.Recycle(s.preds)
+	}
+	s.preds, s.oracles = nil, nil
 	if f == nil {
 		return
 	}

@@ -513,10 +513,10 @@ func newSim(cfg Config) *sim {
 }
 
 // reset makes the shell ready for a run of cfg: an empty event loop,
-// idle links, zeroed statistics and a fresh predictor bank. The oracle,
-// replaced when its configuration is not cfg's, keeps its state for the
-// run's warm-up to reset or restore, and its writeback hook stays off
-// until start.
+// idle links, zeroed statistics and an untrained predictor bank from
+// cfg.NewBank or predictor.NewBank. The oracle, replaced when its
+// configuration is not cfg's, keeps its state for the run's warm-up to
+// reset or restore, and its writeback hook stays off until start.
 func (s *sim) reset(cfg Config) {
 	s.cfg = cfg
 	s.loop.Reset()

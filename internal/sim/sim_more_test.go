@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"destset/internal/cache"
@@ -313,6 +314,57 @@ func TestWarmUpTrainsLikeProcess(t *testing.T) {
 			if got, want := stats(bank[i]), stats(ref[i]); got != want {
 				t.Errorf("%s warm-up: node %d's table counts %v, want %v", run, i, got, want)
 			}
+		}
+	}
+}
+
+// TestCallerBanksAreNeverRecycled: a bank from Config.NewBank is the
+// caller's. A completed run drops it without recycling it, so no later
+// run takes it over, whether through the caller's NewBank or the
+// simulator's own; and runs of one configuration agree whichever banks
+// they got. The collector is off, so a recycled bank would survive to
+// be taken.
+func TestCallerBanksAreNeverRecycled(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	warm, timed := simStreams(t, 2000, 2000)
+	job := NewJob(warm, timed)
+	var shells Shells
+	cfg := DefaultConfig(Multicast)
+	pc := cfg.Predictor
+	pc.Nodes = cfg.Nodes
+	var kept [][]predictor.Predictor
+	cfg.NewBank = func() []predictor.Predictor {
+		kept = append(kept, predictor.NewBank(pc))
+		return kept[len(kept)-1]
+	}
+	own := cfg
+	own.NewBank = nil
+	var results []Result
+	for _, c := range []Config{own, cfg, cfg, own, own} {
+		res, err := SimulateWarm(context.Background(), c, job, &shells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if kept[0][0] == kept[1][0] {
+		t.Error("the caller's second bank is its first")
+	}
+	stats := func() string {
+		return fmt.Sprint(kept[0][0].(interface {
+			TableStats() (lookups, hits, allocs, evictions uint64, live int)
+		}).TableStats())
+	}
+	before := stats()
+	if _, err := SimulateWarm(context.Background(), own, job, &shells); err != nil {
+		t.Fatal(err)
+	}
+	if after := stats(); after != before {
+		t.Errorf("a later run trained the caller's bank: %s, then %s", before, after)
+	}
+	for i, res := range results {
+		if res != results[0] {
+			t.Errorf("run %d: %+v, first run %+v", i, res, results[0])
 		}
 	}
 }

@@ -34,16 +34,16 @@ func rangeEngines() []Engine {
 		return predictor.NewBank(predictor.DefaultConfig(pol, nodes))
 	}
 	return []Engine{
-		{Label: "snooping", New: func(nodes int) (protocol.Engine, error) { return protocol.NewSnooping(nodes), nil }},
-		{Label: "directory", New: func(int) (protocol.Engine, error) { return protocol.NewDirectory(), nil }},
-		{Label: "group", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewMulticast(bank(predictor.Group, nodes)), nil
+		{Label: "snooping", New: func(nodes int) (protocol.Engine, func(), error) { return protocol.NewSnooping(nodes), nil, nil }},
+		{Label: "directory", New: func(int) (protocol.Engine, func(), error) { return protocol.NewDirectory(), nil, nil }},
+		{Label: "group", New: func(nodes int) (protocol.Engine, func(), error) {
+			return protocol.NewMulticast(bank(predictor.Group, nodes)), nil, nil
 		}},
-		{Label: "minimal", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewMulticast(bank(predictor.Minimal, nodes)), nil
+		{Label: "minimal", New: func(nodes int) (protocol.Engine, func(), error) {
+			return protocol.NewMulticast(bank(predictor.Minimal, nodes)), nil, nil
 		}},
-		{Label: "predictive-directory", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewPredictiveDirectory(bank(predictor.Owner, nodes)), nil
+		{Label: "predictive-directory", New: func(nodes int) (protocol.Engine, func(), error) {
+			return protocol.NewPredictiveDirectory(bank(predictor.Owner, nodes)), nil, nil
 		}},
 	}
 }
@@ -94,7 +94,7 @@ func runObserved(t *testing.T, e Engine, w Workload, interval int) (Result, []Ob
 // per miss, an observation whenever the interval fills.
 func perMissCell(t *testing.T, e Engine, w Workload, interval int) (Result, []Observation) {
 	t.Helper()
-	eng, err := e.New(w.Nodes)
+	eng, _, err := e.New(w.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRunCellCancelsWithinAChunk(t *testing.T) {
 		for _, at := range []int{1, 3000, warm + 1, warm + 4097} {
 			ctx, cancel := context.WithCancel(context.Background())
 			eng := &cancelAt{Engine: protocol.NewDirectory(), n: at, cancel: cancel}
-			e := Engine{Label: "cancel", New: func(int) (protocol.Engine, error) { return eng, nil }}
+			e := Engine{Label: "cancel", New: func(int) (protocol.Engine, func(), error) { return eng, nil, nil }}
 			res, err := RunCell(ctx, e, replayOf(ds, warm, measure, hide), 1, 1000, func(Observation) {})
 			cancel()
 			if res != nil || !errors.Is(err, context.Canceled) {
@@ -301,16 +301,16 @@ func TestRangeReplaySurvivesGCOnMmap(t *testing.T) {
 		}}
 	cfg := predictor.DefaultConfig(predictor.Group, p.Nodes)
 	engines := []Engine{
-		{Label: "multicast", New: func(int) (protocol.Engine, error) {
+		{Label: "multicast", New: func(int) (protocol.Engine, func(), error) {
 			calls := new(int)
 			bank := predictor.NewBank(cfg)
 			for i, m := range bank {
 				bank[i] = gcPredictor{Predictor: m, calls: calls, check: check}
 			}
-			return protocol.NewMulticast(bank), nil
+			return protocol.NewMulticast(bank), nil, nil
 		}},
-		{Label: "hidden", New: func(int) (protocol.Engine, error) {
-			return &gcEngine{Engine: protocol.NewMulticast(predictor.NewBank(cfg)), check: check}, nil
+		{Label: "hidden", New: func(int) (protocol.Engine, func(), error) {
+			return &gcEngine{Engine: protocol.NewMulticast(predictor.NewBank(cfg)), check: check}, nil, nil
 		}},
 	}
 	for _, e := range engines {

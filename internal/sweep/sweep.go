@@ -7,17 +7,21 @@
 //
 // Determinism comes from the shape of a cell, not from locking: every
 // cell builds its own fresh engine and opens its own miss stream, both
-// of which are pure functions of the cell's coordinates, so cells never
-// share mutable state and their results are reproducible at any
-// parallelism. Streams may replay a shared immutable dataset (each cell
-// still gets its own cursor); workloads expose Prepare so such datasets
-// materialize across the worker pool before cells run. What the cells of
-// one source share beyond that — the timing runner's warm-up snapshot
-// and timed streams, built once and read-only after — must not change
-// any cell's result; Release tells the caller when the last of them is
-// done. Results are
-// written to a slot indexed by the cell's position in the selected
-// subset, then compacted in order.
+// of which are pure functions of the cell's coordinates, so their
+// results are reproducible at any parallelism. Storage may pass from a
+// finished cell to a later one: an engine's release hands a predictor
+// bank nobody else saw back to predictor's free list, and the next
+// NewBank of its configuration resets it. That never happens while a
+// cell uses the bank, and a reset bank trains and counts exactly as a
+// new one, so no cell sees another's training, whatever order the banks
+// change hands in. Streams may replay a shared immutable dataset (each
+// cell still gets its own cursor); workloads expose Prepare so such
+// datasets materialize across the worker pool before cells run. What
+// the cells of one source share beyond that — the timing runner's
+// warm-up snapshot and timed streams, built once and read-only after —
+// must not change any cell's result; Release tells the caller when the
+// last of them is done. Results are written to a slot indexed by the
+// cell's position in the selected subset, then compacted in order.
 package sweep
 
 import (
@@ -58,8 +62,11 @@ type Engine struct {
 	// not equal the built engine's Name().
 	Label string
 	// New builds a fresh engine. It is called once per cell, so every
-	// cell trains and measures an independent instance.
-	New func(nodes int) (protocol.Engine, error)
+	// cell trains and measures an independent instance. release, when
+	// non-nil, is called once the cell has used the engine for the last
+	// time, whether the cell completed or not; it may hand storage the
+	// engine alone used on to a later cell.
+	New func(nodes int) (eng protocol.Engine, release func(), err error)
 }
 
 // Workload names a miss-stream source and its measurement scale.
@@ -467,9 +474,13 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 	if e.New == nil {
 		return nil, fmt.Errorf("sweep: engine %q has no constructor", e.Label)
 	}
-	eng, err := e.New(w.Nodes)
+	eng, release, err := e.New(w.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: engine %q: %w", e.Label, err)
+	}
+	if release != nil {
+		// Deferred, it runs after the result below has read eng.Name().
+		defer release()
 	}
 	st, err := w.Open(seed)
 	if err != nil {

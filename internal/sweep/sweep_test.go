@@ -18,14 +18,14 @@ import (
 
 func testEngines() []Engine {
 	return []Engine{
-		{Label: "snooping", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewSnooping(nodes), nil
+		{Label: "snooping", New: func(nodes int) (protocol.Engine, func(), error) {
+			return protocol.NewSnooping(nodes), nil, nil
 		}},
-		{Label: "directory", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewDirectory(), nil
+		{Label: "directory", New: func(nodes int) (protocol.Engine, func(), error) {
+			return protocol.NewDirectory(), nil, nil
 		}},
-		{Label: "owner", New: func(nodes int) (protocol.Engine, error) {
-			return protocol.NewMulticast(predictor.NewBank(predictor.DefaultConfig(predictor.Owner, nodes))), nil
+		{Label: "owner", New: func(nodes int) (protocol.Engine, func(), error) {
+			return protocol.NewMulticast(predictor.NewBank(predictor.DefaultConfig(predictor.Owner, nodes))), nil, nil
 		}},
 	}
 }
@@ -165,8 +165,8 @@ func TestRunCancellationReturnsPartialResults(t *testing.T) {
 }
 
 func TestRunPropagatesCellErrors(t *testing.T) {
-	bad := []Engine{{Label: "bad", New: func(int) (protocol.Engine, error) {
-		return nil, errors.New("boom")
+	bad := []Engine{{Label: "bad", New: func(int) (protocol.Engine, func(), error) {
+		return nil, nil, errors.New("boom")
 	}}}
 	workloads := testWorkloads(t, []string{"oltp"}, 10, 10)
 	_, err := runCells(context.Background(), bad, workloads, []uint64{1}, Exec[Result, Observation]{}, 0)

@@ -14,11 +14,11 @@ import (
 func TestBuiltinPolicyNameBuildsOneBank(t *testing.T) {
 	byName := EngineSpec{Protocol: ProtocolMulticast, PolicyName: "group", Label: "by-name"}
 	byValue := EngineSpec{Protocol: ProtocolMulticast, Policy: Group, UsePolicy: true, Label: "by-value"}
-	newBank, err := byName.bankFactory(16)
+	newBank, builtin, err := byName.bankFactory(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if predictor.StepOf(newBank()) == nil {
+	if !builtin || predictor.StepOf(newBank()) == nil {
 		t.Error(`EngineSpec{PolicyName: "group"} builds a bank without the bank step`)
 	}
 	res, err := NewRunner([]EngineSpec{byName, byValue},

@@ -2,6 +2,7 @@ package destset
 
 import (
 	"fmt"
+	"strings"
 
 	"destset/internal/dataset"
 	"destset/internal/predictor"
@@ -181,22 +182,23 @@ func bankConfig(kind, label string, policy Policy, pc *PredictorConfig, nodes in
 // for a system of nodes, or nil when no policy is configured. An explicit
 // Predictor config is used verbatim (aside from filling Nodes);
 // otherwise the Policy / PolicyName selection gets the paper's standout
-// configuration.
-func (s EngineSpec) bankFactory(nodes int) (func() []predictor.Predictor, error) {
+// configuration. builtin reports that the factory is predictor.NewBank,
+// not a registered custom policy's.
+func (s EngineSpec) bankFactory(nodes int) (newBank func() []predictor.Predictor, builtin bool, err error) {
 	if !s.hasPolicy() {
-		return nil, nil
+		return nil, false, nil
 	}
 	cfg, err := bankConfig("engine", s.DisplayLabel(), s.Policy, s.Predictor, nodes)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if s.PolicyName != "" {
 		custom, err := namedBank(s.PolicyName, &cfg)
 		if custom != nil || err != nil {
-			return custom, err
+			return custom, false, err
 		}
 	}
-	return func() []predictor.Predictor { return predictor.NewBank(cfg) }, nil
+	return func() []predictor.Predictor { return predictor.NewBank(cfg) }, true, nil
 }
 
 // namedBank resolves a policy name for a bank of configuration cfg. A
@@ -230,29 +232,53 @@ func namedBank(name string, cfg *PredictorConfig) (func() []predictor.Predictor,
 // set), with its own untrained predictor bank: engines built from one
 // spec share no training. A sweep cell builds its engine this way.
 func (s EngineSpec) NewEngine(nodes int) (Engine, error) {
+	eng, _, err := s.newEngine(nodes)
+	return eng, err
+}
+
+// newEngine is NewEngine. It also returns the engine's bank when only
+// the engine holds it, or nil: the bank of a built-in multicast or
+// predictive-directory engine over predictor.NewBank. A bank that a
+// registered engine factory or a custom policy's factory received may
+// be kept there, so it is never returned.
+func (s EngineSpec) newEngine(nodes int) (Engine, []predictor.Predictor, error) {
 	if s.Nodes > 0 {
 		nodes = s.Nodes
 	}
 	if nodes <= 0 {
-		return nil, fmt.Errorf("destset: engine spec %q needs a node count", s.DisplayLabel())
+		return nil, nil, fmt.Errorf("destset: engine spec %q needs a node count", s.DisplayLabel())
 	}
 	name := s.protocolName()
 	if name == "" {
-		return nil, fmt.Errorf("destset: engine spec needs a protocol or a policy")
+		return nil, nil, fmt.Errorf("destset: engine spec needs a protocol or a policy")
 	}
-	newBank, err := s.bankFactory(nodes)
+	newBank, builtin, err := s.bankFactory(nodes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return protocol.NewByName(name, nodes, newBank)
+	if n := strings.ToLower(strings.TrimSpace(name)); builtin && (n == protocol.MulticastName || n == protocol.PredictiveDirectoryName) {
+		bank := newBank()
+		eng, err := protocol.NewByName(name, nodes, func() []predictor.Predictor { return bank })
+		return eng, bank, err
+	}
+	eng, err := protocol.NewByName(name, nodes, newBank)
+	return eng, nil, err
 }
 
-// sweepEngine adapts the spec for the sweep runner.
+// sweepEngine adapts the spec for the sweep runner. A cell's engine is
+// NewEngine's, and once the cell is done with it the cell's release
+// recycles the engine's bank when only the engine held it (newEngine):
+// the next cell of the same predictor configuration takes that bank
+// over, reset, instead of building and zeroing a new one.
 func (s EngineSpec) sweepEngine() sweep.Engine {
 	return sweep.Engine{
 		Label: s.DisplayLabel(),
-		New: func(nodes int) (protocol.Engine, error) {
-			return s.NewEngine(nodes)
+		New: func(nodes int) (protocol.Engine, func(), error) {
+			eng, bank, err := s.newEngine(nodes)
+			if err != nil || bank == nil {
+				return eng, nil, err
+			}
+			return eng, func() { predictor.Recycle(bank) }, nil
 		},
 	}
 }

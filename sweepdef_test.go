@@ -404,6 +404,38 @@ func TestMalformedL2IsRefused(t *testing.T) {
 	}
 }
 
+// TestMalformedIndexingIsRefused: a predictor indexing the tables cannot
+// honour — a macroblock size that is negative or not a multiple of the
+// 64-byte block, or an unknown index mode — fails Validate, and both
+// runners refuse a spec carrying it with an error that names the spec,
+// instead of running it under a name it does not honour.
+func TestMalformedIndexingIsRefused(t *testing.T) {
+	w := []destset.WorkloadSpec{{Name: "oltp", Warm: 1000, Measure: 1000}}
+	for name, ix := range map[string]destset.Indexing{
+		"100-byte macroblock":  {Mode: destset.ByBlock, MacroblockBytes: 100},
+		"1000-byte macroblock": {Mode: destset.ByBlock, MacroblockBytes: 1000},
+		"negative macroblock":  {Mode: destset.ByBlock, MacroblockBytes: -64},
+		"unknown index mode":   {Mode: 9, MacroblockBytes: 1024},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := destset.DefaultPredictorConfig(destset.Group, 16)
+			cfg.Indexing = ix
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("Validate accepts %+v", ix)
+			}
+			cfg.Nodes = 0
+			engine := destset.EngineSpec{Protocol: destset.ProtocolMulticast, Predictor: &cfg, Label: "bad-index"}
+			if _, err := destset.NewRunner([]destset.EngineSpec{engine}, w).Run(context.Background()); err == nil || !strings.Contains(err.Error(), `"bad-index"`) {
+				t.Errorf("trace sweep = %v, want an error naming the spec", err)
+			}
+			sim := destset.SimSpec{Protocol: destset.ProtocolMulticast, Predictor: &cfg, Label: "bad-index"}
+			if _, err := destset.NewTimingRunner([]destset.SimSpec{sim}, w).Run(context.Background()); err == nil || !strings.Contains(err.Error(), `"bad-index"`) {
+				t.Errorf("timing sweep = %v, want an error naming the spec", err)
+			}
+		})
+	}
+}
+
 // TestSweepDefComposedRoundTrip pins the wire form of the new composed
 // parameter kinds: a def carrying phased, tenant-mix, regulated and
 // imported Params survives JSON unchanged — same plan fingerprint, and
