@@ -19,7 +19,10 @@
 // size of its caches; Snapshot copies the valid cache lines and the
 // non-zero block-table entries, and Restore installs such a copy. The
 // timing simulator uses them to warm up each trace region once per sweep
-// and to keep one System per worker.
+// and to keep one System per worker. A caller done with a System it
+// showed to nobody else hands it back with Recycle, and the next
+// NewSystem of the same configuration resets and returns it instead of
+// building a new one; the free list holds idle Systems only weakly.
 package coherence
 
 import (
@@ -29,6 +32,7 @@ import (
 	"slices"
 
 	"destset/internal/cache"
+	"destset/internal/freelist"
 	"destset/internal/nodeset"
 	"destset/internal/trace"
 )
@@ -286,10 +290,15 @@ type System struct {
 func (s *System) Writebacks() uint64 { return s.writebacks }
 
 // NewSystem returns a system with empty caches and all blocks owned by
-// memory.
+// memory. It may be one that Recycle handed back and no collection has
+// freed since, reset: it behaves exactly as a new one.
 func NewSystem(cfg Config) *System {
 	if cfg.Nodes <= 0 || cfg.Nodes > nodeset.MaxNodes {
 		panic(fmt.Sprintf("coherence: bad node count %d", cfg.Nodes))
+	}
+	if s := idle.Take(cfg); s != nil {
+		s.Reset()
+		return s
 	}
 	s := &System{cfg: cfg, caches: make([]*cache.Cache, cfg.Nodes), dir: new(directory)}
 	s.dirs = map[trace.Addr]*directory{0: s.dir}
@@ -297,6 +306,28 @@ func NewSystem(cfg Config) *System {
 		s.caches[i] = cache.New(cfg.L2)
 	}
 	return s
+}
+
+// idle is the process-wide free list of recycled Systems, keyed by
+// configuration.
+var idle freelist.List[Config, System]
+
+// Recycle hands back a System its caller is done with, so that a later
+// NewSystem of the same configuration can reset it and return it
+// instead of allocating new caches and block-table pages. It drops the
+// System's OnWriteback hook and ignores nil.
+//
+// The caller must be the System's only user and must not use it once
+// it is recycled: NewSystem may hand it to another caller at any time.
+// The free list holds each idle System only through a weak pointer, so
+// it pins no memory: the next collection frees an idle System unless
+// NewSystem has taken it first.
+func Recycle(s *System) {
+	if s == nil {
+		return
+	}
+	s.OnWriteback = nil
+	idle.Put(s.cfg, s)
 }
 
 // Config returns the system configuration.

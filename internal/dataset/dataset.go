@@ -60,9 +60,9 @@ type Dataset struct {
 	// blockStats is the compact snapshot of the oracle's per-block
 	// touched-set and miss counters after the whole run, in address
 	// order. Keeping the snapshot instead of the live coherence.System
-	// releases the oracle's block-table pages and the filled pages of
-	// its sixteen modelled L2 caches — megabytes per workload — to the
-	// GC.
+	// frees the oracle, with its block-table pages and the filled pages
+	// of its sixteen modelled L2 caches — megabytes per workload — for
+	// the next generation to reset and reuse (coherence.Recycle).
 	//
 	// Disk loads whose columns alias the file buffer defer the snapshot:
 	// statsRaw aliases the on-file stats region and blockStats is decoded
@@ -108,8 +108,10 @@ func Generate(p workload.Params, warm, measure int) (*Dataset, error) {
 		d.rescaleGaps(0, warm)
 		d.rescaleGaps(warm, n)
 	}
-	d.blockStats = snapshotBlockStats(g.System())
+	sys := g.System()
+	d.blockStats = snapshotBlockStats(sys)
 	d.nstats = len(d.blockStats)
+	coherence.Recycle(sys)
 	return d, nil
 }
 

@@ -50,6 +50,7 @@ type tableMember interface {
 	config() Config
 	step() Step
 	recycle()
+	reset()
 }
 
 // tableBank is what the members one newBank call builds for a table
@@ -62,9 +63,6 @@ type tableBank[E any] struct {
 	all     nodeset.Set
 	tables  []Table[E]
 	members []Predictor
-	// idle is set while the bank is on the free list; free's lock
-	// guards it.
-	idle bool
 }
 
 // member is one node's predictor of a table policy: its bank and its
@@ -79,12 +77,12 @@ type member[E any] struct {
 // configuration and size that was recycled and survives on the free
 // list is reset and taken instead.
 func newMembers[E any](cfg Config, n int, wrap func(member[E]) Predictor) []Predictor {
-	var b *tableBank[E]
+	var members []Predictor
 	if cfg.Entries > 0 {
-		b = takeBank[E](freeKey{cfg, n})
+		members = takeMembers(freeKey{cfg, n})
 	}
-	if b == nil {
-		b = &tableBank[E]{
+	if members == nil {
+		b := &tableBank[E]{
 			cfg:     cfg,
 			all:     nodeset.All(cfg.Nodes),
 			tables:  newTables[E](cfg.Entries, cfg.Ways, n),
@@ -93,10 +91,11 @@ func newMembers[E any](cfg Config, n int, wrap func(member[E]) Predictor) []Pred
 		for i := range b.members {
 			b.members[i] = wrap(member[E]{bank: b, table: &b.tables[i]})
 		}
+		members = b.members
 	}
 	// The caller owns the slice it gets and may replace members, so the
 	// bank keeps its own.
-	return append([]Predictor(nil), b.members...)
+	return append([]Predictor(nil), members...)
 }
 
 func (m member[E]) Name() string { return m.bank.cfg.Name() }

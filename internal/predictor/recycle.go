@@ -1,9 +1,6 @@
 package predictor
 
-import (
-	"sync"
-	"weak"
-)
+import "destset/internal/freelist"
 
 // Recycle hands back a bank its caller is done with, so that a later
 // NewBank of the same configuration can reset it and return it instead
@@ -36,53 +33,29 @@ type freeKey struct {
 	n   int
 }
 
-// free is the process-wide free list of recycled banks. Each entry is a
-// weak.Pointer[tableBank[E]] of its key's policy's entry type E.
-var free = struct {
-	sync.Mutex
-	m map[freeKey][]any
-}{m: make(map[freeKey][]any)}
+// banks is the process-wide free list of recycled banks. It lists a
+// bank by its members field, which every policy's bank has whatever its
+// entry type: a weak pointer to a field refers to the whole bank.
+var banks freelist.List[freeKey, []Predictor]
 
 func (m member[E]) recycle() {
 	b := m.bank
-	key := freeKey{b.cfg, len(b.members)}
-	free.Lock()
-	defer free.Unlock()
-	if b.idle {
-		return // recycled twice: one entry is enough
-	}
-	b.idle = true
-	// Drop the entries of banks a collection has freed, so a key's list
-	// holds at most its idle banks.
-	l := free.m[key][:0]
-	for _, w := range free.m[key] {
-		if w.(weak.Pointer[tableBank[E]]).Value() != nil {
-			l = append(l, w)
-		}
-	}
-	free.m[key] = append(l, weak.Make(b))
+	banks.Put(freeKey{b.cfg, len(b.members)}, &b.members)
 }
 
-// takeBank returns an idle bank of key that no collection has freed,
-// reset as newMembers builds one, or nil when there is none.
-func takeBank[E any](key freeKey) *tableBank[E] {
-	free.Lock()
-	defer free.Unlock()
-	l := free.m[key]
-	for len(l) > 0 {
-		w := l[len(l)-1].(weak.Pointer[tableBank[E]])
-		l[len(l)-1] = nil
-		l = l[:len(l)-1]
-		if b := w.Value(); b != nil {
-			free.m[key] = l
-			b.idle = false
-			b.reset()
-			return b
-		}
+// takeMembers returns the members of an idle bank of key that no
+// collection has freed, reset as newMembers builds one, or nil when
+// there is none.
+func takeMembers(key freeKey) []Predictor {
+	ms := banks.Take(key)
+	if ms == nil {
+		return nil
 	}
-	delete(free.m, key)
-	return nil
+	(*ms)[0].(tableMember).reset()
+	return *ms
 }
+
+func (m member[E]) reset() { m.bank.reset() }
 
 // reset empties a recycled bank's tables and zeroes their counters. It
 // leaves the lines as they are: nothing reads a line past its set's

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"destset/internal/freelist"
 	"destset/internal/nodeset"
 	"destset/internal/trace"
 )
@@ -13,9 +14,7 @@ import (
 // forget empties the free list, so that the next NewBank of any
 // configuration builds a new bank.
 func forget() {
-	free.Lock()
-	clear(free.m)
-	free.Unlock()
+	banks = freelist.List[freeKey, []Predictor]{}
 }
 
 // bankOp is one call on a bank: a whole miss through its step (kind 0)
@@ -192,7 +191,7 @@ func TestRecycleTakesOnlyWholeFiniteBanks(t *testing.T) {
 		} {
 			forget()
 			Recycle(preds)
-			if len(free.m) != 0 {
+			if banks.Len() != 0 {
 				t.Errorf("%v: %s was recycled", pol, name)
 			}
 		}
@@ -209,8 +208,8 @@ func TestRecycleTakesOnlyWholeFiniteBanks(t *testing.T) {
 		Recycle(NewBank(DefaultConfig(pol, 16)))
 	}
 	Recycle(nil)
-	if len(free.m) != 0 {
-		t.Errorf("free list holds %d keys after recycling banks without finite tables", len(free.m))
+	if n := banks.Len(); n != 0 {
+		t.Errorf("free list holds %d banks after recycling banks without finite tables", n)
 	}
 }
 

@@ -200,17 +200,21 @@ func (f *Shells) get(cfg Config) *sim {
 	return newSim(cfg)
 }
 
-// put returns the shell of a completed run to the free list; a nil free
-// list drops it. Either way the shell lets go of its predictor bank, and
-// a bank it built with predictor.NewBank goes back to predictor's free
-// list (predictor.Recycle), since the run was its only user; a bank from
-// Config.NewBank is the caller's and is only dropped.
+// put returns the shell of a completed run to the free list. Either way
+// the shell lets go of its predictor bank, and a bank it built with
+// predictor.NewBank goes back to predictor's free list
+// (predictor.Recycle), since the run was its only user; a bank from
+// Config.NewBank is the caller's and is only dropped. A nil free list
+// drops the shell and hands its oracle to coherence.Recycle, so the next
+// one-call run of that configuration reuses the oracle's storage.
 func (f *Shells) put(s *sim) {
 	if s.cfg.NewBank == nil {
 		predictor.Recycle(s.preds)
 	}
 	s.preds, s.oracles = nil, nil
 	if f == nil {
+		coherence.Recycle(s.coh)
+		s.coh = nil
 		return
 	}
 	f.mu.Lock()

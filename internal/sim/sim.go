@@ -46,7 +46,9 @@
 // slab, message pool, latency histogram — is a shell that a sweep lends
 // its runs from a free list (Shells), so each run resets a shell,
 // whose oracle's caches keep the pages of sets earlier runs filled,
-// instead of building one.
+// instead of building one. A one-call run (Simulate) builds a shell and
+// drops it, but hands its oracle to coherence.Recycle, so the next such
+// run of that configuration resets it instead of building a new one.
 package sim
 
 import (
@@ -514,14 +516,16 @@ func newSim(cfg Config) *sim {
 
 // reset makes the shell ready for a run of cfg: an empty event loop,
 // idle links, zeroed statistics and an untrained predictor bank from
-// cfg.NewBank or predictor.NewBank. The oracle, replaced when its
-// configuration is not cfg's, keeps its state for the run's warm-up to
-// reset or restore, and its writeback hook stays off until start.
+// cfg.NewBank or predictor.NewBank. The oracle keeps its state for the
+// run's warm-up to reset or restore, and its writeback hook stays off
+// until start; one whose configuration is not cfg's goes to
+// coherence.Recycle and is replaced.
 func (s *sim) reset(cfg Config) {
 	s.cfg = cfg
 	s.loop.Reset()
 	s.xbar.Reset(cfg.Interconnect)
 	if cc := cohConfig(cfg); s.coh == nil || s.coh.Config() != cc {
+		coherence.Recycle(s.coh)
 		s.coh = coherence.NewSystem(cc)
 	}
 	s.coh.OnWriteback = nil

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"destset/internal/trace"
+	"destset/internal/xrand"
 )
 
 func miniBase(name string) Params {
@@ -231,5 +233,82 @@ func TestAddrOffsetShiftsLayout(t *testing.T) {
 		if b[i].Kind != a[i].Kind || b[i].Requester != a[i].Requester {
 			t.Fatalf("record %d changed beyond the address shift", i)
 		}
+	}
+}
+
+// TestUnsampleableParamsAreRefused: Validate and Open refuse every
+// generator parameter the samplers cannot take, with an error naming the
+// field, whether it sits in a plain workload, a phase or a tenant. Each
+// of them used to panic inside generation (a zero UnitZipfTheta, an
+// all-zero, negative or NaN Mix weight) or corrupt the stream without
+// an error (a NaN or infinite MissesPer1000Instr or UnitZipfTheta, an
+// infinite Mix weight, or a MissesPer1000Instr so low that the largest
+// first-miss gap wraps its uint32).
+func TestUnsampleableParamsAreRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, field string
+		mutate      func(*Params)
+	}{
+		{"zero zipf theta", "UnitZipfTheta", func(p *Params) { p.UnitZipfTheta = 0 }},
+		{"NaN zipf theta", "UnitZipfTheta", func(p *Params) { p.UnitZipfTheta = nan }},
+		{"infinite zipf theta", "UnitZipfTheta", func(p *Params) { p.UnitZipfTheta = inf }},
+		{"NaN PC zipf theta", "PCZipfTheta", func(p *Params) { p.PCZipfTheta = nan }},
+		{"all-zero mix", "Mix", func(p *Params) { p.Mix = Mix{} }},
+		{"negative mix weight", "Mix", func(p *Params) { p.Mix.Migratory = -0.1 }},
+		{"NaN mix weight", "Mix", func(p *Params) { p.Mix.Streaming = nan }},
+		{"infinite mix weight", "Mix", func(p *Params) { p.Mix.WidelyShared = inf }},
+		{"NaN mpki", "MissesPer1000Instr", func(p *Params) { p.MissesPer1000Instr = nan }},
+		{"infinite mpki", "MissesPer1000Instr", func(p *Params) { p.MissesPer1000Instr = inf }},
+		{"mpki wrapping the gap", "MissesPer1000Instr", func(p *Params) { p.MissesPer1000Instr = 1e-7 }},
+		{"all-zero group sizes", "GroupSizeWeights", func(p *Params) { p.GroupSizeWeights = []float64{0, 0, 0} }},
+		{"empty wide group sizes", "WideGroupSizeWeights", func(p *Params) { p.WideGroupSizeWeights = []float64{} }},
+		{"negative wide group size", "WideGroupSizeWeights", func(p *Params) { p.WideGroupSizeWeights = []float64{0, 0, -1, 2} }},
+	}
+	// Each place a generated workload's fields can sit: the params
+	// themselves, a phase's and a tenant's.
+	places := []struct {
+		name string
+		make func(func(*Params)) Params
+	}{
+		{"plain", func(m func(*Params)) Params { p := OLTP(1); m(&p); return p }},
+		{"phase", func(m func(*Params)) Params { p := PhasedPreset(1); m(&p.Phases[1].Params); return p }},
+		{"tenant", func(m func(*Params)) Params { p := TenantMixPreset(1); m(&p.Tenants[2]); return p }},
+	}
+	for _, pl := range places {
+		if err := pl.make(func(*Params) {}).Validate(); err != nil {
+			t.Fatalf("%s: the unmodified preset is refused: %v", pl.name, err)
+		}
+		for _, tc := range cases {
+			p := pl.make(tc.mutate)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s, %s: Validate = %v, want an error naming %s", pl.name, tc.name, err, tc.field)
+			}
+			if _, err := Open(p); err == nil {
+				t.Errorf("%s, %s: Open accepted the params", pl.name, tc.name)
+			}
+		}
+	}
+}
+
+// TestLowestMPKIFitsTheGap: a MissesPer1000Instr just above the floor
+// Validate sets still draws its largest first-miss gap, the one at
+// u = 0, inside a uint32, and one just below it is refused. The floor
+// is about 1000·|log(u)|/2^32 for the u = 0 draw's smallest positive
+// float64, whose log the platform's library computes (−709.1 on amd64,
+// −744.4 in pure Go).
+func TestLowestMPKIFitsTheGap(t *testing.T) {
+	floor := 1000 * -math.Log(math.SmallestNonzeroFloat64) / math.MaxUint32
+	ok, low := OLTP(1), OLTP(1)
+	ok.MissesPer1000Instr, low.MissesPer1000Instr = 1.01*floor, 0.99*floor
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("MPKI %v refused: %v", ok.MissesPer1000Instr, err)
+	}
+	if err := low.Validate(); err == nil {
+		t.Errorf("MPKI %v accepted", low.MissesPer1000Instr)
+	}
+	if k := xrand.NewGeometric(1000 / ok.MissesPer1000Instr).Max(); k+1 > math.MaxUint32 {
+		t.Errorf("the largest gap at MPKI %v is %.4g, past a uint32", ok.MissesPer1000Instr, k+1)
 	}
 }

@@ -28,6 +28,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"destset/internal/coherence"
@@ -78,6 +79,22 @@ type Mix struct {
 
 func (m Mix) weights() []float64 {
 	return []float64{m.Migratory, m.ProducerConsumer, m.WidelyShared, m.Streaming}
+}
+
+// checkWeights reports weights a categorical sampler cannot take: a
+// negative, NaN or infinite weight, or none positive.
+func checkWeights(name, field string, w []float64) error {
+	total := 0.0
+	for i, v := range w {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("workload %q: %s[%d] = %v is not a finite non-negative weight", name, field, i, v)
+		}
+		total += v
+	}
+	if total == 0 {
+		return fmt.Errorf("workload %q: %s has no positive weight", name, field)
+	}
+	return nil
 }
 
 // Params fully describes a synthetic workload.
@@ -234,8 +251,15 @@ func (p Params) validateImported() error {
 		return fmt.Errorf("workload %q: import digest %q is not a sha256 hex string", p.Name, im.SHA256)
 	case im.Records <= 0:
 		return fmt.Errorf("workload %q: import needs a positive record count", p.Name)
-	case p.MissesPer1000Instr <= 0:
-		return fmt.Errorf("workload %q: misses per 1000 instructions must be positive", p.Name)
+	}
+	return p.checkMPKI()
+}
+
+// checkMPKI reports a MissesPer1000Instr that the gap rescaling cannot
+// take: one that is not a finite positive number.
+func (p Params) checkMPKI() error {
+	if v := p.MissesPer1000Instr; !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("workload %q: MissesPer1000Instr %v is not a finite positive number", p.Name, v)
 	}
 	return nil
 }
@@ -257,8 +281,8 @@ func (p Params) validateSub(role string, i int, sub Params) error {
 }
 
 func (p Params) validatePhased() error {
-	if p.MissesPer1000Instr <= 0 {
-		return fmt.Errorf("workload %q: misses per 1000 instructions must be positive", p.Name)
+	if err := p.checkMPKI(); err != nil {
+		return err
 	}
 	for i, ph := range p.Phases {
 		if ph.Misses <= 0 {
@@ -272,8 +296,8 @@ func (p Params) validatePhased() error {
 }
 
 func (p Params) validateTenantMix() error {
-	if p.MissesPer1000Instr <= 0 {
-		return fmt.Errorf("workload %q: misses per 1000 instructions must be positive", p.Name)
+	if err := p.checkMPKI(); err != nil {
+		return err
 	}
 	if len(p.Tenants) < 2 {
 		return fmt.Errorf("workload %q: a tenant mix needs at least 2 tenants", p.Name)
@@ -286,9 +310,31 @@ func (p Params) validateTenantMix() error {
 	return nil
 }
 
-// validateGenerated checks the plain synthetic-generation fields.
+// validateGenerated checks the plain synthetic-generation fields,
+// refusing any value that the samplers cannot take: one that would
+// panic inside generation or corrupt the stream without an error.
 func (p Params) validateGenerated() error {
+	if err := p.checkMPKI(); err != nil {
+		return err
+	}
+	if k := xrand.NewGeometric(1000 / p.MissesPer1000Instr).Max(); !(k < math.MaxUint32) {
+		return fmt.Errorf("workload %q: MissesPer1000Instr %v is too low: a first-miss gap of %.4g instructions does not fit 32 bits", p.Name, p.MissesPer1000Instr, k+1)
+	}
+	for _, c := range []struct {
+		field string
+		w     []float64
+	}{{"Mix", p.Mix.weights()}, {"GroupSizeWeights", p.GroupSizeWeights}, {"WideGroupSizeWeights", p.WideGroupSizeWeights}} {
+		if c.w != nil {
+			if err := checkWeights(p.Name, c.field, c.w); err != nil {
+				return err
+			}
+		}
+	}
 	switch {
+	case !(p.UnitZipfTheta > 0) || math.IsInf(p.UnitZipfTheta, 1):
+		return fmt.Errorf("workload %q: UnitZipfTheta %v is not a finite positive number", p.Name, p.UnitZipfTheta)
+	case math.IsNaN(p.PCZipfTheta) || math.IsInf(p.PCZipfTheta, 0):
+		return fmt.Errorf("workload %q: PCZipfTheta %v is not a finite number", p.Name, p.PCZipfTheta)
 	case p.AddrOffsetMacroblocks < 0:
 		return fmt.Errorf("workload %q: negative address offset", p.Name)
 	case p.SharedUnits <= 0:
@@ -298,8 +344,6 @@ func (p Params) validateGenerated() error {
 	case p.BlocksPerUnit > p.MacroblocksPerUnit*trace.BlocksPerMacroblock:
 		return fmt.Errorf("workload %q: %d blocks do not fit in %d macroblocks",
 			p.Name, p.BlocksPerUnit, p.MacroblocksPerUnit)
-	case p.MissesPer1000Instr <= 0:
-		return fmt.Errorf("workload %q: misses per 1000 instructions must be positive", p.Name)
 	case p.StaticPCs <= 0:
 		return fmt.Errorf("workload %q: need a static instruction pool", p.Name)
 	case p.StreamBlocksPerNode <= 0:

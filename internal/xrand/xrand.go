@@ -10,7 +10,11 @@
 // geometric.
 package xrand
 
-import "math"
+import (
+	"math"
+
+	"destset/internal/freelist"
+)
 
 // RNG is a PCG-XSH-RR 64/32 pseudo-random generator. The zero value is not
 // valid; use New.
@@ -171,20 +175,59 @@ func (c *Categorical) Len() int { return len(c.prob) }
 
 // Zipf samples integers in [0, n) with P(k) proportional to 1/(k+1)^s.
 // It precomputes the CDF and samples by binary search, which is fast enough
-// for the generator hot loop and exactly reproducible.
+// for the generator hot loop and exactly reproducible. A guide table
+// narrows the search: a draw u in [j, j+1)/guideN samples an index from
+// guide[j] to guide[j+1], the first indexes whose CDF reaches j/guideN
+// and (j+1)/guideN, so it finds the same first index with cdf >= u as a
+// search of the whole CDF.
 type Zipf struct {
-	cdf []float64
+	t *zipfTable
 }
 
+// guideBits is how many leading bits of a 53-bit draw index the guide
+// table.
+const (
+	guideBits = 12
+	guideN    = 1 << guideBits
+)
+
+// zipfTable is the sampling table of one (n, s): the CDF and its guide.
+type zipfTable struct {
+	cdf   []float64
+	guide [guideN + 1]int32
+}
+
+type zipfKey struct {
+	n int
+	s float64
+}
+
+// zipfTables shares one table per (n, s) among the samplers that use it
+// at once: NewZipf takes a table off the list and puts it straight back,
+// so the list holds each table only as long as some sampler does.
+var zipfTables freelist.List[zipfKey, zipfTable]
+
 // NewZipf builds a bounded Zipf sampler over [0, n) with exponent s > 0.
+// Samplers of one (n, s) share their table.
 func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: Zipf with non-positive n")
 	}
-	if s <= 0 {
+	if !(s > 0) {
 		panic("xrand: Zipf with non-positive exponent")
 	}
-	cdf := make([]float64, n)
+	k := zipfKey{n, s}
+	t := zipfTables.Take(k)
+	if t == nil {
+		t = newZipfTable(n, s)
+	}
+	zipfTables.Put(k, t)
+	return &Zipf{t: t}
+}
+
+func newZipfTable(n int, s float64) *zipfTable {
+	t := &zipfTable{cdf: make([]float64, n)}
+	cdf := t.cdf
 	sum := 0.0
 	for k := 0; k < n; k++ {
 		sum += 1 / math.Pow(float64(k+1), s)
@@ -195,16 +238,30 @@ func NewZipf(n int, s float64) *Zipf {
 		cdf[k] *= inv
 	}
 	cdf[n-1] = 1 // guard against FP round-off
-	return &Zipf{cdf: cdf}
+	// Every u < 1 has cdf[n-1] >= u, so the walk stops inside the CDF.
+	i := 0
+	for j := range guideN {
+		for cdf[i] < float64(j)/guideN {
+			i++
+		}
+		t.guide[j] = int32(i)
+	}
+	t.guide[guideN] = int32(n - 1)
+	return t
 }
 
 // Sample draws a Zipf-distributed index: 0 is the hottest.
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Sample(r *RNG) int { return z.sample(r.Uint64() >> 11) }
+
+// sample maps a 53-bit draw x, the one Float64 makes u = x/2^53 from, to
+// the first index whose CDF reaches u.
+func (z *Zipf) sample(x uint64) int {
+	u := float64(x) / (1 << 53)
+	j := x >> (53 - guideBits)
+	lo, hi := int(z.t.guide[j]), int(z.t.guide[j+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if z.t.cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -214,15 +271,21 @@ func (z *Zipf) Sample(r *RNG) int {
 }
 
 // Len returns the support size.
-func (z *Zipf) Len() int { return len(z.cdf) }
+func (z *Zipf) Len() int { return len(z.t.cdf) }
 
 // Geometric samples non-negative ints with a fixed mean m: P(k) =
-// (1-p) p^k with p = m/(1+m), drawn by inverse-CDF sampling. Callers
-// draw many times from one mean, so NewGeometric takes log(p) once
-// instead of every draw paying for it.
+// (1-p) p^k with p = m/(1+m), drawn by inverse-CDF sampling:
+// k = floor(log(u) / log(p)). Callers draw many times from one mean, so
+// NewGeometric takes log(p) once. A draw takes log(u) from a table and a
+// polynomial (logApprox) instead of the math library, and falls back to
+// the library only when the quotient lies too near an integer for the
+// two to be sure to floor alike (sample): every draw equals
+// int(math.Log(u) / log(p)).
 type Geometric struct {
-	logP  float64
-	draws bool // false for a non-positive mean, which always samples 0
+	logP    float64
+	invLogP float64 // 1 / logP
+	tol     float64 // 2^-46 / -logP; see sample
+	draws   bool    // false for a non-positive mean, which always samples 0
 }
 
 // NewGeometric builds a sampler with the given mean. A non-positive mean
@@ -231,7 +294,8 @@ func NewGeometric(mean float64) Geometric {
 	if mean <= 0 {
 		return Geometric{}
 	}
-	return Geometric{logP: math.Log(mean / (1 + mean)), draws: true}
+	logP := math.Log(mean / (1 + mean))
+	return Geometric{logP: logP, invLogP: 1 / logP, tol: 0x1p-46 / -logP, draws: true}
 }
 
 // Sample draws one value: k = floor(log(u) / log(p)).
@@ -239,7 +303,43 @@ func (g Geometric) Sample(r *RNG) int {
 	if !g.draws {
 		return 0
 	}
-	u := r.Float64()
+	return g.sample(r.Uint64() >> 11)
+}
+
+// sample is the draw for a 53-bit x, the one Float64 makes u = x/2^53
+// from. With u = 2^e·m, 1 <= m < 2, e in [-53, -1], logApprox is within
+// 2^-51·(1-e) of log(u) and the library's log within one ulp, below
+// 2^-52·(1-e); the product here and the library's quotient round off a
+// relative 2^-52 of |log(u)|/-logP <= (1-e)/-logP. The two quotients
+// thus differ by less than 2^-50·(1-e)/-logP, and the guard band
+// (1-e)·tol is sixteen times that.
+func (g Geometric) sample(x uint64) int {
+	if x != 0 {
+		l, e := logApprox(x)
+		q := l * g.invLogP
+		k := int(q)
+		if f, tol := q-float64(k), float64(1-e)*g.tol; f > tol && f < 1-tol {
+			return k
+		}
+	}
+	return g.exact(x)
+}
+
+// Max returns the largest value Sample can draw, the one at u = 0, as a
+// float64, so that a value past every integer type still shows. It is
+// 709 to 745 times the mean, as the platform's log of the smallest
+// positive float64 goes.
+func (g Geometric) Max() float64 {
+	if !g.draws {
+		return 0
+	}
+	return math.Log(math.SmallestNonzeroFloat64) / g.logP
+}
+
+// exact is the reference draw for x: the math library's log and the
+// quotient as written.
+func (g Geometric) exact(x uint64) int {
+	u := float64(x) / (1 << 53)
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64
 	}
@@ -248,4 +348,36 @@ func (g Geometric) Sample(r *RNG) int {
 		k = 0
 	}
 	return k
+}
+
+// logBits is how many leading mantissa bits index logTable; logShift is
+// how many follow them.
+const (
+	logBits  = 8
+	logShift = 52 - logBits
+)
+
+// logTable holds log(c) and 1/c for the midpoint c = 1 + (i+½)/2^logBits
+// of each mantissa interval i.
+var logTable = func() (t [1 << logBits]struct{ log, inv float64 }) {
+	for i := range t {
+		c := 1 + (float64(i)+0.5)/(1<<logBits)
+		t[i].log, t[i].inv = math.Log(c), 1/c
+	}
+	return t
+}()
+
+// logApprox returns log(x/2^53) for 0 < x < 2^53, and the binary
+// exponent e of x/2^53 = 2^e·m (1 <= m < 2). With c the midpoint of m's
+// interval, log(m) = log(c) + log1p(t) for t = (m-c)/c, |t| <= 2^-9,
+// where m-c is exact and five terms of log1p's series leave an error
+// below 2^-56.
+func logApprox(x uint64) (float64, int) {
+	b := math.Float64bits(float64(x))
+	e := int(b>>52) - 1023 - 53
+	c := &logTable[b>>logShift%(1<<logBits)]
+	d := float64(int64(b%(1<<logShift))-1<<(logShift-1)) * 0x1p-52 // m - c
+	t := d * c.inv
+	p := t * (1 + t*(-1.0/2+t*(1.0/3+t*(-1.0/4+t*(1.0/5)))))
+	return float64(e)*math.Ln2 + (c.log + p), e
 }
