@@ -2,11 +2,11 @@ package destset
 
 import "destset/internal/dataset"
 
-// The Runner resolves every Name- or Params-based WorkloadSpec through a
-// process-wide dataset store: each (workload, seed, warm, measure) trace
-// is generated once, annotated by the coherence oracle once, and then
-// replayed by every sweep cell — and by every later Runner — through
-// zero-copy cursors. Custom Open sources bypass the store.
+// The runners resolve every WorkloadSpec through a process-wide dataset
+// store: each (workload, seed, warm, measure) trace is generated once,
+// annotated by the coherence oracle once, and then replayed by every
+// sweep cell — and by every later runner — through zero-copy cursors
+// and regions.
 //
 // The store is tiered. The memory tier is always on; SetDatasetDir adds
 // a persistent on-disk tier behind it: generated datasets are spilled to

@@ -12,8 +12,8 @@ import (
 // TestSharedDatasetSweepMatchesRegeneratingSweep is the acceptance check
 // for the generate-once/replay-many path: a Runner over Name-based specs
 // (which replay the shared dataset) must produce byte-identical results
-// to a Runner whose cells each regenerate the miss stream from scratch —
-// the pre-dataset-store behavior — at every parallelism.
+// to cells that each regenerate the miss stream from scratch — the
+// pre-dataset-store behavior — at every parallelism.
 func TestSharedDatasetSweepMatchesRegeneratingSweep(t *testing.T) {
 	const warm, measure = 2000, 2000
 	engines := []destset.EngineSpec{
@@ -23,52 +23,64 @@ func TestSharedDatasetSweepMatchesRegeneratingSweep(t *testing.T) {
 		destset.SpecForPolicy(destset.OwnerGroup),
 		{Protocol: destset.ProtocolPredictiveDirectory, PolicyName: "owner"},
 	}
-	names := []string{"oltp", "ocean"}
-
-	shared := make([]destset.WorkloadSpec, len(names))
-	regen := make([]destset.WorkloadSpec, len(names))
-	for i, name := range names {
-		shared[i] = destset.WorkloadSpec{Name: name, Warm: warm, Measure: measure}
-		params, err := destset.NewWorkload(name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := name
-		regen[i] = destset.WorkloadSpec{
-			Name:  n,
-			Nodes: params.Nodes,
-			Warm:  warm, Measure: measure,
-			// The old per-cell path: every cell opens a fresh generator
-			// and pays the oracle for the whole stream again.
-			Open: func(seed uint64) (destset.Stream, error) {
-				return destset.NewWorkloadGenerator(destset.WorkloadSpec{Name: n}, seed)
-			},
-		}
+	seeds := []uint64{3, 4}
+	var workloads []destset.WorkloadSpec
+	for _, name := range []string{"oltp", "ocean"} {
+		workloads = append(workloads, destset.WorkloadSpec{Name: name, Warm: warm, Measure: measure})
 	}
 
-	run := func(workloads []destset.WorkloadSpec, parallelism int) []byte {
-		t.Helper()
+	// The old per-cell path, in plan order: every cell opens a fresh
+	// generator, pays the oracle for the whole stream again and runs
+	// each miss through its engine's Process.
+	var regen []destset.RunResult
+	for _, w := range workloads {
+		for _, e := range engines {
+			for _, seed := range seeds {
+				g, err := destset.NewWorkloadGenerator(w, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := e.NewEngine(16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < warm; i++ {
+					eng.Process(g.Next())
+				}
+				var totals destset.Totals
+				for i := 0; i < measure; i++ {
+					totals.Add(eng.Process(g.Next()))
+				}
+				regen = append(regen, destset.RunResult{
+					Engine: e.DisplayLabel(), Workload: w.Name, Seed: seed, Totals: totals,
+					Tradeoff: destset.TradeoffResult{
+						Config:             eng.Name(),
+						RequestMsgsPerMiss: totals.RequestMsgsPerMiss(),
+						IndirectionPercent: totals.IndirectionPercent(),
+						BytesPerMiss:       totals.BytesPerMiss(),
+					},
+				})
+			}
+		}
+	}
+	want, err := json.Marshal(regen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
 		res, err := destset.NewRunner(engines, workloads,
-			destset.WithSeeds(3, 4),
-			destset.WithParallelism(parallelism),
+			destset.WithSeeds(seeds...),
+			destset.WithParallelism(par),
 		).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := json.Marshal(res)
+		got, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return raw
-	}
-
-	want := run(regen, 1)
-	for _, par := range []int{1, 4} {
-		if got := run(shared, par); !bytes.Equal(got, want) {
-			t.Errorf("shared-dataset sweep at parallelism %d diverges from regenerating sweep:\n%s\nvs\n%s", par, got, want)
-		}
-		if got := run(regen, par); !bytes.Equal(got, want) {
-			t.Errorf("regenerating sweep not deterministic at parallelism %d", par)
+		if !bytes.Equal(got, want) {
+			t.Errorf("shared-dataset sweep at parallelism %d diverges from regenerating cells:\n%s\nvs\n%s", par, got, want)
 		}
 	}
 }

@@ -45,8 +45,11 @@ func TestGenerateAllocBudget(t *testing.T) {
 		var d *Dataset
 		got, _ := memtest.PerRunNoGC(2, func() { d, _ = Generate(p, warm, measure) })
 		// A unit is its struct (96 B), its blocks, its group (at most
-		// 16 B), the permutation that sampled its group and a pointer.
+		// 16 B) and a pointer. The bound also allows 8 B a node for the
+		// permutation that sampled the group, which sampleGroup keeps on
+		// its stack.
 		units := (p.SharedUnits + 3) * (96 + 8*p.BlocksPerUnit + 16 + 8*p.Nodes + 8)
+		t.Logf("%s: a second Generate allocated %.0f B (%d B of columns and statistics)", name, got, d.Bytes())
 		if budget := d.Bytes() + int64(units) + slack; got > float64(budget) {
 			t.Errorf("%s: a second Generate allocated %.0f B, want at most %d (%d B of columns and statistics, %d of units)", name, got, budget, d.Bytes(), units)
 		}

@@ -11,12 +11,12 @@
 //     with its per-miss coherence annotations, in the column layout of
 //     coherence.Columns: one contiguous slice per column, sized exactly
 //     at generation time (the warm+measure scale is known up front).
-//   - Replayer is a zero-copy, zero-allocation cursor over a Dataset
-//     implementing the sweep engine's Stream contract. Next returns one
-//     miss; Take advances by a whole run of misses and returns the
-//     columns with the range they occupy, which protocol engines account
-//     without rebuilding each miss (protocol.ProcessRange). Any number of
-//     replayers can walk the same dataset concurrently.
+//   - Replayer is a zero-copy, zero-allocation cursor over a Dataset.
+//     Take advances by a whole run of misses and returns the columns with
+//     the range they occupy, which a sweep cell's protocol engine
+//     accounts without rebuilding each miss (protocol.ProcessRange); Next
+//     returns one miss. Any number of replayers can walk the same
+//     dataset concurrently.
 //   - Region is a zero-copy random-access view of the warm or measured
 //     span for the timing simulator, and At reads one miss anywhere.
 //     Nothing materializes a second copy of a dataset's records, so
@@ -287,9 +287,9 @@ func (d *Dataset) Replay() *Replayer {
 }
 
 // Replayer is a sequential cursor over a Dataset: the warm region first,
-// then the measured region. It implements the sweep engine's Stream
-// contract (Next), with reads straight out of the shared columns, and
-// hands out whole runs of them (Take). A cursor pins its dataset for its
+// then the measured region. It hands out whole runs of the shared
+// columns (Take), which is how a sweep cell replays them, or one miss
+// at a time (Next), reading straight out of the columns. A cursor pins its dataset for its
 // whole lifetime — required for mmap-backed datasets, whose columns
 // alias a mapping that must not be unmapped while any cursor can still
 // read it.
@@ -301,8 +301,7 @@ type Replayer struct {
 }
 
 // Next returns the next record and its coherence annotation. It panics
-// after Len() records, matching the contract of a stream opened at an
-// exact scale.
+// after Len() records.
 func (r *Replayer) Next() (trace.Record, coherence.MissInfo) {
 	i := r.i
 	if i >= r.n {

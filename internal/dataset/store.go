@@ -296,23 +296,10 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// OpenShared resolves a fully-specified workload through the Shared
-// store and returns a fresh replay cursor — the sweep path's stream
-// source. The dataset is generated on the first call for its key and
-// replayed by every later call.
-func OpenShared(p workload.Params, warm, measure int) (*Replayer, error) {
-	ds, err := Shared.Get(KeyOf(p, warm, measure), func() (*Dataset, error) {
-		return Generate(p, warm, measure)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds.Replay(), nil
-}
-
 // GetShared resolves a fully-specified workload through the Shared store
-// and returns the dataset itself — the experiment harnesses' entry
-// point.
+// and returns the dataset itself — the sweep runners' and experiment
+// harnesses' entry point. The dataset is generated on the first call for
+// its key and replayed by every later call.
 func GetShared(p workload.Params, warm, measure int) (*Dataset, error) {
 	return Shared.Get(KeyOf(p, warm, measure), func() (*Dataset, error) {
 		return Generate(p, warm, measure)

@@ -66,6 +66,9 @@ type stream struct {
 // the timed streams until it is dropped.
 func NewJob(warm, timed Source) *Job { return &Job{warm: warm, timed: timed, shared: true} }
 
+// Nodes returns the node count of the system the job's regions traced.
+func (j *Job) Nodes() int { return j.timed.Nodes() }
+
 // warmUp brings coh, whatever it held, and the bank preds (nil when the
 // run has no predictors) to their post-warm-up state. coh's writeback
 // hook must be off.

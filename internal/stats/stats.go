@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives the experiment
-// harnesses use: counters, integer histograms, hot-key concentration CDFs
-// (for the paper's Figure 4 locality curves) and simple fixed-width table
+// harnesses use: integer histograms, hot-key concentration CDFs (for the
+// paper's Figure 4 locality curves) and simple fixed-width table
 // rendering for CLI output.
 package stats
 
@@ -54,9 +54,6 @@ func (h *Histogram) Count(v int) uint64 {
 	return h.counts[v]
 }
 
-// Total returns the total number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
 // Percent returns the percentage of observations with value v.
 func (h *Histogram) Percent(v int) float64 {
 	if h.total == 0 {
@@ -103,35 +100,6 @@ func (h *Histogram) Quantile(q float64) int {
 	return len(h.counts) - 1
 }
 
-// Mean returns the mean observed value.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
-}
-
-// Max returns the largest value with a non-zero count, or -1 if empty.
-func (h *Histogram) Max() int {
-	for v := len(h.counts) - 1; v >= 0; v-- {
-		if h.counts[v] > 0 {
-			return v
-		}
-	}
-	return -1
-}
-
-// Buckets returns a copy of the raw bucket counts.
-func (h *Histogram) Buckets() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
 // Concentration measures how observations concentrate on hot keys: it
 // counts events per key and reports the cumulative fraction of all events
 // covered by the N hottest keys. This is exactly the paper's Figure 4
@@ -152,12 +120,6 @@ func (c *Concentration) Add(key uint64) {
 	c.counts[key]++
 	c.total++
 }
-
-// Keys returns the number of distinct keys observed.
-func (c *Concentration) Keys() int { return len(c.counts) }
-
-// Total returns the number of events observed.
-func (c *Concentration) Total() uint64 { return c.total }
 
 // CumulativePercent returns, for each requested key-count n, the percentage
 // of all events covered by the n hottest keys.
@@ -188,20 +150,6 @@ func (c *Concentration) CumulativePercent(ns []int) []float64 {
 	return out
 }
 
-// Counter is a named monotonic event counter.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Append adds n to the counter.
-func (c *Counter) Append(n uint64) { c.n += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
 // Ratio returns 100*a/b, or 0 when b is zero; the ubiquitous "percent of
 // misses" calculation.
 func Ratio(a, b uint64) float64 {
@@ -209,15 +157,6 @@ func Ratio(a, b uint64) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-// PerMiss returns a/b as a float, or 0 when b is zero; e.g. request
-// messages per miss.
-func PerMiss(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }
 
 // Table renders rows of labelled values as a fixed-width text table; all
@@ -285,30 +224,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Point is an (x, y) sample of a latency/bandwidth tradeoff curve: x is
-// bandwidth (request messages or bytes per miss), y is latency proxy
-// (percent indirections or normalized runtime).
-type Point struct {
-	Label string
-	X, Y  float64
-}
-
-// Series is a named list of points, e.g. one predictor across sizes.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// FormatScatter renders series as aligned "label x y" lines for CLI output
-// and EXPERIMENTS.md tables.
-func FormatScatter(series []Series, xName, yName string) string {
-	tbl := NewTable("series", "point", xName, yName)
-	for _, s := range series {
-		for _, p := range s.Points {
-			tbl.AddRow(s.Name, p.Label, p.X, p.Y)
-		}
-	}
-	return tbl.String()
 }

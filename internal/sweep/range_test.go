@@ -18,13 +18,6 @@ import (
 	"destset/internal/workload"
 )
 
-// A dataset's cursor hands out column ranges, so RunCell replays it a
-// range at a time.
-var _ rangeStream = (*dataset.Replayer)(nil)
-
-// nextOnly hides a stream's ranges: RunCell replays it miss by miss.
-type nextOnly struct{ Stream }
-
 // rangeEngines are the engines the range-replay tests run: the two
 // stateless engines, multicast over a bank that takes the bank step and
 // over one that takes the per-node path, and PredictiveDirectory, which
@@ -62,20 +55,13 @@ func generate(t *testing.T, name string, n int) *dataset.Dataset {
 	return ds
 }
 
-// replayOf is a workload over ds at the given scale; hide replays it
-// through nextOnly.
-func replayOf(ds *dataset.Dataset, warm, measure int, hide bool) Workload {
+// replayOf is a workload over ds at the given scale.
+func replayOf(ds *dataset.Dataset, warm, measure int) Workload {
 	return Workload{
 		Name:    ds.Params().Name,
-		Nodes:   ds.Nodes(),
 		Warm:    warm,
 		Measure: measure,
-		Open: func(uint64) (Stream, error) {
-			if hide {
-				return nextOnly{ds.Replay()}, nil
-			}
-			return ds.Replay(), nil
-		},
+		Dataset: func(uint64) (*dataset.Dataset, error) { return ds, nil },
 	}
 }
 
@@ -90,18 +76,19 @@ func runObserved(t *testing.T, e Engine, w Workload, interval int) (Result, []Ob
 	return *res, obs
 }
 
-// perMissCell is the reference RunCell: one Next and one Process call
-// per miss, an observation whenever the interval fills.
+// perMissCell is the reference RunCell: one Replayer.Next and one
+// Process call per miss, an observation whenever the interval fills.
 func perMissCell(t *testing.T, e Engine, w Workload, interval int) (Result, []Observation) {
 	t.Helper()
-	eng, _, err := e.New(w.Nodes)
+	ds, err := w.Dataset(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := w.Open(1)
+	eng, _, err := e.New(ds.Nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := ds.Replay()
 	for i := 0; i < w.Warm; i++ {
 		eng.Process(st.Next())
 	}
@@ -126,8 +113,7 @@ func perMissCell(t *testing.T, e Engine, w Workload, interval int) (Result, []Ob
 }
 
 // TestRangeReplayMatchesPerMiss: a cell replaying a dataset a column
-// range at a time gives the observations and the result of one replaying
-// the same dataset miss by miss, chunk by chunk, and of the per-miss
+// range at a time gives the observations and the result of the per-miss
 // reference, for every engine kind, with and without warm-up, at
 // interval lengths on and around the chunk length, a whole measurement
 // and one more.
@@ -138,15 +124,13 @@ func TestRangeReplayMatchesPerMiss(t *testing.T) {
 		for _, interval := range []int{0, 1, 7, 2047, 2048, 2049, measure, measure + 1} {
 			for _, e := range rangeEngines() {
 				name := fmt.Sprintf("%s warm %d interval %d", e.Label, warm, interval)
-				want, wantObs := perMissCell(t, e, replayOf(ds, warm, measure, false), interval)
-				for _, hide := range []bool{false, true} {
-					got, gotObs := runObserved(t, e, replayOf(ds, warm, measure, hide), interval)
-					if got != want {
-						t.Errorf("%s, hidden %v: %+v, per-miss reference %+v", name, hide, got, want)
-					}
-					if !slices.Equal(gotObs, wantObs) {
-						t.Errorf("%s, hidden %v: %d observations, per-miss reference %d, or they differ", name, hide, len(gotObs), len(wantObs))
-					}
+				want, wantObs := perMissCell(t, e, replayOf(ds, warm, measure), interval)
+				got, gotObs := runObserved(t, e, replayOf(ds, warm, measure), interval)
+				if got != want {
+					t.Errorf("%s: %+v, per-miss reference %+v", name, got, want)
+				}
+				if !slices.Equal(gotObs, wantObs) {
+					t.Errorf("%s: %d observations, per-miss reference %d, or they differ", name, len(gotObs), len(wantObs))
 				}
 				if want.Totals.Misses != measure {
 					t.Errorf("%s: %d misses measured", name, want.Totals.Misses)
@@ -174,39 +158,36 @@ func (c *cancelAt) Process(rec trace.Record, mi coherence.MissInfo) protocol.Res
 
 // TestRunCellCancelsWithinAChunk: a cell whose context ends returns
 // ctx.Err() before it starts another chunk, in warm-up and in the
-// measured region, over column ranges and miss by miss.
+// measured region.
 func TestRunCellCancelsWithinAChunk(t *testing.T) {
 	const warm, measure = 5001, 9000
 	ds := generate(t, "oltp", warm+measure)
-	for _, hide := range []bool{false, true} {
-		for _, at := range []int{1, 3000, warm + 1, warm + 4097} {
-			ctx, cancel := context.WithCancel(context.Background())
-			eng := &cancelAt{Engine: protocol.NewDirectory(), n: at, cancel: cancel}
-			e := Engine{Label: "cancel", New: func(int) (protocol.Engine, func(), error) { return eng, nil, nil }}
-			res, err := RunCell(ctx, e, replayOf(ds, warm, measure, hide), 1, 1000, func(Observation) {})
-			cancel()
-			if res != nil || !errors.Is(err, context.Canceled) {
-				t.Errorf("hidden %v, cancelled at miss %d: got %v, %v; want context.Canceled", hide, at, res, err)
-			}
-			if after := eng.calls - at; after >= ctxCheckStride {
-				t.Errorf("hidden %v, cancelled at miss %d: %d more misses ran, want fewer than %d", hide, at, after, ctxCheckStride)
-			}
+	for _, at := range []int{1, 3000, warm + 1, warm + 4097} {
+		ctx, cancel := context.WithCancel(context.Background())
+		eng := &cancelAt{Engine: protocol.NewDirectory(), n: at, cancel: cancel}
+		e := Engine{Label: "cancel", New: func(int) (protocol.Engine, func(), error) { return eng, nil, nil }}
+		res, err := RunCell(ctx, e, replayOf(ds, warm, measure), 1, 1000, func(Observation) {})
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled at miss %d: got %v, %v; want context.Canceled", at, res, err)
+		}
+		if after := eng.calls - at; after >= ctxCheckStride {
+			t.Errorf("cancelled at miss %d: %d more misses ran, want fewer than %d", at, after, ctxCheckStride)
 		}
 	}
 }
 
 // TestRunCellAllocationsDoNotGrow: a whole cell allocates no more at 40k
 // misses than at 4k, so nothing in the replay allocates per miss or per
-// chunk, on the range methods, the Process fallback or miss by miss. The
-// runtime's own allocations let the count wander by up to three under
-// -race, in the per-miss loop as much as in the range path, so four more
-// are allowed; one allocation per chunk would add 17 and one per miss
-// 36,000.
+// chunk, on the range methods or the Process fallback. The runtime's own
+// allocations let the count wander by up to three under -race, so four
+// more are allowed; one allocation per chunk would add 17 and one per
+// miss 36,000.
 func TestRunCellAllocationsDoNotGrow(t *testing.T) {
 	small, large := generate(t, "oltp", 4_000), generate(t, "oltp", 40_000)
 	runtime.GC()
-	perCell := func(e Engine, ds *dataset.Dataset, hide bool) float64 {
-		w := replayOf(ds, ds.Len()/2, ds.Len()-ds.Len()/2, hide)
+	perCell := func(e Engine, ds *dataset.Dataset) float64 {
+		w := replayOf(ds, ds.Len()/2, ds.Len()-ds.Len()/2)
 		return testing.AllocsPerRun(3, func() {
 			if _, err := RunCell(context.Background(), e, w, 1, 0, func(Observation) {}); err != nil {
 				t.Fatal(err)
@@ -214,10 +195,8 @@ func TestRunCellAllocationsDoNotGrow(t *testing.T) {
 		})
 	}
 	for _, e := range rangeEngines() {
-		for _, hide := range []bool{false, true} {
-			if a, b := perCell(e, small, hide), perCell(e, large, hide); b > a+4 {
-				t.Errorf("%s, hidden %v: a cell allocates %.0f times at 4k misses and %.0f at 40k", e.Label, hide, a, b)
-			}
+		if a, b := perCell(e, small), perCell(e, large); b > a+4 {
+			t.Errorf("%s: a cell allocates %.0f times at 4k misses and %.0f at 40k", e.Label, a, b)
 		}
 	}
 }
@@ -290,14 +269,14 @@ func TestRangeReplaySurvivesGCOnMmap(t *testing.T) {
 			panic("the dataset was unmapped while a cell was reading its columns")
 		}
 	}
-	mmapped := Workload{Name: "ocean", Nodes: p.Nodes, Warm: warm, Measure: measure,
-		Open: func(uint64) (Stream, error) {
+	mmapped := Workload{Name: "ocean", Warm: warm, Measure: measure,
+		Dataset: func(uint64) (*dataset.Dataset, error) {
 			ds, err := s.Get(key, nil)
 			if err != nil {
 				return nil, err
 			}
-			s.Purge() // the cursor is all that holds the dataset now
-			return ds.Replay(), nil
+			s.Purge() // the cell is all that holds the dataset now
+			return ds, nil
 		}}
 	cfg := predictor.DefaultConfig(predictor.Group, p.Nodes)
 	engines := []Engine{
@@ -331,7 +310,7 @@ func TestRangeReplaySurvivesGCOnMmap(t *testing.T) {
 			runtime.GC()
 			time.Sleep(10 * time.Millisecond)
 		}
-		want, _ := runObserved(t, e, replayOf(ref, warm, measure, false), 0)
+		want, _ := runObserved(t, e, replayOf(ref, warm, measure), 0)
 		if got.Totals != want.Totals {
 			t.Errorf("%s: mmap-backed %+v, generated %+v", e.Label, got.Totals, want.Totals)
 		}

@@ -1,23 +1,23 @@
 // Package sweep is the concurrency engine behind the public experiment
 // API. Its plan executor (Execute) runs any subset of a sweep's cells —
 // trace-driven (engine × workload × seed) or timing — over a worker
-// pool, consults a result store, prewarms shared stream sources, honors
+// pool, consults a result store, prewarms shared datasets, honors
 // context cancellation, and delivers observations and results in plan
 // order regardless of goroutine scheduling.
 //
 // Determinism comes from the shape of a cell, not from locking: every
-// cell builds its own fresh engine and opens its own miss stream, both
-// of which are pure functions of the cell's coordinates, so their
-// results are reproducible at any parallelism. Storage may pass from a
-// finished cell to a later one: an engine's release hands a predictor
-// bank nobody else saw back to predictor's free list, and the next
-// NewBank of its configuration resets it. That never happens while a
-// cell uses the bank, and a reset bank trains and counts exactly as a
-// new one, so no cell sees another's training, whatever order the banks
-// change hands in. Streams may replay a shared immutable dataset (each
-// cell still gets its own cursor); workloads expose Prepare so such
-// datasets materialize across the worker pool before cells run. What
-// the cells of one source share beyond that — the timing runner's
+// cell builds its own fresh engine and replays its workload's dataset
+// through its own cursor, both pure functions of the cell's
+// coordinates, so their results are reproducible at any parallelism.
+// Storage may pass from a finished cell to a later one: an engine's
+// release hands a predictor bank nobody else saw back to predictor's
+// free list, and the next NewBank of its configuration resets it. That
+// never happens while a cell uses the bank, and a reset bank trains and
+// counts exactly as a new one, so no cell sees another's training,
+// whatever order the banks change hands in. A dataset is immutable and
+// shared by every cell of its (workload, seed); the runners materialize
+// each one across the worker pool before cells run (Exec.Prepare). What
+// the cells of one dataset share beyond that — the timing runner's
 // warm-up snapshot and timed streams, built once and read-only after —
 // must not change any cell's result; Release tells the caller when the
 // last of them is done. Results are written to a slot indexed by the
@@ -30,30 +30,9 @@ import (
 	"runtime"
 	"sync"
 
-	"destset/internal/coherence"
+	"destset/internal/dataset"
 	"destset/internal/protocol"
-	"destset/internal/trace"
 )
-
-// Stream produces a workload's miss stream: one coherence request and
-// its oracle annotation per call. *workload.Generator implements it; so
-// do replayers over pre-generated traces.
-//
-// A stream that also hands out whole runs of a recorded dataset's
-// columns — a method Take(n int) (*coherence.Columns, int, int), as
-// *dataset.Replayer has — is replayed a range at a time through
-// protocol.ProcessRange instead of one Next and one Process call per
-// miss. Its home nodes are the address interleave by construction. Any
-// other stream, whose MissInfo.Home need not be, is replayed miss by
-// miss.
-type Stream interface {
-	Next() (trace.Record, coherence.MissInfo)
-}
-
-// rangeStream is a Stream that hands out column ranges (see Stream).
-type rangeStream interface {
-	Take(n int) (c *coherence.Columns, lo, hi int)
-}
 
 // Engine names a protocol engine and knows how to build a fresh,
 // untrained instance for a system of the given size.
@@ -69,22 +48,19 @@ type Engine struct {
 	New func(nodes int) (eng protocol.Engine, release func(), err error)
 }
 
-// Workload names a miss-stream source and its measurement scale.
+// Workload names a shared dataset and the scale a cell replays it at.
 type Workload struct {
 	// Name identifies the workload in results and observations.
 	Name string
-	// Nodes is the system size engines are built for.
-	Nodes int
-	// Open returns a fresh stream positioned at the beginning. The same
-	// seed must yield the same stream contents.
-	Open func(seed uint64) (Stream, error)
-	// Prepare, when non-nil, materializes whatever Open(seed) will
-	// replay — typically a shared dataset — without returning a stream.
-	// The runners prepare each (workload, seed) pair once, across the
-	// worker pool, before any cell starts (see Exec.Prewarm), so
-	// expensive one-time generation runs at full parallelism instead of
-	// serializing the cells that race to open the same source first.
-	Prepare func(seed uint64) error
+	// Dataset returns the dataset the cells at seed replay: Warm misses
+	// from its start, then Measure more, so it must hold at least
+	// Warm+Measure. The same seed must yield the same dataset, and its
+	// params fix the system's node count. The runners call it once per
+	// (workload, seed) across the worker pool before any cell starts
+	// (see Exec.Prewarm), so a generation runs at full parallelism
+	// instead of serializing the cells that race to replay the same
+	// dataset first.
+	Dataset func(seed uint64) (*dataset.Dataset, error)
 	// Warm misses train caches and predictors without being measured.
 	Warm int
 	// Measure misses are accounted.
@@ -142,8 +118,8 @@ func Cross(workloads, specs int, seeds []uint64) []Cell {
 	return cells
 }
 
-// PrewarmJob names a shared stream source a sweep's cells replay:
-// workload W's source at Seed.
+// PrewarmJob names a shared dataset a sweep's cells replay: workload
+// W's at Seed.
 type PrewarmJob struct {
 	W    int
 	Seed uint64
@@ -173,12 +149,12 @@ type Exec[R, O any] struct {
 	// called from the worker pool and must be safe for concurrent use.
 	Lookup func(i int) (*R, []O)
 	Store  func(i int, res R, obs []O)
-	// Prewarm, when non-nil, names the shared stream source cell i
-	// replays, and Prepare materializes one — typically a dataset. Before
-	// any cell computes, every distinct source of the cells to compute is
-	// prepared across the worker pool, so expensive one-time generation
-	// fans out instead of serializing the first cells that race to open
-	// the same source. Store hits prepare nothing.
+	// Prewarm, when non-nil, names the shared dataset cell i replays,
+	// and Prepare materializes one. Before any cell computes, every
+	// distinct source of the cells to compute is prepared across the
+	// worker pool, so expensive one-time generation fans out instead of
+	// serializing the first cells that race to replay the same dataset.
+	// Store hits prepare nothing.
 	Prewarm func(i int) PrewarmJob
 	Prepare func(PrewarmJob) error
 	// Release, when non-nil (with Prewarm), is called exactly once for
@@ -463,18 +439,23 @@ func (d *delivery[O]) ready() []O {
 
 // RunCell trains and measures engine e on workload w at one seed,
 // handing each measurement interval's observation to emit (interval <= 0
-// emits one observation for the whole cell). It runs the stream in
-// chunks of at most ctxCheckStride misses, cuts measured chunks at
-// interval boundaries, checks for cancellation once per chunk and
-// abandons the cell promptly when the context ends.
+// emits one observation for the whole cell). It replays the dataset's
+// columns in ranges of at most ctxCheckStride misses
+// (protocol.ProcessRange), cuts measured ranges at interval boundaries,
+// checks for cancellation once per range and abandons the cell promptly
+// when the context ends.
 func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval int, emit func(Observation)) (*Result, error) {
-	if w.Open == nil {
-		return nil, fmt.Errorf("sweep: workload %q has no stream source", w.Name)
+	if w.Dataset == nil {
+		return nil, fmt.Errorf("sweep: workload %q has no dataset", w.Name)
 	}
 	if e.New == nil {
 		return nil, fmt.Errorf("sweep: engine %q has no constructor", e.Label)
 	}
-	eng, release, err := e.New(w.Nodes)
+	ds, err := w.Dataset(seed)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: workload %q: %w", w.Name, err)
+	}
+	eng, release, err := e.New(ds.Nodes())
 	if err != nil {
 		return nil, fmt.Errorf("sweep: engine %q: %w", e.Label, err)
 	}
@@ -482,16 +463,14 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 		// Deferred, it runs after the result below has read eng.Name().
 		defer release()
 	}
-	st, err := w.Open(seed)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: workload %q: %w", w.Name, err)
-	}
+	st := ds.Replay()
 	for left := w.Warm; left > 0; {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		n := min(left, ctxCheckStride)
-		runChunk(eng, st, n, nil)
+		c, lo, hi := st.Take(n)
+		protocol.ProcessRange(eng, c, lo, hi, nil)
 		left -= n
 	}
 	// chunk is declared once: the engine's range method gets its address,
@@ -519,7 +498,8 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 			n = min(n, interval-int(cur.Misses))
 		}
 		chunk = protocol.Totals{}
-		runChunk(eng, st, n, &chunk)
+		c, lo, hi := st.Take(n)
+		protocol.ProcessRange(eng, c, lo, hi, &chunk)
 		cum.Merge(chunk)
 		cur.Merge(chunk)
 		left -= n
@@ -537,24 +517,6 @@ func RunCell(ctx context.Context, e Engine, w Workload, seed uint64, interval in
 		Seed:       seed,
 		Totals:     cum,
 	}, nil
-}
-
-// runChunk runs the stream's next n misses through eng, accounting them
-// into t unless t is nil (warm-up): one range of columns when the stream
-// hands them out, else one Next and one Process call per miss.
-func runChunk(eng protocol.Engine, st Stream, n int, t *protocol.Totals) {
-	if rs, ok := st.(rangeStream); ok {
-		c, lo, hi := rs.Take(n)
-		protocol.ProcessRange(eng, c, lo, hi, t)
-		return
-	}
-	for ; n > 0; n-- {
-		rec, mi := st.Next()
-		r := eng.Process(rec, mi)
-		if t != nil {
-			t.Add(r)
-		}
-	}
 }
 
 // ForEach runs fn(i) for every i in [0, n) across a worker pool of the

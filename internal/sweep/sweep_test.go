@@ -9,10 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"destset/internal/coherence"
+	"destset/internal/dataset"
 	"destset/internal/predictor"
 	"destset/internal/protocol"
-	"destset/internal/trace"
 	"destset/internal/workload"
 )
 
@@ -34,22 +33,16 @@ func testWorkloads(t *testing.T, names []string, warm, measure int) []Workload {
 	t.Helper()
 	out := make([]Workload, 0, len(names))
 	for _, name := range names {
-		name := name
-		p, err := workload.Preset(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		out = append(out, Workload{
 			Name:    name,
-			Nodes:   p.Nodes,
 			Warm:    warm,
 			Measure: measure,
-			Open: func(seed uint64) (Stream, error) {
+			Dataset: func(seed uint64) (*dataset.Dataset, error) {
 				ps, err := workload.Preset(name, seed)
 				if err != nil {
 					return nil, err
 				}
-				return workload.New(ps)
+				return dataset.Generate(ps, warm, measure)
 			},
 		})
 	}
@@ -214,48 +207,6 @@ func TestForEach(t *testing.T) {
 	}
 	if n := calls.Load(); n == 1000 {
 		t.Errorf("ForEach did not stop early (ran all %d)", n)
-	}
-}
-
-// replayStream checks that pre-annotated traces satisfy Stream.
-type replayStream struct {
-	recs  []trace.Record
-	infos []coherence.MissInfo
-	i     int
-}
-
-func (r *replayStream) Next() (trace.Record, coherence.MissInfo) {
-	rec, mi := r.recs[r.i], r.infos[r.i]
-	r.i++
-	return rec, mi
-}
-
-func TestReplayStreamMatchesGenerator(t *testing.T) {
-	p, err := workload.Preset("slashcode", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := workload.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, infos := g.Generate(3000)
-	w := Workload{
-		Name:    "slashcode-replay",
-		Nodes:   p.Nodes,
-		Warm:    1000,
-		Measure: 2000,
-		Open: func(uint64) (Stream, error) {
-			return &replayStream{recs: tr.Records, infos: infos}, nil
-		},
-	}
-	e := testEngines()[2]
-	res, err := runCells(context.Background(), []Engine{e}, []Workload{w}, []uint64{1}, Exec[Result, Observation]{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Totals.Misses != 2000 {
-		t.Fatalf("measured %d misses", res[0].Totals.Misses)
 	}
 }
 

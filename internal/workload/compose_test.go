@@ -295,11 +295,10 @@ func TestUnsampleableParamsAreRefused(t *testing.T) {
 // TestLowestMPKIFitsTheGap: a MissesPer1000Instr just above the floor
 // Validate sets still draws its largest first-miss gap, the one at
 // u = 0, inside a uint32, and one just below it is refused. The floor
-// is about 1000·|log(u)|/2^32 for the u = 0 draw's smallest positive
-// float64, whose log the platform's library computes (−709.1 on amd64,
-// −744.4 in pure Go).
+// is about 1000·1074·ln 2/2^32 = 1.733e-4 on every platform: the u = 0
+// draw takes the log of the smallest positive float64, 2^-1074.
 func TestLowestMPKIFitsTheGap(t *testing.T) {
-	floor := 1000 * -math.Log(math.SmallestNonzeroFloat64) / math.MaxUint32
+	const floor = 1000 * 1074 * math.Ln2 / math.MaxUint32
 	ok, low := OLTP(1), OLTP(1)
 	ok.MissesPer1000Instr, low.MissesPer1000Instr = 1.01*floor, 0.99*floor
 	if err := ok.Validate(); err != nil {

@@ -558,7 +558,9 @@ func sortDescending(sizes []int) {
 }
 
 func (g *Generator) sampleGroup(k int) []nodeset.NodeID {
-	perm := g.rng.Perm(g.p.Nodes)
+	var buf [nodeset.MaxNodes]int
+	perm := buf[:g.p.Nodes]
+	g.rng.Perm(perm)
 	group := make([]nodeset.NodeID, k)
 	for i := 0; i < k; i++ {
 		group[i] = nodeset.NodeID(perm[i])

@@ -14,13 +14,13 @@ var geometricMeans = []float64{1000 / 5.9, 1000 / 0.4, 1000 / 0.5, 1000 / 7.0, 1
 
 // logDraw is the draw Geometric.Sample must equal for the 53-bit x:
 // int(math.Log(u)/logP) for u = x/2^53, u = 0 taken as the smallest
-// positive float64.
+// positive float64, 2^-1074, whose log is -1074·ln 2.
 func logDraw(mean float64, x uint64) int {
-	u := float64(x) / (1 << 53)
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
+	l := -1074 * math.Ln2
+	if x != 0 {
+		l = math.Log(float64(x) / (1 << 53))
 	}
-	k := int(math.Log(u) / math.Log(mean/(1+mean)))
+	k := int(l / math.Log(mean/(1+mean)))
 	if k < 0 {
 		k = 0
 	}
@@ -33,6 +33,25 @@ func logDraw(mean float64, x uint64) int {
 func nearPower(mean float64, k int) (uint64, bool) {
 	x := math.Round(math.Exp(float64(k)*math.Log(mean/(1+mean))) * (1 << 53))
 	return uint64(x), x >= 1
+}
+
+// TestZeroDrawIsTheSameOnEveryPlatform: the draw at u = 0 and Max are
+// -1074·ln 2 over log p, the log of the smallest positive float64
+// computed exactly, at every generator mean. The math library's log of
+// that subnormal is -709.09 on amd64 and -744.44 in pure Go, so a draw
+// that took it would move Validate's lowest MissesPer1000Instr with the
+// platform.
+func TestZeroDrawIsTheSameOnEveryPlatform(t *testing.T) {
+	for _, mean := range geometricMeans {
+		g := NewGeometric(mean)
+		want := -1074 * math.Ln2 / math.Log(mean/(1+mean))
+		if got := g.Max(); got != want {
+			t.Errorf("mean %v: Max %v, want %v", mean, got, want)
+		}
+		if got := g.sample(0); got != int(want) {
+			t.Errorf("mean %v: the draw at u = 0 is %d, want %d", mean, got, int(want))
+		}
+	}
 }
 
 // TestGeometricMatchesLogNearPowers checks every draw within 64 of p^k

@@ -89,15 +89,14 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+// Perm fills p with a pseudo-random permutation of [0, len(p)). Its
+// contents before the call do not matter.
+func (r *RNG) Perm(p []int) {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }
 
 // Categorical samples from a fixed discrete distribution given by
@@ -325,25 +324,30 @@ func (g Geometric) sample(x uint64) int {
 	return g.exact(x)
 }
 
+// logSmallest is the log of the smallest positive float64, 2^-1074: the
+// log the draw u = 0 takes. It is a constant because the math library's
+// log of that subnormal differs by platform: amd64's assembly gives
+// -709.09, the pure-Go log -744.44.
+const logSmallest = -1074 * math.Ln2
+
 // Max returns the largest value Sample can draw, the one at u = 0, as a
 // float64, so that a value past every integer type still shows. It is
-// 709 to 745 times the mean, as the platform's log of the smallest
-// positive float64 goes.
+// about 744 times the mean.
 func (g Geometric) Max() float64 {
 	if !g.draws {
 		return 0
 	}
-	return math.Log(math.SmallestNonzeroFloat64) / g.logP
+	return logSmallest / g.logP
 }
 
 // exact is the reference draw for x: the math library's log and the
-// quotient as written.
+// quotient as written, u = 0 taking logSmallest.
 func (g Geometric) exact(x uint64) int {
-	u := float64(x) / (1 << 53)
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
+	l := logSmallest
+	if x != 0 {
+		l = math.Log(float64(x) / (1 << 53))
 	}
-	k := int(math.Log(u) / g.logP)
+	k := int(l / g.logP)
 	if k < 0 {
 		k = 0
 	}

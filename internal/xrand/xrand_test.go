@@ -115,7 +115,11 @@ func TestBool(t *testing.T) {
 
 func TestPerm(t *testing.T) {
 	r := New(4, 4)
-	p := r.Perm(20)
+	p := make([]int, 20)
+	for i := range p {
+		p[i] = -7 // whatever p held is overwritten
+	}
+	r.Perm(p)
 	seen := make([]bool, 20)
 	for _, v := range p {
 		if v < 0 || v >= 20 || seen[v] {

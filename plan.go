@@ -119,6 +119,11 @@ func scaleOf(specWarm, specMeasure, defWarm, defMeasure int) (warm, measure int)
 	return warm, measure
 }
 
+// The spec fingerprints render a fixed "nodes=0": the workload's dataset
+// fixes the node count, and the field keeps every fingerprint —
+// result-store keys, coordinator state dirs — equal to those of stores
+// and state dirs written when specs could override the count.
+
 // fingerprintEngineSpec renders an EngineSpec canonically: every field
 // that affects the built engine, with pointer fields dereferenced so the
 // rendering is stable across processes.
@@ -127,8 +132,8 @@ func fingerprintEngineSpec(s EngineSpec) string {
 	if s.Predictor != nil {
 		pred = fmt.Sprintf("%#v", *s.Predictor)
 	}
-	return fmt.Sprintf("engine|protocol=%s|policyName=%s|policy=%d|usePolicy=%t|predictor=%s|nodes=%d|label=%s",
-		s.Protocol, s.PolicyName, int(s.Policy), s.UsePolicy, pred, s.Nodes, s.Label)
+	return fmt.Sprintf("engine|protocol=%s|policyName=%s|policy=%d|usePolicy=%t|predictor=%s|nodes=0|label=%s",
+		s.Protocol, s.PolicyName, int(s.Policy), s.UsePolicy, pred, s.Label)
 }
 
 // fingerprintSimSpec renders a SimSpec canonically, including every
@@ -138,28 +143,20 @@ func fingerprintSimSpec(s SimSpec) string {
 	if s.Predictor != nil {
 		pred = fmt.Sprintf("%#v", *s.Predictor)
 	}
-	return fmt.Sprintf("sim|protocol=%s|policyName=%s|policy=%d|usePolicy=%t|predictor=%s|cpu=%d|nodes=%d|link=%g|traversal=%g|l2=%g|mem=%g|mshrs=%d|rob=%d|attempts=%d|label=%s",
-		s.Protocol, s.PolicyName, int(s.Policy), s.UsePolicy, pred, int(s.CPU), s.Nodes,
+	return fmt.Sprintf("sim|protocol=%s|policyName=%s|policy=%d|usePolicy=%t|predictor=%s|cpu=%d|nodes=0|link=%g|traversal=%g|l2=%g|mem=%g|mshrs=%d|rob=%d|attempts=%d|label=%s",
+		s.Protocol, s.PolicyName, int(s.Policy), s.UsePolicy, pred, int(s.CPU),
 		s.LinkBytesPerNs, s.TraversalNs, s.L2LatencyNs, s.MemLatencyNs, s.MSHRs, s.ROBWindow, s.MaxAttempts, s.Label)
 }
 
 // fingerprintWorkloadSpec renders a WorkloadSpec canonically at its
-// resolved scale. Name- and Params-based specs fingerprint their full
-// generation identity; a custom Open source contributes only its label
-// and shape — processes sharding a sweep over custom sources are
-// responsible for supplying the same stream on every shard.
+// resolved scale: its full generation identity.
 func fingerprintWorkloadSpec(s WorkloadSpec, defWarm, defMeasure int) string {
 	warm, measure := scaleOf(s.Warm, s.Measure, defWarm, defMeasure)
-	src := ""
-	switch {
-	case s.Open != nil:
-		src = "open:" + s.label()
-	case s.Params != nil:
+	src := "name:" + s.Name
+	if s.Params != nil {
 		src = "params:" + fmt.Sprintf("%#v", *s.Params)
-	default:
-		src = "name:" + s.Name
 	}
-	return fmt.Sprintf("workload|%s|nodes=%d|warm=%d|measure=%d", src, s.Nodes, warm, measure)
+	return fmt.Sprintf("workload|%s|nodes=0|warm=%d|measure=%d", src, warm, measure)
 }
 
 // buildPlan enumerates a runner's cells workload-major with stable

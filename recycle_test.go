@@ -159,7 +159,7 @@ func TestTraceCellBankBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.Prepare(1); err != nil {
+	if _, err := ws.Dataset(1); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{Owner, BroadcastIfShared, Group, OwnerGroup} {

@@ -22,10 +22,6 @@ import (
 // cell emitted, a warm rerun writes a JSONL file byte-identical to a
 // cold one, at any parallelism and with no merge pass, while computing
 // only the cells whose fingerprints changed.
-//
-// Cells of workloads with a custom Open stream source are never cached:
-// their fingerprints cover only the label and shape, not the stream
-// contents, so a hit could replay a different experiment's results.
 
 // ResultStats are a result store's per-tier counters; see
 // results.Stats. Stores counts cells actually computed and offered to

@@ -133,8 +133,8 @@ func TestResultStoreWarmRerunByteIdentical(t *testing.T) {
 				t.Fatalf("warm rerun stats: %+v, want %d memory hits", st, cells)
 			}
 			// A fully-warm rerun must not touch the dataset store at all:
-			// no generations, no tier traffic — the cells' stream sources
-			// are never even prewarmed.
+			// no generations, no tier traffic — the cells' datasets are
+			// never even prewarmed.
 			if dsAfter := destset.DatasetCacheStats(); dsAfter != dsBefore {
 				t.Errorf("warm rerun touched the dataset store: %+v -> %+v", dsBefore, dsAfter)
 			}
@@ -257,54 +257,6 @@ func warmRun(def destset.SweepDef, rs *destset.ResultStore) (any, *destset.Sweep
 	}
 	res, err := r.Run(context.Background())
 	return res, plan, err
-}
-
-// TestResultStoreSkipsOpenWorkloads pins the safety rule: cells of
-// workloads with a custom Open stream source are never cached — their
-// fingerprints do not cover the stream contents — while named-workload
-// cells in the same sweep cache as usual.
-func TestResultStoreSkipsOpenWorkloads(t *testing.T) {
-	params, err := destset.NewWorkload("oltp", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads := []destset.WorkloadSpec{
-		{Name: "oltp", Warm: 500, Measure: 500},
-		{
-			Name:  "oltp-open",
-			Nodes: params.Nodes,
-			Warm:  500, Measure: 500,
-			Open: func(seed uint64) (destset.Stream, error) {
-				return destset.NewWorkloadGenerator(destset.WorkloadSpec{Name: "oltp"}, seed)
-			},
-		},
-	}
-	engines := []destset.EngineSpec{{Protocol: destset.ProtocolSnooping}}
-	rs := destset.NewResultStore()
-	run := func() []destset.RunResult {
-		t.Helper()
-		res, err := destset.NewRunner(engines, workloads,
-			destset.WithResultStore(rs), destset.WithParallelism(1)).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	first := run()
-	if st := rs.Stats(); st.Stores != 1 {
-		t.Fatalf("first run stored %d cells, want 1 (the named workload's only)", st.Stores)
-	}
-	second := run()
-	st := rs.Stats()
-	if st.Stores != 1 {
-		t.Errorf("rerun stored the Open workload's cell: %d stores, want still 1", st.Stores)
-	}
-	if st.MemHits != 1 {
-		t.Errorf("rerun stats: %+v, want 1 memory hit (the named cell)", st)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("rerun results diverge")
-	}
 }
 
 // TestResultStoreCellLines pins the raw-record interface the

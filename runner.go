@@ -214,7 +214,7 @@ func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 		workloads[i] = sw
 	}
 	cells := sweep.Cross(len(workloads), len(engines), r.cfg.seeds)
-	results, err := execute(ctx, r.cfg, r.Plan, r.workloads, workloads, cells, (*ResultStore).traceCell, (*ResultStore).putTraceCell,
+	results, err := execute(ctx, r.cfg, r.Plan, workloads, cells, (*ResultStore).traceCell, (*ResultStore).putTraceCell,
 		sweep.Exec[sweep.Result, Observation]{
 			Observe: r.cfg.observer,
 			Compute: func(ctx context.Context, i int, emit func(Observation)) (*sweep.Result, error) {
@@ -246,19 +246,14 @@ func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 // of each cell's shared dataset through its resolved workload, and —
 // when a result store is attached — the store hooks, which address cell
 // i by its plan fingerprint through the kind's record codec (get and
-// put). Cells of custom-Open workloads are never cached: their
-// fingerprints cover only the label and shape, not the stream contents,
-// so a hit could replay a different experiment.
-func execute[R, O any](ctx context.Context, cfg runnerConfig, plan func() (*SweepPlan, error), specs []WorkloadSpec, workloads []sweep.Workload,
+// put).
+func execute[R, O any](ctx context.Context, cfg runnerConfig, plan func() (*SweepPlan, error), workloads []sweep.Workload,
 	cells []sweep.Cell, get func(*ResultStore, PlanCell) (*R, []O), put func(*ResultStore, string, R, []O), x sweep.Exec[R, O]) ([]R, error) {
 	x.Total, x.Cells, x.Shard, x.Shards, x.Parallelism = len(cells), cfg.cells, cfg.shard, cfg.shards, cfg.parallelism
 	x.Prewarm = func(i int) sweep.PrewarmJob { return sweep.PrewarmJob{W: cells[i].W, Seed: cells[i].Seed} }
 	x.Prepare = func(j sweep.PrewarmJob) error {
 		w := workloads[j.W]
-		if w.Prepare == nil {
-			return nil
-		}
-		if err := w.Prepare(j.Seed); err != nil {
+		if _, err := w.Dataset(j.Seed); err != nil {
 			return fmt.Errorf("sweep: workload %q: %w", w.Name, err)
 		}
 		return nil
@@ -268,17 +263,8 @@ func execute[R, O any](ctx context.Context, cfg runnerConfig, plan func() (*Swee
 		if err != nil {
 			return nil, err
 		}
-		x.Lookup = func(i int) (*R, []O) {
-			if specs[cells[i].W].Open != nil {
-				return nil, nil
-			}
-			return get(rs, p.Cell(i))
-		}
-		x.Store = func(i int, res R, obs []O) {
-			if specs[cells[i].W].Open == nil {
-				put(rs, p.Cell(i).Fingerprint, res, obs)
-			}
-		}
+		x.Lookup = func(i int) (*R, []O) { return get(rs, p.Cell(i)) }
+		x.Store = func(i int, res R, obs []O) { put(rs, p.Cell(i).Fingerprint, res, obs) }
 	}
 	return sweep.Execute(ctx, x)
 }

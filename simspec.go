@@ -41,15 +41,12 @@ type SimSpec struct {
 	UsePolicy bool
 	// Predictor overrides the predictor configuration. Nil uses the
 	// paper's standout configuration (DefaultPredictorConfig) for the
-	// selected policy. Its Nodes field is 0 to inherit the system's node
-	// count (the spec's Nodes, or else the workload's); any other value
-	// must equal that count.
+	// selected policy. Its Nodes field is 0 to inherit the workload's
+	// node count; any other value must equal that count.
 	Predictor *PredictorConfig
 	// CPU selects the processor model (§5.2): SimpleCPU (the zero value)
 	// or DetailedCPU.
 	CPU CPUModel
-	// Nodes overrides the system size; 0 inherits the workload's.
-	Nodes int
 
 	// Table-4 knob overrides. Zero values keep the paper's target system
 	// (10 B/ns links, 50 ns traversal, 12 ns L2, 80 ns memory, 64-entry
@@ -142,7 +139,7 @@ func (s SimSpec) validate() error {
 		}
 	}
 	if proto == sim.Multicast && s.hasPolicy() {
-		if err := checkBank("sim", s.DisplayLabel(), s.PolicyName, s.Policy, s.Predictor, s.Nodes); err != nil {
+		if err := checkBank("sim", s.DisplayLabel(), s.PolicyName, s.Policy, s.Predictor); err != nil {
 			return err
 		}
 	}
@@ -159,13 +156,9 @@ func nsTime(ns float64) event.Time {
 }
 
 // Resolve turns the spec into a concrete sim.Config for a system of the
-// given node count (0 uses the spec's own Nodes, which must then be
-// set). The result starts from the paper's Table 4 target
-// (DefaultSimConfig) and applies the spec's overrides.
+// given positive node count. The result starts from the paper's Table 4
+// target (DefaultSimConfig) and applies the spec's overrides.
 func (s SimSpec) Resolve(nodes int) (SimConfig, error) {
-	if s.Nodes > 0 {
-		nodes = s.Nodes
-	}
 	if nodes <= 0 {
 		return SimConfig{}, fmt.Errorf("destset: sim spec %q needs a node count", s.DisplayLabel())
 	}

@@ -42,12 +42,9 @@ type EngineSpec struct {
 	UsePolicy bool
 	// Predictor overrides the predictor configuration. Nil uses the
 	// paper's standout configuration (DefaultPredictorConfig) for the
-	// selected policy. Its Nodes field is 0 to inherit the system's node
-	// count (the spec's Nodes, or else the workload's); any other value
-	// must equal that count.
+	// selected policy. Its Nodes field is 0 to inherit the workload's
+	// node count; any other value must equal that count.
 	Predictor *PredictorConfig
-	// Nodes overrides the system size; 0 inherits the workload's.
-	Nodes int
 	// Label overrides the engine's display label in results and
 	// observations; empty derives one from the protocol and policy.
 	Label string
@@ -124,7 +121,7 @@ func (s EngineSpec) validate() error {
 		}
 	}
 	if s.hasPolicy() {
-		return checkBank("engine", s.DisplayLabel(), s.PolicyName, s.Policy, s.Predictor, s.Nodes)
+		return checkBank("engine", s.DisplayLabel(), s.PolicyName, s.Policy, s.Predictor)
 	}
 	return nil
 }
@@ -136,10 +133,10 @@ func (s EngineSpec) validate() error {
 // left 0 come from the workload, whose own validation bounds them. A
 // registered custom policy reads the configuration its own way, so for
 // it only the node count is checked.
-func checkBank(kind, label, policyName string, policy Policy, pc *PredictorConfig, nodes int) error {
-	cfg, err := bankConfig(kind, label, policy, pc, nodes)
-	if err != nil {
-		return err
+func checkBank(kind, label, policyName string, policy Policy, pc *PredictorConfig) error {
+	cfg := predictor.DefaultConfig(policy, 0)
+	if pc != nil {
+		cfg = *pc
 	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
@@ -160,9 +157,7 @@ func checkBank(kind, label, policyName string, policy Policy, pc *PredictorConfi
 // bankConfig is the predictor configuration a spec's bank is built from
 // on a system of nodes: the explicit pc, whose Nodes 0 inherits the
 // system's node count and any other value must equal it, or else the
-// paper's standout configuration for policy. Spec validation runs before
-// the workload is known and passes nodes 0 unless the spec sets Nodes;
-// then pc's Nodes is left as set.
+// paper's standout configuration for policy.
 func bankConfig(kind, label string, policy Policy, pc *PredictorConfig, nodes int) (PredictorConfig, error) {
 	if pc == nil {
 		return predictor.DefaultConfig(policy, nodes), nil
@@ -171,7 +166,7 @@ func bankConfig(kind, label string, policy Policy, pc *PredictorConfig, nodes in
 	switch {
 	case cfg.Nodes == 0:
 		cfg.Nodes = nodes
-	case nodes > 0 && cfg.Nodes != nodes:
+	case cfg.Nodes != nodes:
 		return cfg, fmt.Errorf("destset: %s spec %q: predictor config has %d nodes, but the system has %d",
 			kind, label, cfg.Nodes, nodes)
 	}
@@ -228,9 +223,9 @@ func namedBank(name string, cfg *PredictorConfig) (func() []predictor.Predictor,
 }
 
 // NewEngine builds one fresh engine from the spec for a system of the
-// given node count (0 uses the spec's own Nodes, which must then be
-// set), with its own untrained predictor bank: engines built from one
-// spec share no training. A sweep cell builds its engine this way.
+// given positive node count, with its own untrained predictor bank:
+// engines built from one spec share no training. A sweep cell builds its
+// engine this way, for its dataset's node count.
 func (s EngineSpec) NewEngine(nodes int) (Engine, error) {
 	eng, _, err := s.newEngine(nodes)
 	return eng, err
@@ -242,9 +237,6 @@ func (s EngineSpec) NewEngine(nodes int) (Engine, error) {
 // registered engine factory or a custom policy's factory received may
 // be kept there, so it is never returned.
 func (s EngineSpec) newEngine(nodes int) (Engine, []predictor.Predictor, error) {
-	if s.Nodes > 0 {
-		nodes = s.Nodes
-	}
 	if nodes <= 0 {
 		return nil, nil, fmt.Errorf("destset: engine spec %q needs a node count", s.DisplayLabel())
 	}
@@ -283,35 +275,24 @@ func (s EngineSpec) sweepEngine() sweep.Engine {
 	}
 }
 
-// Stream produces a workload's miss stream: one coherence request plus
-// its oracle annotation per call. *Generator implements Stream, and so
-// can replayers over recorded traces.
-type Stream = sweep.Stream
-
 // WorkloadSpec is a value description of one workload and its
-// measurement scale. Exactly one of three sources applies, in priority
-// order: Open (a custom stream source), Params (explicit parameters),
-// or Name (a registered preset).
+// measurement scale: a registered preset (Name) or explicit parameters
+// (Params), which take priority. Either way a sweep replays the one
+// shared dataset of each (workload, seed), whose parameters fix the
+// system's node count. A recorded trace comes in as an imported dataset
+// (tracegen -import) and is swept through its Params.
 type WorkloadSpec struct {
 	// Name is a registered workload preset name; it also labels the
-	// workload in results when Params or Open is used.
-	Name string
+	// workload in results when Params is used.
+	Name string `json:"Name,omitempty"`
 	// Params overrides the preset lookup with explicit parameters. The
 	// Seed field is replaced by the sweep cell's seed.
-	Params *WorkloadParams
-	// Open overrides generation entirely with a custom stream source —
-	// for example a replayer over a recorded trace. Each call must
-	// return a fresh stream positioned at the beginning; Nodes must be
-	// set when Open is used.
-	Open func(seed uint64) (Stream, error)
-	// Nodes is the system size; required with Open, otherwise derived
-	// from the preset or Params.
-	Nodes int
+	Params *WorkloadParams `json:"Params,omitempty"`
 	// Warm misses train caches and predictors without being measured;
 	// 0 inherits the Runner's default.
-	Warm int
+	Warm int `json:"Warm,omitempty"`
 	// Measure misses are accounted; 0 inherits the Runner's default.
-	Measure int
+	Measure int `json:"Measure,omitempty"`
 }
 
 // label names the workload in results.
@@ -330,11 +311,9 @@ func (w WorkloadSpec) label() string {
 // addressed by: the preset's for a Name, Params with the seed applied
 // otherwise. Imported traces are fixed data whose identity is the
 // input's content hash, so every seed replays the same dataset and the
-// seed must not perturb it. Custom Open sources have no parameters.
+// seed must not perturb it.
 func (w WorkloadSpec) paramsAt(seed uint64) (workload.Params, error) {
 	switch {
-	case w.Open != nil:
-		return workload.Params{}, fmt.Errorf("destset: workload %q uses a custom Open stream source and has no shared dataset", w.label())
 	case w.Params != nil:
 		p := *w.Params
 		if !p.Import.Enabled() {
@@ -344,66 +323,33 @@ func (w WorkloadSpec) paramsAt(seed uint64) (workload.Params, error) {
 	case w.Name != "":
 		return workload.Preset(w.Name, seed)
 	}
-	return workload.Params{}, fmt.Errorf("destset: workload spec needs a Name, Params or Open source")
+	return workload.Params{}, fmt.Errorf("destset: workload spec needs a Name or Params")
 }
 
 // resolve turns the spec into a sweep workload, applying the runner's
 // default scale. Preset names are validated here, before the sweep
-// starts.
+// starts. Each (params, seed, scale) dataset is generated once in the
+// process-wide dataset store, and every sweep cell replays it through a
+// fresh zero-copy cursor.
 func (w WorkloadSpec) resolve(defaultWarm, defaultMeasure int) (sweep.Workload, error) {
-	// 0 inherits the runner default; negative means "explicitly none".
-	warm, measure := scaleOf(w.Warm, w.Measure, defaultWarm, defaultMeasure)
-	sw := sweep.Workload{Name: w.label(), Warm: warm, Measure: measure, Nodes: w.Nodes}
-	if w.Open != nil {
-		if sw.Nodes <= 0 {
-			return sweep.Workload{}, fmt.Errorf("destset: workload %q uses a custom stream source and must set Nodes", sw.Name)
-		}
-		sw.Open = w.Open
-		return sw, nil
-	}
-	base, err := w.paramsAt(0)
-	if err != nil {
+	if _, err := w.paramsAt(0); err != nil {
 		return sweep.Workload{}, err
 	}
-	if sw.Nodes == 0 {
-		sw.Nodes = base.Nodes
-	}
-	sw.Open, sw.Prepare = sharedDatasetSource(w.paramsAt, warm, measure)
-	return sw, nil
-}
-
-// sharedDatasetSource builds the generate-once/replay-many stream source
-// for a resolvable workload: each (params, seed, scale) trace is
-// generated once in the process-wide dataset store and every sweep cell
-// replays it through a fresh zero-copy cursor. Prepare materializes the
-// dataset ahead of the cells so generation fans out across the worker
-// pool.
-func sharedDatasetSource(params func(seed uint64) (workload.Params, error), warm, measure int) (open func(uint64) (Stream, error), prepare func(uint64) error) {
-	open = func(seed uint64) (Stream, error) {
-		p, err := params(seed)
+	// 0 inherits the runner default; negative means "explicitly none".
+	warm, measure := scaleOf(w.Warm, w.Measure, defaultWarm, defaultMeasure)
+	ds := func(seed uint64) (*dataset.Dataset, error) {
+		p, err := w.paramsAt(seed)
 		if err != nil {
 			return nil, err
 		}
-		return dataset.OpenShared(p, warm, measure)
+		return dataset.GetShared(p, warm, measure)
 	}
-	prepare = func(seed uint64) error {
-		p, err := params(seed)
-		if err != nil {
-			return err
-		}
-		_, err = dataset.GetShared(p, warm, measure)
-		return err
-	}
-	return open, prepare
+	return sweep.Workload{Name: w.label(), Warm: warm, Measure: measure, Dataset: ds}, nil
 }
 
 // NewWorkloadGenerator resolves a WorkloadSpec into a generator seeded
 // for one run — the same resolution the Runner performs per sweep cell.
-// It fails for specs with a custom Open source (call Open directly).
 func NewWorkloadGenerator(spec WorkloadSpec, seed uint64) (*Generator, error) {
-	if spec.Open != nil {
-		return nil, fmt.Errorf("destset: workload %q has a custom stream source; call spec.Open", spec.label())
-	}
 	p, err := spec.paramsAt(seed)
 	if err != nil {
 		return nil, err

@@ -22,10 +22,6 @@ import (
 // is built on: the coordinator serves its def, every worker reconstructs
 // the cell index space from it, and the plan fingerprint is the
 // handshake that proves they agree.
-//
-// Only value-described workloads serialize: a WorkloadSpec with a custom
-// Open stream source refuses to marshal, since a function cannot cross a
-// process boundary.
 
 // SweepDef is a serializable sweep definition of either kind. Exactly
 // one of Engines (PlanKindTrace) or Sims (PlanKindTiming) applies,
@@ -37,8 +33,7 @@ type SweepDef struct {
 	Engines []EngineSpec `json:"engines,omitempty"`
 	// Sims are the execution-driven sim specs (Kind == PlanKindTiming).
 	Sims []SimSpec `json:"sims,omitempty"`
-	// Workloads are the swept workloads. Custom Open sources are not
-	// serializable and refused by Validate and MarshalJSON.
+	// Workloads are the swept workloads.
 	Workloads []WorkloadSpec `json:"workloads"`
 	// Seeds are the per-cell workload seeds; empty means the runner
 	// default {1}.
@@ -88,9 +83,9 @@ func NewTimingSweepDef(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerO
 	}
 }
 
-// Validate checks the definition is complete, serializable and names
-// only registered protocols, policies and workloads — everything a
-// worker needs to verify before executing cells from it.
+// Validate checks the definition is complete and names only registered
+// protocols, policies and workloads — everything a worker needs to
+// verify before executing cells from it.
 func (d SweepDef) Validate() error {
 	switch d.Kind {
 	case PlanKindTrace:
@@ -124,9 +119,6 @@ func (d SweepDef) Validate() error {
 		return fmt.Errorf("destset: sweep def needs at least one workload spec")
 	}
 	for _, w := range d.Workloads {
-		if w.Open != nil {
-			return fmt.Errorf("destset: workload %q uses a custom Open stream source and cannot be serialized", w.label())
-		}
 		if w.Params == nil && w.Name == "" {
 			return fmt.Errorf("destset: workload spec needs a Name or Params")
 		}
@@ -271,7 +263,7 @@ func (sd SweepDataset) remember(key dataset.Key, whole bool) SweepDataset {
 // was or a field it was derived from has changed since.
 func (sd SweepDataset) remembered() *derivedKey {
 	d := sd.derived
-	if d == nil || sd.Workload.Open != nil || d.name != sd.Workload.Name || d.params != sd.Workload.Params ||
+	if d == nil || d.name != sd.Workload.Name || d.params != sd.Workload.Params ||
 		d.seed != sd.Seed || d.warm != sd.Warm || d.measure != sd.Measure {
 		return nil
 	}
@@ -439,55 +431,6 @@ func (d SweepDef) Datasets() ([]SweepDataset, error) {
 		}
 	}
 	return out, nil
-}
-
-// wireWorkloadSpec is WorkloadSpec's serializable field set.
-type wireWorkloadSpec struct {
-	Name    string          `json:"Name,omitempty"`
-	Params  *WorkloadParams `json:"Params,omitempty"`
-	Nodes   int             `json:"Nodes,omitempty"`
-	Warm    int             `json:"Warm,omitempty"`
-	Measure int             `json:"Measure,omitempty"`
-}
-
-// MarshalJSON serializes a Name- or Params-based spec. Specs with a
-// custom Open stream source refuse to marshal: a function cannot cross a
-// process boundary, and silently dropping it would ship a spec that
-// generates a different stream than the original.
-func (w WorkloadSpec) MarshalJSON() ([]byte, error) {
-	if w.Open != nil {
-		return nil, fmt.Errorf("destset: workload %q uses a custom Open stream source and cannot be serialized", w.label())
-	}
-	return json.Marshal(wireWorkloadSpec{
-		Name: w.Name, Params: w.Params, Nodes: w.Nodes, Warm: w.Warm, Measure: w.Measure,
-	})
-}
-
-// UnmarshalJSON is MarshalJSON's inverse. A document that carries an
-// Open field is refused by name: a custom stream source cannot cross a
-// process boundary, and decoding the rest would silently rebuild a
-// different workload than the sender ran.
-func (w *WorkloadSpec) UnmarshalJSON(raw []byte) error {
-	var probe struct {
-		Name string          `json:"Name"`
-		Open json.RawMessage `json:"Open"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return err
-	}
-	if len(probe.Open) > 0 && string(probe.Open) != "null" {
-		name := probe.Name
-		if name == "" {
-			name = "workload"
-		}
-		return fmt.Errorf("destset: workload %q carries a custom Open stream source, which is not serializable", name)
-	}
-	var ws wireWorkloadSpec
-	if err := json.Unmarshal(raw, &ws); err != nil {
-		return err
-	}
-	*w = WorkloadSpec{Name: ws.Name, Params: ws.Params, Nodes: ws.Nodes, Warm: ws.Warm, Measure: ws.Measure}
-	return nil
 }
 
 // sweepPlanJSON is SweepPlan's wire form: kind, fingerprint and the full

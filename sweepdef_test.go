@@ -107,24 +107,9 @@ func TestSweepDefRunnerMatchesDirectRunner(t *testing.T) {
 	}
 }
 
-// TestSweepDefRefusals pins validation: custom Open sources cannot
-// serialize, kinds must match their spec lists, and unknown kinds fail.
+// TestSweepDefRefusals pins validation: kinds must match their spec
+// lists, and unknown kinds fail.
 func TestSweepDefRefusals(t *testing.T) {
-	open := destset.WorkloadSpec{
-		Open:  func(seed uint64) (destset.Stream, error) { return nil, nil },
-		Nodes: 16,
-	}
-	if _, err := json.Marshal(open); err == nil || !strings.Contains(err.Error(), "cannot be serialized") {
-		t.Errorf("marshal of Open workload = %v, want refusal", err)
-	}
-	def := destset.NewTraceSweepDef(
-		[]destset.EngineSpec{{Protocol: destset.ProtocolSnooping}},
-		[]destset.WorkloadSpec{open},
-	)
-	if err := def.Validate(); err == nil || !strings.Contains(err.Error(), "cannot be serialized") {
-		t.Errorf("Validate with Open workload = %v, want refusal", err)
-	}
-
 	if err := (destset.SweepDef{Kind: "mystery"}).Validate(); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("unknown kind = %v, want refusal", err)
 	}
@@ -311,29 +296,6 @@ func TestWithCellsSubset(t *testing.T) {
 	twant := []destset.TimingResult{tfull[1], tfull[5]}
 	if !reflect.DeepEqual(tgot, twant) {
 		t.Error("timing subset run differs from the full run's cells")
-	}
-}
-
-// TestWorkloadSpecUnmarshalRefusesOpen pins the JSON decode guard: a
-// document that smuggles an Open field is rejected by workload name
-// instead of silently decoding into a different workload.
-func TestWorkloadSpecUnmarshalRefusesOpen(t *testing.T) {
-	var w destset.WorkloadSpec
-	raw := `{"Name":"replayed-oltp","Nodes":16,"Open":{"fn":"0xdeadbeef"}}`
-	err := json.Unmarshal([]byte(raw), &w)
-	if err == nil || !strings.Contains(err.Error(), "not serializable") {
-		t.Fatalf("unmarshal with Open = %v, want refusal", err)
-	}
-	if !strings.Contains(err.Error(), "replayed-oltp") {
-		t.Errorf("error %q does not name the offending workload", err)
-	}
-	// A null Open is what MarshalJSON could never emit but a hand-rolled
-	// document might; it carries no source and decodes fine.
-	if err := json.Unmarshal([]byte(`{"Name":"oltp","Open":null}`), &w); err != nil {
-		t.Fatalf("null Open should decode: %v", err)
-	}
-	if w.Name != "oltp" {
-		t.Errorf("decoded name %q", w.Name)
 	}
 }
 
@@ -534,9 +496,8 @@ func TestBadPredictorConfigFailsValidation(t *testing.T) {
 		return &cfg
 	}
 	bad := map[string]struct {
-		cfg   *destset.PredictorConfig
-		nodes int
-		want  string
+		cfg  *destset.PredictorConfig
+		want string
 	}{
 		"entries not a multiple of ways": {cfg: group(func(c *destset.PredictorConfig) { c.Entries = 1002 }), want: "not a multiple of ways"},
 		"set count not a power of two":   {cfg: group(func(c *destset.PredictorConfig) { c.Entries = 1000 }), want: "set count 250 is not a power of two"},
@@ -545,19 +506,13 @@ func TestBadPredictorConfigFailsValidation(t *testing.T) {
 		"unknown policy":                 {cfg: &destset.PredictorConfig{Policy: destset.Policy(42)}, want: "unknown policy"},
 		"too many nodes in the config":   {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = 65 }), want: "bad node count 65"},
 		"negative nodes in the config":   {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = -1 }), want: "bad node count -1"},
-		"too many nodes in the spec":     {nodes: 65, want: "bad node count 65"},
-		"config nodes not the spec's":    {cfg: group(func(c *destset.PredictorConfig) { c.Nodes = 8 }), nodes: 16, want: "predictor config has 8 nodes, but the system has 16"},
 		"rollover beyond the counter":    {cfg: group(func(c *destset.PredictorConfig) { c.GroupRollover = 1 << 32 }), want: "rollover limit"},
 	}
 	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}}
 	for name, c := range bad {
 		t.Run(name, func(t *testing.T) {
-			engine := destset.EngineSpec{Protocol: destset.ProtocolMulticast, Predictor: c.cfg, Nodes: c.nodes, Label: "bad-engine"}
-			simSpec := destset.SimSpec{Protocol: destset.ProtocolMulticast, Predictor: c.cfg, Nodes: c.nodes, Label: "bad-sim"}
-			if c.cfg == nil {
-				engine.Policy, engine.UsePolicy = destset.Group, true
-				simSpec.Policy, simSpec.UsePolicy = destset.Group, true
-			}
+			engine := destset.EngineSpec{Protocol: destset.ProtocolMulticast, Predictor: c.cfg, Label: "bad-engine"}
+			simSpec := destset.SimSpec{Protocol: destset.ProtocolMulticast, Predictor: c.cfg, Label: "bad-sim"}
 			check := func(what string, err error, label string) {
 				t.Helper()
 				if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), label) {
@@ -606,9 +561,9 @@ func TestBadPredictorConfigFailsValidation(t *testing.T) {
 	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, workloads).Run(context.Background()); err != nil {
 		t.Errorf("custom policy: %v", err)
 	}
-	custom.Nodes = 65
-	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, workloads).Run(context.Background()); err == nil {
-		t.Error("custom policy on 65 nodes: want a node count error")
+	custom.Predictor = group(func(c *destset.PredictorConfig) { c.Entries, c.Nodes = 1000, 65 })
+	if _, err := destset.NewRunner([]destset.EngineSpec{custom}, workloads).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "bad node count 65") {
+		t.Errorf("custom policy over a 65-node configuration: %v, want a node count error", err)
 	}
 }
 
@@ -617,8 +572,7 @@ func TestBadPredictorConfigFailsValidation(t *testing.T) {
 // any other value must equal it. A mismatch is an error naming the spec
 // from both runners and for both kinds of bank (the built-in one and one
 // built by a policy chosen by name), not a panic in a sweep worker or a
-// bank silently resized. A spec that sets its own Nodes is checked at
-// validation, in TestBadPredictorConfigFailsValidation.
+// bank silently resized.
 func TestPredictorNodesMustMatchSystem(t *testing.T) {
 	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}} // 16 nodes
 	type outcome struct {

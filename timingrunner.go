@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sync"
 
-	"destset/internal/dataset"
 	"destset/internal/sim"
 	"destset/internal/sweep"
-	"destset/internal/trace"
 )
 
 // TimingResult is one completed timing cell: a SimSpec simulated over a
@@ -57,73 +55,17 @@ func WithTimingObserver(fn TimingObserver) RunnerOption {
 	return func(c *runnerConfig) { c.timingObserver = fn }
 }
 
-// timingSources opens one timing cell's warm and timed sources at a
-// seed.
-type timingSources func(seed uint64) (warm, timed sim.Source, err error)
-
-// resolveTiming resolves a WorkloadSpec for the timing path: the sweep
-// workload resolve builds — whose prepare hook materializes the shared
-// dataset ahead of the cells — plus each cell's timing sources. Name-
-// and Params-based workloads replay the shared dataset's columns
-// zero-copy (dataset.Region); custom Open sources are drained once per
-// cell into materialized traces, since the timing simulator needs
-// random access for its reorder-buffer window.
-func (w WorkloadSpec) resolveTiming(defaultWarm, defaultMeasure int) (sweep.Workload, timingSources, error) {
-	sw, err := w.resolve(defaultWarm, defaultMeasure)
-	if err != nil {
-		return sw, nil, err
-	}
-	warm, measure := sw.Warm, sw.Measure
-	if measure == 0 {
-		return sw, nil, fmt.Errorf("destset: timing workload %q needs measured misses", sw.Name)
-	}
-	if w.Open != nil {
-		return sw, func(seed uint64) (sim.Source, sim.Source, error) {
-			st, err := w.Open(seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			warmTr := &trace.Trace{Nodes: sw.Nodes, Records: make([]trace.Record, 0, warm)}
-			timedTr := &trace.Trace{Nodes: sw.Nodes, Records: make([]trace.Record, 0, measure)}
-			for i := 0; i < warm; i++ {
-				rec, _ := st.Next()
-				warmTr.Append(rec)
-			}
-			for i := 0; i < measure; i++ {
-				rec, _ := st.Next()
-				timedTr.Append(rec)
-			}
-			return sim.TraceSource(warmTr), sim.TraceSource(timedTr), nil
-		}, nil
-	}
-	return sw, func(seed uint64) (sim.Source, sim.Source, error) {
-		p, err := w.paramsAt(seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := dataset.GetShared(p, warm, measure)
-		if err != nil {
-			return nil, nil, err
-		}
-		var warmSrc sim.Source
-		if warm > 0 {
-			warmSrc = d.WarmRegion()
-		}
-		return warmSrc, d.MeasureRegion(), nil
-	}, nil
-}
-
 // TimingRunner fans a []SimSpec × []WorkloadSpec × seeds cross-product
 // of execution-driven timing simulations over a worker pool — the timing
 // analogue of Runner. Every cell resolves a fresh sim.Config from its
-// spec; Name- and Params-based workloads resolve through the shared
-// dataset store and are replayed zero-copy by any number of concurrent
-// cells.
+// spec for its dataset's node count; workloads resolve through the
+// shared dataset store, and any number of concurrent cells replay a
+// dataset's warm and measured regions zero-copy.
 //
-// Within one Run, the cells of a (workload, seed) share one sim.Job: the
-// first to run replays the warm region, keeping a snapshot of the
-// coherence oracle and the warm misses it recorded, and lays out the
-// timed region's per-node streams; the others restore the snapshot,
+// Within one Run, the cells of a (workload, seed) share one sim.Job over
+// its dataset's regions: the first to run replays the warm region,
+// keeping a snapshot of the coherence oracle and the warm misses it
+// recorded, and lays out the timed region's per-node streams; the others restore the snapshot,
 // train their own predictors over the recorded misses and replay the
 // same streams. The job is dropped after the last computed cell of that
 // (workload, seed). Cells take their run shells — oracle, event loop,
@@ -168,12 +110,15 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 		}
 	}
 	workloads := make([]sweep.Workload, len(r.workloads))
-	sources := make([]timingSources, len(r.workloads))
 	for i, w := range r.workloads {
-		var err error
-		if workloads[i], sources[i], err = w.resolveTiming(r.cfg.warm, r.cfg.measure); err != nil {
+		sw, err := w.resolve(r.cfg.warm, r.cfg.measure)
+		if err != nil {
 			return nil, err
 		}
+		if sw.Measure == 0 {
+			return nil, fmt.Errorf("destset: timing workload %q needs measured misses", sw.Name)
+		}
+		workloads[i] = sw
 	}
 	cells := sweep.Cross(len(workloads), len(r.sims), r.cfg.seeds)
 	var (
@@ -181,8 +126,9 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 		mu     sync.Mutex
 		jobs   = map[sweep.PrewarmJob]*sim.Job{}
 	)
-	// jobOf returns the job the cells of key share, made from the sources
-	// its first cell opens: every cell of a key replays the same regions.
+	// jobOf returns the job the cells of key share, made from the regions
+	// of the dataset its first cell fetches: every cell of a key replays
+	// the same regions.
 	jobOf := func(key sweep.PrewarmJob) (*sim.Job, error) {
 		mu.Lock()
 		j := jobs[key]
@@ -190,19 +136,23 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 		if j != nil {
 			return j, nil
 		}
-		warm, timed, err := sources[key.W](key.Seed)
+		ds, err := workloads[key.W].Dataset(key.Seed)
 		if err != nil {
 			return nil, err
+		}
+		var warm sim.Source
+		if ds.Warm() > 0 {
+			warm = ds.WarmRegion()
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		if j = jobs[key]; j == nil {
-			j = sim.NewJob(warm, timed)
+			j = sim.NewJob(warm, ds.MeasureRegion())
 			jobs[key] = j
 		}
 		return j, nil
 	}
-	return execute(ctx, r.cfg, r.Plan, r.workloads, workloads, cells, (*ResultStore).timingCell, (*ResultStore).putTimingCell,
+	return execute(ctx, r.cfg, r.Plan, workloads, cells, (*ResultStore).timingCell, (*ResultStore).putTimingCell,
 		sweep.Exec[TimingResult, TimingObservation]{
 			Observe: r.cfg.timingObserver,
 			Release: func(key sweep.PrewarmJob) {
@@ -213,13 +163,13 @@ func (r *TimingRunner) Run(ctx context.Context) ([]TimingResult, error) {
 			Compute: func(ctx context.Context, i int, emit func(TimingObservation)) (*TimingResult, error) {
 				c := cells[i]
 				spec, w := r.sims[c.S], workloads[c.W]
-				cfg, err := spec.Resolve(w.Nodes)
-				if err != nil {
-					return nil, err
-				}
 				job, err := jobOf(sweep.PrewarmJob{W: c.W, Seed: c.Seed})
 				if err != nil {
 					return nil, fmt.Errorf("destset: workload %q: %w", w.Name, err)
+				}
+				cfg, err := spec.Resolve(job.Nodes())
+				if err != nil {
+					return nil, err
 				}
 				res, err := sim.SimulateWarm(ctx, cfg, job, &shells)
 				if err != nil {
