@@ -44,13 +44,14 @@
 // -state-dir makes the coordinator crash-safe: it holds one CRC-guarded
 // log, wal.log, that opens with the lease table as the coordinator
 // started and appends every grant, expiry, failure and completion after
-// it, and a spill/ directory of accepted uploads as content-addressed
-// files. A coordinator killed mid-sweep — even with kill -9 — restarts
-// over the same -state-dir, replays its log, re-adopts completed ranges
-// without re-leasing them, requeues whatever was in flight, and produces
-// byte-identical output. Without -state-dir the spill directory is a
-// private temp dir and a crash loses progress (unless -result-dir
-// caches it).
+// it, and a spill/ directory of accepted uploads, one content-addressed
+// result record (the -result-dir file format) per completed range. A
+// coordinator killed mid-sweep — even with kill -9 — restarts over the
+// same -state-dir, replays its log, re-adopts completed ranges whose
+// spills still check out without re-leasing them, requeues whatever was
+// in flight, and produces byte-identical output. Without -state-dir the
+// spill directory is a private temp dir and a crash loses progress
+// (unless -result-dir caches it).
 //
 // Ctrl-C cancels the run; the output file is written atomically
 // (temp + rename), so an interrupted coordinator leaves no torn file.

@@ -1,23 +1,22 @@
 // Command tracegen generates a synthetic coherence-request trace for one
 // of the paper's workloads, imports or re-exports external text traces,
-// or summarizes an existing trace file.
+// or summarizes an existing dataset file.
 //
 // Usage:
 //
 //	tracegen -workload oltp -misses 1000000 [-warm 100000] -o oltp.dset
-//	tracegen -legacy -workload oltp -misses 1000000 -o oltp.trace
 //	tracegen -import trace.csv -format csv -name mytrace -dataset-dir dsets/
 //	tracegen -export csv -i oltp.dset -o oltp.csv
 //	tracegen -summarize oltp.dset
 //
-// By default the output is the full columnar dataset format
-// (internal/dataset disk format): the trace columns and the per-miss
-// coherence annotations (owner, sharers, requester state) plus the
-// whole-run block statistics, exactly the file the tiered dataset store
-// writes — so a pre-generated file drops straight into a -dataset-dir
-// cache consumer or loads zero-copy via dataset.ReadFile. -warm splits
-// the stream into warm and measured regions the way the sweeps consume
-// it.
+// The output is the columnar dataset format (internal/dataset disk
+// format), the one stored form of a recorded miss stream: the trace
+// columns and the per-miss coherence annotations (owner, sharers,
+// requester state) plus the whole-run block statistics, exactly the file
+// the tiered dataset store writes — so a pre-generated file drops
+// straight into a -dataset-dir cache consumer or loads zero-copy via
+// dataset.ReadFile. -warm splits the stream into warm and measured
+// regions the way the sweeps consume it.
 //
 // -import parses an external CSV or gem5/DRAMsim-style text trace
 // (internal/ingest), replays it through the coherence oracle for the
@@ -30,10 +29,9 @@
 // -export writes a columnar dataset back out as CSV or text;
 // export → import → export is byte-identical.
 //
-// -legacy writes the original records-only binary trace format
-// (trace.Writer), which carries no annotations. -summarize auto-detects
-// either format and reports the workload's source kind (generated,
-// imported, phased, tenant-mix) alongside the raw counts.
+// -summarize reads a dataset file and reports the workload's source kind
+// (generated, imported, phased, tenant-mix) alongside the raw counts; a
+// file that is not a dataset fails with the dataset decoder's error.
 //
 // Ctrl-C cancels a run at the next safe point (a second Ctrl-C
 // terminates immediately), and file output is atomic (written to a temp
@@ -63,11 +61,10 @@ func main() {
 	var (
 		name       = flag.String("workload", "oltp", "workload preset name")
 		misses     = flag.Int("misses", 1_000_000, "number of measured misses to generate")
-		warmN      = flag.Int("warm", 0, "number of warm-region misses preceding the measured region (columnar format only; with -import, the number of leading records treated as warm)")
+		warmN      = flag.Int("warm", 0, "number of warm-region misses preceding the measured region (with -import, the number of leading records treated as warm)")
 		seed       = flag.Uint64("seed", 1, "generation seed")
 		out        = flag.String("o", "", "output file (default stdout)")
-		legacy     = flag.Bool("legacy", false, "write the legacy records-only trace format instead of the columnar dataset")
-		summarize  = flag.String("summarize", "", "summarize an existing trace/dataset file instead")
+		summarize  = flag.String("summarize", "", "summarize an existing dataset file instead")
 		importPath = flag.String("import", "", "import an external text trace file instead of generating")
 		format     = flag.String("format", "csv", "external trace format for -import/-export: csv or text")
 		impName    = flag.String("name", "imported", "workload name for the imported trace")
@@ -105,8 +102,6 @@ func main() {
 	case *importPath != "":
 		opt := ingest.Options{Name: *impName, Nodes: *nodesF, Warm: *warmN, DefaultGap: uint32(*gapF)}
 		err = importTrace(ctx, *importPath, *format, opt, *out, *datasetDir)
-	case *legacy:
-		err = generateLegacy(ctx, *name, *seed, *misses, *out)
 	default:
 		err = generate(ctx, *name, *seed, *warmN, *misses, *out)
 	}
@@ -218,93 +213,6 @@ func exportDataset(ctx context.Context, in, format, out string) error {
 	return nil
 }
 
-// ctxCheckStride bounds how many records the legacy path writes between
-// cancellation checks.
-const ctxCheckStride = 4096
-
-// generateLegacy writes the original records-only binary trace format.
-func generateLegacy(ctx context.Context, name string, seed uint64, misses int, out string) error {
-	params, err := workload.Preset(name, seed)
-	if err != nil {
-		return err
-	}
-	g, err := workload.Open(params)
-	if err != nil {
-		return err
-	}
-	err = withOutput(ctx, out, func(w io.Writer) error {
-		tw, err := trace.NewWriter(w, params.Nodes)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < misses; i++ {
-			if i%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			rec, _ := g.Next()
-			if err := tw.Write(rec); err != nil {
-				return err
-			}
-		}
-		return tw.Flush()
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d misses of %s (legacy format, no annotations)\n", misses, name)
-	return nil
-}
-
-func summary(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	// Sniff with whatever prefix the file has: a valid legacy file can
-	// be as short as its 6-byte header, so an 8-byte ReadFull would
-	// wrongly reject it. Truncation diagnostics belong to the format
-	// readers below, which validate properly.
-	var magic [8]byte
-	n, err := io.ReadAtLeast(f, magic[:], 1)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: empty or unreadable: %w", path, err)
-	}
-	if dataset.Sniff(magic[:n]) {
-		return summarizeDataset(path)
-	}
-	return summarizeLegacy(path)
-}
-
-// tally accumulates the summary statistics both formats share.
-type tally struct {
-	n, reads, instr uint64
-	perNode         []uint64
-}
-
-func (t *tally) add(rec trace.Record) {
-	t.n++
-	t.instr += uint64(rec.Gap)
-	if rec.Kind == trace.GetShared {
-		t.reads++
-	}
-	t.perNode[rec.Requester]++
-}
-
-func (t *tally) print(nodes int) {
-	if t.n == 0 {
-		fmt.Printf("trace: %d nodes, 0 misses\n", nodes)
-		return
-	}
-	fmt.Printf("trace: %d nodes, %d misses, %.1f%% reads, %.2f misses/1k instructions\n",
-		nodes, t.n, 100*float64(t.reads)/float64(t.n), 1000*float64(t.n)/float64(t.instr))
-	for i, c := range t.perNode {
-		fmt.Printf("  node %2d: %d misses\n", i, c)
-	}
-}
-
 // printSource reports where the dataset's records came from: the
 // workload's source kind and, for composed kinds, the composition
 // structure.
@@ -330,48 +238,42 @@ func printSource(p workload.Params) {
 	}
 }
 
-func summarizeDataset(path string) error {
+// summary reports a dataset file: where its records came from, their
+// counts by kind and requester, and its regions and annotations. A file
+// that is not a dataset fails with the dataset decoder's error.
+func summary(path string) error {
 	ds, err := dataset.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	t := tally{perNode: make([]uint64, ds.Nodes())}
-	var annotated uint64
-	for i := 0; i < ds.Len(); i++ {
+	n := ds.Len()
+	var reads, instr, shared uint64
+	perNode := make([]uint64, ds.Nodes())
+	for i := 0; i < n; i++ {
 		rec, mi := ds.At(i)
-		t.add(rec)
+		instr += uint64(rec.Gap)
+		if rec.Kind == trace.GetShared {
+			reads++
+		}
+		perNode[rec.Requester]++
 		if !mi.Sharers.Empty() {
-			annotated++
+			shared++
 		}
 	}
 	printSource(ds.Params())
-	t.print(ds.Nodes())
-	fmt.Printf("dataset: %d warm + %d measured, %.1f%% of misses had sharers, %d touched-block stats\n",
-		ds.Warm(), ds.Measure(), 100*float64(annotated)/float64(t.n), len(ds.BlockStats()))
-	return nil
-}
-
-func summarizeLegacy(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	t := tally{perNode: make([]uint64, r.Nodes())}
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
+	if n == 0 {
+		fmt.Printf("trace: %d nodes, 0 misses\n", ds.Nodes())
+	} else {
+		fmt.Printf("trace: %d nodes, %d misses, %.1f%% reads, %.2f misses/1k instructions\n",
+			ds.Nodes(), n, 100*float64(reads)/float64(n), 1000*float64(n)/float64(instr))
+		for i, c := range perNode {
+			fmt.Printf("  node %2d: %d misses\n", i, c)
 		}
-		if err != nil {
-			return err
-		}
-		t.add(rec)
 	}
-	t.print(r.Nodes())
+	fmt.Printf("dataset: %d warm + %d measured, ", ds.Warm(), ds.Measure())
+	if n > 0 {
+		fmt.Printf("%.1f%% of misses had sharers, ", 100*float64(shared)/float64(n))
+	}
+	fmt.Printf("%d touched-block stats\n", len(ds.BlockStats()))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"destset"
 	"destset/internal/dataset"
 	"destset/internal/ingest"
-	"destset/internal/trace"
 	"destset/internal/workload"
 )
 
@@ -48,26 +48,43 @@ const testCSV = `addr,cpu,op,pc,gap
 0x1040,0,W,0x414,110
 `
 
-// TestSummaryHeaderOnlyLegacyFile pins the sniffing fix: a legacy trace
-// file holding zero records is just its 6-byte header, and -summarize
-// must read it rather than reject it as truncated.
-func TestSummaryHeaderOnlyLegacyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.trace")
-	f, err := os.Create(path)
+// TestSummaryRefusesLegacyFile: a file in the retired records-only
+// trace format, here one whose record names requester 200 of a 4-node
+// system, is not a dataset, and summary fails with the dataset
+// decoder's error instead of reading it.
+func TestSummaryRefusesLegacyFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(path, []byte("DSPT\x01\x04\x00\xc8\x02\x00\x05"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := summary(path); !errors.Is(err, dataset.ErrBadFormat) {
+		t.Errorf("summary of a records-only trace: err = %v, want dataset.ErrBadFormat", err)
+	}
+}
+
+// TestSummaryOfEmptyDataset: a dataset of no misses reports 0 misses and
+// no share of misses with sharers, rather than a NaN percentage.
+func TestSummaryOfEmptyDataset(t *testing.T) {
+	p, err := workload.Preset("oltp", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := trace.NewWriter(f, 4)
+	ds, err := dataset.Generate(p, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Flush(); err != nil {
+	path := filepath.Join(t.TempDir(), "empty.dset")
+	if err := dataset.WriteFile(path, ds); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	out := captureStdout(t, func() error { return summary(path) })
-	if !strings.Contains(out, "0 misses") {
-		t.Errorf("summary of header-only trace = %q, want a 0-miss report", out)
+	for _, want := range []string{"trace: 16 nodes, 0 misses\n", "dataset: 0 warm + 0 measured, 0 touched-block stats\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary of an empty dataset lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "NaN") || strings.Contains(out, "%") {
+		t.Errorf("summary of an empty dataset prints a percentage:\n%s", out)
 	}
 }
 

@@ -73,8 +73,6 @@ type (
 	PC = trace.PC
 	// Record is one coherence request (an L2 miss).
 	Record = trace.Record
-	// Trace is an in-memory coherence-request trace.
-	Trace = trace.Trace
 	// MissInfo is the coherence state a miss observed (owner, sharers,
 	// home), from which needed destination sets derive.
 	MissInfo = coherence.MissInfo
@@ -194,8 +192,9 @@ type (
 	// CPUModel selects the timing simulator's processor model (§5.2).
 	CPUModel = sim.CPUModel
 	// SimSource is a random-access record view the timing simulator
-	// replays; dataset regions and TraceSource-wrapped traces implement
-	// it.
+	// replays: Nodes, Len and Record(i). Dataset regions implement it,
+	// and a caller that holds records of its own implements the three
+	// methods over them.
 	SimSource = sim.Source
 )
 
@@ -215,23 +214,17 @@ const (
 // DefaultSimConfig is the paper's Table 4 target system.
 func DefaultSimConfig(p sim.Protocol) SimConfig { return sim.DefaultConfig(p) }
 
-// RunTiming simulates the timed trace after warming with warm (which may
-// be nil).
-func RunTiming(cfg SimConfig, warm, timed *Trace) (SimResult, error) {
-	return sim.Run(cfg, warm, timed)
-}
-
-// SimulateTiming is the source-based, context-aware version of
-// RunTiming: it replays read-only record sources (shared dataset regions
-// or TraceSource-wrapped traces) and aborts promptly on cancellation.
-// The TimingRunner drives every cell through it; reach for it directly
-// when a single hand-built SimConfig is easier than a SimSpec.
+// SimulateTiming simulates the timed source after warming caches and
+// predictors with warm (which may be nil). The sources are read-only and
+// may be shared across concurrent runs; a record whose requester is
+// outside the system or whose kind is neither GETS nor GETX is refused
+// with an error. It aborts promptly on cancellation. The TimingRunner
+// replays datasets through the same simulator; reach for SimulateTiming
+// when a single hand-built SimConfig or records of the caller's own are
+// easier than a SimSpec and a WorkloadSpec.
 func SimulateTiming(ctx context.Context, cfg SimConfig, warm, timed SimSource) (SimResult, error) {
 	return sim.Simulate(ctx, cfg, warm, timed)
 }
-
-// TraceSource wraps an in-memory trace as a timing-simulator source.
-func TraceSource(t *Trace) SimSource { return sim.TraceSource(t) }
 
 // TradeoffResult is the outcome of EvaluatePolicy: one point on the
 // paper's latency/bandwidth plane.

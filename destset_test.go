@@ -1,6 +1,8 @@
 package destset_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"destset"
@@ -109,7 +111,7 @@ func TestPredictiveDirectoryFacade(t *testing.T) {
 	}
 }
 
-func TestRunTimingFacade(t *testing.T) {
+func TestSimulateTimingFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
@@ -120,13 +122,49 @@ func TestRunTimingFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _ := g.Generate(3000)
-	timed, _ := g.Generate(3000)
-	res, err := destset.RunTiming(destset.DefaultSimConfig(destset.SimSnooping), warm, timed)
+	warm, timed := &simRecords{nodes: p.Nodes}, &simRecords{nodes: p.Nodes}
+	for _, tr := range []*simRecords{warm, timed} {
+		for i := 0; i < 3000; i++ {
+			rec, _ := g.Next()
+			tr.recs = append(tr.recs, rec)
+		}
+	}
+	res, err := destset.SimulateTiming(context.Background(), destset.DefaultSimConfig(destset.SimSnooping), warm, timed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Misses != 3000 || res.RuntimeNs <= 0 {
 		t.Errorf("timing result %+v", res)
+	}
+}
+
+// TestSimulateTimingRefusesMalformedRecords: records of the caller's own
+// are checked as the simulator reads them. A requester outside the
+// system, or a kind other than GETS and GETX, in either source is an
+// error naming the source's region and the record, not a panic.
+func TestSimulateTimingRefusesMalformedRecords(t *testing.T) {
+	cfg := destset.DefaultSimConfig(destset.SimSnooping)
+	good := []destset.Record{
+		{Addr: 32, Requester: 1, Kind: destset.GetShared, Gap: 10},
+		{Addr: 48, Requester: 2, Kind: destset.GetExclusive, Gap: 10},
+	}
+	bad := map[string]destset.Record{
+		"requester 200": {Addr: 64, Requester: 200, Kind: destset.GetShared},
+		"kind 7":        {Addr: 64, Requester: 3, Kind: 7},
+	}
+	for name, rec := range bad {
+		for _, region := range []string{"warm", "timed"} {
+			warm := &simRecords{nodes: cfg.Nodes, recs: append([]destset.Record(nil), good...)}
+			timed := &simRecords{nodes: cfg.Nodes, recs: append([]destset.Record(nil), good...)}
+			into := timed
+			if region == "warm" {
+				into = warm
+			}
+			into.recs = append(into.recs, rec)
+			_, err := destset.SimulateTiming(context.Background(), cfg, warm, timed)
+			if want := region + " record 2"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s in the %s source: err = %v, want an error naming %q", name, region, err, want)
+			}
+		}
 	}
 }

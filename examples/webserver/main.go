@@ -9,66 +9,50 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"destset"
 )
 
-const (
-	warmMisses  = 60_000
-	timedMisses = 60_000
-)
+const timedMisses = 60_000
 
 func main() {
-	// The timing simulator consumes materialized traces; resolve the
-	// workload spec the same way the Runner does per sweep cell.
-	gen, err := destset.NewWorkloadGenerator(destset.WorkloadSpec{Name: "apache"}, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	warm, _ := gen.Generate(warmMisses)
-	timed, _ := gen.Generate(timedMisses)
-
-	configs := []destset.SimConfig{
-		destset.DefaultSimConfig(destset.SimSnooping),
-		destset.DefaultSimConfig(destset.SimDirectory),
+	// Snooping, directory, and multicast snooping with two predictors,
+	// all replaying one Apache dataset: 60k warm-up misses, then the
+	// timed ones.
+	specs := []destset.SimSpec{
+		{Protocol: destset.ProtocolSnooping},
+		{Protocol: destset.ProtocolDirectory},
 	}
 	for _, policy := range []destset.Policy{destset.OwnerGroup, destset.Group} {
-		cfg := destset.DefaultSimConfig(destset.SimMulticast)
-		cfg.Predictor = destset.DefaultPredictorConfig(policy, 16)
-		configs = append(configs, cfg)
+		specs = append(specs, destset.SimSpec{Protocol: destset.ProtocolMulticast, Policy: policy, UsePolicy: true})
+	}
+	runner := destset.NewTimingRunner(specs,
+		[]destset.WorkloadSpec{{Name: "apache", Warm: 60_000, Measure: timedMisses}},
+	)
+	results, err := runner.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("Apache, 16-node timing simulation (%d timed misses)\n\n", timedMisses)
 	fmt.Printf("%-36s %12s %14s %12s\n", "configuration", "runtime(us)", "avg miss(ns)", "bytes/miss")
-	var snoopRuntime, dirRuntime, snoopTraffic float64
-	results := make([]destset.SimResult, len(configs))
-	for i, cfg := range configs {
-		res, err := destset.RunTiming(cfg, warm, timed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results[i] = res
-		switch cfg.Protocol {
-		case destset.SimSnooping:
-			snoopRuntime = res.RuntimeNs
-			snoopTraffic = res.BytesPerMiss()
-		case destset.SimDirectory:
-			dirRuntime = res.RuntimeNs
-		}
+	for _, r := range results {
+		res := r.Result
 		fmt.Printf("%-36s %12.1f %14.1f %12.1f\n",
-			cfg.Name(), res.RuntimeNs/1000, res.AvgMissLatencyNs, res.BytesPerMiss())
+			r.Config, res.RuntimeNs/1000, res.AvgMissLatencyNs, res.BytesPerMiss())
 	}
 
+	snoop, dir := results[0].Result, results[1].Result
 	fmt.Println()
 	fmt.Printf("snooping speedup over directory: %.2fx (paper: up to ~2x on Apache/OLTP)\n",
-		dirRuntime/snoopRuntime)
-	for i, cfg := range configs[2:] {
-		res := results[i+2]
-		perf := 100 * snoopRuntime / res.RuntimeNs
-		traffic := 100 * res.BytesPerMiss() / snoopTraffic
+		dir.RuntimeNs/snoop.RuntimeNs)
+	for _, r := range results[2:] {
+		perf := 100 * snoop.RuntimeNs / r.Result.RuntimeNs
+		traffic := 100 * r.Result.BytesPerMiss() / snoop.BytesPerMiss()
 		fmt.Printf("%s: %.0f%% of snooping performance at %.0f%% of its traffic\n",
-			cfg.Name(), perf, traffic)
+			r.Config, perf, traffic)
 	}
 }

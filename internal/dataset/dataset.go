@@ -83,10 +83,9 @@ type Dataset struct {
 
 // Generate runs the workload's generator for warm+measure misses and
 // records the stream and its oracle annotations. Instruction gaps are
-// rescaled per region so each region's realized misses-per-1000-
-// instructions matches the workload target, exactly as
-// workload.Generator.Generate does; everything else is byte-identical to
-// streaming the generator live.
+// rescaled per region (rescaleGaps) so each region's realized misses per
+// 1000 instructions matches the workload target; everything else is
+// byte-identical to streaming the generator live.
 func Generate(p workload.Params, warm, measure int) (*Dataset, error) {
 	if warm < 0 || measure < 0 {
 		return nil, fmt.Errorf("dataset: negative scale warm=%d measure=%d", warm, measure)
@@ -149,8 +148,9 @@ func FromRecords(p workload.Params, recs []trace.Record, infos []coherence.MissI
 
 // rescaleGaps rescales the instruction gaps of records [lo, hi) so their
 // sum hits the workload's misses-per-1000-instructions target despite
-// burst structure — the same float arithmetic as Generator.Generate, so
-// each region's records reproduce its output bit for bit.
+// burst structure. Every generated dataset on disk holds its output, so
+// its float arithmetic is part of the format: TestPaperDatasetBytesPinned
+// pins it.
 func (d *Dataset) rescaleGaps(lo, hi int) {
 	if hi <= lo {
 		return

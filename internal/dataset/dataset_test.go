@@ -25,8 +25,8 @@ func testParams(t *testing.T, seed uint64) workload.Params {
 
 // TestReplayMatchesLiveGenerator is the core fidelity property: replaying
 // a dataset yields exactly the records and annotations a live generator
-// stream produces (gaps aside, which the dataset rescales the way
-// Generator.Generate always has).
+// stream produces (gaps aside, which the dataset rescales per region;
+// TestGapsMatchGeneratorGenerate pins them).
 func TestReplayMatchesLiveGenerator(t *testing.T) {
 	const warm, measure = 1500, 1500
 	p := testParams(t, 3)
@@ -58,8 +58,33 @@ func TestReplayMatchesLiveGenerator(t *testing.T) {
 	}
 }
 
+// rescaledRegion is the reference each region's gaps are pinned to: the
+// next n misses of g, their gaps rescaled so the region realizes mpki
+// misses per 1000 instructions despite burst structure, each at least 1.
+func rescaledRegion(g *workload.Generator, mpki float64, n int) []trace.Record {
+	recs := make([]trace.Record, n)
+	var totalGap uint64
+	for i := range recs {
+		recs[i], _ = g.Next()
+		totalGap += uint64(recs[i].Gap)
+	}
+	target := float64(n) * 1000 / mpki
+	if totalGap > 0 {
+		scale := target / float64(totalGap)
+		for i := range recs {
+			gap := float64(recs[i].Gap) * scale
+			if gap < 1 {
+				gap = 1
+			}
+			recs[i].Gap = uint32(gap)
+		}
+	}
+	return recs
+}
+
 // TestGapsMatchGeneratorGenerate pins each region's records (At) to the
-// legacy Generator.Generate output bit for bit.
+// live generator's, gaps rescaled per region by the reference above, bit
+// for bit.
 func TestGapsMatchGeneratorGenerate(t *testing.T) {
 	const warm, measure = 1200, 800
 	p := testParams(t, 5)
@@ -71,26 +96,49 @@ func TestGapsMatchGeneratorGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantWarm, _ := g.Generate(warm)
-	wantMeas, _ := g.Generate(measure)
+	wantWarm := rescaledRegion(g, p.MissesPer1000Instr, warm)
+	wantMeas := rescaledRegion(g, p.MissesPer1000Instr, measure)
 	for name, region := range map[string]struct {
 		lo   int
-		want *trace.Trace
+		want []trace.Record
 	}{
 		"warm":    {0, wantWarm},
 		"measure": {warm, wantMeas},
 	} {
-		if region.want.Nodes != d.Nodes() {
-			t.Fatalf("%s: %d nodes, want %d", name, d.Nodes(), region.want.Nodes)
-		}
-		for i, want := range region.want.Records {
+		for i, want := range region.want {
 			if got, _ := d.At(region.lo + i); got != want {
 				t.Fatalf("%s record %d: %+v vs %+v", name, i, got, want)
 			}
 		}
 	}
-	if d.Warm() != wantWarm.Len() || d.Measure() != wantMeas.Len() {
-		t.Errorf("regions %d+%d, want %d+%d", d.Warm(), d.Measure(), wantWarm.Len(), wantMeas.Len())
+	if d.Warm() != warm || d.Measure() != measure {
+		t.Errorf("regions %d+%d, want %d+%d", d.Warm(), d.Measure(), warm, measure)
+	}
+}
+
+// TestGapsPositiveAndCalibrated: every gap Generate records is at least
+// one instruction, and each region realizes the workload's misses per
+// 1000 instructions.
+func TestGapsPositiveAndCalibrated(t *testing.T) {
+	const warm, measure = 2000, 5000
+	p := testParams(t, 7)
+	d, err := Generate(p, warm, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, region := range []Region{d.WarmRegion(), d.MeasureRegion()} {
+		var instr uint64
+		for i := 0; i < region.Len(); i++ {
+			rec := region.Record(i)
+			if rec.Gap == 0 {
+				t.Fatalf("record %d of a %d-record region: gap must be at least 1 instruction", i, region.Len())
+			}
+			instr += uint64(rec.Gap)
+		}
+		mpki := 1000 * float64(region.Len()) / float64(instr)
+		if mpki < 0.85*p.MissesPer1000Instr || mpki > 1.15*p.MissesPer1000Instr {
+			t.Errorf("%d-record region: realized mpki = %.2f, want ~%v", region.Len(), mpki, p.MissesPer1000Instr)
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ package dataset
 // Lifecycle is the delicate part: column slices alias the mapping, and
 // the Go runtime knows nothing about mapped memory, so unmapping while
 // any view is live would fault. Every mapping is therefore owned by the
-// one Dataset decoded from it, and every view type (Region, Replayer,
-// the materialized legacy traces) pins the Dataset, as do the columns
-// Replayer.Take hands out, which point into the cursor. A GC cleanup
+// one Dataset decoded from it, and both view types (Region and
+// Replayer) pin the Dataset, as do the columns Replayer.Take hands out,
+// which point into the cursor. A GC cleanup
 // unmaps the region when the Dataset becomes unreachable — which, by
 // construction, is after the last view is gone.
 // Store purges and in-place heals remove or rename over the *file*;

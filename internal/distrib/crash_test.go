@@ -259,7 +259,7 @@ func TestSpilledUploadsAndWideMerge(t *testing.T) {
 			len(entries), plan.Len())
 	}
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".jsonl") {
+		if !strings.HasSuffix(e.Name(), ".rslt") {
 			t.Errorf("unexpected file %q in the spill dir (leaked temp file?)", e.Name())
 		}
 	}
@@ -329,10 +329,10 @@ func TestHeartbeatsLogNothing(t *testing.T) {
 }
 
 // TestWriteMergedRejectsAlteredSpill: the merge copies spills verbatim,
-// so it must check each against the record count and checksum its
-// header recorded at acceptance. A digit changed in a spilled record
-// afterwards — same length, still valid JSON — is ErrStateCorrupt, not
-// a merged file with a different number in it.
+// so it must check each against the length and checksum its result
+// record's header holds since acceptance. A digit changed in a spilled
+// record afterwards — same length, still valid JSON — is
+// ErrStateCorrupt, not a merged file with a different number in it.
 func TestWriteMergedRejectsAlteredSpill(t *testing.T) {
 	def := timingDef()
 	records := cellRecords(t, def)
@@ -348,7 +348,7 @@ func TestWriteMergedRejectsAlteredSpill(t *testing.T) {
 	defer coord.Close()
 	finishSweep(t, coord, "w", plan.Fingerprint(), records)
 
-	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.jsonl"))
+	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.rslt"))
 	if err != nil || len(spills) == 0 {
 		t.Fatalf("no spill files (%v)", err)
 	}
@@ -356,12 +356,11 @@ func TestWriteMergedRejectsAlteredSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := bytes.IndexByte(raw, '\n') + 1
-	at := bytes.Index(raw[header:], []byte(`"RuntimeNs":`))
+	at := bytes.Index(raw, []byte(`"RuntimeNs":`))
 	if at < 0 {
 		t.Fatalf("no RuntimeNs in %s", spills[0])
 	}
-	digit := header + at + len(`"RuntimeNs":`)
+	digit := at + len(`"RuntimeNs":`)
 	raw[digit] = '0' + (raw[digit]-'0'+1)%10
 	if raw[digit] == '0' {
 		raw[digit] = '1' // keep the number free of a leading zero
@@ -458,7 +457,7 @@ func TestResumeDemotesDamagedSpill(t *testing.T) {
 		}
 		uploadRange(t, coord1, *reply.Lease, "pre-crash", fp, records)
 	}
-	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.jsonl"))
+	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.rslt"))
 	if err != nil || len(spills) != 2 {
 		t.Fatalf("%d spill files (%v), want 2", len(spills), err)
 	}

@@ -22,8 +22,8 @@
 // residency is O(open leases) regardless of sweep size. Uploads arrive
 // in plan order and tasks partition the plan in order, so the final
 // output is the merged manifest followed by the spills concatenated in
-// task order, each checked against its header while it is copied —
-// byte-identical to what the same sweep writes in one process at
+// task order, each checked whole as a result record before it is copied
+// — byte-identical to what the same sweep writes in one process at
 // parallelism 1, the invariant that makes the whole service testable
 // end to end. With a -state-dir, the lease table and every transition
 // after it are also appended to one CRC-guarded log (wal.go): a
@@ -1090,9 +1090,9 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 // to the file the same sweep writes in one process at parallelism 1.
 // Tasks partition the plan in order and every spill holds its range's
 // records in plan order, so the records are the spills concatenated in
-// task order: each is streamed through copySpill, which checks its
-// header, record count and checksum on the way. A spill that fails is
-// ErrStateCorrupt, and what was written to w must then be discarded.
+// task order: each goes through copySpill, which checks it whole as the
+// range's result record before copying its records. A spill that fails
+// is ErrStateCorrupt, and what was written to w must then be discarded.
 func (c *Coordinator) WriteMerged(w io.Writer) error {
 	c.mu.Lock()
 	if c.failed != nil {

@@ -3,12 +3,11 @@ package distrib
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"destset/internal/results"
 )
 
 // FuzzReadFrames decodes arbitrary bytes as a lease log: decodeWAL, and
@@ -44,36 +43,32 @@ func FuzzReadFrames(f *testing.F) {
 }
 
 // FuzzCopySpill reads arbitrary bytes as the spill file of cells [4, 6)
-// of a timing plan "fp": copySpill must never panic, and when it
-// accepts the file it must have copied exactly the bytes after the
-// header line, whose Records and CRC64 match them.
+// of a timing plan "fp": copySpill must never panic or copy anything
+// from a file it refuses, and a file it accepts must be that range's
+// result record, of which exactly the payload was copied.
 func FuzzCopySpill(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, file []byte) {
-		const name = "spill.jsonl"
+		const name = "spill.rslt"
 		if err := os.WriteFile(filepath.Join(dir, name), file, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
 		if err := copySpill(&got, dir, name, "timing", "fp", 4, 6); err != nil {
+			if got.Len() != 0 {
+				t.Fatalf("a refused spill copied %q", got.Bytes())
+			}
 			return
 		}
-		nl := bytes.IndexByte(file, '\n')
-		if nl < 0 {
-			t.Fatalf("accepted a spill with no header line: %q", file)
+		kind, fp, payload, err := results.Decode(file)
+		if err != nil {
+			t.Fatalf("accepted a file that is no result record: %v", err)
 		}
-		records := file[nl+1:]
-		if !bytes.Equal(got.Bytes(), records) {
-			t.Fatalf("copied %q, want the bytes after the header %q", got.Bytes(), records)
+		if want := spillFingerprint("fp", 4, 6); kind != "timing" || fp != want {
+			t.Fatalf("accepted the %s record %q, want the timing record %q", kind, fp, want)
 		}
-		var hdr spillHeader
-		if err := json.Unmarshal(file[:nl], &hdr); err != nil {
-			t.Fatalf("accepted a header that does not decode: %v", err)
-		}
-		n := bytes.Count(records, []byte{'\n'})
-		sum := fmt.Sprintf("%016x", crc64.Checksum(records, walCRCTable))
-		if hdr.Records != n || hdr.CRC64 != sum {
-			t.Fatalf("header says %d records, crc %s; the records are %d, crc %s", hdr.Records, hdr.CRC64, n, sum)
+		if !bytes.Equal(got.Bytes(), payload) {
+			t.Fatalf("copied %q, want the record's payload %q", got.Bytes(), payload)
 		}
 	})
 }

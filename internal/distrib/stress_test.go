@@ -193,7 +193,7 @@ func logStateDir(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spills, _ := filepath.Glob(filepath.Join(dir, "spill", "*.jsonl"))
+	spills, _ := filepath.Glob(filepath.Join(dir, "spill", "*.rslt"))
 	var spillBytes int64
 	for _, p := range spills {
 		if fi, err := os.Stat(p); err == nil {

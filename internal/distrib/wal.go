@@ -17,8 +17,9 @@ package distrib
 //
 // Layout under the state dir:
 //
-//	wal.log             8-byte magic, the lease table, then one frame per event
-//	spill/<addr>.jsonl  accepted per-range observation records (spill.go)
+//	wal.log            8-byte magic, the lease table, then one frame per event
+//	spill/<addr>.rslt  accepted per-range observation records, one result
+//	                   record per range (spill.go)
 //
 // Each frame is u32 payload length | u64 CRC-64/ECMA of the payload |
 // payload (little-endian). The first frame, the log's checkpoint, is

@@ -14,7 +14,7 @@ func testTable() *leaseTable {
 		Plan: "fp-round-trip",
 		Kind: "timing",
 		Tasks: []tableTask{
-			{Lo: 0, Hi: 2, State: "done", Cached: true, Spill: "aa.jsonl"},
+			{Lo: 0, Hi: 2, State: "done", Cached: true, Spill: "aa.rslt"},
 			{Lo: 2, Hi: 4, State: "leased", Attempts: 2, Lease: "lease-1-0", Worker: "w1", LastFailed: "w2"},
 			{Lo: 4, Hi: 6, State: "pending", Attempts: 1, LastFailed: "w1"},
 		},
@@ -28,7 +28,7 @@ func testEvents() []walEvent {
 		{E: "grant", Task: 2, Lease: "lease-1-1", Worker: "w1", Attempts: 2},
 		{E: "expire", Task: 2, Lease: "lease-1-1", Worker: "w1"},
 		{E: "grant", Task: 2, Lease: "lease-1-2", Worker: "w2", Attempts: 3},
-		{E: "complete", Task: 2, Lease: "lease-1-2", Worker: "w2", Spill: "0123456789abcdef.jsonl"},
+		{E: "complete", Task: 2, Lease: "lease-1-2", Worker: "w2", Spill: "0123456789abcdef.rslt"},
 		{E: "fail", Task: 1, Lease: "lease-1-0", Worker: "w1", Reason: "worker reported failure"},
 		{E: "sweepfail", Reason: "cells 2-4 failed after 3 attempts"},
 	}

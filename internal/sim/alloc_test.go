@@ -5,26 +5,26 @@ import (
 	"runtime"
 	"testing"
 
+	"destset/internal/dataset"
 	"destset/internal/memtest"
 	"destset/internal/workload"
 )
 
 // simStreams generates a warm/timed source pair for the allocation
 // budgets from a real workload, so the measured loop exercises every
-// protocol path (retries, forwards, invalidations, writebacks).
+// protocol path (retries, forwards, invalidations, writebacks): the
+// records of a dataset's two regions, copied into memory.
 func simStreams(t *testing.T, warmN, timedN int) (warm, timed Source) {
 	t.Helper()
 	p, err := workload.Preset("oltp", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := workload.New(p)
+	d, err := dataset.Generate(p, warmN, timedN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmTr, _ := g.Generate(warmN)
-	timedTr, _ := g.Generate(timedN)
-	return TraceSource(warmTr), TraceSource(timedTr)
+	return copyOf(d.WarmRegion()), copyOf(d.MeasureRegion())
 }
 
 // restoredSim sets up a run of cfg the way a sweep's later cells are set
@@ -68,7 +68,7 @@ func TestSimLoopAllocFree(t *testing.T) {
 				cfg.CPU = cpu
 				job := NewJob(warm, timed)
 				s := restoredSim(t, cfg, job)
-				s.start(job.layout())
+				s.start(mustLayout(t, job))
 				// Prime: run the first half of the misses.
 				half := s.total / 2
 				for s.completed < half && s.loop.Step() {
@@ -192,7 +192,7 @@ func TestSimSetupBytes(t *testing.T) {
 			if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
 				t.Fatal(err)
 			}
-			s.start(job.layout())
+			s.start(mustLayout(t, job))
 		})
 		t.Logf("whole cell allocated %.0f bytes", got)
 		if got > maxCellBytes {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"destset/internal/coherence"
@@ -27,7 +28,9 @@ import (
 // replaying. The recorded values are what the build's own Apply calls
 // returned, so a restored run equals a replayed one exactly. The first
 // run to start lays out the timed streams, and every later run reads
-// them. A Job is safe for concurrent use.
+// them. The warm replay and the timed layout are the only walks that
+// read every record, so they are where a record the simulator cannot
+// replay is refused (checkRecord). A Job is safe for concurrent use.
 type Job struct {
 	warm, timed Source // warm may be nil
 	shared      bool
@@ -37,6 +40,7 @@ type Job struct {
 
 	layoutOnce sync.Once
 	streams    *streams
+	layoutErr  error
 }
 
 // warmed is a shared Job's warm-up for one coherence configuration.
@@ -133,6 +137,9 @@ func (j *Job) build(ctx context.Context, coh *coherence.System) (*coherence.Colu
 			}
 		}
 		rec := j.warm.Record(i)
+		if err := checkRecord("warm", i, rec, coh.Nodes()); err != nil {
+			return nil, err
+		}
 		cols.Set(i, rec, coh.Apply(rec))
 	}
 	if j.shared {
@@ -142,18 +149,22 @@ func (j *Job) build(ctx context.Context, coh *coherence.System) (*coherence.Colu
 }
 
 // layout returns the timed region's streams, laying them out on first
-// use.
-func (j *Job) layout() *streams {
-	j.layoutOnce.Do(func() { j.streams = newStreams(j.timed) })
-	return j.streams
+// use, or why the region cannot be laid out.
+func (j *Job) layout() (*streams, error) {
+	j.layoutOnce.Do(func() { j.streams, j.layoutErr = newStreams(j.timed) })
+	return j.streams, j.layoutErr
 }
 
 // newStreams lays out the timed region src: its records, read once in
-// trace order, and each node's program-order stream into them.
-func newStreams(src Source) *streams {
+// trace order and each checked, and each node's program-order stream
+// into them.
+func newStreams(src Source) (*streams, error) {
 	st := &streams{recs: make([]trace.Record, src.Len()), nodes: make([]stream, src.Nodes())}
 	for i := range st.recs {
 		st.recs[i] = src.Record(i)
+		if err := checkRecord("timed", i, st.recs[i], len(st.nodes)); err != nil {
+			return nil, err
+		}
 		n := &st.nodes[st.recs[i].Requester]
 		n.idx = append(n.idx, int32(i))
 	}
@@ -166,7 +177,21 @@ func newStreams(src Source) *streams {
 			n.pos[p] = cum
 		}
 	}
-	return st
+	return st, nil
+}
+
+// checkRecord reports why record i of a region cannot be replayed on a
+// system of nodes nodes: its requester is not one of them, or its kind
+// is neither GETS nor GETX. Datasets never hold such a record; a Source
+// of the caller's own may.
+func checkRecord(region string, i int, rec trace.Record, nodes int) error {
+	switch {
+	case int(rec.Requester) >= nodes:
+		return fmt.Errorf("sim: %s record %d: requester %d outside %d nodes", region, i, rec.Requester, nodes)
+	case rec.Kind != trace.GetShared && rec.Kind != trace.GetExclusive:
+		return fmt.Errorf("sim: %s record %d: request kind %v is neither GETS nor GETX", region, i, rec.Kind)
+	}
+	return nil
 }
 
 // Shells is a free list of run shells: a run takes one and hands it back

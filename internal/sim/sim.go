@@ -362,17 +362,12 @@ const latencyBucketNs = 5
 // between cancellation checks, so cancellation is prompt on huge runs.
 const ctxCheckStride = 4096
 
-// Run simulates the timed trace after warming caches and predictors with
-// the warm trace (instantaneously, as the paper does with trace-based
-// warmup, §5.2). warm may be nil. It is the materialized-trace wrapper
-// over Simulate.
-func Run(cfg Config, warm, timed *trace.Trace) (Result, error) {
-	return Simulate(context.Background(), cfg, TraceSource(warm), TraceSource(timed))
-}
-
 // Simulate replays the timed source after warming caches and predictors
-// with the warm source (which may be nil). The sources are read-only and
-// may be shared across concurrent runs. On cancellation Simulate returns
+// with the warm source (which may be nil), instantaneously, as the paper
+// does with trace-based warmup (§5.2). The sources are read-only and may
+// be shared across concurrent runs; a record whose requester is outside
+// the system or whose kind is neither GETS nor GETX is refused with an
+// error naming its region and index. On cancellation Simulate returns
 // promptly with the context's error. It shares nothing with other runs:
 // it runs a private Job on a shell of its own.
 func Simulate(ctx context.Context, cfg Config, warm, timed Source) (Result, error) {
@@ -395,7 +390,11 @@ func SimulateWarm(ctx context.Context, cfg Config, job *Job, shells *Shells) (Re
 	if err := job.warmUp(ctx, s.coh, s.preds); err != nil {
 		return Result{}, err
 	}
-	s.start(job.layout())
+	st, err := job.layout()
+	if err != nil {
+		return Result{}, err
+	}
+	s.start(st)
 	res, err := s.finish(ctx)
 	if err != nil {
 		return Result{}, err
@@ -442,6 +441,10 @@ func validate(cfg Config, job *Job) error {
 	switch {
 	case job == nil || job.timed == nil || job.timed.Len() == 0:
 		return fmt.Errorf("sim: empty trace")
+	case job.timed.Len() < 0:
+		return fmt.Errorf("sim: timed source has length %d", job.timed.Len())
+	case job.warm != nil && job.warm.Len() < 0:
+		return fmt.Errorf("sim: warm source has length %d", job.warm.Len())
 	case job.timed.Nodes() != cfg.Nodes:
 		return fmt.Errorf("sim: trace has %d nodes, config %d", job.timed.Nodes(), cfg.Nodes)
 	case job.warm != nil && job.warm.Nodes() != cfg.Nodes:

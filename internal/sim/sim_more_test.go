@@ -93,7 +93,7 @@ func TestWarmUpQueuesNoTraffic(t *testing.T) {
 					if !s.loop.Empty() {
 						t.Errorf("%s: warm-up left events queued for the timed run", name)
 					}
-					s.start(job.layout())
+					s.start(mustLayout(t, job))
 					if s.coh.OnWriteback == nil {
 						t.Errorf("%s: the timed run starts without the writeback hook", name)
 					}
@@ -170,10 +170,10 @@ func TestMulticastRaceRetriesBounded(t *testing.T) {
 }
 
 // smallContentionTrace makes many nodes hammer two blocks concurrently.
-func smallContentionTrace() *trace.Trace {
-	tr := &trace.Trace{Nodes: 16}
+func smallContentionTrace() *records {
+	tr := mkTrace()
 	for i := 0; i < 200; i++ {
-		tr.Append(trace.Record{
+		tr.recs = append(tr.recs, trace.Record{
 			Addr:      trace.Addr(32 + i%2),
 			Requester: uint8(i % 16),
 			Kind:      trace.GetExclusive,

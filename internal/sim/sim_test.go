@@ -1,29 +1,73 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"destset/internal/dataset"
 	"destset/internal/predictor"
 	"destset/internal/trace"
 	"destset/internal/workload"
 )
 
+// records is a Source over in-memory records of a system of nodes
+// processors.
+type records struct {
+	nodes int
+	recs  []trace.Record
+}
+
+func (r *records) Nodes() int                { return r.nodes }
+func (r *records) Len() int                  { return len(r.recs) }
+func (r *records) Record(i int) trace.Record { return r.recs[i] }
+
+// copyOf copies src's records into memory.
+func copyOf(src Source) *records {
+	r := &records{nodes: src.Nodes(), recs: make([]trace.Record, src.Len())}
+	for i := range r.recs {
+		r.recs[i] = src.Record(i)
+	}
+	return r
+}
+
 // mkTrace builds a 16-node trace from records.
-func mkTrace(recs ...trace.Record) *trace.Trace {
-	return &trace.Trace{Nodes: 16, Records: recs}
+func mkTrace(recs ...trace.Record) *records {
+	return &records{nodes: 16, recs: recs}
+}
+
+// simulate runs Simulate over warm and timed; a nil trace is no region
+// at all.
+func simulate(cfg Config, warm, timed *records) (Result, error) {
+	source := func(r *records) Source {
+		if r == nil {
+			return nil
+		}
+		return r
+	}
+	return Simulate(context.Background(), cfg, source(warm), source(timed))
 }
 
 // run is a helper that fails the test on simulation error.
-func run(t *testing.T, cfg Config, warm, timed *trace.Trace) Result {
+func run(t *testing.T, cfg Config, warm, timed *records) Result {
 	t.Helper()
-	res, err := Run(cfg, warm, timed)
+	res, err := simulate(cfg, warm, timed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// mustLayout lays out job's timed streams, failing the test on error.
+func mustLayout(t *testing.T, job *Job) *streams {
+	t.Helper()
+	st, err := job.layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestMemoryMissLatency(t *testing.T) {
@@ -248,8 +292,8 @@ func TestMulticastPredictorBetweenExtremes(t *testing.T) {
 }
 
 // workloadTraces generates a small OLTP-like workload split into warm and
-// timed traces.
-func workloadTraces(t *testing.T, warmN, timedN int) (*trace.Trace, *trace.Trace) {
+// timed traces: the records of a dataset's two regions.
+func workloadTraces(t *testing.T, warmN, timedN int) (*records, *records) {
 	t.Helper()
 	p, err := workload.Preset("oltp", 42)
 	if err != nil {
@@ -257,13 +301,11 @@ func workloadTraces(t *testing.T, warmN, timedN int) (*trace.Trace, *trace.Trace
 	}
 	p.SharedUnits = 400
 	p.StreamBlocksPerNode = 8192
-	g, err := workload.New(p)
+	d, err := dataset.Generate(p, warmN, timedN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _ := g.Generate(warmN)
-	timed, _ := g.Generate(timedN)
-	return warm, timed
+	return copyOf(d.WarmRegion()), copyOf(d.MeasureRegion())
 }
 
 func TestAllProtocolsCompleteLargeMix(t *testing.T) {
@@ -289,26 +331,26 @@ func TestAllProtocolsCompleteLargeMix(t *testing.T) {
 func TestValidation(t *testing.T) {
 	good := DefaultConfig(Snooping)
 	tr := mkTrace(trace.Record{Addr: 32, Requester: 1})
-	cases := map[string]func() (cfg Config, warm, timed *trace.Trace){
-		"empty trace": func() (Config, *trace.Trace, *trace.Trace) { return good, nil, mkTrace() },
-		"nil trace":   func() (Config, *trace.Trace, *trace.Trace) { return good, nil, nil },
-		"node mismatch": func() (Config, *trace.Trace, *trace.Trace) {
-			return good, nil, &trace.Trace{Nodes: 4, Records: tr.Records}
+	cases := map[string]func() (cfg Config, warm, timed *records){
+		"empty trace": func() (Config, *records, *records) { return good, nil, mkTrace() },
+		"nil trace":   func() (Config, *records, *records) { return good, nil, nil },
+		"node mismatch": func() (Config, *records, *records) {
+			return good, nil, &records{nodes: 4, recs: tr.recs}
 		},
 		// A warm trace of another system size must be rejected, whether
 		// its requesters overrun the config's nodes or not.
-		"32-node warm trace": func() (Config, *trace.Trace, *trace.Trace) {
-			return good, &trace.Trace{Nodes: 32, Records: []trace.Record{{Addr: 32, Requester: 16}}}, tr
+		"32-node warm trace": func() (Config, *records, *records) {
+			return good, &records{nodes: 32, recs: []trace.Record{{Addr: 32, Requester: 16}}}, tr
 		},
-		"8-node warm trace": func() (Config, *trace.Trace, *trace.Trace) {
-			return good, &trace.Trace{Nodes: 8, Records: []trace.Record{{Addr: 32, Requester: 1}}}, tr
+		"8-node warm trace": func() (Config, *records, *records) {
+			return good, &records{nodes: 8, recs: []trace.Record{{Addr: 32, Requester: 1}}}, tr
 		},
-		"bad rates": func() (Config, *trace.Trace, *trace.Trace) {
+		"bad rates": func() (Config, *records, *records) {
 			c := good
 			c.SimpleInstrPerNs = 0
 			return c, nil, tr
 		},
-		"bad attempts": func() (Config, *trace.Trace, *trace.Trace) {
+		"bad attempts": func() (Config, *records, *records) {
 			c := good
 			c.MaxAttempts = 1
 			return c, nil, tr
@@ -316,11 +358,11 @@ func TestValidation(t *testing.T) {
 	}
 	for name, mk := range cases {
 		cfg, warm, timed := mk()
-		_, err := Run(cfg, warm, timed)
+		_, err := simulate(cfg, warm, timed)
 		switch {
 		case err == nil:
 			t.Errorf("%s: expected error", name)
-		case warm != nil && !strings.Contains(err.Error(), fmt.Sprintf("%d nodes, config %d", warm.Nodes, cfg.Nodes)):
+		case warm != nil && !strings.Contains(err.Error(), fmt.Sprintf("%d nodes, config %d", warm.nodes, cfg.Nodes)):
 			t.Errorf("%s: error %q does not name both node counts", name, err)
 		}
 	}
@@ -348,9 +390,9 @@ func TestMalformedConfigIsRefused(t *testing.T) {
 	for name, tc := range cases {
 		cfg := DefaultConfig(Multicast)
 		tc.mutate(&cfg)
-		_, err := Run(cfg, nil, tr)
+		_, err := simulate(cfg, nil, tr)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s: Run = %v, want an error naming %s", name, err, tc.field)
+			t.Errorf("%s: Simulate = %v, want an error naming %s", name, err, tc.field)
 		}
 	}
 	// A predictor node count of 0 inherits the system's, and a bank from
@@ -361,8 +403,71 @@ func TestMalformedConfigIsRefused(t *testing.T) {
 	custom.Predictor.Entries = 3
 	custom.NewBank = func() []predictor.Predictor { return predictor.NewBank(predictor.DefaultConfig(predictor.Owner, 16)) }
 	for name, cfg := range map[string]Config{"inherited nodes": inherit, "NewBank": custom} {
-		if _, err := Run(cfg, nil, tr); err != nil {
+		if _, err := simulate(cfg, nil, tr); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestMalformedRecordsAreRefused: a record whose requester is outside
+// the system or whose kind is neither GETS nor GETX, in either region,
+// is refused with an error naming the region and the record's index,
+// by a one-call run and by every run of a shared Job, instead of
+// panicking in the layout or the oracle.
+func TestMalformedRecordsAreRefused(t *testing.T) {
+	good := []trace.Record{
+		{Addr: 32, Requester: 1, Kind: trace.GetShared, Gap: 5},
+		{Addr: 33, Requester: 2, Kind: trace.GetExclusive, Gap: 5},
+		{Addr: 32, Requester: 3, Kind: trace.GetExclusive, Gap: 5},
+	}
+	bad := map[string]trace.Record{
+		"requester 16":  {Addr: 34, Requester: 16, Kind: trace.GetShared},
+		"requester 200": {Addr: 34, Requester: 200, Kind: trace.GetShared},
+		"kind 7":        {Addr: 34, Requester: 4, Kind: 7},
+	}
+	with := func(rec trace.Record) *records {
+		recs := append([]trace.Record(nil), good...)
+		return mkTrace(append(recs, rec)...)
+	}
+	for name, rec := range bad {
+		for _, region := range []string{"warm", "timed"} {
+			warm, timed := with(rec), mkTrace(good...)
+			if region == "timed" {
+				warm, timed = mkTrace(good...), with(rec)
+			}
+			want := fmt.Sprintf("%s record 3", region)
+			for _, proto := range []Protocol{Snooping, Multicast} {
+				cfg := DefaultConfig(proto)
+				if _, err := simulate(cfg, warm, timed); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s in the %s region, %v: Simulate = %v, want an error naming %q", name, region, proto, err, want)
+				}
+				job := NewJob(warm, timed)
+				var shells Shells
+				for run := 0; run < 2; run++ {
+					if _, err := SimulateWarm(context.Background(), cfg, job, &shells); err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s in the %s region, %v, shared run %d: SimulateWarm = %v, want an error naming %q", name, region, proto, run, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// negativeLen is a Source that reports a negative length.
+type negativeLen struct{ records }
+
+func (*negativeLen) Len() int { return -1 }
+
+// TestNegativeLengthIsRefused: a Source that reports a negative length,
+// as either region, is refused with an error naming the region instead
+// of panicking where the region is laid out or replayed.
+func TestNegativeLengthIsRefused(t *testing.T) {
+	tr := mkTrace(trace.Record{Addr: 32, Requester: 1})
+	neg := &negativeLen{records{nodes: 16}}
+	for region, src := range map[string][2]Source{"warm": {neg, tr}, "timed": {tr, neg}} {
+		_, err := Simulate(context.Background(), DefaultConfig(Snooping), src[0], src[1])
+		if want := region + " source has length -1"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("negative %s length: Simulate = %v, want an error naming %q", region, err, want)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // order that differs from trace order.
 //
 // dataset.Region implements Source over the shared columnar store, so
-// timing runs replay datasets zero-copy; TraceSource adapts an in-memory
-// trace for callers that materialized one.
+// timing runs replay datasets zero-copy. A caller that holds records of
+// its own implements the three methods over them.
 type Source interface {
 	// Nodes is the traced system's node count.
 	Nodes() int
@@ -21,22 +21,4 @@ type Source interface {
 	Len() int
 	// Record returns record i in trace (global program) order.
 	Record(i int) trace.Record
-}
-
-// traceSource adapts a materialized trace to the Source contract.
-type traceSource struct {
-	t *trace.Trace
-}
-
-func (s traceSource) Nodes() int                { return s.t.Nodes }
-func (s traceSource) Len() int                  { return len(s.t.Records) }
-func (s traceSource) Record(i int) trace.Record { return s.t.Records[i] }
-
-// TraceSource wraps an in-memory trace as a Source. A nil or empty trace
-// returns a nil Source (no warm region).
-func TraceSource(t *trace.Trace) Source {
-	if t == nil || len(t.Records) == 0 {
-		return nil
-	}
-	return traceSource{t: t}
 }

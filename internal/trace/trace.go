@@ -1,5 +1,6 @@
-// Package trace defines the coherence-request trace format used throughout
-// the repository.
+// Package trace defines the coherence-request record types used
+// throughout the repository. It holds no file format: a recorded miss
+// stream is stored and replayed as a dataset (internal/dataset).
 //
 // Following the paper's methodology (§2.1), a trace is the stream of
 // second-level cache misses; each record carries the data address, the
@@ -79,18 +80,3 @@ type Record struct {
 func (r Record) String() string {
 	return fmt.Sprintf("%s p%d blk=%#x pc=%#x gap=%d", r.Kind, r.Requester, uint64(r.Addr), uint64(r.PC), r.Gap)
 }
-
-// Trace is an in-memory trace with its system configuration.
-type Trace struct {
-	// Nodes is the number of processor nodes in the traced system.
-	Nodes int
-	// Records is the miss stream in global program order. For trace-driven
-	// evaluation this order is also the interconnect (total) order.
-	Records []Record
-}
-
-// Append adds a record to the trace.
-func (t *Trace) Append(r Record) { t.Records = append(t.Records, r) }
-
-// Len returns the number of records.
-func (t *Trace) Len() int { return len(t.Records) }

@@ -51,8 +51,8 @@ func calibrate(t *testing.T, p Params) calSummary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Generate(calWarm)
-	tr, infos := g.Generate(calMeasure)
+	draw(g, calWarm)
+	tr, infos := draw(g, calMeasure)
 	s := calSummary{
 		mustSee:      stats.NewHistogram(3),
 		blockTouched: stats.NewHistogram(p.Nodes),
@@ -62,7 +62,7 @@ func calibrate(t *testing.T, p Params) calSummary {
 		c2cByPC:      stats.NewConcentration(),
 	}
 	c2c, reads := 0, 0
-	for i, rec := range tr.Records {
+	for i, rec := range tr {
 		mi := infos[i]
 		req := nodeset.NodeID(rec.Requester)
 		if mi.CacheToCache(req) {
@@ -76,8 +76,8 @@ func calibrate(t *testing.T, p Params) calSummary {
 		}
 		s.mustSee.Add(mi.DirMustSee(req, rec.Kind))
 	}
-	s.c2cPercent = 100 * float64(c2c) / float64(tr.Len())
-	s.readPercent = 100 * float64(reads) / float64(tr.Len())
+	s.c2cPercent = 100 * float64(c2c) / float64(len(tr))
+	s.readPercent = 100 * float64(reads) / float64(len(tr))
 	g.System().ForEachTouchedBlock(func(b coherence.BlockStat) {
 		s.blockTouched.Add(b.Touched.Count())
 		s.missWeighted.AddN(b.Touched.Count(), uint64(b.Misses))

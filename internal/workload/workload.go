@@ -771,31 +771,3 @@ func (g *Generator) stepStreaming() {
 }
 
 func (g *Generator) push(a access) { g.burst = append(g.burst, a) }
-
-// Generate materializes n misses into an in-memory trace with its
-// per-record coherence annotations. Instruction gaps are rescaled so the
-// realized misses-per-1000-instructions matches the target exactly.
-func (g *Generator) Generate(n int) (*trace.Trace, []coherence.MissInfo) {
-	t := &trace.Trace{Nodes: g.p.Nodes, Records: make([]trace.Record, 0, n)}
-	infos := make([]coherence.MissInfo, 0, n)
-	var totalGap uint64
-	for i := 0; i < n; i++ {
-		rec, mi := g.Next()
-		totalGap += uint64(rec.Gap)
-		t.Append(rec)
-		infos = append(infos, mi)
-	}
-	// Rescale gaps to hit the mpki target despite burst structure.
-	target := float64(n) * 1000 / g.p.MissesPer1000Instr
-	if totalGap > 0 {
-		scale := target / float64(totalGap)
-		for i := range t.Records {
-			gap := float64(t.Records[i].Gap) * scale
-			if gap < 1 {
-				gap = 1
-			}
-			t.Records[i].Gap = uint32(gap)
-		}
-	}
-	return t, infos
-}

@@ -44,6 +44,17 @@ func smallParams() Params {
 	}
 }
 
+// draw takes the next n misses from g with the annotations each
+// observed, gaps as the generator drew them.
+func draw(g *Generator, n int) ([]trace.Record, []coherence.MissInfo) {
+	recs := make([]trace.Record, n)
+	infos := make([]coherence.MissInfo, n)
+	for i := range recs {
+		recs[i], infos[i] = g.Next()
+	}
+	return recs, infos
+}
+
 func TestPatternString(t *testing.T) {
 	want := map[Pattern]string{
 		Migratory:        "migratory",
@@ -87,13 +98,10 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2, _ := New(smallParams())
-	t1, i1 := g1.Generate(2000)
-	t2, i2 := g2.Generate(2000)
-	if t1.Len() != t2.Len() {
-		t.Fatal("same-seed traces differ in length")
-	}
-	for i := range t1.Records {
-		if t1.Records[i] != t2.Records[i] || i1[i] != i2[i] {
+	t1, i1 := draw(g1, 2000)
+	t2, i2 := draw(g2, 2000)
+	for i := range t1 {
+		if t1[i] != t2[i] || i1[i] != i2[i] {
 			t.Fatalf("same-seed traces diverge at record %d", i)
 		}
 	}
@@ -105,11 +113,11 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	b.Seed = 99
 	ga, _ := New(a)
 	gb, _ := New(b)
-	ta, _ := ga.Generate(500)
-	tb, _ := gb.Generate(500)
+	ta, _ := draw(ga, 500)
+	tb, _ := draw(gb, 500)
 	same := 0
-	for i := range ta.Records {
-		if ta.Records[i] == tb.Records[i] {
+	for i := range ta {
+		if ta[i] == tb[i] {
 			same++
 		}
 	}
@@ -128,9 +136,9 @@ func TestRecordsAreRealMisses(t *testing.T) {
 	p := smallParams()
 	p.L2.L2 = cache.Config{SizeBytes: 1 << 22, Ways: 4, BlockBytes: 64}
 	g, _ := New(p)
-	tr, infos := g.Generate(3000)
+	tr, infos := draw(g, 3000)
 	replay := coherence.NewSystem(p.L2)
-	for i, rec := range tr.Records {
+	for i, rec := range tr {
 		got := replay.Apply(rec)
 		if got != infos[i] {
 			t.Fatalf("record %d: replay annotation %+v != generated %+v", i, got, infos[i])
@@ -144,10 +152,10 @@ func TestReplayStaysConsistent(t *testing.T) {
 	// agrees with generation on the vast majority of annotations.
 	p := smallParams()
 	g, _ := New(p)
-	tr, infos := g.Generate(3000)
+	tr, infos := draw(g, 3000)
 	replay := coherence.NewSystem(p.L2)
 	agree := 0
-	for i, rec := range tr.Records {
+	for i, rec := range tr {
 		got := replay.Apply(rec)
 		if got == infos[i] {
 			agree++
@@ -159,42 +167,25 @@ func TestReplayStaysConsistent(t *testing.T) {
 	if err := replay.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if frac := float64(agree) / float64(tr.Len()); frac < 0.95 {
+	if frac := float64(agree) / float64(len(tr)); frac < 0.95 {
 		t.Errorf("replay agreed on only %.1f%% of annotations", 100*frac)
 	}
 }
 
 func TestOracleInvariantsAfterGeneration(t *testing.T) {
 	g, _ := New(smallParams())
-	g.Generate(5000)
+	draw(g, 5000)
 	if err := g.System().CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGapsPositiveAndCalibrated(t *testing.T) {
-	p := smallParams()
-	g, _ := New(p)
-	tr, _ := g.Generate(5000)
-	var instr uint64
-	for _, rec := range tr.Records {
-		if rec.Gap == 0 {
-			t.Fatal("gap must be at least 1 instruction")
-		}
-		instr += uint64(rec.Gap)
-	}
-	mpki := 1000 * float64(tr.Len()) / float64(instr)
-	if mpki < 0.85*p.MissesPer1000Instr || mpki > 1.15*p.MissesPer1000Instr {
-		t.Errorf("realized mpki = %.2f, want ~%v", mpki, p.MissesPer1000Instr)
 	}
 }
 
 func TestRequestersInRange(t *testing.T) {
 	p := smallParams()
 	g, _ := New(p)
-	tr, _ := g.Generate(2000)
+	tr, _ := draw(g, 2000)
 	seen := make(map[uint8]bool)
-	for _, rec := range tr.Records {
+	for _, rec := range tr {
 		if int(rec.Requester) >= p.Nodes {
 			t.Fatalf("requester %d out of range", rec.Requester)
 		}
@@ -207,9 +198,9 @@ func TestRequestersInRange(t *testing.T) {
 
 func TestBothRequestKindsAppear(t *testing.T) {
 	g, _ := New(smallParams())
-	tr, _ := g.Generate(2000)
+	tr, _ := draw(g, 2000)
 	var gets, getx int
-	for _, rec := range tr.Records {
+	for _, rec := range tr {
 		if rec.Kind == trace.GetShared {
 			gets++
 		} else {
@@ -228,7 +219,7 @@ func TestStreamingRegionsAreNodePrivate(t *testing.T) {
 	p.Mix = Mix{Streaming: 1}
 	p.SharedUnits = 1
 	g, _ := New(p)
-	g.Generate(2000)
+	draw(g, 2000)
 	g.System().ForEachTouchedBlock(func(b coherence.BlockStat) {
 		if b.Touched.Count() > 1 {
 			t.Fatalf("streamed block %d touched by %v", b.Addr, b.Touched)
@@ -242,7 +233,7 @@ func TestSharedUnitsSpanGroups(t *testing.T) {
 	p := smallParams()
 	p.Mix = Mix{Migratory: 1}
 	g, _ := New(p)
-	g.Generate(4000)
+	draw(g, 4000)
 	multi := 0
 	total := 0
 	g.System().ForEachTouchedBlock(func(b coherence.BlockStat) {
@@ -310,8 +301,8 @@ func TestPresetsValidate(t *testing.T) {
 func TestPCsComeFromPool(t *testing.T) {
 	p := smallParams()
 	g, _ := New(p)
-	tr, _ := g.Generate(2000)
-	for _, rec := range tr.Records {
+	tr, _ := draw(g, 2000)
+	for _, rec := range tr {
 		if rec.PC < 0x40000 || rec.PC >= trace.PC(0x40000+4*p.StaticPCs) {
 			t.Fatalf("PC %#x outside pool", uint64(rec.PC))
 		}

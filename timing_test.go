@@ -37,6 +37,17 @@ func figureSimSpecs(cpu destset.CPUModel) []destset.SimSpec {
 	return specs
 }
 
+// simRecords is a SimSource over records held in memory, as a caller
+// that brings records of its own implements it.
+type simRecords struct {
+	nodes int
+	recs  []destset.Record
+}
+
+func (s *simRecords) Nodes() int                  { return s.nodes }
+func (s *simRecords) Len() int                    { return len(s.recs) }
+func (s *simRecords) Record(i int) destset.Record { return s.recs[i] }
+
 // legacySimConfigs hand-builds the same six configurations the way the
 // pre-SimSpec experiments did.
 func legacySimConfigs(cpu destset.CPUModel, nodes int) []destset.SimConfig {
@@ -59,14 +70,16 @@ func legacySimConfigs(cpu destset.CPUModel, nodes int) []destset.SimConfig {
 
 // TestTimingRunnerMatchesLegacySim is the spec-driven timing equivalence
 // budget: for all six Figure 7/8 configurations on both CPU models, the
-// SimSpec/TimingRunner path must reproduce the legacy sim.Run results
-// bit-identically — same runtime, traffic, latency percentiles and retry
-// counts — at parallelism 1 and parallelism N, and under both source
-// kinds (the runner's zero-copy dataset regions versus materialized
-// legacy traces). One sweep covers two workloads × two seeds, so cells
-// of four (workload, seed) pairs share warm-ups and reuse oracles
-// across pairs, and a rerun over a result store that already holds some
-// cells of every pair mixes store hits with restored cells.
+// SimSpec/TimingRunner path must reproduce one-call SimulateTiming
+// results over hand-built configurations bit-identically — same
+// runtime, traffic, latency percentiles and retry counts — at
+// parallelism 1 and parallelism N, and under both source kinds (the
+// runner's zero-copy dataset regions versus the records copied out of
+// the dataset into a SimSource of the caller's own). One sweep covers
+// two workloads × two seeds, so cells of four (workload, seed) pairs
+// share warm-ups and reuse oracles across pairs, and a rerun over a
+// result store that already holds some cells of every pair mixes store
+// hits with restored cells.
 func TestTimingRunnerMatchesLegacySim(t *testing.T) {
 	workloads, seeds := []string{"oltp", "ocean"}, []uint64{1, 2}
 	wl := make([]destset.WorkloadSpec, len(workloads))
@@ -77,7 +90,7 @@ func TestTimingRunnerMatchesLegacySim(t *testing.T) {
 		workload string
 		seed     uint64
 	}
-	traces := map[pair][2]*destset.Trace{}
+	traces := map[pair][2]*simRecords{}
 	for _, name := range workloads {
 		for _, seed := range seeds {
 			p, err := workload.Preset(name, seed)
@@ -88,16 +101,16 @@ func TestTimingRunnerMatchesLegacySim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, measure := &destset.Trace{Nodes: d.Nodes()}, &destset.Trace{Nodes: d.Nodes()}
+			warm, measure := &simRecords{nodes: d.Nodes()}, &simRecords{nodes: d.Nodes()}
 			for i := 0; i < d.Len(); i++ {
 				rec, _ := d.At(i)
 				if i < d.Warm() {
-					warm.Append(rec)
+					warm.recs = append(warm.recs, rec)
 				} else {
-					measure.Append(rec)
+					measure.recs = append(measure.recs, rec)
 				}
 			}
-			traces[pair{name, seed}] = [2]*destset.Trace{warm, measure}
+			traces[pair{name, seed}] = [2]*simRecords{warm, measure}
 		}
 	}
 
@@ -106,7 +119,7 @@ func TestTimingRunnerMatchesLegacySim(t *testing.T) {
 		legacy := map[pair][]destset.SimResult{}
 		for pr, tr := range traces {
 			for _, cfg := range cfgs {
-				res, err := destset.RunTiming(cfg, tr[0], tr[1])
+				res, err := destset.SimulateTiming(context.Background(), cfg, tr[0], tr[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +143,7 @@ func TestTimingRunnerMatchesLegacySim(t *testing.T) {
 					t.Errorf("cpu=%v %s cell %d: config %q, legacy %q", cpu, run, i, r.Config, cfgs[s].Name())
 				}
 				if r.Result != legacy[pr][s] {
-					t.Errorf("cpu=%v %s %v %s: runner result diverges from legacy sim.Run\n runner: %+v\n legacy: %+v",
+					t.Errorf("cpu=%v %s %v %s: runner result diverges from SimulateTiming\n runner: %+v\n legacy: %+v",
 						cpu, run, pr, r.Config, r.Result, legacy[pr][s])
 				}
 			}
