@@ -41,17 +41,19 @@
 // lingers for -linger, still answering "done", so idle workers observe
 // completion and exit cleanly.
 //
-// -state-dir makes the coordinator crash-safe: it holds one CRC-guarded
-// log, wal.log, that opens with the lease table as the coordinator
-// started and appends every grant, expiry, failure and completion after
-// it, and a spill/ directory of accepted uploads, one content-addressed
-// result record (the -result-dir file format) per completed range. A
-// coordinator killed mid-sweep — even with kill -9 — restarts over the
-// same -state-dir, replays its log, re-adopts completed ranges whose
-// spills still check out without re-leasing them, requeues whatever was
-// in flight, and produces byte-identical output. Without -state-dir the
-// spill directory is a private temp dir and a crash loses progress
-// (unless -result-dir caches it).
+// -state-dir makes the coordinator crash-safe: it holds one log,
+// wal.log, a run of result records (the -result-dir file format) that
+// opens with the lease table as the coordinator started and appends
+// every grant, expiry, failure and completion after it, and a spill/
+// directory of accepted uploads, one result record per completed range
+// at the address its range determines. A coordinator killed mid-sweep —
+// even with kill -9 — restarts over the same -state-dir, replays its
+// log, re-adopts completed ranges whose spills are still there and
+// check out without re-leasing them, requeues whatever was in flight,
+// and produces byte-identical output. Without -state-dir the
+// coordinator writes the same state to a private temp dir that it
+// removes on exit, so a crash loses progress (unless -result-dir caches
+// it).
 //
 // Ctrl-C cancels the run; the output file is written atomically
 // (temp + rename), so an interrupted coordinator leaves no torn file.
@@ -98,7 +100,7 @@ func main() {
 		maxAttempts = flag.Int("max-attempts", 5, "grants per cell range before the sweep fails")
 		linger      = flag.Duration("linger", 3*time.Second, "how long to keep answering workers after the output is written")
 		resultDir   = flag.String("result-dir", "", "persistent result store: known cells are pre-marked complete, accepted uploads spill back")
-		stateDir    = flag.String("state-dir", "", "crash-safe coordinator state: the lease log and spilled uploads; restart with the same dir to resume")
+		stateDir    = flag.String("state-dir", "", "crash-safe coordinator state: the lease log and spilled uploads; restart with the same dir to resume (default: a private temp dir, removed on exit)")
 		dataDir     = flag.String("dataset-dir", "", "dataset files served to workers over GET /v1/dataset/{key}; missing ones are generated and spilled here on first fetch")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 	)
@@ -107,7 +109,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	var coord *distrib.Coordinator
 	fail := func(err error) {
+		// os.Exit skips deferred calls, so release the coordinator's state
+		// first: without -state-dir it is a temp dir that Close removes.
+		if coord != nil {
+			coord.Close()
+		}
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "sweepd: interrupted")
 			os.Exit(130)
@@ -133,7 +141,7 @@ func main() {
 		}
 		results = destset.SharedResults()
 	}
-	coord, err := distrib.NewCoordinator(distrib.Config{
+	coord, err = distrib.NewCoordinator(distrib.Config{
 		Def:         def,
 		ChunkSize:   *chunk,
 		LeaseTTL:    *leaseTTL,

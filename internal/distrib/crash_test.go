@@ -14,6 +14,7 @@ import (
 
 	"destset"
 	"destset/internal/distrib"
+	"destset/internal/results"
 )
 
 // uploadRange completes one lease by uploading its cells' records.
@@ -211,9 +212,10 @@ func TestResumeRefusesDifferentPlan(t *testing.T) {
 // TestSpilledUploadsAndWideMerge is the bounded-memory pin: over 70
 // single-cell ranges, every accepted upload must be present as a spill
 // file on disk — the coordinator holds no records, and its state dir
-// holds nothing but wal.log and spill/ — and WriteMerged must still
-// reproduce the single-process stream byte for byte, twice (spills are
-// re-read, not consumed).
+// holds nothing but wal.log and spill/, both result records: the log a
+// run of them, each of the plan's kind and fingerprint — and
+// WriteMerged must still reproduce the single-process stream byte for
+// byte, twice (spills are re-read, not consumed).
 func TestSpilledUploadsAndWideMerge(t *testing.T) {
 	seeds := make([]uint64, 35)
 	for i := range seeds {
@@ -262,6 +264,23 @@ func TestSpilledUploadsAndWideMerge(t *testing.T) {
 		if !strings.HasSuffix(e.Name(), ".rslt") {
 			t.Errorf("unexpected file %q in the spill dir (leaked temp file?)", e.Name())
 		}
+	}
+	log, err := os.ReadFile(filepath.Join(stateDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rest := log; len(rest) > 0; n++ {
+		var kind, recPlan string
+		if kind, recPlan, _, rest, err = results.Next(rest); err != nil {
+			t.Fatalf("wal.log record %d: %v", n, err)
+		}
+		if kind != def.Kind || recPlan != fp {
+			t.Fatalf("wal.log record %d is a %s record of plan %s, want %s plan %s", n, kind, recPlan, def.Kind, fp)
+		}
+	}
+	if want := 1 + 2*plan.Len(); n != want { // the table, then a grant and a completion per range
+		t.Errorf("wal.log holds %d records, want %d", n, want)
 	}
 
 	for pass := 0; pass < 2; pass++ {
@@ -374,6 +393,35 @@ func TestWriteMergedRejectsAlteredSpill(t *testing.T) {
 	}
 }
 
+// TestWriteMergedRejectsMissingSpill: a spill is found by its range, so
+// a state dir that lost a completed range's file is corrupt state, not
+// an I/O error: the merge refuses it as ErrStateCorrupt.
+func TestWriteMergedRejectsMissingSpill(t *testing.T) {
+	def := timingDef()
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	coord, err := distrib.NewCoordinator(distrib.Config{Def: def, ChunkSize: 2, LeaseTTL: time.Minute, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	finishSweep(t, coord, "w", plan.Fingerprint(), cellRecords(t, def))
+	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.rslt"))
+	if err != nil || len(spills) != 2 {
+		t.Fatalf("%d spill files (%v), want 2", len(spills), err)
+	}
+	if err := os.Remove(spills[1]); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := coord.WriteMerged(&got); !errors.Is(err, distrib.ErrStateCorrupt) {
+		t.Fatalf("merge over a removed spill: err = %v, want ErrStateCorrupt", err)
+	}
+}
+
 // TestResumeTwiceNeverReissuesLeaseIDs crashes the coordinator twice
 // with a lease in flight: the incarnations run at epochs 1, 2 and 3, no
 // lease id is ever granted twice, and the final merge is still
@@ -432,8 +480,8 @@ func TestResumeTwiceNeverReissuesLeaseIDs(t *testing.T) {
 }
 
 // TestResumeDemotesDamagedSpill: a resumed coordinator trusts no spill
-// unseen. A completed range whose spill was altered while the
-// coordinator was down goes back to pending and is recomputed, the
+// unseen. A completed range whose spill was altered or removed while
+// the coordinator was down goes back to pending and is recomputed, the
 // intact one stays done, and the merge is still byte-identical.
 func TestResumeDemotesDamagedSpill(t *testing.T) {
 	def := timingDef()
@@ -450,7 +498,7 @@ func TestResumeDemotesDamagedSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		reply, err := coord1.Lease("pre-crash", fp)
 		if err != nil || reply.Lease == nil {
 			t.Fatalf("lease %d = %+v, %v", i, reply, err)
@@ -458,8 +506,8 @@ func TestResumeDemotesDamagedSpill(t *testing.T) {
 		uploadRange(t, coord1, *reply.Lease, "pre-crash", fp, records)
 	}
 	spills, err := filepath.Glob(filepath.Join(stateDir, "spill", "*.rslt"))
-	if err != nil || len(spills) != 2 {
-		t.Fatalf("%d spill files (%v), want 2", len(spills), err)
+	if err != nil || len(spills) != 3 {
+		t.Fatalf("%d spill files (%v), want 3", len(spills), err)
 	}
 	raw, err := os.ReadFile(spills[0])
 	if err != nil {
@@ -469,6 +517,9 @@ func TestResumeDemotesDamagedSpill(t *testing.T) {
 	if err := os.WriteFile(spills[0], raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Remove(spills[1]); err != nil {
+		t.Fatal(err)
+	}
 
 	coord2, err := distrib.NewCoordinator(cfg)
 	if err != nil {
@@ -476,7 +527,7 @@ func TestResumeDemotesDamagedSpill(t *testing.T) {
 	}
 	defer coord2.Close()
 	if done := coord2.Progress().DoneCells; done != 1 {
-		t.Fatalf("resumed with %d cells done, want 1 (the damaged range demoted)", done)
+		t.Fatalf("resumed with %d cells done, want 1 (the altered and the removed range demoted)", done)
 	}
 	finishSweep(t, coord2, "post-crash", fp, records)
 	var got bytes.Buffer

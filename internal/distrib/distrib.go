@@ -17,19 +17,24 @@
 // deterministically: the first valid completion of a range wins and
 // later ones are acknowledged but discarded.
 //
-// The coordinator itself holds no observation records: every accepted
-// upload is streamed to a content-addressed spill file (spill.go), so
-// residency is O(open leases) regardless of sweep size. Uploads arrive
-// in plan order and tasks partition the plan in order, so the final
-// output is the merged manifest followed by the spills concatenated in
-// task order, each checked whole as a result record before it is copied
-// — byte-identical to what the same sweep writes in one process at
-// parallelism 1, the invariant that makes the whole service testable
-// end to end. With a -state-dir, the lease table and every transition
-// after it are also appended to one CRC-guarded log (wal.go): a
-// coordinator killed mid-sweep and restarted over the same state dir
-// re-adopts completed ranges, requeues in-flight leases, and resumes
-// the same sweep under the same plan fingerprint.
+// The lease table holds no observation records: every accepted upload
+// is written to a spill file at the address its range determines
+// (spill.go), so without a result store the coordinator's residency is
+// O(open leases) regardless of sweep size. A result store
+// (Config.Results) is the exception: every cell it is fed or serves
+// stays resident in its memory tier, which the coordinator never purges,
+// so with one residency is O(cells). Uploads arrive in plan order and
+// tasks partition the plan in order, so the final output is the merged
+// manifest followed by the spills concatenated in task order, each
+// checked whole as a result record before it is copied — byte-identical
+// to what the same sweep writes in one process at parallelism 1, the
+// invariant that makes the whole service testable end to end. The lease
+// table and every transition after it are appended to one log of result
+// records in the state dir (wal.go): a coordinator killed mid-sweep and
+// restarted over the same -state-dir re-adopts completed ranges,
+// requeues in-flight leases, and resumes the same sweep under the same
+// plan fingerprint. Without a -state-dir the coordinator runs the same
+// path over a private temp dir, which Close removes.
 package distrib
 
 import (
@@ -86,12 +91,12 @@ type Config struct {
 	// MaxAttempts bounds how often one range may be granted before the
 	// coordinator declares the sweep failed; <= 0 means 5.
 	MaxAttempts int
-	// StateDir, when non-empty, makes the coordinator crash-safe: spill
-	// files live under it, the lease table and every transition after
-	// it are logged to its wal.log, and a coordinator restarted over the
-	// same dir resumes the sweep instead of restarting it. Empty means
-	// ephemeral — spills go to a private temp dir removed by Close, and
-	// nothing survives the process.
+	// StateDir holds the coordinator's state: spill files live under it,
+	// the lease table and every transition after it are logged to its
+	// wal.log, and a coordinator restarted over the same dir resumes the
+	// sweep instead of restarting it. Empty means a private temp dir,
+	// written the same way and removed by Close, so nothing survives the
+	// process.
 	StateDir string
 	// DatasetDir, when non-empty, is where the coordinator finds — or
 	// materializes on first fetch — the sweep's content-addressed
@@ -112,7 +117,10 @@ type Config struct {
 	// — never leased to any worker — and every accepted upload is
 	// spilled back into the store, so a coordinator restarted over the
 	// same sweep (or a later sweep sharing cells with this one) resumes
-	// warm instead of recomputing.
+	// warm instead of recomputing. The store keeps every record it is
+	// fed or serves resident in its memory tier until it is purged, and
+	// the coordinator never purges it: with a store, the coordinator's
+	// residency grows with the cells completed, not with the open leases.
 	Results *destset.ResultStore
 }
 
@@ -140,10 +148,8 @@ type task struct {
 	// lastFailed is the worker whose lease over this range last expired
 	// or failed; re-grants prefer a different worker.
 	lastFailed string
-	// spill names the completed range's spill file under the state's
-	// spill dir (state taskDone); cached marks ranges served by the
-	// result store rather than computed by a worker.
-	spill  string
+	// cached marks ranges served by the result store rather than
+	// computed by a worker.
 	cached bool
 }
 
@@ -164,6 +170,9 @@ type Coordinator struct {
 	// endpoint; dsetKeys preserves announcement order.
 	wire     map[string]*wireDataset
 	dsetKeys []string
+	// tempState is the private state dir of a coordinator run without
+	// Config.StateDir; Close removes it.
+	tempState string
 
 	// dsBytes counts dataset bytes served over GET /v1/dataset; HTTP
 	// handlers write it outside mu.
@@ -247,23 +256,25 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		workers:  make(map[string]time.Time),
 	}
 
+	dir := cfg.StateDir
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "destset-state-*"); err != nil {
+			return nil, fmt.Errorf("distrib: creating state dir: %w", err)
+		}
+		c.tempState = dir
+	}
 	var tbl *leaseTable
 	var events []walEvent
-	if cfg.StateDir != "" {
-		c.st, tbl, events, err = openWALState(cfg.StateDir)
-	} else {
-		c.st, err = newEphemeralState()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if tbl != nil {
+	c.st, tbl, events, err = openWALState(dir)
+	switch {
+	case err != nil:
+	case tbl != nil:
 		err = c.resume(tbl, events)
-	} else {
+	default:
 		err = c.build()
 	}
 	if err != nil {
-		c.st.close()
+		c.Close()
 		return nil, err
 	}
 
@@ -312,11 +323,10 @@ func (c *Coordinator) build() error {
 			for hi < plan.Len() && hi-lo < maxCachedRun && hit[hi] {
 				hi++
 			}
-			name, err := c.spillStored(lo, hi)
-			if err != nil {
+			if err := c.spillStored(lo, hi); err != nil {
 				return err
 			}
-			c.tasks = append(c.tasks, &task{lo: lo, hi: hi, state: taskDone, cached: true, spill: name})
+			c.tasks = append(c.tasks, &task{lo: lo, hi: hi, state: taskDone, cached: true})
 			lo = hi
 			continue
 		}
@@ -333,12 +343,12 @@ func (c *Coordinator) build() error {
 
 // spillStored synthesizes the spill file for a range fully served by
 // the result store.
-func (c *Coordinator) spillStored(lo, hi int) (string, error) {
+func (c *Coordinator) spillStored(lo, hi int) error {
 	perCell := make([][][]byte, hi-lo)
 	for i := lo; i < hi; i++ {
 		lines, ok := c.cfg.Results.CellLines(c.def.Kind, c.plan.Cell(i).Fingerprint)
 		if !ok {
-			return "", fmt.Errorf("distrib: result store no longer serves cell %d", i)
+			return fmt.Errorf("distrib: result store no longer serves cell %d", i)
 		}
 		perCell[i-lo] = lines
 	}
@@ -367,7 +377,7 @@ func (c *Coordinator) resume(tbl *leaseTable, events []walEvent) error {
 		}
 		next = tc.Hi
 		t := &task{lo: tc.Lo, hi: tc.Hi, attempts: tc.Attempts, cached: tc.Cached,
-			lastFailed: tc.LastFailed, spill: tc.Spill}
+			lastFailed: tc.LastFailed}
 		switch tc.State {
 		case "pending":
 			t.state = taskPending
@@ -416,16 +426,16 @@ func (c *Coordinator) resume(tbl *leaseTable, events []walEvent) error {
 		requeued++
 	}
 	// Trust no spill unseen: a completed range stays completed only if
-	// its file still validates whole.
+	// the file at its address is still there and validates whole.
 	demoted := 0
 	for ti := len(c.tasks) - 1; ti >= 0; ti-- {
 		t := c.tasks[ti]
 		if t.state != taskDone {
 			continue
 		}
-		if err := copySpill(io.Discard, c.st.spillDir, t.spill, c.def.Kind, fp, t.lo, t.hi); err != nil {
+		if err := copySpill(io.Discard, c.st.spillDir, c.def.Kind, fp, t.lo, t.hi); err != nil {
 			c.logf("spill for cells [%d,%d) failed validation; recomputing: %v", t.lo, t.hi, err)
-			t.state, t.spill, t.cached = taskPending, "", false
+			t.state, t.cached = taskPending, false
 			c.pending = append([]int{ti}, c.pending...)
 			demoted++
 		}
@@ -438,8 +448,8 @@ func (c *Coordinator) resume(tbl *leaseTable, events []walEvent) error {
 		kept := c.pending[:0]
 		for _, ti := range c.pending {
 			t := c.tasks[ti]
-			if name, err := c.spillStored(t.lo, t.hi); err == nil {
-				t.state, t.cached, t.spill = taskDone, true, name
+			if c.spillStored(t.lo, t.hi) == nil {
+				t.state, t.cached = taskDone, true
 				adopted++
 				continue
 			}
@@ -505,15 +515,12 @@ func (c *Coordinator) applyLocked(ev walEvent) error {
 		if t.state == taskDone {
 			return errors.New("complete of an already-completed task")
 		}
-		if ev.Spill == "" {
-			return errors.New("complete without a spill file")
-		}
 		if t.state == taskLeased {
 			delete(c.leased, ev.Task)
 		} else {
 			withdraw()
 		}
-		t.state, t.spill, t.cached = taskDone, ev.Spill, false
+		t.state, t.cached = taskDone, false
 		t.leaseID, t.worker, t.deadline = "", "", time.Time{}
 	default:
 		return fmt.Errorf("unknown event %q", ev.E)
@@ -521,7 +528,7 @@ func (c *Coordinator) applyLocked(ev walEvent) error {
 	return nil
 }
 
-// tableLocked captures the lease table for the log's first frame.
+// tableLocked captures the lease table for the log's first record.
 func (c *Coordinator) tableLocked() *leaseTable {
 	tbl := &leaseTable{
 		Plan:    c.plan.Fingerprint(),
@@ -531,7 +538,7 @@ func (c *Coordinator) tableLocked() *leaseTable {
 	}
 	for i, t := range c.tasks {
 		tc := tableTask{Lo: t.lo, Hi: t.hi, Attempts: t.attempts,
-			Cached: t.cached, LastFailed: t.lastFailed, Spill: t.spill}
+			Cached: t.cached, LastFailed: t.lastFailed}
 		switch t.state {
 		case taskPending:
 			tc.State = "pending"
@@ -583,13 +590,20 @@ func (c *Coordinator) Drain() {
 	}
 }
 
-// Close releases the coordinator's state files; an ephemeral
-// coordinator's spill dir is removed, a durable one's state dir is left
-// for the next incarnation to resume.
+// Close releases the coordinator's state files. A Config.StateDir is
+// left for the next incarnation to resume; the private temp dir of a
+// coordinator run without one is removed.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.close()
+	var err error
+	if c.st != nil {
+		err = c.st.close()
+	}
+	if c.tempState != "" {
+		err = errors.Join(err, os.RemoveAll(c.tempState))
+	}
+	return err
 }
 
 // SweepInfo is the handshake payload: everything a worker needs to
@@ -905,8 +919,7 @@ func (c *Coordinator) Complete(leaseID, worker, planFP string, body io.Reader) (
 		c.Fail(leaseID, worker, planFP, err.Error())
 		return CompleteReply{}, err
 	}
-	name, err := writeSpill(spillDir, kind, fp, lo, hi, perCell)
-	if err != nil {
+	if err := writeSpill(spillDir, kind, fp, lo, hi, perCell); err != nil {
 		c.Fail(leaseID, worker, planFP, err.Error())
 		return CompleteReply{}, err
 	}
@@ -941,11 +954,10 @@ func (c *Coordinator) Complete(leaseID, worker, planFP string, body io.Reader) (
 		c.leasedCells -= t.hi - t.lo
 	}
 	t.state = taskDone
-	t.spill = name
 	t.leaseID, t.worker, t.deadline = "", "", time.Time{}
 	c.doneTasks++
 	c.doneCells += hi - lo
-	c.recordLocked(walEvent{E: "complete", Task: ti, Lease: leaseID, Worker: worker, Spill: name})
+	c.recordLocked(walEvent{E: "complete", Task: ti, Lease: leaseID, Worker: worker})
 	c.logf("%s: worker %s completed cells [%d,%d) — %d/%d cells done",
 		leaseID, worker, lo, hi, c.doneCells, c.plan.Len())
 	done := c.doneTasks == len(c.tasks)
@@ -1116,7 +1128,7 @@ func (c *Coordinator) WriteMerged(w io.Writer) error {
 	bw.WriteByte('\n')
 	fp := c.plan.Fingerprint()
 	for _, t := range tasks {
-		if err := copySpill(bw, c.st.spillDir, t.spill, c.def.Kind, fp, t.lo, t.hi); err != nil {
+		if err := copySpill(bw, c.st.spillDir, c.def.Kind, fp, t.lo, t.hi); err != nil {
 			return err
 		}
 	}

@@ -392,6 +392,7 @@ func TestFirstCompleteWinsAfterExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer coord.Close()
 	plan, _ := def.Plan()
 	fp := plan.Fingerprint()
 
@@ -447,6 +448,7 @@ func TestCompleteRejectsBadUploads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer coord.Close()
 	plan, _ := def.Plan()
 	fp := plan.Fingerprint()
 
@@ -583,6 +585,7 @@ func TestSweepFailsAfterMaxAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer coord.Close()
 	plan, _ := def.Plan()
 	fp := plan.Fingerprint()
 

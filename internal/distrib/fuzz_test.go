@@ -2,59 +2,65 @@ package distrib
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
+	"io"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"destset/internal/results"
 )
 
-// FuzzReadFrames decodes arbitrary bytes as a lease log: decodeWAL, and
-// through it readFrames and the lease-table and event decode, must never
-// panic, and a log it accepts must be its frames re-encoded by
-// appendFrame after the magic, followed by at most a torn tail: the
-// prefix of one more frame, which a crash mid-append leaves behind.
-func FuzzReadFrames(f *testing.F) {
+// FuzzDecodeWAL decodes arbitrary bytes as a lease log: decodeWAL, and
+// through it results.Next and the lease-table and event decode, must
+// never panic, and a log it accepts must be complete result records of
+// one kind and plan, the table's, each exactly as results.Encode writes
+// it, followed by at most one torn record: the prefix of one more, which
+// a crash mid-append leaves behind.
+func FuzzDecodeWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		_, events, err := decodeWAL(raw)
+		tbl, events, err := decodeWAL(raw)
 		if err != nil {
 			return
 		}
-		frames, err := readFrames(raw[len(walMagic):])
-		if err != nil {
-			t.Fatalf("decodeWAL accepted a log whose frames do not read: %v", err)
+		var enc []byte
+		n := 0
+		for rest := raw; len(rest) > 0; n++ {
+			kind, plan, payload, next, err := results.Next(rest)
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("decodeWAL accepted a log whose record %d fails its check: %v", n, err)
+			}
+			if kind != tbl.Kind || plan != tbl.Plan {
+				t.Fatalf("record %d is a %s record of plan %q in the log of %s plan %q", n, kind, plan, tbl.Kind, tbl.Plan)
+			}
+			enc = append(enc, results.Encode(kind, plan, payload)...)
+			rest = next
 		}
-		if len(frames) != 1+len(events) {
-			t.Fatalf("%d frames decoded to a table and %d events", len(frames), len(events))
-		}
-		enc := append([]byte(nil), walMagic[:]...)
-		for _, frame := range frames {
-			enc = appendFrame(enc, frame)
+		if n != 1+len(events) {
+			t.Fatalf("%d complete records decoded to a table and %d events", n, len(events))
 		}
 		if !bytes.HasPrefix(raw, enc) {
-			t.Fatalf("frames re-encode to %x, not a prefix of the log %x", enc, raw)
-		}
-		if tail := raw[len(enc):]; len(tail) >= frameHeaderLen &&
-			len(tail) >= frameHeaderLen+int(binary.LittleEndian.Uint32(tail)) {
-			t.Fatalf("a complete frame was dropped as a torn tail: %x", tail)
+			t.Fatalf("records re-encode to %x, not a prefix of the log %x", enc, raw)
 		}
 	})
 }
 
 // FuzzCopySpill reads arbitrary bytes as the spill file of cells [4, 6)
-// of a timing plan "fp": copySpill must never panic or copy anything
-// from a file it refuses, and a file it accepts must be that range's
-// result record, of which exactly the payload was copied.
+// of a timing plan "fp", at that range's address: copySpill must never
+// panic or copy anything from a file it refuses, and a file it accepts
+// must be that range's result record, of which exactly the payload was
+// copied.
 func FuzzCopySpill(f *testing.F) {
 	dir := f.TempDir()
+	path := results.Path(dir, spillFingerprint("fp", 4, 6))
 	f.Fuzz(func(t *testing.T, file []byte) {
-		const name = "spill.rslt"
-		if err := os.WriteFile(filepath.Join(dir, name), file, 0o666); err != nil {
+		if err := os.WriteFile(path, file, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := copySpill(&got, dir, name, "timing", "fp", 4, 6); err != nil {
+		if err := copySpill(&got, dir, "timing", "fp", 4, 6); err != nil {
 			if got.Len() != 0 {
 				t.Fatalf("a refused spill copied %q", got.Bytes())
 			}

@@ -1,9 +1,10 @@
 package distrib
 
 // Upload spill files: every accepted completion is written to disk the
-// moment it validates, so the coordinator's residency is O(open
-// leases) regardless of sweep size, and a restarted coordinator
-// re-adopts completed ranges by re-opening their spills.
+// moment it validates, so the lease table holds no observation records
+// whatever the sweep's size (a result store, Config.Results, keeps its
+// own copy), and a restarted coordinator re-adopts completed ranges by
+// re-opening their spills.
 //
 // A spill is one result record (internal/results): its kind is the
 // plan kind, its fingerprint names the plan and the range [lo, hi), and
@@ -16,15 +17,17 @@ package distrib
 // final output is the merged manifest followed by the spills' payloads
 // concatenated in task order, never an in-memory join.
 //
-// Names are the fingerprint's content address (results.Path), so
+// A spill is found by its range: it lives at the content address of its
+// fingerprint (results.Path), so the lease log names no files,
 // re-completions and resumed coordinators converge on the same file,
-// written atomically.
+// written atomically, and a spill is trusted only for a range the log
+// accepted.
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
+	"io/fs"
 
 	"destset/internal/results"
 )
@@ -36,9 +39,9 @@ func spillFingerprint(plan string, lo, hi int) string {
 }
 
 // writeSpill persists one completed range: perCell[i] holds cell
-// lo+i's record lines in upload order. The file appears atomically
-// under its content-addressed name, which is returned.
-func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) (string, error) {
+// lo+i's record lines in upload order. The file appears atomically at
+// the range's address.
+func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) error {
 	var payload []byte
 	for _, lines := range perCell {
 		for _, line := range lines {
@@ -46,23 +49,23 @@ func writeSpill(dir, kind, plan string, lo, hi int, perCell [][][]byte) (string,
 		}
 	}
 	fp := spillFingerprint(plan, lo, hi)
-	path := results.Path(dir, fp)
-	if err := results.WriteFile(path, kind, fp, payload); err != nil {
-		return "", fmt.Errorf("distrib: spilling cells [%d,%d): %w", lo, hi, err)
+	if err := results.WriteFile(results.Path(dir, fp), kind, fp, payload); err != nil {
+		return fmt.Errorf("distrib: spilling cells [%d,%d): %w", lo, hi, err)
 	}
-	return filepath.Base(path), nil
+	return nil
 }
 
-// copySpill reads a spill file whole, checks that it is the result
-// record of cells [lo, hi) of this plan and kind, and only then copies
-// its records to w. A file that fails the check is ErrStateCorrupt.
-// Resume calls it with io.Discard to revalidate a completed range
-// before re-adopting it.
-func copySpill(w io.Writer, dir, name, kind, plan string, lo, hi int) error {
-	path := filepath.Join(dir, name)
-	got, payload, err := results.ReadFile(path, spillFingerprint(plan, lo, hi))
+// copySpill reads the spill of cells [lo, hi) of this plan whole from
+// the range's address, checks that it is that range's result record of
+// this kind, and only then copies its records to w. A missing file, or
+// one that fails the check, is ErrStateCorrupt. Resume calls it with
+// io.Discard to revalidate a completed range before re-adopting it.
+func copySpill(w io.Writer, dir, kind, plan string, lo, hi int) error {
+	fp := spillFingerprint(plan, lo, hi)
+	path := results.Path(dir, fp)
+	got, payload, err := results.ReadFile(path, fp)
 	switch {
-	case errors.Is(err, results.ErrBadFormat):
+	case errors.Is(err, results.ErrBadFormat), errors.Is(err, fs.ErrNotExist):
 		return fmt.Errorf("%w: %w", ErrStateCorrupt, err)
 	case err != nil:
 		return err

@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
+
+	"destset/internal/results"
 )
 
 // TestCopySpillRejectsDamage is the spill's corruption matrix: copySpill
-// copies a pristine spill's record bytes verbatim, and refuses — as
-// ErrStateCorrupt, and before it copies anything — a spill whose bytes
-// changed after it was written, the spill of another range, kind or
-// plan, and a file that is no result record at all.
+// copies a pristine spill's record bytes verbatim from the address its
+// range determines, and refuses — as ErrStateCorrupt, and before it
+// copies anything — a missing spill, a spill whose bytes changed after
+// it was written, the spill of another range, kind or plan copied to
+// this one's address, and a file that is no result record at all.
 func TestCopySpillRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	perCell := [][][]byte{
@@ -20,16 +22,16 @@ func TestCopySpillRejectsDamage(t *testing.T) {
 		{[]byte(`{"Sim":"b","Seed":1}`)},
 	}
 	records := []byte("{\"Sim\":\"a\",\"Seed\":1}\n{\"Sim\":\"a\",\"Seed\":1,\"I\":2}\n{\"Sim\":\"b\",\"Seed\":1}\n")
-	name, err := writeSpill(dir, "timing", "fp", 4, 6, perCell)
-	if err != nil {
+	if err := writeSpill(dir, "timing", "fp", 4, 6, perCell); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, name))
+	path := results.Path(dir, spillFingerprint("fp", 4, 6))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := copySpill(&got, dir, name, "timing", "fp", 4, 6); err != nil {
+	if err := copySpill(&got, dir, "timing", "fp", 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), records) {
@@ -46,15 +48,23 @@ func TestCopySpillRejectsDamage(t *testing.T) {
 		}
 	}
 	got.Reset()
-	refused("another-range", copySpill(&got, dir, name, "timing", "fp", 4, 7))
-	refused("another-kind", copySpill(&got, dir, name, "trace", "fp", 4, 6))
-	refused("another-plan", copySpill(&got, dir, name, "timing", "fp2", 4, 6))
-	corrupt := func(what string, mutate func([]byte) []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), mutate(bytes.Clone(raw)), 0o666); err != nil {
+	refused("missing", copySpill(&got, dir, "timing", "fp", 4, 7))
+	refused("another-kind", copySpill(&got, dir, "trace", "fp", 4, 6))
+	// The spill of [4,6) of plan fp, copied to the address of another
+	// range or plan, is still that range's record.
+	for _, fp := range []string{spillFingerprint("fp", 4, 7), spillFingerprint("fp2", 4, 6)} {
+		if err := os.WriteFile(results.Path(dir, fp), raw, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		refused(what, copySpill(&got, dir, name, "timing", "fp", 4, 6))
+	}
+	refused("another-range", copySpill(&got, dir, "timing", "fp", 4, 7))
+	refused("another-plan", copySpill(&got, dir, "timing", "fp2", 4, 6))
+	corrupt := func(what string, mutate func([]byte) []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, mutate(bytes.Clone(raw)), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		refused(what, copySpill(&got, dir, "timing", "fp", 4, 6))
 	}
 	corrupt("flipped-record-byte", func(b []byte) []byte { b[len(b)-3] ^= 0x01; return b })
 	corrupt("torn-record", func(b []byte) []byte { return b[:len(b)-2] })

@@ -27,6 +27,11 @@ package results
 // tiered store, which rewrites them — healing stale versions exactly
 // like corruption). Truncated or bit-flipped files fail the length or
 // checksum validation and are likewise rejected rather than half-read.
+//
+// Records also concatenate: a coordinator's spill is one record and its
+// lease log a run of them (internal/distrib), which Next reads one at a
+// time. Every small file the repository writes is framed this way; only
+// the zero-copy dataset file keeps its own layout.
 
 import (
 	"crypto/sha256"
@@ -35,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -83,37 +89,60 @@ func Sniff(prefix []byte) bool {
 	return len(prefix) >= len(fileMagic) && [8]byte(prefix[:8]) == fileMagic
 }
 
-// Decode validates and decodes a serialized record. The returned
-// payload aliases buf, and Encode of what it returns gives buf back.
-// Truncated or corrupted input fails with ErrBadFormat.
-func Decode(buf []byte) (kind, fp string, payload []byte, err error) {
-	if len(buf) < headerLen || !Sniff(buf) {
-		return "", "", nil, fmt.Errorf("%w (not a result file)", ErrBadFormat)
+// Next reads the record at the front of buf and returns it with the
+// bytes after it, so a run of records — the coordinator's lease log —
+// reads one at a time. A buf that ends inside the record, header
+// included, is io.ErrUnexpectedEOF whatever its bytes are: that is what
+// a write cut short leaves. A complete record that fails validation is
+// ErrBadFormat. The returned payload and rest alias buf.
+func Next(buf []byte) (kind, fp string, payload, rest []byte, err error) {
+	if len(buf) < headerLen {
+		return "", "", nil, nil, io.ErrUnexpectedEOF
+	}
+	if !Sniff(buf) {
+		return "", "", nil, nil, fmt.Errorf("%w (not a result record)", ErrBadFormat)
 	}
 	if v := binary.LittleEndian.Uint32(buf[8:]); v != FileVersion {
-		return "", "", nil, fmt.Errorf("%w (file version %d, want %d)", ErrBadFormat, v, FileVersion)
+		return "", "", nil, nil, fmt.Errorf("%w (record version %d, want %d)", ErrBadFormat, v, FileVersion)
 	}
 	kindLen := binary.LittleEndian.Uint32(buf[12:])
 	fpLen := binary.LittleEndian.Uint32(buf[16:])
 	payloadLen := binary.LittleEndian.Uint32(buf[20:])
 	sum := binary.LittleEndian.Uint64(buf[24:])
 	if kindLen > sane || fpLen > sane || payloadLen > sane {
-		return "", "", nil, fmt.Errorf("%w (implausible header lengths)", ErrBadFormat)
+		return "", "", nil, nil, fmt.Errorf("%w (implausible header lengths)", ErrBadFormat)
 	}
 	// Encode writes zeros there; anything else is not a record it wrote.
 	if binary.LittleEndian.Uint64(buf[32:]) != 0 || binary.LittleEndian.Uint64(buf[40:]) != 0 {
-		return "", "", nil, fmt.Errorf("%w (reserved header bytes set)", ErrBadFormat)
+		return "", "", nil, nil, fmt.Errorf("%w (reserved header bytes set)", ErrBadFormat)
 	}
-	total := headerLen + int(kindLen) + int(fpLen) + int(payloadLen)
-	if len(buf) != total {
-		return "", "", nil, fmt.Errorf("%w (file is %d bytes, header expects %d — truncated?)", ErrBadFormat, len(buf), total)
+	total := uint64(headerLen) + uint64(kindLen) + uint64(fpLen) + uint64(payloadLen)
+	if uint64(len(buf)) < total {
+		return "", "", nil, nil, io.ErrUnexpectedEOF
 	}
-	if got := crc64.Checksum(buf[headerLen:], crcTable); got != sum {
-		return "", "", nil, fmt.Errorf("%w (payload checksum %#x, header says %#x — corrupted?)", ErrBadFormat, got, sum)
+	body := buf[headerLen:total]
+	if got := crc64.Checksum(body, crcTable); got != sum {
+		return "", "", nil, nil, fmt.Errorf("%w (payload checksum %#x, header says %#x — corrupted?)", ErrBadFormat, got, sum)
 	}
-	kind = string(buf[headerLen : headerLen+kindLen])
-	fp = string(buf[headerLen+kindLen : headerLen+kindLen+fpLen])
-	payload = buf[headerLen+kindLen+fpLen : total]
+	kind = string(body[:kindLen])
+	fp = string(body[kindLen : kindLen+fpLen])
+	return kind, fp, body[kindLen+fpLen:], buf[total:], nil
+}
+
+// Decode validates and decodes a serialized record: Next, with no bytes
+// after the record. The returned payload aliases buf, and Encode of
+// what it returns gives buf back. Truncated or corrupted input fails
+// with ErrBadFormat.
+func Decode(buf []byte) (kind, fp string, payload []byte, err error) {
+	kind, fp, payload, rest, err := Next(buf)
+	switch {
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "", "", nil, fmt.Errorf("%w (file is %d bytes, shorter than its record — truncated?)", ErrBadFormat, len(buf))
+	case err != nil:
+		return "", "", nil, err
+	case len(rest) != 0:
+		return "", "", nil, fmt.Errorf("%w (%d bytes after the record)", ErrBadFormat, len(rest))
+	}
 	return kind, fp, payload, nil
 }
 

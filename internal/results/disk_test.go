@@ -3,6 +3,7 @@ package results
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,6 +105,48 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// The checksum covers only the payload, so a set reserved byte passes
 	// it; Decode must still refuse a header Encode never writes.
 	corrupt("reserved byte set", func(b []byte) []byte { b[40] = 1; return b })
+}
+
+// TestNextReadsARun pins Next, the reader of a run of records (the
+// coordinator's lease log): each record reads back in order with the
+// bytes after it; a run cut at any byte yields every complete record
+// before the cut and then io.ErrUnexpectedEOF, whatever the cut-off
+// bytes are; and a complete record that fails its check is ErrBadFormat.
+func TestNextReadsARun(t *testing.T) {
+	recs := []struct{ kind, fp, payload string }{
+		{"timing", "fp-a", "first"},
+		{"timing", "fp-a", ""},
+		{"trace", "fp-b", "third record"},
+	}
+	var run []byte
+	ends := make([]int, len(recs))
+	for i, r := range recs {
+		run = append(run, Encode(r.kind, r.fp, []byte(r.payload))...)
+		ends[i] = len(run)
+	}
+	for cut := 0; cut <= len(run); cut++ {
+		rest := run[:cut]
+		for i, r := range recs {
+			kind, fp, payload, next, err := Next(rest)
+			if ends[i] > cut {
+				if !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("cut at %d: record %d err = %v, want io.ErrUnexpectedEOF", cut, i, err)
+				}
+				break
+			}
+			if err != nil || kind != r.kind || fp != r.fp || string(payload) != r.payload {
+				t.Fatalf("cut at %d: record %d = (%q, %q, %q, %v), want (%q, %q, %q)", cut, i, kind, fp, payload, err, r.kind, r.fp, r.payload)
+			}
+			rest = next
+		}
+	}
+	flipped := bytes.Clone(run)
+	flipped[ends[0]+headerLen] ^= 0x01 // the second record's kind
+	if _, _, _, rest, err := Next(flipped); err != nil {
+		t.Fatal(err)
+	} else if _, _, _, _, err := Next(rest); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("flipped complete record: err = %v, want ErrBadFormat", err)
+	}
 }
 
 // TestReadFileRejectsWrongFingerprint pins the address check: a valid

@@ -212,62 +212,6 @@ type SweepDataset struct {
 	// def's defaults already applied).
 	Warm    int `json:"warm"`
 	Measure int `json:"measure"`
-
-	// derived is what Datasets or decoding derived of the dataset's store
-	// key, which the methods hand on while the fields it was derived
-	// from are unchanged: rendering a key costs about 11 µs.
-	derived *derivedKey
-}
-
-// derivedKey is what was derived of a dataset's store key, and the
-// fields it was derived from: the content address, and the key itself
-// unless only the address is kept.
-type derivedKey struct {
-	name          string
-	params        *WorkloadParams
-	seed          uint64
-	warm, measure int
-	key           *dataset.Key
-	addr          string
-}
-
-// UnmarshalJSON decodes a dataset and derives its store key once, for
-// every method the receiving side calls. A workload this process cannot
-// resolve decodes all the same; each method reports the error.
-func (sd *SweepDataset) UnmarshalJSON(raw []byte) error {
-	type fields SweepDataset
-	var v fields
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return err
-	}
-	*sd = SweepDataset(v)
-	if key, err := sd.key(); err == nil {
-		*sd = sd.remember(key, true)
-	}
-	return nil
-}
-
-// remember returns sd carrying key's content address, and key itself
-// when whole is set.
-func (sd SweepDataset) remember(key dataset.Key, whole bool) SweepDataset {
-	d := &derivedKey{name: sd.Workload.Name, params: sd.Workload.Params, seed: sd.Seed,
-		warm: sd.Warm, measure: sd.Measure, addr: key.Addr()}
-	if whole {
-		d.key = &key
-	}
-	sd.derived = d
-	return sd
-}
-
-// remembered returns what was derived of sd's key, or nil when nothing
-// was or a field it was derived from has changed since.
-func (sd SweepDataset) remembered() *derivedKey {
-	d := sd.derived
-	if d == nil || d.name != sd.Workload.Name || d.params != sd.Workload.Params ||
-		d.seed != sd.Seed || d.warm != sd.Warm || d.measure != sd.Measure {
-		return nil
-	}
-	return d
 }
 
 // params resolves the dataset's fully-specified workload parameters
@@ -276,12 +220,8 @@ func (sd SweepDataset) params() (workload.Params, error) {
 	return sd.Workload.paramsAt(sd.Seed)
 }
 
-// key resolves the dataset's tiered-store key, deriving it unless it
-// was derived for these fields already.
+// key derives the dataset's tiered-store key from its fields.
 func (sd SweepDataset) key() (dataset.Key, error) {
-	if d := sd.remembered(); d != nil && d.key != nil {
-		return *d.key, nil
-	}
 	p, err := sd.params()
 	if err != nil {
 		return dataset.Key{}, err
@@ -314,9 +254,6 @@ func (sd SweepDataset) Prewarm() error {
 // SweepDataset, so a coordinator and worker that disagree about a
 // workload's identity can never exchange bytes for it.
 func (sd SweepDataset) ContentKey() (string, error) {
-	if d := sd.remembered(); d != nil {
-		return d.addr, nil
-	}
 	key, err := sd.key()
 	if err != nil {
 		return "", err
@@ -395,30 +332,17 @@ func (sd SweepDataset) SpillTo(dir string) (string, error) {
 // Datasets enumerates the shared datasets the sweep's cells replay at
 // the resolved scale, one per content key, in plan order of first use.
 // A generated workload has one dataset per seed; an imported trace
-// ignores the seed, so all its cells share one. Each dataset carries the
-// content address derived here, so ContentKey derives it no more; the
-// datasets keep only the address, since a coordinator holds them for a
-// whole sweep.
+// ignores the seed, so all its cells share one.
 func (d SweepDef) Datasets() ([]SweepDataset, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	seeds := d.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
-	}
-	defWarm, defMeasure := d.Warm, d.Measure
-	if defWarm == 0 {
-		defWarm = DefaultWarmMisses
-	}
-	if defMeasure == 0 {
-		defMeasure = DefaultMeasureMisses
-	}
-	out := make([]SweepDataset, 0, len(d.Workloads)*len(seeds))
+	cfg := newRunnerConfig(d.runnerOptions(nil))
+	out := make([]SweepDataset, 0, len(d.Workloads)*len(cfg.seeds))
 	seen := make(map[dataset.Key]bool, cap(out))
 	for _, w := range d.Workloads {
-		warm, measure := scaleOf(w.Warm, w.Measure, defWarm, defMeasure)
-		for _, seed := range seeds {
+		warm, measure := scaleOf(w.Warm, w.Measure, cfg.warm, cfg.measure)
+		for _, seed := range cfg.seeds {
 			sd := SweepDataset{Workload: w, Seed: seed, Warm: warm, Measure: measure}
 			key, err := sd.key()
 			if err != nil {
@@ -426,7 +350,7 @@ func (d SweepDef) Datasets() ([]SweepDataset, error) {
 			}
 			if !seen[key] {
 				seen[key] = true
-				out = append(out, sd.remember(key, false))
+				out = append(out, sd)
 			}
 		}
 	}

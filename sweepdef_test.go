@@ -161,8 +161,22 @@ func TestSweepDefDatasets(t *testing.T) {
 	if ds[2].Warm != 1000 || ds[2].Measure != 1100 {
 		t.Errorf("default-scale dataset = %+v, want def defaults 1000/1100", ds[2])
 	}
-	// A listed or decoded dataset hands on the key derived for it; one
-	// whose fields change since derives the changed dataset's key.
+	// A def with no seeds and no scale lists the runner defaults: seed 1
+	// at DefaultWarmMisses/DefaultMeasureMisses.
+	bare, err := destset.SweepDef{
+		Kind:      destset.PlanKindTiming,
+		Sims:      []destset.SimSpec{{Protocol: destset.ProtocolSnooping}},
+		Workloads: []destset.WorkloadSpec{{Name: "oltp"}},
+	}.Datasets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bare) != 1 || bare[0].Seed != 1 || bare[0].Warm != destset.DefaultWarmMisses || bare[0].Measure != destset.DefaultMeasureMisses {
+		t.Errorf("defaults-only def lists %+v, want seed 1 at %d/%d", bare, destset.DefaultWarmMisses, destset.DefaultMeasureMisses)
+	}
+	// A content key is derived from the dataset's fields: a decoded
+	// dataset has its listed key, and one whose fields change has the
+	// changed dataset's key.
 	key := func(sd destset.SweepDataset) string {
 		t.Helper()
 		k, err := sd.ContentKey()
