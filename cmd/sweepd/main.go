@@ -48,9 +48,11 @@
 // directory of accepted uploads, one result record per completed range
 // at the address its range determines. A coordinator killed mid-sweep —
 // even with kill -9 — restarts over the same -state-dir, replays its
-// log, re-adopts completed ranges whose spills are still there and
-// check out without re-leasing them, requeues whatever was in flight,
-// and produces byte-identical output. Without -state-dir the
+// log through the same transitions that wrote it, re-adopts completed
+// ranges whose spills are still there and check out without re-leasing
+// them, requeues whatever was in flight, and produces byte-identical
+// output. A torn last record (the kill's artifact) is dropped; any
+// other damage to the log refuses the resume. Without -state-dir the
 // coordinator writes the same state to a private temp dir that it
 // removes on exit, so a crash loses progress (unless -result-dir caches
 // it).

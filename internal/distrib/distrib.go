@@ -28,13 +28,20 @@
 // manifest followed by the spills concatenated in task order, each
 // checked whole as a result record before it is copied — byte-identical
 // to what the same sweep writes in one process at parallelism 1, the
-// invariant that makes the whole service testable end to end. The lease
-// table and every transition after it are appended to one log of result
-// records in the state dir (wal.go): a coordinator killed mid-sweep and
-// restarted over the same -state-dir re-adopts completed ranges,
-// requeues in-flight leases, and resumes the same sweep under the same
-// plan fingerprint. Without a -state-dir the coordinator runs the same
-// path over a private temp dir, which Close removes.
+// invariant that makes the whole service testable end to end.
+//
+// The lease table is the coordinator's task list itself, and one
+// function, apply, makes each of its transitions: a grant, expiry,
+// failure, completion or sweep failure. A request builds its transition
+// as an event, applies it and appends it to one log of result records in
+// the state dir (wal.go), after the table as the coordinator started. A
+// coordinator killed mid-sweep and restarted over the same -state-dir
+// replays that log through the same apply, so it resumes exactly the
+// table that was logged, under the same plan fingerprint, and then
+// reconciles it: in-flight leases are requeued, completed ranges whose
+// spills fail their check are recomputed, and ranges the result store
+// serves whole are adopted. Without a -state-dir the coordinator runs
+// the same path over a private temp dir, which Close removes.
 package distrib
 
 import (
@@ -46,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,33 +132,38 @@ type Config struct {
 	Results *destset.ResultStore
 }
 
-// taskState is one lease range's lifecycle position.
-type taskState uint8
+// taskState is one lease range's lifecycle position, named as the
+// lease table names it.
+type taskState string
 
 const (
-	taskPending taskState = iota // queued, waiting for a worker
-	taskLeased                   // granted, deadline running
-	taskDone                     // first valid completion accepted
+	taskPending taskState = "pending" // queued, waiting for a worker
+	taskLeased  taskState = "leased"  // granted, deadline running
+	taskDone    taskState = "done"    // first valid completion accepted
 )
 
-// task is one contiguous range of plan cell indices [lo, hi) — the unit
-// of leasing, retry and completion. Tasks partition the plan: every
-// cell belongs to exactly one task, and tasks are ordered by lo.
+// task is one contiguous range of plan cell indices [Lo, Hi) — the unit
+// of leasing, retry and completion — and its record in the lease table,
+// under the table's JSON names. Tasks partition the plan: every cell
+// belongs to exactly one task, and tasks are ordered by Lo.
 type task struct {
-	lo, hi   int
-	state    taskState
-	attempts int // grants so far
-	// leaseID/worker/deadline describe the current grant (state
-	// taskLeased).
-	leaseID  string
-	worker   string
-	deadline time.Time
-	// lastFailed is the worker whose lease over this range last expired
-	// or failed; re-grants prefer a different worker.
-	lastFailed string
-	// cached marks ranges served by the result store rather than
+	Lo    int       `json:"lo"`
+	Hi    int       `json:"hi"`
+	State taskState `json:"state"`
+	// Attempts counts the grants so far.
+	Attempts int `json:"attempts,omitempty"`
+	// Cached marks ranges served by the result store rather than
 	// computed by a worker.
-	cached bool
+	Cached bool `json:"cached,omitempty"`
+	// Lease and Worker name the current grant (state taskLeased).
+	Lease  string `json:"lease,omitempty"`
+	Worker string `json:"worker,omitempty"`
+	// LastFailed is the worker whose lease over this range last expired
+	// or failed; re-grants prefer a different worker.
+	LastFailed string `json:"last_failed,omitempty"`
+	// deadline ends the current grant unless a heartbeat renews it. It
+	// dies with the process, so the table does not hold it.
+	deadline time.Time
 }
 
 // maxCachedRun caps how many store-served cells one synthesized spill
@@ -178,22 +191,24 @@ type Coordinator struct {
 	// handlers write it outside mu.
 	dsBytes atomic.Int64
 
-	mu      sync.Mutex
-	st      *walState
-	tasks   []*task
-	pending []int // task indices, front = next granted
+	mu sync.Mutex
+	st *walState
+	// tbl is the lease table: the tasks, the pending queue (task
+	// indices, front = next granted) and the sweep's failure. begin logs
+	// it as it stands, and apply makes every change to it after that.
+	tbl *leaseTable
 	// leased holds the currently-granted task indices, so lazy expiry
 	// scans O(outstanding leases), not O(all tasks).
-	leased      map[int]bool
-	leases      map[string]int // lease id -> task index, kept for the sweep's lifetime
-	nextLease   int
-	doneTasks   int
+	leased    map[int]bool
+	leases    map[string]int // lease id -> task index, kept for the sweep's lifetime
+	nextLease int
+	// doneCells, cachedCells and leasedCells count the cells of done,
+	// done and cached, and leased tasks; only count changes them.
 	doneCells   int
 	cachedCells int
 	leasedCells int
 	draining    bool
 	stateWarned bool
-	failed      error
 	done        chan struct{} // closed when all tasks complete or the sweep fails
 	workers     map[string]time.Time
 }
@@ -201,9 +216,9 @@ type Coordinator struct {
 // NewCoordinator validates the definition, computes the plan and splits
 // it into lease ranges — or, when cfg.StateDir holds a prior
 // incarnation's log for the same plan, resumes it: the logged events are
-// replayed over the logged lease table, completed ranges are re-adopted
-// after their spill files revalidate, and in-flight leases are
-// requeued.
+// replayed over the logged lease table (replay), then completed ranges
+// are re-adopted after their spill files revalidate and in-flight
+// leases are requeued (reconcile).
 // It fails on defs whose cells are not uniquely labeled — observation
 // records name cells by (label, workload, seed), and ambiguous labels
 // would make uploads unattributable (see SweepPlan.RecordIndex).
@@ -250,8 +265,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cellOf:   cellOf,
 		wire:     wire,
 		dsetKeys: dsetKeys,
-		leased:   make(map[int]bool),
-		leases:   make(map[string]int),
 		done:     make(chan struct{}),
 		workers:  make(map[string]time.Time),
 	}
@@ -269,7 +282,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	switch {
 	case err != nil:
 	case tbl != nil:
-		err = c.resume(tbl, events)
+		if err = c.replay(tbl, events); err == nil {
+			c.reconcile()
+		}
 	default:
 		err = c.build()
 	}
@@ -278,36 +293,29 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 
-	for _, t := range c.tasks {
-		if t.state == taskDone {
-			c.doneTasks++
-			c.doneCells += t.hi - t.lo
-			if t.cached {
-				c.cachedCells += t.hi - t.lo
-			}
-		}
-	}
 	if c.cachedCells > 0 {
 		c.logf("result store served %d/%d cells; %d to compute",
 			c.cachedCells, plan.Len(), plan.Len()-c.doneCells)
 	}
 	// Durable truth at birth: a new log that opens with the (re)built
 	// lease table. A failure here disables durability but not the sweep.
-	if err := c.st.begin(c.tableLocked()); err != nil {
+	if err := c.st.begin(c.tbl); err != nil {
 		c.stateWarned = true
 		c.logf("%v", err)
 	}
-	if c.failed != nil || c.doneTasks == len(c.tasks) {
+	if c.tbl.Failed != "" || c.doneCells == plan.Len() {
 		close(c.done)
 	}
 	return c, nil
 }
 
-// build lays out a fresh sweep's tasks: contiguous runs of result-store
-// hits become completed ranges (their spills synthesized from stored
-// lines), the misses between them become chunked pending lease ranges.
+// build lays out a fresh sweep's lease table: contiguous runs of
+// result-store hits become completed ranges (their spills synthesized
+// from stored lines), the misses between them become chunked pending
+// lease ranges.
 func (c *Coordinator) build() error {
 	plan := c.plan
+	tbl := &leaseTable{Plan: plan.Fingerprint(), Kind: c.def.Kind}
 	var hit []bool
 	if c.cfg.Results != nil {
 		hit = make([]bool, plan.Len())
@@ -326,7 +334,7 @@ func (c *Coordinator) build() error {
 			if err := c.spillStored(lo, hi); err != nil {
 				return err
 			}
-			c.tasks = append(c.tasks, &task{lo: lo, hi: hi, state: taskDone, cached: true})
+			tbl.Tasks = append(tbl.Tasks, &task{Lo: lo, Hi: hi, State: taskDone, Cached: true})
 			lo = hi
 			continue
 		}
@@ -334,11 +342,11 @@ func (c *Coordinator) build() error {
 		for hi < plan.Len() && hi-lo < c.cfg.ChunkSize && !(hit != nil && hit[hi]) {
 			hi++
 		}
-		c.pending = append(c.pending, len(c.tasks))
-		c.tasks = append(c.tasks, &task{lo: lo, hi: hi})
+		tbl.Pending = append(tbl.Pending, len(tbl.Tasks))
+		tbl.Tasks = append(tbl.Tasks, &task{Lo: lo, Hi: hi, State: taskPending})
 		lo = hi
 	}
-	return nil
+	return c.install(tbl)
 }
 
 // spillStored synthesizes the spill file for a range fully served by
@@ -355,215 +363,197 @@ func (c *Coordinator) spillStored(lo, hi int) error {
 	return writeSpill(c.st.spillDir, c.def.Kind, c.plan.Fingerprint(), lo, hi, perCell)
 }
 
-// resume rebuilds the lease table a prior incarnation logged, replays
-// the events logged after it, and reconciles:
-// in-flight leases are requeued to the front (their grants already
-// counted against the attempt budget; surviving workers' heartbeats get
-// ErrLeaseGone, but a completion they upload for the old lease id is
-// still adopted), completed ranges are kept only if their spill files
-// revalidate, and pending ranges the result store can now serve whole
-// are completed without leasing.
-func (c *Coordinator) resume(tbl *leaseTable, events []walEvent) error {
-	fp := c.plan.Fingerprint()
-	if tbl.Plan != fp || tbl.Kind != c.def.Kind {
+// replay takes over the lease table a prior incarnation logged and
+// applies the events logged after it, in order, through apply — the
+// function the requests that made them went through — so the table it
+// leaves is the one that incarnation last had. Replay is strict: a
+// table that is not this plan's, or an event that does not apply,
+// means the state dir is corrupt, and recovery refuses rather than
+// guesses.
+func (c *Coordinator) replay(tbl *leaseTable, events []walEvent) error {
+	if fp := c.plan.Fingerprint(); tbl.Plan != fp || tbl.Kind != c.def.Kind {
 		return fmt.Errorf("distrib: state dir %q holds a %s sweep with plan %s, not this %s sweep (plan %s) — resume must use the same def",
 			c.cfg.StateDir, tbl.Kind, tbl.Plan, c.def.Kind, fp)
 	}
+	if err := c.install(tbl); err != nil {
+		return err
+	}
+	for i, ev := range events {
+		if err := c.apply(ev); err != nil {
+			return fmt.Errorf("%w: logged event %d (%s): %v", ErrStateCorrupt, i, ev.E, err)
+		}
+	}
+	return nil
+}
+
+// install makes tbl the coordinator's lease table once it checks out:
+// its tasks partition the plan in order, each in a known state, and its
+// queue holds pending tasks only. It indexes the leased tasks and counts
+// every task's cells.
+func (c *Coordinator) install(tbl *leaseTable) error {
+	c.tbl = tbl
+	c.leased, c.leases = make(map[int]bool), make(map[string]int)
 	next := 0
-	for ti, tc := range tbl.Tasks {
-		if tc.Lo != next || tc.Hi <= tc.Lo || tc.Hi > c.plan.Len() {
-			return fmt.Errorf("%w: lease table task %d covers [%d,%d), want a partition resuming at %d",
-				ErrStateCorrupt, ti, tc.Lo, tc.Hi, next)
+	for ti, t := range tbl.Tasks {
+		if t == nil || t.Lo != next || t.Hi <= t.Lo || t.Hi > c.plan.Len() {
+			return fmt.Errorf("%w: lease table task %d does not continue a partition of the plan at cell %d",
+				ErrStateCorrupt, ti, next)
 		}
-		next = tc.Hi
-		t := &task{lo: tc.Lo, hi: tc.Hi, attempts: tc.Attempts, cached: tc.Cached,
-			lastFailed: tc.LastFailed}
-		switch tc.State {
-		case "pending":
-			t.state = taskPending
-		case "leased":
-			t.state = taskLeased
-			t.leaseID, t.worker = tc.Lease, tc.Worker
+		next = t.Hi
+		switch t.State {
+		case taskLeased:
 			c.leased[ti] = true
-			c.leases[tc.Lease] = ti
-		case "done":
-			t.state = taskDone
+			c.leases[t.Lease] = ti
+		case taskPending, taskDone:
 		default:
-			return fmt.Errorf("%w: lease table task %d in unknown state %q", ErrStateCorrupt, ti, tc.State)
+			return fmt.Errorf("%w: lease table task %d in unknown state %q", ErrStateCorrupt, ti, t.State)
 		}
-		c.tasks = append(c.tasks, t)
+		c.count(t, 1)
 	}
 	if next != c.plan.Len() {
 		return fmt.Errorf("%w: lease table tasks cover %d of %d plan cells", ErrStateCorrupt, next, c.plan.Len())
 	}
 	for _, ti := range tbl.Pending {
-		if ti < 0 || ti >= len(c.tasks) || c.tasks[ti].state != taskPending {
+		if ti < 0 || ti >= len(tbl.Tasks) || tbl.Tasks[ti].State != taskPending {
 			return fmt.Errorf("%w: lease table queues task %d, which is not pending", ErrStateCorrupt, ti)
 		}
-		c.pending = append(c.pending, ti)
 	}
-	if tbl.Failed != "" {
-		c.failed = errors.New(tbl.Failed)
-	}
-	for i, ev := range events {
-		if err := c.applyLocked(ev); err != nil {
-			return fmt.Errorf("%w: logged event %d (%s): %v", ErrStateCorrupt, i, ev.E, err)
-		}
-	}
-
-	// Reconcile. The prior incarnation's deadlines died with it: requeue
-	// every in-flight lease, front of the queue, attempts unchanged.
-	requeued := 0
-	for ti := len(c.tasks) - 1; ti >= 0; ti-- {
-		t := c.tasks[ti]
-		if t.state != taskLeased {
-			continue
-		}
-		t.state = taskPending
-		t.leaseID, t.worker, t.deadline = "", "", time.Time{}
-		delete(c.leased, ti)
-		c.pending = append([]int{ti}, c.pending...)
-		requeued++
-	}
-	// Trust no spill unseen: a completed range stays completed only if
-	// the file at its address is still there and validates whole.
-	demoted := 0
-	for ti := len(c.tasks) - 1; ti >= 0; ti-- {
-		t := c.tasks[ti]
-		if t.state != taskDone {
-			continue
-		}
-		if err := copySpill(io.Discard, c.st.spillDir, c.def.Kind, fp, t.lo, t.hi); err != nil {
-			c.logf("spill for cells [%d,%d) failed validation; recomputing: %v", t.lo, t.hi, err)
-			t.state, t.cached = taskPending, false
-			c.pending = append([]int{ti}, c.pending...)
-			demoted++
-		}
-	}
-	// Ranges the result store can serve whole — typically uploads whose
-	// complete event was lost to the crash but whose cells were already
-	// store-spilled — complete without leasing.
-	adopted := 0
-	if c.cfg.Results != nil && c.failed == nil {
-		kept := c.pending[:0]
-		for _, ti := range c.pending {
-			t := c.tasks[ti]
-			if c.spillStored(t.lo, t.hi) == nil {
-				t.state, t.cached = taskDone, true
-				adopted++
-				continue
-			}
-			kept = append(kept, ti)
-		}
-		c.pending = kept
-	}
-	doneCells := 0
-	for _, t := range c.tasks {
-		if t.state == taskDone {
-			doneCells += t.hi - t.lo
-		}
-	}
-	c.logf("resumed sweep %s from %s (epoch %d): %d/%d cells done, %d lease(s) requeued, %d range(s) demoted, %d adopted from result store",
-		fp, c.cfg.StateDir, c.st.epoch, doneCells, c.plan.Len(), requeued, demoted, adopted)
 	return nil
 }
 
-// applyLocked replays one logged event onto the logged lease table.
-// Replay is strict: an event that does not apply cleanly means the
-// state dir is corrupt, and recovery refuses rather than guesses.
-func (c *Coordinator) applyLocked(ev walEvent) error {
+// reconcile settles a replayed table with what outlived its
+// incarnation. The deadlines died with it, so every in-flight lease is
+// requeued, attempts unchanged: a surviving worker's heartbeats get
+// ErrLeaseGone, but a completion it uploads for the old lease id is
+// still adopted. A completed range stays completed only if the spill at
+// its address still validates whole. And pending ranges the result
+// store can serve whole — typically uploads whose complete event was
+// lost to the crash but whose cells were already store-spilled —
+// complete without leasing.
+func (c *Coordinator) reconcile() {
+	fp := c.plan.Fingerprint()
+	requeued, demoted, adopted := 0, 0, 0
+	for ti := len(c.tbl.Tasks) - 1; ti >= 0; ti-- {
+		if c.tbl.Tasks[ti].State == taskLeased {
+			c.move(ti, taskPending)
+			requeued++
+		}
+	}
+	for ti := len(c.tbl.Tasks) - 1; ti >= 0; ti-- {
+		t := c.tbl.Tasks[ti]
+		if t.State != taskDone {
+			continue
+		}
+		if err := copySpill(io.Discard, c.st.spillDir, c.def.Kind, fp, t.Lo, t.Hi); err != nil {
+			c.logf("spill for cells [%d,%d) failed validation; recomputing: %v", t.Lo, t.Hi, err)
+			c.move(ti, taskPending)
+			t.Cached = false
+			demoted++
+		}
+	}
+	if c.cfg.Results != nil && c.tbl.Failed == "" {
+		for _, ti := range slices.Clone(c.tbl.Pending) {
+			t := c.tbl.Tasks[ti]
+			if c.spillStored(t.Lo, t.Hi) == nil {
+				t.Cached = true
+				c.move(ti, taskDone)
+				adopted++
+			}
+		}
+	}
+	c.logf("resumed sweep %s from %s (epoch %d): %d/%d cells done, %d lease(s) requeued, %d range(s) demoted, %d adopted from result store",
+		fp, c.cfg.StateDir, c.st.epoch, c.doneCells, c.plan.Len(), requeued, demoted, adopted)
+}
+
+// apply makes the lease-table transition ev names — a grant, expiry,
+// failure, completion or sweep failure. Requests build their event and
+// commit it (commitLocked), and replay applies the logged ones, so the
+// live table and its replay change through the same code; only
+// reconcile, before the table is logged, moves tasks otherwise. An
+// event that does not fit the table, such as the expiry of a lease that
+// is not current, changes nothing and is an error.
+func (c *Coordinator) apply(ev walEvent) error {
 	if ev.E == "sweepfail" {
 		if ev.Reason == "" {
 			return errors.New("sweepfail without a reason")
 		}
-		c.failed = errors.New(ev.Reason)
+		c.tbl.Failed = ev.Reason
 		return nil
 	}
-	if ev.Task < 0 || ev.Task >= len(c.tasks) {
+	if ev.Task < 0 || ev.Task >= len(c.tbl.Tasks) {
 		return fmt.Errorf("task %d out of range", ev.Task)
 	}
-	t := c.tasks[ev.Task]
-	withdraw := func() bool {
-		for i, ti := range c.pending {
-			if ti == ev.Task {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				return true
-			}
-		}
-		return false
-	}
-	switch ev.E {
-	case "grant":
-		if t.state != taskPending || !withdraw() {
-			return errors.New("grant of a task that was not queued")
-		}
-		t.state = taskLeased
-		t.attempts = ev.Attempts
-		t.leaseID, t.worker = ev.Lease, ev.Worker
-		c.leased[ev.Task] = true
+	t := c.tbl.Tasks[ev.Task]
+	switch {
+	case ev.E == "grant" && slices.Contains(c.tbl.Pending, ev.Task):
+		c.move(ev.Task, taskLeased)
+		t.Attempts, t.Lease, t.Worker = ev.Attempts, ev.Lease, ev.Worker
 		c.leases[ev.Lease] = ev.Task
-	case "expire", "fail":
-		if t.state != taskLeased || t.leaseID != ev.Lease {
-			return fmt.Errorf("%s of a lease that is not current", ev.E)
-		}
-		t.lastFailed = ev.Worker
-		t.state = taskPending
-		t.leaseID, t.worker, t.deadline = "", "", time.Time{}
-		delete(c.leased, ev.Task)
-		c.pending = append([]int{ev.Task}, c.pending...)
-	case "complete":
-		if t.state == taskDone {
-			return errors.New("complete of an already-completed task")
-		}
-		if t.state == taskLeased {
-			delete(c.leased, ev.Task)
-		} else {
-			withdraw()
-		}
-		t.state, t.cached = taskDone, false
-		t.leaseID, t.worker, t.deadline = "", "", time.Time{}
+	case (ev.E == "expire" || ev.E == "fail") && t.State == taskLeased && t.Lease == ev.Lease:
+		t.LastFailed = ev.Worker
+		c.move(ev.Task, taskPending)
+	case ev.E == "complete" && t.State != taskDone:
+		t.Cached = false
+		c.move(ev.Task, taskDone)
 	default:
-		return fmt.Errorf("unknown event %q", ev.E)
+		return fmt.Errorf("does not fit task %d (state %s, lease %q)", ev.Task, t.State, t.Lease)
 	}
 	return nil
 }
 
-// tableLocked captures the lease table for the log's first record.
-func (c *Coordinator) tableLocked() *leaseTable {
-	tbl := &leaseTable{
-		Plan:    c.plan.Fingerprint(),
-		Kind:    c.def.Kind,
-		Tasks:   make([]tableTask, len(c.tasks)),
-		Pending: append([]int(nil), c.pending...),
-	}
-	for i, t := range c.tasks {
-		tc := tableTask{Lo: t.lo, Hi: t.hi, Attempts: t.attempts,
-			Cached: t.cached, LastFailed: t.lastFailed}
-		switch t.state {
-		case taskPending:
-			tc.State = "pending"
-		case taskLeased:
-			tc.State = "leased"
-			tc.Lease, tc.Worker = t.leaseID, t.worker
-		case taskDone:
-			tc.State = "done"
+// move puts task ti in state to and keeps the pending queue, the leased
+// set and the counters in step: a task leaves the queue when it is
+// granted or completed and rejoins it at the front, so retries run
+// before untouched work, and a task that is no longer leased drops its
+// grant. A task's Cached flag may change only while it is not done.
+func (c *Coordinator) move(ti int, to taskState) {
+	t := c.tbl.Tasks[ti]
+	c.count(t, -1)
+	switch t.State {
+	case taskPending:
+		if i := slices.Index(c.tbl.Pending, ti); i >= 0 {
+			c.tbl.Pending = slices.Delete(c.tbl.Pending, i, i+1)
 		}
-		tbl.Tasks[i] = tc
+	case taskLeased:
+		delete(c.leased, ti)
+		t.Lease, t.Worker, t.deadline = "", "", time.Time{}
 	}
-	if c.failed != nil {
-		tbl.Failed = c.failed.Error()
+	switch t.State = to; to {
+	case taskPending:
+		c.tbl.Pending = slices.Insert(c.tbl.Pending, 0, ti)
+	case taskLeased:
+		c.leased[ti] = true
 	}
-	return tbl
+	c.count(t, 1)
 }
 
-// recordLocked logs one lease-table transition. Durability failures are
-// logged once and disable further state writes; the in-memory sweep
-// continues.
-func (c *Coordinator) recordLocked(ev walEvent) {
+// count adds t's cells to the counters of its state (sign 1) or takes
+// them away (sign -1).
+func (c *Coordinator) count(t *task, sign int) {
+	n := sign * (t.Hi - t.Lo)
+	switch t.State {
+	case taskLeased:
+		c.leasedCells += n
+	case taskDone:
+		c.doneCells += n
+		if t.Cached {
+			c.cachedCells += n
+		}
+	}
+}
+
+// commitLocked applies a transition a request makes and logs it,
+// reporting whether it applied. Durability failures are logged once and
+// disable further state writes; the in-memory sweep continues.
+func (c *Coordinator) commitLocked(ev walEvent) bool {
+	if c.apply(ev) != nil {
+		return false
+	}
 	if err := c.st.append(ev); err != nil && !c.stateWarned {
 		c.stateWarned = true
 		c.logf("%v", err)
 	}
+	return true
 }
 
 // logf emits one progress line when a logger is configured.
@@ -639,7 +629,7 @@ func (c *Coordinator) Info() SweepInfo {
 		Plan:        c.plan.Fingerprint(),
 		Kind:        c.def.Kind,
 		Cells:       c.plan.Len(),
-		Tasks:       len(c.tasks),
+		Tasks:       len(c.tbl.Tasks),
 		LeaseTTLMs:  c.cfg.LeaseTTL.Milliseconds(),
 		Def:         c.def,
 		Datasets:    c.datasets,
@@ -724,35 +714,21 @@ func (c *Coordinator) checkPlan(planFP string) error {
 // The scan covers only the currently-leased set (bounded by the fleet
 // size), not the whole task list.
 func (c *Coordinator) expireLocked(now time.Time) {
-	for i := range c.leased {
-		t := c.tasks[i]
+	for ti := range c.leased {
+		t := c.tbl.Tasks[ti]
 		if now.After(t.deadline) {
 			c.logf("lease %s (worker %s) expired; requeued cells [%d,%d) after %d attempt(s)",
-				t.leaseID, t.worker, t.lo, t.hi, t.attempts)
-			c.recordLocked(walEvent{E: "expire", Task: i, Lease: t.leaseID, Worker: t.worker})
-			t.lastFailed = t.worker
-			c.requeueLocked(i)
+				t.Lease, t.Worker, t.Lo, t.Hi, t.Attempts)
+			c.commitLocked(walEvent{E: "expire", Task: ti, Lease: t.Lease, Worker: t.Worker})
 		}
 	}
 }
 
-// requeueLocked returns a leased range to the front of the queue, so
-// retries run before untouched work.
-func (c *Coordinator) requeueLocked(ti int) {
-	t := c.tasks[ti]
-	t.state = taskPending
-	t.leaseID, t.worker, t.deadline = "", "", time.Time{}
-	delete(c.leased, ti)
-	c.leasedCells -= t.hi - t.lo
-	c.pending = append([]int{ti}, c.pending...)
-}
-
 // failLocked marks the whole sweep failed and releases waiters.
 func (c *Coordinator) failLocked(err error) {
-	if c.failed == nil {
-		c.failed = err
+	if c.tbl.Failed == "" {
 		c.logf("sweep failed: %v", err)
-		c.recordLocked(walEvent{E: "sweepfail", Reason: err.Error()})
+		c.commitLocked(walEvent{E: "sweepfail", Reason: err.Error()})
 		close(c.done)
 	}
 }
@@ -773,47 +749,39 @@ func (c *Coordinator) Lease(worker, planFP string) (LeaseReply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.workers[worker] = now
-	if c.failed != nil {
-		return LeaseReply{Failed: c.failed.Error()}, nil
+	if c.tbl.Failed != "" {
+		return LeaseReply{Failed: c.tbl.Failed}, nil
 	}
 	c.expireLocked(now)
-	if c.doneTasks == len(c.tasks) {
+	if c.doneCells == c.plan.Len() {
 		return LeaseReply{Done: true}, nil
 	}
-	if c.draining || len(c.pending) == 0 {
+	if c.draining || len(c.tbl.Pending) == 0 {
 		return LeaseReply{}, nil
 	}
 	// Mild anti-affinity: skip ranges this worker already failed when
 	// something else is pending.
-	pick := 0
-	for i, ti := range c.pending {
-		if c.tasks[ti].lastFailed != worker {
-			pick = i
+	ti := c.tbl.Pending[0]
+	for _, pi := range c.tbl.Pending {
+		if c.tbl.Tasks[pi].LastFailed != worker {
+			ti = pi
 			break
 		}
 	}
-	ti := c.pending[pick]
-	c.pending = append(c.pending[:pick], c.pending[pick+1:]...)
-	t := c.tasks[ti]
-	if t.attempts >= c.cfg.MaxAttempts {
+	t := c.tbl.Tasks[ti]
+	if t.Attempts >= c.cfg.MaxAttempts {
 		c.failLocked(fmt.Errorf("distrib: cells [%d,%d) failed %d attempts (last worker %s)",
-			t.lo, t.hi, t.attempts, t.lastFailed))
-		return LeaseReply{Failed: c.failed.Error()}, nil
+			t.Lo, t.Hi, t.Attempts, t.LastFailed))
+		return LeaseReply{Failed: c.tbl.Failed}, nil
 	}
-	t.attempts++
-	t.state = taskLeased
-	t.worker = worker
-	t.deadline = now.Add(c.cfg.LeaseTTL)
-	c.leased[ti] = true
-	c.leasedCells += t.hi - t.lo
-	c.nextLease++
 	// Lease ids are namespaced by the state epoch, so a resumed
 	// coordinator can never re-issue an id a prior incarnation granted.
-	t.leaseID = fmt.Sprintf("lease-%d-%d", c.st.epoch, c.nextLease)
-	c.leases[t.leaseID] = ti
-	c.recordLocked(walEvent{E: "grant", Task: ti, Lease: t.leaseID, Worker: worker, Attempts: t.attempts})
-	c.logf("%s: cells [%d,%d) -> worker %s (attempt %d)", t.leaseID, t.lo, t.hi, worker, t.attempts)
-	return LeaseReply{Lease: &Lease{ID: t.leaseID, Lo: t.lo, Hi: t.hi, TTLMs: c.cfg.LeaseTTL.Milliseconds()}}, nil
+	c.nextLease++
+	id := fmt.Sprintf("lease-%d-%d", c.st.epoch, c.nextLease)
+	c.commitLocked(walEvent{E: "grant", Task: ti, Lease: id, Worker: worker, Attempts: t.Attempts + 1})
+	t.deadline = now.Add(c.cfg.LeaseTTL)
+	c.logf("%s: cells [%d,%d) -> worker %s (attempt %d)", id, t.Lo, t.Hi, worker, t.Attempts)
+	return LeaseReply{Lease: &Lease{ID: id, Lo: t.Lo, Hi: t.Hi, TTLMs: c.cfg.LeaseTTL.Milliseconds()}}, nil
 }
 
 // Heartbeat extends a current lease's deadline. ErrLeaseGone means the
@@ -830,9 +798,9 @@ func (c *Coordinator) Heartbeat(leaseID, worker, planFP string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownLease, leaseID)
 	}
-	t := c.tasks[ti]
-	if t.state != taskLeased || t.leaseID != leaseID || now.After(t.deadline) {
-		return fmt.Errorf("%w: %s over cells [%d,%d)", ErrLeaseGone, leaseID, t.lo, t.hi)
+	t := c.tbl.Tasks[ti]
+	if t.State != taskLeased || t.Lease != leaseID || now.After(t.deadline) {
+		return fmt.Errorf("%w: %s over cells [%d,%d)", ErrLeaseGone, leaseID, t.Lo, t.Hi)
 	}
 	t.deadline = now.Add(c.cfg.LeaseTTL)
 	return nil
@@ -853,12 +821,9 @@ func (c *Coordinator) Fail(leaseID, worker, planFP, reason string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownLease, leaseID)
 	}
-	t := c.tasks[ti]
-	if t.state == taskLeased && t.leaseID == leaseID {
-		c.logf("%s: worker %s failed cells [%d,%d): %s", leaseID, worker, t.lo, t.hi, reason)
-		c.recordLocked(walEvent{E: "fail", Task: ti, Lease: leaseID, Worker: worker, Reason: reason})
-		t.lastFailed = worker
-		c.requeueLocked(ti)
+	if c.commitLocked(walEvent{E: "fail", Task: ti, Lease: leaseID, Worker: worker, Reason: reason}) {
+		t := c.tbl.Tasks[ti]
+		c.logf("%s: worker %s failed cells [%d,%d): %s", leaseID, worker, t.Lo, t.Hi, reason)
 	}
 	return nil
 }
@@ -896,14 +861,14 @@ func (c *Coordinator) Complete(leaseID, worker, planFP string, body io.Reader) (
 		c.mu.Unlock()
 		return CompleteReply{}, fmt.Errorf("%w: %q", ErrUnknownLease, leaseID)
 	}
-	t := c.tasks[ti]
-	if t.state == taskDone {
-		reply := CompleteReply{Duplicate: true, DoneCells: c.doneCells, Done: c.doneTasks == len(c.tasks)}
+	t := c.tbl.Tasks[ti]
+	if t.State == taskDone {
+		reply := CompleteReply{Duplicate: true, DoneCells: c.doneCells, Done: c.doneCells == c.plan.Len()}
 		c.mu.Unlock()
 		io.Copy(io.Discard, body)
 		return reply, nil
 	}
-	lo, hi := t.lo, t.hi
+	lo, hi := t.Lo, t.Hi
 	spillDir, kind, fp := c.st.spillDir, c.def.Kind, c.plan.Fingerprint()
 	c.mu.Unlock()
 
@@ -937,31 +902,13 @@ func (c *Coordinator) Complete(leaseID, worker, planFP string, body io.Reader) (
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.state == taskDone {
-		return CompleteReply{Duplicate: true, DoneCells: c.doneCells, Done: c.doneTasks == len(c.tasks)}, nil
+	if !c.commitLocked(walEvent{E: "complete", Task: ti, Lease: leaseID, Worker: worker}) {
+		return CompleteReply{Duplicate: true, DoneCells: c.doneCells, Done: c.doneCells == c.plan.Len()}, nil
 	}
-	switch t.state {
-	case taskPending:
-		// Expired and re-queued but not re-granted: withdraw it.
-		for i, pi := range c.pending {
-			if pi == ti {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				break
-			}
-		}
-	case taskLeased:
-		delete(c.leased, ti)
-		c.leasedCells -= t.hi - t.lo
-	}
-	t.state = taskDone
-	t.leaseID, t.worker, t.deadline = "", "", time.Time{}
-	c.doneTasks++
-	c.doneCells += hi - lo
-	c.recordLocked(walEvent{E: "complete", Task: ti, Lease: leaseID, Worker: worker})
 	c.logf("%s: worker %s completed cells [%d,%d) — %d/%d cells done",
 		leaseID, worker, lo, hi, c.doneCells, c.plan.Len())
-	done := c.doneTasks == len(c.tasks)
-	if done && c.failed == nil {
+	done := c.doneCells == c.plan.Len()
+	if done && c.tbl.Failed == "" {
 		close(c.done)
 	}
 	return CompleteReply{Accepted: true, DoneCells: c.doneCells, Done: done}, nil
@@ -1064,7 +1011,7 @@ func (c *Coordinator) Progress() Progress {
 		LeasedCells:        c.leasedCells,
 		PendingCells:       c.plan.Len() - c.doneCells - c.leasedCells,
 		Draining:           c.draining,
-		Done:               c.doneTasks == len(c.tasks),
+		Done:               c.doneCells == c.plan.Len(),
 		DatasetBytesServed: c.dsBytes.Load(),
 	}
 	if c.cfg.Results != nil {
@@ -1077,9 +1024,7 @@ func (c *Coordinator) Progress() Progress {
 			p.Workers++
 		}
 	}
-	if c.failed != nil {
-		p.Failed = c.failed.Error()
-	}
+	p.Failed = c.tbl.Failed
 	return p
 }
 
@@ -1094,7 +1039,10 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.failed
+	if c.tbl.Failed != "" {
+		return errors.New(c.tbl.Failed)
+	}
+	return nil
 }
 
 // WriteMerged writes the full-run JSONL observation file on w: one
@@ -1107,17 +1055,16 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 // is ErrStateCorrupt, and what was written to w must then be discarded.
 func (c *Coordinator) WriteMerged(w io.Writer) error {
 	c.mu.Lock()
-	if c.failed != nil {
-		c.mu.Unlock()
-		return c.failed
-	}
-	if c.doneTasks != len(c.tasks) {
-		c.mu.Unlock()
-		return fmt.Errorf("distrib: sweep incomplete (%d/%d ranges done)", c.doneTasks, len(c.tasks))
-	}
+	failed, doneCells := c.tbl.Failed, c.doneCells
 	// Completed tasks never change again, so they are read unlocked.
-	tasks := c.tasks
+	tasks := c.tbl.Tasks
 	c.mu.Unlock()
+	switch {
+	case failed != "":
+		return errors.New(failed)
+	case doneCells != c.plan.Len():
+		return fmt.Errorf("distrib: sweep incomplete (%d/%d cells done)", doneCells, c.plan.Len())
+	}
 
 	manifest, err := json.Marshal(c.plan.Manifest(0, 1))
 	if err != nil {
@@ -1128,7 +1075,7 @@ func (c *Coordinator) WriteMerged(w io.Writer) error {
 	bw.WriteByte('\n')
 	fp := c.plan.Fingerprint()
 	for _, t := range tasks {
-		if err := copySpill(bw, c.st.spillDir, c.def.Kind, fp, t.lo, t.hi); err != nil {
+		if err := copySpill(bw, c.st.spillDir, c.def.Kind, fp, t.Lo, t.Hi); err != nil {
 			return err
 		}
 	}

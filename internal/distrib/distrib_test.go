@@ -235,6 +235,57 @@ func TestDistributedTraceSweepByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWorkerNameIsEscapedInUploads: a worker name is free text, and an
+// upload carries it in its query string beside the lease and the plan.
+// A name holding '#' and '&' must reach the coordinator whole: the
+// sweep completes through that worker, byte-identical to the local run,
+// and the coordinator's log lines name the worker in full.
+func TestWorkerNameIsEscapedInUploads(t *testing.T) {
+	def := timingDef()
+	want := localJSONL(t, def)
+	const name = "w#1 &x"
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	coord, client := serve(t, distrib.Config{
+		Def:      def,
+		LeaseTTL: 500 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			fmt.Fprintf(&logs, format+"\n", args...)
+		},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := distrib.RunWorker(ctx, distrib.WorkerConfig{
+		URL:          "http://coordinator",
+		Client:       client,
+		Name:         name,
+		Parallelism:  1,
+		PollInterval: 20 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := coord.WriteMerged(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("distributed output differs from the single-process run")
+	}
+	logMu.Lock()
+	logged := logs.String()
+	logMu.Unlock()
+	for _, line := range []string{"-> worker " + name + " (attempt 1)", ": worker " + name + " completed cells"} {
+		if !strings.Contains(logged, line) {
+			t.Errorf("coordinator log holds no %q:\n%s", line, logged)
+		}
+	}
+}
+
 // TestCoordinatorRefusesMismatchedPlan pins the handshake contract: a
 // request presenting any plan fingerprint but the coordinator's own is
 // 409 Conflict, and a worker pinned to a different plan refuses locally.

@@ -17,8 +17,8 @@ import (
 )
 
 // TestBackoffJitterBounds pins the retry-delay envelope: each delay is
-// drawn from [cur/2, 3·cur/2), cur doubles per draw and saturates at
-// max, and reset restarts the ladder at base.
+// drawn from [cur/2, 3·cur/2), cur doubles per draw from base and
+// saturates at max.
 func TestBackoffJitterBounds(t *testing.T) {
 	const (
 		base = 100 * time.Millisecond
@@ -32,9 +32,8 @@ func TestBackoffJitterBounds(t *testing.T) {
 		800 * time.Millisecond, // ...and stays there
 		800 * time.Millisecond,
 	}
-	b := &backoff{base: base, max: max}
 	for trial := range 100 {
-		b.reset()
+		b := &backoff{base: base, max: max}
 		for rung, cur := range ladder {
 			d := b.next()
 			lo, hi := cur/2, cur+cur/2
@@ -96,7 +95,7 @@ func TestFetchUnknownKeyFailsFast(t *testing.T) {
 	if fetchErr == nil {
 		t.Fatal("fetching an unannounced key succeeded")
 	}
-	if !errors.Is(fetchErr, errFetchPermanent) {
+	if !errors.Is(fetchErr, errNoRetry) {
 		t.Errorf("error %v is not marked permanent", fetchErr)
 	}
 	// One GET proves the fail-fast: the retry loop never reached a

@@ -15,7 +15,7 @@ import (
 // never panic, and a log it accepts must be complete result records of
 // one kind and plan, the table's, each exactly as results.Encode writes
 // it, followed by at most one torn record: the prefix of one more, which
-// a crash mid-append leaves behind.
+// a crash mid-append leaves behind, so no complete record starts in it.
 func FuzzDecodeWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tbl, events, err := decodeWAL(raw)
@@ -24,7 +24,8 @@ func FuzzDecodeWAL(f *testing.F) {
 		}
 		var enc []byte
 		n := 0
-		for rest := raw; len(rest) > 0; n++ {
+		rest := raw
+		for ; len(rest) > 0; n++ {
 			kind, plan, payload, next, err := results.Next(rest)
 			if errors.Is(err, io.ErrUnexpectedEOF) {
 				break
@@ -43,6 +44,11 @@ func FuzzDecodeWAL(f *testing.F) {
 		}
 		if !bytes.HasPrefix(raw, enc) {
 			t.Fatalf("records re-encode to %x, not a prefix of the log %x", enc, raw)
+		}
+		for i := range rest {
+			if _, _, _, _, err := results.Next(rest[i:]); err == nil {
+				t.Fatalf("the torn tail after record %d holds a complete record at its byte %d", n, i)
+			}
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -79,15 +81,19 @@ func recordsByCell(t *testing.T, def destset.SweepDef) map[int][]string {
 // concurrent lifecycle depends on: the pending queue holds each pending
 // task exactly once (a double-requeue would eventually double-complete
 // a range), the leased set mirrors the leased states, and the derived
-// cell counters match the task states.
+// cell counters match the task states. It then replays the coordinator's
+// wal.log through the replay half of resume alone: the table that
+// gives back — every task field and the pending queue — and its
+// counters must be the live ones, or a coordinator resumed from this
+// point would not be the one that crashed.
 func checkInvariantsLocked(c *Coordinator) error {
-	queued := make(map[int]int, len(c.pending))
-	for _, ti := range c.pending {
+	queued := make(map[int]int, len(c.tbl.Pending))
+	for _, ti := range c.tbl.Pending {
 		queued[ti]++
 	}
 	leasedCells, doneCells := 0, 0
-	for ti, t := range c.tasks {
-		switch t.state {
+	for ti, t := range c.tbl.Tasks {
+		switch t.State {
 		case taskPending:
 			if queued[ti] != 1 {
 				return fmt.Errorf("pending task %d appears %d times in the queue", ti, queued[ti])
@@ -99,17 +105,17 @@ func checkInvariantsLocked(c *Coordinator) error {
 			if !c.leased[ti] {
 				return fmt.Errorf("task %d is leased but missing from the leased set", ti)
 			}
-			leasedCells += t.hi - t.lo
+			leasedCells += t.Hi - t.Lo
 		case taskDone:
 			if queued[ti] != 0 {
 				return fmt.Errorf("done task %d still queued %d times", ti, queued[ti])
 			}
-			doneCells += t.hi - t.lo
+			doneCells += t.Hi - t.Lo
 		}
 	}
 	for ti := range c.leased {
-		if c.tasks[ti].state != taskLeased {
-			return fmt.Errorf("leased set holds task %d in state %d", ti, c.tasks[ti].state)
+		if c.tbl.Tasks[ti].State != taskLeased {
+			return fmt.Errorf("leased set holds task %d in state %s", ti, c.tbl.Tasks[ti].State)
 		}
 	}
 	if leasedCells != c.leasedCells {
@@ -117,6 +123,34 @@ func checkInvariantsLocked(c *Coordinator) error {
 	}
 	if doneCells != c.doneCells {
 		return fmt.Errorf("doneCells counter %d, tasks say %d", c.doneCells, doneCells)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(c.st.dir, walFile))
+	if err != nil {
+		return err
+	}
+	tbl, events, err := decodeWAL(raw)
+	if err != nil {
+		return fmt.Errorf("decoding wal.log: %w", err)
+	}
+	replayed := &Coordinator{cfg: c.cfg, def: c.def, plan: c.plan}
+	if err := replayed.replay(tbl, events); err != nil {
+		return fmt.Errorf("replaying wal.log: %w", err)
+	}
+	got, err := json.Marshal(replayed.tbl)
+	if err != nil {
+		return err
+	}
+	want, err := json.Marshal(c.tbl)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("wal.log replays to the table\n%s\nwhere the live one is\n%s", got, want)
+	}
+	if g, w := [3]int{replayed.doneCells, replayed.cachedCells, replayed.leasedCells},
+		[3]int{c.doneCells, c.cachedCells, c.leasedCells}; g != w {
+		return fmt.Errorf("wal.log replays to done, cached and leased cells %v, live %v", g, w)
 	}
 	return nil
 }

@@ -16,7 +16,12 @@ package distrib
 // means the log was damaged after the fact (bit flip, concurrent writer)
 // and recovery refuses it: a lease table rebuilt over silent corruption
 // would re-lease completed work or adopt ranges that were never
-// accepted.
+// accepted. The CRC does not cover a record's header lengths, so a
+// record that runs past the end of the log is the torn tail only if no
+// complete record starts inside it: a crash tears only the last append,
+// and a complete record cannot start inside a torn one, since every
+// record header holds NUL bytes and no JSON payload does. Otherwise its
+// length was damaged, and the log is corrupt.
 //
 // Layout under the state dir:
 //
@@ -25,11 +30,13 @@ package distrib
 //	                   address its range determines (spill.go)
 //
 // The first record, the log's checkpoint, is the lease table as this
-// incarnation started: at every birth, after replay and reconciliation,
-// the coordinator writes a new wal.log holding just that table,
-// atomically, so a crash at any point leaves either the old log or the
-// new one. Every later record is one grant, expiry, failure, completion
-// or sweep failure. Heartbeats log nothing, so a range logs at most
+// incarnation started — the coordinator's task list itself, encoded: at
+// every birth, after replay and reconciliation, the coordinator writes a
+// new wal.log holding just that table, atomically, so a crash at any
+// point leaves either the old log or the new one. Every later record is
+// one grant, expiry, failure, completion or sweep failure, as the
+// coordinator's apply made it; replay passes the same events through
+// the same apply. Heartbeats log nothing, so a range logs at most
 // 2×MaxAttempts+1 events and the log never needs compacting while a
 // sweep runs.
 
@@ -80,20 +87,9 @@ type walEvent struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// tableTask is one task's durable state inside a lease table.
-type tableTask struct {
-	Lo         int    `json:"lo"`
-	Hi         int    `json:"hi"`
-	State      string `json:"state"` // "pending", "leased", "done"
-	Attempts   int    `json:"attempts,omitempty"`
-	Cached     bool   `json:"cached,omitempty"`
-	Lease      string `json:"lease,omitempty"`
-	Worker     string `json:"worker,omitempty"`
-	LastFailed string `json:"last_failed,omitempty"`
-}
-
-// leaseTable is the log's first record, its checkpoint: everything
-// recovery needs besides the events appended after it.
+// leaseTable is the coordinator's lease table and the log's first
+// record, its checkpoint: everything recovery needs besides the events
+// appended after it.
 type leaseTable struct {
 	// Plan and Kind are the sweep's plan fingerprint and kind, carried in
 	// every record's header rather than in the table's JSON.
@@ -101,10 +97,10 @@ type leaseTable struct {
 	Kind string `json:"-"`
 	// Epoch counts coordinator incarnations over this state dir; lease
 	// ids are namespaced by it so a restart can never re-issue an id.
-	Epoch   int         `json:"epoch"`
-	Tasks   []tableTask `json:"tasks"`
-	Pending []int       `json:"pending"`
-	Failed  string      `json:"failed,omitempty"`
+	Epoch   int     `json:"epoch"`
+	Tasks   []*task `json:"tasks"`
+	Pending []int   `json:"pending"`
+	Failed  string  `json:"failed,omitempty"`
 }
 
 // walState owns the on-disk coordinator state: the spill directory and
@@ -150,10 +146,12 @@ func openWALState(dir string) (st *walState, tbl *leaseTable, events []walEvent,
 }
 
 // decodeWAL decodes a log's bytes into its lease table and events. A
-// torn final event is dropped (crash mid-append); anything else that
-// fails validation — a missing or torn table included, since the table
-// is written atomically, and an event whose kind or plan is not the
-// table's — is ErrStateCorrupt.
+// torn final event is dropped (crash mid-append): a record that runs
+// past the end of the log with no complete record starting inside it.
+// Anything else that fails validation — a missing or torn table
+// included, since the table is written atomically, an event whose kind
+// or plan is not the table's, and a record whose length runs past the
+// end over complete records — is ErrStateCorrupt.
 func decodeWAL(raw []byte) (*leaseTable, []walEvent, error) {
 	if bytes.HasPrefix(raw, legacyLogPrefix) {
 		return nil, nil, fmt.Errorf("%w: a lease log in the older %s format, which this version does not read; remove the dir to start the sweep over",
@@ -169,9 +167,15 @@ func decodeWAL(raw []byte) (*leaseTable, []walEvent, error) {
 	}
 	var events []walEvent
 	for len(raw) > 0 {
-		kind, plan, payload, raw, err = results.Next(raw)
+		kind, plan, payload, rest, err := results.Next(raw)
 		switch {
 		case errors.Is(err, io.ErrUnexpectedEOF):
+			for i := 1; i < len(raw); i++ {
+				if _, _, _, _, err := results.Next(raw[i:]); err == nil {
+					return nil, nil, fmt.Errorf("event %d: %w (its record runs past the end of the log over a complete record: a damaged length, not a torn tail)",
+						len(events), ErrStateCorrupt)
+				}
+			}
 			return tbl, events, nil
 		case err != nil:
 			return nil, nil, fmt.Errorf("event %d: %w (%v)", len(events), ErrStateCorrupt, err)
@@ -184,6 +188,7 @@ func decodeWAL(raw []byte) (*leaseTable, []walEvent, error) {
 			return nil, nil, fmt.Errorf("event %d: %w (%v)", len(events), ErrStateCorrupt, err)
 		}
 		events = append(events, ev)
+		raw = rest
 	}
 	return tbl, events, nil
 }

@@ -20,10 +20,10 @@ func testTable() *leaseTable {
 	return &leaseTable{
 		Plan: "fp-round-trip",
 		Kind: "timing",
-		Tasks: []tableTask{
-			{Lo: 0, Hi: 2, State: "done", Cached: true},
-			{Lo: 2, Hi: 4, State: "leased", Attempts: 2, Lease: "lease-1-0", Worker: "w1", LastFailed: "w2"},
-			{Lo: 4, Hi: 6, State: "pending", Attempts: 1, LastFailed: "w1"},
+		Tasks: []*task{
+			{Lo: 0, Hi: 2, State: taskDone, Cached: true},
+			{Lo: 2, Hi: 4, State: taskLeased, Attempts: 2, Lease: "lease-1-0", Worker: "w1", LastFailed: "w2"},
+			{Lo: 4, Hi: 6, State: taskPending, Attempts: 1, LastFailed: "w1"},
 		},
 		Pending: []int{2},
 	}
@@ -67,11 +67,18 @@ func writeLog(t *testing.T, dir string, tbl *leaseTable, events ...walEvent) []b
 	return raw
 }
 
+// testTableJSON is testTable's record as begin writes it at epoch 1, in
+// the bytes every earlier version of the lease log wrote too: a state
+// dir they left must still resume.
+const testTableJSON = `{"epoch":1,"tasks":[{"lo":0,"hi":2,"state":"done","cached":true},` +
+	`{"lo":2,"hi":4,"state":"leased","attempts":2,"lease":"lease-1-0","worker":"w1","last_failed":"w2"},` +
+	`{"lo":4,"hi":6,"state":"pending","attempts":1,"last_failed":"w1"}],"pending":[2]}`
+
 // TestCheckpointRoundTrip is the fidelity property of the log's first
-// record, its checkpoint: the lease table begin writes reads back
-// identical, stamped with the incarnation's epoch; each incarnation over
-// the dir gets the next epoch; and a rebirth replaces the log with a
-// fresh one that holds only its own checkpoint.
+// record, its checkpoint: the lease table begin writes is testTableJSON
+// and reads back identical, stamped with the incarnation's epoch; each
+// incarnation over the dir gets the next epoch; and a rebirth replaces
+// the log with a fresh one that holds only its own checkpoint.
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, tbl, events, err := openWALState(dir)
@@ -84,7 +91,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	st.close()
 
 	want := testTable()
-	writeLog(t, dir, want, testEvents()...)
+	raw := writeLog(t, dir, want, testEvents()...)
+	if kind, plan, payload, _, err := results.Next(raw); err != nil || kind != want.Kind || plan != want.Plan || string(payload) != testTableJSON {
+		t.Fatalf("table record: %s %s %s (%v), want %s %s %s", kind, plan, payload, err, want.Kind, want.Plan, testTableJSON)
+	}
 	st2, got, _, err := openWALState(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +253,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 
 // TestWALRejectsCorruption is the rejection matrix of the rest of the
 // log: any damage to a complete record — its magic or version, a bit
-// flip in its payload or checksum, an absurd length, a non-JSON event —
+// flip in its payload or checksum, an absurd length, a length that runs
+// past the end of the log over the records after it, a non-JSON event —
 // and an event record of another plan or kind spliced into the log are
 // ErrStateCorrupt; only a torn event tail is tolerated
 // (TestWALToleratesTornTail).
@@ -266,6 +277,12 @@ func TestWALRejectsCorruption(t *testing.T) {
 		}
 		return b
 	})
+	// Bit 20 of the first event's payload length flipped, in a log of six
+	// events: the record now runs past the end of the log like a torn
+	// tail, but over five complete records, which a crash that tears the
+	// last append cannot leave.
+	wantCorrupt(t, writeLog(t, t.TempDir(), testTable(), testEvents()...), "overlong-event-length",
+		func(b []byte) []byte { b[ev+22] ^= 0x10; return b })
 	// A record holding non-JSON bytes passes the CRC but must still be
 	// refused as an event.
 	corrupt("non-json-event", func([]byte) []byte {
@@ -294,8 +311,8 @@ func TestWALOfAnotherSweepIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tbl := range map[string]*leaseTable{
-		"another-plan": {Plan: "fp-other", Kind: def.Kind, Tasks: []tableTask{{Lo: 0, Hi: 1, State: "pending"}}, Pending: []int{0}},
-		"another-kind": {Plan: plan.Fingerprint(), Kind: destset.PlanKindTrace, Tasks: []tableTask{{Lo: 0, Hi: 1, State: "pending"}}, Pending: []int{0}},
+		"another-plan": {Plan: "fp-other", Kind: def.Kind, Tasks: []*task{{Lo: 0, Hi: 1, State: taskPending}}, Pending: []int{0}},
+		"another-kind": {Plan: plan.Fingerprint(), Kind: destset.PlanKindTrace, Tasks: []*task{{Lo: 0, Hi: 1, State: taskPending}}, Pending: []int{0}},
 	} {
 		dir := t.TempDir()
 		writeLog(t, dir, tbl)

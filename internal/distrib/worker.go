@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -88,16 +89,17 @@ const maxUploadAttempts = 3
 // coordinator restart mid-transfer heals on the next attempt.
 const maxFetchAttempts = 4
 
-// errFetchPermanent marks fetch failures that retrying cannot heal — a
-// coordinator that does not know the key at all (version skew or a
-// foreign sweep). fetchDataset fails fast instead of burning the
-// attempt budget on backoff sleeps.
-var errFetchPermanent = errors.New("distrib: permanent fetch failure")
+// errNoRetry marks failures that asking again cannot heal — a
+// coordinator that does not know a dataset key at all (404: version
+// skew or a foreign sweep) or that serves another plan (409). retry
+// gives up on them at once instead of burning its attempt budget on
+// backoff sleeps.
+var errNoRetry = errors.New("distrib: permanent failure")
 
 // backoff produces jittered exponential retry delays: each delay is
 // drawn from [cur/2, 3·cur/2) — the jitter keeps a fleet that lost its
 // coordinator from stampeding back in lockstep — and cur doubles per
-// retry up to max. reset returns to the base delay after any success.
+// retry up to max. Each retry loop starts a new one at the base delay.
 type backoff struct {
 	base, max, cur time.Duration
 }
@@ -114,7 +116,33 @@ func (b *backoff) next() time.Duration {
 	return d
 }
 
-func (b *backoff) reset() { b.cur = 0 }
+// retry runs op until it succeeds, at most attempts times, sleeping a
+// jittered backoff between tries and logging each retry. It stops early
+// when ctx ends (returning ctx's error) or op's error is marked
+// errNoRetry; otherwise its error names what was being done and wraps
+// op's last error.
+func (w *worker) retry(ctx context.Context, attempts int, what string, op func() error) error {
+	bo := backoff{base: w.cfg.RetryBase, max: w.cfg.RetryMax}
+	for attempt := 1; ; attempt++ {
+		err := op()
+		switch {
+		case err == nil:
+			return nil
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case errors.Is(err, errNoRetry):
+			return fmt.Errorf("distrib: %s: %w", what, err)
+		case attempt == attempts:
+			return fmt.Errorf("distrib: %s after %d attempts: %w", what, attempts, err)
+		}
+		delay := bo.next()
+		w.logf("worker %s: %s: attempt %d/%d failed (%v); retrying in %s",
+			w.name, what, attempt, attempts, err, delay.Round(time.Millisecond))
+		if !sleepCtx(ctx, delay) {
+			return ctx.Err()
+		}
+	}
+}
 
 // worker is one running RunWorker invocation.
 type worker struct {
@@ -282,39 +310,21 @@ func (w *worker) prewarm(ctx context.Context) error {
 	return nil
 }
 
-// fetchDataset pulls one dataset from the coordinator with the jittered
-// backoff the rest of the worker uses: transfer and validation failures
-// alike retry — a truncated body and a coordinator bounced
-// mid-transfer both heal the same way, by asking again. A coordinator
-// that does not know the key at all fails fast instead: no amount of
-// backoff teaches it the key, so the attempt budget would be pure
-// sleep.
-func (w *worker) fetchDataset(ctx context.Context, sd destset.SweepDataset, key, dir string) (int64, error) {
-	bo := backoff{base: w.cfg.RetryBase, max: w.cfg.RetryMax}
-	var lastErr error
-	for attempt := 1; attempt <= maxFetchAttempts; attempt++ {
-		n, err := w.fetchOnce(ctx, sd, key, dir)
-		if err == nil {
-			w.logf("worker %s: dataset %s: fetched %d bytes", w.name, key, n)
-			return n, nil
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		if errors.Is(err, errFetchPermanent) {
-			return 0, fmt.Errorf("distrib: fetching dataset %s: %w", key, err)
-		}
-		lastErr = err
-		if attempt < maxFetchAttempts {
-			delay := bo.next()
-			w.logf("worker %s: dataset %s: fetch attempt %d failed (%v); retrying in %s",
-				w.name, key, attempt, err, delay.Round(time.Millisecond))
-			if !sleepCtx(ctx, delay) {
-				return 0, ctx.Err()
-			}
-		}
+// fetchDataset pulls one dataset from the coordinator through retry:
+// transfer and validation failures alike retry — a truncated body and a
+// coordinator bounced mid-transfer both heal the same way, by asking
+// again. A coordinator that does not know the key at all fails fast
+// instead: no amount of backoff teaches it the key.
+func (w *worker) fetchDataset(ctx context.Context, sd destset.SweepDataset, key, dir string) (n int64, err error) {
+	err = w.retry(ctx, maxFetchAttempts, "fetching dataset "+key, func() (err error) {
+		n, err = w.fetchOnce(ctx, sd, key, dir)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("distrib: fetching dataset %s after %d attempts: %w", key, maxFetchAttempts, lastErr)
+	w.logf("worker %s: dataset %s: fetched %d bytes", w.name, key, n)
+	return n, nil
 }
 
 // fetchOnce is one fetch attempt: GET the content-addressed bytes and
@@ -334,7 +344,7 @@ func (w *worker) fetchOnce(ctx context.Context, sd destset.SweepDataset, key, di
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if resp.StatusCode == http.StatusNotFound {
-			return 0, fmt.Errorf("%w: /v1/dataset/%s: %s", errFetchPermanent, key, httpError(resp))
+			return 0, fmt.Errorf("%w: /v1/dataset/%s: %s", errNoRetry, key, httpError(resp))
 		}
 		return 0, fmt.Errorf("distrib: /v1/dataset/%s: %s", key, httpError(resp))
 	}
@@ -348,39 +358,23 @@ func (w *worker) fetchOnce(ctx context.Context, sd destset.SweepDataset, key, di
 }
 
 // leaseLoop leases, executes and uploads ranges until done. Failures to
-// reach the coordinator retry under jittered exponential backoff
-// (honoring ctx between attempts) up to maxNetFailures in a row.
+// reach the coordinator retry under jittered exponential backoff up to
+// maxNetFailures in a row; a coordinator serving another plan ends the
+// worker at once.
 func (w *worker) leaseLoop(ctx context.Context) error {
-	netFails := 0
-	bo := backoff{base: w.cfg.RetryBase, max: w.cfg.RetryMax}
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		var reply LeaseReply
-		status, err := w.postJSON(ctx, "/v1/lease", workerRequest{Worker: w.name, Plan: w.planFP}, &reply)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		err := w.retry(ctx, maxNetFailures, "requesting a lease", func() error {
+			reply = LeaseReply{}
+			status, err := w.postJSON(ctx, "/v1/lease", workerRequest{Worker: w.name, Plan: w.planFP}, &reply)
 			if status == http.StatusConflict {
-				return err
+				return fmt.Errorf("%w: %w", errNoRetry, err)
 			}
-			netFails++
-			if netFails >= maxNetFailures {
-				return fmt.Errorf("distrib: coordinator unreachable after %d attempts: %w", netFails, err)
-			}
-			delay := bo.next()
-			w.logf("worker %s: coordinator unreachable (%v); retry %d/%d in %s",
-				w.name, err, netFails, maxNetFailures, delay.Round(time.Millisecond))
-			if !sleepCtx(ctx, delay) {
-				return ctx.Err()
-			}
-			continue
-		}
-		netFails = 0
-		bo.reset()
+			return err
+		})
 		switch {
+		case err != nil:
+			return err
 		case reply.Failed != "":
 			return fmt.Errorf("distrib: coordinator reports sweep failed: %s", reply.Failed)
 		case reply.Done:
@@ -390,10 +384,10 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 			if !sleepCtx(ctx, w.cfg.PollInterval) {
 				return ctx.Err()
 			}
-			continue
-		}
-		if err := w.runLease(ctx, *reply.Lease); err != nil {
-			return err
+		default:
+			if err := w.runLease(ctx, *reply.Lease); err != nil {
+				return err
+			}
 		}
 	}
 }
@@ -468,37 +462,28 @@ func (w *worker) runLease(ctx context.Context, lease Lease) error {
 	// Streaming shard upload: the records ride the request body, which
 	// the coordinator attributes to cells as it reads. Network failures
 	// retry under backoff while heartbeats keep the lease alive; the
-	// body is replayable, so each attempt re-sends identical bytes.
-	url := fmt.Sprintf("%s/v1/complete?lease=%s&worker=%s&plan=%s", w.base, lease.ID, w.name, w.planFP)
-	bo := backoff{base: w.cfg.RetryBase, max: w.cfg.RetryMax}
+	// body is replayable, so each attempt re-sends identical bytes. Past
+	// the last attempt, or once the lease is lost, the range is left to
+	// expire and re-run elsewhere.
+	query := url.Values{"lease": {lease.ID}, "worker": {w.name}, "plan": {w.planFP}}
 	var resp *http.Response
-	for attempt := 1; ; attempt++ {
-		req, err := http.NewRequestWithContext(leaseCtx, http.MethodPost, url, bytes.NewReader(buf.Bytes()))
+	err := w.retry(leaseCtx, maxUploadAttempts, "uploading "+lease.ID, func() error {
+		req, err := http.NewRequestWithContext(leaseCtx, http.MethodPost, w.base+"/v1/complete?"+query.Encode(), bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/x-ndjson")
 		resp, err = w.client.Do(req)
-		if err == nil {
-			break
-		}
+		return err
+	})
+	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if leaseCtx.Err() != nil {
-			// Lease lost mid-upload; the range is already someone else's.
-			return nil
+		if leaseCtx.Err() == nil {
+			w.logf("worker %s: %v", w.name, err)
 		}
-		if attempt >= maxUploadAttempts {
-			w.logf("worker %s: %s: upload failed after %d attempts: %v", w.name, lease.ID, attempt, err)
-			return nil
-		}
-		delay := bo.next()
-		w.logf("worker %s: %s: upload attempt %d failed (%v); retrying in %s",
-			w.name, lease.ID, attempt, err, delay.Round(time.Millisecond))
-		if !sleepCtx(leaseCtx, delay) {
-			return ctx.Err()
-		}
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
