@@ -185,14 +185,22 @@ func main() {
 		if wantFig8 {
 			model = destset.DetailedCPU
 		}
-		plan, err := experiments.TimingSweepPlan(opt, model)
+		def, err := experiments.TimingSweepDef(opt, model)
+		if err != nil {
+			fail(err)
+		}
+		plan, err := def.Plan()
+		if err != nil {
+			fail(err)
+		}
+		cells, err := plan.ShardIndices(shard, shards)
 		if err != nil {
 			fail(err)
 		}
 		if err := sink.WriteManifest(plan.Manifest(shard, shards)); err != nil {
 			fail(err)
 		}
-		if _, err := experiments.TimingSweep(ctx, opt, model, shard, shards); err != nil {
+		if _, err := experiments.TimingSweep(ctx, opt, model, cells); err != nil {
 			fail(err)
 		}
 		if err := sink.Flush(); err != nil {

@@ -150,14 +150,22 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		plan, err := experiments.TradeoffSweepPlan(opt)
+		def, err := experiments.TradeoffSweepDef(opt)
+		if err != nil {
+			fail(err)
+		}
+		plan, err := def.Plan()
+		if err != nil {
+			fail(err)
+		}
+		cells, err := plan.ShardIndices(shard, shards)
 		if err != nil {
 			fail(err)
 		}
 		if err := sink.WriteManifest(plan.Manifest(shard, shards)); err != nil {
 			fail(err)
 		}
-		if _, err := experiments.TradeoffSweep(ctx, opt, shard, shards); err != nil {
+		if _, err := experiments.TradeoffSweep(ctx, opt, cells); err != nil {
 			fail(err)
 		}
 		if err := sink.Flush(); err != nil {

@@ -140,21 +140,13 @@ func TestImportedAndComposedSweepEquivalence(t *testing.T) {
 		}
 	}
 
+	plan := planOf(t, destset.NewRunner(engines, workloads, baseOpts()...))
 	for _, shards := range []int{2, 3} {
 		for _, par := range []int{1, 4} {
-			parts := make([][]destset.RunResult, shards)
-			for s := 0; s < shards; s++ {
-				res, err := destset.NewRunner(engines, workloads,
-					baseOpts(destset.WithParallelism(par), destset.WithShard(s, shards))...).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts[s] = res
-			}
-			merged, err := destset.MergeResults(planOf(t, destset.NewRunner(engines, workloads, baseOpts()...)), parts)
-			if err != nil {
-				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
-			}
+			merged := runShards(t, plan, shards, func(cells []int) ([]destset.RunResult, error) {
+				return destset.NewRunner(engines, workloads,
+					baseOpts(destset.WithParallelism(par), destset.WithCells(cells))...).Run(context.Background())
+			})
 			if !bytes.Equal(mustJSON(t, merged), want) {
 				t.Errorf("%d shards at parallelism %d merge differently from the full run", shards, par)
 			}
@@ -208,21 +200,13 @@ func TestImportedAndComposedTimingEquivalence(t *testing.T) {
 		t.Fatalf("full run returned %d cells", len(full))
 	}
 
+	plan := planOf(t, destset.NewTimingRunner(sims, workloads))
 	for _, shards := range []int{2, 3} {
 		for _, par := range []int{1, 4} {
-			parts := make([][]destset.TimingResult, shards)
-			for s := 0; s < shards; s++ {
-				res, err := destset.NewTimingRunner(sims, workloads,
-					destset.WithParallelism(par), destset.WithShard(s, shards)).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts[s] = res
-			}
-			merged, err := destset.MergeResults(planOf(t, destset.NewTimingRunner(sims, workloads)), parts)
-			if err != nil {
-				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
-			}
+			merged := runShards(t, plan, shards, func(cells []int) ([]destset.TimingResult, error) {
+				return destset.NewTimingRunner(sims, workloads,
+					destset.WithParallelism(par), destset.WithCells(cells)).Run(context.Background())
+			})
 			if !bytes.Equal(mustJSON(t, merged), want) {
 				t.Errorf("%d shards at parallelism %d merge differently from the full run", shards, par)
 			}

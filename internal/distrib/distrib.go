@@ -194,8 +194,9 @@ type Coordinator struct {
 	mu sync.Mutex
 	st *walState
 	// tbl is the lease table: the tasks, the pending queue (task
-	// indices, front = next granted) and the sweep's failure. begin logs
-	// it as it stands, and apply makes every change to it after that.
+	// indices, back to front: the last is granted next) and the sweep's
+	// failure. begin logs it as it stands, and apply makes every change
+	// to it after that.
 	tbl *leaseTable
 	// leased holds the currently-granted task indices, so lazy expiry
 	// scans O(outstanding leases), not O(all tasks).
@@ -346,6 +347,7 @@ func (c *Coordinator) build() error {
 		tbl.Tasks = append(tbl.Tasks, &task{Lo: lo, Hi: hi, State: taskPending})
 		lo = hi
 	}
+	slices.Reverse(tbl.Pending) // the first range at the queue's front
 	return c.install(tbl)
 }
 
@@ -452,7 +454,7 @@ func (c *Coordinator) reconcile() {
 		}
 	}
 	if c.cfg.Results != nil && c.tbl.Failed == "" {
-		for _, ti := range slices.Clone(c.tbl.Pending) {
+		for _, ti := range slices.Backward(slices.Clone(c.tbl.Pending)) {
 			t := c.tbl.Tasks[ti]
 			if c.spillStored(t.Lo, t.Hi) == nil {
 				t.Cached = true
@@ -485,7 +487,7 @@ func (c *Coordinator) apply(ev walEvent) error {
 	}
 	t := c.tbl.Tasks[ev.Task]
 	switch {
-	case ev.E == "grant" && slices.Contains(c.tbl.Pending, ev.Task):
+	case ev.E == "grant" && t.State == taskPending:
 		c.move(ev.Task, taskLeased)
 		t.Attempts, t.Lease, t.Worker = ev.Attempts, ev.Lease, ev.Worker
 		c.leases[ev.Lease] = ev.Task
@@ -505,14 +507,19 @@ func (c *Coordinator) apply(ev walEvent) error {
 // set and the counters in step: a task leaves the queue when it is
 // granted or completed and rejoins it at the front, so retries run
 // before untouched work, and a task that is no longer leased drops its
-// grant. A task's Cached flag may change only while it is not done.
+// grant. The queue's front is the slice's end, where grants find their
+// task first. A task's Cached flag may change only while it is not
+// done.
 func (c *Coordinator) move(ti int, to taskState) {
 	t := c.tbl.Tasks[ti]
 	c.count(t, -1)
 	switch t.State {
 	case taskPending:
-		if i := slices.Index(c.tbl.Pending, ti); i >= 0 {
-			c.tbl.Pending = slices.Delete(c.tbl.Pending, i, i+1)
+		for i := len(c.tbl.Pending) - 1; i >= 0; i-- {
+			if c.tbl.Pending[i] == ti {
+				c.tbl.Pending = slices.Delete(c.tbl.Pending, i, i+1)
+				break
+			}
 		}
 	case taskLeased:
 		delete(c.leased, ti)
@@ -520,7 +527,7 @@ func (c *Coordinator) move(ti int, to taskState) {
 	}
 	switch t.State = to; to {
 	case taskPending:
-		c.tbl.Pending = slices.Insert(c.tbl.Pending, 0, ti)
+		c.tbl.Pending = append(c.tbl.Pending, ti)
 	case taskLeased:
 		c.leased[ti] = true
 	}
@@ -760,9 +767,9 @@ func (c *Coordinator) Lease(worker, planFP string) (LeaseReply, error) {
 		return LeaseReply{}, nil
 	}
 	// Mild anti-affinity: skip ranges this worker already failed when
-	// something else is pending.
-	ti := c.tbl.Pending[0]
-	for _, pi := range c.tbl.Pending {
+	// something else is pending. The queue's front is the slice's end.
+	ti := c.tbl.Pending[len(c.tbl.Pending)-1]
+	for _, pi := range slices.Backward(c.tbl.Pending) {
 		if c.tbl.Tasks[pi].LastFailed != worker {
 			ti = pi
 			break

@@ -48,6 +48,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"destset/internal/results"
 )
@@ -97,10 +98,30 @@ type leaseTable struct {
 	Kind string `json:"-"`
 	// Epoch counts coordinator incarnations over this state dir; lease
 	// ids are namespaced by it so a restart can never re-issue an id.
-	Epoch   int     `json:"epoch"`
-	Tasks   []*task `json:"tasks"`
-	Pending []int   `json:"pending"`
-	Failed  string  `json:"failed,omitempty"`
+	Epoch int     `json:"epoch"`
+	Tasks []*task `json:"tasks"`
+	// Pending is the queue of pending task indices, back to front in
+	// memory so that a grant and a requeue both touch the slice's end;
+	// the record lists it front to back.
+	Pending []int  `json:"pending"`
+	Failed  string `json:"failed,omitempty"`
+}
+
+// leaseRecord is leaseTable's JSON form without its methods.
+type leaseRecord leaseTable
+
+// MarshalJSON writes the table with its queue front to back.
+func (t leaseTable) MarshalJSON() ([]byte, error) {
+	t.Pending = slices.Clone(t.Pending)
+	slices.Reverse(t.Pending)
+	return json.Marshal(leaseRecord(t))
+}
+
+// UnmarshalJSON reads a table record, keeping its queue back to front.
+func (t *leaseTable) UnmarshalJSON(raw []byte) error {
+	err := json.Unmarshal(raw, (*leaseRecord)(t))
+	slices.Reverse(t.Pending)
+	return err
 }
 
 // walState owns the on-disk coordinator state: the spill directory and

@@ -323,6 +323,58 @@ func TestWALOfAnotherSweepIsRefused(t *testing.T) {
 	}
 }
 
+// TestQueueOrderIsLogged pins the pending queue's order, which memory
+// keeps back to front: grants take its front, a failed range rejoins
+// at the front but is not granted again to the worker that failed it
+// while other work is pending, a resume requeues in-flight ranges at
+// the front in plan order, and the table record lists the queue front
+// to back.
+func TestQueueOrderIsLogged(t *testing.T) {
+	def := destset.NewTimingSweepDef([]destset.SimSpec{{Protocol: destset.ProtocolSnooping}},
+		[]destset.WorkloadSpec{{Name: "oltp", Warm: 100, Measure: 100}}, destset.WithSeeds(1, 2, 3, 4))
+	plan, err := def.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := plan.Fingerprint()
+	grant := func(c *Coordinator, worker string, wantLo int) Lease {
+		t.Helper()
+		reply, err := c.Lease(worker, fp)
+		if err != nil || reply.Lease == nil || reply.Lease.Lo != wantLo {
+			t.Fatalf("lease for %s = (%+v, %v), want cells from %d", worker, reply.Lease, err, wantLo)
+		}
+		return *reply.Lease
+	}
+	cfg := Config{Def: def, StateDir: t.TempDir()}
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := grant(coord, "w1", 0)
+	grant(coord, "w2", 1)
+	if err := coord.Fail(first.ID, "w1", fp, "test"); err != nil {
+		t.Fatal(err)
+	}
+	grant(coord, "w1", 2)
+	coord.Close()
+
+	coord, err = NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	raw, err := os.ReadFile(filepath.Join(cfg.StateDir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, payload, _, err := results.Next(raw); err != nil || !strings.HasSuffix(string(payload), `"pending":[1,2,0,3]}`) {
+		t.Fatalf("table record %s (%v), want the queue [1,2,0,3]", payload, err)
+	}
+	for _, lo := range []int{1, 2, 0, 3} {
+		grant(coord, "w3", lo)
+	}
+}
+
 // TestTempStateIsRemovedOnClose: a coordinator without a state dir runs
 // the durable path over a private temp dir — its log is there while the
 // coordinator lives — and Close removes the dir.

@@ -34,7 +34,7 @@ func TestFigure5PanelsIncludeExtraWorkloads(t *testing.T) {
 	if len(panels) != 2 || panels[0].Workload != "ocean" || panels[1].Workload != "phased" {
 		t.Fatalf("Figure 5 panels %v, want ocean then phased", panelNames(panels))
 	}
-	res, err := TradeoffSweep(context.Background(), opt, 0, 0)
+	res, err := TradeoffSweep(context.Background(), opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

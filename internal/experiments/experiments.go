@@ -160,28 +160,25 @@ func DatasetWorkload(ds *dataset.Dataset) destset.WorkloadSpec {
 }
 
 // runOptions are the process-local runner options of every sweep: the
-// parallelism, the observers, and shard shard of shards when shards > 1.
+// parallelism, the observers, and the plan cells to run (nil for all).
 // A Runner consults only the trace observer and a TimingRunner only the
 // timing one.
-func (o Options) runOptions(shard, shards int) []destset.RunnerOption {
-	opts := []destset.RunnerOption{destset.WithParallelism(o.Parallelism)}
+func (o Options) runOptions(cells []int) []destset.RunnerOption {
+	opts := []destset.RunnerOption{destset.WithParallelism(o.Parallelism), destset.WithCells(cells)}
 	if o.Observer != nil {
 		opts = append(opts, destset.WithObserver(o.Observer))
 	}
 	if o.TimingObserver != nil {
 		opts = append(opts, destset.WithTimingObserver(o.TimingObserver))
 	}
-	if shards > 1 {
-		opts = append(opts, destset.WithShard(shard, shards))
-	}
 	return opts
 }
 
-// runTrace executes shard shard of shards of a trace-driven sweep
-// definition (shards <= 1 runs every cell) and returns its results in
-// plan order.
-func (o Options) runTrace(ctx context.Context, def destset.SweepDef, shard, shards int) ([]destset.RunResult, error) {
-	r, err := def.Runner(o.runOptions(shard, shards)...)
+// runTrace executes the given plan cells of a trace-driven sweep
+// definition (nil runs every cell) and returns their results in plan
+// order.
+func (o Options) runTrace(ctx context.Context, def destset.SweepDef, cells []int) ([]destset.RunResult, error) {
+	r, err := def.Runner(o.runOptions(cells)...)
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +186,8 @@ func (o Options) runTrace(ctx context.Context, def destset.SweepDef, shard, shar
 }
 
 // runTiming is runTrace's execution-driven twin.
-func (o Options) runTiming(ctx context.Context, def destset.SweepDef, shard, shards int) ([]destset.TimingResult, error) {
-	r, err := def.TimingRunner(o.runOptions(shard, shards)...)
+func (o Options) runTiming(ctx context.Context, def destset.SweepDef, cells []int) ([]destset.TimingResult, error) {
+	r, err := def.TimingRunner(o.runOptions(cells)...)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +236,7 @@ func (o Options) panels(def destset.SweepDef) ([]WorkloadTradeoff, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	res, err := o.runTrace(context.Background(), def, 0, 0)
+	res, err := o.runTrace(context.Background(), def, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func BandwidthSweep(ctx context.Context, opt Options, bandwidthsBytesPerNs []flo
 		}
 	}
 	def := destset.NewTimingSweepDef(specs, opt.timedWorkloads(name), destset.WithSeeds(opt.Seed))
-	res, err := opt.runTiming(ctx, def, 0, 0)
+	res, err := opt.runTiming(ctx, def, nil)
 	if err != nil {
 		return nil, err
 	}

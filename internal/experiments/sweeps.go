@@ -4,11 +4,13 @@ package experiments
 // figure harness assembles panels and therefore needs every cell of its
 // sweep; a shard process by definition holds only a subset. The
 // functions below expose each figure's definition directly — the same
-// specs, workloads, seeds and scale the figure runs, so the plan (and
-// its fingerprint) is identical across processes — and run it with raw
-// results streamed to observers instead of panels. cmd/traceeval and
-// cmd/timing use them for -json and -shard runs, cmd/sweepd serves the
-// definitions to workers, and cmd/sweepmerge reassembles shard files.
+// specs, workloads, seeds and scale the figure runs, so the def's plan
+// (and its fingerprint) is identical across processes — and run any
+// list of its plan cells with raw results streamed to observers instead
+// of panels. cmd/traceeval and cmd/timing use them for -json and -shard
+// runs (a shard runs the cells its plan's ShardIndices lists),
+// cmd/sweepd serves the definitions to workers, and cmd/sweepmerge
+// reassembles shard files.
 
 import (
 	"context"
@@ -31,27 +33,16 @@ func TradeoffSweepDef(opt Options) (destset.SweepDef, error) {
 	return opt.traceDef(append(baselineSpecs(), standoutSpecs()...), workloads), nil
 }
 
-// TradeoffSweepPlan returns the plan of the Figure 5 trace-driven sweep
-// under opt without running anything; shard processes and merge tools
-// use its fingerprint and cell list to agree on the cell index space.
-func TradeoffSweepPlan(opt Options) (*destset.SweepPlan, error) {
+// TradeoffSweep executes the given plan cells of the Figure 5
+// trace-driven sweep (nil runs every cell), streaming each cell's
+// observation to opt.Observer and returning the raw results in global
+// plan order.
+func TradeoffSweep(ctx context.Context, opt Options, cells []int) ([]destset.RunResult, error) {
 	def, err := TradeoffSweepDef(opt)
 	if err != nil {
 		return nil, err
 	}
-	return def.Plan()
-}
-
-// TradeoffSweep executes shard shard of shards of the Figure 5
-// trace-driven sweep (shards <= 1 runs everything), streaming each
-// cell's observation to opt.Observer and returning the raw results in
-// global plan order.
-func TradeoffSweep(ctx context.Context, opt Options, shard, shards int) ([]destset.RunResult, error) {
-	def, err := TradeoffSweepDef(opt)
-	if err != nil {
-		return nil, err
-	}
-	return opt.runTrace(ctx, def, shard, shards)
+	return opt.runTrace(ctx, def, cells)
 }
 
 // TimingSweepDef captures a figure's timing sweep under opt — the simple
@@ -71,29 +62,17 @@ func TimingSweepDef(opt Options, cpu destset.CPUModel) (destset.SweepDef, error)
 	return destset.NewTimingSweepDef(specs, workloads, destset.WithSeeds(opt.Seed)), nil
 }
 
-// TimingSweepPlan returns the plan of a figure's timing sweep without
-// running anything. Shard processes and merge tools use its fingerprint
-// and cell list (via destset.SweepPlan.Manifest) to agree on the cell
-// index space.
-func TimingSweepPlan(opt Options, cpu destset.CPUModel) (*destset.SweepPlan, error) {
-	def, err := TimingSweepDef(opt, cpu)
-	if err != nil {
-		return nil, err
-	}
-	return def.Plan()
-}
-
-// TimingSweep executes shard shard of shards of a figure's timing sweep
-// (shards <= 1 runs everything), streaming each completed cell to
+// TimingSweep executes the given plan cells of a figure's timing sweep
+// (nil runs every cell), streaming each completed cell to
 // opt.TimingObserver and returning the raw results in global plan
 // order. It is the sharded-execution entry point behind
 // cmd/timing -json -shard; unlike Figure7/Figure8 it performs no panel
 // assembly, since a shard does not hold the normalization anchors of
 // every workload.
-func TimingSweep(ctx context.Context, opt Options, cpu destset.CPUModel, shard, shards int) ([]destset.TimingResult, error) {
+func TimingSweep(ctx context.Context, opt Options, cpu destset.CPUModel, cells []int) ([]destset.TimingResult, error) {
 	def, err := TimingSweepDef(opt, cpu)
 	if err != nil {
 		return nil, err
 	}
-	return opt.runTiming(ctx, def, shard, shards)
+	return opt.runTiming(ctx, def, cells)
 }

@@ -121,7 +121,7 @@ func runTimingAll(ctx context.Context, opt Options, cpu destset.CPUModel) ([]Wor
 	if err != nil {
 		return nil, err
 	}
-	res, err := opt.runTiming(ctx, def, 0, 0)
+	res, err := opt.runTiming(ctx, def, nil)
 	if err != nil {
 		return nil, err
 	}

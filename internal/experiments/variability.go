@@ -67,7 +67,7 @@ func Figure7Variability(ctx context.Context, opt Options, workloadName string, r
 		seeds[r] = opt.Seed + uint64(r)
 	}
 	def := destset.NewTimingSweepDef(specs, opt.timedWorkloads(workloadName), destset.WithSeeds(seeds...))
-	res, err := opt.runTiming(ctx, def, 0, 0)
+	res, err := opt.runTiming(ctx, def, nil)
 	if err != nil {
 		return nil, err
 	}

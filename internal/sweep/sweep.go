@@ -130,11 +130,10 @@ type PrewarmJob struct {
 // cell's result type and O its observation type; a kind whose cells emit
 // a single observation each (timing) uses its result type for both.
 type Exec[R, O any] struct {
-	// Total is the plan length. Cells, Shard and Shards select the subset
-	// to run (see SubsetIndices); their zero values select every cell.
-	Total         int
-	Cells         []int
-	Shard, Shards int
+	// Total is the plan length. Cells, when non-nil, lists the plan
+	// indices to run (see subsetIndices); nil runs every cell.
+	Total int
+	Cells []int
 	// Parallelism caps concurrently-running cells; <=0 means GOMAXPROCS.
 	Parallelism int
 	// Observe, when non-nil, receives the selected cells' observations in
@@ -173,8 +172,8 @@ type Exec[R, O any] struct {
 
 // Execute is the plan executor behind every runner. It runs x's
 // selected cells across a worker pool and returns their results
-// compacted in plan order, so a shard's or a cell list's results keep
-// the global order.
+// compacted in plan order, so a cell list's results keep the global
+// order.
 //
 // Observations reach x.Observe in the plan order of the selected cells,
 // at any parallelism. The oldest unfinished cell streams live — at
@@ -193,7 +192,7 @@ func Execute[R, O any](ctx context.Context, x Exec[R, O]) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	subset, err := SubsetIndices(x.Total, x.Cells, x.Shard, x.Shards)
+	subset, err := subsetIndices(x.Total, x.Cells)
 	if err != nil {
 		return nil, err
 	}
@@ -280,6 +279,32 @@ func Execute[R, O any](ctx context.Context, x Exec[R, O]) ([]R, error) {
 		return out, firstErr
 	}
 	return out, ctx.Err()
+}
+
+// subsetIndices resolves the cells a run executes: every plan index
+// when cells is nil, else cells itself, which must be strictly
+// increasing indices into [0, total) — the result order is the plan
+// order, and a duplicate would run a cell twice. An empty list runs
+// nothing.
+func subsetIndices(total int, cells []int) ([]int, error) {
+	if cells == nil {
+		cells = make([]int, total)
+		for i := range cells {
+			cells[i] = i
+		}
+		return cells, nil
+	}
+	prev := -1
+	for _, i := range cells {
+		if i < 0 || i >= total {
+			return nil, fmt.Errorf("sweep: cell index %d out of range [0, %d)", i, total)
+		}
+		if i <= prev {
+			return nil, fmt.Errorf("sweep: cell indices must be strictly increasing (%d after %d)", i, prev)
+		}
+		prev = i
+	}
+	return cells, nil
 }
 
 // releaser calls Release for a source once its last computed cell is

@@ -478,3 +478,30 @@ func TestExecuteReleasesEachSourceOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSubsetIndices pins the executor's cell-list check: nil selects
+// every cell, a valid list passes through, an empty list selects none,
+// and out-of-range, unsorted or duplicate lists fail.
+func TestSubsetIndices(t *testing.T) {
+	idx, err := subsetIndices(5, nil)
+	if err != nil || !reflect.DeepEqual(idx, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("nil subset = (%v, %v), want every cell", idx, err)
+	}
+	idx, err = subsetIndices(5, []int{0, 2, 4})
+	if err != nil || !reflect.DeepEqual(idx, []int{0, 2, 4}) {
+		t.Fatalf("explicit subset = (%v, %v)", idx, err)
+	}
+	if idx, err := subsetIndices(5, []int{}); err != nil || len(idx) != 0 {
+		t.Errorf("empty subset = (%v, %v), want empty run", idx, err)
+	}
+	for name, bad := range map[string][]int{
+		"out of range": {0, 5},
+		"negative":     {-1},
+		"unsorted":     {2, 1},
+		"duplicate":    {1, 1},
+	} {
+		if _, err := subsetIndices(5, bad); err == nil {
+			t.Errorf("%s subset accepted", name)
+		}
+	}
+}

@@ -105,7 +105,8 @@ type ShardManifest struct {
 	Kind string `json:"kind"`
 	// Plan is the sweep plan's fingerprint (SweepPlan.Fingerprint).
 	Plan string `json:"plan"`
-	// Shard and Shards name the subset this file holds (see WithShard).
+	// Shard and Shards name the subset this file holds: the cells
+	// SweepPlan.ShardIndices(Shard, Shards) lists.
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
 	// Cells is the full plan's cell list in execution order — identical
@@ -297,17 +298,22 @@ func MergeObservations(w io.Writer, shards ...io.Reader) error {
 		seen[m.Shard] = true
 	}
 	if len(seen) != head.Shards {
-		missing := make([]int, 0, head.Shards-len(seen))
-		for s := 0; s < head.Shards; s++ {
-			if !seen[s] {
-				missing = append(missing, s)
-			}
+		// The manifests may claim any shard count: count the missing
+		// shards and name the first, sizing nothing by the claim.
+		first := 0
+		for seen[first] {
+			first++
 		}
-		return fmt.Errorf("destset: merge needs all %d shards of the plan; missing %v", head.Shards, missing)
+		return fmt.Errorf("destset: merge needs all %d shards of the plan; %d missing, the first is shard %d",
+			head.Shards, head.Shards-len(seen), first)
 	}
-	plan, err := rebuildPlan(head.Kind, head.Plan, head.Cells)
-	if err != nil {
-		return err
+	if head.Kind != PlanKindTrace && head.Kind != PlanKindTiming {
+		return fmt.Errorf("destset: sweep plan kind %q (want %q or %q)", head.Kind, PlanKindTrace, PlanKindTiming)
+	}
+	plan := newSweepPlan(head.Kind, head.Cells)
+	if plan.Fingerprint() != head.Plan {
+		return fmt.Errorf("destset: sweep plan fingerprint %s does not match its cells (recomputed %s)",
+			head.Plan, plan.Fingerprint())
 	}
 	return plan.mergeStreams(w, streams)
 }

@@ -148,24 +148,25 @@ func TestEachObservationStopsOnCallbackError(t *testing.T) {
 }
 
 // shardJSONL runs one shard of a sweep into a manifest-headed JSONL
-// buffer, the way cmd/traceeval -json -shard does.
+// buffer, the way cmd/traceeval -json -shard does: the manifest, then
+// the observations of the cells the plan's ShardIndices lists.
 func shardJSONL(t testing.TB, engines []destset.EngineSpec, workloads []destset.WorkloadSpec, shard, shards int, opts ...destset.RunnerOption) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := destset.NewJSONLObserver(&buf)
 	all := append([]destset.RunnerOption{destset.WithObserver(sink.Observe)}, opts...)
-	if shards > 1 {
-		all = append(all, destset.WithShard(shard, shards))
+	plan, err := destset.NewRunner(engines, workloads, all...).Plan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	runner := destset.NewRunner(engines, workloads, all...)
-	plan, err := runner.Plan()
+	cells, err := plan.ShardIndices(shard, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.WriteManifest(plan.Manifest(shard, shards)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runner.Run(context.Background()); err != nil {
+	if _, err := destset.NewRunner(engines, workloads, append(all, destset.WithCells(cells))...).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
@@ -279,6 +280,23 @@ func FuzzMergeObservations(f *testing.F) {
 	})
 }
 
+// hugeShardCount is shard file s with its manifest claiming 2^62
+// shards.
+func hugeShardCount(t testing.TB, s []byte) *bytes.Buffer {
+	t.Helper()
+	lines := bytes.SplitN(s, []byte("\n"), 2)
+	var m destset.ShardManifest
+	if err := json.Unmarshal(lines[0], &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Shards = 1 << 62
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.NewBuffer(append(append(raw, '\n'), lines[1]...))
+}
+
 // TestMergeObservationsRefusals pins the refusal matrix: mismatched
 // plan fingerprints, missing and duplicate shards, manifest-less files
 // and foreign records are all errors.
@@ -336,6 +354,10 @@ func TestMergeObservationsRefusals(t *testing.T) {
 	forged := bytes.NewBuffer(append(raw, '\n'))
 	forged.Write(lines[1])
 	check("forged manifest cells", "does not match its cells", forged, s1)
+
+	// A manifest claiming 2^62 shards: the missing-shard report comes
+	// from the inputs, so nothing is sized by the claim.
+	check("claimed 2^62 shards", "missing", hugeShardCount(t, s0.Bytes()))
 
 	// An interrupted shard: manifest-valid but a cell never streamed.
 	truncated := bytes.NewBuffer(append(append([]byte(nil), lines[0]...), '\n'))

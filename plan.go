@@ -1,6 +1,9 @@
 package destset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
@@ -11,16 +14,31 @@ import (
 
 // Sweep plans. A Runner's or TimingRunner's cells have always run in one
 // deterministic order; SweepPlan names that order: every cell gets a
-// stable CellID (a fingerprint of spec × workload × seed plus the
+// stable PlanCell (a fingerprint of spec × workload × seed plus the
 // measurement scale) and the plan is fingerprinted over its cells. Two
 // processes that build the same runner — same specs, seeds, scale — in
 // any order of events compute byte-identical plans, which is what makes
 // sharded execution safe: shard processes agree on the cell index space
-// up front, and merge tools reject outputs whose plan fingerprints
-// differ instead of silently combining different experiments.
+// up front, each runs its own list of cells (WithCells), and merge tools
+// reject outputs whose plan fingerprints differ instead of silently
+// combining different experiments.
 
-// PlanCell is the stable identity of one sweep cell.
-type PlanCell = sweep.CellID
+// PlanCell is the stable identity of one sweep cell: its display
+// coordinates plus a fingerprint of everything that determines the
+// cell's result. Shard manifests carry it under these field names, in
+// this order.
+type PlanCell struct {
+	// Engine labels the cell's engine or sim spec.
+	Engine string
+	// Workload labels the cell's workload.
+	Workload string
+	// Seed is the cell's workload generation seed.
+	Seed uint64
+	// Fingerprint is a stable hash of the cell's full coordinates —
+	// identical across processes, so shard manifests written by
+	// independent processes agree.
+	Fingerprint string
+}
 
 // Plan kinds, naming which runner a plan (and a shard manifest) belongs
 // to.
@@ -33,32 +51,72 @@ const (
 // (workload-major: for each workload, for each engine/sim spec, for each
 // seed), with a stable fingerprint over the whole.
 type SweepPlan struct {
-	kind string
-	plan *sweep.Plan
+	kind        string
+	cells       []PlanCell
+	fingerprint string
+}
+
+// newSweepPlan makes cells, already in execution order, a plan of kind;
+// the plan keeps the slice. Its fingerprint covers every cell's
+// fingerprint in order, so any difference in specs, workloads, seeds,
+// scale or ordering yields a different plan.
+func newSweepPlan(kind string, cells []PlanCell) *SweepPlan {
+	parts := make([]string, len(cells))
+	for i, c := range cells {
+		parts[i] = c.Fingerprint
+	}
+	return &SweepPlan{kind: kind, cells: cells, fingerprint: fingerprintParts(parts...)}
+}
+
+// fingerprintParts hashes an ordered list of canonical strings into a
+// stable 32-hex-digit digest. Each part is length-prefixed, so part
+// boundaries cannot alias.
+func fingerprintParts(parts ...string) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write([]byte(p))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Kind returns PlanKindTrace or PlanKindTiming.
 func (p *SweepPlan) Kind() string { return p.kind }
 
 // Len returns the number of cells.
-func (p *SweepPlan) Len() int { return p.plan.Len() }
+func (p *SweepPlan) Len() int { return len(p.cells) }
 
 // Cell returns cell i in execution order.
-func (p *SweepPlan) Cell(i int) PlanCell { return p.plan.Cell(i) }
+func (p *SweepPlan) Cell(i int) PlanCell { return p.cells[i] }
 
 // Cells returns every cell in execution order. The returned slice is
 // shared; do not mutate.
-func (p *SweepPlan) Cells() []PlanCell { return p.plan.Cells() }
+func (p *SweepPlan) Cells() []PlanCell { return p.cells }
 
 // Fingerprint returns the plan's stable fingerprint: a pure function of
 // the runner's kind, specs, workloads, scale and seeds, identical across
 // processes.
-func (p *SweepPlan) Fingerprint() string { return p.plan.Fingerprint() }
+func (p *SweepPlan) Fingerprint() string { return p.fingerprint }
 
-// ShardIndices returns the global cell indices shard shard of shards
-// executes (see WithShard).
+// ShardIndices returns the cell indices shard shard of shards owns, in
+// execution order — the list a shard process runs through WithCells.
+// The split is round-robin: shard s of n owns the indices s, s+n, s+2n,
+// ..., which balances shards even when cost varies systematically along
+// the plan order (one workload's cells being uniformly heavier, say). A
+// shard past the last cell owns none, and with shards <= 1 (ParseShard's
+// unsharded 0/0 included) shard 0 owns every cell.
 func (p *SweepPlan) ShardIndices(shard, shards int) ([]int, error) {
-	return p.plan.Shard(shard, shards)
+	n := max(shards, 1)
+	if shard < 0 || shard >= n {
+		return nil, fmt.Errorf("destset: shard %d of %d out of range", shard, shards)
+	}
+	out := make([]int, 0, (len(p.cells)-shard+n-1)/n)
+	for i := shard; i < len(p.cells); i += n {
+		out = append(out, i)
+	}
+	return out, nil
 }
 
 // Manifest returns the shard-manifest record describing shard shard of
@@ -80,7 +138,7 @@ func (p *SweepPlan) Manifest(shard, shards int) ShardManifest {
 }
 
 // ParseShard parses the "i/n" shard selector the cmds accept as their
-// -shard flag — the textual form of WithShard(i, n). "" means
+// -shard flag, whose cells ShardIndices(i, n) lists. "" means
 // unsharded (0, 0); anything else must be exactly two integers with
 // 0 <= i < n.
 func ParseShard(s string) (shard, shards int, err error) {
@@ -196,15 +254,15 @@ func buildPlan[S interface {
 			Engine:   labels[c.S],
 			Workload: workloads[c.W].label(),
 			Seed:     c.Seed,
-			Fingerprint: sweep.Fingerprint(
+			Fingerprint: fingerprintParts(
 				kindFP, sfps[c.S], wfps[c.W], "seed="+strconv.FormatUint(c.Seed, 10)),
 		}
 	}
-	return &SweepPlan{kind: kind, plan: sweep.NewPlan(cells)}, nil
+	return newSweepPlan(kind, cells), nil
 }
 
 // Plan returns the runner's sweep plan: its cells in execution order
-// with stable fingerprints. The plan does not depend on WithShard — all
+// with stable fingerprints. The plan does not depend on WithCells — all
 // shards of a sweep share one plan.
 func (r *Runner) Plan() (*SweepPlan, error) {
 	return buildPlan(PlanKindTrace, r.engines, fingerprintEngineSpec, r.workloads, r.cfg,
@@ -212,37 +270,9 @@ func (r *Runner) Plan() (*SweepPlan, error) {
 }
 
 // Plan returns the timing runner's sweep plan: its cells in execution
-// order with stable fingerprints. The plan does not depend on WithShard
+// order with stable fingerprints. The plan does not depend on WithCells
 // — all shards of a sweep share one plan.
 func (r *TimingRunner) Plan() (*SweepPlan, error) {
 	return buildPlan(PlanKindTiming, r.sims, fingerprintSimSpec, r.workloads, r.cfg,
 		"destset: TimingRunner needs at least one sim spec and one workload spec")
-}
-
-// MergeResults reassembles per-shard Run outputs into the exact
-// full-run result slice of plan's sweep: shards[s] must be the output
-// of a Runner or TimingRunner of that plan run with WithShard(s,
-// len(shards)). Every merged cell is checked against the plan's
-// coordinates, so mixing shards of different sweeps — or supplying them
-// out of order — fails instead of silently mislabeling results.
-func MergeResults[T RunResult | TimingResult](plan *SweepPlan, shards [][]T) ([]T, error) {
-	merged, err := sweep.MergeShards(plan.Len(), shards)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range merged {
-		var label, workload string
-		var seed uint64
-		switch r := any(res).(type) {
-		case RunResult:
-			label, workload, seed = r.Engine, r.Workload, r.Seed
-		case TimingResult:
-			label, workload, seed = r.Sim, r.Workload, r.Seed
-		}
-		if c := plan.Cell(i); label != c.Engine || workload != c.Workload || seed != c.Seed {
-			return nil, fmt.Errorf("destset: merged cell %d is (%s, %s, seed %d), plan expects (%s, %s, seed %d)",
-				i, label, workload, seed, c.Engine, c.Workload, c.Seed)
-		}
-	}
-	return merged, nil
 }

@@ -10,7 +10,7 @@ import (
 
 // Result store: content-addressed memoization of completed sweep cells.
 //
-// A cell's CellID fingerprint is a pure function of its spec, workload,
+// A cell's PlanCell fingerprint is a pure function of its spec, workload,
 // seed, scale and observation interval, so a completed cell's result —
 // the aggregate totals plus the exact observation stream it emitted —
 // can be stored under that fingerprint and replayed by any later run

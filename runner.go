@@ -3,6 +3,7 @@ package destset
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"destset/internal/sweep"
 )
@@ -46,11 +47,8 @@ type runnerConfig struct {
 	measure     int
 	interval    int
 	parallelism int
-	// shard/shards restrict a run to one shard of the plan's cell index
-	// space; shards <= 1 runs everything.
-	shard, shards int
-	// cells, when non-nil, restricts the run to an explicit list of plan
-	// indices instead (see WithCells).
+	// cells, when non-nil, restricts the run to a list of plan indices
+	// (see WithCells).
 	cells    []int
 	observer Observer
 	// timingObserver streams per-cell timing observations; it is only
@@ -113,33 +111,17 @@ func WithObserver(fn Observer) RunnerOption {
 	return func(c *runnerConfig) { c.observer = fn }
 }
 
-// WithShard restricts the run to shard shard of shards of the sweep's
-// cell index space (round-robin over the plan's deterministic cell
-// order), so independent processes can split one sweep: give each
-// process the same specs and options plus its own WithShard(i, n), and
-// reassemble the full-run result with MergeResults (in-process) or
-// MergeObservations / cmd/sweepmerge (JSONL files). shards <= 1
-// restores the default full run. Out-of-range shards fail at Run.
-func WithShard(shard, shards int) RunnerOption {
-	return func(c *runnerConfig) { c.shard, c.shards = shard, shards }
-}
-
-// WithCells restricts the run to an explicit, strictly increasing list
-// of plan cell indices (see Plan for the index space) — the
-// finer-grained sibling of WithShard that distributed workers use to
-// execute a leased cell range: any subset of the plan, not just a
-// round-robin residue class. Results keep the global plan order.
-// WithCells is mutually exclusive with WithShard; out-of-range,
-// duplicate or unsorted indices fail at Run. A nil indices slice
-// restores the default full run.
+// WithCells restricts the run to a strictly increasing list of plan
+// cell indices (see Plan for the index space): a shard's
+// (SweepPlan.ShardIndices), a distributed worker's leased range, or any
+// other subset of the plan. Give each process the same specs and
+// options plus its own list, and reassemble the full-run stream with
+// MergeObservations / cmd/sweepmerge or SweepPlan.MergeStreams. Results
+// keep the global plan order. An empty list runs no cell; only nil
+// restores the default full run. Out-of-range, duplicate or unsorted
+// indices fail at Run.
 func WithCells(indices []int) RunnerOption {
-	return func(c *runnerConfig) {
-		if indices == nil {
-			c.cells = nil
-			return
-		}
-		c.cells = append([]int(nil), indices...)
-	}
+	return func(c *runnerConfig) { c.cells = slices.Clone(indices) }
 }
 
 // Runner fans a []EngineSpec × []WorkloadSpec × seeds cross-product
@@ -189,9 +171,8 @@ func NewRunner(engines []EngineSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 
 // Run executes the sweep and returns one RunResult per cell, ordered
 // workload-major: for each workload, for each engine, for each seed.
-// Under WithShard only that shard's cells run; the results keep the
-// global order, so MergeResults reassembles shard outputs into the exact
-// full-run slice. A nil ctx means context.Background(). On cancellation
+// Under WithCells only the listed cells run, and their results keep the
+// global order. A nil ctx means context.Background(). On cancellation
 // Run returns promptly with the completed cells (still in order) and
 // the context's error.
 func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
@@ -249,7 +230,7 @@ func (r *Runner) Run(ctx context.Context) ([]RunResult, error) {
 // put).
 func execute[R, O any](ctx context.Context, cfg runnerConfig, plan func() (*SweepPlan, error), workloads []sweep.Workload,
 	cells []sweep.Cell, get func(*ResultStore, PlanCell) (*R, []O), put func(*ResultStore, string, R, []O), x sweep.Exec[R, O]) ([]R, error) {
-	x.Total, x.Cells, x.Shard, x.Shards, x.Parallelism = len(cells), cfg.cells, cfg.shard, cfg.shards, cfg.parallelism
+	x.Total, x.Cells, x.Parallelism = len(cells), cfg.cells, cfg.parallelism
 	x.Prewarm = func(i int) sweep.PrewarmJob { return sweep.PrewarmJob{W: cells[i].W, Seed: cells[i].Seed} }
 	x.Prepare = func(j sweep.PrewarmJob) error {
 		w := workloads[j.W]

@@ -53,22 +53,13 @@ func TestRunnerShardUnionEquivalence(t *testing.T) {
 		t.Fatalf("full run returned %d cells", len(full))
 	}
 
+	plan := planOf(t, destset.NewRunner(engines, workloads, baseOpts()...))
 	for _, shards := range []int{1, 2, 3, 5} {
 		for _, par := range []int{1, 4} {
-			parts := make([][]destset.RunResult, shards)
-			for s := 0; s < shards; s++ {
-				res, err := destset.NewRunner(engines, workloads,
-					baseOpts(destset.WithParallelism(par), destset.WithShard(s, shards))...,
-				).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts[s] = res
-			}
-			merged, err := destset.MergeResults(planOf(t, destset.NewRunner(engines, workloads, baseOpts()...)), parts)
-			if err != nil {
-				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
-			}
+			merged := runShards(t, plan, shards, func(cells []int) ([]destset.RunResult, error) {
+				return destset.NewRunner(engines, workloads,
+					baseOpts(destset.WithParallelism(par), destset.WithCells(cells))...).Run(context.Background())
+			})
 			if got := mustJSON(t, merged); !bytes.Equal(got, want) {
 				t.Errorf("%d shards at parallelism %d merge differently from the full run", shards, par)
 			}
@@ -95,21 +86,13 @@ func TestTimingRunnerShardUnionEquivalence(t *testing.T) {
 		t.Fatalf("full run returned %d cells", len(full))
 	}
 
+	plan := planOf(t, destset.NewTimingRunner(sims, workloads))
 	for _, shards := range []int{1, 2, 3} {
 		for _, par := range []int{1, 4} {
-			parts := make([][]destset.TimingResult, shards)
-			for s := 0; s < shards; s++ {
-				res, err := destset.NewTimingRunner(sims, workloads,
-					destset.WithParallelism(par), destset.WithShard(s, shards)).Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts[s] = res
-			}
-			merged, err := destset.MergeResults(planOf(t, destset.NewTimingRunner(sims, workloads)), parts)
-			if err != nil {
-				t.Fatalf("%d shards, parallelism %d: %v", shards, par, err)
-			}
+			merged := runShards(t, plan, shards, func(cells []int) ([]destset.TimingResult, error) {
+				return destset.NewTimingRunner(sims, workloads,
+					destset.WithParallelism(par), destset.WithCells(cells)).Run(context.Background())
+			})
 			if got := mustJSON(t, merged); !bytes.Equal(got, want) {
 				t.Errorf("%d shards at parallelism %d merge differently from the full run", shards, par)
 			}
@@ -140,8 +123,8 @@ func TestPlanStability(t *testing.T) {
 	if got := mk(destset.WithSeeds(1, 2)).Fingerprint(); got != base.Fingerprint() {
 		t.Error("identical runners produced different plan fingerprints")
 	}
-	if got := mk(destset.WithSeeds(1, 2), destset.WithShard(1, 2)).Fingerprint(); got != base.Fingerprint() {
-		t.Error("WithShard changed the plan fingerprint; all shards must share one plan")
+	if got := mk(destset.WithSeeds(1, 2), destset.WithCells([]int{1, 3})).Fingerprint(); got != base.Fingerprint() {
+		t.Error("WithCells changed the plan fingerprint; all shards must share one plan")
 	}
 	if got := mk(destset.WithSeeds(1, 3)).Fingerprint(); got == base.Fingerprint() {
 		t.Error("different seeds share a plan fingerprint")
@@ -190,8 +173,6 @@ func TestPlanStability(t *testing.T) {
 	}
 }
 
-// TestShardValidation pins the failure modes: out-of-range shards fail
-// at Run, and Merge rejects wrong splits and foreign results.
 // planOf returns a runner's sweep plan, failing the test on error.
 func planOf(t *testing.T, r interface {
 	Plan() (*destset.SweepPlan, error)
@@ -204,35 +185,41 @@ func planOf(t *testing.T, r interface {
 	return plan
 }
 
+// runShards runs every shard of plan's shards-way split through run,
+// which gets the shard's cell list as a -shard process hands it to
+// WithCells, and places each shard's results at their plan indices.
+func runShards[T any](t *testing.T, plan *destset.SweepPlan, shards int, run func(cells []int) ([]T, error)) []T {
+	t.Helper()
+	merged := make([]T, plan.Len())
+	for s := 0; s < shards; s++ {
+		cells, err := plan.ShardIndices(s, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := run(cells)
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", s, shards, err)
+		}
+		if len(res) != len(cells) {
+			t.Fatalf("shard %d/%d returned %d results for %d cells", s, shards, len(res), len(cells))
+		}
+		for k, i := range cells {
+			merged[i] = res[k]
+		}
+	}
+	return merged
+}
+
+// TestShardValidation pins the split's failure mode: ShardIndices
+// refuses a shard outside its split.
 func TestShardValidation(t *testing.T) {
 	engines := []destset.EngineSpec{{Protocol: destset.ProtocolSnooping}}
 	workloads := []destset.WorkloadSpec{{Name: "oltp", Warm: 50, Measure: 50}}
-	for _, bad := range [][2]int{{2, 2}, {-1, 2}, {1, 1}} {
-		r := destset.NewRunner(engines, workloads, destset.WithShard(bad[0], bad[1]))
-		if _, err := r.Run(context.Background()); err == nil {
-			t.Errorf("WithShard(%d, %d) ran", bad[0], bad[1])
+	plan := planOf(t, destset.NewRunner(engines, workloads))
+	for _, bad := range [][2]int{{2, 2}, {-1, 2}, {1, 1}, {1, 0}} {
+		if cells, err := plan.ShardIndices(bad[0], bad[1]); err == nil {
+			t.Errorf("ShardIndices(%d, %d) = %v, want an error", bad[0], bad[1], cells)
 		}
-	}
-
-	r := destset.NewRunner(engines, workloads)
-	full, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := destset.MergeResults(planOf(t, r), [][]destset.RunResult{full, full}); err == nil {
-		t.Error("Merge accepted the full run twice")
-	}
-	foreign := append([]destset.RunResult(nil), full...)
-	foreign[0].Workload = "not-oltp"
-	if _, err := destset.MergeResults(planOf(t, r), [][]destset.RunResult{foreign}); err == nil {
-		t.Error("Merge accepted a result whose cell is not in the plan")
-	}
-	merged, err := destset.MergeResults(planOf(t, r), [][]destset.RunResult{full})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustJSON(t, merged), mustJSON(t, full)) {
-		t.Error("single-shard merge is not the identity")
 	}
 }
 
@@ -316,42 +303,28 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestTimingSweepMatchesFigure7 ties the sharded entry point to the
-// figure harness: merging every shard of experiments.TimingSweep yields
-// exactly the cells Figure 7's own runner computes.
+// figure harness: every shard of experiments.TimingSweep, placed at its
+// plan indices, yields exactly the cells Figure 7's own runner computes.
 func TestTimingSweepMatchesFigure7(t *testing.T) {
 	opt := experiments.QuickOptions()
 	opt.Workloads = []string{"oltp"}
 	opt.TimedWarmMisses, opt.TimedMisses = 1000, 1000
 
-	full, err := experiments.TimingSweep(context.Background(), opt, destset.SimpleCPU, 0, 0)
+	full, err := experiments.TimingSweep(context.Background(), opt, destset.SimpleCPU, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var parts [][]destset.TimingResult
-	for s := 0; s < 2; s++ {
-		res, err := experiments.TimingSweep(context.Background(), opt, destset.SimpleCPU, s, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, res)
-	}
-	plan, err := experiments.TimingSweepPlan(opt, destset.SimpleCPU)
+	def, err := experiments.TimingSweepDef(opt, destset.SimpleCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := planOf(t, def)
 	if plan.Len() != len(full) {
 		t.Fatalf("plan has %d cells, sweep returned %d", plan.Len(), len(full))
 	}
-	if len(parts[0])+len(parts[1]) != len(full) {
-		t.Fatalf("shards cover %d cells, want %d", len(parts[0])+len(parts[1]), len(full))
-	}
-	// Interleave (round-robin) and compare.
-	merged := make([]destset.TimingResult, len(full))
-	for s, part := range parts {
-		for k, r := range part {
-			merged[s+2*k] = r
-		}
-	}
+	merged := runShards(t, plan, 2, func(cells []int) ([]destset.TimingResult, error) {
+		return experiments.TimingSweep(context.Background(), opt, destset.SimpleCPU, cells)
+	})
 	if !bytes.Equal(mustJSON(t, merged), mustJSON(t, full)) {
 		t.Error("sharded TimingSweep union differs from the full sweep")
 	}

@@ -1,14 +1,12 @@
 package destset
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
 	"destset/internal/atomicfile"
 	"destset/internal/dataset"
-	"destset/internal/sweep"
 	"destset/internal/workload"
 )
 
@@ -154,9 +152,9 @@ func (d SweepDef) runnerOptions(extra []RunnerOption) []RunnerOption {
 }
 
 // Runner rebuilds the trace-driven Runner the definition describes.
-// extra options are process-local (parallelism, observers, WithShard,
-// WithCells); passing plan-affecting ones here would desynchronize this
-// process from every other holder of the def, so don't.
+// extra options are process-local (parallelism, observers, WithCells);
+// passing plan-affecting ones here would desynchronize this process
+// from every other holder of the def, so don't.
 func (d SweepDef) Runner(extra ...RunnerOption) (*Runner, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -355,50 +353,4 @@ func (d SweepDef) Datasets() ([]SweepDataset, error) {
 		}
 	}
 	return out, nil
-}
-
-// sweepPlanJSON is SweepPlan's wire form: kind, fingerprint and the full
-// cell list.
-type sweepPlanJSON struct {
-	Kind  string     `json:"kind"`
-	Plan  string     `json:"plan"`
-	Cells []PlanCell `json:"cells"`
-}
-
-// MarshalJSON serializes the plan: its kind, fingerprint and cells — the
-// same fields a ShardManifest carries.
-func (p *SweepPlan) MarshalJSON() ([]byte, error) {
-	return json.Marshal(sweepPlanJSON{Kind: p.kind, Plan: p.Fingerprint(), Cells: p.Cells()})
-}
-
-// UnmarshalJSON rebuilds a plan from its wire form and verifies the
-// recorded fingerprint against the one recomputed from the cells, so a
-// corrupted or hand-edited plan is rejected instead of silently renaming
-// an experiment.
-func (p *SweepPlan) UnmarshalJSON(raw []byte) error {
-	var pj sweepPlanJSON
-	if err := json.Unmarshal(raw, &pj); err != nil {
-		return err
-	}
-	rebuilt, err := rebuildPlan(pj.Kind, pj.Plan, pj.Cells)
-	if err != nil {
-		return err
-	}
-	*p = *rebuilt
-	return nil
-}
-
-// rebuildPlan restores a serialized plan — a JSON plan or a shard
-// manifest — from its kind, fingerprint and cells, refusing cells that
-// do not hash to the fingerprint.
-func rebuildPlan(kind, fingerprint string, cells []PlanCell) (*SweepPlan, error) {
-	if kind != PlanKindTrace && kind != PlanKindTiming {
-		return nil, fmt.Errorf("destset: sweep plan kind %q (want %q or %q)", kind, PlanKindTrace, PlanKindTiming)
-	}
-	plan := sweep.NewPlan(cells)
-	if plan.Fingerprint() != fingerprint {
-		return nil, fmt.Errorf("destset: sweep plan fingerprint %s does not match its cells (recomputed %s)",
-			fingerprint, plan.Fingerprint())
-	}
-	return &SweepPlan{kind: kind, plan: plan}, nil
 }

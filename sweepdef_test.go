@@ -220,41 +220,9 @@ func TestSweepDefDatasets(t *testing.T) {
 	}
 }
 
-// TestSweepPlanJSONRoundTrip pins the plan wire form: marshal/unmarshal
-// preserves kind, fingerprint and cells, and a tampered fingerprint is
-// rejected.
-func TestSweepPlanJSONRoundTrip(t *testing.T) {
-	runner := destset.NewRunner(
-		[]destset.EngineSpec{{Protocol: destset.ProtocolSnooping}},
-		[]destset.WorkloadSpec{{Name: "oltp", Warm: 200, Measure: 200}},
-		destset.WithSeeds(1, 2),
-	)
-	plan, err := runner.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back destset.SweepPlan
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind() != plan.Kind() || back.Fingerprint() != plan.Fingerprint() || back.Len() != plan.Len() {
-		t.Errorf("round trip = (%s, %s, %d), want (%s, %s, %d)",
-			back.Kind(), back.Fingerprint(), back.Len(), plan.Kind(), plan.Fingerprint(), plan.Len())
-	}
-
-	tampered := strings.Replace(string(raw), plan.Fingerprint(), strings.Repeat("0", len(plan.Fingerprint())), 1)
-	if err := json.Unmarshal([]byte(tampered), &back); err == nil || !strings.Contains(err.Error(), "does not match") {
-		t.Errorf("tampered plan = %v, want fingerprint mismatch", err)
-	}
-}
-
 // TestWithCellsSubset pins the explicit-subset entry point: running an
 // arbitrary (non-round-robin) index subset yields exactly those cells of
-// the full run, and invalid subsets fail.
+// the full run, an empty list runs none, and invalid subsets fail.
 func TestWithCellsSubset(t *testing.T) {
 	engines := []destset.EngineSpec{
 		{Protocol: destset.ProtocolSnooping},
@@ -290,10 +258,10 @@ func TestWithCellsSubset(t *testing.T) {
 			t.Errorf("%s subset should fail", name)
 		}
 	}
-	_, err = destset.NewRunner(engines, workloads, seeds,
-		destset.WithCells([]int{0}), destset.WithShard(0, 2)).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("WithCells+WithShard = %v, want mutual-exclusion error", err)
+	// An empty list is a shard with no cells, not the whole plan.
+	none, err := destset.NewRunner(engines, workloads, seeds, destset.WithCells([]int{})).Run(context.Background())
+	if err != nil || len(none) != 0 {
+		t.Errorf("WithCells([]int{}) ran %d of %d cells (err %v), want none", len(none), len(full), err)
 	}
 
 	// The timing runner honors the same subset contract.
@@ -310,6 +278,10 @@ func TestWithCellsSubset(t *testing.T) {
 	twant := []destset.TimingResult{tfull[1], tfull[5]}
 	if !reflect.DeepEqual(tgot, twant) {
 		t.Error("timing subset run differs from the full run's cells")
+	}
+	tnone, err := destset.NewTimingRunner(sims, tw, seeds, destset.WithCells([]int{})).Run(context.Background())
+	if err != nil || len(tnone) != 0 {
+		t.Errorf("timing WithCells([]int{}) ran %d of %d cells (err %v), want none", len(tnone), len(tfull), err)
 	}
 }
 

@@ -94,9 +94,8 @@ func NewTimingRunner(sims []SimSpec, workloads []WorkloadSpec, opts ...RunnerOpt
 
 // Run executes the sweep and returns one TimingResult per cell, ordered
 // workload-major: for each workload, for each sim spec, for each seed.
-// Under WithShard only that shard's cells run; the results keep the
-// global order, so MergeResults reassembles shard outputs into the exact
-// full-run slice. A nil ctx means context.Background(). On cancellation
+// Under WithCells only the listed cells run, and their results keep the
+// global order. A nil ctx means context.Background(). On cancellation
 // Run returns promptly with the completed cells (still in order) and
 // the context's error; the execution-driven cells themselves check the
 // context, so even a single huge simulation aborts promptly.
